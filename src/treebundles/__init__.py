@@ -13,9 +13,9 @@ from .curve import (CurveError, Edge, TreeCurve, Enlargement,
                     fill_multidegree, identity_enlargement, insert_bridge,
                     md_total, restrict_curve, subtree_divisor_class,
                     validate_tree)
-from .splitting import (SplittingType, HilbertFunction, h0_p1, h1_p1,
-                        hilbert_function, merge_with_line, remove_line,
-                        specializes_p1, splitting_from_hilbert)
+from .splitting import (SplittingType, HilbertFunction, hilbert_function,
+                        merge_with_line, remove_line, specializes_p1,
+                        splitting_from_hilbert)
 from .bundle import (BundleError, GluedBundle, SectionBasis, clamp_box,
                      clamp_multidegree, contract_pushforward, dmax,
                      evaluate_section, h0, h0_oracle, h1, make_bundle,

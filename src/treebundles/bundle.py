@@ -5,18 +5,24 @@ recorded order; at each node an invertible matrix identifies the two
 fibers, written in those summand trivializations. The summand order per
 component is significant because the gluing matrices index into it.
 
-Global sections are solved as one exact block linear system: a summand of
-twisted degree m contributes max(0, m+1) polynomial coefficients, and each
+Global sections are the kernel of one exact block linear system: a summand
+of twisted degree m contributes a block of polynomial coefficients, and each
 node contributes rank-many matching equations (a-side values through the
-gluing equal b-side values).
+gluing equal b-side values), cleared to integer rows. `section_basis` keeps
+all max(0, m+1) coefficients of every block. `h0` caps each block at
+val(v) coefficients, where val(v) counts the nodes on the component, and
+takes sum(max(0, m+1)) minus the rank, so its cost does not depend on the
+twist: Bareiss elimination over Q, elimination mod p over GF(p).
 """
 from __future__ import annotations
+
+from math import lcm
 
 from . import poly
 from .curve import (CurveError, TreeCurve, check_multidegree, md_total,
                     restrict_curve)
 from .linalg import (bareiss_rank, invert_matrix, kernel_basis, mat_mul,
-                     matrix_rank_over, modular_rank, rref)
+                     modular_rank)
 from .splitting import SplittingType
 
 
@@ -175,105 +181,93 @@ def contract_pushforward(bundle: GluedBundle, enl) -> GluedBundle:
 
 # -- the section linear system ---------------------------------------------
 
-def _column_layout(bundle: GluedBundle):
-    """(component, summand, twisted degree, first column) per polynomial block."""
-    layout = []
+def _column_layout(bundle: GluedBundle, capped=False):
+    """{(component, summand): (block degree, first column)} and the width.
+
+    `capped` cuts each block's degree to val(v) - 1: the matching rows see a
+    block only through its values at v's val(v) distinct node points, and
+    evaluation there is already onto with val(v) coefficients, so the cap
+    keeps the rank of the system.
+    """
+    val = dict.fromkeys(bundle.curve.components, 0)
+    for e in bundle.curve.edges:
+        val[e.a] += 1
+        val[e.b] += 1
+    blocks = {}
     ncols = 0
     for v in bundle.curve.components:
         for i, m in enumerate(bundle.splittings[v]):
+            if capped:
+                m = min(m, val[v] - 1)
             if m >= 0:
-                layout.append((v, i, m, ncols))
+                blocks[(v, i)] = (m, ncols)
                 ncols += m + 1
-    return layout, ncols
+    return blocks, ncols
 
-def _block_index(layout):
-    return {(v, i): (m, start) for v, i, m, start in layout}
+
+def _ratio(x, char):
+    """A field element as (numerator, denominator): a prime field residue
+    over 1, or a rational in lowest terms."""
+    return (getattr(x, "val", x), 1) if char else x.as_integer_ratio()
 
 
 def _matching_rows(bundle: GluedBundle, ncols, blocks):
-    """One row per (edge, summand): gluing * a-side values - b-side values = 0."""
-    zero = bundle.field.zero
-    rows = []
-    for ei, e in enumerate(bundle.curve.edges):
-        m = bundle.gluings[ei]
-        for out in range(bundle.rank):
-            row = [zero] * ncols
-            for j in range(bundle.rank):
-                if (e.a, j) in blocks and m[out][j] != 0:
-                    deg, start = blocks[(e.a, j)]
-                    p = bundle.field.one
-                    for k in range(deg + 1):
-                        row[start + k] = row[start + k] + m[out][j] * p
-                        p = p * e.pa
-            if (e.b, out) in blocks:
-                deg, start = blocks[(e.b, out)]
-                p = bundle.field.one
-                for k in range(deg + 1):
-                    row[start + k] = row[start + k] - p
-                    p = p * e.pb
-            rows.append(row)
-    return rows
+    """Integer rows, one per (edge, summand): gluing * a-side values equals
+    b-side values.
 
-
-def _int_rows(bundle: GluedBundle, ncols, blocks):
-    """Matching rows over plain machine integers, or None.
-
-    Residues stand in for prime field entries, integral rationals for
-    char 0 ones; any non-integral coordinate or gluing entry sends the
-    caller back to the generic field arithmetic.
+    With node points n_a/d_a and n_b/d_b and largest block degrees K and L
+    on the two sides, each row is scaled by d_a^K * d_b^L times the lcm of
+    its gluing-row denominators, so the Vandermonde entry p^k becomes
+    n^k * d^(K-k) and every entry is an integer. Scaling a row by a nonzero
+    constant keeps the rank, the kernel and the reduced echelon form. In a
+    prime field every denominator is 1 and powers are residues mod p. Edges
+    whose rows would be all zero contribute none.
     """
     char = bundle.field.char
-
-    def as_int(x):
-        if isinstance(x, int):
-            return x
-        v = getattr(x, "val", None)
-        if v is not None:
-            return v
-        if getattr(x, "denominator", 0) == 1:
-            return int(x)
-        return None
-
+    mod = char or None
+    rank = bundle.rank
+    top = {}
+    for (v, _), (m, _) in blocks.items():
+        if m > top.get(v, -1):
+            top[v] = m
     rows = []
     for ei, e in enumerate(bundle.curve.edges):
-        pa, pb = as_int(e.pa), as_int(e.pb)
-        if pa is None or pb is None:
-            return None
-        m = [[as_int(x) for x in mrow] for mrow in bundle.gluings[ei]]
-        if any(x is None for mrow in m for x in mrow):
-            return None
-        for out in range(bundle.rank):
+        ka, kb = top.get(e.a, -1), top.get(e.b, -1)
+        if ka < 0 and kb < 0:
+            continue
+        na, da = _ratio(e.pa, char)
+        nb, db = _ratio(e.pb, char)
+        # a-side n_a^k d_a^(K-k) d_b^L, b-side -d_a^K n_b^k d_b^(L-k)
+        sa, sb = db ** max(kb, 0), -da ** max(ka, 0)
+        ua = [pow(na, k, mod) * da ** (ka - k) * sa for k in range(ka + 1)]
+        ub = [sb * pow(nb, k, mod) * db ** (kb - k) for k in range(kb + 1)]
+        a_blocks = [blocks.get((e.a, j)) for j in range(rank)]
+        for out, grow in enumerate(bundle.gluings[ei]):
+            grow = [_ratio(x, char) for x in grow]
+            den = lcm(*(d for _, d in grow))
             row = [0] * ncols
-            for j in range(bundle.rank):
-                if (e.a, j) in blocks and m[out][j]:
-                    deg, start = blocks[(e.a, j)]
-                    p = 1
-                    for k in range(deg + 1):
-                        row[start + k] += m[out][j] * p
-                        p = p * pa % char if char else p * pa
-            if (e.b, out) in blocks:
-                deg, start = blocks[(e.b, out)]
-                p = 1
-                for k in range(deg + 1):
-                    row[start + k] -= p
-                    p = p * pb % char if char else p * pb
+            for (n, d), blk in zip(grow, a_blocks):
+                if blk and n:
+                    c = n * (den // d)
+                    deg, start = blk
+                    row[start:start + deg + 1] = [c * u for u in ua[:deg + 1]]
+            blk = blocks.get((e.b, out))
+            if blk:
+                deg, start = blk
+                row[start:start + deg + 1] = [den * u for u in ub[:deg + 1]]
             rows.append(row)
     return rows
 
 
 def h0(bundle: GluedBundle) -> int:
-    layout, ncols = _column_layout(bundle)
-    if ncols == 0:
-        return 0
-    blocks = _block_index(layout)
-    char = bundle.field.char
-    rows = _int_rows(bundle, ncols, blocks)
-    if rows is not None:
-        rank = (modular_rank(rows, ncols, char) if char
-                else bareiss_rank(rows, ncols))
-        return ncols - rank
+    """Dimension of the global sections: sum of max(0, m+1) over the
+    summands minus the rank of the capped matching system."""
+    blocks, ncols = _column_layout(bundle, capped=True)
     rows = _matching_rows(bundle, ncols, blocks)
-    return ncols - matrix_rank_over(rows, ncols, bundle.field)
+    char = bundle.field.char
+    rank = modular_rank(rows, ncols, char) if char else bareiss_rank(rows, ncols)
+    return sum(m + 1 for ds in bundle.splittings.values()
+               for m in ds if m >= 0) - rank
 
 
 def h1(bundle: GluedBundle) -> int:
@@ -294,13 +288,11 @@ class SectionBasis:
 
 
 def section_basis(bundle: GluedBundle) -> SectionBasis:
-    layout, ncols = _column_layout(bundle)
-    blocks = _block_index(layout)
-    zero, one = bundle.field.zero, bundle.field.one
-    if ncols == 0:
-        return SectionBasis(bundle, [])
-    rows = _matching_rows(bundle, ncols, blocks)
-    vecs = kernel_basis(rows, ncols, zero, one)
+    blocks, ncols = _column_layout(bundle)
+    fld = bundle.field
+    rows = [[fld.of(x) for x in row]
+            for row in _matching_rows(bundle, ncols, blocks)]
+    vecs = kernel_basis(rows, ncols, fld.zero, fld.one)
     sections = []
     for vec in vecs:
         sec = {}

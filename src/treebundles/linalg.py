@@ -6,8 +6,6 @@ and kernel bases are deterministic for a given input.
 """
 from __future__ import annotations
 
-from math import gcd
-
 
 def identity_matrix(n, zero, one):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
@@ -122,33 +120,6 @@ def modular_rank(rows, ncols, p):
         if rank == len(m):
             break
     return rank
-
-
-def matrix_rank_over(rows, ncols, field):
-    """Exact rank, routed through plain integers when the field allows.
-
-    Rational entries are cleared to integers row by row (rank is scaling
-    invariant), prime field elements drop to their residues; any other
-    field falls back to the generic echelon form.
-    """
-    if not rows:
-        return 0
-    char = getattr(field, "char", None)
-    if char == 0:
-        ints = []
-        for row in rows:
-            den = 1
-            for x in row:
-                d = x.denominator
-                if d != 1:
-                    den = den * d // gcd(den, d)
-            ints.append([int(x * den) for x in row] if den != 1
-                        else [int(x) for x in row])
-        return bareiss_rank(ints, ncols)
-    if char:
-        return modular_rank([[getattr(x, "val", x) for x in row]
-                             for row in rows], ncols, char)
-    return matrix_rank(rows, ncols)
 
 
 def kernel_basis(rows, ncols, zero, one):

@@ -21,7 +21,7 @@ from .bundle import (GluedBundle, clamp_box, dmax, h0, pullback,
 from .curve import (compose_enlargements, identity_enlargement, insert_bridge,
                     md_total)
 from .linalg import mat_vec
-from .splitting import (SplittingType, h0_p1, merge_with_line, remove_line,
+from .splitting import (SplittingType, merge_with_line, remove_line,
                         specializes_p1)
 from .subbundles import (LineSubbundle, SubbundleError, _direction_scalar,
                          quotient_bundle, saturate)
@@ -73,7 +73,7 @@ def decide(target: GluedBundle, source: SplittingType) -> Decision:
         raise MismatchError("degree %d vs %d" % (target.degree(), source.degree))
     ds = source.degrees
     for e in range(-ds[0], -ds[-1] - 1):
-        need = h0_p1(source, e)
+        need = source.h0(e)
         for ell in clamp_box(target, e):
             have = h0(twist(target, ell))
             if have < need:
@@ -654,7 +654,7 @@ def verify_certificate(cert: Certificate):
             have = h0(twist(tgt, dict(w.multidegree)))
         except Exception as exc:
             return fail("witness twist is malformed: %s" % exc)
-        need = h0_p1(src, md_total(w.multidegree))
+        need = src.h0(md_total(w.multidegree))
         if have != w.lhs or need != w.rhs:
             return fail("witness cohomology does not recompute: %d/%d vs %d/%d"
                         % (have, need, w.lhs, w.rhs))

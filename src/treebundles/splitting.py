@@ -44,14 +44,6 @@ class SplittingType:
         return "(%s)" % ", ".join(str(d) for d in self.degrees)
 
 
-def h0_p1(st: SplittingType, e=0):
-    return st.h0(e)
-
-
-def h1_p1(st: SplittingType, e=0):
-    return st.h1(e)
-
-
 def specializes_p1(general: SplittingType, special: SplittingType):
     """Does `general` degenerate to `special`?
 
@@ -102,17 +94,14 @@ class HilbertFunction:
         top = self.degree + self.rank * (self.hi + 1)
         if self.values[-1] != top:
             raise ValueError("window must end on the Euler characteristic line")
-        prev = 0
         last_diff = 0
         for e in range(self.lo, self.hi + 1):
             diff = self.value(e) - self.value(e - 1)
             if diff < last_diff or diff > self.rank:
                 raise ValueError("first differences must climb from 0 to the rank")
             last_diff = diff
-            prev = self.value(e)
         if last_diff != self.rank:
             raise ValueError("first differences never reach the rank")
-        _ = prev
         return self
 
     def __eq__(self, other):

@@ -5,11 +5,13 @@ from fractions import Fraction as F
 import pytest
 
 from treebundles.bundle import (BundleError, clamp_box, clamp_multidegree,
-                                contract_pushforward, dmax, h0, h0_oracle, h1,
-                                make_bundle, pullback, restrict_bundle,
-                                section_basis, twist, vanishing_floor)
+                                contract_pushforward, dmax, evaluate_section,
+                                h0, h0_oracle, h1, make_bundle, pullback,
+                                restrict_bundle, section_basis, twist,
+                                vanishing_floor)
 from treebundles.curve import Edge, TreeCurve, insert_bridge, md_total
 from treebundles.fields import PrimeField
+from treebundles.linalg import invert_matrix, mat_vec
 from treebundles.sampling import random_bundle, random_multidegree, random_tree
 
 from conftest import build_ex
@@ -178,14 +180,56 @@ def test_section_basis_respects_degree_bounds(ex_bundle):
 
 # -- oracle agreement -----------------------------------------------------------
 
+def non_integral(rng, bundle):
+    """The same tree shape and splittings with every chart moved by an
+    affine change x -> (x + t)/s, s not dividing t, and every gluing
+    replaced by its inverse. Over q, node coordinates on both sides of a
+    node and gluing entries then leave the integers."""
+    fld = bundle.field
+    chart = {}
+    for v in bundle.curve.components:
+        s = rng.randint(2, 7)
+        t = s * rng.randint(-2, 2) + rng.randint(1, s - 1)
+        chart[v] = (fld.of(s), fld.of(t))
+
+    def move(v, x):
+        s, t = chart[v]
+        return (x + t) / s
+
+    edges = tuple(Edge(e.a, move(e.a, e.pa), e.b, move(e.b, e.pb))
+                  for e in bundle.curve.edges)
+    gluings = {i: invert_matrix([row[:] for row in m], fld.zero, fld.one)
+               for i, m in bundle.gluings.items()}
+    return make_bundle(TreeCurve(bundle.curve.components, edges, fld),
+                       bundle.splittings, gluings)
+
+
+def assert_sections_agree(bundle):
+    """h0, the oracle and the section basis give one dimension, and every
+    basis section matches through the gluing at every node."""
+    want = h0_oracle(bundle)
+    assert h0(bundle) == want
+    basis = section_basis(bundle)
+    assert basis.dimension == want
+    zero = bundle.field.zero
+    for sec in basis.sections:
+        for ei, e in enumerate(bundle.curve.edges):
+            va = evaluate_section(bundle, sec, e.a, e.pa)
+            vb = evaluate_section(bundle, sec, e.b, e.pb)
+            assert mat_vec(bundle.gluings[ei], va, zero) == vb
+
+
 def test_h0_matches_oracle_random():
+    # twisted degrees reach 12, far above val(v) - 1, so h0's degree cap
+    # engages on every component
     rng = random.Random(33)
     for _ in range(30):
         curve = random_tree(rng, rng.randint(1, 4))
         bundle = random_bundle(rng, curve, rng.randint(1, 3), lo=-3, hi=3)
-        assert h0(bundle) == h0_oracle(bundle)
-        md = random_multidegree(rng, curve, lo=-3, hi=2)
-        assert h0(twist(bundle, md)) == h0_oracle(twist(bundle, md))
+        md = random_multidegree(rng, curve, lo=-3, hi=9)
+        for b in (bundle, non_integral(rng, bundle)):
+            assert_sections_agree(b)
+            assert_sections_agree(twist(b, md))
 
 
 def test_h0_matches_oracle_prime_field():
@@ -194,11 +238,14 @@ def test_h0_matches_oracle_prime_field():
     for _ in range(20):
         curve = random_tree(rng, rng.randint(1, 3), fld)
         bundle = random_bundle(rng, curve, rng.randint(1, 3), lo=-2, hi=2)
-        assert h0(bundle) == h0_oracle(bundle)
+        md = random_multidegree(rng, curve, lo=-2, hi=10)
+        for b in (bundle, non_integral(rng, bundle)):
+            assert_sections_agree(b)
+            assert_sections_agree(twist(b, md))
 
 
 def test_h0_on_fractional_node_coordinates():
-    # non-integral coordinates push h0 off the integer fast path
+    # coordinates and gluing entries with denominators, as in quotient bundles
     curve = TreeCurve(("a", "b"), (Edge("a", F(1, 2), "b", F(-2, 3)),))
     bundle = make_bundle(curve, {"a": (2, 0), "b": (1, 1)},
                          {0: [[F(1, 3), F(1)], [F(0), F(2)]]})

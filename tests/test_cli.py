@@ -2,6 +2,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -46,6 +47,20 @@ def test_twist_defaults_unmentioned_components_to_zero(ex_path, capsys):
     code, out, _ = run(capsys, "h0", "-i", ex_path, "--twist", "v1:-3")
     twisted = json.loads(out)
     assert code == 0 and twisted == {"h0": 2, "h1": 2}
+
+
+@pytest.mark.parametrize("flags, expected", [
+    (("--twist", "v1:100000000"), '{"h0":200000006,"h1":0}\n'),
+    (("--twist", "v1:100000000,v2:-100000000", "--field", "p:1000003"),
+     '{"h0":200000002,"h1":199999996}\n'),
+])
+def test_h0_cost_does_not_depend_on_the_twist(ex_path, capsys, flags, expected):
+    # the section system is capped at val(v) - 1 per block, so a twist of
+    # 10^8 costs what a twist of 1 does
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "h0", "-i", ex_path, *flags)
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (0, expected)
 
 
 def test_dmax_golden(ex_path, capsys):

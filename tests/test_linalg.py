@@ -2,11 +2,10 @@
 import random
 from fractions import Fraction as F
 
-from treebundles.fields import PrimeField, RationalField
+from treebundles.fields import RationalField
 from treebundles.linalg import (bareiss_rank, identity_matrix, invert_matrix,
                                 kernel_basis, mat_mul, mat_vec, matrix_rank,
-                                matrix_rank_over, modular_rank, rref,
-                                solve_columns)
+                                modular_rank, rref, solve_columns)
 
 QQ = RationalField()
 Z, I = QQ.zero, QQ.one
@@ -91,29 +90,3 @@ def test_modular_matches_fraction_rank():
         n, k = rng.randint(1, 5), rng.randint(1, 5)
         m = [[rng.randint(-6, 6) for _ in range(k)] for _ in range(n)]
         assert modular_rank([row[:] for row in m], k, p) == matrix_rank(frac(m), k)
-
-
-def test_matrix_rank_over_rational_routes_to_bareiss():
-    rows = [[F(1, 2), F(1, 3)], [F(3, 2), F(2)]]
-    assert matrix_rank_over(rows, 2, QQ) == matrix_rank(rows, 2) == 2
-    dependent = [[F(1, 2), F(1, 3)], [F(3, 2), F(1)]]
-    assert matrix_rank_over(dependent, 2, QQ) == 1
-    assert matrix_rank_over([], 2, QQ) == 0
-
-
-def test_matrix_rank_over_prime_field():
-    fld = PrimeField(101)
-    rows = [[fld.of(3), fld.of(6)], [fld.of(1), fld.of(2)]]
-    assert matrix_rank_over(rows, 2, fld) == 1
-
-
-def test_matrix_rank_over_random_agreement():
-    rng = random.Random(13)
-    fld = PrimeField(97)
-    for _ in range(80):
-        n, k = rng.randint(1, 4), rng.randint(1, 4)
-        ints = [[rng.randint(-8, 8) for _ in range(k)] for _ in range(n)]
-        q_rows = frac(ints)
-        p_rows = [[fld.of(x) for x in row] for row in ints]
-        assert matrix_rank_over(q_rows, k, QQ) == matrix_rank(q_rows, k)
-        assert matrix_rank_over(p_rows, k, fld) == matrix_rank(p_rows, k)

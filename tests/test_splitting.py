@@ -4,9 +4,9 @@ import random
 import pytest
 
 from treebundles.splitting import (HilbertFunction, SplittingType,
-                                   h0_p1, h1_p1, hilbert_function,
-                                   merge_with_line, remove_line,
-                                   specializes_p1, splitting_from_hilbert)
+                                   hilbert_function, merge_with_line,
+                                   remove_line, specializes_p1,
+                                   splitting_from_hilbert)
 
 
 def test_degrees_sorted_descending():
@@ -30,8 +30,6 @@ def test_cohomology_closed_forms():
     # Euler characteristic at every twist
     for e in range(-5, 5):
         assert st.h0(e) - st.h1(e) == st.degree + st.rank * (e + 1)
-    assert h0_p1(st, -1) == st.h0(-1)
-    assert h1_p1(st, -1) == st.h1(-1)
 
 
 def test_specializes_p1_cases():
