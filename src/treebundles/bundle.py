@@ -189,16 +189,13 @@ def _column_layout(bundle: GluedBundle, capped=False):
     evaluation there is already onto with val(v) coefficients, so the cap
     keeps the rank of the system.
     """
-    val = dict.fromkeys(bundle.curve.components, 0)
-    for e in bundle.curve.edges:
-        val[e.a] += 1
-        val[e.b] += 1
+    adj = bundle.curve.adjacency()
     blocks = {}
     ncols = 0
     for v in bundle.curve.components:
         for i, m in enumerate(bundle.splittings[v]):
             if capped:
-                m = min(m, val[v] - 1)
+                m = min(m, len(adj[v]) - 1)
             if m >= 0:
                 blocks[(v, i)] = (m, ncols)
                 ncols += m + 1
@@ -398,34 +395,50 @@ def vanishing_floor(bundle: GluedBundle):
     return {v: -max(bundle.splittings[v]) - 1 for v in bundle.curve.components}
 
 
+def level_box(comps, lo, hi, e):
+    """Multidegrees of total e with lo[v] <= md[v] <= hi[v], lazily.
+
+    Yielded as dicts keyed in `comps` order, in ascending lexicographic
+    order along `comps`; `hi=None` leaves every coordinate uncapped.
+    """
+    if hi is None:
+        # no coordinate can exceed what the others leave at their floors
+        spare = e - sum(lo[v] for v in comps)
+        hi = {v: lo[v] + spare for v in comps}
+    n = len(comps)
+    least, most = [0] * (n + 1), [0] * (n + 1)  # bounds on comps[i:]
+    for i in range(n - 1, -1, -1):
+        least[i] = least[i + 1] + lo[comps[i]]
+        most[i] = most[i + 1] + hi[comps[i]]
+    md = {}
+
+    def rec(i, remaining):
+        # the bounds leave remaining == 0 once every coordinate is set
+        if i == n:
+            yield dict(md)
+            return
+        v = comps[i]
+        for x in range(max(lo[v], remaining - most[i + 1]),
+                       min(hi[v], remaining - least[i + 1]) + 1):
+            md[v] = x
+            yield from rec(i + 1, remaining - x)
+
+    yield from rec(0, e)
+
+
 def clamp_box(bundle: GluedBundle, e: int):
     """All multidegrees of total e within the stabilization box.
 
     Below lo_v = -(largest summand degree on v) - 1 every section vanishes
     identically on v, so h0 is constant in that direction; any positivity or
     semicontinuity failure therefore clamps onto this finite box. Returned
-    in ascending lexicographic order along the component order.
+    in ascending lexicographic order along the component order. A twist
+    with no sections also lies under the ceiling lo_v + val(v) (see
+    `dmax`), but an `h0 >= need` test with need > 1 has no such ceiling,
+    so the box is not capped above.
     """
-    comps = list(bundle.curve.components)
-    lo = vanishing_floor(bundle)
-    suffix = [0] * (len(comps) + 1)
-    for i in range(len(comps) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + lo[comps[i]]
-    out = []
-
-    def rec(i, prefix, remaining):
-        if i == len(comps) - 1:
-            if remaining >= lo[comps[i]]:
-                out.append(dict(zip(comps, prefix + [remaining])))
-            return
-        v = comps[i]
-        top = remaining - suffix[i + 1]
-        for val in range(lo[v], top + 1):
-            rec(i + 1, prefix + [val], remaining - val)
-
-    if comps:
-        rec(0, [], e)
-    return out
+    comps = bundle.curve.components
+    return list(level_box(comps, vanishing_floor(bundle), None, e))
 
 
 def clamp_multidegree(bundle: GluedBundle, md):
@@ -438,36 +451,27 @@ def dmax(bundle: GluedBundle):
     """Largest d such that every twist of total degree -d has a section.
 
     Returns (d, witness) with the witness the first multidegree in the
-    total-degree -(d+1) clamp box without sections. Positive chi forces
-    sections at one end, the all-floors twist is sectionless at the other,
-    and losing a coordinate of any in-box multidegree lands in the box one
-    level down, so the all-pass property is monotone across levels and the
-    threshold binary searches.
+    total-degree -(d+1) clamp box without sections. A summand of twisted
+    degree m >= val(v) has a section (the product of (x - p) over v's
+    nodes, extended by zero to the other components), so every sectionless
+    twist in the clamp box also lies under the ceiling lo_v + val(v): the
+    first sectionless entry of a level is the first one of its ceiling box.
+    Lowering an above-floor coordinate of a sectionless twist keeps it
+    sectionless and in the box, so the levels that hold one form an
+    interval starting at the all-floors twist, and the levels are climbed
+    from there until one has no sectionless entry; the ceiling box is empty
+    past level sum(lo_v + val(v)), so the climb ends.
     """
-    deg, r = bundle.degree(), bundle.rank
-    lo_d = (deg + r - 1) // r
-    hi_d = sum(max(ds) + 1 for ds in bundle.splittings.values())
-    floors = vanishing_floor(bundle)
-    floor_sum = sum(floors.values())
-
-    def level_fails(cand):
-        # corners first: the whole budget on one component is the cheap
-        # way to expose a sectionless twist
-        for v in bundle.curve.components:
-            md = dict(floors)
-            md[v] += -cand - floor_sum
-            if h0(twist(bundle, md)) == 0:
-                return True
-        return any(h0(twist(bundle, md)) == 0
-                   for md in clamp_box(bundle, -cand))
-
-    while hi_d - lo_d > 1:
-        mid = (lo_d + hi_d) // 2
-        if level_fails(mid):
-            hi_d = mid
-        else:
-            lo_d = mid
-    for md in clamp_box(bundle, -hi_d):
-        if h0(twist(bundle, md)) == 0:
-            return hi_d - 1, md
-    raise AssertionError("no sectionless twist up to the all-floors point")
+    comps = bundle.curve.components
+    lo = vanishing_floor(bundle)
+    adj = bundle.curve.adjacency()
+    hi = {v: lo[v] + len(adj[v]) for v in comps}
+    e = sum(lo.values())
+    witness = dict(lo)
+    while True:
+        e += 1
+        found = next((md for md in level_box(comps, lo, hi, e)
+                      if h0(twist(bundle, md)) == 0), None)
+        if found is None:
+            return -e, witness
+        witness = found

@@ -63,14 +63,20 @@ def _parse_target(text):
         raise InputError("target %r is not a comma-separated integer list" % text)
 
 
+def _parse_field(name):
+    try:
+        return field_from_name(name)
+    except ValueError as exc:
+        raise InputError(str(exc))
+
+
 def _emit(obj):
     sys.stdout.write(dumps(obj) + "\n")
 
 
 def _bundle_arg(args):
-    fld = field_from_name(args.field)
     try:
-        return bundle_from_json(_load(args.input), fld)
+        return bundle_from_json(_load(args.input), args.field)
     except (SerializeError, ValueError) as exc:
         raise InputError(str(exc))
 
@@ -134,9 +140,8 @@ def _cmd_certify(args):
 
 
 def _cmd_verify(args):
-    fld = field_from_name(args.field)
     try:
-        cert = certificate_from_json(_load(args.input), fld)
+        cert = certificate_from_json(_load(args.input), args.field)
     except (SerializeError, ValueError) as exc:
         raise InputError(str(exc))
     ok, report = verify_certificate(cert)
@@ -145,11 +150,10 @@ def _cmd_verify(args):
 
 
 def _cmd_oracle_check(args):
-    fld = field_from_name(args.field)
     rng = random.Random(args.seed)
     h0_bad, box_bad = [], []
     for _ in range(args.cases):
-        curve = random_tree(rng, rng.randint(1, 4), fld)
+        curve = random_tree(rng, rng.randint(1, 4), args.field)
         bundle = random_bundle(rng, curve, rng.randint(1, 3))
         for _ in range(3):
             twisted = twist(bundle, random_multidegree(rng, curve, -2, 2))
@@ -172,15 +176,14 @@ def _cmd_oracle_check(args):
 
 
 def _cmd_export_dot(args):
-    fld = field_from_name(args.field)
     obj = _load(args.input)
     try:
         if isinstance(obj, dict) and "claim" in obj:
-            text = dot.certificate_to_dot(certificate_from_json(obj, fld))
+            text = dot.certificate_to_dot(certificate_from_json(obj, args.field))
         elif isinstance(obj, dict) and "curve" in obj:
-            text = dot.bundle_to_dot(bundle_from_json(obj, fld))
+            text = dot.bundle_to_dot(bundle_from_json(obj, args.field))
         elif isinstance(obj, dict) and "components" in obj:
-            text = dot.curve_to_dot(curve_from_json(obj, fld))
+            text = dot.curve_to_dot(curve_from_json(obj, args.field))
         else:
             raise InputError("input is neither curve, bundle nor certificate")
     except (SerializeError, ValueError) as exc:
@@ -232,6 +235,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.field = _parse_field(args.field)
         return args.fn(args)
     except InputError as exc:
         sys.stderr.write("error: %s\n" % exc)

@@ -141,8 +141,8 @@ class PrimeField:
     """GF(p) for an odd prime p; p above 10**6 keeps random sampling honest."""
 
     def __init__(self, p: int):
-        if not _is_prime(p):
-            raise ValueError("%d is not prime" % p)
+        if p == 2 or not _is_prime(p):
+            raise ValueError("%d is not an odd prime" % p)
         self.p = p
         self.name = "p:%d" % p
         self.char = p
@@ -159,11 +159,12 @@ class PrimeField:
         return FpElement(n, self.p)
 
     def parse(self, s: str) -> FpElement:
-        s = s.strip()
-        if "/" in s:
-            num, _, den = s.partition("/")
-            return self.of(int(num)) / self.of(int(den))
-        return self.of(int(s))
+        num, slash, den = s.strip().partition("/")
+        try:
+            x = self.of(int(num))
+            return x / self.of(int(den)) if slash else x
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError("not an element of GF(%d): %r" % (self.p, s)) from exc
 
     def to_str(self, x) -> str:
         return str(x.val)
@@ -183,6 +184,6 @@ def field_from_name(name: str):
     name = name.strip()
     if name == "q":
         return RationalField()
-    if name.startswith("p:"):
+    if name.startswith("p:") and name[2:].isdigit():
         return PrimeField(int(name[2:]))
     raise ValueError("unknown field %r (expected 'q' or 'p:<prime>')" % (name,))

@@ -93,10 +93,16 @@ def _matrix_to_json(fld, m):
     return [[fld.to_str(x) for x in row] for row in m]
 
 
+def _element(fld, x, where):
+    if not isinstance(x, str):
+        raise SerializeError("%s: field element %r is not a string" % (where, x))
+    return fld.parse(x)
+
+
 def _matrix_from_json(fld, obj, where):
     if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
         raise SerializeError("%s: matrix is not a list of rows" % where)
-    return [[fld.parse(x) for x in row] for row in obj]
+    return [[_element(fld, x, where) for x in row] for row in obj]
 
 
 def bundle_to_json(bundle: GluedBundle) -> dict:
@@ -152,9 +158,10 @@ def subbundle_from_json(obj, host: GluedBundle) -> LineSubbundle:
     raw = _need(obj, "embeddings", dict, "subbundle")
     embeddings = {}
     for v, ps in raw.items():
-        if not isinstance(ps, list):
-            raise SerializeError("subbundle: embedding of %r is not a list" % v)
-        embeddings[v] = [[fld.parse(c) for c in p] for p in ps]
+        where = "subbundle embedding of %r" % v
+        if not isinstance(ps, list) or not all(isinstance(p, list) for p in ps):
+            raise SerializeError("%s: not a list of coefficient lists" % where)
+        embeddings[v] = [[_element(fld, c, where) for c in p] for p in ps]
     scalars = {}
     for k, s in enumerate(_need(obj, "scalars", list, "subbundle")):
         where = "subbundle scalar %d" % k

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from . import poly
-from .bundle import (GluedBundle, clamp_box, dmax, h0, pullback,
+from .bundle import (GluedBundle, clamp_box, dmax, h0, level_box, pullback,
                      restrict_bundle, section_basis, twist)
 from .curve import (compose_enlargements, identity_enlargement, insert_bridge,
                     md_total)
@@ -213,17 +213,8 @@ def _section_candidates(field, curve, basis):
 
 
 def _in_s(base, members):
-    """Does every total-degree-0 twist of the restriction have a section?
-
-    An empty clamp box means every summand everywhere is twisted below its
-    floor before the level is reached, which forces a sectionless twist, so
-    emptiness is a refusal.
-    """
-    sub = restrict_bundle(base, members)
-    box = clamp_box(sub, 0)
-    if not box:
-        return False
-    return all(h0(twist(sub, ell)) > 0 for ell in box)
+    """Does every total-degree-0 twist of the restriction have a section?"""
+    return dmax(restrict_bundle(base, members))[0] >= 0
 
 
 def _junction(bundle, edge_index, polys, plan):
@@ -335,16 +326,6 @@ def _walk_candidate(bundle, d, witness):
     raise AssertionError("neighbor walk failed to settle")
 
 
-def _compositions(total, n):
-    """Nonnegative integer n-tuples summing to total, ascending lex."""
-    if n == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, n - 1):
-            yield (head,) + rest
-
-
 def _bridgeless(bundle, d):
     """Degree-d line subbundle with no curve surgery, if one exists.
 
@@ -358,10 +339,9 @@ def _bridgeless(bundle, d):
     comps = curve.components
     maxm = {v: max(bundle.splittings[v]) for v in comps}
     slack_total = sum(maxm.values()) - d
-    if slack_total < 0:
-        return None
-    for slack in _compositions(slack_total, len(comps)):
-        a = {v: maxm[v] - s for v, s in zip(comps, slack)}
+    zeros = dict.fromkeys(comps, 0)
+    for slack in level_box(comps, zeros, None, slack_total):
+        a = {v: maxm[v] - slack[v] for v in comps}
         feasible = True
         for v in comps:
             active = [m for m in bundle.splittings[v] if m >= a[v]]

@@ -1,5 +1,6 @@
 """Glued bundles: construction, cohomology, twists, boxes, surgery."""
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -139,8 +140,8 @@ def test_clamp_multidegree_random_h0_preservation():
 
 def test_dmax_definition_on_random_instances():
     rng = random.Random(32)
-    for _ in range(25):
-        curve = random_tree(rng, rng.randint(1, 3))
+    for field in [None] * 25 + [PrimeField(1000003)] * 25:
+        curve = random_tree(rng, rng.randint(1, 4), field)
         bundle = random_bundle(rng, curve, rng.randint(1, 3), lo=-2, hi=2)
         d, witness = dmax(bundle)
         assert md_total(witness) == -(d + 1)
@@ -151,6 +152,29 @@ def test_dmax_definition_on_random_instances():
         box = clamp_box(bundle, -(d + 1))
         first = next(md for md in box if h0(twist(bundle, md)) == 0)
         assert first == witness
+
+
+def test_dmax_cost_is_bounded_by_the_ceiling_box():
+    # a sectionless twist has at most val(v) + 1 values per component, so
+    # this chain costs a handful of small levels, not its full clamp boxes
+    ids = tuple("v%d" % (k + 1) for k in range(8))
+    curve = TreeCurve(ids, tuple(Edge(ids[k], F(1), ids[k + 1], F(0))
+                                 for k in range(7)))
+    bundle = random_bundle(random.Random(1), curve, 2)
+    t0 = time.perf_counter()
+    d, witness = dmax(bundle)
+    assert time.perf_counter() - t0 < 1.0
+    assert (d, witness) == (10, {"v1": -2, "v2": -3, "v3": -2, "v4": 2,
+                                 "v5": -2, "v6": 0, "v7": -1, "v8": -3})
+    assert h0_oracle(twist(bundle, witness)) == 0
+    # the ceiling box does not grow with the summand degrees either
+    huge = make_bundle(t2(), {"v1": (10 ** 8, 0), "v2": (0, -10 ** 8)},
+                       {0: I2})
+    t0 = time.perf_counter()
+    d, witness = dmax(huge)
+    assert time.perf_counter() - t0 < 1.0
+    assert (d, witness) == (10 ** 8, {"v1": -10 ** 8 - 1, "v2": 0})
+    assert h0_oracle(twist(huge, witness)) == 0
 
 
 # -- sections ------------------------------------------------------------------

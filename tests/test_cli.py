@@ -11,7 +11,8 @@ import pytest
 
 import treebundles
 from treebundles.cli import main
-from treebundles.serialize import bundle_to_json, curve_to_json, dumps
+from treebundles.serialize import (bundle_to_json, certificate_to_json,
+                                   curve_to_json, dumps)
 from treebundles.specialize import certify
 from treebundles.splitting import SplittingType
 
@@ -123,6 +124,53 @@ def test_bad_target_flag_exit_1(ex_path, capsys):
     assert code == 1 and "target" in err
 
 
+def _write(tmp_path, obj):
+    path = tmp_path / "input.json"
+    path.write_text(dumps(obj))
+    return str(path)
+
+
+def _ex_with(edit):
+    def make(tmp_path):
+        obj = bundle_to_json(build_ex())
+        edit(obj)
+        return _write(tmp_path, obj)
+    return make
+
+
+def _int_gluing_entry(obj):
+    obj["gluings"][0]["matrix"][0][0] = 1
+
+
+def _zero_denominator_node(obj):
+    obj["curve"]["edges"][0]["pa"] = "1/0"
+
+
+def _cert_with_int_embedding_entry(tmp_path):
+    obj = certificate_to_json(certify(build_ex(), SplittingType((3, 1))))
+    (step,) = [s for s in obj["steps"] if s["kind"] == "splitoff"]
+    emb = step["subbundle"]["embeddings"]
+    emb[next(iter(emb))][0] = [1]
+    return _write(tmp_path, obj)
+
+
+@pytest.mark.parametrize("verb, make_input, flags", [
+    ("h0", _ex_with(lambda obj: None), ("--field", "p:9")),
+    ("export-dot", _ex_with(lambda obj: None), ("--field", "p:x")),
+    ("h0", _ex_with(lambda obj: None), ("--field", "p:2")),
+    ("h0", _ex_with(_int_gluing_entry), ()),
+    ("verify", _cert_with_int_embedding_entry, ()),
+    ("h0", _ex_with(_zero_denominator_node), ("--field", "p:7")),
+], ids=["field-p9", "field-px", "field-p2", "int-gluing-entry",
+        "int-embedding-entry", "zero-denominator-node-mod-7"])
+def test_bad_input_ends_in_one_error_line(tmp_path, capsys, verb, make_input,
+                                          flags):
+    code, out, err = run(capsys, verb, "-i", make_input(tmp_path), *flags)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_certify_verify_pipeline(ex_path, tmp_path, capsys):
     code, out, _ = run(capsys, "certify", "-i", ex_path, "--target", "3,1")
     assert code == 0
@@ -198,7 +246,6 @@ def test_export_dot_bundle(ex_path, capsys):
 
 def test_export_dot_certificate(ex_path, tmp_path, capsys):
     cert = certify(build_ex(), SplittingType((3, 1)))
-    from treebundles.serialize import certificate_to_json
     path = tmp_path / "cert.json"
     path.write_text(dumps(certificate_to_json(cert)))
     code, out, _ = run(capsys, "export-dot", "-i", str(path))

@@ -59,13 +59,20 @@ def test_fp_parse_and_print():
     assert fld.parse("-1") == fld.of(12)
     assert fld.parse("1/2") == fld.of(7)
     assert fld.to_str(fld.of(20)) == "7"
+    for bad in ("1/0", "1/13", "x"):
+        with pytest.raises(ValueError, match="not an element"):
+            fld.parse(bad)
 
 
 def test_field_from_name():
     assert field_from_name("q") == RationalField()
     assert field_from_name("p:101") == PrimeField(101)
-    with pytest.raises(ValueError, match="unknown field"):
-        field_from_name("gf8")
+    for bad in ("gf8", "p:x", "p:"):
+        with pytest.raises(ValueError, match="unknown field"):
+            field_from_name(bad)
+    for bad in ("p:2", "p:9"):
+        with pytest.raises(ValueError, match="not an odd prime"):
+            field_from_name(bad)
 
 
 def test_field_equality_and_hash():

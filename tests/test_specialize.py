@@ -1,19 +1,21 @@
 """Deciding specialization, maximal line subbundles, certificates."""
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from treebundles.bundle import dmax, h0, make_bundle, pullback, twist
+from treebundles.bundle import (clamp_box, dmax, h0, level_box, make_bundle,
+                                pullback, restrict_bundle, twist)
 from treebundles.curve import Edge, TreeCurve, md_total
 from treebundles.sampling import (balanced_splitting, generalize,
-                                  random_bundle, random_splitting,
-                                  random_tree, spread)
+                                  random_bundle, random_multidegree,
+                                  random_splitting, random_tree, spread)
 from treebundles.specialize import (Certificate, Decision, DominanceStep,
                                     EnlargementStep, FailureWitness,
                                     MismatchError, RankOneBase, SplitOffStep,
-                                    _blocks, _bridgeless, _compositions,
-                                    _cut_assembly, certify, decide,
+                                    _blocks, _bridgeless, _cut_assembly,
+                                    _in_s, certify, decide,
                                     find_line_subbundle, verify_certificate)
 from treebundles.splitting import SplittingType, specializes_p1
 from treebundles.subbundles import LineSubbundle
@@ -183,9 +185,31 @@ def test_regression_forced_double_bridge():
 # -- the assembly fallbacks, exercised directly ----------------------------------
 
 def test_compositions_order():
-    assert list(_compositions(3, 2)) == [(0, 3), (1, 2), (2, 1), (3, 0)]
-    assert list(_compositions(0, 3)) == [(0, 0, 0)]
-    assert list(_compositions(2, 1)) == [(2,)]
+    # _bridgeless walks its slack vectors through the shared level enumerator
+    def slacks(total, ids):
+        return list(level_box(ids, dict.fromkeys(ids, 0), None, total))
+
+    assert slacks(3, "ab") == [{"a": 0, "b": 3}, {"a": 1, "b": 2},
+                               {"a": 2, "b": 1}, {"a": 3, "b": 0}]
+    assert slacks(0, "abc") == [{"a": 0, "b": 0, "c": 0}]
+    assert slacks(2, "a") == [{"a": 2}]
+    lo, hi = {"a": -1, "b": 0, "c": 0}, {"a": 1, "b": 1, "c": 2}
+    assert list(level_box("abc", lo, hi, 2)) == [
+        {"a": -1, "b": 1, "c": 2}, {"a": 0, "b": 0, "c": 2},
+        {"a": 0, "b": 1, "c": 1}, {"a": 1, "b": 0, "c": 1},
+        {"a": 1, "b": 1, "c": 0}]
+    assert list(level_box("abc", lo, hi, sum(hi.values()) + 1)) == []
+    # capped levels against a filtered product, keys in component order
+    rng = random.Random(41)
+    for _ in range(30):
+        ids = "abcd"[:rng.randint(1, 4)]
+        lo = {v: rng.randint(-2, 1) for v in ids}
+        hi = {v: lo[v] + rng.randint(0, 3) for v in ids}
+        e = rng.randint(sum(lo.values()) - 1, sum(hi.values()) + 1)
+        want = [dict(zip(ids, t)) for t in itertools.product(
+                    *(range(lo[v], hi[v] + 1) for v in ids)) if sum(t) == e]
+        got = list(level_box(ids, lo, hi, e))
+        assert got == want and all(list(md) == list(ids) for md in got)
 
 
 def test_blocks():
@@ -208,6 +232,23 @@ def test_bridgeless_finds_constant_direction():
 
 def test_bridgeless_returns_none_when_bridge_required(ex_bundle):
     assert _bridgeless(ex_bundle, 3) is None
+
+
+def test_in_s_against_the_degree_zero_clamp_box():
+    rng = random.Random(43)
+    seen = set()
+    for _ in range(30):
+        curve = random_tree(rng, rng.randint(2, 4))
+        bundle = random_bundle(rng, curve, rng.randint(2, 3))
+        base = twist(bundle, random_multidegree(rng, curve, -3, 3))
+        for i, e in enumerate(curve.edges):
+            members = curve.side_of(i, e.a)
+            sub = restrict_bundle(base, members)
+            box = clamp_box(sub, 0)
+            want = bool(box) and all(h0(twist(sub, ell)) > 0 for ell in box)
+            assert _in_s(base, members) == want
+            seen.add(want)
+    assert seen == {True, False}
 
 
 def test_cut_assembly_bridges_transverse_directions():
