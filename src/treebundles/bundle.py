@@ -21,8 +21,8 @@ from math import lcm
 from . import poly
 from .curve import (CurveError, TreeCurve, check_multidegree, md_total,
                     restrict_curve)
-from .linalg import (bareiss_rank, invert_matrix, kernel_basis, mat_mul,
-                     modular_rank)
+from .linalg import (bareiss_rank, identity_matrix, invert_matrix,
+                     kernel_basis, mat_mul, modular_rank)
 from .splitting import SplittingType
 
 
@@ -140,12 +140,11 @@ def pullback(bundle: GluedBundle, enl) -> GluedBundle:
     for v in src.components:
         spl[v] = (0,) * r if v in enl.contracted else bundle.splittings[v]
     glue = {}
-    ident = [[one if i == j else zero for j in range(r)] for i in range(r)]
     for ti, walk in enumerate(enl.target_edge_paths()):
         m = bundle.gluings[ti]
         for step, (si, forward) in enumerate(walk):
             if step > 0:
-                glue[si] = [row[:] for row in ident]
+                glue[si] = identity_matrix(r, zero, one)
             elif forward:
                 glue[si] = [row[:] for row in m]
             else:
@@ -169,7 +168,7 @@ def contract_pushforward(bundle: GluedBundle, enl) -> GluedBundle:
     r = bundle.rank
     glue = {}
     for ti, walk in enumerate(enl.target_edge_paths()):
-        acc = [[one if i == j else zero for j in range(r)] for i in range(r)]
+        acc = identity_matrix(r, zero, one)
         for si, forward in walk:
             m = [row[:] for row in bundle.gluings[si]]
             eff = m if forward else invert_matrix(m, zero, one)

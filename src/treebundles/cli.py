@@ -10,8 +10,10 @@ import argparse
 import json
 import random
 import sys
+from math import comb
 
-from .bundle import clamp_box, clamp_multidegree, dmax, h0, h0_oracle, h1, twist
+from .bundle import (clamp_box, clamp_multidegree, dmax, h0, h0_oracle, h1,
+                     twist, vanishing_floor)
 from .curve import CurveError, fill_multidegree
 from .fields import field_from_name
 from .sampling import random_bundle, random_multidegree, random_tree
@@ -24,6 +26,10 @@ from . import dot
 
 class InputError(ValueError):
     pass
+
+
+# largest clamp box `box --level` prints
+_BOX_LIMIT = 10 ** 6
 
 
 def _load(path):
@@ -104,6 +110,11 @@ def _cmd_dmax(args):
 
 def _cmd_box(args):
     bundle = _bundle_arg(args)
+    n = len(bundle.curve.components)
+    spare = args.level - sum(vanishing_floor(bundle).values())
+    if spare > 0 and comb(spare + n - 1, n - 1) > _BOX_LIMIT:
+        raise InputError("box at level %d has more than %d entries"
+                         % (args.level, _BOX_LIMIT))
     _emit({"box": [multidegree_to_json(md)
                    for md in clamp_box(bundle, args.level)]})
     return 0

@@ -58,20 +58,41 @@ class TreeCurve:
                 return i
         return None
 
+    def _reach(self, adj, start, members, cut):
+        """Members reachable from `start` without crossing an edge in `cut`."""
+        seen = {start}
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for w, i in adj[v]:
+                if w in members and w not in seen and i not in cut:
+                    seen.add(w)
+                    stack.append(w)
+        return seen
+
     def side_of(self, edge_index, endpoint):
         """Components reachable from `endpoint` without crossing the edge."""
         e = self.edges[edge_index]
         assert endpoint in (e.a, e.b)
         adj = self.adjacency()
-        seen = {endpoint}
-        stack = [endpoint]
-        while stack:
-            v = stack.pop()
-            for w, i in adj[v]:
-                if i != edge_index and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
+        return self._reach(adj, endpoint, adj, (edge_index,))
+
+    def pieces(self, members, cut=()):
+        """Connected pieces of the subgraph on `members` minus the `cut` edges.
+
+        Each piece is a tuple in component order, and the pieces are
+        ordered by their first member.
+        """
+        members, cut = set(members), set(cut)
+        adj = self.adjacency()
+        seen = set()
+        out = []
+        for v in self.components:
+            if v in members and v not in seen:
+                part = self._reach(adj, v, members, cut)
+                seen |= part
+                out.append(self.ordered(part))
+        return out
 
     def path_between(self, x, y):
         """Unique component path from x to y, inclusive."""
@@ -96,19 +117,7 @@ class TreeCurve:
 
     def is_connected_subset(self, members):
         members = set(members)
-        if not members:
-            return False
-        start = next(v for v in self.components if v in members)
-        adj = self.adjacency()
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w, _ in adj[v]:
-                if w in members and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen == members
+        return members <= set(self.components) and len(self.pieces(members)) == 1
 
     def ordered(self, members):
         """Members as a tuple in component order."""
@@ -209,9 +218,7 @@ def coconnected_subtrees(curve: TreeCurve):
     """
     out = {tuple(curve.components)}
     for i in range(len(curve.edges)):
-        e = curve.edges[i]
-        out.add(curve.ordered(curve.side_of(i, e.a)))
-        out.add(curve.ordered(curve.side_of(i, e.b)))
+        out.update(curve.pieces(curve.components, (i,)))
     key = {v: i for i, v in enumerate(curve.components)}
     return sorted(out, key=lambda t: (len(t), tuple(key[v] for v in t)))
 
@@ -301,9 +308,6 @@ class Enlargement:
     def survivors(self):
         return tuple(v for v in self.source.components if v not in self.contracted)
 
-    def is_identity(self):
-        return not self.contracted and self.source == self.target
-
     def validate(self):
         problems = validate_tree(self.source) + validate_tree(self.target)
         if problems:
@@ -333,7 +337,7 @@ class Enlargement:
         return problems
 
     def _chains(self):
-        """Yield (target edge index or None, set of contracted comps or None).
+        """(target edge index or None, tuple of contracted comps) pairs.
 
         Surviving-to-surviving source edges and contracted chains both map
         to target edges; unmatched structure yields None for the index.
@@ -343,34 +347,19 @@ class Enlargement:
         # direct edges
         for e in src.edges:
             if e.a not in self.contracted and e.b not in self.contracted:
-                out.append((self._find_target_edge(e.a, e.pa, e.b, e.pb), set()))
+                out.append((self._find_target_edge(e.a, e.pa, e.b, e.pb), ()))
         # chains of contracted components
-        seen = set()
         adj = src.adjacency()
-        for v in src.components:
-            if v not in self.contracted or v in seen:
-                continue
-            chain = {v}
-            stack = [v]
-            while stack:
-                x = stack.pop()
-                for w, _ in adj[x]:
-                    if w in self.contracted and w not in chain:
-                        chain.add(w)
-                        stack.append(w)
-            seen |= chain
-            boundary = []
-            for x in chain:
-                for w, i in adj[x]:
-                    if w not in self.contracted:
-                        boundary.append((w, i))
+        for chain in src.pieces(self.contracted):
+            boundary = [(w, i) for x in chain for w, i in adj[x]
+                        if w not in self.contracted]
             if len(boundary) != 2:
                 out.append((None, chain))
                 continue
             (u, iu), (w, iw) = boundary
             # the survivor-to-survivor walk must use up the whole chain
             interior = set(src.path_between(u, w)[1:-1])
-            if interior != chain:
+            if interior != set(chain):
                 out.append((None, chain))
                 continue
             eu, ew = src.edges[iu], src.edges[iw]

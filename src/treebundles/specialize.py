@@ -42,12 +42,6 @@ class FailureWitness:
     def level(self):
         return md_total(self.multidegree)
 
-    def __eq__(self, other):
-        if not isinstance(other, FailureWitness):
-            return NotImplemented
-        return (dict(self.multidegree) == dict(other.multidegree)
-                and self.lhs == other.lhs and self.rhs == other.rhs)
-
 
 @dataclass(frozen=True)
 class Decision:
@@ -115,11 +109,6 @@ def _merge_plans(*plans):
 def _shift_degrees(plan, shift):
     plan.degrees = {v: a - shift[v] for v, a in plan.degrees.items()}
     return plan
-
-
-def _scalars_by_ids(sub: LineSubbundle):
-    return {(e.a, e.b): sub.scalars[i]
-            for i, e in enumerate(sub.host.curve.edges)}
 
 
 def _nonzero_components(curve, section):
@@ -240,9 +229,11 @@ def _junction(bundle, edge_index, polys, plan):
 
 def _saturation_plan(host, w_eff, section):
     sat = saturate(host, section)
+    scalars = {(e.a, e.b): sat.scalars[i]
+               for i, e in enumerate(sat.host.curve.edges)}
     plan = _Plan(dict(sat.degrees), {v: [list(p) for p in ps]
                                      for v, ps in sat.embeddings.items()},
-                 _scalars_by_ids(sat), [])
+                 scalars, [])
     return _shift_degrees(plan, w_eff)
 
 
@@ -312,8 +303,7 @@ def _walk_candidate(bundle, d, witness):
     cur, prev = curve.components[0], None
     for _ in range(len(curve.components) + 1):
         nxt = None
-        for nb in curve.neighbors(cur):
-            i = curve.edge_between(cur, nb)
+        for nb, i in curve.adjacency()[cur]:
             if _in_s(base, curve.side_of(i, cur)):
                 nxt = nb
                 break
@@ -360,43 +350,12 @@ def _bridgeless(bundle, d):
             if len(_nonzero_components(curve, sec)) != len(comps):
                 continue
             try:
-                sat = saturate(twisted, sec)
+                plan = _saturation_plan(twisted, co, sec)
             except SubbundleError:
                 continue
-            plan = _Plan(dict(sat.degrees),
-                         {v: [list(p) for p in ps]
-                          for v, ps in sat.embeddings.items()},
-                         _scalars_by_ids(sat), [])
-            _shift_degrees(plan, co)
             assert plan.total() == d, "surgery-free subbundle beat the maximum"
             return plan
     return None
-
-
-def _blocks(curve, cut):
-    """Connected component lists after deleting the cut edges, curve order."""
-    adj = {v: [] for v in curve.components}
-    for i, e in enumerate(curve.edges):
-        if i in cut:
-            continue
-        adj[e.a].append(e.b)
-        adj[e.b].append(e.a)
-    seen = set()
-    blocks = []
-    for v in curve.components:
-        if v in seen:
-            continue
-        part = {v}
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for w in adj[x]:
-                if w not in part:
-                    part.add(w)
-                    stack.append(w)
-        seen |= part
-        blocks.append(curve.ordered(part))
-    return blocks
 
 
 def _cut_assembly(bundle, d):
@@ -419,7 +378,7 @@ def _cut_assembly(bundle, d):
 
     for k in range(1, n_edges + 1):
         for cut in itertools.combinations(range(n_edges), k):
-            blocks = _blocks(curve, set(cut))
+            blocks = curve.pieces(curve.components, cut)
             if sum(dmax_of(b) for b in blocks) - k != d:
                 continue
             restrictions = [restrict_bundle(bundle, b) for b in blocks]
@@ -466,25 +425,14 @@ def _case_vanishing(bundle, base, witness, z):
         except SubbundleError:
             return None
 
-    parts = []
-    left = set(dead)
-    for v in curve.components:
-        if v not in left:
-            continue
-        part = {v}
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for nb in curve.neighbors(x):
-                if nb in left and nb not in part:
-                    part.add(nb)
-                    stack.append(nb)
-        left -= part
-        parts.append(curve.ordered(part))
-    for part in parts:
-        rest = [v for v in curve.components if v not in set(part)]
-        if not curve.is_connected_subset(rest):
+    # one crossing edge per dead part, i.e. the rest stays connected
+    joins = []
+    for part in curve.pieces(dead):
+        crossing = [i for i, e in enumerate(curve.edges)
+                    if (e.a in part) != (e.b in part)]
+        if len(crossing) != 1:
             return None
+        joins.append((part, crossing[0]))
 
     host = restrict_bundle(bumped, alive)
     try:
@@ -492,16 +440,12 @@ def _case_vanishing(bundle, base, witness, z):
                                 {v: sec[v] for v in alive})
     except SubbundleError:
         return None
-    for part in parts:
+    for part, _ in joins:
         sub = _shift_degrees(_search(restrict_bundle(base, part)),
                              {v: witness[v] for v in part})
         plan = _merge_plans(plan, sub)
-    for part in parts:
-        crossing = [i for i, e in enumerate(curve.edges)
-                    if (e.a in set(part)) != (e.b in set(part))]
-        if len(crossing) != 1:
-            return None
-        _junction(bundle, crossing[0], plan.polys, plan)
+    for _, i in joins:
+        _junction(bundle, i, plan.polys, plan)
     return plan
 
 
@@ -592,10 +536,10 @@ def certify(target: GluedBundle, source: SplittingType) -> Certificate:
     steps = []
     cur_t, cur_s = target, source
     while cur_t.rank > 1:
-        d = dmax(cur_t)[0]
+        enl, sub = find_line_subbundle(cur_t)
+        d = sub.degree()
         merged = merge_with_line(cur_s, d)
         steps.append(DominanceStep(cur_s, merged))
-        enl, sub = find_line_subbundle(cur_t)
         steps.append(EnlargementStep(enl))
         quot = quotient_bundle(sub.host, sub)
         qprime = remove_line(merged, d)

@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import time
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from treebundles.serialize import (bundle_to_json, certificate_to_json,
 from treebundles.specialize import certify
 from treebundles.splitting import SplittingType
 
-from conftest import build_ex
+from conftest import build_chain, build_ex
 
 
 @pytest.fixture
@@ -146,6 +147,14 @@ def _zero_denominator_node(obj):
     obj["curve"]["edges"][0]["pa"] = "1/0"
 
 
+def _three_component_chain(tmp_path):
+    ident = [[F(1), F(0)], [F(0), F(1)]]
+    bundle = build_chain(("v1", "v2", "v3"),
+                         {"v1": (1, 0), "v2": (0, 0), "v3": (0, 1)},
+                         {0: ident, 1: ident})
+    return _write(tmp_path, bundle_to_json(bundle))
+
+
 def _cert_with_int_embedding_entry(tmp_path):
     obj = certificate_to_json(certify(build_ex(), SplittingType((3, 1))))
     (step,) = [s for s in obj["steps"] if s["kind"] == "splitoff"]
@@ -161,8 +170,10 @@ def _cert_with_int_embedding_entry(tmp_path):
     ("h0", _ex_with(_int_gluing_entry), ()),
     ("verify", _cert_with_int_embedding_entry, ()),
     ("h0", _ex_with(_zero_denominator_node), ("--field", "p:7")),
+    ("box", _three_component_chain, ("--level", "100000")),
 ], ids=["field-p9", "field-px", "field-p2", "int-gluing-entry",
-        "int-embedding-entry", "zero-denominator-node-mod-7"])
+        "int-embedding-entry", "zero-denominator-node-mod-7",
+        "box-level-100000"])
 def test_bad_input_ends_in_one_error_line(tmp_path, capsys, verb, make_input,
                                           flags):
     code, out, err = run(capsys, verb, "-i", make_input(tmp_path), *flags)

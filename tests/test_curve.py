@@ -1,4 +1,5 @@
 """Tree curves: validation, graph views, divisors, flows, enlargements."""
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +12,7 @@ from treebundles.curve import (CurveError, Edge, TreeCurve,
                                restrict_curve, subtree_divisor_class,
                                validate_tree)
 from treebundles.fields import PrimeField
+from treebundles.sampling import random_tree
 
 
 def t2():
@@ -80,6 +82,47 @@ def test_is_connected_subset():
     assert curve.is_connected_subset({"a", "h", "b"})
     assert not curve.is_connected_subset({"a", "b"})
     assert not curve.is_connected_subset(set())
+    assert not curve.is_connected_subset({"a", "h", "zz"})
+
+
+def _union_find_pieces(curve, members, cut):
+    parent = {v: v for v in members}
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for i, e in enumerate(curve.edges):
+        if i not in cut and e.a in members and e.b in members:
+            parent[root(e.a)] = root(e.b)
+    groups = {}
+    for v in curve.components:
+        if v in members:
+            groups.setdefault(root(v), []).append(v)
+    return [tuple(g) for g in groups.values()]
+
+
+def test_pieces_against_union_find():
+    rng = random.Random(5)
+    for _ in range(200):
+        tree = random_tree(rng, rng.randint(1, 9))
+        comps = list(tree.components)
+        edges = list(tree.edges)
+        rng.shuffle(comps)
+        rng.shuffle(edges)
+        curve = TreeCurve(tuple(comps), tuple(edges))
+        members = {v for v in comps if rng.random() < 0.7}
+        cut = {i for i in range(len(edges)) if rng.random() < 0.3}
+        want = _union_find_pieces(curve, members, cut)
+        assert curve.pieces(members, cut) == want
+        assert curve.is_connected_subset(members) == \
+            (len(_union_find_pieces(curve, members, set())) == 1)
+        for i, e in enumerate(edges):
+            for end in (e.a, e.b):
+                (side,) = [p for p in _union_find_pieces(curve, set(comps), {i})
+                           if end in p]
+                assert curve.side_of(i, end) == set(side)
 
 
 def test_multidegree_helpers():

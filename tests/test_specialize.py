@@ -14,7 +14,7 @@ from treebundles.sampling import (balanced_splitting, generalize,
 from treebundles.specialize import (Certificate, Decision, DominanceStep,
                                     EnlargementStep, FailureWitness,
                                     MismatchError, RankOneBase, SplitOffStep,
-                                    _blocks, _bridgeless, _cut_assembly,
+                                    _bridgeless, _cut_assembly,
                                     _in_s, certify, decide,
                                     find_line_subbundle, verify_certificate)
 from treebundles.splitting import SplittingType, specializes_p1
@@ -215,9 +215,10 @@ def test_compositions_order():
 def test_blocks():
     curve = TreeCurve(("a", "b", "c"),
                       (Edge("a", F(0), "b", F(0)), Edge("b", F(1), "c", F(0))))
-    assert _blocks(curve, (0,)) == [("a",), ("b", "c")]
-    assert _blocks(curve, (1,)) == [("a", "b"), ("c",)]
-    assert _blocks(curve, (0, 1)) == [("a",), ("b",), ("c",)]
+    comps = curve.components
+    assert curve.pieces(comps, (0,)) == [("a",), ("b", "c")]
+    assert curve.pieces(comps, (1,)) == [("a", "b"), ("c",)]
+    assert curve.pieces(comps, (0, 1)) == [("a",), ("b",), ("c",)]
 
 
 def test_bridgeless_finds_constant_direction():
