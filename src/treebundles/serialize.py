@@ -30,7 +30,7 @@ def _need(obj, key, kind, where):
     if not isinstance(obj, dict) or key not in obj:
         raise SerializeError("%s: missing %r" % (where, key))
     val = obj[key]
-    if kind is not None and not isinstance(val, kind):
+    if isinstance(val, bool) or not isinstance(val, kind):
         raise SerializeError("%s: %r has the wrong shape" % (where, key))
     return val
 

@@ -201,9 +201,15 @@ def _section_candidates(field, curve, basis):
         yield _combine(field, curve, basis, coeffs)
 
 
-def _in_s(base, members):
-    """Does every total-degree-0 twist of the restriction have a section?"""
-    return dmax(restrict_bundle(base, members))[0] >= 0
+def _in_s(base, members, sides):
+    """Does every total-degree-0 twist of the restriction have a section?
+
+    That is, is its dmax >= 0; the (dmax, witness) pair is recorded in
+    `sides` under the member set.
+    """
+    measured = dmax(restrict_bundle(base, members))
+    sides[frozenset(members)] = measured
+    return measured[0] >= 0
 
 
 def _junction(bundle, edge_index, polys, plan):
@@ -237,11 +243,12 @@ def _saturation_plan(host, w_eff, section):
     return _shift_degrees(plan, w_eff)
 
 
-def _search(bundle: GluedBundle) -> _Plan:
+def _search(bundle: GluedBundle, measured=None) -> _Plan:
     """Core of the subbundle search, one recursion level.
 
     Returns a plan relative to `bundle` whose total degree (bridges count
-    -1 each) equals dmax(bundle). Rank one and single components are
+    -1 each) equals dmax(bundle); `measured` is dmax(bundle) when the caller
+    has already computed it. Rank one and single components are
     immediate. Otherwise candidate assemblies are tried in order: the
     zero-locus walk (a +1 bump's section saturates whole, or the tree is
     split at an edge both of whose sides stay sectioned, or along a best
@@ -266,7 +273,7 @@ def _search(bundle: GluedBundle) -> _Plan:
         polys = {v: [[one] if i == j else [] for i in range(bundle.rank)]}
         return _Plan({v: ms[j]}, polys, {}, [])
 
-    d, witness = dmax(bundle)
+    d, witness = measured or dmax(bundle)
     plan = _walk_candidate(bundle, d, witness)
     if plan is not None and plan.total() == d:
         return plan
@@ -299,19 +306,21 @@ def _walk_candidate(bundle, d, witness):
             continue
 
     # neighbor walk: keep moving toward a side that fails, turn-around
-    # means both sides of an edge are good, a dead end isolates a component
+    # means both sides of an edge are good, a dead end isolates a component;
+    # each side's dmax is kept for the edge split
+    sides = {}
     cur, prev = curve.components[0], None
     for _ in range(len(curve.components) + 1):
         nxt = None
         for nb, i in curve.adjacency()[cur]:
-            if _in_s(base, curve.side_of(i, cur)):
+            if _in_s(base, curve.side_of(i, cur), sides):
                 nxt = nb
                 break
         if nxt is None:
             return _case_vanishing(bundle, base, witness, cur)
         if nxt == prev:
             return _case_edge_split(bundle, base, witness,
-                                    curve.edge_between(prev, cur))
+                                    curve.edge_between(prev, cur), sides)
         prev, cur = cur, nxt
     raise AssertionError("neighbor walk failed to settle")
 
@@ -373,16 +382,16 @@ def _cut_assembly(bundle, d):
 
     def dmax_of(block):
         if block not in block_d:
-            block_d[block] = dmax(restrict_bundle(bundle, block))[0]
+            block_d[block] = dmax(restrict_bundle(bundle, block))
         return block_d[block]
 
     for k in range(1, n_edges + 1):
         for cut in itertools.combinations(range(n_edges), k):
             blocks = curve.pieces(curve.components, cut)
-            if sum(dmax_of(b) for b in blocks) - k != d:
+            if sum(dmax_of(b)[0] for b in blocks) - k != d:
                 continue
-            restrictions = [restrict_bundle(bundle, b) for b in blocks]
-            plan = _merge_plans(*[_search(r) for r in restrictions])
+            plan = _merge_plans(*[_search(restrict_bundle(bundle, b), dmax_of(b))
+                                  for b in blocks])
             for i in cut:
                 _junction(bundle, i, plan.polys, plan)
             assert plan.total() == d, "cut assembly missed the maximal degree"
@@ -390,16 +399,16 @@ def _cut_assembly(bundle, d):
     return None
 
 
-def _case_edge_split(bundle, base, witness, edge_index):
+def _case_edge_split(bundle, base, witness, edge_index, sides):
     """Both sides of this edge admit sections at every degree-0 twist:
-    solve each side separately and join across the node."""
-    curve = bundle.curve
-    e = curve.edges[edge_index]
-    side_a = curve.ordered(curve.side_of(edge_index, e.a))
-    side_b = curve.ordered(curve.side_of(edge_index, e.b))
-    plan_a = _search(restrict_bundle(base, side_a))
-    plan_b = _search(restrict_bundle(base, side_b))
-    plan = _merge_plans(plan_a, plan_b)
+    solve each side separately and join across the node. `sides` maps
+    each side's member set to the dmax of base restricted to it."""
+    e = bundle.curve.edges[edge_index]
+    halves = []
+    for v in (e.a, e.b):
+        side = frozenset(bundle.curve.side_of(edge_index, v))
+        halves.append(_search(restrict_bundle(base, side), sides[side]))
+    plan = _merge_plans(*halves)
     _shift_degrees(plan, witness)
     _junction(bundle, edge_index, plan.polys, plan)
     return plan

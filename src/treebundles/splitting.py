@@ -61,105 +61,36 @@ def specializes_p1(general: SplittingType, special: SplittingType):
     return True
 
 
-class HilbertFunction:
-    """Section counts e -> h0(e) of a P^1 bundle, tabulated on the window
-    where they are not forced by the two closed forms (0 below, degree +
-    rank*(e+1) above)."""
-
-    def __init__(self, rank, degree, lo, values):
-        self.rank = int(rank)
-        self.degree = int(degree)
-        self.lo = int(lo)
-        self.values = tuple(int(v) for v in values)
-        if self.rank < 1:
-            raise ValueError("rank must be positive")
-        if not self.values:
-            raise ValueError("empty value window")
-
-    @property
-    def hi(self):
-        return self.lo + len(self.values) - 1
-
-    def value(self, e):
-        if e < self.lo:
-            return 0
-        if e > self.hi:
-            return self.degree + self.rank * (e + 1)
-        return self.values[e - self.lo]
-
-    def check(self):
-        """Raise unless the table is consistent with some splitting type."""
-        if self.value(self.lo) != 0:
-            raise ValueError("window must start where h0 vanishes")
-        top = self.degree + self.rank * (self.hi + 1)
-        if self.values[-1] != top:
-            raise ValueError("window must end on the Euler characteristic line")
-        last_diff = 0
-        for e in range(self.lo, self.hi + 1):
-            diff = self.value(e) - self.value(e - 1)
-            if diff < last_diff or diff > self.rank:
-                raise ValueError("first differences must climb from 0 to the rank")
-            last_diff = diff
-        if last_diff != self.rank:
-            raise ValueError("first differences never reach the rank")
-        return self
-
-    def __eq__(self, other):
-        if not isinstance(other, HilbertFunction):
-            return NotImplemented
-        if (self.rank, self.degree) != (other.rank, other.degree):
-            return False
-        lo = min(self.lo, other.lo)
-        hi = max(self.hi, other.hi)
-        return all(self.value(e) == other.value(e) for e in range(lo, hi + 1))
-
-    def __repr__(self):
-        return "HilbertFunction(rank=%d, degree=%d, lo=%d, values=%r)" % (
-            self.rank, self.degree, self.lo, self.values)
-
-
-def hilbert_function(st: SplittingType):
-    lo = -st.degrees[0] - 1
-    hi = -st.degrees[-1]
-    return HilbertFunction(st.rank, st.degree,
-                           lo, [st.h0(e) for e in range(lo, hi + 1)])
-
-
-def splitting_from_hilbert(h: HilbertFunction):
-    """Invert hilbert_function: the count of summands with d >= -e is the
-    first difference h0(e) - h0(e-1)."""
-    h.check()
-    degrees = []
-    prev = 0
-    for e in range(h.lo, h.hi + 1):
-        diff = h.value(e) - h.value(e - 1)
-        degrees.extend([-e] * (diff - prev))
-        prev = diff
-    st = SplittingType(tuple(degrees))
-    if st.rank != h.rank or st.degree != h.degree:
-        raise ValueError("table is not realizable at rank %d degree %d"
-                         % (h.rank, h.degree))
-    return st
-
-
 def merge_with_line(st: SplittingType, d: int):
     """The splitting type whose h0 at every twist is max(h0 of O(d), h0 of st).
 
-    This is the unique candidate that absorbs a degree-d line bundle while
-    staying a specialization target; it exists at st's rank and degree
-    whenever d stays within reach (rank 1 with d above the degree has no
-    such type, and the reconstruction raises).
+    Below the least twist c where st's sections catch up with the line's
+    the line wins, and from c on st does. Reading the summands back from
+    the first differences of that envelope gives d, then -c for the rest
+    of the jump at c, then -c - 1 for the rest of st's count at c + 1, then
+    st's summands below -c. Rank one with d above the degree has no such
+    type.
     """
-    lo = min(-d - 1, -st.degrees[0] - 1)
-    hi = max(-d, -st.degrees[-1])
-    if st.rank > 1:
-        # past this point the rank-r side outgrows the line permanently
-        cross = -((-(d - st.degree)) // (st.rank - 1))  # ceil division
-        hi = max(hi, cross)
-    line = SplittingType((d,))
-    values = [max(line.h0(e), st.h0(e)) for e in range(lo, hi + 1)]
-    return splitting_from_hilbert(
-        HilbertFunction(st.rank, st.degree, lo, values))
+    ds = st.degrees
+    if d <= ds[0]:
+        return st
+    if st.rank == 1:
+        raise ValueError("no rank-1 type absorbs a line of degree %d > %d"
+                         % (d, ds[0]))
+    # c is the least e >= -d_1 with h0(e) >= d + e + 1: the gap between the
+    # two sides does not decrease from -d_1 on, and h0(e) >= D + r(e + 1)
+    # makes it >= 0 at hi, the least e with (r - 1)(e + 1) >= d - D
+    c, hi = -ds[0], (d - st.degree - 1) // (st.rank - 1)
+    while c < hi:
+        mid = (c + hi) // 2
+        if st.h0(mid) >= d + mid + 1:
+            hi = mid
+        else:
+            c = mid + 1
+    j = st.h0(c) - (d + c)
+    k = sum(1 for x in ds if x >= -c) - j
+    rest = tuple(x for x in ds if x < -c)
+    return SplittingType((d,) + (-c,) * (j - 1) + (-c - 1,) * k + rest)
 
 
 def remove_line(st: SplittingType, d: int):

@@ -163,6 +163,20 @@ def _cert_with_int_embedding_entry(tmp_path):
     return _write(tmp_path, obj)
 
 
+def _rank_one_with_boolean_rank_and_edge(tmp_path):
+    obj = bundle_to_json(build_chain(("v1", "v2"), {"v1": (2,), "v2": (0,)},
+                                     {0: [[F(1)]]}))
+    obj["rank"] = True
+    obj["gluings"][0]["edge"] = False
+    return _write(tmp_path, obj)
+
+
+def _refutation_with_boolean_lhs(tmp_path):
+    obj = certificate_to_json(certify(build_ex(), SplittingType((4, 0))))
+    obj["steps"][0]["lhs"] = True
+    return _write(tmp_path, obj)
+
+
 @pytest.mark.parametrize("verb, make_input, flags", [
     ("h0", _ex_with(lambda obj: None), ("--field", "p:9")),
     ("export-dot", _ex_with(lambda obj: None), ("--field", "p:x")),
@@ -171,9 +185,11 @@ def _cert_with_int_embedding_entry(tmp_path):
     ("verify", _cert_with_int_embedding_entry, ()),
     ("h0", _ex_with(_zero_denominator_node), ("--field", "p:7")),
     ("box", _three_component_chain, ("--level", "100000")),
+    ("h0", _rank_one_with_boolean_rank_and_edge, ()),
+    ("verify", _refutation_with_boolean_lhs, ()),
 ], ids=["field-p9", "field-px", "field-p2", "int-gluing-entry",
         "int-embedding-entry", "zero-denominator-node-mod-7",
-        "box-level-100000"])
+        "box-level-100000", "boolean-rank-and-edge", "boolean-lhs"])
 def test_bad_input_ends_in_one_error_line(tmp_path, capsys, verb, make_input,
                                           flags):
     code, out, err = run(capsys, verb, "-i", make_input(tmp_path), *flags)

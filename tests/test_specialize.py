@@ -247,7 +247,7 @@ def test_in_s_against_the_degree_zero_clamp_box():
             sub = restrict_bundle(base, members)
             box = clamp_box(sub, 0)
             want = bool(box) and all(h0(twist(sub, ell)) > 0 for ell in box)
-            assert _in_s(base, members) == want
+            assert _in_s(base, members, {}) == want
             seen.add(want)
     assert seen == {True, False}
 

@@ -1,12 +1,11 @@
-"""Splitting types, dominance order, Hilbert tables, line merge and removal."""
+"""Splitting types, dominance order, line merge and removal."""
 import random
+import time
 
 import pytest
 
-from treebundles.splitting import (HilbertFunction, SplittingType,
-                                   hilbert_function, merge_with_line,
-                                   remove_line, specializes_p1,
-                                   splitting_from_hilbert)
+from treebundles.splitting import (SplittingType, merge_with_line, remove_line,
+                                   specializes_p1)
 
 
 def test_degrees_sorted_descending():
@@ -56,41 +55,53 @@ def test_specialization_is_h0_monotone():
             assert a.h0(e) <= b.h0(e)
 
 
-def test_hilbert_function_golden():
-    hf = hilbert_function(SplittingType((2, 0)))
-    assert (hf.lo, hf.hi) == (-3, 0)
-    assert hf.values == (0, 1, 2, 4)
-    assert hf.value(-10) == 0
-    assert hf.value(2) == 2 + 2 * 3  # closed form above the window
-
-
-def test_hilbert_roundtrip():
-    rng = random.Random(8)
-    for _ in range(100):
-        r = rng.randint(1, 5)
-        st = SplittingType(tuple(rng.randint(-5, 5) for _ in range(r)))
-        assert splitting_from_hilbert(hilbert_function(st)) == st
-
-
-def test_hilbert_equality_ignores_window_padding():
-    st = SplittingType((1, -1))
-    a = hilbert_function(st)
-    b = HilbertFunction(2, 0, a.lo - 2, (0, 0) + a.values)
-    assert a == b
-
-
-def test_hilbert_rejects_unrealizable_tables():
-    with pytest.raises(ValueError, match="vanishes"):
-        HilbertFunction(1, 0, 0, (1, 2)).check()
-    with pytest.raises(ValueError, match="differences"):
-        # drop then climb is not a section count of any splitting type
-        HilbertFunction(2, 1, -2, (0, 2, 2, 5)).check()
-
-
 def test_merge_with_line_goldens():
     assert merge_with_line(SplittingType((3, 1)), 3) == SplittingType((3, 1))
     assert merge_with_line(SplittingType((0, 0)), 1) == SplittingType((1, -1))
     assert merge_with_line(SplittingType((2, -2)), 0) == SplittingType((2, -2))
+    with pytest.raises(ValueError):
+        merge_with_line(SplittingType((2,)), 3)
+
+
+def test_merge_with_line_cost_does_not_depend_on_the_degree():
+    t0 = time.perf_counter()
+    merged = merge_with_line(SplittingType((1, -1)), 2 * 10**6)
+    assert merged == SplittingType((2000000, -2000000))
+    assert time.perf_counter() - t0 < 1.0
+
+
+def _envelope_type(st, d):
+    """Reference merge: tabulate max(h0 of O(d), h0 of st) on a window past
+    every jump and read the summands back from its first differences."""
+    lo = -max(d, st.degrees[0]) - 1
+    hi = max(-d, -st.degrees[-1]) + abs(d) + abs(st.degree) + 2
+    h = [max(0, d + e + 1, st.h0(e)) for e in range(lo, hi + 1)]
+    counts = [0] + [b - a for a, b in zip(h, h[1:])]
+    if any(b < a for a, b in zip(counts, counts[1:])):
+        raise ValueError("first differences decrease")
+    degrees = [-(lo + i) for i in range(1, len(counts))
+               for _ in range(counts[i] - counts[i - 1])]
+    if (len(degrees), sum(degrees)) != (st.rank, st.degree):
+        raise ValueError("envelope is not realizable at st's rank and degree")
+    return SplittingType(tuple(degrees))
+
+
+def test_merge_with_line_matches_envelope_reference():
+    rng = random.Random(10)
+    raised = 0
+    for _ in range(10000):
+        st = SplittingType(tuple(rng.randint(-6, 6)
+                                 for _ in range(rng.randint(1, 6))))
+        d = rng.randint(st.degrees[-1] - 4, st.degrees[0] + 12)
+        try:
+            want = _envelope_type(st, d)
+        except ValueError:
+            raised += 1
+            with pytest.raises(ValueError):
+                merge_with_line(st, d)
+            continue
+        assert merge_with_line(st, d) == want, (st, d)
+    assert raised > 500  # the rank-1 cases with d above the summand
 
 
 def test_merge_with_line_is_h0_envelope():
