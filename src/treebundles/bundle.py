@@ -9,10 +9,14 @@ Global sections are the kernel of one exact block linear system: a summand
 of twisted degree m contributes a block of polynomial coefficients, and each
 node contributes rank-many matching equations (a-side values through the
 gluing equal b-side values), cleared to integer rows. `section_basis` keeps
-all max(0, m+1) coefficients of every block. `h0` caps each block at
-val(v) coefficients, where val(v) counts the nodes on the component, and
-takes sum(max(0, m+1)) minus the rank, so its cost does not depend on the
-twist: Bareiss elimination over Q, elimination mod p over GF(p).
+all max(0, m+1) coefficients of every block. For counting, one system per
+bundle serves every twist (`section_counter`): every block sits at degree
+val(v) - 1, where val(v) counts the nodes on the component, and a twist
+selects a prefix of each block's columns. A twist's h0 is sum(max(0, m+1))
+minus the rank of its selection, memoised by the clamped block degrees, so
+its cost does not depend on the twist: Bareiss elimination over Q,
+elimination mod p over GF(p). `h0` is that system at the zero twist, and
+`dmax` and `specialize.decide` probe it directly.
 """
 from __future__ import annotations
 
@@ -180,21 +184,13 @@ def contract_pushforward(bundle: GluedBundle, enl) -> GluedBundle:
 
 # -- the section linear system ---------------------------------------------
 
-def _column_layout(bundle: GluedBundle, capped=False):
-    """{(component, summand): (block degree, first column)} and the width.
-
-    `capped` cuts each block's degree to val(v) - 1: the matching rows see a
-    block only through its values at v's val(v) distinct node points, and
-    evaluation there is already onto with val(v) coefficients, so the cap
-    keeps the rank of the system.
-    """
-    adj = bundle.curve.adjacency()
+def _column_layout(splittings):
+    """{(component, summand): (block degree, first column)} and the width,
+    for per-component summand degrees; negative degrees get no block."""
     blocks = {}
     ncols = 0
-    for v in bundle.curve.components:
-        for i, m in enumerate(bundle.splittings[v]):
-            if capped:
-                m = min(m, len(adj[v]) - 1)
+    for v, ds in splittings.items():
+        for i, m in enumerate(ds):
             if m >= 0:
                 blocks[(v, i)] = (m, ncols)
                 ncols += m + 1
@@ -255,15 +251,66 @@ def _matching_rows(bundle: GluedBundle, ncols, blocks):
     return rows
 
 
-def h0(bundle: GluedBundle) -> int:
-    """Dimension of the global sections: sum of max(0, m+1) over the
-    summands minus the rank of the capped matching system."""
-    blocks, ncols = _column_layout(bundle, capped=True)
+def section_counter(bundle: GluedBundle):
+    """h0 of every twist of the bundle from one integer system: count(md)
+    is h0(twist(bundle, md)).
+
+    The system is the matching system with every block at degree
+    val(v) - 1, where val(v) counts the nodes on v. The matching rows see a
+    block only through its values at v's val(v) distinct node points, and
+    evaluation there is already onto with val(v) coefficients, so a block
+    of twisted degree m can be cut to min(m, val(v) - 1) without changing
+    the rank. The system of a twist is then a prefix of each block's
+    columns here: its row scalings d_a^(K-k) d_b^(L-k) differ from these
+    by one nonzero constant per row, so the ranks agree, and h0 is
+    sum(max(0, m+1)) minus the rank of the selected columns. The rank
+    depends only on each block's degree clamped to [-1, val(v) - 1], so it
+    is memoised on that clamped state: Bareiss elimination over Q,
+    elimination mod p over GF(p).
+    """
+    comps = bundle.curve.components
+    adj = bundle.curve.adjacency()
+    cap = {v: len(adj[v]) - 1 for v in comps}
+    blocks, ncols = _column_layout({v: (cap[v],) * bundle.rank for v in comps})
     rows = _matching_rows(bundle, ncols, blocks)
+    # first column of every block, in summand order; a component without
+    # nodes has cap -1 and no block, and selects nothing
+    starts = [blocks[(v, i)][1] if cap[v] >= 0 else 0
+              for v in comps for i in range(bundle.rank)]
+    sides = [(v, bundle.splittings[v], cap[v]) for v in comps]
     char = bundle.field.char
-    rank = modular_rank(rows, ncols, char) if char else bareiss_rank(rows, ncols)
-    return sum(m + 1 for ds in bundle.splittings.values()
-               for m in ds if m >= 0) - rank
+    ranks = {}
+
+    def count(md):
+        total = 0
+        state = []
+        for v, ds, top in sides:
+            t = md[v]
+            for d in ds:
+                m = d + t
+                if m >= 0:
+                    total += m + 1
+                    state.append(m if m < top else top)
+                else:
+                    state.append(-1)
+        state = tuple(state)
+        rank = ranks.get(state)
+        if rank is None:
+            # each block keeps the first (clamped degree + 1) of its columns
+            keep = [j for start, m in zip(starts, state)
+                    for j in range(start, start + m + 1)]
+            sel = [[row[j] for j in keep] for row in rows]
+            rank = ranks[state] = (modular_rank(sel, len(keep), char) if char
+                                   else bareiss_rank(sel, len(keep)))
+        return total - rank
+
+    return count
+
+
+def h0(bundle: GluedBundle) -> int:
+    """Dimension of the global sections: the bundle's section system at the
+    zero twist."""
+    return section_counter(bundle)(dict.fromkeys(bundle.curve.components, 0))
 
 
 def h1(bundle: GluedBundle) -> int:
@@ -284,7 +331,7 @@ class SectionBasis:
 
 
 def section_basis(bundle: GluedBundle) -> SectionBasis:
-    blocks, ncols = _column_layout(bundle)
+    blocks, ncols = _column_layout(bundle.splittings)
     fld = bundle.field
     rows = [[fld.of(x) for x in row]
             for row in _matching_rows(bundle, ncols, blocks)]
@@ -431,10 +478,11 @@ def clamp_box(bundle: GluedBundle, e: int):
     Below lo_v = -(largest summand degree on v) - 1 every section vanishes
     identically on v, so h0 is constant in that direction; any positivity or
     semicontinuity failure therefore clamps onto this finite box. Returned
-    in ascending lexicographic order along the component order. A twist
-    with no sections also lies under the ceiling lo_v + val(v) (see
-    `dmax`), but an `h0 >= need` test with need > 1 has no such ceiling,
-    so the box is not capped above.
+    in ascending lexicographic order along the component order, and not
+    capped above. The list is the `box` verb's answer and a reference for
+    tests; the scans walk `level_box` lazily under their own caps instead:
+    `dmax` the ceiling lo_v + val(v), `specialize.decide` a saturation cap
+    on every coordinate but the last.
     """
     comps = bundle.curve.components
     return list(level_box(comps, vanishing_floor(bundle), None, e))
@@ -459,18 +507,20 @@ def dmax(bundle: GluedBundle):
     sectionless and in the box, so the levels that hold one form an
     interval starting at the all-floors twist, and the levels are climbed
     from there until one has no sectionless entry; the ceiling box is empty
-    past level sum(lo_v + val(v)), so the climb ends.
+    past level sum(lo_v + val(v)), so the climb ends. Every probe is a count
+    on the bundle's one section system.
     """
     comps = bundle.curve.components
     lo = vanishing_floor(bundle)
     adj = bundle.curve.adjacency()
     hi = {v: lo[v] + len(adj[v]) for v in comps}
+    count = section_counter(bundle)
     e = sum(lo.values())
     witness = dict(lo)
     while True:
         e += 1
         found = next((md for md in level_box(comps, lo, hi, e)
-                      if h0(twist(bundle, md)) == 0), None)
+                      if count(md) == 0), None)
         if found is None:
             return -e, witness
         witness = found

@@ -7,6 +7,7 @@ oracle discrepancy).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -203,7 +204,10 @@ def _cmd_export_dot(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: every default is an
+    immutable string or int, and parse_args returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="treebundles",
         description="exact section counts and specialization certificates "

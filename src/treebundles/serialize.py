@@ -35,6 +35,14 @@ def _need(obj, key, kind, where):
     return val
 
 
+def _need_names(obj, key, where):
+    """A list of component ids, each a string."""
+    names = _need(obj, key, list, where)
+    if not all(isinstance(v, str) for v in names):
+        raise SerializeError("%s: %r must list strings" % (where, key))
+    return names
+
+
 # -- curves -------------------------------------------------------------------
 
 def curve_to_json(curve: TreeCurve) -> dict:
@@ -48,7 +56,7 @@ def curve_to_json(curve: TreeCurve) -> dict:
 
 def curve_from_json(obj, field=None) -> TreeCurve:
     fld = field if field is not None else RationalField()
-    comps = _need(obj, "components", list, "curve")
+    comps = _need_names(obj, "components", "curve")
     edges = []
     for k, e in enumerate(_need(obj, "edges", list, "curve")):
         where = "curve edge %d" % k
@@ -183,7 +191,7 @@ def enlargement_to_json(enl: Enlargement) -> dict:
 
 def enlargement_from_json(obj, target: TreeCurve) -> Enlargement:
     source = curve_from_json(_need(obj, "source", dict, "enlargement"), target.field)
-    contracted = _need(obj, "contracted", list, "enlargement")
+    contracted = _need_names(obj, "contracted", "enlargement")
     return Enlargement(source, target, frozenset(contracted))
 
 

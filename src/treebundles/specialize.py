@@ -3,7 +3,9 @@
 decide answers whether a bundle with the given generic splitting type can
 degenerate to the given glued bundle: ranks and degrees must agree and the
 section counts of the tree bundle must dominate the generic ones at every
-twist level, with each level reduced to its finite clamp box.
+twist level, with each level reduced to its finite clamp box, capped above
+on every component but the last, and every count read from one section
+system of the tree bundle.
 
 find_line_subbundle realizes the maximal line subbundle degree after
 enlarging the curve by bridges, and certify chains split-offs of such
@@ -16,8 +18,9 @@ import random
 from dataclasses import dataclass
 
 from . import poly
-from .bundle import (GluedBundle, clamp_box, dmax, h0, level_box, pullback,
-                     restrict_bundle, section_basis, twist)
+from .bundle import (GluedBundle, dmax, h0, level_box, pullback,
+                     restrict_bundle, section_basis, section_counter, twist,
+                     vanishing_floor)
 from .curve import (compose_enlargements, identity_enlargement, insert_bridge,
                     md_total)
 from .linalg import mat_vec
@@ -56,20 +59,41 @@ def decide(target: GluedBundle, source: SplittingType) -> Decision:
     """Can a bundle of generic type `source` degenerate to `target`?
 
     Checks h0(target ⊗ ℓ) >= h0(P1, source(e)) for every level e in the
-    window [-d'_1, -d'_r - 2] and every ℓ in the level's clamp box; failures
-    outside a box clamp into one, and outside the window the inequality is
-    forced by chi, so the scan is complete. The first failure (levels
-    ascending, boxes lexicographic) is returned as the witness.
+    window [-d'_1, -d'_r - 2] and every ℓ of total degree e; outside the
+    window the inequality is forced by chi. Below the vanishing floor lo_v
+    a coordinate no longer changes h0, so failures clamp onto the box
+    ℓ_v >= lo_v. The first failure (levels ascending, twists in ascending
+    lexicographic order along the components) is returned as the witness.
+
+    Every coordinate but the last is also capped at
+    sat_v = val(v) - 1 - min(splittings[v]). Above sat_v every summand on v
+    has twisted degree at least val(v), so lowering ℓ_v by one removes
+    exactly r sections, while raising the last coordinate by one adds at
+    most r. A failure with ℓ_v > sat_v for a non-last v therefore yields a
+    failure at the same level that is lexicographically smaller, so the
+    first failure never lies above the cap. Section counts come from one
+    section system of the target, built at the first probe: a balanced
+    source has an empty window and needs none.
     """
     if target.rank != source.rank:
         raise MismatchError("rank %d vs %d" % (target.rank, source.rank))
     if target.degree() != source.degree:
         raise MismatchError("degree %d vs %d" % (target.degree(), source.degree))
+    comps = target.curve.components
+    *rest, last = comps
+    lo = vanishing_floor(target)
+    adj = target.curve.adjacency()
+    hi = {v: len(adj[v]) - 1 - min(target.splittings[v]) for v in rest}
+    count = None
     ds = source.degrees
     for e in range(-ds[0], -ds[-1] - 1):
         need = source.h0(e)
-        for ell in clamp_box(target, e):
-            have = h0(twist(target, ell))
+        # the last coordinate takes whatever the others leave
+        hi[last] = e - sum(lo[v] for v in rest)
+        for ell in level_box(comps, lo, hi, e):
+            if count is None:
+                count = section_counter(target)
+            have = count(ell)
             if have < need:
                 return Decision(False, FailureWitness(ell, have, need))
     return Decision(True)

@@ -8,8 +8,8 @@ import pytest
 from treebundles.bundle import (BundleError, clamp_box, clamp_multidegree,
                                 contract_pushforward, dmax, evaluate_section,
                                 h0, h0_oracle, h1, make_bundle, pullback,
-                                restrict_bundle, section_basis, twist,
-                                vanishing_floor)
+                                restrict_bundle, section_basis,
+                                section_counter, twist, vanishing_floor)
 from treebundles.curve import Edge, TreeCurve, insert_bridge, md_total
 from treebundles.fields import PrimeField
 from treebundles.linalg import invert_matrix, mat_vec
@@ -266,6 +266,23 @@ def test_h0_matches_oracle_prime_field():
         for b in (bundle, non_integral(rng, bundle)):
             assert_sections_agree(b)
             assert_sections_agree(twist(b, md))
+
+
+def test_section_counter_reuses_ranks_across_twists():
+    # one system per bundle: many twists share a clamped state, so most
+    # probes reuse a memoised rank; each must still match the oracle, whose
+    # sample points 0..m stay distinct mod 7 up to degree 6
+    rng = random.Random(35)
+    for fld in (None, PrimeField(7)):
+        for _ in range(12):
+            curve = random_tree(rng, rng.randint(1, 4), fld)
+            bundle = random_bundle(rng, curve, rng.randint(1, 3), lo=-2, hi=2)
+            if fld is None:
+                bundle = non_integral(rng, bundle)
+            count = section_counter(bundle)
+            for _ in range(8):
+                md = random_multidegree(rng, curve, lo=-4, hi=4)
+                assert count(md) == h0_oracle(twist(bundle, md))
 
 
 def test_h0_on_fractional_node_coordinates():

@@ -44,6 +44,14 @@ def test_h0_with_twist(ex_path, capsys):
     assert out == '{"h0":0,"h1":2}\n'
 
 
+def test_main_twice_in_one_process_shares_no_state(ex_path, capsys):
+    # the parser is built once per process; the second call's namespace
+    # must not inherit the first call's --twist
+    assert run(capsys, "h0", "-i", ex_path, "--twist", "v1:-2,v2:-2")[:2] == \
+        (0, '{"h0":0,"h1":2}\n')
+    assert run(capsys, "h0", "-i", ex_path)[:2] == (0, '{"h0":6,"h1":0}\n')
+
+
 def test_h1_verb(ex_path, capsys):
     code, out, _ = run(capsys, "h1", "-i", ex_path, "--twist", "v1:-2,v2:-2")
     assert (code, out) == (0, '{"h1":2}\n')
@@ -171,6 +179,17 @@ def _rank_one_with_boolean_rank_and_edge(tmp_path):
     return _write(tmp_path, obj)
 
 
+def _list_component_id(obj):
+    obj["curve"]["components"][0] = ["v1"]
+
+
+def _cert_with_list_contracted_id(tmp_path):
+    obj = certificate_to_json(certify(build_ex(), SplittingType((3, 1))))
+    (step,) = [s for s in obj["steps"] if s["kind"] == "enlarge"]
+    step["contracted"] = [[1]]
+    return _write(tmp_path, obj)
+
+
 def _refutation_with_boolean_lhs(tmp_path):
     obj = certificate_to_json(certify(build_ex(), SplittingType((4, 0))))
     obj["steps"][0]["lhs"] = True
@@ -187,9 +206,12 @@ def _refutation_with_boolean_lhs(tmp_path):
     ("box", _three_component_chain, ("--level", "100000")),
     ("h0", _rank_one_with_boolean_rank_and_edge, ()),
     ("verify", _refutation_with_boolean_lhs, ()),
+    ("h0", _ex_with(_list_component_id), ()),
+    ("verify", _cert_with_list_contracted_id, ()),
 ], ids=["field-p9", "field-px", "field-p2", "int-gluing-entry",
         "int-embedding-entry", "zero-denominator-node-mod-7",
-        "box-level-100000", "boolean-rank-and-edge", "boolean-lhs"])
+        "box-level-100000", "boolean-rank-and-edge", "boolean-lhs",
+        "list-component-id", "list-contracted-id"])
 def test_bad_input_ends_in_one_error_line(tmp_path, capsys, verb, make_input,
                                           flags):
     code, out, err = run(capsys, verb, "-i", make_input(tmp_path), *flags)

@@ -5,12 +5,15 @@ from fractions import Fraction as F
 
 import pytest
 
+from treebundles import bundle as bundle_module
 from treebundles.bundle import (clamp_box, dmax, h0, level_box, make_bundle,
                                 pullback, restrict_bundle, twist)
 from treebundles.curve import Edge, TreeCurve, md_total
+from treebundles.fields import PrimeField
 from treebundles.sampling import (balanced_splitting, generalize,
-                                  random_bundle, random_multidegree,
-                                  random_splitting, random_tree, spread)
+                                  random_bundle, random_invertible,
+                                  random_multidegree, random_splitting,
+                                  random_tree, spread)
 from treebundles.specialize import (Certificate, Decision, DominanceStep,
                                     EnlargementStep, FailureWitness,
                                     MismatchError, RankOneBase, SplitOffStep,
@@ -131,6 +134,65 @@ def test_decide_balanced_is_always_yes():
         bundle = random_bundle(rng, curve, rng.randint(1, 3), lo=-2, hi=2)
         src = balanced_splitting(bundle.rank, bundle.degree())
         assert decide(bundle, src).yes
+
+
+def _decide_by_full_clamp_boxes(target, source):
+    """Reference: every level of the window, every entry of its uncapped
+    clamp box in lexicographic order, h0 of each twist built afresh."""
+    ds = source.degrees
+    for e in range(-ds[0], -ds[-1] - 1):
+        need = source.h0(e)
+        for ell in clamp_box(target, e):
+            have = h0(twist(target, ell))
+            if have < need:
+                return Decision(False, FailureWitness(ell, have, need))
+    return Decision(True)
+
+
+def test_decide_against_the_full_clamp_box_scan():
+    rng = random.Random(56)
+    fields = (None, PrimeField(1000003), PrimeField(7))
+    answers = set()
+    for k in range(36):
+        n = 2 + (k // 3) % 6
+        curve = random_tree(rng, n, fields[k % 3])
+        # close summands per component keep the reference's boxes small
+        r, gap = (3, 2) if n <= 4 else (2, 2 if n == 5 else 1)
+        spl = {}
+        for v in curve.components:
+            base = rng.randint(-2, 2)
+            spl[v] = tuple(base + rng.randint(0, gap) for _ in range(r))
+        gluings = {i: random_invertible(rng, curve.field, r)
+                   for i in range(len(curve.edges))}
+        bundle = make_bundle(curve, spl, gluings)
+        src = spread(rng, balanced_splitting(r, bundle.degree()), 1)
+        got, want = decide(bundle, src), _decide_by_full_clamp_boxes(bundle, src)
+        # verdict, witness multidegree (with its key order), lhs and rhs
+        assert got == want
+        if not got.yes:
+            assert list(got.witness.multidegree) == list(curve.components)
+        answers.add(got.yes)
+    assert answers == {True, False}
+
+
+def test_decide_rank_calls_do_not_grow_with_the_degree(monkeypatch):
+    calls = []
+    rank = bundle_module.bareiss_rank
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return rank(rows, ncols)
+
+    monkeypatch.setattr(bundle_module, "bareiss_rank", counted)
+    curve = TreeCurve(("v1", "v2"), (Edge("v1", F(0), "v2", F(0)),))
+    seen = []
+    for degree in (10 ** 3, 10 ** 4):
+        bundle = make_bundle(curve, {"v1": (degree, -degree), "v2": (0, 0)},
+                             {0: [[F(1), F(0)], [F(0), F(1)]]})
+        calls.clear()
+        assert decide(bundle, SplittingType((1, -1))).yes
+        seen.append(len(calls))
+    assert seen[0] == seen[1] > 0
 
 
 # -- maximal line subbundles ----------------------------------------------------
