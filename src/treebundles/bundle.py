@@ -25,8 +25,8 @@ from math import lcm
 from . import poly
 from .curve import (CurveError, TreeCurve, check_multidegree, md_total,
                     restrict_curve)
-from .linalg import (bareiss_rank, identity_matrix, invert_matrix,
-                     kernel_basis, mat_mul, modular_rank)
+from .linalg import (bareiss_rank, identity_matrix, integer_kernel_basis,
+                     invert_matrix, is_invertible, mat_mul, modular_rank)
 from .splitting import SplittingType
 
 
@@ -91,12 +91,11 @@ def make_bundle(curve: TreeCurve, splittings, gluings) -> GluedBundle:
         raise BundleError("rank must be at least 1")
     if set(gluings) != set(range(len(curve.edges))):
         raise BundleError("gluings must cover the edges exactly")
-    zero, one = curve.field.zero, curve.field.one
     for i in range(len(curve.edges)):
         m = gluings[i]
         if len(m) != rank or any(len(row) != rank for row in m):
             raise BundleError("gluing %d is not %dx%d" % (i, rank, rank))
-        if invert_matrix([list(r) for r in m], zero, one) is None:
+        if not is_invertible(m, curve.field.char):
             raise BundleError("gluing %d is singular" % i)
     return GluedBundle(curve, rank, splittings, gluings)
 
@@ -332,10 +331,8 @@ class SectionBasis:
 
 def section_basis(bundle: GluedBundle) -> SectionBasis:
     blocks, ncols = _column_layout(bundle.splittings)
-    fld = bundle.field
-    rows = [[fld.of(x) for x in row]
-            for row in _matching_rows(bundle, ncols, blocks)]
-    vecs = kernel_basis(rows, ncols, fld.zero, fld.one)
+    rows = _matching_rows(bundle, ncols, blocks)
+    vecs = integer_kernel_basis(rows, ncols, bundle.field.char)
     sections = []
     for vec in vecs:
         sec = {}

@@ -91,7 +91,9 @@ def _bundle_arg(args):
 def _cmd_h0(args):
     bundle = _bundle_arg(args)
     twisted = twist(bundle, _parse_twist(bundle.curve, args.twist))
-    _emit({"h0": h0(twisted), "h1": h1(twisted)})
+    sections = h0(twisted)
+    # h1 is h0 minus the Euler characteristic; one section system serves both
+    _emit({"h0": sections, "h1": sections - twisted.euler()})
     return 0
 
 

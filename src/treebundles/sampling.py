@@ -10,7 +10,7 @@ from __future__ import annotations
 from .bundle import GluedBundle, make_bundle
 from .curve import Edge, TreeCurve
 from .fields import PrimeField, RationalField
-from .linalg import invert_matrix
+from .linalg import is_invertible
 from .splitting import SplittingType
 
 
@@ -38,7 +38,7 @@ def random_invertible(rng, field, r, span=3):
     for _ in range(1000):
         m = [[field.of(rng.randint(-span, span)) for _ in range(r)]
              for _ in range(r)]
-        if invert_matrix([row[:] for row in m], field.zero, field.one) is not None:
+        if is_invertible(m, field.char):
             return m
     raise AssertionError("could not sample an invertible matrix")
 

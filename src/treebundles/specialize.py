@@ -27,7 +27,7 @@ from .linalg import mat_vec
 from .splitting import (SplittingType, merge_with_line, remove_line,
                         specializes_p1)
 from .subbundles import (LineSubbundle, SubbundleError, _direction_scalar,
-                         quotient_bundle, saturate)
+                         quotient_with_projections, saturate)
 
 
 class MismatchError(ValueError):
@@ -574,7 +574,8 @@ def certify(target: GluedBundle, source: SplittingType) -> Certificate:
         merged = merge_with_line(cur_s, d)
         steps.append(DominanceStep(cur_s, merged))
         steps.append(EnlargementStep(enl))
-        quot = quotient_bundle(sub.host, sub)
+        # find_line_subbundle has validated sub
+        quot = quotient_with_projections(sub.host, sub)[0]
         qprime = remove_line(merged, d)
         steps.append(SplitOffStep(sub, quot, qprime))
         cur_t, cur_s = quot, qprime
@@ -656,7 +657,8 @@ def verify_certificate(cert: Certificate):
             d = sub.degree()
             if d != dmax(cur_t)[0]:
                 return fail("step %d: subbundle degree %d is not maximal" % (k, d))
-            if quotient_bundle(pulled, sub) != step.quotient:
+            # validated just above
+            if quotient_with_projections(pulled, sub)[0] != step.quotient:
                 return fail("step %d: quotient does not recompute" % k)
             try:
                 expected = remove_line(cur_s, d)

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from . import poly
 from .bundle import BundleError, GluedBundle
-from .linalg import invert_matrix, kernel_basis, mat_mul, mat_vec, solve_columns
+from .linalg import (integer_rows, integer_rref, is_invertible, kernel_basis,
+                     mat_mul, mat_vec, solve_columns)
 
 
 class SubbundleError(ValueError):
@@ -194,26 +195,10 @@ def _kernel_generators(field, ms, a, phis, want):
                 for d, c in enumerate(phis[i]):
                     rows[k + d][start + k] = rows[k + d][start + k] + c
         kern = kernel_basis(rows, ncols, zero, one)
-        # span of earlier generators shifted into degree t, kept reduced
-        span = []
-
-        def reduce_against(vec):
-            vec = vec[:]
-            for lead, srow in span:
-                if vec[lead]:
-                    f = vec[lead]
-                    vec = [vec[j] - f * srow[j] for j in range(ncols)]
-            return vec
-
-        def add_to_span(vec):
-            vec = reduce_against(vec)
-            lead = next((j for j in range(ncols) if vec[j]), None)
-            if lead is None:
-                return False
-            inv = vec[lead]
-            span.append((lead, [x / inv for x in vec]))
-            return True
-
+        # earlier generators shifted into degree t, then the kernel vectors,
+        # as the columns of one matrix: its pivot columns are the greedy
+        # choices of vectors independent of everything before them
+        cols = []
         for b, gens in found:
             for s in range(t - b + 1):
                 vec = [zero] * ncols
@@ -221,17 +206,20 @@ def _kernel_generators(field, ms, a, phis, want):
                     start, _ = blocks[i]
                     for d, c in enumerate(gens[i]):
                         vec[start + s + d] = c
-                added = add_to_span(vec)
-                assert added, "old generators degenerated; kernel not free?"
-        for vec in kern:
-            if len(found) == want:
-                break
-            if add_to_span(vec):
-                gens = []
-                for i in range(len(ms)):
-                    start, size = blocks[i]
-                    gens.append(poly.trim(vec[start:start + size]))
-                found.append((t, gens))
+                cols.append(vec)
+        old = len(cols)
+        cols += kern
+        _, pivots, _ = integer_rref(integer_rows(list(zip(*cols)), field.char),
+                                    len(cols), field.char)
+        assert pivots[:old] == list(range(old)), \
+            "old generators degenerated; kernel not free?"
+        for j in pivots[old:old + want - len(found)]:
+            vec = cols[j]
+            gens = []
+            for i in range(len(ms)):
+                start, size = blocks[i]
+                gens.append(poly.trim(vec[start:start + size]))
+            found.append((t, gens))
         t += 1
     assert sum(b for b, _ in found) == total, "quotient degree bookkeeping broke"
     return found
@@ -239,14 +227,18 @@ def _kernel_generators(field, ms, a, phis, want):
 
 def quotient_with_projections(bundle: GluedBundle, sub: LineSubbundle):
     """Quotient bundle plus, per component, the generator rows projecting
-    host fibers onto quotient fibers."""
+    host fibers onto quotient fibers.
+
+    `sub` must already be valid (`LineSubbundle.validate`, which `saturate`
+    and `specialize.find_line_subbundle` run); `quotient_bundle` validates
+    it first.
+    """
     if sub.host != bundle:
         raise BundleError("subbundle does not live in this bundle")
     r = bundle.rank
     if r < 2:
         raise BundleError("quotient by a line subbundle needs rank at least 2")
-    sub.validate()
-    zero, one = bundle.field.zero, bundle.field.one
+    zero = bundle.field.zero
     qsplit, projections = {}, {}
     for v in bundle.curve.components:
         found = _kernel_generators(bundle.field, list(bundle.splittings[v]),
@@ -265,11 +257,12 @@ def quotient_with_projections(bundle: GluedBundle, sub: LineSubbundle):
         nt = solve_columns(gxt, rhst, zero)
         assert nt is not None, "quotient gluing system is inconsistent"
         n = [[nt[j][i2] for j in range(r - 1)] for i2 in range(r - 1)]
-        assert invert_matrix([row[:] for row in n], zero, one) is not None
+        assert is_invertible(n, bundle.field.char)
         qglue[i] = n
     quot = GluedBundle(bundle.curve, r - 1, qsplit, qglue)
     return quot, projections
 
 
 def quotient_bundle(bundle: GluedBundle, sub: LineSubbundle) -> GluedBundle:
-    return quotient_with_projections(bundle, sub)[0]
+    """The quotient bundle by a line subbundle, validated first."""
+    return quotient_with_projections(bundle, sub.validate())[0]

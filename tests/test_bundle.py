@@ -11,13 +11,14 @@ from treebundles.bundle import (BundleError, clamp_box, clamp_multidegree,
                                 restrict_bundle, section_basis,
                                 section_counter, twist, vanishing_floor)
 from treebundles.curve import Edge, TreeCurve, insert_bridge, md_total
-from treebundles.fields import PrimeField
+from treebundles.fields import PrimeField, RationalField
 from treebundles.linalg import invert_matrix, mat_vec
 from treebundles.sampling import random_bundle, random_multidegree, random_tree
 
 from conftest import build_ex
 
 I2 = [[F(1), F(0)], [F(0), F(1)]]
+QQ = RationalField()
 
 
 def t2():
@@ -48,6 +49,25 @@ def test_make_bundle_rejects_bad_input():
     with pytest.raises(BundleError, match="singular"):
         make_bundle(curve, {"v1": (1, 0), "v2": (0, 0)},
                     {0: [[F(1), F(1)], [F(1), F(1)]]})
+
+
+def test_make_bundle_tests_invertibility_in_the_field():
+    # determinant 7: invertible over Q, singular over GF(7)
+    glue = [[2, 1], [1, 4]]
+    spl = {"v1": (1, 0), "v2": (0, 0)}
+    for fld, ok in ((PrimeField(7), False), (PrimeField(1000003), True),
+                    (QQ, True)):
+        curve = TreeCurve(("v1", "v2"), (Edge("v1", fld.zero, "v2", fld.zero),),
+                          fld)
+        m = [[fld.of(x) for x in row] for row in glue]
+        if ok:
+            assert make_bundle(curve, spl, {0: m}).gluings == {0: m}
+        else:
+            with pytest.raises(BundleError, match="gluing 0 is singular"):
+                make_bundle(curve, spl, {0: m})
+    # a non-integral gluing of determinant 7/4 over Q
+    half = [[F(1, 2), F(-3, 2)], [F(1, 2), F(2)]]
+    assert make_bundle(t2(), spl, {0: half}).gluings == {0: half}
 
 
 def test_bundle_equality(ex_bundle):

@@ -52,6 +52,21 @@ def test_main_twice_in_one_process_shares_no_state(ex_path, capsys):
     assert run(capsys, "h0", "-i", ex_path)[:2] == (0, '{"h0":6,"h1":0}\n')
 
 
+def test_h0_verb_builds_one_section_system(ex_path, capsys, monkeypatch):
+    from treebundles import bundle as bundle_module
+    calls = []
+    counter = bundle_module.section_counter
+
+    def counted(b):
+        calls.append(b)
+        return counter(b)
+
+    monkeypatch.setattr(bundle_module, "section_counter", counted)
+    assert run(capsys, "h0", "-i", ex_path, "--twist", "v1:-2,v2:-1")[:2] == \
+        (0, '{"h0":1,"h1":1}\n')
+    assert len(calls) == 1
+
+
 def test_h1_verb(ex_path, capsys):
     code, out, _ = run(capsys, "h1", "-i", ex_path, "--twist", "v1:-2,v2:-2")
     assert (code, out) == (0, '{"h1":2}\n')

@@ -2,8 +2,11 @@
 import random
 from fractions import Fraction as F
 
-from treebundles.fields import RationalField
-from treebundles.linalg import (bareiss_rank, identity_matrix, invert_matrix,
+import pytest
+
+from treebundles.fields import PrimeField, RationalField
+from treebundles.linalg import (bareiss_rank, identity_matrix, integer_rows,
+                                integer_rref, invert_matrix, is_invertible,
                                 kernel_basis, mat_mul, mat_vec, matrix_rank,
                                 modular_rank, rref, solve_columns)
 
@@ -90,3 +93,97 @@ def test_modular_matches_fraction_rank():
         n, k = rng.randint(1, 5), rng.randint(1, 5)
         m = [[rng.randint(-6, 6) for _ in range(k)] for _ in range(n)]
         assert modular_rank([row[:] for row in m], k, p) == matrix_rank(frac(m), k)
+
+
+# -- the integer Gauss-Jordan against the Fraction reference --------------------
+
+def _reference_kernel(rows, ncols, zero, one):
+    red, pivots = rref(rows, ncols)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [zero] * ncols
+        v[free] = one
+        for i, pc in enumerate(pivots):
+            v[pc] = -red[i][free]
+        basis.append(v)
+    return basis
+
+
+def _reference_inverse(m, zero, one):
+    n = len(m)
+    aug = [list(m[i]) + [one if j == i else zero for j in range(n)]
+           for i in range(n)]
+    red, pivots = rref(aug, 2 * n)
+    if pivots[:n] != list(range(n)):
+        return None
+    return [row[n:] for row in red]
+
+
+def _reference_solve(a, b, k):
+    red, pivots = rref([list(ra) + list(rb) for ra, rb in zip(a, b)],
+                       k + len(b[0]))
+    if any(c >= k for c in pivots) or len(pivots) < k:
+        return None
+    return [row[k:] for row in red]
+
+
+def _random_matrix(rng, fld, n, k):
+    """Entries often zero, rationals with denominators up to 4, a copied
+    multiple of a row and an all-zero row now and then."""
+    def entry():
+        if rng.random() < 0.35:
+            return fld.zero
+        if fld.char:
+            return fld.of(rng.randint(-9, 9))
+        return F(rng.randint(-9, 9), rng.randint(1, 4))
+
+    m = [[entry() for _ in range(k)] for _ in range(n)]
+    if n > 1 and rng.random() < 0.3:
+        m[rng.randrange(1, n)] = [x * 3 for x in m[0]]
+    if n and rng.random() < 0.2:
+        m[rng.randrange(n)] = [fld.zero] * k
+    return m
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(7), PrimeField(1000003)],
+                         ids=lambda f: f.name)
+def test_integer_elimination_matches_the_fraction_reference(fld):
+    rng = random.Random(fld.char + 8)
+    zero, one = fld.zero, fld.one
+    singular = deficient = solved = 0
+    for _ in range(300):
+        n, k = rng.randint(0, 5), rng.randint(1, 6)
+        m = _random_matrix(rng, fld, n, k)
+        got = kernel_basis(m, k, zero, one)
+        assert got == _reference_kernel(m, k, zero, one)
+        deficient += len(got) > max(0, k - n)
+        red, pivots, den = integer_rref(integer_rows(m, fld.char), k, fld.char)
+        want_red, want_pivots = rref(m, k)
+        assert pivots == want_pivots
+        assert [[fld.of(x) / fld.of(den) for x in row] for row in red] == want_red
+
+        sq = _random_matrix(rng, fld, n, n)
+        want = _reference_inverse(sq, zero, one)
+        assert invert_matrix(sq, zero, one) == want
+        assert is_invertible(sq, fld.char) == (want is not None)
+        singular += want is None
+
+        if n:
+            b = _random_matrix(rng, fld, n, rng.randint(1, 3))
+            if rng.random() < 0.5:
+                # a consistent right-hand side
+                x = _random_matrix(rng, fld, k, len(b[0]))
+                b = mat_mul(m, x, zero)
+            want = _reference_solve(m, b, k)
+            assert solve_columns(m, b, zero) == want
+            solved += want is not None
+    assert singular > 20 and deficient > 20 and solved > 20
+
+
+def test_integer_elimination_on_no_rows():
+    assert integer_rref([], 3, 0) == ([], [], 1)
+    assert integer_rref([], 3, 7) == ([], [], 1)
+    assert kernel_basis([], 2, Z, I) == [[I, Z], [Z, I]]
+    assert invert_matrix([], Z, I) == []
