@@ -16,11 +16,12 @@ selects a prefix of each block's columns. A twist's h0 is sum(max(0, m+1))
 minus the rank of its selection, memoised by the clamped block degrees, so
 its cost does not depend on the twist: Bareiss elimination over Q,
 elimination mod p over GF(p). `h0` is that system at the zero twist, and
-`dmax` and `specialize.decide` probe it directly.
+`dmax` and `specialize.decide` probe it directly. `section_floor` bounds
+those counts from below with no rank at all, from the same layout.
 """
 from __future__ import annotations
 
-from math import lcm
+from math import inf, lcm
 
 from . import poly
 from .curve import (CurveError, TreeCurve, check_multidegree, md_total,
@@ -128,14 +129,20 @@ def restrict_bundle(bundle: GluedBundle, members) -> GluedBundle:
 
 
 def pullback(bundle: GluedBundle, enl) -> GluedBundle:
-    """Pull back along an enlargement: new components carry the trivial
-    summand tuple, and each old node's matrix rides on the first edge of its
-    replacement walk (identity on the rest)."""
+    """Pull back along an enlargement, validated first."""
     if enl.target != bundle.curve:
         raise BundleError("enlargement target is not this bundle's curve")
     problems = enl.validate()
     if problems:
         raise BundleError("invalid enlargement: " + "; ".join(problems))
+    return _pullback(bundle, enl)
+
+
+def _pullback(bundle: GluedBundle, enl) -> GluedBundle:
+    """Pull back along a valid enlargement rooted at the bundle's curve: new
+    components carry the trivial summand tuple, and each old node's matrix
+    rides on the first edge of its replacement walk (identity on the
+    rest)."""
     src = enl.source
     zero, one = src.field.zero, src.field.one
     r = bundle.rank
@@ -250,6 +257,13 @@ def _matching_rows(bundle: GluedBundle, ncols, blocks):
     return rows
 
 
+def _node_caps(bundle: GluedBundle):
+    """{v: val(v) - 1}, where val(v) counts the nodes on v: the top block
+    degree the matching rows can tell apart on v."""
+    adj = bundle.curve.adjacency()
+    return {v: len(adj[v]) - 1 for v in bundle.curve.components}
+
+
 def section_counter(bundle: GluedBundle):
     """h0 of every twist of the bundle from one integer system: count(md)
     is h0(twist(bundle, md)).
@@ -265,11 +279,11 @@ def section_counter(bundle: GluedBundle):
     sum(max(0, m+1)) minus the rank of the selected columns. The rank
     depends only on each block's degree clamped to [-1, val(v) - 1], so it
     is memoised on that clamped state: Bareiss elimination over Q,
-    elimination mod p over GF(p).
+    elimination mod p over GF(p). Both ends of every edge carry a block,
+    so the system has rank * #edges rows.
     """
     comps = bundle.curve.components
-    adj = bundle.curve.adjacency()
-    cap = {v: len(adj[v]) - 1 for v in comps}
+    cap = _node_caps(bundle)
     blocks, ncols = _column_layout({v: (cap[v],) * bundle.rank for v in comps})
     rows = _matching_rows(bundle, ncols, blocks)
     # first column of every block, in summand order; a component without
@@ -304,6 +318,74 @@ def section_counter(bundle: GluedBundle):
         return total - rank
 
     return count
+
+
+def section_floor(bundle: GluedBundle):
+    """Lower bounds on h0 that take no rank: (floor, level_floor).
+
+    With summand degrees m = d + md[v] on the layout of `section_counter`
+    (R = rank * #edges rows, a block of min(m, cap_v) + 1 selected columns,
+    cap_v = val(v) - 1), h0 = T - rank for T = sum(max(0, m + 1)), and the
+    rank is at most both the row count and the selected column count. So
+    floor(md) = max(T - R, V) <= h0(twist(bundle, md)), where
+    V = sum(max(0, m - cap_v)) counts the sections that vanish at every
+    node of v and extend by zero.
+
+    level_floor(e) bounds h0 below on the whole clamp box of level e
+    (md[v] >= vanishing floor, total e) by max(min T - R, min V), +inf if
+    the box is empty. T and V are sums over components of
+    F_v(t) = sum(max(0, d + t + c_v)) (c_v = 1 for T, -cap_v for V), and
+    each F_v is convex: raising t by one adds #{d : d + t + c_v >= 0},
+    a count in 0..r that never falls as t grows. So the least total is
+    F at the floors plus the e - sum(floors) smallest of all these steps,
+    taken greedily.
+    """
+    r = bundle.rank
+    nrows = r * len(bundle.curve.edges)
+    cap = _node_caps(bundle)
+    lo = vanishing_floor(bundle)
+    sides = [(v, bundle.splittings[v], cap[v])
+             for v in bundle.curve.components]
+    ones = dict.fromkeys(cap, 1)
+    beyond = {v: -top for v, top in cap.items()}
+
+    def floor(md):
+        total = vanishing = 0
+        for v, ds, top in sides:
+            t = md[v]
+            for d in ds:
+                m = d + t
+                if m >= 0:
+                    total += m + 1
+                    if m > top:
+                        vanishing += m - top
+        return max(total - nrows, vanishing)
+
+    def least(shift, spare):
+        # min over the box of sum_v F_v with c_v = shift[v]
+        value = 0
+        room = [0] * r  # room[k]: steps that add k sections
+        for v, ds, _ in sides:
+            c, t = shift[v], lo[v]
+            value += sum(max(0, d + t + c) for d in ds)
+            # a step from t adds one section per breakpoint -d - c <= t
+            for k, b in enumerate(sorted(-d - c for d in ds)):
+                if b > t:
+                    room[k] += b - t
+                    t = b
+        for k, n in enumerate(room):
+            take = min(n, spare)
+            value += k * take
+            spare -= take
+        return value + r * spare
+
+    def level_floor(e):
+        spare = e - sum(lo.values())
+        if spare < 0:
+            return inf
+        return max(least(ones, spare) - nrows, least(beyond, spare))
+
+    return floor, level_floor
 
 
 def h0(bundle: GluedBundle) -> int:

@@ -204,7 +204,7 @@ def _char(zero):
     return getattr(zero, "p", 0)
 
 
-def _elements(den, p):
+def field_elements(den, p):
     """Maps an integer numerator over den to a field element."""
     if p:
         return lambda n: FpElement(n, p)
@@ -219,24 +219,31 @@ def is_invertible(m, p):
     return (modular_rank(rows, n, p) if p else bareiss_rank(rows, n)) == n
 
 
-def integer_kernel_basis(rows, ncols, p):
-    """Basis of the right kernel of an integer matrix over Q (p = 0) or
-    GF(p), as field elements: one vector per free column, echelon order."""
+def integer_kernel(rows, ncols, p):
+    """Right kernel of an integer matrix over Q (p = 0) or GF(p): (vectors,
+    den), one integer vector per free column in echelon order; the basis
+    vectors are these divided by den."""
     red, pivots, den = integer_rref(rows, ncols, p)
-    of = _elements(den, p)
-    zero, one = of(0), of(den)
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
         if free in pivot_set:
             continue
-        v = [zero] * ncols
-        v[free] = one
+        v = [0] * ncols
+        v[free] = den
         for i, pc in enumerate(pivots):
-            if red[i][free]:
-                v[pc] = of(-red[i][free])
+            v[pc] = -red[i][free]
         basis.append(v)
-    return basis
+    return basis, den
+
+
+def integer_kernel_basis(rows, ncols, p):
+    """Basis of the right kernel of an integer matrix over Q (p = 0) or
+    GF(p), as field elements: one vector per free column, echelon order."""
+    vecs, den = integer_kernel(rows, ncols, p)
+    of = field_elements(den, p)
+    zero = of(0)
+    return [[of(x) if x else zero for x in v] for v in vecs]
 
 
 def kernel_basis(rows, ncols, zero, one):
@@ -254,7 +261,7 @@ def invert_matrix(m, zero, one):
     red, pivots, den = integer_rref(integer_rows(aug, p), 2 * n, p)
     if len(pivots) < n or pivots[:n] != list(range(n)):
         return None
-    of = _elements(den, p)
+    of = field_elements(den, p)
     return [[of(x) for x in row[n:]] for row in red[:n]]
 
 
@@ -269,7 +276,7 @@ def solve_columns(a, b, zero):
         return None  # inconsistent right-hand side
     if len(pivots) < k:
         return None  # rank deficient, solution not unique
-    of = _elements(den, p)
+    of = field_elements(den, p)
     x = [[zero] * cols for _ in range(k)]
     for i, c in enumerate(pivots):
         x[c] = [of(y) for y in red[i][k:]]

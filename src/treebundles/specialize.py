@@ -4,8 +4,9 @@ decide answers whether a bundle with the given generic splitting type can
 degenerate to the given glued bundle: ranks and degrees must agree and the
 section counts of the tree bundle must dominate the generic ones at every
 twist level, with each level reduced to its finite clamp box, capped above
-on every component but the last, and every count read from one section
-system of the tree bundle.
+on every component but the last. A lower bound on the counts that takes no
+rank settles whole levels and most twists; the other counts are read from
+one section system of the tree bundle.
 
 find_line_subbundle realizes the maximal line subbundle degree after
 enlarging the curve by bridges, and certify chains split-offs of such
@@ -18,9 +19,9 @@ import random
 from dataclasses import dataclass
 
 from . import poly
-from .bundle import (GluedBundle, dmax, h0, level_box, pullback,
-                     restrict_bundle, section_basis, section_counter, twist,
-                     vanishing_floor)
+from .bundle import (GluedBundle, _pullback, dmax, h0, level_box, pullback,
+                     restrict_bundle, section_basis, section_counter,
+                     section_floor, twist, vanishing_floor)
 from .curve import (compose_enlargements, identity_enlargement, insert_bridge,
                     md_total)
 from .linalg import mat_vec
@@ -71,26 +72,47 @@ def decide(target: GluedBundle, source: SplittingType) -> Decision:
     exactly r sections, while raising the last coordinate by one adds at
     most r. A failure with ℓ_v > sat_v for a non-last v therefore yields a
     failure at the same level that is lexicographically smaller, so the
-    first failure never lies above the cap. Section counts come from one
-    section system of the target, built at the first probe: a balanced
-    source has an empty window and needs none.
+    first failure never lies above the cap.
+
+    Most twists pass on a floor that takes no rank (`bundle.section_floor`).
+    With twisted summand degrees m and cap_v = val(v) - 1, h0 is
+    T = sum(max(0, m + 1)) minus the rank of the target's section system,
+    and that rank is at most its R = r * #edges rows and at most its
+    selected columns, T - V with V = sum(max(0, m - cap_v)); so
+    h0 >= max(T - R, V). T and V are sums over components of convex
+    functions of ℓ_v whose steps add 0..r, so their least values over the
+    uncapped clamp box of a level come from taking its e - sum(lo_v) spare
+    steps greedily, cheapest first. A level whose least floor reaches
+    h0(P1, source(e)) is skipped whole; inside the others, an exact count
+    is read only where the twist's own floor falls short. Only passing
+    twists are skipped, so the verdict and the witness do not change.
+    Exact counts come from one section system of the target, built at the
+    first count: a balanced source has an empty window and needs none.
     """
     if target.rank != source.rank:
         raise MismatchError("rank %d vs %d" % (target.rank, source.rank))
     if target.degree() != source.degree:
         raise MismatchError("degree %d vs %d" % (target.degree(), source.degree))
+    ds = source.degrees
+    levels = range(-ds[0], -ds[-1] - 1)
+    if not levels:
+        return Decision(True)
     comps = target.curve.components
     *rest, last = comps
     lo = vanishing_floor(target)
     adj = target.curve.adjacency()
     hi = {v: len(adj[v]) - 1 - min(target.splittings[v]) for v in rest}
+    floor, level_floor = section_floor(target)
     count = None
-    ds = source.degrees
-    for e in range(-ds[0], -ds[-1] - 1):
+    for e in levels:
         need = source.h0(e)
+        if level_floor(e) >= need:
+            continue
         # the last coordinate takes whatever the others leave
         hi[last] = e - sum(lo[v] for v in rest)
         for ell in level_box(comps, lo, hi, e):
+            if floor(ell) >= need:
+                continue
             if count is None:
                 count = section_counter(target)
             have = count(ell)
@@ -643,7 +665,8 @@ def verify_certificate(cert: Certificate):
             problems = enl.validate()
             if problems:
                 return fail("step %d: bad enlargement: %s" % (k, "; ".join(problems)))
-            pulled = pullback(cur_t, enl)
+            # rooted and validated just above
+            pulled = _pullback(cur_t, enl)
         elif isinstance(step, SplitOffStep):
             if pulled is None:
                 return fail("step %d: split-off without a preceding enlargement" % k)

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from . import poly
 from .bundle import BundleError, GluedBundle
-from .linalg import (integer_rows, integer_rref, is_invertible, kernel_basis,
-                     mat_mul, mat_vec, solve_columns)
+from .linalg import (field_elements, integer_kernel, integer_rows,
+                     integer_rref, is_invertible, mat_mul, mat_vec,
+                     solve_columns)
 
 
 class SubbundleError(ValueError):
@@ -165,10 +166,18 @@ def _kernel_generators(field, ms, a, phis, want):
     ms are the summand degrees, the phi_i have degree <= ms[i] - a, and the
     kernel is a free module of rank `want`; generators are found degree by
     degree, lowest first. Returns a list of (gen_degree, coordinate polys).
+    The search runs on integers: one common scale clears the phi_i (the
+    kernel does not change), and field elements are built only for the
+    chosen generators.
     """
-    zero, one = field.zero, field.one
+    p = field.char
+    flat = integer_rows([[c for phi in phis for c in phi]], p)[0]
+    iphis, at = [], 0
+    for phi in phis:
+        iphis.append(flat[at:at + len(phi)])
+        at += len(phi)
     total = sum(ms) - a
-    found = []
+    found = []  # (degree, integer coefficient blocks, their denominator)
 
     def layout(t):
         blocks, n = [], 0
@@ -186,43 +195,41 @@ def _kernel_generators(field, ms, a, phis, want):
         if ncols == 0:
             t += 1
             continue
-        nrows = max(0, t - a + 1)
-        rows = [[zero] * ncols for _ in range(nrows)]
-        for i, m in enumerate(ms):
-            start, size = blocks[i]
+        rows = [[0] * ncols for _ in range(max(0, t - a + 1))]
+        for (start, size), phi in zip(blocks, iphis):
             for k in range(size):
                 # coefficient rows of x^k * phi_i
-                for d, c in enumerate(phis[i]):
-                    rows[k + d][start + k] = rows[k + d][start + k] + c
-        kern = kernel_basis(rows, ncols, zero, one)
+                for d, c in enumerate(phi):
+                    rows[k + d][start + k] = c
+        kern, den = integer_kernel(rows, ncols, p)
         # earlier generators shifted into degree t, then the kernel vectors,
         # as the columns of one matrix: its pivot columns are the greedy
         # choices of vectors independent of everything before them
         cols = []
-        for b, gens in found:
+        for b, gens, _ in found:
             for s in range(t - b + 1):
-                vec = [zero] * ncols
-                for i in range(len(ms)):
-                    start, _ = blocks[i]
-                    for d, c in enumerate(gens[i]):
-                        vec[start + s + d] = c
+                vec = [0] * ncols
+                for (start, _), g in zip(blocks, gens):
+                    vec[start + s:start + s + len(g)] = g
                 cols.append(vec)
         old = len(cols)
         cols += kern
-        _, pivots, _ = integer_rref(integer_rows(list(zip(*cols)), field.char),
-                                    len(cols), field.char)
+        _, pivots, _ = integer_rref(list(zip(*cols)), len(cols), p)
         assert pivots[:old] == list(range(old)), \
             "old generators degenerated; kernel not free?"
         for j in pivots[old:old + want - len(found)]:
-            vec = cols[j]
-            gens = []
-            for i in range(len(ms)):
-                start, size = blocks[i]
-                gens.append(poly.trim(vec[start:start + size]))
-            found.append((t, gens))
+            found.append((t, [cols[j][start:start + size]
+                              for start, size in blocks], den))
         t += 1
-    assert sum(b for b, _ in found) == total, "quotient degree bookkeeping broke"
-    return found
+    assert sum(b for b, _, _ in found) == total, \
+        "quotient degree bookkeeping broke"
+    out = []
+    for b, gens, den in found:
+        of = field_elements(den, p)
+        zero = of(0)
+        out.append((b, [poly.trim([of(x) if x else zero for x in g])
+                        for g in gens]))
+    return out
 
 
 def quotient_with_projections(bundle: GluedBundle, sub: LineSubbundle):

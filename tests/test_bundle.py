@@ -1,4 +1,5 @@
 """Glued bundles: construction, cohomology, twists, boxes, surgery."""
+import math
 import random
 import time
 from fractions import Fraction as F
@@ -9,7 +10,8 @@ from treebundles.bundle import (BundleError, clamp_box, clamp_multidegree,
                                 contract_pushforward, dmax, evaluate_section,
                                 h0, h0_oracle, h1, make_bundle, pullback,
                                 restrict_bundle, section_basis,
-                                section_counter, twist, vanishing_floor)
+                                section_counter, section_floor, twist,
+                                vanishing_floor)
 from treebundles.curve import Edge, TreeCurve, insert_bridge, md_total
 from treebundles.fields import PrimeField, RationalField
 from treebundles.linalg import invert_matrix, mat_vec
@@ -303,6 +305,41 @@ def test_section_counter_reuses_ranks_across_twists():
             for _ in range(8):
                 md = random_multidegree(rng, curve, lo=-4, hi=4)
                 assert count(md) == h0_oracle(twist(bundle, md))
+
+
+def test_section_floor_bounds_h0_from_below():
+    # floor(md) <= h0 at random twists, and each level's bound <= the least
+    # h0 over that level's clamp box; n 1-5 (a single component included)
+    # and rank 1-4, with twisted degrees <= 6 for the oracle mod 7
+    rng = random.Random(36)
+    fields = (None, PrimeField(7), PrimeField(1000003))
+    for k in range(60):
+        curve = random_tree(rng, 1 + k % 5, fields[k % 3])
+        bundle = random_bundle(rng, curve, 1 + (k // 5) % 4, lo=-2, hi=2)
+        floor, level_floor = section_floor(bundle)
+        for _ in range(6):
+            md = random_multidegree(rng, curve, lo=-4, hi=4)
+            assert floor(md) <= h0_oracle(twist(bundle, md))
+        count = section_counter(bundle)
+        base = sum(vanishing_floor(bundle).values())
+        assert level_floor(base - 1) == math.inf  # an empty box
+        for e in range(base, base + 6):
+            assert level_floor(e) <= min(count(md) for md in clamp_box(bundle, e))
+
+
+def test_section_floor_counts_sections_vanishing_at_every_node():
+    # only v1's first summand has sections, and they must vanish at the
+    # node: h0 = 5 = V, while the row bound gives T - R = 6 - 2
+    bundle = make_bundle(t2(), {"v1": (5, -10), "v2": (-10, -10)}, {0: I2})
+    floor, _ = section_floor(bundle)
+    assert floor({"v1": 0, "v2": 0}) == h0(bundle) == 5
+    # over the level -6 clamp box the least T - R is 0 and the least V is 1
+    i3 = [[F(int(i == j)) for j in range(3)] for i in range(3)]
+    bundle = make_bundle(t2(), {"v1": (3, 1, -1), "v2": (4, 3, -5)}, {0: i3})
+    floor, level_floor = section_floor(bundle)
+    box = clamp_box(bundle, -6)
+    assert [floor(md) for md in box] == [3, 1, 1, 2]
+    assert level_floor(-6) == 1 < min(h0(twist(bundle, md)) for md in box) == 2
 
 
 def test_h0_on_fractional_node_coordinates():

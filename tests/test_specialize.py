@@ -1,6 +1,7 @@
 """Deciding specialization, maximal line subbundles, certificates."""
 import itertools
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from treebundles import bundle as bundle_module
 from treebundles.bundle import (clamp_box, dmax, h0, level_box, make_bundle,
                                 pullback, restrict_bundle, twist)
-from treebundles.curve import Edge, TreeCurve, md_total
+from treebundles.curve import Edge, Enlargement, TreeCurve, md_total
 from treebundles.fields import PrimeField
 from treebundles.sampling import (balanced_splitting, generalize,
                                   random_bundle, random_invertible,
@@ -22,6 +23,8 @@ from treebundles.specialize import (Certificate, Decision, DominanceStep,
                                     find_line_subbundle, verify_certificate)
 from treebundles.splitting import SplittingType, specializes_p1
 from treebundles.subbundles import LineSubbundle
+
+from conftest import build_chain
 
 
 def regression_bundle():
@@ -175,7 +178,7 @@ def test_decide_against_the_full_clamp_box_scan():
     assert answers == {True, False}
 
 
-def test_decide_rank_calls_do_not_grow_with_the_degree(monkeypatch):
+def _count_bareiss_calls(monkeypatch):
     calls = []
     rank = bundle_module.bareiss_rank
 
@@ -184,15 +187,38 @@ def test_decide_rank_calls_do_not_grow_with_the_degree(monkeypatch):
         return rank(rows, ncols)
 
     monkeypatch.setattr(bundle_module, "bareiss_rank", counted)
-    curve = TreeCurve(("v1", "v2"), (Edge("v1", F(0), "v2", F(0)),))
+    return calls
+
+
+def test_decide_rank_calls_do_not_grow_with_the_degree(monkeypatch):
+    # the floor settles most twists here but not all; the rest read ranks
+    # memoised on clamped states, which do not depend on the degree
+    calls = _count_bareiss_calls(monkeypatch)
+    g = [[F(1), F(1)], [F(0), F(1)]]
     seen = []
     for degree in (10 ** 3, 10 ** 4):
-        bundle = make_bundle(curve, {"v1": (degree, -degree), "v2": (0, 0)},
-                             {0: [[F(1), F(0)], [F(0), F(1)]]})
+        bundle = build_chain(("v1", "v2", "v3"),
+                             {"v1": (degree + 3, degree + 1), "v2": (3, 1),
+                              "v3": (-degree + 3, -degree + 2)},
+                             {0: g, 1: g})
         calls.clear()
-        assert decide(bundle, SplittingType((1, -1))).yes
+        assert decide(bundle, SplittingType((9, 4))).yes
         seen.append(len(calls))
     assert seen[0] == seen[1] > 0
+
+
+def test_decide_settles_a_spread_level_without_ranks(monkeypatch):
+    # the one level's clamp box has about 2 * 10^6 twists, and the least
+    # T - R over it is 10^6 - 1 sections, far above the 1 required
+    calls = _count_bareiss_calls(monkeypatch)
+    degree = 10 ** 6
+    curve = TreeCurve(("v1", "v2"), (Edge("v1", F(0), "v2", F(0)),))
+    bundle = make_bundle(curve, {"v1": (degree, -degree), "v2": (0, 0)},
+                         {0: [[F(1), F(0)], [F(0), F(1)]]})
+    t0 = time.perf_counter()
+    assert decide(bundle, SplittingType((1, -1))).yes
+    assert time.perf_counter() - t0 < 1.0
+    assert calls == []
 
 
 # -- maximal line subbundles ----------------------------------------------------
@@ -351,6 +377,20 @@ def test_certify_ex_golden(ex_bundle):
     assert cert.steps[3].degree == 1
     ok, report = verify_certificate(cert)
     assert ok and report == []
+
+
+def test_verify_validates_each_enlargement_once(ex_bundle, monkeypatch):
+    cert = certify(ex_bundle, SplittingType((3, 1)))
+    calls = []
+    validate = Enlargement.validate
+
+    def counted(self):
+        calls.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(Enlargement, "validate", counted)
+    assert verify_certificate(cert) == (True, [])
+    assert calls == [cert.steps[1].enlargement]
 
 
 def test_certify_refutation(ex_bundle):

@@ -8,11 +8,12 @@ from treebundles import poly
 from treebundles.bundle import (BundleError, clamp_box, h0, h1, make_bundle,
                                 twist)
 from treebundles.curve import Edge, TreeCurve
-from treebundles.linalg import mat_vec
+from treebundles.fields import PrimeField, RationalField
+from treebundles.linalg import mat_vec, matrix_rank, rref
 from treebundles.sampling import random_bundle, random_tree
 from treebundles.subbundles import (LineSubbundle, SubbundleError,
-                                    quotient_bundle, quotient_with_projections,
-                                    saturate)
+                                    _kernel_generators, quotient_bundle,
+                                    quotient_with_projections, saturate)
 
 
 def line_sub_of_ex(ex):
@@ -217,3 +218,70 @@ def test_quotient_fiber_checks_random():
                 emb = sub.value_at(v, t)
                 assert mat_vec(g, emb, zero) == [zero] * (r - 1)
                 assert matrix_rank(g, r) == r - 1
+
+
+def _kernel_generators_reference(field, ms, a, phis, want):
+    """The generator search on field elements: per degree t, the kernel
+    vectors of the multiplication matrix (reduced echelon form, one per
+    free column) are kept, in order, while they are independent of the
+    shifted earlier generators and of the vectors kept before them."""
+    zero, one = field.zero, field.one
+    found = []
+    t = min(ms)
+    while len(found) < want:
+        sizes = [max(0, t - m + 1) for m in ms]
+        starts = [sum(sizes[:i]) for i in range(len(ms))]
+        ncols = sum(sizes)
+        rows = [[zero] * ncols for _ in range(max(0, t - a + 1))]
+        for start, size, phi in zip(starts, sizes, phis):
+            for k in range(size):
+                for d, c in enumerate(phi):
+                    rows[k + d][start + k] = c
+        red, pivots = rref(rows, ncols)
+        span = []
+        for b, gens in found:
+            for s in range(t - b + 1):
+                vec = [zero] * ncols
+                for start, g in zip(starts, gens):
+                    vec[start + s:start + s + len(g)] = g
+                span.append(vec)
+        for free in [c for c in range(ncols) if c not in pivots]:
+            if len(found) == want:
+                break
+            vec = [zero] * ncols
+            vec[free] = one
+            for i, pc in enumerate(pivots):
+                vec[pc] = -red[i][free]
+            if matrix_rank(span + [vec], ncols) > len(span):
+                span.append(vec)
+                found.append((t, [poly.trim(vec[start:start + size])
+                                  for start, size in zip(starts, sizes)]))
+        t += 1
+    return found
+
+
+def test_kernel_generators_match_the_field_reference():
+    # random embeddings with no common zero, also at infinity, so the
+    # kernel is free of rank r - 1; over Q with denominators, and mod 7
+    rng = random.Random(45)
+    for fld in (RationalField(), PrimeField(7)):
+        done = 0
+        while done < 40:
+            r = rng.randint(2, 4)
+            ms = [rng.randint(-2, 3) for _ in range(r)]
+            a = min(ms) - rng.randint(0, 2)
+            phis = [poly.trim([fld.of(rng.randint(-3, 3))
+                               / fld.of(rng.choice((1, 1, 2, 3)))
+                               for _ in range(m - a + 1)]) for m in ms]
+            if not any(p and poly.degree(p) == m - a
+                       for p, m in zip(phis, ms)):
+                continue
+            g = []
+            for p in phis:
+                if p:
+                    g = poly.gcd_monic(g, p, fld.zero)
+            if poly.degree(g) != 0:
+                continue
+            got = _kernel_generators(fld, ms, a, phis, r - 1)
+            assert got == _kernel_generators_reference(fld, ms, a, phis, r - 1)
+            done += 1
