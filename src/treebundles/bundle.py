@@ -81,7 +81,12 @@ class GluedBundle:
 
 def make_bundle(curve: TreeCurve, splittings, gluings) -> GluedBundle:
     """Validating constructor; `gluings` maps edge index -> square matrix."""
-    curve.validate()
+    return _make_bundle(curve.validate(), splittings, gluings)
+
+
+def _make_bundle(curve: TreeCurve, splittings, gluings) -> GluedBundle:
+    """`make_bundle` on a curve already validated: the splittings cover the
+    components with one rank, and every gluing is invertible and square."""
     if set(splittings) != set(curve.components):
         raise BundleError("splittings must cover the components exactly")
     ranks = {len(tuple(splittings[v])) for v in curve.components}
@@ -535,20 +540,33 @@ def level_box(comps, lo, hi, e):
     for i in range(n - 1, -1, -1):
         least[i] = least[i + 1] + lo[comps[i]]
         most[i] = most[i + 1] + hi[comps[i]]
-    md = {}
-
-    def rec(i, remaining):
-        # the bounds leave remaining == 0 once every coordinate is set
+    # an odometer: x[:i] is set, rem = e - sum(x[:i]) and top[j] is the
+    # largest value x[j] may take given x[:j]; the bounds leave rem == 0
+    # once every coordinate is set
+    x, top = [0] * n, [0] * n
+    i, rem = 0, e
+    while True:
+        while i < n:
+            v = comps[i]
+            first = max(lo[v], rem - most[i + 1])
+            top[i] = min(hi[v], rem - least[i + 1])
+            if first > top[i]:
+                break
+            x[i] = first
+            rem -= first
+            i += 1
         if i == n:
-            yield dict(md)
+            yield dict(zip(comps, x))
+        # advance the last coordinate that can still grow
+        i -= 1
+        while i >= 0 and x[i] == top[i]:
+            rem += x[i]
+            i -= 1
+        if i < 0:
             return
-        v = comps[i]
-        for x in range(max(lo[v], remaining - most[i + 1]),
-                       min(hi[v], remaining - least[i + 1]) + 1):
-            md[v] = x
-            yield from rec(i + 1, remaining - x)
-
-    yield from rec(0, e)
+        x[i] += 1
+        rem -= 1
+        i += 1
 
 
 def clamp_box(bundle: GluedBundle, e: int):

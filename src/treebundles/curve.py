@@ -167,16 +167,18 @@ def validate_tree(curve: TreeCurve):
     if len(curve.edges) > len(comps) - 1:
         problems.append("cycle: %d edges on %d components"
                         % (len(curve.edges), len(comps)))
-    if len(curve.edges) < len(comps) - 1 or not curve.is_connected_subset(comps):
+    adj = curve.adjacency()
+    if (len(curve.edges) < len(comps) - 1
+            or len(curve._reach(adj, comps[0], adj, ())) != len(comps)):
         problems.append("curve is not connected")
-    # distinct node coordinates on every chart
+    # distinct node coordinates on every chart, each chart's nodes in edge
+    # order; the pairs are walked only on a chart that has a repeat
+    edges = curve.edges
     for v in comps:
-        coords = []
-        for e in curve.edges:
-            if e.a == v:
-                coords.append(e.pa)
-            if e.b == v:
-                coords.append(e.pb)
+        coords = [edges[i].pa if edges[i].a == v else edges[i].pb
+                  for _, i in adj[v]]
+        if len(set(coords)) == len(coords):
+            continue
         for i in range(len(coords)):
             for j in range(i + 1, len(coords)):
                 if coords[i] == coords[j]:
@@ -310,8 +312,11 @@ class Enlargement:
 
     def validate(self):
         problems = validate_tree(self.source) + validate_tree(self.target)
-        if problems:
-            return problems
+        return problems or self._map_problems()
+
+    def _map_problems(self):
+        """`validate` past the tree checks: both trees must be valid."""
+        problems = []
         if self.source.field != self.target.field:
             problems.append("source and target coefficient fields differ")
         if not self.contracted <= set(self.source.components):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 
-from .bundle import GluedBundle, make_bundle, pullback
+from .bundle import BundleError, GluedBundle, _make_bundle, _pullback
 from .curve import Edge, Enlargement, TreeCurve
 from .fields import RationalField
 from .specialize import (Certificate, DominanceStep, EnlargementStep,
@@ -141,7 +141,8 @@ def bundle_from_json(obj, field=None) -> GluedBundle:
         i = _need(g, "edge", int, where)
         gluings[i] = _matrix_from_json(fld, _need(g, "matrix", list, where), where)
     rank = _need(obj, "rank", int, "bundle")
-    bundle = make_bundle(curve, splittings, gluings)
+    # curve_from_json validated the tree
+    bundle = _make_bundle(curve, splittings, gluings)
     if bundle.rank != rank:
         raise SerializeError("bundle: declared rank %r disagrees with splittings" % rank)
     return bundle
@@ -248,8 +249,13 @@ def certificate_from_json(obj, field=None) -> Certificate:
                 splitting_from_json(_need(raw, "to", list, where))))
         elif kind == "enlarge":
             enl = enlargement_from_json(raw, cur_t.curve)
+            # both trees are validated already: the source as it was read,
+            # the target as the bundle it belongs to was read
+            problems = enl._map_problems()
+            if problems:
+                raise BundleError("invalid enlargement: " + "; ".join(problems))
             steps.append(EnlargementStep(enl))
-            pulled = pullback(cur_t, enl)
+            pulled = _pullback(cur_t, enl)
         elif kind == "splitoff":
             if pulled is None:
                 raise SerializeError("%s: split-off before any enlargement" % where)

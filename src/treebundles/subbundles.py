@@ -41,11 +41,13 @@ class LineSubbundle:
         problems = []
         host = self.host
         zero = host.field.zero
+        misshapen = set()
         for v in host.curve.components:
             a = self.degrees[v]
             polys = [poly.trim(p) for p in self.embeddings[v]]
             if len(polys) != host.rank:
                 problems.append("component %r: expected %d coordinates" % (v, host.rank))
+                misshapen.add(v)
                 continue
             nonzero = [(i, p) for i, p in enumerate(polys) if p]
             if not nonzero:
@@ -71,6 +73,9 @@ class LineSubbundle:
                 problems.append("component %r: embedding has a common zero (gcd %s)"
                                 % (v, g))
         for i, e in enumerate(host.curve.edges):
+            if e.a in misshapen or e.b in misshapen:
+                # no fiber direction to compare; the component is reported
+                continue
             lam = self.scalars.get(i)
             if lam is None or not lam:
                 problems.append("edge %d: missing or zero scalar" % i)

@@ -273,6 +273,32 @@ def test_verify_rejects_tampering_exit_3(ex_path, tmp_path, capsys):
     assert payload["valid"] is False and payload["report"]
 
 
+def test_verify_rejects_a_short_embedding_exit_3(ex_path, tmp_path, capsys):
+    # a component with too few coordinate polynomials is reported, and the
+    # node checks skip it instead of indexing past the end
+    _, out, _ = run(capsys, "certify", "-i", ex_path, "--target", "3,1")
+    obj = json.loads(out)
+    (step,) = [s for s in obj["steps"] if s["kind"] == "splitoff"]
+    emb = step["subbundle"]["embeddings"]
+    emb["v2"] = emb["v2"][:1]
+    code, out2, err = run(capsys, "verify", "-i", _write(tmp_path, obj))
+    assert (code, err) == (3, "")
+    assert json.loads(out2) == {"valid": False, "report": [
+        "step 2: invalid subbundle: component 'v2': expected 2 coordinates"]}
+
+
+def test_box_on_a_long_rank_one_chain(tmp_path, capsys):
+    n = 1200
+    ids = ["c%d" % i for i in range(n)]
+    bundle = build_chain(ids, {v: (0,) for v in ids},
+                         {i: [[F(1)]] for i in range(n - 1)})
+    path = _write(tmp_path, bundle_to_json(bundle))
+    # every floor is -1, so the level at their sum holds the floors alone
+    code, out, err = run(capsys, "box", "-i", path, "--level", str(-n))
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"box": [dict.fromkeys(ids, -1)]}
+
+
 def test_field_flag_prime(tmp_path, capsys):
     from treebundles.bundle import make_bundle
     from treebundles.curve import Edge, TreeCurve

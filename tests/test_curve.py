@@ -41,6 +41,11 @@ def test_validate_rejects_cycle():
 def test_validate_rejects_disconnected():
     curve = TreeCurve(("a", "b", "c"), (Edge("a", F(0), "b", F(0)),))
     assert any("not connected" in p for p in validate_tree(curve))
+    # n - 1 edges, but a doubled node leaves c-d apart from a-b
+    split = TreeCurve(("a", "b", "c", "d"),
+                      (Edge("a", F(0), "b", F(0)), Edge("a", F(1), "b", F(1)),
+                       Edge("c", F(0), "d", F(0))))
+    assert validate_tree(split) == ["curve is not connected"]
 
 
 def test_validate_rejects_duplicate_node_coordinate():

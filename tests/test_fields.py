@@ -80,3 +80,30 @@ def test_field_equality_and_hash():
     assert PrimeField(7) == PrimeField(7)
     assert PrimeField(7) != PrimeField(11)
     assert hash(PrimeField(7)) == hash(PrimeField(7))
+
+
+@pytest.mark.parametrize("text, value", [
+    (" 7 ", F(7)), ("+3/4", F(3, 4)), ("-6/4", F(-3, 2)), ("1.5", F(3, 2)),
+    ("1e3", F(1000)), ("٣", F(3)), ("-0", F(0)),
+])
+def test_rational_parse_spellings(text, value):
+    x = RationalField().parse(text)
+    assert type(x) is F and x == value
+
+
+@pytest.mark.parametrize("text", [" 7 ", "+3/4", "3/ 4", "3/-4", "1_000",
+                                  "1.5", "1e3", "٣", "1/0", "", "-0", "+-3",
+                                  "x/2"])
+def test_rational_parse_agrees_with_fraction(text):
+    # underscores are a Fraction(str) spelling from Python 3.11 on; parse
+    # follows whatever the running Fraction accepts
+    try:
+        want = F(text.strip())
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ValueError) as info:
+            RationalField().parse(text)
+        assert str(info.value) == "not a rational number: %r" % (text,)
+    else:
+        got = RationalField().parse(text)
+        assert type(got) is F and (got.numerator, got.denominator) == \
+            (want.numerator, want.denominator)

@@ -5,8 +5,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from treebundles.bundle import make_bundle
-from treebundles.curve import Edge, TreeCurve, insert_bridge
+from treebundles import curve as curve_module
+from treebundles.bundle import BundleError, make_bundle
+from treebundles.curve import CurveError, Edge, TreeCurve, insert_bridge
 from treebundles.fields import PrimeField
 from treebundles.sampling import balanced_splitting, random_bundle, random_tree, spread
 from treebundles.serialize import (SerializeError, bundle_from_json,
@@ -17,7 +18,8 @@ from treebundles.serialize import (SerializeError, bundle_from_json,
                                    multidegree_from_json, multidegree_to_json,
                                    splitting_from_json, splitting_to_json,
                                    subbundle_from_json, subbundle_to_json)
-from treebundles.specialize import certify, find_line_subbundle, verify_certificate
+from treebundles.specialize import (EnlargementStep, certify,
+                                    find_line_subbundle, verify_certificate)
 from treebundles.splitting import SplittingType
 
 
@@ -185,6 +187,62 @@ def test_certificate_rejects_malformed(ex_bundle):
     reordered["steps"] = [reordered["steps"][2]]
     with pytest.raises(SerializeError, match="before any enlargement"):
         certificate_from_json(reordered)
+
+
+def _count_tree_validations(monkeypatch):
+    seen = []
+    inner = curve_module.validate_tree
+
+    def counted(curve):
+        seen.append(curve)
+        return inner(curve)
+
+    monkeypatch.setattr(curve_module, "validate_tree", counted)
+    return seen
+
+
+def test_bundle_load_validates_its_tree_once(monkeypatch):
+    rng = random.Random(63)
+    seen = _count_tree_validations(monkeypatch)
+    for _ in range(5):
+        bundle = random_bundle(rng, random_tree(rng, rng.randint(1, 4)),
+                               rng.randint(1, 3))
+        obj = json.loads(dumps(bundle_to_json(bundle)))
+        seen.clear()
+        assert bundle_from_json(obj) == bundle
+        assert len(seen) == 1
+
+
+def test_certificate_load_validates_each_enlargement_source_once(monkeypatch):
+    # a rank-3 target splits off twice, so its certificate enlarges twice
+    ident = [[F(int(i == j)) for j in range(3)] for i in range(3)]
+    curve = TreeCurve(("a", "b", "c"),
+                      (Edge("a", F(0), "b", F(0)), Edge("b", F(1), "c", F(0))))
+    bundle = make_bundle(curve, {"a": (2, 0, 0), "b": (0, 1, 0),
+                                 "c": (0, 0, 2)}, {0: ident, 1: ident})
+    obj = json.loads(dumps(certificate_to_json(
+        certify(bundle, SplittingType((2, 2, 1))))))
+    seen = _count_tree_validations(monkeypatch)
+    back = certificate_from_json(obj)
+    sources = [s.enlargement.source for s in back.steps
+               if isinstance(s, EnlargementStep)]
+    assert len(sources) == 2
+    assert [sum(c is src for c in seen) for src in sources] == [1, 1]
+    assert verify_certificate(back) == (True, [])
+
+
+def test_certificate_load_still_checks_each_enlargement(ex_bundle):
+    obj = certificate_to_json(certify(ex_bundle, SplittingType((3, 1))))
+    (k,) = [i for i, s in enumerate(obj["steps"]) if s["kind"] == "enlarge"]
+    unmapped = json.loads(dumps(obj))
+    unmapped["steps"][k]["contracted"] = []
+    with pytest.raises(BundleError, match="invalid enlargement: surviving"):
+        certificate_from_json(unmapped)
+    crowded = json.loads(dumps(obj))
+    for e in crowded["steps"][k]["source"]["edges"]:
+        e["pa"] = e["pb"] = "0"
+    with pytest.raises(CurveError, match="share coordinate"):
+        certificate_from_json(crowded)
 
 
 def test_dumps_is_canonical():

@@ -300,6 +300,18 @@ def test_compositions_order():
         assert got == want and all(list(md) == list(ids) for md in got)
 
 
+def test_level_box_on_a_long_chain():
+    # one coordinate per component, with no recursion to run out of
+    n = 3000
+    ids = ["c%d" % i for i in range(n)]
+    lo = dict.fromkeys(ids, -1)
+    hi = dict.fromkeys(ids, 0)
+    first = next(level_box(ids, lo, hi, 1 - n))
+    assert list(first) == ids and first[ids[-1]] == 0
+    assert sum(first.values()) == 1 - n
+    assert list(level_box(ids, lo, None, -n)) == [lo]
+
+
 def test_blocks():
     curve = TreeCurve(("a", "b", "c"),
                       (Edge("a", F(0), "b", F(0)), Edge("b", F(1), "c", F(0))))
