@@ -24,11 +24,9 @@ from __future__ import annotations
 from math import inf, lcm
 
 from . import poly
-from .curve import (CurveError, TreeCurve, check_multidegree, md_total,
-                    restrict_curve)
+from .curve import TreeCurve, check_multidegree, restrict_curve
 from .linalg import (bareiss_rank, identity_matrix, integer_kernel_basis,
                      invert_matrix, is_invertible, mat_mul, modular_rank)
-from .splitting import SplittingType
 
 
 class BundleError(ValueError):
@@ -58,9 +56,6 @@ class GluedBundle:
 
     def multidegree(self):
         return {v: self.degree_on(v) for v in self.curve.components}
-
-    def splitting_type(self, v):
-        return SplittingType(self.splittings[v])
 
     def euler(self):
         return self.degree() + self.rank
@@ -404,19 +399,9 @@ def h1(bundle: GluedBundle) -> int:
     return h0(bundle) - bundle.euler()
 
 
-class SectionBasis:
-    """Global sections as per-component, per-summand coefficient lists."""
-
-    def __init__(self, bundle, sections):
-        self.bundle = bundle
-        self.sections = sections
-
-    @property
-    def dimension(self):
-        return len(self.sections)
-
-
-def section_basis(bundle: GluedBundle) -> SectionBasis:
+def section_basis(bundle: GluedBundle) -> list:
+    """A basis of the global sections, one per free column of the section
+    system, each as per-component, per-summand coefficient lists."""
     blocks, ncols = _column_layout(bundle.splittings)
     rows = _matching_rows(bundle, ncols, blocks)
     vecs = integer_kernel_basis(rows, ncols, bundle.field.char)
@@ -433,13 +418,7 @@ def section_basis(bundle: GluedBundle) -> SectionBasis:
                     polys.append(poly.trim(vec[start:start + m + 1]))
             sec[v] = polys
         sections.append(sec)
-    return SectionBasis(bundle, sections)
-
-
-def evaluate_section(bundle: GluedBundle, section, v, at):
-    """Fiber value of a section on component v at a chart point."""
-    zero = bundle.field.zero
-    return [poly.evaluate(p, at, zero) for p in section[v]]
+    return sections
 
 
 # -- independent recomputation of h0 ----------------------------------------

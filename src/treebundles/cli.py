@@ -250,6 +250,12 @@ def build_parser():
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # `--target X` as `--target=X`: argparse takes a separate X that starts
+    # with '-' and is no plain number, such as -1,-1, for an option
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--target":
+            argv[i - 1:i + 1] = ["--target=" + argv[i]]
     args = parser.parse_args(argv)
     try:
         args.field = _parse_field(args.field)

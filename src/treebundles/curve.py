@@ -49,9 +49,6 @@ class TreeCurve:
             adj[e.b].append((e.a, i))
         return adj
 
-    def neighbors(self, v):
-        return [w for w, _ in self.adjacency()[v]]
-
     def edge_between(self, x, y):
         for i, e in enumerate(self.edges):
             if {e.a, e.b} == {x, y}:
@@ -208,88 +205,6 @@ def fill_multidegree(curve: TreeCurve, partial):
     if unknown:
         raise CurveError("unknown components in multidegree: %s" % sorted(unknown))
     return {v: int(partial.get(v, 0)) for v in curve.components}
-
-
-# -- coconnected subtrees -------------------------------------------------
-
-def coconnected_subtrees(curve: TreeCurve):
-    """All nonempty connected subtrees whose complement is connected or empty.
-
-    In a tree these are exactly the two sides of each edge, plus the whole
-    curve. Returned in a fixed order: by size, then componentwise.
-    """
-    out = {tuple(curve.components)}
-    for i in range(len(curve.edges)):
-        out.update(curve.pieces(curve.components, (i,)))
-    key = {v: i for i, v in enumerate(curve.components)}
-    return sorted(out, key=lambda t: (len(t), tuple(key[v] for v in t)))
-
-
-def subtree_divisor_class(curve: TreeCurve, members):
-    """Multidegree of the line bundle attached to a subtree divisor.
-
-    A single component contributes -(number of neighbours) on itself and +1
-    on each neighbour; a larger subtree is the sum of its members'
-    contributions.
-    """
-    members = set(members)
-    if not members or not members <= set(curve.components):
-        raise CurveError("subtree members must be a nonempty subset of components")
-    md = {v: 0 for v in curve.components}
-    adj = curve.adjacency()
-    for v in members:
-        md[v] -= len(adj[v])
-        for w, _ in adj[v]:
-            md[w] += 1
-    return md
-
-
-# -- degree-zero flow decomposition ---------------------------------------
-
-def boundary_of_flow(curve: TreeCurve, flow):
-    """Multidegree induced by an integer flow on edges (positive = toward a)."""
-    md = {v: 0 for v in curve.components}
-    for i, f in flow.items():
-        e = curve.edges[i]
-        md[e.a] += f
-        md[e.b] -= f
-    return md
-
-
-def decompose_degree_zero(curve: TreeCurve, md):
-    """The unique integer flow on edges whose boundary is md (total zero)."""
-    check_multidegree(curve, md)
-    if md_total(md) != 0:
-        raise CurveError("total degree %d is not zero" % md_total(md))
-    need = dict(md)
-    remaining = {v: set() for v in curve.components}
-    for i, e in enumerate(curve.edges):
-        remaining[e.a].add(i)
-        remaining[e.b].add(i)
-    flow = {}
-    order = [v for v in curve.components if len(remaining[v]) == 1]
-    while order:
-        v = order.pop()
-        if not remaining[v]:
-            continue
-        (i,) = remaining[v]
-        e = curve.edges[i]
-        if v == e.a:
-            f = need[v]
-            other = e.b
-            need[other] += f
-        else:
-            f = -need[v]
-            other = e.a
-            need[other] -= f
-        flow[i] = f
-        need[v] = 0
-        remaining[v].discard(i)
-        remaining[other].discard(i)
-        if len(remaining[other]) == 1:
-            order.append(other)
-    assert all(d == 0 for d in need.values()), "flow peeling left a residue"
-    return flow
 
 
 # -- enlargements ----------------------------------------------------------

@@ -118,18 +118,16 @@ class RationalField:
         return Fraction(n)
 
     def parse(self, s: str) -> Fraction:
-        t = s.strip()
-        num, slash, den = t.partition("/")
+        # a signed decimal integer or ratio only: no exponent, decimal point
+        # or underscore, so int()'s digit limit bounds every accepted string
+        num, slash, den = s.strip().partition("/")
         digits = num[1:] if num[:1] in ("+", "-") else num
         try:
-            # a signed integer or ratio of decimal digits skips Fraction's
-            # regex, whose digits are the same ones int() reads; every other
-            # spelling (underscores, decimal points, exponents) takes it
             if digits.isdecimal() and (not slash or den.isdecimal()):
                 return Fraction(int(num), int(den)) if slash else Fraction(int(num))
-            return Fraction(t)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError("not a rational number: %r" % (s,)) from exc
+        except (ValueError, ZeroDivisionError):
+            pass
+        raise ValueError("not a rational number: %r" % (s,))
 
     def to_str(self, x) -> str:
         # Fraction is already kept in lowest terms with positive denominator

@@ -5,8 +5,7 @@ Gauss-Jordan, `integer_rref`: fraction-free with exact division over Q
 (Bareiss 1968; Nakos, Turner & Williams 1997), the same loop on residues
 over GF(p). Field-element rows enter through `integer_rows`, and field
 elements are built only for the outputs. Ranks have their own forward-only
-routes, `bareiss_rank` and `modular_rank`. `rref` on field elements is kept
-as the reference the tests compare against. Pivoting is purely positional
+routes, `bareiss_rank` and `modular_rank`. Pivoting is purely positional
 (first nonzero entry, columns left to right), so echelon forms and kernel
 bases are deterministic for a given input.
 """
@@ -39,40 +38,6 @@ def mat_mul(a, b, zero):
             row.append(acc)
         out.append(row)
     return out
-
-
-def rref(rows, ncols):
-    """Reduced row echelon form over field elements. Returns (new_rows,
-    pivot_columns). The reference for `integer_rref`."""
-    m = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        sel = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        m[r], m[sel] = m[sel], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [m[i][j] - f * m[r][j] for j in range(ncols)]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
-
-
-def matrix_rank(rows, ncols):
-    if not rows:
-        return 0
-    return len(rref(rows, ncols)[1])
 
 
 def bareiss_rank(rows, ncols):

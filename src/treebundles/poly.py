@@ -17,10 +17,6 @@ def degree(p):
     return len(p) - 1
 
 
-def is_zero(p):
-    return len(trim(p)) == 0
-
-
 def add(p, q, zero):
     n = max(len(p), len(q))
     out = []

@@ -165,7 +165,7 @@ def _nonzero_components(curve, section):
 def _best_section(curve, basis):
     """First basis element nonzero on the most components."""
     best, best_count = None, -1
-    for sec in basis.sections:
+    for sec in basis:
         count = len(_nonzero_components(curve, sec))
         if count > best_count:
             best, best_count = sec, count
@@ -196,35 +196,36 @@ def _combine_support(field, curve, sec, other):
 def _max_support_section(field, curve, basis):
     """Deterministic combination of the basis nonzero on every component
     the full section space allows."""
-    if not basis.sections:
+    if not basis:
         return None
-    sec = basis.sections[0]
-    for other in basis.sections[1:]:
+    sec = basis[0]
+    for other in basis[1:]:
         sec = _combine_support(field, curve, sec, other)
     return sec
 
 
 def _combine(field, curve, basis, coeffs):
-    acc = {v: [poly.scale(p, coeffs[0]) for p in basis.sections[0][v]]
+    acc = {v: [poly.scale(p, coeffs[0]) for p in basis[0][v]]
            for v in curve.components}
-    for c, b in zip(coeffs[1:], basis.sections[1:]):
+    for c, b in zip(coeffs[1:], basis[1:]):
         acc = {v: [poly.add(acc[v][i], poly.scale(b[v][i], c), field.zero)
                    for i in range(len(acc[v]))]
                for v in curve.components}
     return acc
 
 
-def _section_candidates(field, curve, basis):
-    """Sections worth trying when one with special structure is needed:
-    the max-support combination, the basis itself, power-weighted sums
-    lambda^i * b_i over small lambda, then seeded random combinations
+def _section_candidates(bundle):
+    """Sections of `bundle` worth trying when one with special structure is
+    needed: the max-support combination, the basis itself, power-weighted
+    sums lambda^i * b_i over small lambda, then seeded random combinations
     whose coefficient span outweighs the degree of any failure locus."""
+    field, curve = bundle.field, bundle.curve
+    basis = section_basis(bundle)
     best = _max_support_section(field, curve, basis)
     if best is not None:
         yield best
-    for sec in basis.sections:
-        yield sec
-    n = len(basis.sections)
+    yield from basis
+    n = len(basis)
     if n < 2:
         return
     for lam in range(2, 2 * n + len(curve.components) + 4):
@@ -234,7 +235,7 @@ def _section_candidates(field, curve, basis):
         for _ in range(n - 1):
             coeffs.append(coeffs[-1] * field.of(lam))
         yield _combine(field, curve, basis, coeffs)
-    slots = sum(m + 1 for ds in basis.bundle.splittings.values()
+    slots = sum(m + 1 for ds in bundle.splittings.values()
                 for m in ds if m >= 0)
     span = 8 * (slots + n) ** 2 + 64
     if field.char:
@@ -271,7 +272,7 @@ def _junction(bundle, edge_index, polys, plan):
     va = [poly.evaluate(p, e.pa, zero) for p in polys[e.a]]
     vb = [poly.evaluate(p, e.pb, zero) for p in polys[e.b]]
     u0 = mat_vec(bundle.gluings[edge_index], va, zero)
-    rho = _direction_scalar(bundle.field, u0, vb)
+    rho = _direction_scalar(u0, vb)
     if rho is not None:
         assert rho, "transported fiber vector vanished"
         plan.scalars[(e.a, e.b)] = rho
@@ -400,8 +401,7 @@ def _bridgeless(bundle, d):
         twisted = twist(bundle, co)
         if h0(twisted) == 0:
             continue
-        basis = section_basis(twisted)
-        for sec in _section_candidates(bundle.field, curve, basis):
+        for sec in _section_candidates(twisted):
             if len(_nonzero_components(curve, sec)) != len(comps):
                 continue
             try:
@@ -468,7 +468,7 @@ def _case_vanishing(bundle, base, witness, z):
     bump = {v: 1 if v == z else 0 for v in curve.components}
     bumped = twist(base, bump)
     basis = section_basis(bumped)
-    assert basis.sections, "bumped bundle lost its guaranteed section"
+    assert basis, "bumped bundle lost its guaranteed section"
     sec = _best_section(curve, basis)
     alive = _nonzero_components(curve, sec)
     assert z in alive, "section vanished where it was forced not to"

@@ -107,7 +107,7 @@ class LineSubbundle:
         return "LineSubbundle(degrees=%s)" % (self.degrees,)
 
 
-def _direction_scalar(field, lhs, vb):
+def _direction_scalar(lhs, vb):
     """lam with lhs == lam * vb, or None if the vectors are not parallel."""
     lam = None
     for k in range(len(vb)):
@@ -156,7 +156,7 @@ def saturate(bundle: GluedBundle, section) -> LineSubbundle:
         va = [poly.evaluate(p, e.pa, zero) for p in embeddings[e.a]]
         vb = [poly.evaluate(p, e.pb, zero) for p in embeddings[e.b]]
         lhs = mat_vec(bundle.gluings[i], va, zero)
-        lam = _direction_scalar(bundle.field, lhs, vb)
+        lam = _direction_scalar(lhs, vb)
         if lam is None or not lam:
             raise SubbundleError(
                 "saturated directions disagree across edge %d" % i)

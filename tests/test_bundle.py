@@ -6,8 +6,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from treebundles import poly
 from treebundles.bundle import (BundleError, clamp_box, clamp_multidegree,
-                                contract_pushforward, dmax, evaluate_section,
+                                contract_pushforward, dmax,
                                 h0, h0_oracle, h1, make_bundle, pullback,
                                 restrict_bundle, section_basis,
                                 section_counter, section_floor, twist,
@@ -35,7 +36,7 @@ def test_make_bundle_accepts_ex(ex_bundle):
     assert ex_bundle.degree_on("v1") == 2
     assert ex_bundle.multidegree() == {"v1": 2, "v2": 2}
     assert ex_bundle.euler() == 6
-    assert ex_bundle.splitting_type("v1").degrees == (2, 0)
+    assert ex_bundle.splittings["v1"] == (2, 0)
 
 
 def test_make_bundle_rejects_bad_input():
@@ -202,13 +203,12 @@ def test_dmax_cost_is_bounded_by_the_ceiling_box():
 # -- sections ------------------------------------------------------------------
 
 def test_section_basis_size_and_matching(ex_bundle):
-    from treebundles import poly
     basis = section_basis(ex_bundle)
-    assert len(basis.sections) == h0(ex_bundle)
+    assert len(basis) == h0(ex_bundle)
     e = ex_bundle.curve.edges[0]
     g = ex_bundle.gluings[0]
     zero = ex_bundle.field.zero
-    for sec in basis.sections:
+    for sec in basis:
         va = [poly.evaluate(p, e.pa, zero) for p in sec["v1"]]
         vb = [poly.evaluate(p, e.pb, zero) for p in sec["v2"]]
         for out in range(2):
@@ -216,9 +216,7 @@ def test_section_basis_size_and_matching(ex_bundle):
 
 
 def test_section_basis_respects_degree_bounds(ex_bundle):
-    from treebundles import poly
-    basis = section_basis(ex_bundle)
-    for sec in basis.sections:
+    for sec in section_basis(ex_bundle):
         for v in ("v1", "v2"):
             for k, m in enumerate(ex_bundle.splittings[v]):
                 assert poly.degree(sec[v][k]) <= m
@@ -256,12 +254,12 @@ def assert_sections_agree(bundle):
     want = h0_oracle(bundle)
     assert h0(bundle) == want
     basis = section_basis(bundle)
-    assert basis.dimension == want
+    assert len(basis) == want
     zero = bundle.field.zero
-    for sec in basis.sections:
+    for sec in basis:
         for ei, e in enumerate(bundle.curve.edges):
-            va = evaluate_section(bundle, sec, e.a, e.pa)
-            vb = evaluate_section(bundle, sec, e.b, e.pb)
+            va = [poly.evaluate(p, e.pa, zero) for p in sec[e.a]]
+            vb = [poly.evaluate(p, e.pb, zero) for p in sec[e.b]]
             assert mat_vec(bundle.gluings[ei], va, zero) == vb
 
 

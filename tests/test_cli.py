@@ -1,6 +1,8 @@
 """Command line surface: verbs, flags, exit codes, byte-stable output."""
+import hashlib
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -12,12 +14,16 @@ import pytest
 
 import treebundles
 from treebundles.cli import main
+from treebundles.fields import field_from_name
+from treebundles.sampling import balanced_splitting, random_bundle, random_tree
 from treebundles.serialize import (bundle_to_json, certificate_to_json,
                                    curve_to_json, dumps)
 from treebundles.specialize import certify
 from treebundles.splitting import SplittingType
 
 from conftest import build_chain, build_ex
+
+CERTIFY_CORPUS_DIGEST = "55986de21ab72c0a2d703ee90aad69530847e51901a735135787e9c18648e396"
 
 
 @pytest.fixture
@@ -148,6 +154,20 @@ def test_bad_target_flag_exit_1(ex_path, capsys):
     assert code == 1 and "target" in err
 
 
+@pytest.mark.parametrize("verb", ["decide", "certify"])
+def test_target_with_a_negative_first_degree(tmp_path, capsys, verb):
+    # argparse reads a separate value that starts with '-' as an option
+    # unless it is a plain negative number; -1,-1 is not
+    ident = [[F(1), F(0)], [F(0), F(1)]]
+    bundle = build_chain(("v1", "v2"), {"v1": (-1, -1), "v2": (0, 0)},
+                         {0: ident})
+    path = tmp_path / "negative.json"
+    path.write_text(dumps(bundle_to_json(bundle)))
+    joined = run(capsys, verb, "-i", str(path), "--target=-1,-1")
+    assert joined[0] == 0 and joined[2] == ""
+    assert run(capsys, verb, "-i", str(path), "--target", "-1,-1") == joined
+
+
 def _write(tmp_path, obj):
     path = tmp_path / "input.json"
     path.write_text(dumps(obj))
@@ -233,6 +253,33 @@ def test_bad_input_ends_in_one_error_line(tmp_path, capsys, verb, make_input,
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert "Traceback" not in err
+
+
+def _huge_exponent_node(obj):
+    obj["curve"]["edges"][0]["pa"] = "1e999999999"
+
+
+def _huge_exponent_gluing(obj):
+    obj["gluings"][0]["matrix"][0][0] = "1e999999999"
+
+
+def _huge_exponent_everywhere(obj):
+    _huge_exponent_node(obj)
+    _huge_exponent_gluing(obj)
+
+
+@pytest.mark.parametrize("edit", [
+    _huge_exponent_node, _huge_exponent_gluing, _huge_exponent_everywhere,
+], ids=["node", "gluing", "node-and-gluing"])
+def test_exponent_spelling_is_refused_at_once(tmp_path, capsys, edit):
+    # an exact 10**999999999 would take gigabytes; the parse refuses the
+    # spelling before it builds anything
+    start = time.perf_counter()
+    code, out, err = run(capsys, "decide", "-i", _ex_with(edit)(tmp_path),
+                         "--target", "4,0")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == "error: not a rational number: '1e999999999'\n"
 
 
 def test_certify_verify_pipeline(ex_path, tmp_path, capsys):
@@ -392,3 +439,26 @@ def test_installed_console_script(ex_path):
                             capture_output=True, text=True)
     assert script.returncode == 0
     assert script.stdout == '{"verdict":"yes"}\n'
+
+
+def test_certify_stdout_digest_on_a_seeded_corpus(tmp_path, capsys):
+    # canonical certify output, byte for byte, over 30 random bundles per
+    # field (n 2-4, rank 2-3, balanced sources); the digest was recorded
+    # before the test-only helpers left the library, and it moves if the
+    # subbundle search takes a different assembly anywhere in the corpus
+    rng = random.Random(11)
+    path = tmp_path / "bundle.json"
+    digest = hashlib.sha256()
+    for name in ("q", "p:1000003"):
+        fld = field_from_name(name)
+        for _ in range(30):
+            curve = random_tree(rng, rng.randint(2, 4), fld)
+            bundle = random_bundle(rng, curve, rng.randint(2, 3))
+            source = balanced_splitting(bundle.rank, bundle.degree())
+            path.write_text(dumps(bundle_to_json(bundle)))
+            target = "--target=" + ",".join(map(str, source.degrees))
+            code, out, err = run(capsys, "certify", "-i", str(path),
+                                 "--field", name, target)
+            assert (code, err) == (0, "")
+            digest.update(out.encode())
+    assert digest.hexdigest() == CERTIFY_CORPUS_DIGEST

@@ -1,16 +1,13 @@
-"""Tree curves: validation, graph views, divisors, flows, enlargements."""
+"""Tree curves: validation, graph views, multidegrees, enlargements."""
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from treebundles.curve import (CurveError, Edge, TreeCurve,
-                               boundary_of_flow, check_multidegree,
-                               coconnected_subtrees, compose_enlargements,
-                               decompose_degree_zero, fill_multidegree,
+from treebundles.curve import (CurveError, Edge, TreeCurve, check_multidegree,
+                               compose_enlargements, fill_multidegree,
                                identity_enlargement, insert_bridge, md_total,
-                               restrict_curve, subtree_divisor_class,
-                               validate_tree)
+                               restrict_curve, validate_tree)
 from treebundles.fields import PrimeField
 from treebundles.sampling import random_tree
 
@@ -72,8 +69,6 @@ def test_validate_checks_coordinate_field():
 
 def test_graph_views():
     curve = star4()
-    assert curve.neighbors("h") == ["a", "b", "c"]
-    assert curve.neighbors("a") == ["h"]
     assert curve.edge_between("b", "h") == 1
     assert curve.edge_between("a", "b") is None
     assert curve.side_of(1, "b") == {"b"}
@@ -142,36 +137,6 @@ def test_multidegree_helpers():
     assert fill_multidegree(curve, {"v2": 3}) == {"v1": 0, "v2": 3}
     with pytest.raises(CurveError, match="unknown"):
         fill_multidegree(curve, {"zz": 1})
-
-
-def test_coconnected_subtrees():
-    curve = star4()
-    subs = coconnected_subtrees(curve)
-    # each leg, each leg's complement, and the whole curve
-    assert ("a",) in subs and ("b",) in subs and ("c",) in subs
-    assert ("h", "a", "b", "c") in subs
-    assert ("h", "b", "c") in subs
-    assert all(curve.is_connected_subset(s) for s in subs)
-    assert len(subs) == len(set(subs))
-
-
-def test_subtree_divisor_class():
-    curve = star4()
-    assert subtree_divisor_class(curve, {"a"}) == {"h": 1, "a": -1, "b": 0, "c": 0}
-    assert subtree_divisor_class(curve, {"h"}) == {"h": -3, "a": 1, "b": 1, "c": 1}
-    # internal edges cancel in a union
-    assert subtree_divisor_class(curve, {"h", "a"}) == {"h": -2, "a": 0, "b": 1, "c": 1}
-    with pytest.raises(CurveError):
-        subtree_divisor_class(curve, set())
-
-
-def test_flow_decomposition_roundtrip():
-    curve = star4()
-    md = {"h": -2, "a": 1, "b": 1, "c": 0}
-    flow = decompose_degree_zero(curve, md)
-    assert boundary_of_flow(curve, flow) == md
-    with pytest.raises(CurveError, match="not zero"):
-        decompose_degree_zero(curve, {"h": 1, "a": 0, "b": 0, "c": 0})
 
 
 def test_insert_bridge_layout():

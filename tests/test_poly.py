@@ -19,12 +19,6 @@ def test_degree_conventions():
     assert poly.degree([F(0), F(0), F(5)]) == 2
 
 
-def test_is_zero():
-    assert poly.is_zero([])
-    assert poly.is_zero([F(0), F(0)])
-    assert not poly.is_zero([F(0), F(1)])
-
-
 def test_add_and_cancel():
     p = [F(1), F(2)]
     q = [F(3), F(-2)]

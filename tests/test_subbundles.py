@@ -9,11 +9,13 @@ from treebundles.bundle import (BundleError, clamp_box, h0, h1, make_bundle,
                                 twist)
 from treebundles.curve import Edge, TreeCurve
 from treebundles.fields import PrimeField, RationalField
-from treebundles.linalg import mat_vec, matrix_rank, rref
+from treebundles.linalg import mat_vec
 from treebundles.sampling import random_bundle, random_tree
 from treebundles.subbundles import (LineSubbundle, SubbundleError,
                                     _kernel_generators, quotient_bundle,
                                     quotient_with_projections, saturate)
+
+from reference_linalg import matrix_rank, rref
 
 
 def line_sub_of_ex(ex):
@@ -115,9 +117,8 @@ def test_saturate_only_raises_degree():
     for _ in range(40):
         curve = random_tree(rng, rng.randint(1, 3))
         bundle = random_bundle(rng, curve, rng.randint(1, 2), lo=-1, hi=2)
-        basis = section_basis(bundle)
-        for sec in basis.sections[:3]:
-            if any(all(poly.is_zero(p) for p in sec[v])
+        for sec in section_basis(bundle)[:3]:
+            if any(not any(poly.trim(p) for p in sec[v])
                    for v in curve.components):
                 continue
             try:
@@ -194,13 +195,11 @@ def test_fiber_surjectivity_with_line_kernel(ex_bundle):
             emb = sub.value_at(v, t)
             assert mat_vec(g, emb, zero) == [zero] * (r - 1)
             # onto: the (r-1) x r evaluation matrix has full row rank
-            from treebundles.linalg import matrix_rank
             assert matrix_rank(g, r) == r - 1
 
 
 def test_quotient_fiber_checks_random():
     rng = random.Random(44)
-    from treebundles.linalg import matrix_rank
     from treebundles.specialize import find_line_subbundle
     for _ in range(10):
         curve = random_tree(rng, rng.randint(1, 3))
