@@ -330,25 +330,20 @@ def compose_enlargements(outer: Enlargement, inner: Enlargement):
     return Enlargement(inner.source, outer.target, inner.contracted | outer.contracted)
 
 
-def fresh_bridge_id(curve: TreeCurve, edge_index, explicit=None):
-    e = curve.edges[edge_index]
-    name = explicit if explicit is not None else "%s+%s" % (e.a, e.b)
-    while name in curve.components:
-        name += "'"
-    return name
-
-
-def insert_bridge(curve: TreeCurve, edge_index, bridge_id=None):
+def insert_bridge(curve: TreeCurve, edge_index):
     """Replace one node with a bridge component glued at coordinates 0 and 1.
 
     The two replacement edges are appended at the end of the edge list, the
     half touching the old a-side first. Returns the new curve and the
-    enlargement contracting the bridge back.
+    enlargement contracting the bridge back. The bridge is named "a+b"
+    after the edge's ends, primed until the name is fresh.
     """
     if not 0 <= edge_index < len(curve.edges):
         raise CurveError("no edge %r" % (edge_index,))
     e = curve.edges[edge_index]
-    bid = fresh_bridge_id(curve, edge_index, bridge_id)
+    bid = "%s+%s" % (e.a, e.b)
+    while bid in curve.components:
+        bid += "'"
     zero, one = curve.field.zero, curve.field.one
     edges = tuple(x for i, x in enumerate(curve.edges) if i != edge_index)
     edges = edges + (Edge(e.a, e.pa, bid, zero), Edge(bid, one, e.b, e.pb))

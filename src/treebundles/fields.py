@@ -100,6 +100,17 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _read_ratio(s: str):
+    """(numerator, denominator or None) of a decimal integer or ratio, a
+    sign on the numerator only, with no exponent, point, underscore or inner
+    whitespace, so int()'s digit limit bounds every accepted string."""
+    num, slash, den = s.strip().partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
+    if not digits.isdecimal() or (slash and not den.isdecimal()):
+        raise ValueError("not a decimal integer or ratio: %r" % (s,))
+    return int(num), int(den) if slash else None
+
+
 class RationalField:
     """Exact rational numbers via fractions.Fraction."""
 
@@ -118,16 +129,11 @@ class RationalField:
         return Fraction(n)
 
     def parse(self, s: str) -> Fraction:
-        # a signed decimal integer or ratio only: no exponent, decimal point
-        # or underscore, so int()'s digit limit bounds every accepted string
-        num, slash, den = s.strip().partition("/")
-        digits = num[1:] if num[:1] in ("+", "-") else num
         try:
-            if digits.isdecimal() and (not slash or den.isdecimal()):
-                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+            num, den = _read_ratio(s)
+            return Fraction(num) if den is None else Fraction(num, den)
         except (ValueError, ZeroDivisionError):
-            pass
-        raise ValueError("not a rational number: %r" % (s,))
+            raise ValueError("not a rational number: %r" % (s,)) from None
 
     def to_str(self, x) -> str:
         # Fraction is already kept in lowest terms with positive denominator
@@ -165,10 +171,10 @@ class PrimeField:
         return FpElement(n, self.p)
 
     def parse(self, s: str) -> FpElement:
-        num, slash, den = s.strip().partition("/")
         try:
-            x = self.of(int(num))
-            return x / self.of(int(den)) if slash else x
+            num, den = _read_ratio(s)
+            x = self.of(num)
+            return x if den is None else x / self.of(den)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError("not an element of GF(%d): %r" % (self.p, s)) from exc
 

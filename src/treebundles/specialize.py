@@ -24,11 +24,10 @@ from .bundle import (GluedBundle, _pullback, dmax, h0, level_box, pullback,
                      section_floor, twist, vanishing_floor)
 from .curve import (compose_enlargements, identity_enlargement, insert_bridge,
                     md_total)
-from .linalg import mat_vec
 from .splitting import (SplittingType, merge_with_line, remove_line,
                         specializes_p1)
 from .subbundles import (LineSubbundle, SubbundleError, _direction_scalar,
-                         quotient_with_projections, saturate)
+                         _node_fibres, quotient_with_projections, saturate)
 
 
 class MismatchError(ValueError):
@@ -152,11 +151,6 @@ def _merge_plans(*plans):
     return _Plan(degrees, polys, scalars, bridges)
 
 
-def _shift_degrees(plan, shift):
-    plan.degrees = {v: a - shift[v] for v, a in plan.degrees.items()}
-    return plan
-
-
 def _nonzero_components(curve, section):
     return [v for v in curve.components
             if any(poly.trim(p) for p in section[v])]
@@ -184,10 +178,7 @@ def _combine_support(field, curve, sec, other):
     for c in range(1, len(shared) + 2):
         if field.char and c >= field.char:
             break
-        lam = field.of(c)
-        cand = {v: [poly.add(sec[v][i], poly.scale(other[v][i], lam), field.zero)
-                    for i in range(len(sec[v]))]
-                for v in curve.components}
+        cand = _combine(field, curve, [sec, other], [field.one, field.of(c)])
         if all(any(poly.trim(p) for p in cand[v]) for v in shared):
             return cand
     return sec
@@ -248,18 +239,32 @@ def _section_candidates(bundle):
         yield _combine(field, curve, basis, coeffs)
 
 
-def _in_s(base, members, sides):
-    """Does every total-degree-0 twist of the restriction have a section?
+def _restricted_dmax(bundle):
+    """members -> dmax(restrict_bundle(bundle, members)), each set measured
+    once. A restriction of a restriction is the restriction to the smaller
+    set, so one table serves every level of a search started at `bundle`."""
+    table = {}
 
-    That is, is its dmax >= 0; the (dmax, witness) pair is recorded in
-    `sides` under the member set.
-    """
-    measured = dmax(restrict_bundle(base, members))
-    sides[frozenset(members)] = measured
-    return measured[0] >= 0
+    def dmax_of(members):
+        key = frozenset(members)
+        if key not in table:
+            table[key] = dmax(restrict_bundle(bundle, key))
+        return table[key]
+
+    return dmax_of
 
 
-def _junction(bundle, edge_index, polys, plan):
+def _join(bundle, blocks, cut, dmax_of):
+    """Solve each block of the curve cut at the `cut` edges on its own,
+    then tie the blocks together across every cut edge."""
+    plan = _merge_plans(*[_search(restrict_bundle(bundle, b), dmax_of)
+                          for b in blocks])
+    for i in cut:
+        _junction(bundle, i, plan)
+    return plan
+
+
+def _junction(bundle, edge_index, plan):
     """Tie the two sides of an edge together through the subbundle.
 
     Transports the a-side fiber vector through the original gluing; if the
@@ -268,10 +273,7 @@ def _junction(bundle, edge_index, polys, plan):
     as the edge scalar.
     """
     e = bundle.curve.edges[edge_index]
-    zero = bundle.field.zero
-    va = [poly.evaluate(p, e.pa, zero) for p in polys[e.a]]
-    vb = [poly.evaluate(p, e.pb, zero) for p in polys[e.b]]
-    u0 = mat_vec(bundle.gluings[edge_index], va, zero)
+    u0, vb = _node_fibres(bundle, edge_index, plan.polys)
     rho = _direction_scalar(u0, vb)
     if rho is not None:
         assert rho, "transported fiber vector vanished"
@@ -281,29 +283,30 @@ def _junction(bundle, edge_index, polys, plan):
 
 
 def _saturation_plan(host, w_eff, section):
+    # host is twisted by w_eff; the plan's degrees are shifted back
     sat = saturate(host, section)
+    degrees = {v: a - w_eff[v] for v, a in sat.degrees.items()}
     scalars = {(e.a, e.b): sat.scalars[i]
                for i, e in enumerate(sat.host.curve.edges)}
-    plan = _Plan(dict(sat.degrees), {v: [list(p) for p in ps]
-                                     for v, ps in sat.embeddings.items()},
-                 scalars, [])
-    return _shift_degrees(plan, w_eff)
+    polys = {v: [list(p) for p in ps] for v, ps in sat.embeddings.items()}
+    return _Plan(degrees, polys, scalars, [])
 
 
-def _search(bundle: GluedBundle, measured=None) -> _Plan:
+def _search(bundle: GluedBundle, dmax_of) -> _Plan:
     """Core of the subbundle search, one recursion level.
 
-    Returns a plan relative to `bundle` whose total degree (bridges count
-    -1 each) equals dmax(bundle); `measured` is dmax(bundle) when the caller
-    has already computed it. Rank one and single components are
-    immediate. Otherwise candidate assemblies are tried in order: the
-    zero-locus walk (a +1 bump's section saturates whole, or the tree is
-    split at an edge both of whose sides stay sectioned, or along a best
-    section's vanishing locus), then surgery-free multidegree enumeration,
-    then bridging every edge subset whose blocks account exactly for the
-    maximum. The walk alone can come up short when the only maximal
-    subbundle follows a chain of forced fiber directions, so the first
-    plan landing exactly on dmax(bundle) wins.
+    `bundle` is where the search started or a restriction of it, and every
+    dmax it needs, its own included, is read from the start's
+    `_restricted_dmax` table `dmax_of`. Returns a plan relative to `bundle`
+    whose total degree (bridges count -1 each) equals dmax(bundle). Rank
+    one and single components are immediate. Otherwise candidate assemblies
+    are tried in order: the zero-locus walk (a +1 bump's section saturates
+    whole, or the tree is split at an edge both of whose sides stay
+    sectioned, or along a best section's vanishing locus), then
+    surgery-free multidegree enumeration, then bridging every edge subset whose
+    blocks account exactly for the maximum. The walk alone can come up
+    short when the only maximal subbundle follows a chain of forced fiber
+    directions, so the first plan landing exactly on dmax(bundle) wins.
     """
     curve = bundle.curve
     one = bundle.field.one
@@ -320,54 +323,63 @@ def _search(bundle: GluedBundle, measured=None) -> _Plan:
         polys = {v: [[one] if i == j else [] for i in range(bundle.rank)]}
         return _Plan({v: ms[j]}, polys, {}, [])
 
-    d, witness = measured or dmax(bundle)
-    plan = _walk_candidate(bundle, d, witness)
+    d, witness = dmax_of(curve.components)
+    plan = _walk_candidate(bundle, witness, dmax_of)
     if plan is not None and plan.total() == d:
         return plan
     plan = _bridgeless(bundle, d)
     if plan is not None:
         return plan
-    plan = _cut_assembly(bundle, d)
+    plan = _cut_assembly(bundle, d, dmax_of)
     if plan is not None:
         return plan
     raise AssertionError("subbundle search exhausted every assembly shape")
 
 
-def _walk_candidate(bundle, d, witness):
-    """The zero-locus walk; may return None or an undershooting plan."""
+def _walk_candidate(bundle, witness, dmax_of):
+    """The zero-locus walk; may return None or an undershooting plan.
+
+    A side S is good when the bundle twisted by the witness, restricted to
+    S, has dmax >= 0. dmax is twist-equivariant, dmax(twist(B, w)|S) =
+    dmax(B|S) + sum of w over S (witness moved by -w), so sides are
+    measured and solved untwisted.
+    """
     curve = bundle.curve
-    base = twist(bundle, witness)
+    comps = curve.components
 
     # a +1 bump somewhere may already have a section with no vanishing
     # components; then its saturation is the whole answer
-    for z in curve.components:
-        bump = {v: 1 if v == z else 0 for v in curve.components}
-        bumped = twist(base, bump)
-        sec = _max_support_section(bundle.field, curve, section_basis(bumped))
-        if sec is None or len(_nonzero_components(curve, sec)) != len(curve.components):
+    bumps = {}
+    for z in comps:
+        w_eff = {v: witness[v] + (1 if v == z else 0) for v in comps}
+        bumped = twist(bundle, w_eff)
+        basis = section_basis(bumped)
+        bumps[z] = (w_eff, bumped, basis)
+        sec = _max_support_section(bundle.field, curve, basis)
+        if sec is None or len(_nonzero_components(curve, sec)) != len(comps):
             continue
-        w_eff = {v: witness[v] + bump[v] for v in curve.components}
         try:
             return _saturation_plan(bumped, w_eff, sec)
         except SubbundleError:
             continue
 
     # neighbor walk: keep moving toward a side that fails, turn-around
-    # means both sides of an edge are good, a dead end isolates a component;
-    # each side's dmax is kept for the edge split
-    sides = {}
-    cur, prev = curve.components[0], None
-    for _ in range(len(curve.components) + 1):
+    # means both sides of an edge are good, a dead end isolates a component
+    cur, prev = comps[0], None
+    for _ in range(len(comps) + 1):
         nxt = None
         for nb, i in curve.adjacency()[cur]:
-            if _in_s(base, curve.side_of(i, cur), sides):
+            side = curve.side_of(i, cur)
+            if dmax_of(side)[0] + sum(witness[v] for v in side) >= 0:
                 nxt = nb
                 break
         if nxt is None:
-            return _case_vanishing(bundle, base, witness, cur)
+            return _case_vanishing(bundle, cur, bumps[cur], dmax_of)
         if nxt == prev:
-            return _case_edge_split(bundle, base, witness,
-                                    curve.edge_between(prev, cur), sides)
+            # both sides of edge i admit sections at every degree-0 twist
+            e = curve.edges[i]
+            return _join(bundle, [curve.side_of(i, e.a), curve.side_of(i, e.b)],
+                         (i,), dmax_of)
         prev, cur = cur, nxt
     raise AssertionError("neighbor walk failed to settle")
 
@@ -413,7 +425,7 @@ def _bridgeless(bundle, d):
     return None
 
 
-def _cut_assembly(bundle, d):
+def _cut_assembly(bundle, d, dmax_of):
     """Bridge a subset of edges and solve the blocks independently.
 
     Complete: a maximal subbundle with bridges at edge set B restricts to
@@ -424,56 +436,29 @@ def _cut_assembly(bundle, d):
     """
     curve = bundle.curve
     n_edges = len(curve.edges)
-    block_d = {}
-
-    def dmax_of(block):
-        if block not in block_d:
-            block_d[block] = dmax(restrict_bundle(bundle, block))
-        return block_d[block]
-
     for k in range(1, n_edges + 1):
         for cut in itertools.combinations(range(n_edges), k):
             blocks = curve.pieces(curve.components, cut)
             if sum(dmax_of(b)[0] for b in blocks) - k != d:
                 continue
-            plan = _merge_plans(*[_search(restrict_bundle(bundle, b), dmax_of(b))
-                                  for b in blocks])
-            for i in cut:
-                _junction(bundle, i, plan.polys, plan)
+            plan = _join(bundle, blocks, cut, dmax_of)
             assert plan.total() == d, "cut assembly missed the maximal degree"
             return plan
     return None
 
 
-def _case_edge_split(bundle, base, witness, edge_index, sides):
-    """Both sides of this edge admit sections at every degree-0 twist:
-    solve each side separately and join across the node. `sides` maps
-    each side's member set to the dmax of base restricted to it."""
-    e = bundle.curve.edges[edge_index]
-    halves = []
-    for v in (e.a, e.b):
-        side = frozenset(bundle.curve.side_of(edge_index, v))
-        halves.append(_search(restrict_bundle(base, side), sides[side]))
-    plan = _merge_plans(*halves)
-    _shift_degrees(plan, witness)
-    _junction(bundle, edge_index, plan.polys, plan)
-    return plan
-
-
-def _case_vanishing(bundle, base, witness, z):
-    """No side around z qualifies: a bumped section exists, and its
-    vanishing components split off as independently solved subtrees.
-    Returns None when the section's shape does not support the surgery."""
+def _case_vanishing(bundle, z, bump, dmax_of):
+    """No side around z qualifies: the bump loop's (w_eff, bumped, basis)
+    for z has a section, and its vanishing components split off as
+    independently solved subtrees. Returns None when the section's shape
+    does not support the surgery."""
     curve = bundle.curve
-    bump = {v: 1 if v == z else 0 for v in curve.components}
-    bumped = twist(base, bump)
-    basis = section_basis(bumped)
+    w_eff, bumped, basis = bump
     assert basis, "bumped bundle lost its guaranteed section"
     sec = _best_section(curve, basis)
     alive = _nonzero_components(curve, sec)
     assert z in alive, "section vanished where it was forced not to"
     dead = [v for v in curve.components if v not in alive]
-    w_eff = {v: witness[v] + bump[v] for v in curve.components}
     if not dead:
         try:
             return _saturation_plan(bumped, w_eff, sec)
@@ -491,16 +476,13 @@ def _case_vanishing(bundle, base, witness, z):
 
     host = restrict_bundle(bumped, alive)
     try:
-        plan = _saturation_plan(host, {v: w_eff[v] for v in alive},
-                                {v: sec[v] for v in alive})
+        plan = _saturation_plan(host, w_eff, {v: sec[v] for v in alive})
     except SubbundleError:
         return None
-    for part, _ in joins:
-        sub = _shift_degrees(_search(restrict_bundle(base, part)),
-                             {v: witness[v] for v in part})
-        plan = _merge_plans(plan, sub)
+    plan = _merge_plans(plan, *[_search(restrict_bundle(bundle, part), dmax_of)
+                                for part, _ in joins])
     for _, i in joins:
-        _junction(bundle, i, plan.polys, plan)
+        _junction(bundle, i, plan)
     return plan
 
 
@@ -511,7 +493,7 @@ def find_line_subbundle(bundle: GluedBundle):
     the bundle along the enlargement and its degree is dmax(bundle), with
     every inserted bridge carrying degree -1.
     """
-    plan = _search(bundle)
+    plan = _search(bundle, _restricted_dmax(bundle))
     curve = bundle.curve
     enl = identity_enlargement(curve)
     grown = curve

@@ -80,9 +80,7 @@ class LineSubbundle:
             if lam is None or not lam:
                 problems.append("edge %d: missing or zero scalar" % i)
                 continue
-            va = self.value_at(e.a, e.pa)
-            vb = self.value_at(e.b, e.pb)
-            lhs = mat_vec(host.gluings[i], va, zero)
+            lhs, vb = _node_fibres(host, i, self.embeddings)
             if any(lhs[k] != lam * vb[k] for k in range(host.rank)):
                 problems.append("edge %d: sides do not match through the gluing" % i)
         if problems:
@@ -105,6 +103,17 @@ class LineSubbundle:
 
     def __repr__(self):
         return "LineSubbundle(degrees=%s)" % (self.degrees,)
+
+
+def _node_fibres(bundle: GluedBundle, edge_index, embeddings):
+    """The two fiber vectors of a line at an edge's node: the a-side one
+    carried through the gluing, and the b-side one. `embeddings` maps each
+    component to its r coordinate polynomials."""
+    e = bundle.curve.edges[edge_index]
+    zero = bundle.field.zero
+    va = [poly.evaluate(p, e.pa, zero) for p in embeddings[e.a]]
+    vb = [poly.evaluate(p, e.pb, zero) for p in embeddings[e.b]]
+    return mat_vec(bundle.gluings[edge_index], va, zero), vb
 
 
 def _direction_scalar(lhs, vb):
@@ -152,11 +161,8 @@ def saturate(bundle: GluedBundle, section) -> LineSubbundle:
             phis.append(q)
         embeddings[v] = phis
     scalars = {}
-    for i, e in enumerate(bundle.curve.edges):
-        va = [poly.evaluate(p, e.pa, zero) for p in embeddings[e.a]]
-        vb = [poly.evaluate(p, e.pb, zero) for p in embeddings[e.b]]
-        lhs = mat_vec(bundle.gluings[i], va, zero)
-        lam = _direction_scalar(lhs, vb)
+    for i in range(len(bundle.curve.edges)):
+        lam = _direction_scalar(*_node_fibres(bundle, i, embeddings))
         if lam is None or not lam:
             raise SubbundleError(
                 "saturated directions disagree across edge %d" % i)

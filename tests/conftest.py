@@ -28,6 +28,28 @@ def build_chain(ids, splittings, gluings, coords=None):
     return make_bundle(curve, splittings, gluings)
 
 
+def build_swap():
+    """Two O(2) + O(0) components glued by the swap: the top direction on
+    one side meets the bottom one on the other, so dmax = 3 needs a bridge."""
+    curve = TreeCurve(("v1", "v2"), (Edge("v1", F(0), "v2", F(0)),))
+    return make_bundle(curve, {"v1": (2, 0), "v2": (2, 0)},
+                       {0: [[F(0), F(1)], [F(1), F(0)]]})
+
+
+def regression_bundle():
+    """Chain whose only maximal subbundle needs both bridges; on its
+    quotient the zero-locus walk undershoots and the surgery-free
+    enumeration takes over."""
+    curve = TreeCurve(("v1", "v2", "v3"),
+                      (Edge("v1", F(0), "v2", F(0)),
+                       Edge("v2", F(1), "v3", F(0))))
+    g0 = [[F(-2), F(1), F(3)], [F(-1), F(-2), F(3)], [F(0), F(-3), F(2)]]
+    g1 = [[F(-1), F(2), F(-1)], [F(-3), F(1), F(-2)], [F(3), F(1), F(-2)]]
+    return make_bundle(curve,
+                       {"v1": (-1, -1, 2), "v2": (-2, 1, -2), "v3": (-2, 0, 2)},
+                       {0: g0, 1: g1})
+
+
 @pytest.fixture
 def ex_bundle():
     return build_ex()

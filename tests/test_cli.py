@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import treebundles
+from treebundles import specialize
 from treebundles.cli import main
 from treebundles.fields import field_from_name
 from treebundles.sampling import balanced_splitting, random_bundle, random_tree
@@ -21,9 +22,10 @@ from treebundles.serialize import (bundle_to_json, certificate_to_json,
 from treebundles.specialize import certify
 from treebundles.splitting import SplittingType
 
-from conftest import build_chain, build_ex
+from conftest import build_chain, build_ex, build_swap, regression_bundle
 
 CERTIFY_CORPUS_DIGEST = "55986de21ab72c0a2d703ee90aad69530847e51901a735135787e9c18648e396"
+SURGERY_CORPUS_DIGEST = "1482da6adefba40fe40a63c6a1d08a4ad17cd87c653f560d19e0a6611e67e593"
 
 
 @pytest.fixture
@@ -462,3 +464,36 @@ def test_certify_stdout_digest_on_a_seeded_corpus(tmp_path, capsys):
             assert (code, err) == (0, "")
             digest.update(out.encode())
     assert digest.hexdigest() == CERTIFY_CORPUS_DIGEST
+
+
+def test_certify_stdout_digest_past_the_walk(tmp_path, capsys, monkeypatch):
+    # the corpus above is answered by the zero-locus walk alone; these
+    # bundles also reach the surgery-free enumeration (the regression
+    # chain's quotient, and once per field in the seeded set) and the cut
+    # assembly (one seeded bundle), and the digest pins certify's bytes there
+    answered = dict.fromkeys(("_bridgeless", "_cut_assembly"), 0)
+    for name in answered:
+        def counted(*args, _assembly=getattr(specialize, name), _name=name):
+            plan = _assembly(*args)
+            answered[_name] += plan is not None
+            return plan
+        monkeypatch.setattr(specialize, name, counted)
+    bundles = [regression_bundle(), build_swap()]
+    rng = random.Random(385)
+    for name in ("q", "p:1000003"):
+        fld = field_from_name(name)
+        for _ in range(10):
+            curve = random_tree(rng, rng.randint(2, 4), fld)
+            bundles.append(random_bundle(rng, curve, rng.randint(2, 3)))
+    path = tmp_path / "bundle.json"
+    digest = hashlib.sha256()
+    for bundle in bundles:
+        source = balanced_splitting(bundle.rank, bundle.degree())
+        path.write_text(dumps(bundle_to_json(bundle)))
+        target = "--target=" + ",".join(map(str, source.degrees))
+        code, out, err = run(capsys, "certify", "-i", str(path),
+                             "--field", bundle.field.name, target)
+        assert (code, err) == (0, "")
+        digest.update(out.encode())
+    assert answered == {"_bridgeless": 3, "_cut_assembly": 1}
+    assert digest.hexdigest() == SURGERY_CORPUS_DIGEST

@@ -59,7 +59,7 @@ def test_fp_parse_and_print():
     assert fld.parse("-1") == fld.of(12)
     assert fld.parse("1/2") == fld.of(7)
     assert fld.to_str(fld.of(20)) == "7"
-    for bad in ("1/0", "1/13", "x"):
+    for bad in ("1/0", "1/13", "x", "1_000", " 3 / 5", "+7/ 2", "3/-4"):
         with pytest.raises(ValueError, match="not an element"):
             fld.parse(bad)
 

@@ -19,25 +19,12 @@ from treebundles.specialize import (Certificate, Decision, DominanceStep,
                                     EnlargementStep, FailureWitness,
                                     MismatchError, RankOneBase, SplitOffStep,
                                     _bridgeless, _cut_assembly,
-                                    _in_s, certify, decide,
+                                    _restricted_dmax, certify, decide,
                                     find_line_subbundle, verify_certificate)
 from treebundles.splitting import SplittingType, specializes_p1
 from treebundles.subbundles import LineSubbundle
 
-from conftest import build_chain
-
-
-def regression_bundle():
-    """Chain whose only maximal subbundle needs both bridges; the zero-locus
-    walk undershoots here and the assembly fallbacks must take over."""
-    curve = TreeCurve(("v1", "v2", "v3"),
-                      (Edge("v1", F(0), "v2", F(0)),
-                       Edge("v2", F(1), "v3", F(0))))
-    g0 = [[F(-2), F(1), F(3)], [F(-1), F(-2), F(3)], [F(0), F(-3), F(2)]]
-    g1 = [[F(-1), F(2), F(-1)], [F(-3), F(1), F(-2)], [F(3), F(1), F(-2)]]
-    return make_bundle(curve,
-                       {"v1": (-1, -1, 2), "v2": (-2, 1, -2), "v3": (-2, 0, 2)},
-                       {0: g0, 1: g1})
+from conftest import build_chain, build_swap, regression_bundle
 
 
 # -- decide -------------------------------------------------------------------
@@ -335,19 +322,28 @@ def test_bridgeless_returns_none_when_bridge_required(ex_bundle):
     assert _bridgeless(ex_bundle, 3) is None
 
 
-def test_in_s_against_the_degree_zero_clamp_box():
+def test_side_dmax_is_twist_equivariant():
+    # the walk reads each side's dmax untwisted from the search's table and
+    # shifts it: dmax(twist(B, w)|S) = dmax(B|S) + sum of w over S, with the
+    # witness moved by -w; the shifted value is >= 0 exactly when every
+    # total-degree-0 twist of the twisted side has a section
     rng = random.Random(43)
     seen = set()
     for _ in range(30):
         curve = random_tree(rng, rng.randint(2, 4))
         bundle = random_bundle(rng, curve, rng.randint(2, 3))
-        base = twist(bundle, random_multidegree(rng, curve, -3, 3))
+        w = random_multidegree(rng, curve, -3, 3)
+        base = twist(bundle, w)
+        dmax_of = _restricted_dmax(bundle)
         for i, e in enumerate(curve.edges):
             members = curve.side_of(i, e.a)
+            d, witness = dmax_of(members)
+            shifted = d + sum(w[v] for v in members)
             sub = restrict_bundle(base, members)
+            assert dmax(sub) == (shifted, {v: witness[v] - w[v] for v in witness})
             box = clamp_box(sub, 0)
             want = bool(box) and all(h0(twist(sub, ell)) > 0 for ell in box)
-            assert _in_s(base, members, {}) == want
+            assert (shifted >= 0) == want
             seen.add(want)
     assert seen == {True, False}
 
@@ -355,11 +351,9 @@ def test_in_s_against_the_degree_zero_clamp_box():
 def test_cut_assembly_bridges_transverse_directions():
     # the swap gluing sends the top direction off itself, so degree 3 needs
     # a bridge between the two local maxima
-    curve = TreeCurve(("v1", "v2"), (Edge("v1", F(0), "v2", F(0)),))
-    bundle = make_bundle(curve, {"v1": (2, 0), "v2": (2, 0)},
-                         {0: [[F(0), F(1)], [F(1), F(0)]]})
+    bundle = build_swap()
     assert dmax(bundle)[0] == 3
-    plan = _cut_assembly(bundle, 3)
+    plan = _cut_assembly(bundle, 3, _restricted_dmax(bundle))
     assert plan is not None
     assert plan.degrees == {"v1": 2, "v2": 2}
     assert len(plan.bridges) == 1 and plan.total() == 3
