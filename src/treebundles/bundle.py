@@ -10,14 +10,15 @@ of twisted degree m contributes a block of polynomial coefficients, and each
 node contributes rank-many matching equations (a-side values through the
 gluing equal b-side values), cleared to integer rows. `section_basis` keeps
 all max(0, m+1) coefficients of every block. For counting, one system per
-bundle serves every twist (`section_counter`): every block sits at degree
+bundle serves every twist (`SectionSystem`): every block sits at degree
 val(v) - 1, where val(v) counts the nodes on the component, and a twist
 selects a prefix of each block's columns. A twist's h0 is sum(max(0, m+1))
 minus the rank of its selection, memoised by the clamped block degrees, so
 its cost does not depend on the twist: Bareiss elimination over Q,
-elimination mod p over GF(p). `h0` is that system at the zero twist, and
-`dmax` and `specialize.decide` probe it directly. `section_floor` bounds
-those counts from below with no rank at all, from the same layout.
+elimination mod p over GF(p). The same object bounds those counts from
+below with no rank at all, and holds the vanishing floors and the node
+counts val(v); `h0` is its count at the zero twist, and `dmax` and
+`specialize.decide` read everything they need from it.
 """
 from __future__ import annotations
 
@@ -257,47 +258,55 @@ def _matching_rows(bundle: GluedBundle, ncols, blocks):
     return rows
 
 
-def _node_caps(bundle: GluedBundle):
-    """{v: val(v) - 1}, where val(v) counts the nodes on v: the top block
-    degree the matching rows can tell apart on v."""
-    adj = bundle.curve.adjacency()
-    return {v: len(adj[v]) - 1 for v in bundle.curve.components}
-
-
-def section_counter(bundle: GluedBundle):
-    """h0 of every twist of the bundle from one integer system: count(md)
-    is h0(twist(bundle, md)).
+class SectionSystem:
+    """h0 of every twist of a bundle from one integer system, and floors
+    under it that take no rank: count(md) is h0(twist(bundle, md)).
 
     The system is the matching system with every block at degree
-    val(v) - 1, where val(v) counts the nodes on v. The matching rows see a
-    block only through its values at v's val(v) distinct node points, and
-    evaluation there is already onto with val(v) coefficients, so a block
-    of twisted degree m can be cut to min(m, val(v) - 1) without changing
-    the rank. The system of a twist is then a prefix of each block's
-    columns here: its row scalings d_a^(K-k) d_b^(L-k) differ from these
-    by one nonzero constant per row, so the ranks agree, and h0 is
-    sum(max(0, m+1)) minus the rank of the selected columns. The rank
-    depends only on each block's degree clamped to [-1, val(v) - 1], so it
-    is memoised on that clamped state: Bareiss elimination over Q,
-    elimination mod p over GF(p). Both ends of every edge carry a block,
-    so the system has rank * #edges rows.
-    """
-    comps = bundle.curve.components
-    cap = _node_caps(bundle)
-    blocks, ncols = _column_layout({v: (cap[v],) * bundle.rank for v in comps})
-    rows = _matching_rows(bundle, ncols, blocks)
-    # first column of every block, in summand order; a component without
-    # nodes has cap -1 and no block, and selects nothing
-    starts = [blocks[(v, i)][1] if cap[v] >= 0 else 0
-              for v in comps for i in range(bundle.rank)]
-    sides = [(v, bundle.splittings[v], cap[v]) for v in comps]
-    char = bundle.field.char
-    ranks = {}
+    cap_v = val(v) - 1, where val(v) counts the nodes on v. The matching
+    rows see a block only through its values at v's val(v) distinct node
+    points, and evaluation there is already onto with val(v) coefficients,
+    so a block of twisted degree m can be cut to min(m, cap_v) without
+    changing the rank. The system of a twist is then a prefix of each
+    block's columns here: its row scalings d_a^(K-k) d_b^(L-k) differ from
+    these by one nonzero constant per row, so the ranks agree, and h0 is
+    T = sum(max(0, m + 1)) minus the rank of the selected columns. The rank
+    depends only on each block's degree clamped to [-1, cap_v], so `count`
+    memoises it on that clamped state: Bareiss elimination over Q,
+    elimination mod p over GF(p). The rows are built at the first rank.
 
-    def count(md):
+    Both ends of every edge carry a block, so the system has
+    R = rank * #edges rows. The rank is at most R and at most the selected
+    column count T - V, where V = sum(max(0, m - cap_v)) counts the
+    sections that vanish at every node of v and extend by zero. So
+    floor(md) = max(T - R, V) <= h0(twist(bundle, md)).
+
+    level_floor(e) bounds h0 below on the whole clamp box of level e
+    (md[v] >= lo[v], total e) by max(min T - R, min V), +inf if the box is
+    empty. T and V are sums over components of
+    F_v(t) = sum(max(0, d + t + c_v)) (c_v = 1 for T, -cap_v for V), and
+    each F_v is convex: raising t by one adds #{d : d + t + c_v >= 0}, a
+    count in 0..r that never falls as t grows. So the least total is F at
+    the floors plus the e - sum(lo) smallest of all these steps, taken
+    greedily.
+    """
+
+    def __init__(self, bundle: GluedBundle):
+        self.bundle = bundle
+        adj = bundle.curve.adjacency()
+        self.val = {v: len(adj[v]) for v in bundle.curve.components}
+        self.lo = vanishing_floor(bundle)
+        self._nrows = bundle.rank * len(bundle.curve.edges)
+        self._sides = [(v, bundle.splittings[v], n - 1)
+                       for v, n in self.val.items()]
+        self._rows = self._starts = None
+        self._ranks = {}
+
+    def count(self, md):
+        """h0(twist(bundle, md))."""
         total = 0
         state = []
-        for v, ds, top in sides:
+        for v, ds, top in self._sides:
             t = md[v]
             for d in ds:
                 m = d + t
@@ -307,51 +316,33 @@ def section_counter(bundle: GluedBundle):
                 else:
                     state.append(-1)
         state = tuple(state)
-        rank = ranks.get(state)
+        rank = self._ranks.get(state)
         if rank is None:
-            # each block keeps the first (clamped degree + 1) of its columns
-            keep = [j for start, m in zip(starts, state)
-                    for j in range(start, start + m + 1)]
-            sel = [[row[j] for j in keep] for row in rows]
-            rank = ranks[state] = (modular_rank(sel, len(keep), char) if char
-                                   else bareiss_rank(sel, len(keep)))
+            rank = self._ranks[state] = self._rank(state)
         return total - rank
 
-    return count
+    def _rank(self, state):
+        r = self.bundle.rank
+        if self._rows is None:
+            blocks, ncols = _column_layout(
+                {v: (top,) * r for v, _, top in self._sides})
+            self._rows = _matching_rows(self.bundle, ncols, blocks)
+            # first column of every block, in summand order; a component
+            # without nodes has cap -1 and no block, and selects nothing
+            self._starts = [blocks[(v, i)][1] if top >= 0 else 0
+                            for v, _, top in self._sides for i in range(r)]
+        # each block keeps the first (clamped degree + 1) of its columns
+        keep = [j for start, m in zip(self._starts, state)
+                for j in range(start, start + m + 1)]
+        sel = [[row[j] for j in keep] for row in self._rows]
+        char = self.bundle.field.char
+        return (modular_rank(sel, len(keep), char) if char
+                else bareiss_rank(sel, len(keep)))
 
-
-def section_floor(bundle: GluedBundle):
-    """Lower bounds on h0 that take no rank: (floor, level_floor).
-
-    With summand degrees m = d + md[v] on the layout of `section_counter`
-    (R = rank * #edges rows, a block of min(m, cap_v) + 1 selected columns,
-    cap_v = val(v) - 1), h0 = T - rank for T = sum(max(0, m + 1)), and the
-    rank is at most both the row count and the selected column count. So
-    floor(md) = max(T - R, V) <= h0(twist(bundle, md)), where
-    V = sum(max(0, m - cap_v)) counts the sections that vanish at every
-    node of v and extend by zero.
-
-    level_floor(e) bounds h0 below on the whole clamp box of level e
-    (md[v] >= vanishing floor, total e) by max(min T - R, min V), +inf if
-    the box is empty. T and V are sums over components of
-    F_v(t) = sum(max(0, d + t + c_v)) (c_v = 1 for T, -cap_v for V), and
-    each F_v is convex: raising t by one adds #{d : d + t + c_v >= 0},
-    a count in 0..r that never falls as t grows. So the least total is
-    F at the floors plus the e - sum(floors) smallest of all these steps,
-    taken greedily.
-    """
-    r = bundle.rank
-    nrows = r * len(bundle.curve.edges)
-    cap = _node_caps(bundle)
-    lo = vanishing_floor(bundle)
-    sides = [(v, bundle.splittings[v], cap[v])
-             for v in bundle.curve.components]
-    ones = dict.fromkeys(cap, 1)
-    beyond = {v: -top for v, top in cap.items()}
-
-    def floor(md):
+    def floor(self, md):
+        """max(T - R, V) at the twist md, at most its h0."""
         total = vanishing = 0
-        for v, ds, top in sides:
+        for v, ds, top in self._sides:
             t = md[v]
             for d in ds:
                 m = d + t
@@ -359,14 +350,24 @@ def section_floor(bundle: GluedBundle):
                     total += m + 1
                     if m > top:
                         vanishing += m - top
-        return max(total - nrows, vanishing)
+        return max(total - self._nrows, vanishing)
 
-    def least(shift, spare):
-        # min over the box of sum_v F_v with c_v = shift[v]
+    def level_floor(self, e):
+        """At most h0 at every twist in the clamp box of level e; +inf if
+        that box is empty."""
+        spare = e - sum(self.lo.values())
+        if spare < 0:
+            return inf
+        return max(self._least(False, spare) - self._nrows,
+                   self._least(True, spare))
+
+    def _least(self, vanishing, spare):
+        # min over the box of sum_v F_v, c_v = -cap_v for V and 1 for T
+        r = self.bundle.rank
         value = 0
         room = [0] * r  # room[k]: steps that add k sections
-        for v, ds, _ in sides:
-            c, t = shift[v], lo[v]
+        for v, ds, top in self._sides:
+            c, t = -top if vanishing else 1, self.lo[v]
             value += sum(max(0, d + t + c) for d in ds)
             # a step from t adds one section per breakpoint -d - c <= t
             for k, b in enumerate(sorted(-d - c for d in ds)):
@@ -379,19 +380,12 @@ def section_floor(bundle: GluedBundle):
             spare -= take
         return value + r * spare
 
-    def level_floor(e):
-        spare = e - sum(lo.values())
-        if spare < 0:
-            return inf
-        return max(least(ones, spare) - nrows, least(beyond, spare))
-
-    return floor, level_floor
-
 
 def h0(bundle: GluedBundle) -> int:
     """Dimension of the global sections: the bundle's section system at the
     zero twist."""
-    return section_counter(bundle)(dict.fromkeys(bundle.curve.components, 0))
+    return SectionSystem(bundle).count(
+        dict.fromkeys(bundle.curve.components, 0))
 
 
 def h1(bundle: GluedBundle) -> int:
@@ -587,10 +581,9 @@ def dmax(bundle: GluedBundle):
     on the bundle's one section system.
     """
     comps = bundle.curve.components
-    lo = vanishing_floor(bundle)
-    adj = bundle.curve.adjacency()
-    hi = {v: lo[v] + len(adj[v]) for v in comps}
-    count = section_counter(bundle)
+    system = SectionSystem(bundle)
+    lo, count = system.lo, system.count
+    hi = {v: lo[v] + system.val[v] for v in comps}
     e = sum(lo.values())
     witness = dict(lo)
     while True:

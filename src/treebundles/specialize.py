@@ -19,9 +19,9 @@ import random
 from dataclasses import dataclass
 
 from . import poly
-from .bundle import (GluedBundle, _pullback, dmax, h0, level_box, pullback,
-                     restrict_bundle, section_basis, section_counter,
-                     section_floor, twist, vanishing_floor)
+from .bundle import (GluedBundle, SectionSystem, _pullback, dmax, h0,
+                     level_box, pullback, restrict_bundle, section_basis,
+                     twist)
 from .curve import (compose_enlargements, identity_enlargement, insert_bridge,
                     md_total)
 from .splitting import (SplittingType, merge_with_line, remove_line,
@@ -73,20 +73,15 @@ def decide(target: GluedBundle, source: SplittingType) -> Decision:
     failure at the same level that is lexicographically smaller, so the
     first failure never lies above the cap.
 
-    Most twists pass on a floor that takes no rank (`bundle.section_floor`).
-    With twisted summand degrees m and cap_v = val(v) - 1, h0 is
-    T = sum(max(0, m + 1)) minus the rank of the target's section system,
-    and that rank is at most its R = r * #edges rows and at most its
-    selected columns, T - V with V = sum(max(0, m - cap_v)); so
-    h0 >= max(T - R, V). T and V are sums over components of convex
-    functions of ℓ_v whose steps add 0..r, so their least values over the
-    uncapped clamp box of a level come from taking its e - sum(lo_v) spare
-    steps greedily, cheapest first. A level whose least floor reaches
+    Most twists pass on a floor that takes no rank, max(T - R, V) from
+    the target's `bundle.SectionSystem` (its docstring has the argument).
+    A level whose least floor over the uncapped clamp box reaches
     h0(P1, source(e)) is skipped whole; inside the others, an exact count
     is read only where the twist's own floor falls short. Only passing
     twists are skipped, so the verdict and the witness do not change.
-    Exact counts come from one section system of the target, built at the
-    first count: a balanced source has an empty window and needs none.
+    Levels below sum(lo_v) have an empty clamp box, so the window is
+    clipped to start there at the lowest. A balanced source has an empty
+    window and needs no section system.
     """
     if target.rank != source.rank:
         raise MismatchError("rank %d vs %d" % (target.rank, source.rank))
@@ -98,12 +93,11 @@ def decide(target: GluedBundle, source: SplittingType) -> Decision:
         return Decision(True)
     comps = target.curve.components
     *rest, last = comps
-    lo = vanishing_floor(target)
-    adj = target.curve.adjacency()
-    hi = {v: len(adj[v]) - 1 - min(target.splittings[v]) for v in rest}
-    floor, level_floor = section_floor(target)
-    count = None
-    for e in levels:
+    system = SectionSystem(target)
+    lo = system.lo
+    floor, level_floor, count = system.floor, system.level_floor, system.count
+    hi = {v: system.val[v] - 1 - min(target.splittings[v]) for v in rest}
+    for e in range(max(levels.start, sum(lo.values())), levels.stop):
         need = source.h0(e)
         if level_floor(e) >= need:
             continue
@@ -112,8 +106,6 @@ def decide(target: GluedBundle, source: SplittingType) -> Decision:
         for ell in level_box(comps, lo, hi, e):
             if floor(ell) >= need:
                 continue
-            if count is None:
-                count = section_counter(target)
             have = count(ell)
             if have < need:
                 return Decision(False, FailureWitness(ell, have, need))
@@ -395,6 +387,7 @@ def _bridgeless(bundle, d):
     """
     curve = bundle.curve
     comps = curve.components
+    system = SectionSystem(bundle)
     maxm = {v: max(bundle.splittings[v]) for v in comps}
     slack_total = sum(maxm.values()) - d
     zeros = dict.fromkeys(comps, 0)
@@ -410,9 +403,9 @@ def _bridgeless(bundle, d):
         if not feasible:
             continue
         co = {v: -a[v] for v in comps}
-        twisted = twist(bundle, co)
-        if h0(twisted) == 0:
+        if system.count(co) == 0:
             continue
+        twisted = twist(bundle, co)
         for sec in _section_candidates(twisted):
             if len(_nonzero_components(curve, sec)) != len(comps):
                 continue

@@ -7,11 +7,10 @@ from fractions import Fraction as F
 import pytest
 
 from treebundles import poly
-from treebundles.bundle import (BundleError, clamp_box, clamp_multidegree,
-                                contract_pushforward, dmax,
+from treebundles.bundle import (BundleError, SectionSystem, clamp_box,
+                                clamp_multidegree, contract_pushforward, dmax,
                                 h0, h0_oracle, h1, make_bundle, pullback,
-                                restrict_bundle, section_basis,
-                                section_counter, section_floor, twist,
+                                restrict_bundle, section_basis, twist,
                                 vanishing_floor)
 from treebundles.curve import Edge, TreeCurve, insert_bridge, md_total
 from treebundles.fields import PrimeField, RationalField
@@ -288,7 +287,7 @@ def test_h0_matches_oracle_prime_field():
             assert_sections_agree(twist(b, md))
 
 
-def test_section_counter_reuses_ranks_across_twists():
+def test_section_system_reuses_ranks_across_twists():
     # one system per bundle: many twists share a clamped state, so most
     # probes reuse a memoised rank; each must still match the oracle, whose
     # sample points 0..m stay distinct mod 7 up to degree 6
@@ -299,13 +298,13 @@ def test_section_counter_reuses_ranks_across_twists():
             bundle = random_bundle(rng, curve, rng.randint(1, 3), lo=-2, hi=2)
             if fld is None:
                 bundle = non_integral(rng, bundle)
-            count = section_counter(bundle)
+            system = SectionSystem(bundle)
             for _ in range(8):
                 md = random_multidegree(rng, curve, lo=-4, hi=4)
-                assert count(md) == h0_oracle(twist(bundle, md))
+                assert system.count(md) == h0_oracle(twist(bundle, md))
 
 
-def test_section_floor_bounds_h0_from_below():
+def test_section_system_floors_bound_h0_from_below():
     # floor(md) <= h0 at random twists, and each level's bound <= the least
     # h0 over that level's clamp box; n 1-5 (a single component included)
     # and rank 1-4, with twisted degrees <= 6 for the oracle mod 7
@@ -314,30 +313,32 @@ def test_section_floor_bounds_h0_from_below():
     for k in range(60):
         curve = random_tree(rng, 1 + k % 5, fields[k % 3])
         bundle = random_bundle(rng, curve, 1 + (k // 5) % 4, lo=-2, hi=2)
-        floor, level_floor = section_floor(bundle)
+        system = SectionSystem(bundle)
         for _ in range(6):
             md = random_multidegree(rng, curve, lo=-4, hi=4)
-            assert floor(md) <= h0_oracle(twist(bundle, md))
-        count = section_counter(bundle)
-        base = sum(vanishing_floor(bundle).values())
-        assert level_floor(base - 1) == math.inf  # an empty box
+            assert system.floor(md) <= h0_oracle(twist(bundle, md))
+        assert system.lo == vanishing_floor(bundle)
+        base = sum(system.lo.values())
+        assert system.level_floor(base - 1) == math.inf  # an empty box
         for e in range(base, base + 6):
-            assert level_floor(e) <= min(count(md) for md in clamp_box(bundle, e))
+            assert system.level_floor(e) <= min(
+                system.count(md) for md in clamp_box(bundle, e))
 
 
-def test_section_floor_counts_sections_vanishing_at_every_node():
+def test_section_system_floor_counts_sections_vanishing_at_every_node():
     # only v1's first summand has sections, and they must vanish at the
     # node: h0 = 5 = V, while the row bound gives T - R = 6 - 2
     bundle = make_bundle(t2(), {"v1": (5, -10), "v2": (-10, -10)}, {0: I2})
-    floor, _ = section_floor(bundle)
-    assert floor({"v1": 0, "v2": 0}) == h0(bundle) == 5
+    system = SectionSystem(bundle)
+    assert system.floor({"v1": 0, "v2": 0}) == h0(bundle) == 5
     # over the level -6 clamp box the least T - R is 0 and the least V is 1
     i3 = [[F(int(i == j)) for j in range(3)] for i in range(3)]
     bundle = make_bundle(t2(), {"v1": (3, 1, -1), "v2": (4, 3, -5)}, {0: i3})
-    floor, level_floor = section_floor(bundle)
+    system = SectionSystem(bundle)
     box = clamp_box(bundle, -6)
-    assert [floor(md) for md in box] == [3, 1, 1, 2]
-    assert level_floor(-6) == 1 < min(h0(twist(bundle, md)) for md in box) == 2
+    assert [system.floor(md) for md in box] == [3, 1, 1, 2]
+    assert system.level_floor(-6) == 1 < min(h0(twist(bundle, md))
+                                             for md in box) == 2
 
 
 def test_h0_on_fractional_node_coordinates():

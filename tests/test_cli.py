@@ -61,18 +61,24 @@ def test_main_twice_in_one_process_shares_no_state(ex_path, capsys):
 
 
 def test_h0_verb_builds_one_section_system(ex_path, capsys, monkeypatch):
-    from treebundles import bundle as bundle_module
+    # h0, dmax and decide each read every count, floor and cap from one
+    # SectionSystem of the bundle
+    from treebundles.bundle import SectionSystem
     calls = []
-    counter = bundle_module.section_counter
+    init = SectionSystem.__init__
 
-    def counted(b):
+    def counted(self, b):
         calls.append(b)
-        return counter(b)
+        init(self, b)
 
-    monkeypatch.setattr(bundle_module, "section_counter", counted)
+    monkeypatch.setattr(SectionSystem, "__init__", counted)
     assert run(capsys, "h0", "-i", ex_path, "--twist", "v1:-2,v2:-1")[:2] == \
         (0, '{"h0":1,"h1":1}\n')
     assert len(calls) == 1
+    assert run(capsys, "dmax", "-i", ex_path)[0] == 0
+    assert len(calls) == 2
+    assert run(capsys, "decide", "-i", ex_path, "--target", "4,0")[0] == 3
+    assert len(calls) == 3
 
 
 def test_h1_verb(ex_path, capsys):

@@ -7,8 +7,9 @@ from fractions import Fraction as F
 import pytest
 
 from treebundles import bundle as bundle_module
-from treebundles.bundle import (clamp_box, dmax, h0, level_box, make_bundle,
-                                pullback, restrict_bundle, twist)
+from treebundles.bundle import (SectionSystem, clamp_box, dmax, h0, level_box,
+                                make_bundle, pullback, restrict_bundle,
+                                section_basis, twist)
 from treebundles.curve import Edge, Enlargement, TreeCurve, md_total
 from treebundles.fields import PrimeField
 from treebundles.sampling import (balanced_splitting, generalize,
@@ -19,12 +20,24 @@ from treebundles.specialize import (Certificate, Decision, DominanceStep,
                                     EnlargementStep, FailureWitness,
                                     MismatchError, RankOneBase, SplitOffStep,
                                     _bridgeless, _cut_assembly,
-                                    _restricted_dmax, certify, decide,
+                                    _restricted_dmax, _section_candidates,
+                                    certify, decide,
                                     find_line_subbundle, verify_certificate)
 from treebundles.splitting import SplittingType, specializes_p1
 from treebundles.subbundles import LineSubbundle
 
-from conftest import build_chain, build_swap, regression_bundle
+from conftest import build_chain, build_ex, build_swap, regression_bundle
+
+I2 = [[F(1), F(0)], [F(0), F(1)]]
+
+
+def build_dip():
+    """Chain whose middle O(1) + O(-1) sits between two O(1) + O(2) ends,
+    glued by the identity: dmax = 3 is reached with no bridge in several
+    ways, and by bridging one edge or both."""
+    return build_chain(("v1", "v2", "v3"),
+                       {"v1": (1, 2), "v2": (1, -1), "v3": (1, 2)},
+                       {0: I2, 1: I2})
 
 
 # -- decide -------------------------------------------------------------------
@@ -36,6 +49,18 @@ def test_decide_goldens(ex_bundle):
     assert not no.yes and not no
     assert no.witness == FailureWitness({"v1": -2, "v2": -2}, 0, 1)
     assert no.witness.level == -4
+
+
+def test_decide_starts_the_window_at_the_clamp_box(ex_bundle):
+    # the window starts at -d'_1 = -(D + 2), but every level below
+    # sum(lo_v) = -6 has an empty clamp box; the first failure is at -6
+    D = 10 ** 7
+    source = SplittingType((D + 2, 2 - D))
+    witness = FailureWitness({"v1": -3, "v2": -3}, 0, D - 3)
+    t0 = time.perf_counter()
+    assert decide(ex_bundle, source) == Decision(False, witness)
+    assert certify(ex_bundle, source).steps == (witness,)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_decide_mismatch(ex_bundle):
@@ -322,6 +347,66 @@ def test_bridgeless_returns_none_when_bridge_required(ex_bundle):
     assert _bridgeless(ex_bundle, 3) is None
 
 
+def test_bridgeless_takes_the_first_working_slack():
+    # slacks are tried in ascending lexicographic order: on the two-component
+    # bundle both (2, 1) and (1, 2) carry a degree-3 subbundle, and on the
+    # dip chain (2, -1, 2) and (1, 1, 1) both do, after (2, 1, 0), whose
+    # co-twist has sections but none that saturates
+    curve = TreeCurve(("v1", "v2"), (Edge("v1", F(0), "v2", F(0)),))
+    mixed = make_bundle(curve, {"v1": (2, 1), "v2": (1, 2)}, {0: I2})
+    assert dmax(mixed)[0] == 3
+    plan = _bridgeless(mixed, 3)
+    assert plan.degrees == {"v1": 2, "v2": 1}
+    assert plan.polys == {"v1": [[1], []], "v2": [[1], []]}
+    dip = build_dip()
+    assert dmax(dip)[0] == 3
+    plan = _bridgeless(dip, 3)
+    assert plan.degrees == {"v1": 2, "v2": -1, "v3": 2}
+    assert plan.polys == {"v1": [[], [1]], "v2": [[0, -1, 1], [1]],
+                          "v3": [[], [1]]}
+    assert not plan.bridges
+
+
+def test_bridgeless_builds_one_section_system(monkeypatch):
+    # one system per call serves every candidate's count; only candidates
+    # with sections are twisted
+    systems, counted = [], []
+    init, count = SectionSystem.__init__, SectionSystem.count
+
+    def counting_init(self, b):
+        systems.append(b)
+        init(self, b)
+
+    def counting_count(self, md):
+        counted.append(md)
+        return count(self, md)
+
+    monkeypatch.setattr(SectionSystem, "__init__", counting_init)
+    monkeypatch.setattr(SectionSystem, "count", counting_count)
+    dip = build_dip()
+    assert _bridgeless(dip, 3) is not None
+    assert systems == [dip]
+    # (2, 0, 1) is passed over uncounted: v2's lone O(1) would vanish
+    assert counted == [{"v1": -2, "v2": -1, "v3": 0},
+                       {"v1": -2, "v2": 1, "v3": -2}]
+
+
+def test_section_candidates_lead_with_the_max_support_section():
+    # on the example bundle the first basis vector lives on v1 alone; the
+    # max-support combination comes first, then the basis in order, then
+    # the power-weighted sums, and several candidates are nonzero on both
+    # components
+    ex = build_ex()
+    basis = section_basis(ex)
+    cands = list(_section_candidates(ex))
+    assert cands[0] == {"v1": [[1, 1], []], "v2": [[1], []]}
+    assert cands[1:7] == basis
+    assert basis[0] == {"v1": [[0, 1], []], "v2": [[], []]}
+    assert cands[7] == {"v1": [[4, 1, 2], [8]], "v2": [[4], [8, 16, 32]]}
+    # 1 + 6 basis vectors + 16 power weights + 48 random combinations
+    assert len(cands) == 71
+
+
 def test_side_dmax_is_twist_equivariant():
     # the walk reads each side's dmax untwisted from the search's table and
     # shifts it: dmax(twist(B, w)|S) = dmax(B|S) + sum of w over S, with the
@@ -363,6 +448,19 @@ def test_cut_assembly_bridges_transverse_directions():
     enl, sub = find_line_subbundle(bundle)
     assert sub.degree() == 3
     assert len(enl.contracted) == 1
+
+
+def test_cut_assembly_scans_cut_sizes_from_the_smallest():
+    # on the dip chain the ledger balances with edge 0 cut, with edge 1 cut
+    # and with both: blocks {v1}, {v2, v3} at 2 + 2 - 1, and 2 + 1 + 2 - 2;
+    # the single cut at edge 0 comes first
+    dip = build_dip()
+    dmax_of = _restricted_dmax(dip)
+    assert [dmax_of(m)[0] for m in (("v1",), ("v2",), ("v2", "v3"))] == [2, 1, 2]
+    plan = _cut_assembly(dip, 3, dmax_of)
+    assert plan.degrees == {"v1": 2, "v2": 1, "v3": 1}
+    assert plan.scalars == {("v2", "v3"): 1}
+    assert plan.bridges == [("v1", "v2", [0, 1], [1, 0])]
 
 
 # -- certificates -----------------------------------------------------------------
