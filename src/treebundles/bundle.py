@@ -433,6 +433,9 @@ def h0_oracle(bundle: GluedBundle) -> int:
     for v in bundle.curve.components:
         for i, m in enumerate(bundle.splittings[v]):
             if m >= 0:
+                if fld.char and m >= fld.char:
+                    raise ValueError("h0_oracle: degree %d needs %d sample points, "
+                                     "too many for p = %d" % (m, m + 1, fld.char))
                 offsets[(v, i)] = (m, len(cols))
                 for j in range(m + 1):
                     cols.append((v, i, j))

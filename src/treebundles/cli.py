@@ -164,6 +164,9 @@ def _cmd_verify(args):
 
 
 def _cmd_oracle_check(args):
+    # the corpus reaches summand degree 5, which h0_oracle samples at 0..5
+    if args.field.char and args.field.char < 7:
+        raise InputError("oracle-check needs --field q or p:<prime> with prime >= 7")
     rng = random.Random(args.seed)
     h0_bad, box_bad = [], []
     for _ in range(args.cases):

@@ -91,27 +91,6 @@ class TreeCurve:
                 out.append(self.ordered(part))
         return out
 
-    def path_between(self, x, y):
-        """Unique component path from x to y, inclusive."""
-        adj = self.adjacency()
-        prev = {x: None}
-        stack = [x]
-        while stack:
-            v = stack.pop()
-            if v == y:
-                break
-            for w, _ in adj[v]:
-                if w not in prev:
-                    prev[w] = v
-                    stack.append(w)
-        if y not in prev:
-            raise CurveError("no path from %r to %r" % (x, y))
-        path = [y]
-        while path[-1] != x:
-            path.append(prev[path[-1]])
-        path.reverse()
-        return path
-
     def is_connected_subset(self, members):
         members = set(members)
         return members <= set(self.components) and len(self.pieces(members)) == 1
@@ -240,82 +219,55 @@ class Enlargement:
         if set(self.survivors()) != set(self.target.components):
             problems.append("surviving components do not match the target")
             return problems
-        derived = []
-        for idx, chain in self._chains():
-            if idx is None:
-                problems.append("contracted chain %s is not a path between two survivors"
-                                % (sorted(chain),))
-            else:
-                derived.append(idx)
-        if problems:
-            return problems
-        # every target edge must be produced exactly once
-        for i, e in enumerate(self.target.edges):
-            hits = derived.count(i)
-            if hits != 1:
-                problems.append("target edge %d is matched %d times" % (i, hits))
-        return problems
-
-    def _chains(self):
-        """(target edge index or None, tuple of contracted comps) pairs.
-
-        Surviving-to-surviving source edges and contracted chains both map
-        to target edges; unmatched structure yields None for the index.
-        """
+        # every source edge must lie on a walk: a direct edge alone, a
+        # contracted piece with all of its edges (see target_edge_paths)
+        paths = self.target_edge_paths()
+        walked = {i for walk in paths if walk for i, _ in walk}
         src = self.source
-        out = []
-        # direct edges
-        for e in src.edges:
-            if e.a not in self.contracted and e.b not in self.contracted:
-                out.append((self._find_target_edge(e.a, e.pa, e.b, e.pb), ()))
-        # chains of contracted components
+        for i, e in enumerate(src.edges):
+            if (e.a not in self.contracted and e.b not in self.contracted
+                    and i not in walked):
+                problems.append("contracted chain [] is not a path between two survivors")
         adj = src.adjacency()
         for chain in src.pieces(self.contracted):
-            boundary = [(w, i) for x in chain for w, i in adj[x]
-                        if w not in self.contracted]
-            if len(boundary) != 2:
-                out.append((None, chain))
-                continue
-            (u, iu), (w, iw) = boundary
-            # the survivor-to-survivor walk must use up the whole chain
-            interior = set(src.path_between(u, w)[1:-1])
-            if interior != set(chain):
-                out.append((None, chain))
-                continue
-            eu, ew = src.edges[iu], src.edges[iw]
-            pu = eu.pa if eu.a == u else eu.pb
-            pw = ew.pa if ew.a == w else ew.pb
-            out.append((self._find_target_edge(u, pu, w, pw), chain))
-        return out
-
-    def _find_target_edge(self, x, px, y, py):
-        for i, e in enumerate(self.target.edges):
-            if (e.a, e.pa, e.b, e.pb) == (x, px, y, py):
-                return i
-            if (e.a, e.pa, e.b, e.pb) == (y, py, x, px):
-                return i
-        return None
+            if any(i not in walked for x in chain for _, i in adj[x]):
+                problems.append("contracted chain %s is not a path between two survivors"
+                                % (sorted(chain),))
+        if problems:
+            return problems
+        return ["target edge %d is matched 0 times" % i
+                for i, walk in enumerate(paths) if walk is None]
 
     def target_edge_paths(self):
-        """For each target edge: the source edge walk from its a-side to its b-side.
+        """For each target edge: the source edge walk realizing it, or None.
 
-        Returns a list (indexed like target.edges) of lists of
-        (source edge index, forward) pairs; forward means the source edge is
-        traversed from its own a-side to its b-side.
+        The walk starts at the target edge's a-side survivor, takes the
+        source edge at node coordinate `pa`, and goes on through contracted
+        components that have exactly two nodes; it realizes the target edge
+        when it stops at the b-side survivor at coordinate `pb`, and is None
+        otherwise. Returns a list indexed like target.edges; each walk is a
+        list of (source edge index, forward) pairs, forward meaning the
+        source edge is traversed from its own a-side to its b-side.
         """
         src = self.source
+        at = {(v, p): i for i, e in enumerate(src.edges)
+              for v, p in ((e.a, e.pa), (e.b, e.pb))}
+        adj = src.adjacency()
         paths = []
-        for e in self.target.edges:
-            comps = src.path_between(e.a, e.b)
-            for mid in comps[1:-1]:
-                if mid not in self.contracted:
-                    raise CurveError("path for target edge %r-%r passes through survivor %r"
-                                     % (e.a, e.b, mid))
+        for t in self.target.edges:
+            v, i = t.a, at.get((t.a, t.pa))
             walk = []
-            for x, y in zip(comps, comps[1:]):
-                i = src.edge_between(x, y)
-                walk.append((i, src.edges[i].a == x))
-            paths.append(walk)
+            while i is not None:
+                e = src.edges[i]
+                forward = e.a == v
+                walk.append((i, forward))
+                v, pv = (e.b, e.pb) if forward else (e.a, e.pa)
+                if v not in self.contracted or len(adj[v]) != 2:
+                    break
+                (_, j), (_, k) = adj[v]
+                i = k if j == i else j
+            ends = i is not None and (v, pv) == (t.b, t.pb)
+            paths.append(walk if ends else None)
         return paths
 
 

@@ -67,7 +67,11 @@ def test_criterion_03_certificate_roundtrip():
     assert len(enlargements) == 1
     assert len(enlargements[0].enlargement.contracted) == 1
     split = next(s for s in cert.steps if type(s).__name__ == "SplitOffStep")
-    path = split.subbundle.host.curve.path_between("v1", "v2")
+    enl = enlargements[0].enlargement
+    (walk,) = enl.target_edge_paths()
+    edges = enl.source.edges
+    path = [enl.target.edges[0].a] + [edges[i].b if fwd else edges[i].a
+                                      for i, fwd in walk]
     assert [split.subbundle.degrees[v] for v in path] == [2, -1, 2]
     report(3, "certificate roundtrip", t0, 5)
 

@@ -223,6 +223,16 @@ def test_section_basis_respects_degree_bounds(ex_bundle):
 
 # -- oracle agreement -----------------------------------------------------------
 
+def test_h0_oracle_refuses_degrees_at_or_above_p():
+    # a degree-5 summand needs six distinct sample points, and GF(5) has five
+    fld = PrimeField(5)
+    curve = TreeCurve(("v1",), (), fld)
+    bundle = make_bundle(curve, {"v1": (5,)}, {})
+    with pytest.raises(ValueError, match="degree 5 .* p = 5"):
+        h0_oracle(bundle)
+    assert h0_oracle(make_bundle(curve, {"v1": (4,)}, {})) == 5
+
+
 def non_integral(rng, bundle):
     """The same tree shape and splittings with every chart moved by an
     affine change x -> (x + t)/s, s not dividing t, and every gluing

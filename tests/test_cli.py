@@ -342,6 +342,74 @@ def test_verify_rejects_a_short_embedding_exit_3(ex_path, tmp_path, capsys):
         "step 2: invalid subbundle: component 'v2': expected 2 coordinates"]}
 
 
+def _enlarge_edits(rng, cert):
+    """Copies of `cert`, each with one field of one enlarge step changed: a
+    source coordinate, a `contracted` entry, or a dropped or added source
+    edge. Every new number is drawn from 10..19, above every coordinate
+    the corpus uses, so each edit changes the step."""
+    for k, step in enumerate(cert["steps"]):
+        if step["kind"] != "enlarge":
+            continue
+        for edit in ("coordinate", "contracted", "drop", "add"):
+            obj = json.loads(dumps(cert))
+            source, con = obj["steps"][k]["source"], obj["steps"][k]["contracted"]
+            comps, edges = source["components"], source["edges"]
+            if edit == "coordinate":
+                rng.choice(edges)[rng.choice(("pa", "pb"))] = str(rng.randint(10, 19))
+            elif edit == "contracted":
+                others = [v for v in comps if v not in con] + ["zz"]
+                if con:
+                    con[rng.randrange(len(con))] = rng.choice(others)
+                else:
+                    con.append(rng.choice(others))
+            elif edit == "drop":
+                edges.pop(rng.randrange(len(edges)))
+            else:
+                edges.append({"a": rng.choice(comps), "pa": str(rng.randint(10, 19)),
+                              "b": rng.choice(comps), "pb": str(rng.randint(10, 19))})
+            yield edit, obj
+
+
+@pytest.mark.parametrize("field", ["q", "p:1000003"])
+def test_verify_rejects_tampered_enlarge_steps(tmp_path, capsys, field):
+    # the certificates of a seeded corpus, each with at least one bridge
+    rng = random.Random(14)
+    fld = field_from_name(field)
+    certs = []
+    while len(certs) < 8:
+        curve = random_tree(rng, rng.randint(2, 3), fld)
+        bundle = random_bundle(rng, curve, rng.randint(2, 3), lo=-2, hi=2)
+        cert = certificate_to_json(
+            certify(bundle, balanced_splitting(bundle.rank, bundle.degree())))
+        if any(s["kind"] == "enlarge" and s["contracted"] for s in cert["steps"]):
+            certs.append(cert)
+    seen = set()
+    for cert in certs:
+        for edit, obj in _enlarge_edits(rng, cert):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "verify", "-i", _write(tmp_path, obj),
+                                 "--field", field)
+            assert time.perf_counter() - start < 1.0
+            if code == 1:
+                assert out == "" and err.startswith("error:")
+                assert len(err.splitlines()) == 1
+            else:
+                assert (code, err) == (3, "")
+                assert json.loads(out)["valid"] is False
+            seen.add((edit, code))
+    assert {edit for edit, _ in seen} == {"coordinate", "contracted", "drop", "add"}
+
+
+@pytest.mark.parametrize("field", ["p:3", "p:5"])
+def test_oracle_check_refuses_small_primes(capsys, field):
+    # the oracle samples a summand of degree m at 0..m, which repeat mod p
+    # once m >= p; the corpus reaches m = 5
+    code, out, err = run(capsys, "oracle-check", "--field", field,
+                         "--seed", "0", "--cases", "50")
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 def test_box_on_a_long_rank_one_chain(tmp_path, capsys):
     n = 1200
     ids = ["c%d" % i for i in range(n)]

@@ -4,11 +4,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from treebundles.curve import (CurveError, Edge, TreeCurve, check_multidegree,
-                               compose_enlargements, fill_multidegree,
-                               identity_enlargement, insert_bridge, md_total,
-                               restrict_curve, validate_tree)
-from treebundles.fields import PrimeField
+from treebundles.curve import (CurveError, Edge, Enlargement, TreeCurve,
+                               check_multidegree, compose_enlargements,
+                               fill_multidegree, identity_enlargement,
+                               insert_bridge, md_total, restrict_curve,
+                               validate_tree)
+from treebundles.fields import PrimeField, field_from_name
 from treebundles.sampling import random_tree
 
 
@@ -73,7 +74,6 @@ def test_graph_views():
     assert curve.edge_between("a", "b") is None
     assert curve.side_of(1, "b") == {"b"}
     assert curve.side_of(1, "h") == {"h", "a", "c"}
-    assert curve.path_between("a", "c") == ["a", "h", "c"]
     assert curve.ordered({"c", "a"}) == ("a", "c")
 
 
@@ -163,6 +163,74 @@ def test_compose_enlargements():
     assert total.target == curve
     assert total.contracted == s1.contracted | s2.contracted
     assert total.validate() == []
+
+
+# Enlargement shapes, mostly onto the target u-w, w-x. Each case: source
+# edges and target edges as (a, pa, b, pb) rows, the contracted set, the
+# problems `validate` reports, and the walk of each target edge (None where
+# it does not end at the b-side's node).
+CHAIN = "contracted chain %s is not a path between two survivors"
+UWX = [("u", 0, "w", 0), ("w", 1, "x", 0)]
+SHAPES = {
+    "moved-coordinate": (
+        [("u", 0, "w", 2), ("w", 1, "x", 0)], UWX, set(),
+        [CHAIN % []], [None, [(1, True)]]),
+    "leaf-off-chain": (
+        [("u", 0, "b", 0), ("b", 1, "w", 0), ("b", 2, "L", 0),
+         ("w", 1, "x", 0)], UWX, {"b", "L"},
+        [CHAIN % ["L", "b"]], [None, [(3, True)]]),
+    "three-attachments": (
+        [("u", 0, "b", 0), ("b", 1, "w", 0), ("b", 2, "x", 0)], UWX, {"b"},
+        [CHAIN % ["b"]], [None, None]),
+    "wrong-survivors": (
+        [("u", 0, "b", 0), ("b", 1, "x", 1), ("w", 1, "x", 0)], UWX, {"b"},
+        [CHAIN % ["b"]], [None, [(2, True)]]),
+    "survivor-in-chain": (
+        [("u", 0, "b1", 0), ("b1", 1, "s", 0), ("s", 1, "b2", 0),
+         ("b2", 1, "w", 0), ("w", 1, "x", 0)], UWX + [("x", 1, "s", 2)],
+        {"b1", "b2"},
+        [CHAIN % ["b1"], CHAIN % ["b2"]], [None, [(4, True)], None]),
+    "reversed-edge": (
+        [("u", 0, "b", 0), ("w", 0, "b", 1), ("x", 0, "w", 1)], UWX, {"b"},
+        [], [[(0, True), (1, False)], [(2, False)]]),
+    "backwards-two-bridges": (
+        [("u", 0, "b1", 0), ("b1", 1, "b2", 0), ("b2", 1, "w", 0),
+         ("w", 1, "x", 0)], [("w", 0, "u", 0), ("w", 1, "x", 0)],
+        {"b1", "b2"},
+        [], [[(2, False), (1, False), (0, False)], [(3, True)]]),
+}
+
+
+@pytest.mark.parametrize("field", ["q", "p:1000003"])
+@pytest.mark.parametrize("shape", list(SHAPES))
+def test_enlargement_shapes(field, shape):
+    source, target, contracted, problems, walks = SHAPES[shape]
+    fld = field_from_name(field)
+
+    def tree(rows):
+        comps = []
+        for a, _, b, _ in rows:
+            comps += [v for v in (a, b) if v not in comps]
+        return TreeCurve(tuple(comps), tuple(
+            Edge(a, fld.of(pa), b, fld.of(pb)) for a, pa, b, pb in rows), fld)
+
+    enl = Enlargement(tree(source), tree(target), frozenset(contracted))
+    assert enl.validate() == problems
+    assert enl.target_edge_paths() == walks
+
+
+def test_enlargement_problems_before_the_walks():
+    curve = t2()
+    assert Enlargement(curve, curve, frozenset({"zz"})).validate() == [
+        "contracted set contains unknown components"]
+    assert Enlargement(curve, curve, frozenset({"v1"})).validate() == [
+        "surviving components do not match the target"]
+    # coordinates mod 7 match no node mod 11: a problem, not an error
+    f7, f11 = PrimeField(7), PrimeField(11)
+    source, target = (TreeCurve(("a", "b"), (Edge("a", f.of(0), "b", f.of(0)),), f)
+                      for f in (f7, f11))
+    assert Enlargement(source, target, frozenset()).validate() == [
+        "source and target coefficient fields differ", CHAIN % []]
 
 
 def test_restrict_curve():

@@ -240,8 +240,11 @@ def test_find_line_subbundle_ex_golden(ex_bundle):
     assert enl.contracted == frozenset({"v1+v2"})
     assert sub.degrees == {"v1": 2, "v2": 2, "v1+v2": -1}
     assert sub.degree() == dmax(ex_bundle)[0]
-    # path order across the bridge reads (2, -1, 2)
-    path = sub.host.curve.path_between("v1", "v2")
+    # the walk of the one target edge crosses the bridge as (2, -1, 2)
+    (walk,) = enl.target_edge_paths()
+    edges = enl.source.edges
+    path = [enl.target.edges[0].a] + [edges[i].b if fwd else edges[i].a
+                                      for i, fwd in walk]
     assert [sub.degrees[v] for v in path] == [2, -1, 2]
 
 
