@@ -104,7 +104,10 @@ def _read_ratio(s: str):
     """(numerator, denominator or None) of a decimal integer or ratio, a
     sign on the numerator only, with no exponent, point, underscore or inner
     whitespace, so int()'s digit limit bounds every accepted string."""
-    num, slash, den = s.strip().partition("/")
+    t = s.strip()
+    if t.isdecimal():
+        return int(t), None
+    num, slash, den = t.partition("/")
     digits = num[1:] if num[:1] in ("+", "-") else num
     if not digits.isdecimal() or (slash and not den.isdecimal()):
         raise ValueError("not a decimal integer or ratio: %r" % (s,))

@@ -1,6 +1,6 @@
 """Dense exact linear algebra on lists of lists.
 
-Every exact solve (kernels, inverses, column solves) runs one integer
+Every exact solve (kernels, inverses, quotient gluings) runs one integer
 Gauss-Jordan, `integer_rref`: fraction-free with exact division over Q
 (Bareiss 1968; Nakos, Turner & Williams 1997), the same loop on residues
 over GF(p). Field-element rows enter through `integer_rows`, and field
@@ -19,10 +19,6 @@ from .fields import FpElement
 
 def identity_matrix(n, zero, one):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def mat_vec(m, v, zero):
-    return [sum((row[j] * v[j] for j in range(len(v))), zero) for row in m]
 
 
 def mat_mul(a, b, zero):
@@ -228,21 +224,3 @@ def invert_matrix(m, zero, one):
         return None
     of = field_elements(den, p)
     return [[of(x) for x in row[n:]] for row in red[:n]]
-
-
-def solve_columns(a, b, zero):
-    """Solve a @ x = b for full-column-rank a (b a matrix). None if inconsistent."""
-    n, k = len(a), len(a[0])
-    cols = len(b[0])
-    p = _char(zero)
-    aug = [list(a[i]) + list(b[i]) for i in range(n)]
-    red, pivots, den = integer_rref(integer_rows(aug, p), k + cols, p)
-    if any(c >= k for c in pivots):
-        return None  # inconsistent right-hand side
-    if len(pivots) < k:
-        return None  # rank deficient, solution not unique
-    of = field_elements(den, p)
-    x = [[zero] * cols for _ in range(k)]
-    for i, c in enumerate(pivots):
-        x[c] = [of(y) for y in red[i][k:]]
-    return x

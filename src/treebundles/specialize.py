@@ -24,10 +24,12 @@ from .bundle import (GluedBundle, SectionSystem, _pullback, dmax, h0,
                      twist)
 from .curve import (compose_enlargements, identity_enlargement, insert_bridge,
                     md_total)
+from .linalg import field_elements
 from .splitting import (SplittingType, merge_with_line, remove_line,
                         specializes_p1)
-from .subbundles import (LineSubbundle, SubbundleError, _direction_scalar,
-                         _node_fibres, quotient_with_projections, saturate)
+from .subbundles import (LineSubbundle, SubbundleError, _cleared,
+                         _direction_scalar, _node_fibres,
+                         quotient_with_projections, saturate)
 
 
 class MismatchError(ValueError):
@@ -265,13 +267,17 @@ def _junction(bundle, edge_index, plan):
     as the edge scalar.
     """
     e = bundle.curve.edges[edge_index]
-    u0, vb = _node_fibres(bundle, edge_index, plan.polys)
-    rho = _direction_scalar(u0, vb)
+    p = bundle.field.char
+    cleared = {v: _cleared(plan.polys[v], p) for v in (e.a, e.b)}
+    u0, sa, vb, sb = _node_fibres(bundle, edge_index, cleared)
+    rho = _direction_scalar(p, u0, sa, vb, sb)
     if rho is not None:
         assert rho, "transported fiber vector vanished"
         plan.scalars[(e.a, e.b)] = rho
     else:
-        plan.bridges.append((e.a, e.b, u0, vb))
+        of_a, of_b = field_elements(sa, p), field_elements(sb, p)
+        plan.bridges.append((e.a, e.b, [of_a(x) for x in u0],
+                             [of_b(x) for x in vb]))
 
 
 def _saturation_plan(host, w_eff, section):

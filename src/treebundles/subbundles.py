@@ -4,14 +4,23 @@ A line subbundle is recorded per component as a degree a_v plus the r
 coordinate polynomials of the embedding into the summands (degrees bounded
 by summand degree minus a_v), together with one nonzero scalar per node
 tying the two sides' fiber directions through the gluing.
+
+Node checks, saturation and quotient gluings run on integers: a
+component's coordinate polynomials are cleared by one common denominator
+and evaluated at a node homogeneously, so every fiber vector is an integer
+vector over a known nonzero scale (plain residues over GF(p)), and field
+elements are built only for the outputs.
 """
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
+
 from . import poly
-from .bundle import BundleError, GluedBundle
-from .linalg import (field_elements, integer_kernel, integer_rows,
-                     integer_rref, is_invertible, mat_mul, mat_vec,
-                     solve_columns)
+from .bundle import BundleError, GluedBundle, _ratio
+from .fields import FpElement
+from .linalg import (bareiss_rank, field_elements, integer_kernel,
+                     integer_rref, modular_rank)
 
 
 class SubbundleError(ValueError):
@@ -33,55 +42,51 @@ class LineSubbundle:
     def multidegree(self):
         return dict(self.degrees)
 
-    def value_at(self, v, at):
-        zero = self.host.field.zero
-        return [poly.evaluate(p, at, zero) for p in self.embeddings[v]]
-
     def validate(self):
         problems = []
         host = self.host
-        zero = host.field.zero
-        misshapen = set()
+        p = host.field.char
+        cleared = {}
         for v in host.curve.components:
             a = self.degrees[v]
-            polys = [poly.trim(p) for p in self.embeddings[v]]
+            polys = [poly.trim(q) for q in self.embeddings[v]]
             if len(polys) != host.rank:
                 problems.append("component %r: expected %d coordinates" % (v, host.rank))
-                misshapen.add(v)
                 continue
-            nonzero = [(i, p) for i, p in enumerate(polys) if p]
-            if not nonzero:
+            cleared[v] = _cleared(polys, p)
+            if not any(polys):
                 problems.append("component %r: embedding is identically zero" % v)
                 continue
             full = False
-            for i, p in enumerate(polys):
+            for i, q in enumerate(polys):
                 bound = host.splittings[v][i] - a
-                if p and poly.degree(p) > bound:
+                if q and poly.degree(q) > bound:
                     problems.append(
                         "component %r coordinate %d exceeds degree bound %d"
                         % (v, i, bound))
-                if p and poly.degree(p) == bound:
+                if q and poly.degree(q) == bound:
                     full = True
             if not full:
                 # common zero at infinity: every homogenized coordinate
                 # would pick up a factor of the far coordinate
                 problems.append("component %r: embedding vanishes at infinity" % v)
-            g = []
-            for _, p in nonzero:
-                g = poly.gcd_monic(g, p, zero)
+            g = poly.gcd(cleared[v][0], p)
             if poly.degree(g) > 0:
+                of = field_elements(g[-1], p)
                 problems.append("component %r: embedding has a common zero (gcd %s)"
-                                % (v, g))
+                                % (v, [of(c) for c in g]))
         for i, e in enumerate(host.curve.edges):
-            if e.a in misshapen or e.b in misshapen:
+            if e.a not in cleared or e.b not in cleared:
                 # no fiber direction to compare; the component is reported
                 continue
             lam = self.scalars.get(i)
             if lam is None or not lam:
                 problems.append("edge %d: missing or zero scalar" % i)
                 continue
-            lhs, vb = _node_fibres(host, i, self.embeddings)
-            if any(lhs[k] != lam * vb[k] for k in range(host.rank)):
+            lhs, sa, vb, sb = _node_fibres(host, i, cleared)
+            # lhs / sa == lam * vb / sb, cross-multiplied
+            n, d = _ratio(lam, p)
+            if any(_nonzero(x * sb * d - n * y * sa, p) for x, y in zip(lhs, vb)):
                 problems.append("edge %d: sides do not match through the gluing" % i)
         if problems:
             raise SubbundleError("; ".join(problems))
@@ -105,29 +110,66 @@ class LineSubbundle:
         return "LineSubbundle(degrees=%s)" % (self.degrees,)
 
 
-def _node_fibres(bundle: GluedBundle, edge_index, embeddings):
-    """The two fiber vectors of a line at an edge's node: the a-side one
-    carried through the gluing, and the b-side one. `embeddings` maps each
-    component to its r coordinate polynomials."""
+# -- integer node values ---------------------------------------------------------
+
+def _cleared(rows, p):
+    """Lists of field elements as (integer lists, D), the lists being the
+    integer ones divided by D: over Q (p = 0) D is the lcm of every
+    denominator, over GF(p) the lists are the residues and D is 1."""
+    if p:
+        return [[x.val for x in row] for row in rows], 1
+    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
+    den = lcm(*(d for row in ratios for _, d in row))
+    return [[n * (den // d) for n, d in row] for row in ratios], den
+
+
+def _values_at(ints, den, x, p):
+    """Integer polynomials over den at the point x = n/d: (values, scale),
+    the polynomials' values at x being values / scale. Evaluation is
+    homogeneous, values[i] = sum_k c_ik n^k d^(K-k) with K the largest
+    length minus one, so scale = den * d^K. Over GF(p) the values are
+    residues and den and d are 1."""
+    n, d = _ratio(x, p)
+    top = max(0, max(map(len, ints)) - 1)
+    # n^k d^(K-k), the scaling the section system's matching rows use
+    powers = [pow(n, k, p or None) * d ** (top - k) for k in range(top + 1)]
+    values = [sum(c * u for c, u in zip(q, powers)) for q in ints]
+    return [v % p for v in values] if p else values, den * d ** top
+
+
+def _node_fibres(bundle: GluedBundle, edge_index, cleared):
+    """The two fiber vectors of a line at an edge's node, as (lhs, sa, vb,
+    sb): lhs / sa is the a-side vector carried through the gluing and
+    vb / sb the b-side one, with integer vectors and nonzero integer
+    scales (residues and 1 over GF(p)). `cleared` maps each end component
+    to its coordinate polynomials as `_cleared` gives them."""
     e = bundle.curve.edges[edge_index]
-    zero = bundle.field.zero
-    va = [poly.evaluate(p, e.pa, zero) for p in embeddings[e.a]]
-    vb = [poly.evaluate(p, e.pb, zero) for p in embeddings[e.b]]
-    return mat_vec(bundle.gluings[edge_index], va, zero), vb
+    p = bundle.field.char
+    glue, den = _cleared(bundle.gluings[edge_index], p)
+    va, sa = _values_at(*cleared[e.a], e.pa, p)
+    vb, sb = _values_at(*cleared[e.b], e.pb, p)
+    lhs = [sum(g * x for g, x in zip(row, va)) for row in glue]
+    return [x % p for x in lhs] if p else lhs, den * sa, vb, sb
 
 
-def _direction_scalar(lhs, vb):
-    """lam with lhs == lam * vb, or None if the vectors are not parallel."""
-    lam = None
-    for k in range(len(vb)):
-        if vb[k]:
-            lam = lhs[k] / vb[k]
-            break
-    if lam is None:
+def _nonzero(x, p):
+    return x % p if p else x
+
+
+def _element(num, den, p):
+    """The field element num / den (den nonzero)."""
+    return FpElement(num * pow(den, -1, p), p) if p else Fraction(num, den)
+
+
+def _direction_scalar(p, lhs, sa, vb, sb):
+    """lam with lhs / sa == lam * vb / sb, or None if the vectors are not
+    parallel; the one field element built."""
+    k = next((k for k, y in enumerate(vb) if y), None)
+    if k is None:
         return None
-    if any(lhs[k] != lam * vb[k] for k in range(len(vb))):
+    if any(_nonzero(x * vb[k] - lhs[k] * y, p) for x, y in zip(lhs, vb)):
         return None
-    return lam
+    return _element(lhs[k] * sb, sa * vb[k], p)
 
 
 def saturate(bundle: GluedBundle, section) -> LineSubbundle:
@@ -138,31 +180,32 @@ def saturate(bundle: GluedBundle, section) -> LineSubbundle:
     subbundle degree is the total vanishing order. The section must be
     nonzero on every component, and the resulting fiber directions must
     still match across every node.
+
+    The gcd is taken on the coordinates cleared to integers: primitive
+    over Q, where by Gauss's lemma it divides each cleared coordinate
+    exactly in Z[x]. The stored coordinates are divided by the monic gcd,
+    as over the field.
     """
-    zero = bundle.field.zero
-    degrees, embeddings = {}, {}
+    p = bundle.field.char
+    degrees, embeddings, cleared = {}, {}, {}
     for v in bundle.curve.components:
-        polys = [poly.trim(p) for p in section[v]]
-        nonzero = [(i, p) for i, p in enumerate(polys) if p]
+        polys = [poly.trim(q) for q in section[v]]
+        nonzero = [(i, q) for i, q in enumerate(polys) if q]
         if not nonzero:
             raise SubbundleError("section vanishes identically on %r" % v)
-        g = []
-        for _, p in nonzero:
-            g = poly.gcd_monic(g, p, zero)
-        tau = min(bundle.splittings[v][i] - poly.degree(p) for i, p in nonzero)
+        ints, den = _cleared(polys, p)
+        g = poly.gcd(ints, p)
+        tau = min(bundle.splittings[v][i] - poly.degree(q) for i, q in nonzero)
         degrees[v] = poly.degree(g) + tau
-        phis = []
-        for p in polys:
-            if not p:
-                phis.append([])
-                continue
-            q, rem = poly.divmod_exact(p, g, zero)
-            assert not rem, "gcd does not divide a coordinate"
-            phis.append(q)
-        embeddings[v] = phis
+        # q / (g / lead) = lead * (q div g), all over den
+        lead = g[-1]
+        quots = [[lead * c for c in poly.div_exact(q, g, p)] if q else []
+                 for q in ints]
+        cleared[v] = quots, den
+        embeddings[v] = _polys(quots, den, p)
     scalars = {}
     for i in range(len(bundle.curve.edges)):
-        lam = _direction_scalar(*_node_fibres(bundle, i, embeddings))
+        lam = _direction_scalar(p, *_node_fibres(bundle, i, cleared))
         if lam is None or not lam:
             raise SubbundleError(
                 "saturated directions disagree across edge %d" % i)
@@ -170,23 +213,19 @@ def saturate(bundle: GluedBundle, section) -> LineSubbundle:
     return LineSubbundle(bundle, degrees, embeddings, scalars).validate()
 
 
-def _kernel_generators(field, ms, a, phis, want):
+def _kernel_generators(p, ms, a, phis, want):
     """Minimal generators of ker((psi_i) -> sum psi_i phi_i) over the
     homogeneous coordinate ring, dehomogenized.
 
-    ms are the summand degrees, the phi_i have degree <= ms[i] - a, and the
-    kernel is a free module of rank `want`; generators are found degree by
-    degree, lowest first. Returns a list of (gen_degree, coordinate polys).
-    The search runs on integers: one common scale clears the phi_i (the
-    kernel does not change), and field elements are built only for the
-    chosen generators.
+    ms are the summand degrees, the phi_i (field elements) have degree
+    <= ms[i] - a, and the kernel is a free module of rank `want`;
+    generators are found degree by degree, lowest first. Returns a list of
+    (gen_degree, integer coefficient blocks, den): the generator's
+    coordinate polynomials are the blocks divided by den. The search runs
+    on integers: one common scale clears the phi_i (the kernel does not
+    change).
     """
-    p = field.char
-    flat = integer_rows([[c for phi in phis for c in phi]], p)[0]
-    iphis, at = [], 0
-    for phi in phis:
-        iphis.append(flat[at:at + len(phi)])
-        at += len(phi)
+    iphis = _cleared(phis, p)[0]
     total = sum(ms) - a
     found = []  # (degree, integer coefficient blocks, their denominator)
 
@@ -234,13 +273,7 @@ def _kernel_generators(field, ms, a, phis, want):
         t += 1
     assert sum(b for b, _, _ in found) == total, \
         "quotient degree bookkeeping broke"
-    out = []
-    for b, gens, den in found:
-        of = field_elements(den, p)
-        zero = of(0)
-        out.append((b, [poly.trim([of(x) if x else zero for x in g])
-                        for g in gens]))
-    return out
+    return found
 
 
 def quotient_with_projections(bundle: GluedBundle, sub: LineSubbundle):
@@ -250,35 +283,53 @@ def quotient_with_projections(bundle: GluedBundle, sub: LineSubbundle):
     `sub` must already be valid (`LineSubbundle.validate`, which `saturate`
     and `specialize.find_line_subbundle` run); `quotient_bundle` validates
     it first.
+
+    The gluing N of an edge solves N gx = gy G, with gx and gy the
+    generator rows at the node on the two sides. Each row is an integer
+    row over its own scale (diagonal S_a, S_b) and G is an integer matrix
+    over L, so N = S_b^-1 N_int S_a / L for the integer solution N_int of
+    N_int gx_int = gy_int G_int, from one integer Gauss-Jordan.
     """
     if sub.host != bundle:
         raise BundleError("subbundle does not live in this bundle")
     r = bundle.rank
     if r < 2:
         raise BundleError("quotient by a line subbundle needs rank at least 2")
-    zero = bundle.field.zero
-    qsplit, projections = {}, {}
+    p = bundle.field.char
+    qsplit, projections, generators = {}, {}, {}
     for v in bundle.curve.components:
-        found = _kernel_generators(bundle.field, list(bundle.splittings[v]),
+        found = _kernel_generators(p, list(bundle.splittings[v]),
                                    sub.degrees[v], sub.embeddings[v], r - 1)
-        qsplit[v] = tuple(b for b, _ in found)
-        projections[v] = [gens for _, gens in found]
+        qsplit[v] = tuple(b for b, _, _ in found)
+        generators[v] = [(gens, den) for _, gens, den in found]
+        projections[v] = [_polys(gens, den, p) for gens, den in generators[v]]
     qglue = {}
     for i, e in enumerate(bundle.curve.edges):
-        gx = [[poly.evaluate(p, e.pa, zero) for p in gens]
-              for gens in projections[e.a]]
-        gy = [[poly.evaluate(p, e.pb, zero) for p in gens]
-              for gens in projections[e.b]]
-        rhs = mat_mul(gy, bundle.gluings[i], zero)
-        gxt = [[gx[j][i2] for j in range(r - 1)] for i2 in range(r)]
-        rhst = [[rhs[j][i2] for j in range(r - 1)] for i2 in range(r)]
-        nt = solve_columns(gxt, rhst, zero)
-        assert nt is not None, "quotient gluing system is inconsistent"
-        n = [[nt[j][i2] for j in range(r - 1)] for i2 in range(r - 1)]
-        assert is_invertible(n, bundle.field.char)
-        qglue[i] = n
+        gx, sa = zip(*(_values_at(g, d, e.pa, p) for g, d in generators[e.a]))
+        gy, sb = zip(*(_values_at(g, d, e.pb, p) for g, d in generators[e.b]))
+        glue, den = _cleared(bundle.gluings[i], p)
+        rhs = [[sum(y * g[k] for y, g in zip(row, glue)) for k in range(r)]
+               for row in gy]
+        # [gx^T | (gy G)^T]: its reduced form carries N_int^T
+        aug = [[row[k] for row in gx] + [row[k] for row in rhs]
+               for k in range(r)]
+        red, pivots, rden = integer_rref(aug, 2 * (r - 1), p)
+        assert pivots == list(range(r - 1)), \
+            "quotient gluing system is inconsistent"
+        block = [row[r - 1:] for row in red]
+        rank = (modular_rank(block, r - 1, p) if p
+                else bareiss_rank(block, r - 1))
+        assert rank == r - 1, "quotient gluing is singular"
+        qglue[i] = [[_element(block[j][k] * sa[j], rden * sb[k] * den, p)
+                     for j in range(r - 1)] for k in range(r - 1)]
     quot = GluedBundle(bundle.curve, r - 1, qsplit, qglue)
     return quot, projections
+
+
+def _polys(ints, den, p):
+    """Integer coefficient lists over den as field-element polynomials."""
+    of = field_elements(den, p)
+    return [poly.trim([of(x) for x in q]) for q in ints]
 
 
 def quotient_bundle(bundle: GluedBundle, sub: LineSubbundle) -> GluedBundle:

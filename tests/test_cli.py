@@ -400,6 +400,69 @@ def test_verify_rejects_tampered_enlarge_steps(tmp_path, capsys, field):
     assert {edit for edit, _ in seen} == {"coordinate", "contracted", "drop", "add"}
 
 
+def _splitoff_edits(rng, cert):
+    """Copies of `cert`, each with one field of one splitoff step changed:
+    a subbundle scalar, an embedding coefficient, a quotient gluing entry
+    or a `qprime` degree. Every new number is drawn from 10..19 and differs
+    from the one it replaces."""
+    def fresh(old):
+        return rng.choice([x for x in range(10, 20) if str(x) != str(old)])
+
+    for k, step in enumerate(cert["steps"]):
+        if step["kind"] != "splitoff":
+            continue
+        for edit in ("scalar", "embedding", "gluing", "qprime"):
+            obj = json.loads(dumps(cert))
+            split = obj["steps"][k]
+            if edit == "scalar":
+                scalar = rng.choice(split["subbundle"]["scalars"])
+                scalar["value"] = str(fresh(scalar["value"]))
+            elif edit == "embedding":
+                coords = [c for ps in split["subbundle"]["embeddings"].values()
+                          for c in ps if c]
+                coord = rng.choice(coords)
+                i = rng.randrange(len(coord))
+                coord[i] = str(fresh(coord[i]))
+            elif edit == "gluing":
+                row = rng.choice(rng.choice(split["quotient"]["gluings"])["matrix"])
+                i = rng.randrange(len(row))
+                row[i] = str(fresh(row[i]))
+            else:
+                qprime = split["qprime"]
+                i = rng.randrange(len(qprime))
+                qprime[i] = fresh(qprime[i])
+            yield edit, obj
+
+
+@pytest.mark.parametrize("field", ["q", "p:1000003"])
+def test_verify_rejects_tampered_splitoff_steps(tmp_path, capsys, field):
+    # the certificates of a seeded corpus on trees, so every pulled-back
+    # host and every quotient has a node
+    rng = random.Random(15)
+    fld = field_from_name(field)
+    certs = []
+    while len(certs) < 8:
+        curve = random_tree(rng, rng.randint(2, 3), fld)
+        bundle = random_bundle(rng, curve, rng.randint(2, 3), lo=-2, hi=2)
+        certs.append(certificate_to_json(
+            certify(bundle, balanced_splitting(bundle.rank, bundle.degree()))))
+    seen = set()
+    for cert in certs:
+        for edit, obj in _splitoff_edits(rng, cert):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "verify", "-i", _write(tmp_path, obj),
+                                 "--field", field)
+            assert time.perf_counter() - start < 1.0
+            if code == 1:
+                assert out == "" and err.startswith("error:")
+                assert len(err.splitlines()) == 1
+            else:
+                assert (code, err) == (3, "")
+                assert json.loads(out)["valid"] is False
+            seen.add((edit, code))
+    assert {edit for edit, _ in seen} == {"scalar", "embedding", "gluing", "qprime"}
+
+
 @pytest.mark.parametrize("field", ["p:3", "p:5"])
 def test_oracle_check_refuses_small_primes(capsys, field):
     # the oracle samples a summand of degree m at 0..m, which repeat mod p

@@ -1,6 +1,6 @@
-"""RationalField.parse against an independent reading of its documented
-spellings: a signed decimal integer or ratio, surrounding whitespace
-allowed."""
+"""RationalField.parse and PrimeField.parse against an independent reading
+of their documented spellings: a signed decimal integer or ratio,
+surrounding whitespace allowed."""
 import re
 from fractions import Fraction
 
@@ -9,9 +9,10 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from treebundles.fields import RationalField  # noqa: E402
+from treebundles.fields import FpElement, PrimeField, RationalField  # noqa: E402
 
 DOCUMENTED = re.compile(r"^[+-]?\d+(/\d+)?$")
+P = 1000003
 
 
 def reference_parse(s):
@@ -26,11 +27,26 @@ def reference_parse(s):
     raise ValueError("not a rational number: %r" % (s,))
 
 
+def reference_parse_prime(s):
+    """The residue num * den^-1 mod P of a string the documented pattern
+    matches, read digit group by digit group; an error otherwise, and on a
+    denominator divisible by P."""
+    t = s.strip()
+    if DOCUMENTED.match(t):
+        num, _, den = t.partition("/")
+        den = int(den) if den else 1
+        if den % P:
+            return FpElement(int(num) * pow(den, -1, P), P)
+    raise ValueError("not an element of GF(%d): %r" % (P, s))
+
+
 def outcome(parse, s):
     try:
         x = parse(s)
     except ValueError as exc:
         return ("error", str(exc))
+    if isinstance(x, FpElement):
+        return ("value", type(x), x.val, x.p)
     return ("value", type(x), x.numerator, x.denominator)
 
 
@@ -46,14 +62,25 @@ spelled = st.builds(_spelled, st.sampled_from(["", " ", "\t", "\n "]),
 tokens = st.text(alphabet="0123456789+-/ _.eE٣٤３²\t", max_size=12)
 
 
-@settings(max_examples=600, deadline=None)
-@given(st.one_of(spelled, tokens, st.text(max_size=8)))
-# an exponent of -59,345,456 in mixed-script digits, which Fraction(str)
-# would expand exactly
-@example("1E-59٣３4_5٤6")
-@example("1e3")
-@example("1.5")
-@example("1_000")
-@example("1/0")
+def documented_spellings(test):
+    """Runs `test` on generated spellings, plain and mangled, and on the
+    strings that once slipped through: an exponent of -59,345,456 in
+    mixed-script digits, which Fraction(str) would expand exactly, and the
+    spellings outside the pattern."""
+    for s in ("1E-59٣３4_5٤6", "1e3", "1.5", "1_000", "1/0"):
+        test = example(s)(test)
+    strings = st.one_of(spelled, tokens, st.text(max_size=8))
+    return settings(max_examples=600, deadline=None)(given(strings)(test))
+
+
+@documented_spellings
 def test_parse_accepts_exactly_the_documented_spellings(s):
     assert outcome(RationalField().parse, s) == outcome(reference_parse, s)
+
+
+@documented_spellings
+@example("1000003")
+@example("3/1000003")
+@example("-2000006/4")
+def test_prime_parse_accepts_exactly_the_documented_spellings(s):
+    assert outcome(PrimeField(P).parse, s) == outcome(reference_parse_prime, s)

@@ -1,0 +1,240 @@
+"""The integer node checks, saturation and quotient gluings of
+`treebundles.subbundles` against the field-element route in
+`reference_linalg`, on seeded bundles over q, p:7 and p:1000003.
+
+Over q the node coordinates (1/2, -2/3, 5/7 among others) and the gluing
+entries have denominators. Neither the bench corpus nor
+`sampling.random_tree` ever puts a denominator on a node, so without these
+bundles the homogeneous scaling d^(K-k) of the node values would go
+untested. The last test runs certify and verify entirely on the reference
+route, so a fault that certify and verify would share cannot hide there.
+"""
+import random
+
+import pytest
+
+from treebundles import poly, specialize, subbundles
+from treebundles.bundle import GluedBundle, make_bundle, section_basis, twist
+from treebundles.curve import Edge, TreeCurve
+from treebundles.fields import PrimeField, RationalField
+from treebundles.linalg import is_invertible
+from treebundles.sampling import balanced_splitting, random_tree
+from treebundles.serialize import certificate_to_json, dumps
+from treebundles.specialize import certify, find_line_subbundle, verify_certificate
+from treebundles.subbundles import (LineSubbundle, SubbundleError,
+                                    quotient_with_projections, saturate)
+
+import reference_linalg as ref
+
+FIELDS = [RationalField(), PrimeField(7), PrimeField(1000003)]
+COORDS = ("1/2", "-2/3", "5/7", "0", "3", "-1", "7/4")
+
+
+def _coordinates(fld):
+    """The distinct values of COORDS in the field (5/7 does not exist mod 7,
+    and 1/2 = -2/3 there)."""
+    values = []
+    for s in COORDS:
+        try:
+            x = fld.parse(s)
+        except ValueError:
+            continue
+        if x not in values:
+            values.append(x)
+    return values
+
+
+def _tree(rng, fld, n):
+    """A random tree whose node coordinates are drawn from COORDS."""
+    curve = random_tree(rng, n, fld)
+    values = _coordinates(fld)
+    pick = {v: rng.sample(values, len(values)) for v in curve.components}
+    edges = [Edge(e.a, pick[e.a].pop(), e.b, pick[e.b].pop())
+             for e in curve.edges]
+    return TreeCurve(curve.components, tuple(edges), fld)
+
+
+def _gluing(rng, fld, r):
+    while True:
+        m = [[fld.of(rng.randint(-3, 3)) / fld.of(rng.choice((1, 2, 3, 5)))
+              for _ in range(r)] for _ in range(r)]
+        if is_invertible(m, fld.char):
+            return m
+
+
+def _bundle(rng, fld):
+    curve = _tree(rng, fld, rng.randint(1, 4))
+    r = rng.randint(2, 3)
+    spl = {v: tuple(rng.randint(-2, 2) for _ in range(r)) for v in curve.components}
+    return make_bundle(curve, spl, {i: _gluing(rng, fld, r)
+                                    for i in range(len(curve.edges))})
+
+
+def _outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except SubbundleError as exc:
+        return ("error", str(exc))
+
+
+def _reference_validate(sub):
+    problems = ref.subbundle_problems(sub)
+    if problems:
+        raise SubbundleError("; ".join(problems))
+    return sub
+
+
+def _reference_quotient(bundle, sub):
+    r = bundle.rank
+    qsplit, projections = {}, {}
+    for v in bundle.curve.components:
+        found = ref.kernel_generators(bundle.field, list(bundle.splittings[v]),
+                                      sub.degrees[v], sub.embeddings[v], r - 1)
+        qsplit[v] = tuple(b for b, _ in found)
+        projections[v] = [gens for _, gens in found]
+    glue = ref.quotient_gluings(bundle, projections)
+    return GluedBundle(bundle.curve, r - 1, qsplit, glue), projections
+
+
+def _reference_junction(bundle, edge_index, plan):
+    e = bundle.curve.edges[edge_index]
+    u0, vb = ref.node_fibres(bundle, edge_index, plan.polys)
+    rho = ref.direction_scalar(u0, vb)
+    if rho is not None:
+        assert rho, "transported fiber vector vanished"
+        plan.scalars[(e.a, e.b)] = rho
+    else:
+        plan.bridges.append((e.a, e.b, u0, vb))
+
+
+def _tampered(rng, sub):
+    """Copies of a valid subbundle with one thing changed, each reaching
+    one of validate's problems (or none, when the change keeps it valid)."""
+    host, fld = sub.host, sub.host.field
+    comps = host.curve.components
+
+    def copy():
+        return LineSubbundle(host, sub.degrees, sub.embeddings, sub.scalars)
+
+    v = rng.choice(comps)
+    if sub.scalars:
+        t = copy()
+        i = rng.choice(sorted(t.scalars))
+        t.scalars[i] = t.scalars[i] * fld.of(rng.choice((2, 3))) / fld.of(5)
+        yield t
+        t = copy()
+        t.scalars[i] = fld.zero
+        yield t
+    t = copy()
+    coords = [q for q in t.embeddings[v] if q]
+    q = rng.choice(coords)
+    q[rng.randrange(len(q))] += fld.one / fld.of(2)
+    yield t
+    t = copy()
+    t.embeddings[v] = [ref.trim([fld.of(-3) * c for c in q] + [fld.zero])
+                       if q else [] for q in t.embeddings[v]]
+    yield t
+    t = copy()
+    # a common zero at a point: every coordinate times (x - 1/2)
+    half = fld.one / fld.of(2)
+    t.embeddings[v] = [ref.trim([-half * q[0]] + [q[k - 1] - half * q[k]
+                                                  for k in range(1, len(q))]
+                                + [q[-1]]) if q else [] for q in t.embeddings[v]]
+    t.degrees[v] -= 1
+    yield t
+    t = copy()
+    t.degrees[v] += 1
+    yield t
+    t = copy()
+    t.embeddings[v] = t.embeddings[v][:-1]
+    yield t
+    t = copy()
+    t.embeddings[v] = [[] for _ in t.embeddings[v]]
+    yield t
+
+
+def _sections(rng, bundle):
+    """Sections of a few positive twists: basis vectors and random
+    combinations."""
+    fld = bundle.field
+    for _ in range(2):
+        md = {v: rng.randint(0, 2) for v in bundle.curve.components}
+        host = twist(bundle, md)
+        basis = section_basis(host)
+        for sec in basis[:3]:
+            yield host, sec
+        if len(basis) > 1:
+            sec = {v: [[] for _ in range(host.rank)] for v in host.curve.components}
+            for b in basis:
+                c = fld.of(rng.randint(1, 9)) / fld.of(rng.choice((1, 2, 3)))
+                for v, polys in sec.items():
+                    for i in range(host.rank):
+                        polys[i] = poly.add(polys[i], poly.scale(b[v][i], c),
+                                            fld.zero)
+            yield host, sec
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=lambda f: f.name)
+def test_saturate_validate_and_quotients_match_the_field_route(fld):
+    rng = random.Random(1500 + fld.char % 1000)
+    saturated = errors = problems = valid = quotients = bridged = 0
+    for _ in range(30):
+        bundle = _bundle(rng, fld)
+        for host, sec in _sections(rng, bundle):
+            got = _outcome(saturate, host, sec)
+            want = _outcome(ref.saturate, host, sec)
+            if got[0] == "ok":
+                s = got[1]
+                got = ("ok", (s.degrees, s.embeddings, s.scalars))
+                saturated += 1
+            else:
+                errors += 1
+            assert got == want
+        enl, sub = find_line_subbundle(bundle)
+        bridged += len(enl.contracted)
+        assert ref.subbundle_problems(sub) == []
+        subs = [sub] + list(_tampered(rng, sub))
+        for t in subs:
+            got = _outcome(lambda s: s.validate() and "", t)
+            want = ref.subbundle_problems(t)
+            assert got == (("error", "; ".join(want)) if want else ("ok", ""))
+            problems += len(want)
+            valid += not want
+        for t in subs:
+            if ref.subbundle_problems(t):
+                continue
+            quot, proj = quotient_with_projections(t.host, t)
+            want_quot, want_proj = _reference_quotient(t.host, t)
+            assert quot == want_quot and proj == want_proj
+            quotients += 1
+    assert saturated > 40 and errors > 5
+    assert problems > 150 and valid >= 30 and quotients >= 30
+    if fld.char != 7:
+        assert bridged > 0
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=lambda f: f.name)
+def test_certify_and_verify_match_the_field_route(fld, monkeypatch):
+    rng = random.Random(1501 + fld.char % 1000)
+    cases = []
+    for _ in range(12):
+        bundle = _bundle(rng, fld)
+        cases.append((bundle, balanced_splitting(bundle.rank, bundle.degree())))
+
+    def run():
+        out = []
+        for bundle, src in cases:
+            cert = certify(bundle, src)
+            assert verify_certificate(cert) == (True, [])
+            out.append(dumps(certificate_to_json(cert)))
+        return out
+
+    got = run()
+    with monkeypatch.context() as m:
+        m.setattr(specialize, "_junction", _reference_junction)
+        m.setattr(specialize, "saturate",
+                  lambda b, s: LineSubbundle(b, *ref.saturate(b, s)))
+        m.setattr(specialize, "quotient_with_projections", _reference_quotient)
+        m.setattr(subbundles.LineSubbundle, "validate", _reference_validate)
+        want = run()
+    assert got == want
