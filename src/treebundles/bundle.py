@@ -581,18 +581,21 @@ def dmax(bundle: GluedBundle):
     interval starting at the all-floors twist, and the levels are climbed
     from there until one has no sectionless entry; the ceiling box is empty
     past level sum(lo_v + val(v)), so the climb ends. Every probe is a count
-    on the bundle's one section system.
+    on the bundle's one section system, taken only where its floor, which
+    takes no rank, is 0: a positive floor already proves a section, so the
+    first sectionless entry of each level, the value and the witness do not
+    change.
     """
     comps = bundle.curve.components
     system = SectionSystem(bundle)
-    lo, count = system.lo, system.count
+    lo, count, floor = system.lo, system.count, system.floor
     hi = {v: lo[v] + system.val[v] for v in comps}
     e = sum(lo.values())
     witness = dict(lo)
     while True:
         e += 1
         found = next((md for md in level_box(comps, lo, hi, e)
-                      if count(md) == 0), None)
+                      if floor(md) == 0 and count(md) == 0), None)
         if found is None:
             return -e, witness
         witness = found

@@ -28,8 +28,7 @@ from .linalg import field_elements
 from .splitting import (SplittingType, merge_with_line, remove_line,
                         specializes_p1)
 from .subbundles import (LineSubbundle, SubbundleError, _cleared,
-                         _direction_scalar, _node_fibres,
-                         quotient_with_projections, saturate)
+                         _direction_scalar, _node_fibres, _quotient, saturate)
 
 
 class MismatchError(ValueError):
@@ -578,7 +577,7 @@ def certify(target: GluedBundle, source: SplittingType) -> Certificate:
         steps.append(DominanceStep(cur_s, merged))
         steps.append(EnlargementStep(enl))
         # find_line_subbundle has validated sub
-        quot = quotient_with_projections(sub.host, sub)[0]
+        quot = _quotient(sub.host, sub)
         qprime = remove_line(merged, d)
         steps.append(SplitOffStep(sub, quot, qprime))
         cur_t, cur_s = quot, qprime
@@ -662,7 +661,7 @@ def verify_certificate(cert: Certificate):
             if d != dmax(cur_t)[0]:
                 return fail("step %d: subbundle degree %d is not maximal" % (k, d))
             # validated just above
-            if quotient_with_projections(pulled, sub)[0] != step.quotient:
+            if _quotient(pulled, sub) != step.quotient:
                 return fail("step %d: quotient does not recompute" % k)
             try:
                 expected = remove_line(cur_s, d)

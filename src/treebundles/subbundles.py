@@ -5,6 +5,12 @@ coordinate polynomials of the embedding into the summands (degrees bounded
 by summand degree minus a_v), together with one nonzero scalar per node
 tying the two sides' fiber directions through the gluing.
 
+The quotient by a line subbundle L of a rank-2 bundle E is the line
+bundle det E (x) L^-1, built in closed form from the embedding's leading
+coefficients, the subbundle scalars and the gluing determinants; in higher
+rank the quotient's summands come from minimal generators of the
+embedding's syzygies, found degree by degree.
+
 Node checks, saturation and quotient gluings run on integers: a
 component's coordinate polynomials are cleared by one common denominator
 and evaluated at a node homogeneously, so every fiber vector is an integer
@@ -276,13 +282,52 @@ def _kernel_generators(p, ms, a, phis, want):
     return found
 
 
-def quotient_with_projections(bundle: GluedBundle, sub: LineSubbundle):
-    """Quotient bundle plus, per component, the generator rows projecting
-    host fibers onto quotient fibers.
+def _quotient(bundle: GluedBundle, sub: LineSubbundle) -> GluedBundle:
+    """The quotient bundle by a line subbundle.
 
     `sub` must already be valid (`LineSubbundle.validate`, which `saturate`
     and `specialize.find_line_subbundle` run); `quotient_bundle` validates
     it first.
+
+    In rank 2 the quotient is det E (x) L^-1, in closed form. On a
+    component the syzygies of (phi_0, phi_1) are generated by the Koszul
+    pair (phi_1, -phi_0), so the quotient degree is m_0 + m_1 - a, and the
+    generator the search of `_kernel_generators` finds is that pair over
+    c = -lead(phi_0) if phi_0 != 0, else lead(phi_1) (its last nonzero
+    coordinate is 1). With u = phi_a(p_a) and G u = lam phi_b(p_b), the
+    a-side generator row is (u_1, -u_0) / c_a = u^T S / c_a for
+    S = [[0, -1], [1, 0]], and G^T S G = det(G) S turns N g_a = g_b G into
+    N = det(G) c_a / (lam c_b). Higher ranks take `_quotient_by_generators`.
+    """
+    if sub.host != bundle:
+        raise BundleError("subbundle does not live in this bundle")
+    r = bundle.rank
+    if r < 2:
+        raise BundleError("quotient by a line subbundle needs rank at least 2")
+    if r > 2:
+        return _quotient_by_generators(bundle, sub)
+    p = bundle.field.char
+    qsplit, lead = {}, {}
+    for v in bundle.curve.components:
+        m0, m1 = bundle.splittings[v]
+        qsplit[v] = (m0 + m1 - sub.degrees[v],)
+        phi0, phi1 = (poly.trim(q) for q in sub.embeddings[v])
+        lead[v] = _ratio(-phi0[-1] if phi0 else phi1[-1], p)
+    qglue = {}
+    for i, e in enumerate(bundle.curve.edges):
+        ((g00, g01), (g10, g11)), den = _cleared(bundle.gluings[i], p)
+        (na, da), (nb, db) = lead[e.a], lead[e.b]
+        nl, dl = _ratio(sub.scalars[i], p)
+        # det(G) = det_int / den^2
+        num = (g00 * g11 - g01 * g10) * na * db * dl
+        assert _nonzero(num, p), "quotient gluing is singular"
+        qglue[i] = [[_element(num, den * den * da * nl * nb, p)]]
+    return GluedBundle(bundle.curve, 1, qsplit, qglue)
+
+
+def _quotient_by_generators(bundle: GluedBundle, sub: LineSubbundle):
+    """The quotient bundle of any rank from the kernel generators found by
+    `_kernel_generators`, one per quotient summand.
 
     The gluing N of an edge solves N gx = gy G, with gx and gy the
     generator rows at the node on the two sides. Each row is an integer
@@ -290,19 +335,14 @@ def quotient_with_projections(bundle: GluedBundle, sub: LineSubbundle):
     over L, so N = S_b^-1 N_int S_a / L for the integer solution N_int of
     N_int gx_int = gy_int G_int, from one integer Gauss-Jordan.
     """
-    if sub.host != bundle:
-        raise BundleError("subbundle does not live in this bundle")
     r = bundle.rank
-    if r < 2:
-        raise BundleError("quotient by a line subbundle needs rank at least 2")
     p = bundle.field.char
-    qsplit, projections, generators = {}, {}, {}
+    qsplit, generators = {}, {}
     for v in bundle.curve.components:
         found = _kernel_generators(p, list(bundle.splittings[v]),
                                    sub.degrees[v], sub.embeddings[v], r - 1)
         qsplit[v] = tuple(b for b, _, _ in found)
         generators[v] = [(gens, den) for _, gens, den in found]
-        projections[v] = [_polys(gens, den, p) for gens, den in generators[v]]
     qglue = {}
     for i, e in enumerate(bundle.curve.edges):
         gx, sa = zip(*(_values_at(g, d, e.pa, p) for g, d in generators[e.a]))
@@ -322,8 +362,7 @@ def quotient_with_projections(bundle: GluedBundle, sub: LineSubbundle):
         assert rank == r - 1, "quotient gluing is singular"
         qglue[i] = [[_element(block[j][k] * sa[j], rden * sb[k] * den, p)
                      for j in range(r - 1)] for k in range(r - 1)]
-    quot = GluedBundle(bundle.curve, r - 1, qsplit, qglue)
-    return quot, projections
+    return GluedBundle(bundle.curve, r - 1, qsplit, qglue)
 
 
 def _polys(ints, den, p):
@@ -334,4 +373,4 @@ def _polys(ints, den, p):
 
 def quotient_bundle(bundle: GluedBundle, sub: LineSubbundle) -> GluedBundle:
     """The quotient bundle by a line subbundle, validated first."""
-    return quotient_with_projections(bundle, sub.validate())[0]
+    return _quotient(bundle, sub.validate())

@@ -8,8 +8,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from treebundles import poly
 from treebundles.bundle import make_bundle
 from treebundles.curve import Edge, TreeCurve
+from treebundles.linalg import field_elements
+from treebundles.subbundles import _kernel_generators
 
 
 def build_ex():
@@ -48,6 +51,23 @@ def regression_bundle():
     return make_bundle(curve,
                        {"v1": (-1, -1, 2), "v2": (-2, 1, -2), "v3": (-2, 0, 2)},
                        {0: g0, 1: g1})
+
+
+def projections(host, sub):
+    """Per component, the rows projecting host fibers onto quotient fibers:
+    the generators `_kernel_generators` finds, as field-element
+    polynomials."""
+    p = host.field.char
+    out = {}
+    for v in host.curve.components:
+        rows = []
+        for _, blocks, den in _kernel_generators(
+                p, list(host.splittings[v]), sub.degrees[v],
+                sub.embeddings[v], host.rank - 1):
+            of = field_elements(den, p)
+            rows.append([poly.trim([of(x) for x in g]) for g in blocks])
+        out[v] = rows
+    return out
 
 
 @pytest.fixture

@@ -177,6 +177,28 @@ def test_dmax_definition_on_random_instances():
         assert first == witness
 
 
+def test_dmax_takes_ranks_only_where_the_floor_is_zero(monkeypatch):
+    # a positive floor already proves a section, so no rank is taken there
+    floors = []
+    count, rank = SectionSystem.count, SectionSystem._rank
+
+    def counting(self, md):
+        self.probe = md
+        return count(self, md)
+
+    def ranking(self, state):
+        floors.append(self.floor(self.probe))
+        return rank(self, state)
+
+    monkeypatch.setattr(SectionSystem, "count", counting)
+    monkeypatch.setattr(SectionSystem, "_rank", ranking)
+    rng = random.Random(33)
+    for field in [None] * 25 + [PrimeField(1000003)] * 25:
+        curve = random_tree(rng, rng.randint(1, 4), field)
+        dmax(random_bundle(rng, curve, rng.randint(1, 3), lo=-2, hi=2))
+    assert len(floors) > 50 and set(floors) == {0}
+
+
 def test_dmax_cost_is_bounded_by_the_ceiling_box():
     # a sectionless twist has at most val(v) + 1 values per component, so
     # this chain costs a handful of small levels, not its full clamp boxes

@@ -16,7 +16,8 @@ import treebundles
 from treebundles import specialize
 from treebundles.cli import main
 from treebundles.fields import field_from_name
-from treebundles.sampling import balanced_splitting, random_bundle, random_tree
+from treebundles.sampling import (balanced_splitting, random_bundle,
+                                  random_tree, spread)
 from treebundles.serialize import (bundle_to_json, certificate_to_json,
                                    curve_to_json, dumps)
 from treebundles.specialize import certify
@@ -461,6 +462,73 @@ def test_verify_rejects_tampered_splitoff_steps(tmp_path, capsys, field):
                 assert json.loads(out)["valid"] is False
             seen.add((edit, code))
     assert {edit for edit, _ in seen} == {"scalar", "embedding", "gluing", "qprime"}
+
+
+def _base_edits(rng, cert):
+    """Copies of `cert`, each with one number of one dominance, rank1 or
+    witness step changed: one degree moved between two entries of a
+    dominance `from` or `to` (the sum kept, the multiset changed), the
+    `rank1` degree, a witness multidegree coordinate, `lhs` or `rhs`. Every
+    new number is drawn from 10..19 and differs from the one it replaces."""
+    def fresh(old):
+        return rng.choice([x for x in range(10, 20) if x != old])
+
+    edits = {"dominance": ("from", "to"), "rank1": ("degree",),
+             "witness": ("multidegree", "lhs", "rhs")}
+    for k, step in enumerate(cert["steps"]):
+        for edit in edits.get(step["kind"], ()):
+            obj = json.loads(dumps(cert))
+            step = obj["steps"][k]
+            if edit in ("from", "to"):
+                ds = step[edit]
+                i, j = rng.sample(range(len(ds)), 2)
+                if ds[i] - ds[j] == 1:
+                    # moving one from i to j would only swap the two
+                    i, j = j, i
+                ds[i] -= 1
+                ds[j] += 1
+            elif edit == "multidegree":
+                md = step["multidegree"]
+                v = rng.choice(sorted(md))
+                md[v] = fresh(md[v])
+            else:
+                step[edit] = fresh(step[edit])
+            yield step["kind"] + ":" + edit, obj
+
+
+@pytest.mark.parametrize("field", ["q", "p:1000003"])
+def test_verify_rejects_tampered_dominance_base_and_witness_steps(
+        tmp_path, capsys, field):
+    # seeded certificates of both verdicts: balanced sources and sources
+    # spread outward, which some trees refute
+    rng = random.Random(16)
+    fld = field_from_name(field)
+    certs = {"yes": [], "no": []}
+    while min(map(len, certs.values())) < 4:
+        curve = random_tree(rng, rng.randint(2, 3), fld)
+        bundle = random_bundle(rng, curve, rng.randint(2, 3), lo=-2, hi=2)
+        source = spread(rng, balanced_splitting(bundle.rank, bundle.degree()),
+                        rng.randint(0, 4))
+        cert = certificate_to_json(certify(bundle, source))
+        verdict = "no" if cert["steps"][0]["kind"] == "witness" else "yes"
+        certs[verdict].append(cert)
+    seen = set()
+    for cert in certs["yes"][:4] + certs["no"][:4]:
+        for edit, obj in _base_edits(rng, cert):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "verify", "-i", _write(tmp_path, obj),
+                                 "--field", field)
+            assert time.perf_counter() - start < 1.0
+            if code == 1:
+                assert out == "" and err.startswith("error:")
+                assert len(err.splitlines()) == 1
+            else:
+                assert (code, err) == (3, "")
+                assert json.loads(out)["valid"] is False
+            seen.add((edit, code))
+    assert {edit for edit, _ in seen} == {
+        "dominance:from", "dominance:to", "rank1:degree", "witness:multidegree",
+        "witness:lhs", "witness:rhs"}
 
 
 @pytest.mark.parametrize("field", ["p:3", "p:5"])

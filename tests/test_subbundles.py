@@ -12,9 +12,11 @@ from treebundles.fields import PrimeField, RationalField
 from treebundles.linalg import field_elements
 from treebundles.sampling import random_bundle, random_tree
 from treebundles.subbundles import (LineSubbundle, SubbundleError,
-                                    _kernel_generators, quotient_bundle,
-                                    quotient_with_projections, saturate)
+                                    _kernel_generators, _quotient,
+                                    _quotient_by_generators, quotient_bundle,
+                                    saturate)
 
+from conftest import projections
 from reference_linalg import (evaluate, gcd_monic, kernel_generators, mat_vec,
                               matrix_rank)
 
@@ -136,12 +138,11 @@ def test_saturate_only_raises_degree():
 def test_quotient_golden(ex_bundle):
     sec = {"v1": [[F(0), F(1)], [F(1)]], "v2": [[], [F(1), F(1)]]}
     sub = saturate(ex_bundle, sec)
-    quot, projections = quotient_with_projections(ex_bundle, sub)
+    quot = _quotient(ex_bundle, sub)
     assert quot.rank == 1
     assert quot.splittings == {"v1": (2,), "v2": (0,)}
     assert quot.gluings == {0: [[F(-1)]]}
     assert quot.degree() == ex_bundle.degree() - sub.degree()
-    assert set(projections) == {"v1", "v2"}
 
 
 def test_quotient_requires_matching_host(ex_bundle):
@@ -181,7 +182,7 @@ def test_fiber_surjectivity_with_line_kernel(ex_bundle):
     rng = random.Random(43)
     sec = {"v1": [[F(0), F(1)], [F(1)]], "v2": [[], [F(1), F(1)]]}
     sub = saturate(ex_bundle, sec)
-    quot, projections = quotient_with_projections(ex_bundle, sub)
+    rows = projections(ex_bundle, sub)
     zero = ex_bundle.field.zero
     r = ex_bundle.rank
     points = {v: [F(rng.randint(-20, 20)) for _ in range(5)]
@@ -191,8 +192,7 @@ def test_fiber_surjectivity_with_line_kernel(ex_bundle):
     points["v2"].append(e.pb)
     for v, pts in points.items():
         for t in pts:
-            g = [[evaluate(p, t, zero) for p in gens]
-                 for gens in projections[v]]
+            g = [[evaluate(p, t, zero) for p in gens] for gens in rows[v]]
             emb = [evaluate(p, t, zero) for p in sub.embeddings[v]]
             assert mat_vec(g, emb, zero) == [zero] * (r - 1)
             # onto: the (r-1) x r evaluation matrix has full row rank
@@ -202,22 +202,24 @@ def test_fiber_surjectivity_with_line_kernel(ex_bundle):
 def test_quotient_fiber_checks_random():
     rng = random.Random(44)
     from treebundles.specialize import find_line_subbundle
+    ranks = set()
     for _ in range(10):
         curve = random_tree(rng, rng.randint(1, 3))
         bundle = random_bundle(rng, curve, rng.randint(2, 3), lo=-2, hi=2)
         enl, sub = find_line_subbundle(bundle)
         host = sub.host
-        quot, projections = quotient_with_projections(host, sub)
+        rows = projections(host, sub)
+        ranks.add(host.rank)
         zero = host.field.zero
         r = host.rank
         for v in host.curve.components:
             for _ in range(5):
                 t = F(rng.randint(-30, 30))
-                g = [[evaluate(p, t, zero) for p in gens]
-                     for gens in projections[v]]
+                g = [[evaluate(p, t, zero) for p in gens] for gens in rows[v]]
                 emb = [evaluate(p, t, zero) for p in sub.embeddings[v]]
                 assert mat_vec(g, emb, zero) == [zero] * (r - 1)
                 assert matrix_rank(g, r) == r - 1
+    assert ranks == {2, 3}
 
 
 def test_kernel_generators_match_the_field_reference():
@@ -248,3 +250,69 @@ def test_kernel_generators_match_the_field_reference():
                 got.append((b, [poly.trim([of(x) for x in g]) for g in blocks]))
             assert got == kernel_generators(fld, ms, a, phis, r - 1)
             done += 1
+
+
+@pytest.mark.parametrize("fld", [RationalField(), PrimeField(7),
+                                 PrimeField(1000003)], ids=lambda f: f.name)
+def test_rank_two_quotient_matches_the_generator_search(fld):
+    """The closed form det E (x) L^-1 against the generic route through
+    `_kernel_generators`: maximal subbundles of seeded rank-2 bundles,
+    bridged hosts included, saturated sections of split bundles, where a
+    whole coordinate of the embedding vanishes on some component, and
+    copies of each with one component's embedding rescaled."""
+    from treebundles.bundle import section_basis
+    from treebundles.sampling import random_invertible
+    from treebundles.specialize import find_line_subbundle
+    rng = random.Random(46 + fld.char % 1000)
+    subs, bridged, zero_coordinate, both_nonzero = [], 0, 0, 0
+
+    def gluing(split):
+        # gluing entries with denominators over Q
+        scale = fld.one / fld.of(rng.choice((1, 2, 3, 5)))
+        if split:
+            return [[fld.of(rng.choice((1, -2, 3))) * scale, fld.zero],
+                    [fld.zero, fld.of(rng.choice((-1, 2, 5))) * scale]]
+        return [[x * scale for x in row]
+                for row in random_invertible(rng, fld, 2)]
+
+    for k in range(40):
+        split = k % 2 == 1
+        curve = random_tree(rng, rng.randint(1, 4), fld)
+        bundle = make_bundle(
+            curve, {v: (rng.randint(-2, 2), rng.randint(-2, 2))
+                    for v in curve.components},
+            {i: gluing(split) for i in range(len(curve.edges))})
+        enl, sub = find_line_subbundle(bundle)
+        bridged += bool(enl.contracted)
+        subs.append(sub)
+        if split:
+            host = twist(bundle, {v: 1 for v in curve.components})
+            for sec in section_basis(host)[:4]:
+                try:
+                    subs.append(saturate(host, sec))
+                except SubbundleError:
+                    continue
+    # the search and saturation give scalars of +-1 almost always; one
+    # component's embedding times c moves the scalars by c (c^-1 where the
+    # component is the b side) and leaves the quotient as it is
+    c = fld.of(2) / fld.of(3)
+    for sub in subs[:]:
+        v = rng.choice(sub.host.curve.components)
+        scalars = {}
+        for i, e in enumerate(sub.host.curve.edges):
+            lam = sub.scalars[i]
+            scalars[i] = lam * c if e.a == v else lam / c if e.b == v else lam
+        scaled = LineSubbundle(
+            sub.host, sub.degrees,
+            {w: [[x * c for x in q] if w == v else q for q in ps]
+             for w, ps in sub.embeddings.items()}, scalars).validate()
+        assert _quotient(sub.host, scaled) == _quotient(sub.host, sub)
+        subs.append(scaled)
+    for sub in subs:
+        zeros = [[not poly.trim(q) for q in ps] for ps in sub.embeddings.values()]
+        zero_coordinate += any(map(any, zeros))
+        # a component where the sign and the lead of phi_0 both matter
+        both_nonzero += not all(map(any, zeros))
+        assert _quotient(sub.host, sub) == _quotient_by_generators(sub.host, sub)
+    assert len(subs) >= 30 and bridged >= 5
+    assert zero_coordinate >= 5 and both_nonzero >= 5

@@ -21,10 +21,11 @@ from treebundles.linalg import is_invertible
 from treebundles.sampling import balanced_splitting, random_tree
 from treebundles.serialize import certificate_to_json, dumps
 from treebundles.specialize import certify, find_line_subbundle, verify_certificate
-from treebundles.subbundles import (LineSubbundle, SubbundleError,
-                                    quotient_with_projections, saturate)
+from treebundles.subbundles import (LineSubbundle, SubbundleError, _quotient,
+                                    saturate)
 
 import reference_linalg as ref
+from conftest import projections
 
 FIELDS = [RationalField(), PrimeField(7), PrimeField(1000003)]
 COORDS = ("1/2", "-2/3", "5/7", "0", "3", "-1", "7/4")
@@ -86,14 +87,14 @@ def _reference_validate(sub):
 
 def _reference_quotient(bundle, sub):
     r = bundle.rank
-    qsplit, projections = {}, {}
+    qsplit, rows = {}, {}
     for v in bundle.curve.components:
         found = ref.kernel_generators(bundle.field, list(bundle.splittings[v]),
                                       sub.degrees[v], sub.embeddings[v], r - 1)
         qsplit[v] = tuple(b for b, _ in found)
-        projections[v] = [gens for _, gens in found]
-    glue = ref.quotient_gluings(bundle, projections)
-    return GluedBundle(bundle.curve, r - 1, qsplit, glue), projections
+        rows[v] = [gens for _, gens in found]
+    glue = ref.quotient_gluings(bundle, rows)
+    return GluedBundle(bundle.curve, r - 1, qsplit, glue), rows
 
 
 def _reference_junction(bundle, edge_index, plan):
@@ -203,9 +204,9 @@ def test_saturate_validate_and_quotients_match_the_field_route(fld):
         for t in subs:
             if ref.subbundle_problems(t):
                 continue
-            quot, proj = quotient_with_projections(t.host, t)
             want_quot, want_proj = _reference_quotient(t.host, t)
-            assert quot == want_quot and proj == want_proj
+            assert _quotient(t.host, t) == want_quot
+            assert projections(t.host, t) == want_proj
             quotients += 1
     assert saturated > 40 and errors > 5
     assert problems > 150 and valid >= 30 and quotients >= 30
@@ -234,7 +235,8 @@ def test_certify_and_verify_match_the_field_route(fld, monkeypatch):
         m.setattr(specialize, "_junction", _reference_junction)
         m.setattr(specialize, "saturate",
                   lambda b, s: LineSubbundle(b, *ref.saturate(b, s)))
-        m.setattr(specialize, "quotient_with_projections", _reference_quotient)
+        m.setattr(specialize, "_quotient",
+                  lambda b, s: _reference_quotient(b, s)[0])
         m.setattr(subbundles.LineSubbundle, "validate", _reference_validate)
         want = run()
     assert got == want
