@@ -14,9 +14,12 @@ bundle serves every twist (`SectionSystem`): every block sits at degree
 val(v) - 1, where val(v) counts the nodes on the component, and a twist
 selects a prefix of each block's columns. A twist's h0 is sum(max(0, m+1))
 minus the rank of its selection, memoised by the clamped block degrees, so
-its cost does not depend on the twist: Bareiss elimination over Q,
-elimination mod p over GF(p). The same object bounds those counts from
-below with no rank at all, and holds the vanishing floors and the node
+its cost does not depend on the twist. When every clamped block is full
+(degree val(v) - 1) or empty, that rank is a sum over the nodes of ranks of
+gluing submatrices, with no elimination of the system; otherwise it is
+Bareiss elimination over Q, elimination mod p over GF(p). The same object
+bounds those counts from below with no rank at all (T - R, which is the
+count at every all-full twist), and holds the vanishing floors and the node
 counts val(v); `h0` is its count at the zero twist, and `dmax` and
 `specialize.decide` read everything they need from it.
 """
@@ -27,7 +30,8 @@ from math import inf, lcm
 from . import poly
 from .curve import TreeCurve, check_multidegree, restrict_curve
 from .linalg import (bareiss_rank, identity_matrix, integer_kernel_basis,
-                     invert_matrix, is_invertible, mat_mul, modular_rank)
+                     integer_rows, invert_matrix, is_invertible, mat_mul,
+                     modular_rank)
 
 
 class BundleError(ValueError):
@@ -272,14 +276,35 @@ class SectionSystem:
     these by one nonzero constant per row, so the ranks agree, and h0 is
     T = sum(max(0, m + 1)) minus the rank of the selected columns. The rank
     depends only on each block's degree clamped to [-1, cap_v], so `count`
-    memoises it on that clamped state: Bareiss elimination over Q,
-    elimination mod p over GF(p). The rows are built at the first rank.
+    memoises it on that clamped state.
+
+    Call a block full at cap_v, empty at -1 and partial otherwise. A state
+    with no partial block takes no elimination of the system:
+    - a full block's val(v) coefficients map bijectively onto its values
+      at v's val(v) distinct nodes (a square Vandermonde), and that change
+      of columns keeps the rank;
+    - afterwards every column meets the rows of one node only, so the rank
+      is a sum over the nodes;
+    - at node i the rows read G_i (a-side values) - (b-side values), up to
+      row scalings, which keep the rank. Their columns are
+      [G_i[:, F_a] | -I[:, F_b]], with F_a and F_b the full summands on the
+      a- and b-end, and this block has rank |F_b| + rank G_i[E_b, F_a],
+      with E_b the empty summands on the b-end: a submatrix of the
+      invertible gluing, at most rank x rank.
+    A leaf has cap 0 and is never partial, so every state of a
+    two-component bundle takes this route. A state with a partial block
+    takes the elimination of its selected columns instead: Bareiss
+    elimination over Q, elimination mod p over GF(p); the rows are built at
+    the first such rank.
 
     Both ends of every edge carry a block, so the system has
-    R = rank * #edges rows. The rank is at most R and at most the selected
-    column count T - V, where V = sum(max(0, m - cap_v)) counts the
-    sections that vanish at every node of v and extend by zero. So
-    floor(md) = max(T - R, V) <= h0(twist(bundle, md)).
+    R = rank * #edges rows and its rank is at most R. When every block is
+    full, F_b is every summand at every node and the rank is exactly R, so
+    h0 = T - R there. The rank is also at most the selected column count
+    T - V, where V = sum(max(0, m - cap_v)) counts the sections that vanish
+    at every node of v and extend by zero. So
+    floor(md) = max(T - R, V) <= h0(twist(bundle, md)), with equality to
+    T - R at every all-full twist, where T - V = 2R.
 
     level_floor(e) bounds h0 below on the whole clamp box of level e
     (md[v] >= lo[v], total e) by max(min T - R, min V), +inf if the box is
@@ -299,7 +324,9 @@ class SectionSystem:
         self._nrows = bundle.rank * len(bundle.curve.edges)
         self._sides = [(v, bundle.splittings[v], n - 1)
                        for v, n in self.val.items()]
-        self._rows = self._starts = None
+        # per entry of a clamped state, its block's cap
+        self._caps = tuple(top for _, ds, top in self._sides for _ in ds)
+        self._rows = self._starts = self._ends = self._glue = None
         self._ranks = {}
 
     def count(self, md):
@@ -322,6 +349,36 @@ class SectionSystem:
         return total - rank
 
     def _rank(self, state):
+        for m, top in zip(state, self._caps):
+            if -1 < m < top:
+                return self._coefficient_rank(state)
+        return self._node_rank(state)
+
+    def _node_rank(self, state):
+        # no partial block: per edge, |F_b| + rank G[E_b, F_a]
+        r = self.bundle.rank
+        p = self.bundle.field.char
+        if self._ends is None:
+            at = {v: k * r for k, (v, _, _) in enumerate(self._sides)}
+            self._ends = [(at[e.a], at[e.b]) for e in self.bundle.curve.edges]
+        rank = 0
+        for i, (a, b) in enumerate(self._ends):
+            full = [j for j in range(r) if state[a + j] >= 0]
+            empty = [k for k in range(r) if state[b + k] < 0]
+            rank += r - len(empty)
+            if 0 < len(full) < r and 0 < len(empty) < r:
+                if self._glue is None:
+                    self._glue = [integer_rows(self.bundle.gluings[j], p)
+                                  for j in range(len(self._ends))]
+                sub = [[self._glue[i][k][j] for j in full] for k in empty]
+                rank += (modular_rank(sub, len(full), p) if p
+                         else bareiss_rank(sub, len(full)))
+            else:
+                # rows and columns of an invertible gluing are independent
+                rank += min(len(full), len(empty))
+        return rank
+
+    def _coefficient_rank(self, state):
         r = self.bundle.rank
         if self._rows is None:
             blocks, ncols = _column_layout(

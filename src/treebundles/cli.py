@@ -31,6 +31,9 @@ class InputError(ValueError):
 
 # largest clamp box `box --level` prints
 _BOX_LIMIT = 10 ** 6
+# bound on the absolute value of a `--twist` entry, far below the 4,300
+# digits Python prints of an integer, so no twist pushes h0 or h1 past them
+_TWIST_LIMIT = 10 ** 1000
 
 
 def _load(path):
@@ -57,6 +60,9 @@ def _parse_twist(curve, text):
                 md[v] = int(num)
             except ValueError:
                 raise InputError("twist entry %r is not id:integer" % part)
+            if abs(md[v]) >= _TWIST_LIMIT:
+                raise InputError("twist entry on %r is not below 10^1000 in "
+                                 "absolute value" % v)
     try:
         return fill_multidegree(curve, md)
     except CurveError as exc:

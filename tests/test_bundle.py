@@ -6,7 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from treebundles import poly
+from treebundles import bundle as bundle_module
+from treebundles import linalg, poly
 from treebundles.bundle import (BundleError, SectionSystem, clamp_box,
                                 clamp_multidegree, contract_pushforward, dmax,
                                 h0, h0_oracle, h1, make_bundle, pullback,
@@ -372,6 +373,97 @@ def test_section_system_floor_counts_sections_vanishing_at_every_node():
     assert [system.floor(md) for md in box] == [3, 1, 1, 2]
     assert system.level_floor(-6) == 1 < min(h0(twist(bundle, md))
                                              for md in box) == 2
+
+
+def _twist_of_kind(rng, system, kind):
+    """A twist putting every block of a component at its cap ('full'),
+    below its summands ('empty'), one of the two per component ('mixed'),
+    or anywhere in -4..4 ('any')."""
+    md = {}
+    for v, ds in system.bundle.splittings.items():
+        side = rng.choice(("full", "empty")) if kind == "mixed" else kind
+        if side == "full":
+            md[v] = system.val[v] - 1 - min(ds) + rng.randint(0, 1)
+        elif side == "empty":
+            md[v] = -max(ds) - 1 - rng.randint(0, 1)
+        else:
+            md[v] = rng.randint(-4, 4)
+    return md
+
+
+def _clamped_state(system, md):
+    # each block's degree clamped to [-1, val(v) - 1], in the system's order
+    return tuple(max(-1, min(d + md[v], system.val[v] - 1))
+                 for v, ds in system.bundle.splittings.items() for d in ds)
+
+
+def _state_kind(system, state):
+    caps = [system.val[v] - 1 for v, ds in system.bundle.splittings.items()
+            for _ in ds]
+    blocks = {"full" if m == cap else "empty" if m == -1 else "partial"
+              for m, cap in zip(state, caps)}
+    if "partial" in blocks:
+        return "partial"
+    return "mixed" if len(blocks) == 2 else blocks.pop()
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(7), PrimeField(1000003)],
+                         ids=lambda f: f.name)
+def test_node_rank_matches_the_coefficient_elimination(fld):
+    # n 1-6 (a single component included), rank 1-4, and half the bundles
+    # over q with non-integral node coordinates and gluings
+    rng = random.Random(37 + fld.char % 1000)
+    seen = {"full": 0, "mixed": 0, "empty": 0, "partial": 0}
+    for k in range(72):
+        curve = random_tree(rng, 1 + k % 6, fld)
+        bundle = random_bundle(rng, curve, 1 + (k // 6) % 4, lo=-3, hi=3)
+        if fld == QQ and k % 2:
+            bundle = non_integral(rng, bundle)
+        system = SectionSystem(bundle)
+        for kind in ("full", "mixed", "mixed", "any", "any"):
+            state = _clamped_state(system, _twist_of_kind(rng, system, kind))
+            seen[_state_kind(system, state)] += 1
+            assert system._rank(state) == system._coefficient_rank(state)
+    assert min(seen["full"], seen["mixed"], seen["partial"]) >= 30, seen
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(1000003)], ids=lambda f: f.name)
+def test_all_full_twists_take_no_elimination(fld, monkeypatch):
+    # every twisted degree reaches val(v) - 1: h0 is the floor T - R, with
+    # no rank routine called and no matching rows built
+    rng = random.Random(38 + fld.char % 1000)
+    corpus = []
+    for k in range(30):
+        curve = random_tree(rng, 1 + k % 6, fld)
+        bundle = random_bundle(rng, curve, 1 + (k // 6) % 4, lo=-2, hi=2)
+        corpus.append(non_integral(rng, bundle) if fld == QQ and k % 2
+                      else bundle)
+    calls = []
+    for module in (bundle_module, linalg):
+        for name in ("bareiss_rank", "modular_rank"):
+            monkeypatch.setattr(module, name,
+                                lambda *args, name=name: calls.append(name))
+    for bundle in corpus:
+        system = SectionSystem(bundle)
+        for _ in range(4):
+            md = _twist_of_kind(rng, system, "full")
+            total = sum(d + md[v] + 1
+                        for v, ds in bundle.splittings.items() for d in ds)
+            rows = bundle.rank * len(bundle.curve.edges)
+            assert system.count(md) == system.floor(md) == total - rows
+        assert system._rows is None
+    assert calls == []
+    monkeypatch.undo()
+    # full and empty blocks mixed, against the independent route
+    mixed = 0
+    for bundle in corpus:
+        system = SectionSystem(bundle)
+        for _ in range(3):
+            md = _twist_of_kind(rng, system, "mixed")
+            if _state_kind(system, _clamped_state(system, md)) == "mixed":
+                mixed += 1
+                assert system.count(md) == h0_oracle(twist(bundle, md))
+    assert mixed >= 30
 
 
 def test_h0_on_fractional_node_coordinates():

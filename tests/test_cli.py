@@ -158,6 +158,30 @@ def test_bad_twist_flag_exit_1(ex_path, capsys):
     assert code2 == 1 and "unknown" in err2
 
 
+@pytest.mark.parametrize("verb", ["h0", "h1"])
+def test_a_twist_entry_past_the_bound_ends_in_one_error_line(tmp_path, capsys,
+                                                             verb):
+    # at a:<4,300 nines> on O(0,0) + O(0,0), h0 has 4,301 digits, more than
+    # Python prints of an integer; entries are bounded below 10^1000
+    i2 = [[F(1), F(0)], [F(0), F(1)]]
+    bundle = build_chain(("a", "b"), {"a": (0, 0), "b": (0, 0)}, {0: i2})
+    path = tmp_path / "flat.json"
+    path.write_text(dumps(bundle_to_json(bundle)))
+    nines = "9" * 4300
+    for entry in (nines, "-" + nines, "1" + "0" * 1000, "-1" + "0" * 1000):
+        code, out, err = run(capsys, verb, "-i", str(path),
+                             "--twist", "a:" + entry)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: twist entry on 'a'")
+        assert err.count("\n") == 1
+    # the largest entry allowed still prints: h0 = 2t + 2, h1 = 0
+    t = 10 ** 1000 - 1
+    code, out, err = run(capsys, verb, "-i", str(path), "--twist", "a:%d" % t)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == ({"h0": 2 * t + 2, "h1": 0} if verb == "h0"
+                               else {"h1": 0})
+
+
 def test_bad_target_flag_exit_1(ex_path, capsys):
     code, _, err = run(capsys, "decide", "-i", ex_path, "--target", "3;1")
     assert code == 1 and "target" in err
