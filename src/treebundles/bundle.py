@@ -25,13 +25,12 @@ counts val(v); `h0` is its count at the zero twist, and `dmax` and
 """
 from __future__ import annotations
 
-from math import inf, lcm
+from math import inf
 
 from . import poly
 from .curve import TreeCurve, check_multidegree, restrict_curve
-from .linalg import (bareiss_rank, identity_matrix, integer_kernel_basis,
-                     integer_rows, invert_matrix, is_invertible, mat_mul,
-                     modular_rank)
+from .linalg import (cleared, identity_matrix, integer_kernel_basis,
+                     invert_matrix, is_invertible, mat_mul, power_row, rank)
 
 
 class BundleError(ValueError):
@@ -208,27 +207,20 @@ def _column_layout(splittings):
     return blocks, ncols
 
 
-def _ratio(x, char):
-    """A field element as (numerator, denominator): a prime field residue
-    over 1, or a rational in lowest terms."""
-    return (getattr(x, "val", x), 1) if char else x.as_integer_ratio()
-
-
 def _matching_rows(bundle: GluedBundle, ncols, blocks):
     """Integer rows, one per (edge, summand): gluing * a-side values equals
     b-side values.
 
     With node points n_a/d_a and n_b/d_b and largest block degrees K and L
-    on the two sides, each row is scaled by d_a^K * d_b^L times the lcm of
-    its gluing-row denominators, so the Vandermonde entry p^k becomes
-    n^k * d^(K-k) and every entry is an integer. Scaling a row by a nonzero
-    constant keeps the rank, the kernel and the reduced echelon form. In a
-    prime field every denominator is 1 and powers are residues mod p. Edges
-    whose rows would be all zero contribute none.
+    on the two sides, every row of an edge is scaled by d_a^K * d_b^L times
+    the common denominator of its gluing, so the Vandermonde entry p^k
+    becomes n^k * d^(K-k) (`linalg.power_row`) and every entry is an
+    integer. Scaling a row by a nonzero constant keeps the rank, the kernel
+    and the reduced echelon form. In a prime field every denominator is 1
+    and powers are residues mod p. Edges whose rows would be all zero
+    contribute none.
     """
-    char = bundle.field.char
-    mod = char or None
-    rank = bundle.rank
+    p = bundle.field.char
     top = {}
     for (v, _), (m, _) in blocks.items():
         if m > top.get(v, -1):
@@ -238,26 +230,24 @@ def _matching_rows(bundle: GluedBundle, ncols, blocks):
         ka, kb = top.get(e.a, -1), top.get(e.b, -1)
         if ka < 0 and kb < 0:
             continue
-        na, da = _ratio(e.pa, char)
-        nb, db = _ratio(e.pb, char)
-        # a-side n_a^k d_a^(K-k) d_b^L, b-side -d_a^K n_b^k d_b^(L-k)
-        sa, sb = db ** max(kb, 0), -da ** max(ka, 0)
-        ua = [pow(na, k, mod) * da ** (ka - k) * sa for k in range(ka + 1)]
-        ub = [sb * pow(nb, k, mod) * db ** (kb - k) for k in range(kb + 1)]
-        a_blocks = [blocks.get((e.a, j)) for j in range(rank)]
-        for out, grow in enumerate(bundle.gluings[ei]):
-            grow = [_ratio(x, char) for x in grow]
-            den = lcm(*(d for _, d in grow))
+        ua, ub = power_row(e.pa, ka, p), power_row(e.pb, kb, p)
+        # a-side n_a^k d_a^(K-k) d_b^L, b-side -d_a^K n_b^k d_b^(L-k); the
+        # first power of a row is its d^K
+        sa, sb = ub[0] if ub else 1, -(ua[0] if ua else 1)
+        ua = [u * sa for u in ua]
+        glue, den = cleared(bundle.gluings[ei], p)
+        ub = [den * sb * u for u in ub]
+        a_blocks = [blocks.get((e.a, j)) for j in range(bundle.rank)]
+        for out, grow in enumerate(glue):
             row = [0] * ncols
-            for (n, d), blk in zip(grow, a_blocks):
-                if blk and n:
-                    c = n * (den // d)
+            for c, blk in zip(grow, a_blocks):
+                if blk and c:
                     deg, start = blk
                     row[start:start + deg + 1] = [c * u for u in ua[:deg + 1]]
             blk = blocks.get((e.b, out))
             if blk:
                 deg, start = blk
-                row[start:start + deg + 1] = [den * u for u in ub[:deg + 1]]
+                row[start:start + deg + 1] = ub[:deg + 1]
             rows.append(row)
     return rows
 
@@ -361,22 +351,21 @@ class SectionSystem:
         if self._ends is None:
             at = {v: k * r for k, (v, _, _) in enumerate(self._sides)}
             self._ends = [(at[e.a], at[e.b]) for e in self.bundle.curve.edges]
-        rank = 0
+        total = 0
         for i, (a, b) in enumerate(self._ends):
             full = [j for j in range(r) if state[a + j] >= 0]
             empty = [k for k in range(r) if state[b + k] < 0]
-            rank += r - len(empty)
+            total += r - len(empty)
             if 0 < len(full) < r and 0 < len(empty) < r:
                 if self._glue is None:
-                    self._glue = [integer_rows(self.bundle.gluings[j], p)
+                    self._glue = [cleared(self.bundle.gluings[j], p)[0]
                                   for j in range(len(self._ends))]
                 sub = [[self._glue[i][k][j] for j in full] for k in empty]
-                rank += (modular_rank(sub, len(full), p) if p
-                         else bareiss_rank(sub, len(full)))
+                total += rank(sub, len(full), p)
             else:
                 # rows and columns of an invertible gluing are independent
-                rank += min(len(full), len(empty))
-        return rank
+                total += min(len(full), len(empty))
+        return total
 
     def _coefficient_rank(self, state):
         r = self.bundle.rank
@@ -392,9 +381,7 @@ class SectionSystem:
         keep = [j for start, m in zip(self._starts, state)
                 for j in range(start, start + m + 1)]
         sel = [[row[j] for j in keep] for row in self._rows]
-        char = self.bundle.field.char
-        return (modular_rank(sel, len(keep), char) if char
-                else bareiss_rank(sel, len(keep)))
+        return rank(sel, len(keep), self.bundle.field.char)
 
     def floor(self, md):
         """max(T - R, V) at the twist md, at most its h0."""

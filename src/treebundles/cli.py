@@ -18,9 +18,10 @@ from .bundle import (clamp_box, clamp_multidegree, dmax, h0, h0_oracle, h1,
 from .curve import CurveError, fill_multidegree
 from .fields import field_from_name
 from .sampling import random_bundle, random_multidegree, random_tree
-from .serialize import (SerializeError, bundle_from_json, certificate_from_json,
-                        certificate_to_json, curve_from_json, dumps,
-                        multidegree_to_json, splitting_from_json)
+from .serialize import (INT_LIMIT, SerializeError, bundle_from_json,
+                        certificate_from_json, certificate_to_json,
+                        curve_from_json, dumps, multidegree_to_json,
+                        splitting_from_json)
 from .specialize import MismatchError, certify, decide, verify_certificate
 from . import dot
 
@@ -31,9 +32,6 @@ class InputError(ValueError):
 
 # largest clamp box `box --level` prints
 _BOX_LIMIT = 10 ** 6
-# bound on the absolute value of a `--twist` entry, far below the 4,300
-# digits Python prints of an integer, so no twist pushes h0 or h1 past them
-_TWIST_LIMIT = 10 ** 1000
 
 
 def _load(path):
@@ -42,7 +40,8 @@ def _load(path):
             return json.load(fh)
     except OSError as exc:
         raise InputError("cannot read %s: %s" % (path, exc))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, and the digit limit on an integer literal
         raise InputError("%s is not JSON: %s" % (path, exc))
 
 
@@ -60,7 +59,7 @@ def _parse_twist(curve, text):
                 md[v] = int(num)
             except ValueError:
                 raise InputError("twist entry %r is not id:integer" % part)
-            if abs(md[v]) >= _TWIST_LIMIT:
+            if abs(md[v]) >= INT_LIMIT:
                 raise InputError("twist entry on %r is not below 10^1000 in "
                                  "absolute value" % v)
     try:

@@ -1,13 +1,22 @@
-"""Dense exact linear algebra on lists of lists.
+"""Dense exact linear algebra on lists of lists, and the one boundary
+between field elements and integers.
+
+Every exact count and solve in the package runs on integers over Q
+(p = 0) or GF(p), and this module alone crosses between the two: `ratio`
+reads one field element as numerator and denominator, `cleared` turns
+rows of field elements into integer rows over one common denominator
+(residues over 1 in GF(p)), `element` builds a field element back from an
+integer over a denominator, and `power_row` gives the homogeneous powers
+n^k d^(K-k) at which integer polynomials are evaluated at a point n/d.
 
 Every exact solve (kernels, inverses, quotient gluings) runs one integer
 Gauss-Jordan, `integer_rref`: fraction-free with exact division over Q
 (Bareiss 1968; Nakos, Turner & Williams 1997), the same loop on residues
-over GF(p). Field-element rows enter through `integer_rows`, and field
-elements are built only for the outputs. Ranks have their own forward-only
-routes, `bareiss_rank` and `modular_rank`. Pivoting is purely positional
-(first nonzero entry, columns left to right), so echelon forms and kernel
-bases are deterministic for a given input.
+over GF(p). Ranks take `rank`, which the field routes to one of two
+forward-only eliminations, `bareiss_rank` over Q and `modular_rank` over
+GF(p). Pivoting is purely positional (first nonzero entry, columns left
+to right), so echelon forms and kernel bases are deterministic for a
+given input.
 """
 from __future__ import annotations
 
@@ -95,18 +104,46 @@ def modular_rank(rows, ncols, p):
     return rank
 
 
-def integer_rows(rows, p):
-    """Field-element rows as integer rows: residues over GF(p); over Q
-    (p = 0) each row times the lcm of its denominators. A nonzero row scale
+def rank(rows, ncols, p):
+    """Rank of an integer matrix over Q (p = 0) or GF(p)."""
+    return modular_rank(rows, ncols, p) if p else bareiss_rank(rows, ncols)
+
+
+# -- field elements and integers --------------------------------------------
+
+def ratio(x, p):
+    """A field element as (numerator, denominator): a GF(p) residue over 1,
+    or a rational in lowest terms (p = 0)."""
+    return (x.val, 1) if p else x.as_integer_ratio()
+
+
+def cleared(rows, p):
+    """Rows of field elements as (integer rows, den), the rows being the
+    integer ones divided by den: over GF(p) the residues over 1, over Q
+    (p = 0) the rows times the lcm of every denominator. One nonzero scale
     keeps the rank, the kernel and the reduced echelon form."""
     if p:
-        return [[x.val for x in row] for row in rows]
-    out = []
-    for row in rows:
-        den = lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (den // x.denominator) for x in row]
-                   if den != 1 else [x.numerator for x in row])
-    return out
+        return [[x.val for x in row] for row in rows], 1
+    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
+    den = lcm(*(d for row in ratios for _, d in row))
+    if den == 1:
+        return [[n for n, _ in row] for row in ratios], 1
+    return [[n * (den // d) for n, d in row] for row in ratios], den
+
+
+def element(num, den, p):
+    """The field element num / den (den nonzero, and prime to p over
+    GF(p))."""
+    return FpElement(num * pow(den, -1, p), p) if p else Fraction(num, den)
+
+
+def power_row(x, top, p):
+    """The homogeneous powers n^k d^(top-k), k = 0..top, of x = n/d: an
+    integer polynomial of degree at most top has value at x the sum of its
+    coefficients times these, over d^top (the first power). Residues over
+    GF(p), where d is 1; empty for top < 0."""
+    n, d = ratio(x, p)
+    return [pow(n, k, p or None) * d ** (top - k) for k in range(top + 1)]
 
 
 def integer_rref(rows, ncols, p):
@@ -165,19 +202,10 @@ def _char(zero):
     return getattr(zero, "p", 0)
 
 
-def field_elements(den, p):
-    """Maps an integer numerator over den to a field element."""
-    if p:
-        return lambda n: FpElement(n, p)
-    return lambda n: Fraction(n, den)
-
-
 def is_invertible(m, p):
     """Whether a square matrix over Q (p = 0) or GF(p) is invertible: a
     full-rank test on its integer rows, no inverse built."""
-    rows = integer_rows(m, p)
-    n = len(rows)
-    return (modular_rank(rows, n, p) if p else bareiss_rank(rows, n)) == n
+    return rank(cleared(m, p)[0], len(m), p) == len(m)
 
 
 def integer_kernel(rows, ncols, p):
@@ -202,15 +230,14 @@ def integer_kernel_basis(rows, ncols, p):
     """Basis of the right kernel of an integer matrix over Q (p = 0) or
     GF(p), as field elements: one vector per free column, echelon order."""
     vecs, den = integer_kernel(rows, ncols, p)
-    of = field_elements(den, p)
-    zero = of(0)
-    return [[of(x) if x else zero for x in v] for v in vecs]
+    zero = element(0, 1, p)
+    return [[element(x, den, p) if x else zero for x in v] for v in vecs]
 
 
 def kernel_basis(rows, ncols, zero, one):
     """Basis of the right kernel, one vector per free column, echelon order."""
     p = _char(zero)
-    return integer_kernel_basis(integer_rows(rows, p), ncols, p)
+    return integer_kernel_basis(cleared(rows, p)[0], ncols, p)
 
 
 def invert_matrix(m, zero, one):
@@ -219,8 +246,7 @@ def invert_matrix(m, zero, one):
     p = _char(zero)
     aug = [list(m[i]) + [one if j == i else zero for j in range(n)]
            for i in range(n)]
-    red, pivots, den = integer_rref(integer_rows(aug, p), 2 * n, p)
+    red, pivots, den = integer_rref(cleared(aug, p)[0], 2 * n, p)
     if len(pivots) < n or pivots[:n] != list(range(n)):
         return None
-    of = field_elements(den, p)
-    return [[of(x) for x in row[n:]] for row in red[:n]]
+    return [[element(x, den, p) for x in row[n:]] for row in red[:n]]

@@ -17,6 +17,12 @@ from .splitting import SplittingType
 from .subbundles import LineSubbundle
 
 
+# bound on the absolute value of every integer read and of a `--twist`
+# entry, far below the 4,300 digits Python prints of an integer, so no
+# degree or twist pushes h0, h1 or dmax past them
+INT_LIMIT = 10 ** 1000
+
+
 class SerializeError(ValueError):
     pass
 
@@ -26,11 +32,18 @@ def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _is_int(x):
+    """Whether x is an integer, not a bool, below INT_LIMIT in absolute
+    value."""
+    return (isinstance(x, int) and not isinstance(x, bool)
+            and -INT_LIMIT < x < INT_LIMIT)
+
+
 def _need(obj, key, kind, where):
     if not isinstance(obj, dict) or key not in obj:
         raise SerializeError("%s: missing %r" % (where, key))
     val = obj[key]
-    if isinstance(val, bool) or not isinstance(val, kind):
+    if not (_is_int(val) if kind is int else isinstance(val, kind)):
         raise SerializeError("%s: %r has the wrong shape" % (where, key))
     return val
 
@@ -78,7 +91,7 @@ def multidegree_from_json(obj) -> dict:
         raise SerializeError("multidegree: expected an object")
     out = {}
     for v, d in obj.items():
-        if not isinstance(d, int) or isinstance(d, bool):
+        if not _is_int(d):
             raise SerializeError("multidegree: degree on %r is not an integer" % v)
         out[v] = d
     return out
@@ -89,8 +102,7 @@ def splitting_to_json(st: SplittingType) -> list:
 
 
 def splitting_from_json(obj) -> SplittingType:
-    if (not isinstance(obj, list) or not obj
-            or any(isinstance(d, bool) or not isinstance(d, int) for d in obj)):
+    if not isinstance(obj, list) or not obj or not all(map(_is_int, obj)):
         raise SerializeError("splitting type: expected a nonempty integer array")
     return SplittingType(tuple(obj))
 
@@ -101,7 +113,7 @@ def _matrix_to_json(fld, m):
     return [[fld.to_str(x) for x in row] for row in m]
 
 
-def _element(fld, x, where):
+def _parse_element(fld, x, where):
     if not isinstance(x, str):
         raise SerializeError("%s: field element %r is not a string" % (where, x))
     return fld.parse(x)
@@ -110,7 +122,7 @@ def _element(fld, x, where):
 def _matrix_from_json(fld, obj, where):
     if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
         raise SerializeError("%s: matrix is not a list of rows" % where)
-    return [[_element(fld, x, where) for x in row] for row in obj]
+    return [[_parse_element(fld, x, where) for x in row] for row in obj]
 
 
 def bundle_to_json(bundle: GluedBundle) -> dict:
@@ -131,8 +143,7 @@ def bundle_from_json(obj, field=None) -> GluedBundle:
     raw = _need(obj, "splittings", dict, "bundle")
     splittings = {}
     for v, ds in raw.items():
-        if not isinstance(ds, list) or any(
-                isinstance(d, bool) or not isinstance(d, int) for d in ds):
+        if not isinstance(ds, list) or not all(map(_is_int, ds)):
             raise SerializeError("bundle: splitting of %r is not an integer array" % v)
         splittings[v] = tuple(ds)
     gluings = {}
@@ -170,7 +181,7 @@ def subbundle_from_json(obj, host: GluedBundle) -> LineSubbundle:
         where = "subbundle embedding of %r" % v
         if not isinstance(ps, list) or not all(isinstance(p, list) for p in ps):
             raise SerializeError("%s: not a list of coefficient lists" % where)
-        embeddings[v] = [[_element(fld, c, where) for c in p] for p in ps]
+        embeddings[v] = [[_parse_element(fld, c, where) for c in p] for p in ps]
     scalars = {}
     for k, s in enumerate(_need(obj, "scalars", list, "subbundle")):
         where = "subbundle scalar %d" % k

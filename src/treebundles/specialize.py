@@ -24,11 +24,11 @@ from .bundle import (GluedBundle, SectionSystem, _pullback, dmax, h0,
                      twist)
 from .curve import (compose_enlargements, identity_enlargement, insert_bridge,
                     md_total)
-from .linalg import field_elements
+from .linalg import cleared, element
 from .splitting import (SplittingType, merge_with_line, remove_line,
                         specializes_p1)
-from .subbundles import (LineSubbundle, SubbundleError, _cleared,
-                         _direction_scalar, _node_fibres, _quotient, saturate)
+from .subbundles import (LineSubbundle, SubbundleError, _direction_scalar,
+                         _node_fibres, _quotient, saturate)
 
 
 class MismatchError(ValueError):
@@ -267,16 +267,15 @@ def _junction(bundle, edge_index, plan):
     """
     e = bundle.curve.edges[edge_index]
     p = bundle.field.char
-    cleared = {v: _cleared(plan.polys[v], p) for v in (e.a, e.b)}
-    u0, sa, vb, sb = _node_fibres(bundle, edge_index, cleared)
+    coords = {v: cleared(plan.polys[v], p) for v in (e.a, e.b)}
+    u0, sa, vb, sb = _node_fibres(bundle, edge_index, coords)
     rho = _direction_scalar(p, u0, sa, vb, sb)
     if rho is not None:
         assert rho, "transported fiber vector vanished"
         plan.scalars[(e.a, e.b)] = rho
     else:
-        of_a, of_b = field_elements(sa, p), field_elements(sb, p)
-        plan.bridges.append((e.a, e.b, [of_a(x) for x in u0],
-                             [of_b(x) for x in vb]))
+        plan.bridges.append((e.a, e.b, [element(x, sa, p) for x in u0],
+                             [element(x, sb, p) for x in vb]))
 
 
 def _saturation_plan(host, w_eff, section):

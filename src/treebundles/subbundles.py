@@ -11,22 +11,20 @@ coefficients, the subbundle scalars and the gluing determinants; in higher
 rank the quotient's summands come from minimal generators of the
 embedding's syzygies, found degree by degree.
 
-Node checks, saturation and quotient gluings run on integers: a
-component's coordinate polynomials are cleared by one common denominator
-and evaluated at a node homogeneously, so every fiber vector is an integer
-vector over a known nonzero scale (plain residues over GF(p)), and field
-elements are built only for the outputs.
+Node checks, saturation and quotient gluings run on integers, crossing
+from field elements and back only through `linalg`: a component's
+coordinate polynomials are cleared by one common denominator
+(`linalg.cleared`) and evaluated at a node homogeneously
+(`linalg.power_row`), so every fiber vector is an integer vector over a
+known nonzero scale (plain residues over GF(p)), and field elements are
+built (`linalg.element`) only for the outputs.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
-
 from . import poly
-from .bundle import BundleError, GluedBundle, _ratio
-from .fields import FpElement
-from .linalg import (bareiss_rank, field_elements, integer_kernel,
-                     integer_rref, modular_rank)
+from .bundle import BundleError, GluedBundle
+from .linalg import (cleared, element, integer_kernel, integer_rref,
+                     power_row, rank, ratio)
 
 
 class SubbundleError(ValueError):
@@ -52,14 +50,14 @@ class LineSubbundle:
         problems = []
         host = self.host
         p = host.field.char
-        cleared = {}
+        coords = {}
         for v in host.curve.components:
             a = self.degrees[v]
             polys = [poly.trim(q) for q in self.embeddings[v]]
             if len(polys) != host.rank:
                 problems.append("component %r: expected %d coordinates" % (v, host.rank))
                 continue
-            cleared[v] = _cleared(polys, p)
+            coords[v] = cleared(polys, p)
             if not any(polys):
                 problems.append("component %r: embedding is identically zero" % v)
                 continue
@@ -76,22 +74,21 @@ class LineSubbundle:
                 # common zero at infinity: every homogenized coordinate
                 # would pick up a factor of the far coordinate
                 problems.append("component %r: embedding vanishes at infinity" % v)
-            g = poly.gcd(cleared[v][0], p)
+            g = poly.gcd(coords[v][0], p)
             if poly.degree(g) > 0:
-                of = field_elements(g[-1], p)
                 problems.append("component %r: embedding has a common zero (gcd %s)"
-                                % (v, [of(c) for c in g]))
+                                % (v, [element(c, g[-1], p) for c in g]))
         for i, e in enumerate(host.curve.edges):
-            if e.a not in cleared or e.b not in cleared:
+            if e.a not in coords or e.b not in coords:
                 # no fiber direction to compare; the component is reported
                 continue
             lam = self.scalars.get(i)
             if lam is None or not lam:
                 problems.append("edge %d: missing or zero scalar" % i)
                 continue
-            lhs, sa, vb, sb = _node_fibres(host, i, cleared)
+            lhs, sa, vb, sb = _node_fibres(host, i, coords)
             # lhs / sa == lam * vb / sb, cross-multiplied
-            n, d = _ratio(lam, p)
+            n, d = ratio(lam, p)
             if any(_nonzero(x * sb * d - n * y * sa, p) for x, y in zip(lhs, vb)):
                 problems.append("edge %d: sides do not match through the gluing" % i)
         if problems:
@@ -118,53 +115,35 @@ class LineSubbundle:
 
 # -- integer node values ---------------------------------------------------------
 
-def _cleared(rows, p):
-    """Lists of field elements as (integer lists, D), the lists being the
-    integer ones divided by D: over Q (p = 0) D is the lcm of every
-    denominator, over GF(p) the lists are the residues and D is 1."""
-    if p:
-        return [[x.val for x in row] for row in rows], 1
-    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
-    den = lcm(*(d for row in ratios for _, d in row))
-    return [[n * (den // d) for n, d in row] for row in ratios], den
-
-
 def _values_at(ints, den, x, p):
     """Integer polynomials over den at the point x = n/d: (values, scale),
     the polynomials' values at x being values / scale. Evaluation is
     homogeneous, values[i] = sum_k c_ik n^k d^(K-k) with K the largest
     length minus one, so scale = den * d^K. Over GF(p) the values are
     residues and den and d are 1."""
-    n, d = _ratio(x, p)
-    top = max(0, max(map(len, ints)) - 1)
-    # n^k d^(K-k), the scaling the section system's matching rows use
-    powers = [pow(n, k, p or None) * d ** (top - k) for k in range(top + 1)]
+    # the powers the section system's matching rows use; the first is d^K
+    powers = power_row(x, max(0, max(map(len, ints)) - 1), p)
     values = [sum(c * u for c, u in zip(q, powers)) for q in ints]
-    return [v % p for v in values] if p else values, den * d ** top
+    return [v % p for v in values] if p else values, den * powers[0]
 
 
-def _node_fibres(bundle: GluedBundle, edge_index, cleared):
+def _node_fibres(bundle: GluedBundle, edge_index, coords):
     """The two fiber vectors of a line at an edge's node, as (lhs, sa, vb,
     sb): lhs / sa is the a-side vector carried through the gluing and
     vb / sb the b-side one, with integer vectors and nonzero integer
-    scales (residues and 1 over GF(p)). `cleared` maps each end component
-    to its coordinate polynomials as `_cleared` gives them."""
+    scales (residues and 1 over GF(p)). `coords` maps each end component to
+    its coordinate polynomials as `linalg.cleared` gives them."""
     e = bundle.curve.edges[edge_index]
     p = bundle.field.char
-    glue, den = _cleared(bundle.gluings[edge_index], p)
-    va, sa = _values_at(*cleared[e.a], e.pa, p)
-    vb, sb = _values_at(*cleared[e.b], e.pb, p)
+    glue, den = cleared(bundle.gluings[edge_index], p)
+    va, sa = _values_at(*coords[e.a], e.pa, p)
+    vb, sb = _values_at(*coords[e.b], e.pb, p)
     lhs = [sum(g * x for g, x in zip(row, va)) for row in glue]
     return [x % p for x in lhs] if p else lhs, den * sa, vb, sb
 
 
 def _nonzero(x, p):
     return x % p if p else x
-
-
-def _element(num, den, p):
-    """The field element num / den (den nonzero)."""
-    return FpElement(num * pow(den, -1, p), p) if p else Fraction(num, den)
 
 
 def _direction_scalar(p, lhs, sa, vb, sb):
@@ -175,7 +154,7 @@ def _direction_scalar(p, lhs, sa, vb, sb):
         return None
     if any(_nonzero(x * vb[k] - lhs[k] * y, p) for x, y in zip(lhs, vb)):
         return None
-    return _element(lhs[k] * sb, sa * vb[k], p)
+    return element(lhs[k] * sb, sa * vb[k], p)
 
 
 def saturate(bundle: GluedBundle, section) -> LineSubbundle:
@@ -193,13 +172,13 @@ def saturate(bundle: GluedBundle, section) -> LineSubbundle:
     as over the field.
     """
     p = bundle.field.char
-    degrees, embeddings, cleared = {}, {}, {}
+    degrees, embeddings, coords = {}, {}, {}
     for v in bundle.curve.components:
         polys = [poly.trim(q) for q in section[v]]
         nonzero = [(i, q) for i, q in enumerate(polys) if q]
         if not nonzero:
             raise SubbundleError("section vanishes identically on %r" % v)
-        ints, den = _cleared(polys, p)
+        ints, den = cleared(polys, p)
         g = poly.gcd(ints, p)
         tau = min(bundle.splittings[v][i] - poly.degree(q) for i, q in nonzero)
         degrees[v] = poly.degree(g) + tau
@@ -207,11 +186,12 @@ def saturate(bundle: GluedBundle, section) -> LineSubbundle:
         lead = g[-1]
         quots = [[lead * c for c in poly.div_exact(q, g, p)] if q else []
                  for q in ints]
-        cleared[v] = quots, den
-        embeddings[v] = _polys(quots, den, p)
+        coords[v] = quots, den
+        embeddings[v] = [poly.trim([element(c, den, p) for c in q])
+                         for q in quots]
     scalars = {}
     for i in range(len(bundle.curve.edges)):
-        lam = _direction_scalar(p, *_node_fibres(bundle, i, cleared))
+        lam = _direction_scalar(p, *_node_fibres(bundle, i, coords))
         if lam is None or not lam:
             raise SubbundleError(
                 "saturated directions disagree across edge %d" % i)
@@ -231,7 +211,7 @@ def _kernel_generators(p, ms, a, phis, want):
     on integers: one common scale clears the phi_i (the kernel does not
     change).
     """
-    iphis = _cleared(phis, p)[0]
+    iphis = cleared(phis, p)[0]
     total = sum(ms) - a
     found = []  # (degree, integer coefficient blocks, their denominator)
 
@@ -312,16 +292,16 @@ def _quotient(bundle: GluedBundle, sub: LineSubbundle) -> GluedBundle:
         m0, m1 = bundle.splittings[v]
         qsplit[v] = (m0 + m1 - sub.degrees[v],)
         phi0, phi1 = (poly.trim(q) for q in sub.embeddings[v])
-        lead[v] = _ratio(-phi0[-1] if phi0 else phi1[-1], p)
+        lead[v] = ratio(-phi0[-1] if phi0 else phi1[-1], p)
     qglue = {}
     for i, e in enumerate(bundle.curve.edges):
-        ((g00, g01), (g10, g11)), den = _cleared(bundle.gluings[i], p)
+        ((g00, g01), (g10, g11)), den = cleared(bundle.gluings[i], p)
         (na, da), (nb, db) = lead[e.a], lead[e.b]
-        nl, dl = _ratio(sub.scalars[i], p)
+        nl, dl = ratio(sub.scalars[i], p)
         # det(G) = det_int / den^2
         num = (g00 * g11 - g01 * g10) * na * db * dl
         assert _nonzero(num, p), "quotient gluing is singular"
-        qglue[i] = [[_element(num, den * den * da * nl * nb, p)]]
+        qglue[i] = [[element(num, den * den * da * nl * nb, p)]]
     return GluedBundle(bundle.curve, 1, qsplit, qglue)
 
 
@@ -347,7 +327,7 @@ def _quotient_by_generators(bundle: GluedBundle, sub: LineSubbundle):
     for i, e in enumerate(bundle.curve.edges):
         gx, sa = zip(*(_values_at(g, d, e.pa, p) for g, d in generators[e.a]))
         gy, sb = zip(*(_values_at(g, d, e.pb, p) for g, d in generators[e.b]))
-        glue, den = _cleared(bundle.gluings[i], p)
+        glue, den = cleared(bundle.gluings[i], p)
         rhs = [[sum(y * g[k] for y, g in zip(row, glue)) for k in range(r)]
                for row in gy]
         # [gx^T | (gy G)^T]: its reduced form carries N_int^T
@@ -357,18 +337,10 @@ def _quotient_by_generators(bundle: GluedBundle, sub: LineSubbundle):
         assert pivots == list(range(r - 1)), \
             "quotient gluing system is inconsistent"
         block = [row[r - 1:] for row in red]
-        rank = (modular_rank(block, r - 1, p) if p
-                else bareiss_rank(block, r - 1))
-        assert rank == r - 1, "quotient gluing is singular"
-        qglue[i] = [[_element(block[j][k] * sa[j], rden * sb[k] * den, p)
+        assert rank(block, r - 1, p) == r - 1, "quotient gluing is singular"
+        qglue[i] = [[element(block[j][k] * sa[j], rden * sb[k] * den, p)
                      for j in range(r - 1)] for k in range(r - 1)]
     return GluedBundle(bundle.curve, r - 1, qsplit, qglue)
-
-
-def _polys(ints, den, p):
-    """Integer coefficient lists over den as field-element polynomials."""
-    of = field_elements(den, p)
-    return [poly.trim([of(x) for x in q]) for q in ints]
 
 
 def quotient_bundle(bundle: GluedBundle, sub: LineSubbundle) -> GluedBundle:

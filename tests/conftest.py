@@ -11,7 +11,7 @@ import pytest
 from treebundles import poly
 from treebundles.bundle import make_bundle
 from treebundles.curve import Edge, TreeCurve
-from treebundles.linalg import field_elements
+from treebundles.linalg import element
 from treebundles.subbundles import _kernel_generators
 
 
@@ -64,8 +64,8 @@ def projections(host, sub):
         for _, blocks, den in _kernel_generators(
                 p, list(host.splittings[v]), sub.degrees[v],
                 sub.embeddings[v], host.rank - 1):
-            of = field_elements(den, p)
-            rows.append([poly.trim([of(x) for x in g]) for g in blocks])
+            rows.append([poly.trim([element(x, den, p) for x in g])
+                         for g in blocks])
         out[v] = rows
     return out
 

@@ -14,6 +14,7 @@ import pytest
 
 import treebundles
 from treebundles import specialize
+from treebundles.bundle import dmax
 from treebundles.cli import main
 from treebundles.fields import field_from_name
 from treebundles.sampling import (balanced_splitting, random_bundle,
@@ -180,6 +181,47 @@ def test_a_twist_entry_past_the_bound_ends_in_one_error_line(tmp_path, capsys,
     assert (code, err) == (0, "")
     assert json.loads(out) == ({"h0": 2 * t + 2, "h1": 0} if verb == "h0"
                                else {"h1": 0})
+
+
+@pytest.mark.parametrize("verb", ["h0", "dmax"])
+def test_a_summand_degree_past_the_bound_ends_in_one_error_line(tmp_path,
+                                                                capsys, verb):
+    # a degree of 4,300 nines on a flat rank-2 tree gives an h0 and a dmax
+    # of more than the 4,300 digits Python prints of an integer; every
+    # integer read is bounded below 10^1000
+    i2 = [[F(1), F(0)], [F(0), F(1)]]
+    bundle = build_chain(("a", "b"), {"a": (0, 0), "b": (0, 0)}, {0: i2})
+    obj = bundle_to_json(bundle)
+    for degree in (int("9" * 4300), -10 ** 1000, 10 ** 1000):
+        obj["splittings"]["a"] = [degree, 0]
+        code, out, err = run(capsys, verb, "-i", _write(tmp_path, obj))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+    # a degree of 10^999 still prints
+    obj["splittings"]["a"] = [10 ** 999, 0]
+    code, out, err = run(capsys, verb, "-i", _write(tmp_path, obj))
+    assert (code, err) == (0, "")
+    big = build_chain(("a", "b"), {"a": (10 ** 999, 0), "b": (0, 0)},
+                      {0: i2})
+    if verb == "h0":
+        assert json.loads(out) == {"h0": 10 ** 999 + 2, "h1": 0}
+    else:
+        d, witness = dmax(big)
+        assert json.loads(out) == {"dmax": d, "witness": witness}
+
+
+@pytest.mark.parametrize("verb", ["export-dot", "verify"])
+def test_an_integer_literal_past_the_digit_limit_ends_in_one_error_line(
+        tmp_path, capsys, verb):
+    # json.load refuses a literal of more than 4,300 digits with a plain
+    # ValueError, not a JSONDecodeError
+    path = tmp_path / "long.json"
+    text = dumps(curve_to_json(build_ex().curve))
+    path.write_text(text[:-1] + ',"extra":' + "7" * 5000 + "}")
+    code, out, err = run(capsys, verb, "-i", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: %s is not JSON" % path)
+    assert err.count("\n") == 1
 
 
 def test_bad_target_flag_exit_1(ex_path, capsys):

@@ -5,9 +5,10 @@ from fractions import Fraction as F
 import pytest
 
 from treebundles.fields import PrimeField, RationalField
-from treebundles.linalg import (bareiss_rank, identity_matrix, integer_rows,
-                                integer_rref, invert_matrix, is_invertible,
-                                kernel_basis, mat_mul, modular_rank)
+from treebundles.linalg import (bareiss_rank, cleared, element,
+                                identity_matrix, integer_rref, invert_matrix,
+                                is_invertible, kernel_basis, mat_mul,
+                                modular_rank, power_row, rank, ratio)
 
 from reference_linalg import mat_vec, matrix_rank, rref, solve_columns
 
@@ -152,7 +153,7 @@ def test_integer_elimination_matches_the_fraction_reference(fld):
         got = kernel_basis(m, k, zero, one)
         assert got == _reference_kernel(m, k, zero, one)
         deficient += len(got) > max(0, k - n)
-        red, pivots, den = integer_rref(integer_rows(m, fld.char), k, fld.char)
+        red, pivots, den = integer_rref(cleared(m, fld.char)[0], k, fld.char)
         want_red, want_pivots = rref(m, k)
         assert pivots == want_pivots
         assert [[fld.of(x) / fld.of(den) for x in row] for row in red] == want_red
@@ -163,6 +164,36 @@ def test_integer_elimination_matches_the_fraction_reference(fld):
         assert is_invertible(sq, fld.char) == (want is not None)
         singular += want is None
     assert singular > 20 and deficient > 20
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(7), PrimeField(1000003)],
+                         ids=lambda f: f.name)
+def test_the_integer_boundary_round_trips(fld):
+    # field elements to integers over one denominator and back, node
+    # powers, and the rank route the field picks
+    rng = random.Random(fld.char + 19)
+    p = fld.char
+    for _ in range(200):
+        n, k = rng.randint(0, 4), rng.randint(1, 4)
+        m = _random_matrix(rng, fld, n, k)
+        ints, den = cleared(m, p)
+        assert den > 0 and all(isinstance(x, int) for row in ints for x in row)
+        assert [[element(x, den, p) for x in row] for row in ints] == m
+        if p:
+            assert den == 1 and all(0 <= x < p for row in ints for x in row)
+        assert rank(ints, k, p) == matrix_rank(m, k)
+        x = m[0][0] if m else fld.one
+        num, d = ratio(x, p)
+        assert element(num, d, p) == x and d > 0
+        # sum_j x^j = sum_j n^j d^(K-j) / d^K, the first power being d^K
+        top = rng.randint(0, 4)
+        powers = power_row(x, top, p)
+        assert len(powers) == top + 1
+        want, power = fld.zero, fld.one
+        for _ in range(top + 1):
+            want, power = want + power, power * x
+        assert element(sum(powers), powers[0], p) == want
+    assert power_row(fld.one, -1, p) == []
 
 
 def test_integer_elimination_on_no_rows():

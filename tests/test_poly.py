@@ -9,6 +9,7 @@ import pytest
 
 from treebundles import poly
 from treebundles.fields import PrimeField, RationalField
+from treebundles.linalg import cleared
 
 from reference_linalg import divmod_exact, evaluate, gcd_monic
 
@@ -100,13 +101,6 @@ def test_integer_gcd_golden():
     assert poly.div_exact([3, 5, 2], [5, 1], 7) == [2, 2]
 
 
-def _cleared(polys, p):
-    if p:
-        return [[c.val for c in q] for q in polys], 1
-    den = math.lcm(*(c.denominator for q in polys for c in q))
-    return [[int(c * den) for c in q] for q in polys], den
-
-
 @pytest.mark.parametrize("fld", [RationalField(), PrimeField(7), PrimeField(1000003)],
                          ids=lambda f: f.name)
 def test_integer_gcd_matches_the_field_reference(fld):
@@ -125,7 +119,7 @@ def test_integer_gcd_matches_the_field_reference(fld):
             continue
         polys = [poly.mul(rand_poly(rng.randint(0, 3)), shared, zero)
                  for _ in range(rng.randint(1, 3))]
-        ints, den = _cleared(polys, fld.char)
+        ints, den = cleared(polys, fld.char)
         want = []
         for q in polys:
             if q:

@@ -189,6 +189,52 @@ def test_certificate_rejects_malformed(ex_bundle):
         certificate_from_json(reordered)
 
 
+def test_every_integer_read_is_bounded(ex_bundle):
+    # below 10^1000 in absolute value, so every count built from them
+    # prints within Python's 4,300 digits
+    big = 10 ** 1000
+    assert multidegree_from_json({"v": 1 - big}) == {"v": 1 - big}
+    assert splitting_from_json([big - 1]) == SplittingType((big - 1,))
+    for x in (big, -big):
+        with pytest.raises(SerializeError, match="not an integer"):
+            multidegree_from_json({"v": x})
+        with pytest.raises(SerializeError, match="integer array"):
+            splitting_from_json([1, x])
+        obj = bundle_to_json(ex_bundle)
+        obj["splittings"]["v1"] = [x, 0]
+        with pytest.raises(SerializeError, match="integer array"):
+            bundle_from_json(obj)
+    refutation = certificate_to_json(certify(ex_bundle, SplittingType((4, 0))))
+    affirmative = certificate_to_json(certify(ex_bundle, SplittingType((3, 1))))
+    (base,) = [s for s in affirmative["steps"] if s["kind"] == "rank1"]
+
+    def witness_md(step):
+        step["multidegree"]["v1"] = big
+
+    def witness_lhs(step):
+        step["lhs"] = big
+
+    def witness_rhs(step):
+        step["rhs"] = -big
+
+    def base_degree(step):
+        step["degree"] = big
+
+    for cert, index, edit in ((refutation, 0, witness_md),
+                              (refutation, 0, witness_lhs),
+                              (refutation, 0, witness_rhs),
+                              (affirmative, affirmative["steps"].index(base),
+                               base_degree)):
+        obj = json.loads(dumps(cert))
+        edit(obj["steps"][index])
+        with pytest.raises(SerializeError):
+            certificate_from_json(obj)
+    source = json.loads(dumps(affirmative))
+    source["claim"]["source"] = [big, 4 - big]
+    with pytest.raises(SerializeError, match="integer array"):
+        certificate_from_json(source)
+
+
 def _count_tree_validations(monkeypatch):
     seen = []
     inner = curve_module.validate_tree

@@ -9,7 +9,7 @@ from treebundles.bundle import (BundleError, clamp_box, h0, h1, make_bundle,
                                 twist)
 from treebundles.curve import Edge, TreeCurve
 from treebundles.fields import PrimeField, RationalField
-from treebundles.linalg import field_elements
+from treebundles.linalg import element
 from treebundles.sampling import random_bundle, random_tree
 from treebundles.subbundles import (LineSubbundle, SubbundleError,
                                     _kernel_generators, _quotient,
@@ -246,8 +246,8 @@ def test_kernel_generators_match_the_field_reference():
                 continue
             got = []
             for b, blocks, den in _kernel_generators(fld.char, ms, a, phis, r - 1):
-                of = field_elements(den, fld.char)
-                got.append((b, [poly.trim([of(x) for x in g]) for g in blocks]))
+                got.append((b, [poly.trim([element(x, den, fld.char)
+                                           for x in g]) for g in blocks]))
             assert got == kernel_generators(fld, ms, a, phis, r - 1)
             done += 1
 
