@@ -22,7 +22,8 @@ from .serialize import (INT_LIMIT, SerializeError, bundle_from_json,
                         certificate_from_json, certificate_to_json,
                         curve_from_json, dumps, multidegree_to_json,
                         splitting_from_json)
-from .specialize import MismatchError, certify, decide, verify_certificate
+from .specialize import (MismatchError, SplitOffError, certify, decide,
+                         verify_certificate)
 from . import dot
 
 
@@ -45,6 +46,20 @@ def _load(path):
         raise InputError("%s is not JSON: %s" % (path, exc))
 
 
+def _parse_int(text, what):
+    """An integer option or twist entry, below serialize.INT_LIMIT in
+    absolute value; `what` names it in the error."""
+    try:
+        n = int(text)
+        if abs(n) < INT_LIMIT:
+            return n
+    except ValueError:
+        # not an integer, or more digits than int() reads
+        pass
+    raise InputError("%s is not an integer below 10^1000 in absolute value"
+                     % what)
+
+
 def _parse_twist(curve, text):
     md = {}
     if text:
@@ -55,13 +70,7 @@ def _parse_twist(curve, text):
             if ":" not in part:
                 raise InputError("twist entry %r is not id:integer" % part)
             v, _, num = part.rpartition(":")
-            try:
-                md[v] = int(num)
-            except ValueError:
-                raise InputError("twist entry %r is not id:integer" % part)
-            if abs(md[v]) >= INT_LIMIT:
-                raise InputError("twist entry on %r is not below 10^1000 in "
-                                 "absolute value" % v)
+            md[v] = _parse_int(num, "twist entry on %r" % v)
     try:
         return fill_multidegree(curve, md)
     except CurveError as exc:
@@ -118,13 +127,14 @@ def _cmd_dmax(args):
 
 def _cmd_box(args):
     bundle = _bundle_arg(args)
+    level = _parse_int(args.level, "--level")
     n = len(bundle.curve.components)
-    spare = args.level - sum(vanishing_floor(bundle).values())
+    spare = level - sum(vanishing_floor(bundle).values())
     if spare > 0 and comb(spare + n - 1, n - 1) > _BOX_LIMIT:
         raise InputError("box at level %d has more than %d entries"
-                         % (args.level, _BOX_LIMIT))
+                         % (level, _BOX_LIMIT))
     _emit({"box": [multidegree_to_json(md)
-                   for md in clamp_box(bundle, args.level)]})
+                   for md in clamp_box(bundle, level)]})
     return 0
 
 
@@ -172,9 +182,10 @@ def _cmd_oracle_check(args):
     # the corpus reaches summand degree 5, which h0_oracle samples at 0..5
     if args.field.char and args.field.char < 7:
         raise InputError("oracle-check needs --field q or p:<prime> with prime >= 7")
-    rng = random.Random(args.seed)
+    rng = random.Random(_parse_int(args.seed, "--seed"))
+    cases = _parse_int(args.cases, "--cases")
     h0_bad, box_bad = [], []
-    for _ in range(args.cases):
+    for _ in range(cases):
         curve = random_tree(rng, rng.randint(1, 4), args.field)
         bundle = random_bundle(rng, curve, rng.randint(1, 3))
         for _ in range(3):
@@ -192,7 +203,7 @@ def _cmd_oracle_check(args):
                     clamped = clamp_multidegree(bundle, md)
                     if h0(twist(bundle, clamped)) != 0:
                         box_bad.append(multidegree_to_json(md))
-    _emit({"cases": args.cases, "h0_mismatches": len(h0_bad),
+    _emit({"cases": cases, "h0_mismatches": len(h0_bad),
            "box_mismatches": len(box_bad)})
     return 0 if not h0_bad and not box_bad else 3
 
@@ -217,7 +228,7 @@ def _cmd_export_dot(args):
 @functools.cache
 def build_parser():
     """The argument parser, built once per process: every default is an
-    immutable string or int, and parse_args returns a fresh namespace."""
+    immutable string, and parse_args returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="treebundles",
         description="exact section counts and specialization certificates "
@@ -240,7 +251,7 @@ def build_parser():
     p.add_argument("--twist", default="", help="multidegree id:int,...")
     add("dmax", _cmd_dmax)
     p = add("box", _cmd_box)
-    p.add_argument("--level", type=int, required=True,
+    p.add_argument("--level", required=True,
                    help="total twist degree of the box")
     p = add("decide", _cmd_decide)
     p.add_argument("--target", required=True,
@@ -250,8 +261,8 @@ def build_parser():
                    help="splitting type on the line, e.g. \"3,1\"")
     add("verify", _cmd_verify)
     p = add("oracle-check", _cmd_oracle_check, needs_input=False)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=50)
+    p.add_argument("--seed", default="0")
+    p.add_argument("--cases", default="50")
     add("export-dot", _cmd_export_dot)
     return parser
 
@@ -268,7 +279,7 @@ def main(argv=None) -> int:
     try:
         args.field = _parse_field(args.field)
         return args.fn(args)
-    except InputError as exc:
+    except (InputError, SplitOffError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
 

@@ -220,7 +220,10 @@ class Enlargement:
             problems.append("surviving components do not match the target")
             return problems
         # every source edge must lie on a walk: a direct edge alone, a
-        # contracted piece with all of its edges (see target_edge_paths)
+        # contracted piece with all of its edges (see target_edge_paths).
+        # Then every target edge has a walk: contracting each piece leaves
+        # a tree on the survivors whose n_target - 1 edges are walks, each
+        # realizing a distinct target edge.
         paths = self.target_edge_paths()
         walked = {i for walk in paths if walk for i, _ in walk}
         src = self.source
@@ -233,10 +236,7 @@ class Enlargement:
             if any(i not in walked for x in chain for _, i in adj[x]):
                 problems.append("contracted chain %s is not a path between two survivors"
                                 % (sorted(chain),))
-        if problems:
-            return problems
-        return ["target edge %d is matched 0 times" % i
-                for i, walk in enumerate(paths) if walk is None]
+        return problems
 
     def target_edge_paths(self):
         """For each target edge: the source edge walk realizing it, or None.

@@ -9,14 +9,15 @@ rows of field elements into integer rows over one common denominator
 integer over a denominator, and `power_row` gives the homogeneous powers
 n^k d^(K-k) at which integer polynomials are evaluated at a point n/d.
 
-Every exact solve (kernels, inverses, quotient gluings) runs one integer
-Gauss-Jordan, `integer_rref`: fraction-free with exact division over Q
-(Bareiss 1968; Nakos, Turner & Williams 1997), the same loop on residues
-over GF(p). Ranks take `rank`, which the field routes to one of two
-forward-only eliminations, `bareiss_rank` over Q and `modular_rank` over
-GF(p). Pivoting is purely positional (first nonzero entry, columns left
-to right), so echelon forms and kernel bases are deterministic for a
-given input.
+Every elimination is one pivot walk, `_eliminate`: fraction-free with
+exact division over Q (Bareiss 1968; Nakos, Turner & Williams 1997), the
+same walk on residues over GF(p). It has three routes. `integer_rref`
+clears above and below each pivot (Gauss-Jordan) for every exact solve:
+kernels, inverses and quotient gluings. `bareiss_rank` over Q and
+`modular_rank` over GF(p) clear below only and count the pivots; `rank`
+picks one by the field. Pivoting is purely positional (first nonzero
+entry, columns left to right), so echelon forms and kernel bases are
+deterministic for a given input.
 """
 from __future__ import annotations
 
@@ -45,63 +46,69 @@ def mat_mul(a, b, zero):
     return out
 
 
-def bareiss_rank(rows, ncols):
-    """Rank of an integer matrix, fraction-free elimination.
+def _eliminate(rows, ncols, p, above):
+    """Row-reduce an integer matrix over Q (p = 0) or GF(p), pivots taken
+    positionally (first nonzero entry, columns left to right). Returns
+    (rows, pivot_columns, den): one row per pivot, an echelon form of the
+    input; when `above`, these rows over den are its reduced echelon form.
 
-    Every intermediate entry is a minor of the input, so the interior
-    division is exact and entries stay determinant-sized.
+    Each pivot clears the rows below it and, when `above`, the rows above
+    it too. Over Q the step is fraction-free: a row becomes (pivot * row -
+    row[c] * pivot row) / previous pivot, every entry stays a minor of the
+    input, so the division is exact, and den is the last pivot. A row below
+    is zero left of the pivot, so only its columns right of the pivot
+    change (Bareiss's update, in place). Over GF(p) the pivot row is
+    scaled to a leading 1, so den is 1.
     """
-    m = [list(r) for r in rows]
-    rank = 0
+    m = [[x % p for x in r] for r in rows] if p else [list(r) for r in rows]
+    pivots = []
     prev = 1
     for c in range(ncols):
-        sel = None
-        for i in range(rank, len(m)):
-            if m[i][c]:
-                sel = i
+        r = len(pivots)
+        for sel in range(r, len(m)):
+            if m[sel][c]:
                 break
-        if sel is None:
+        else:
             continue
-        m[rank], m[sel] = m[sel], m[rank]
-        piv = m[rank][c]
-        lead = m[rank]
-        for i in range(rank + 1, len(m)):
-            row = m[i]
-            f = row[c]
-            for j in range(c + 1, ncols):
-                row[j] = (piv * row[j] - f * lead[j]) // prev
-            row[c] = 0
-        prev = piv
-        rank += 1
-        if rank == len(m):
+        m[r], m[sel] = m[sel], m[r]
+        lead = m[r]
+        piv = lead[c]
+        if p:
+            if piv != 1:
+                inv = pow(piv, -1, p)
+                lead = m[r] = [x * inv % p for x in lead]
+            for i in range(0 if above else r + 1, len(m)):
+                f = m[i][c]
+                if f and i != r:
+                    m[i] = [(x - f * y) % p for x, y in zip(m[i], lead)]
+        else:
+            for row in m[r + 1:]:
+                f = row[c]
+                if f or piv != prev:
+                    for j in range(c + 1, ncols):
+                        row[j] = (piv * row[j] - f * lead[j]) // prev
+                    row[c] = 0
+            for i in range(r if above else 0):
+                f = m[i][c]
+                if f:
+                    m[i] = [(piv * x - f * y) // prev for x, y in zip(m[i], lead)]
+                elif piv != prev:
+                    m[i] = [piv * x // prev for x in m[i]]
+            prev = piv
+        pivots.append(c)
+        if r + 1 == len(m):
             break
-    return rank
+    return m[:len(pivots)], pivots, 1 if p else prev
+
+
+def bareiss_rank(rows, ncols):
+    """Rank of an integer matrix over Q: fraction-free, below the pivots."""
+    return len(_eliminate(rows, ncols, 0, False)[1])
 
 
 def modular_rank(rows, ncols, p):
-    """Rank of an integer matrix over GF(p)."""
-    m = [[x % p for x in row] for row in rows]
-    rank = 0
-    for c in range(ncols):
-        sel = None
-        for i in range(rank, len(m)):
-            if m[i][c]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        m[rank], m[sel] = m[sel], m[rank]
-        inv = pow(m[rank][c], -1, p)
-        lead = [(x * inv) % p for x in m[rank]]
-        m[rank] = lead
-        for i in range(rank + 1, len(m)):
-            f = m[i][c]
-            if f:
-                m[i] = [(m[i][j] - f * lead[j]) % p for j in range(ncols)]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+    """Rank of an integer matrix over GF(p), below the pivots."""
+    return len(_eliminate(rows, ncols, p, False)[1])
 
 
 def rank(rows, ncols, p):
@@ -149,52 +156,11 @@ def power_row(x, top, p):
 def integer_rref(rows, ncols, p):
     """Reduced row echelon form of an integer matrix over Q (p = 0) or
     GF(p). Returns (rows, pivot_columns, den): the reduced form is the
-    returned integer rows divided by den.
-
-    Over Q this is fraction-free Gauss-Jordan: each step replaces every
-    other row by (pivot * row - row[c] * pivot row) / previous pivot. Every
-    entry stays a minor of the input, so the division is exact, and every
-    pivot row ends with the last pivot at its pivot column; that pivot is
-    den. Over GF(p) the pivot row is scaled to a leading 1, so den is 1.
+    returned integer rows divided by den. Over Q this is fraction-free
+    Gauss-Jordan, and every pivot row ends with den, the last pivot, at its
+    pivot column; over GF(p) den is 1.
     """
-    m = [[x % p for x in r] for r in rows] if p else [list(r) for r in rows]
-    pivots = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        sel = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        m[r], m[sel] = m[sel], m[r]
-        lead = m[r]
-        piv = lead[c]
-        if p:
-            if piv != 1:
-                inv = pow(piv, -1, p)
-                lead = m[r] = [x * inv % p for x in lead]
-            for i, row in enumerate(m):
-                f = row[c]
-                if f and i != r:
-                    m[i] = [(x - f * y) % p for x, y in zip(row, lead)]
-        else:
-            for i, row in enumerate(m):
-                if i == r:
-                    continue
-                f = row[c]
-                if f:
-                    m[i] = [(piv * x - f * y) // prev for x, y in zip(row, lead)]
-                elif piv != prev:
-                    m[i] = [piv * x // prev for x in row]
-            prev = piv
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots, 1 if p else prev
+    return _eliminate(rows, ncols, p, True)
 
 
 def _char(zero):

@@ -35,6 +35,12 @@ class MismatchError(ValueError):
     """Rank or degree differs between the two sides; the question is ill-posed."""
 
 
+class SplitOffError(ValueError):
+    """certify split off a maximal line subbundle whose degree the
+    remaining source has no summand of, so no certificate follows from
+    that subbundle."""
+
+
 @dataclass(frozen=True)
 class FailureWitness:
     """A twist where the tree bundle has fewer sections than required."""
@@ -562,14 +568,18 @@ def certify(target: GluedBundle, source: SplittingType) -> Certificate:
     A refusal certificate is the failing witness; an affirmative one splits
     off a maximal-degree line subbundle per round: dominate the source by
     merging in the line of degree dmax(target), realize that line inside an
-    enlargement of the target, and recurse on the quotients.
+    enlargement of the target, and recurse on the quotients. Raises
+    SplitOffError when a round's line has a degree the merged source has
+    no summand of (seen over small primes).
     """
     decision = decide(target, source)
     if not decision.yes:
         return Certificate(source, target, (decision.witness,))
     steps = []
     cur_t, cur_s = target, source
+    rounds = 0
     while cur_t.rank > 1:
+        rounds += 1
         enl, sub = find_line_subbundle(cur_t)
         d = sub.degree()
         merged = merge_with_line(cur_s, d)
@@ -577,7 +587,14 @@ def certify(target: GluedBundle, source: SplittingType) -> Certificate:
         steps.append(EnlargementStep(enl))
         # find_line_subbundle has validated sub
         quot = _quotient(sub.host, sub)
-        qprime = remove_line(merged, d)
+        try:
+            qprime = remove_line(merged, d)
+        except ValueError:
+            raise SplitOffError(
+                "certify over %s: split-off round %d found a line subbundle "
+                "of degree %d, and the remaining source %s has no summand of "
+                "that degree" % (target.field.name, rounds, d,
+                                 merged)) from None
         steps.append(SplitOffStep(sub, quot, qprime))
         cur_t, cur_s = quot, qprime
     steps.append(RankOneBase(cur_s.degree))

@@ -640,6 +640,63 @@ def test_oracle_check(capsys):
                                "box_mismatches": 0}
 
 
+@pytest.mark.parametrize("verb,option", [("box", "--level"),
+                                          ("oracle-check", "--seed"),
+                                          ("oracle-check", "--cases")])
+def test_an_integer_option_past_the_bound_ends_in_one_error_line(
+        ex_path, capsys, verb, option):
+    # read by the reader --twist uses: more digits than int() reads, a
+    # bound of 10^1000, and trailing junk are each one error line, exit 1,
+    # not argparse's usage message and exit 2
+    argv = [verb] + (["-i", ex_path] if verb == "box" else [])
+    for value in ("9" * 5000, "1" + "0" * 1000, "12abc"):
+        code, out, err = run(capsys, *argv, option, value)
+        assert (code, out) == (1, "")
+        assert err == ("error: %s is not an integer below 10^1000 in "
+                       "absolute value\n" % option)
+    # one less than the bound is read: no box lies that low, and one case
+    # runs under that seed
+    value = "-" + "9" * 1000 if verb == "box" else "9" * 1000
+    extra = ["--cases", "1"] if option == "--seed" else []
+    if option != "--cases":
+        code, out, err = run(capsys, *argv, option, value, *extra)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == ({"box": []} if verb == "box" else
+                                   {"cases": 1, "h0_mismatches": 0,
+                                    "box_mismatches": 0})
+
+
+# drawn at k = 2 of the p:7 seed in test_metamorphic.py, with its edges
+# reordered: over p:7 decide accepts (3,3,-1), but the first split-off
+# leaves a quotient of dmax 2 against the remaining source (3,-1)
+P7_SPLIT_OFF = {
+    "curve": {"components": ["v1", "v2", "v3", "v4"],
+              "edges": [{"a": "v1", "pa": "0", "b": "v2", "pb": "0"},
+                        {"a": "v1", "pa": "1", "b": "v4", "pb": "0"},
+                        {"a": "v2", "pa": "1", "b": "v3", "pb": "0"}]},
+    "rank": 3,
+    "splittings": {"v1": [0, 0, 1], "v2": [2, 2, 0], "v3": [1, 1, -2],
+                   "v4": [0, 1, -1]},
+    "gluings": [
+        {"edge": 0, "matrix": [["0", "3", "6"], ["4", "4", "6"], ["5", "1", "0"]]},
+        {"edge": 1, "matrix": [["6", "5", "4"], ["6", "1", "5"], ["3", "2", "5"]]},
+        {"edge": 2, "matrix": [["2", "3", "3"], ["2", "6", "4"], ["1", "4", "2"]]}],
+}
+
+
+def test_certify_with_no_summand_to_split_off_ends_in_one_error_line(
+        tmp_path, capsys):
+    path = _write(tmp_path, P7_SPLIT_OFF)
+    argv = ["-i", path, "--field", "p:7", "--target", "3,3,-1"]
+    code, out, _ = run(capsys, "decide", *argv)
+    assert (code, out) == (0, '{"verdict":"yes"}\n')
+    code, out, err = run(capsys, "certify", *argv)
+    assert (code, out) == (1, "")
+    assert err == ("error: certify over p:7: split-off round 2 found a line "
+                   "subbundle of degree 2, and the remaining source (3, -1) "
+                   "has no summand of that degree\n")
+
+
 def test_export_dot_curve(tmp_path, capsys):
     path = tmp_path / "curve.json"
     path.write_text(dumps(curve_to_json(build_ex().curve)))

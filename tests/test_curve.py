@@ -233,6 +233,26 @@ def test_enlargement_problems_before_the_walks():
         "source and target coefficient fields differ", CHAIN % []]
 
 
+@pytest.mark.parametrize("field", ["q", "p:7"])
+def test_composed_bridge_insertions_leave_no_target_edge_unmatched(field):
+    # a valid enlargement puts every source edge on a walk, so every target
+    # edge has one: a tree of n_target - 1 walks joins the survivors
+    fld = field_from_name(field)
+    rng = random.Random(19 + fld.char)
+    for _ in range(60):
+        curve = random_tree(rng, rng.randint(2, 6), fld)
+        total = identity_enlargement(curve)
+        for _ in range(rng.randint(1, 3)):
+            source = total.source
+            _, step = insert_bridge(source, rng.randrange(len(source.edges)))
+            total = compose_enlargements(total, step)
+        assert total.validate() == []
+        walks = total.target_edge_paths()
+        assert len(walks) == len(curve.edges) and None not in walks
+        assert sorted(i for walk in walks for i, _ in walk) == list(
+            range(len(total.source.edges)))
+
+
 def test_restrict_curve():
     curve = star4()
     sub = restrict_curve(curve, {"h", "b"})

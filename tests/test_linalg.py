@@ -196,6 +196,65 @@ def test_the_integer_boundary_round_trips(fld):
     assert power_row(fld.one, -1, p) == []
 
 
+SHAPES = ["tall", "wide", "square-singular", "zero-rows", "zero-columns",
+          "repeated-rows", "one-row", "one-column", "no-rows"]
+
+
+def _shaped_matrix(rng, fld, shape):
+    """A matrix of the named shape, entries as in `_random_matrix`."""
+    n, k = rng.randint(2, 5), rng.randint(2, 5)
+    if shape == "tall":
+        n, k = rng.randint(5, 8), rng.randint(1, 4)
+    elif shape == "wide":
+        n, k = rng.randint(1, 3), rng.randint(5, 8)
+    elif shape == "square-singular":
+        k = n
+    elif shape == "one-row":
+        n = 1
+    elif shape == "one-column":
+        k = 1
+    elif shape == "no-rows":
+        n = 0
+    m = _random_matrix(rng, fld, n, k)
+    if shape == "square-singular":
+        a, b = (fld.of(rng.randint(-3, 3)) for _ in range(2))
+        m[-1] = [a * x + b * y for x, y in zip(m[0], m[-2])]
+    elif shape == "zero-rows":
+        for i in rng.sample(range(n), rng.randint(1, n)):
+            m[i] = [fld.zero] * k
+    elif shape == "zero-columns":
+        for j in rng.sample(range(k), rng.randint(1, k)):
+            for row in m:
+                row[j] = fld.zero
+    elif shape == "repeated-rows":
+        m += [list(m[rng.randrange(n)]) for _ in range(rng.randint(1, 3))]
+        rng.shuffle(m)
+    return m
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(7), PrimeField(1000003)],
+                         ids=lambda f: f.name)
+def test_one_elimination_on_every_shape(fld):
+    # the rank routes and the reduced form share one pivot walk; each shape
+    # reaches a different exit from it
+    rng = random.Random(fld.char + 23)
+    p = fld.char
+    for shape in SHAPES:
+        for _ in range(40):
+            m = _shaped_matrix(rng, fld, shape)
+            k = len(m[0]) if m else rng.randint(1, 4)
+            ints, _ = cleared(m, p)
+            want_red, want_pivots = rref(m, k)
+            got = modular_rank(ints, k, p) if p else bareiss_rank(ints, k)
+            assert got == rank(ints, k, p) == len(want_pivots)
+            assert matrix_rank(m, k) == len(want_pivots)
+            if shape == "square-singular":
+                assert len(want_pivots) < k
+            red, pivots, den = integer_rref(ints, k, p)
+            assert pivots == want_pivots
+            assert [[element(x, den, p) for x in row] for row in red] == want_red
+
+
 def test_integer_elimination_on_no_rows():
     assert integer_rref([], 3, 0) == ([], [], 1)
     assert integer_rref([], 3, 7) == ([], [], 1)
