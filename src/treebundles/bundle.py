@@ -14,10 +14,12 @@ bundle serves every twist (`SectionSystem`): every block sits at degree
 val(v) - 1, where val(v) counts the nodes on the component, and a twist
 selects a prefix of each block's columns. A twist's h0 is sum(max(0, m+1))
 minus the rank of its selection, memoised by the clamped block degrees, so
-its cost does not depend on the twist. When every clamped block is full
-(degree val(v) - 1) or empty, that rank is a sum over the nodes of ranks of
-gluing submatrices, with no elimination of the system; otherwise it is
-Bareiss elimination over Q, elimination mod p over GF(p). The same object
+its cost does not depend on the twist. That rank is one block elimination:
+the full blocks (degree val(v) - 1), in values at the nodes, touch one
+node's rows each, so each node contributes r minus the dimension of the
+row vectors that kill them, and only the partial blocks' columns, reduced
+by those vectors, are eliminated (Bareiss over Q, mod p over GF(p)); a
+state with no partial block takes no elimination. The same object
 bounds those counts from below with no rank at all (T - R, which is the
 count at every all-full twist), and holds the vanishing floors and the node
 counts val(v); `h0` is its count at the zero twist, and `dmax` and
@@ -29,8 +31,9 @@ from math import inf
 
 from . import poly
 from .curve import TreeCurve, check_multidegree, restrict_curve
-from .linalg import (cleared, identity_matrix, integer_kernel_basis,
-                     invert_matrix, is_invertible, mat_mul, power_row, rank)
+from .linalg import (cleared, identity_matrix, integer_kernel,
+                     integer_kernel_basis, invert_matrix, is_invertible,
+                     mat_mul, power_row, rank)
 
 
 class BundleError(ValueError):
@@ -47,6 +50,17 @@ class GluedBundle:
                            for v in curve.components}
         self.gluings = {int(i): [list(row) for row in gluings[i]]
                         for i in range(len(curve.edges))}
+
+    @classmethod
+    def _sharing(cls, curve, rank, splittings, gluings):
+        """A bundle holding `gluings` itself, not a copy. No code in the
+        package changes a gluing in place (every inverse, product and
+        pullback copies first), so a bundle derived from another may share
+        its rows."""
+        out = cls.__new__(cls)
+        out.curve, out.rank = curve, rank
+        out.splittings, out.gluings = splittings, gluings
+        return out
 
     @property
     def field(self):
@@ -110,12 +124,13 @@ def twist(bundle: GluedBundle, md) -> GluedBundle:
 
     On a tree any line bundle is determined by its multidegree (the gluing
     scalars can be absorbed component by component), so a plain integer map
-    is the whole datum.
+    is the whole datum. The twist shares the source's gluing rows.
     """
     check_multidegree(bundle.curve, md)
     new = {v: tuple(d + md[v] for d in bundle.splittings[v])
            for v in bundle.curve.components}
-    return GluedBundle(bundle.curve, bundle.rank, new, bundle.gluings)
+    return GluedBundle._sharing(bundle.curve, bundle.rank, new,
+                                bundle.gluings)
 
 
 def restrict_bundle(bundle: GluedBundle, members) -> GluedBundle:
@@ -268,24 +283,35 @@ class SectionSystem:
     depends only on each block's degree clamped to [-1, cap_v], so `count`
     memoises it on that clamped state.
 
-    Call a block full at cap_v, empty at -1 and partial otherwise. A state
-    with no partial block takes no elimination of the system:
+    Call a block full at cap_v, empty at -1 and partial otherwise. Every
+    state takes one rank route, a block elimination that leaves only the
+    partial blocks' columns to eliminate:
     - a full block's val(v) coefficients map bijectively onto its values
       at v's val(v) distinct nodes (a square Vandermonde), and that change
       of columns keeps the rank;
-    - afterwards every column meets the rows of one node only, so the rank
-      is a sum over the nodes;
-    - at node i the rows read G_i (a-side values) - (b-side values), up to
-      row scalings, which keep the rank. Their columns are
-      [G_i[:, F_a] | -I[:, F_b]], with F_a and F_b the full summands on the
-      a- and b-end, and this block has rank |F_b| + rank G_i[E_b, F_a],
-      with E_b the empty summands on the b-end: a submatrix of the
-      invertible gluing, at most rank x rank.
-    A leaf has cap 0 and is never partial, so every state of a
-    two-component bundle takes this route. A state with a partial block
-    takes the elimination of its selected columns instead: Bareiss
-    elimination over Q, elimination mod p over GF(p); the rows are built at
-    the first such rank.
+    - afterwards the full blocks' columns at node i meet node i's rows
+      only: C_i = [G_i[:, F_a] | -I[:, F_b]] up to row scalings, which keep
+      the rank, with G_i the gluing and F_a, F_b the full summands on the
+      a- and b-end;
+    - let Y_i be a basis of the row vectors that kill C_i. They are
+      supported on E_i, the b-end summands that are not full, and solve
+      y G_i[E_i, F_a] = 0: the unit vectors on E_i when F_a is empty, none
+      when E_i is empty or F_a is every summand. So rank C_i = r - |Y_i|;
+    - the rank of [C | P] is rank C plus the rank of P modulo the columns
+      of C (the Schur complement; Guttman, Ann. Math. Statist. 17, 1946),
+      and Y = diag(Y_i) maps exactly those columns to zero. So
+      rank = sum_i (r - |Y_i|) + rank(stack_i Y_i P_i), where P_i holds
+      node i's rows of the partial blocks' coefficient columns only
+      (clamped degree + 1 each), at the powers and row scalings of
+      `_matching_rows`.
+    With no partial block P has no columns and the rank is the sum over the
+    nodes, with no elimination: |F_b| + rank G_i[E_b, F_a], a submatrix of
+    the invertible gluing. A leaf has cap 0 and is never partial, so every
+    state of a two-component bundle is one of these. Otherwise the one
+    elimination left, of the stacked rows, is Bareiss elimination over Q,
+    elimination mod p over GF(p). Each gluing is cleared, and each edge's
+    power rows are built, once per system, and Y_i is memoised by
+    (edge, F_a, E_i).
 
     Both ends of every edge carry a block, so the system has
     R = rank * #edges rows and its rank is at most R. When every block is
@@ -311,12 +337,17 @@ class SectionSystem:
         adj = bundle.curve.adjacency()
         self.val = {v: len(adj[v]) for v in bundle.curve.components}
         self.lo = vanishing_floor(bundle)
-        self._nrows = bundle.rank * len(bundle.curve.edges)
+        r = bundle.rank
+        self._nrows = r * len(bundle.curve.edges)
         self._sides = [(v, bundle.splittings[v], n - 1)
                        for v, n in self.val.items()]
         # per entry of a clamped state, its block's cap
         self._caps = tuple(top for _, ds, top in self._sides for _ in ds)
-        self._rows = self._starts = self._ends = self._glue = None
+        # per edge, the first entry of each end's blocks in a state
+        at = {v: k * r for k, (v, _, _) in enumerate(self._sides)}
+        self._ends = [(at[e.a], at[e.b]) for e in bundle.curve.edges]
+        self._edges = {}    # edge -> cleared gluing and scaled power rows
+        self._kernels = {}  # (edge, F_a, E_i) -> Y_i
         self._ranks = {}
 
     def count(self, md):
@@ -339,49 +370,92 @@ class SectionSystem:
         return total - rank
 
     def _rank(self, state):
-        for m, top in zip(state, self._caps):
-            if -1 < m < top:
-                return self._coefficient_rank(state)
-        return self._node_rank(state)
-
-    def _node_rank(self, state):
-        # no partial block: per edge, |F_b| + rank G[E_b, F_a]
+        # sum_i (r - |Y_i|) + rank(stack_i Y_i P_i)
         r = self.bundle.rank
-        p = self.bundle.field.char
-        if self._ends is None:
-            at = {v: k * r for k, (v, _, _) in enumerate(self._sides)}
-            self._ends = [(at[e.a], at[e.b]) for e in self.bundle.curve.edges]
-        total = 0
+        caps = self._caps
+        # first column of each partial block among P's columns
+        starts = {}
+        ncols = 0
+        for s, m in enumerate(state):
+            if -1 < m < caps[s]:
+                starts[s] = ncols
+                ncols += m + 1
+        total = self._nrows
+        rows = []
         for i, (a, b) in enumerate(self._ends):
-            full = [j for j in range(r) if state[a + j] >= 0]
-            empty = [k for k in range(r) if state[b + k] < 0]
-            total += r - len(empty)
-            if 0 < len(full) < r and 0 < len(empty) < r:
-                if self._glue is None:
-                    self._glue = [cleared(self.bundle.gluings[j], p)[0]
-                                  for j in range(len(self._ends))]
-                sub = [[self._glue[i][k][j] for j in full] for k in empty]
-                total += rank(sub, len(full), p)
-            else:
-                # rows and columns of an invertible gluing are independent
-                total += min(len(full), len(empty))
+            tb = caps[b]
+            rest = tuple([k for k in range(r) if state[b + k] < tb])
+            if rest:
+                ta = caps[a]
+                full = tuple([j for j in range(r) if state[a + j] == ta])
+                ys = self._kernel(i, full, rest)
+                total -= len(ys)
+                if ys and starts:
+                    rows += self._reduced_rows(i, ys, state, starts, a, b,
+                                               ncols)
+        if rows:
+            total += rank(rows, ncols, self.bundle.field.char)
         return total
 
-    def _coefficient_rank(self, state):
+    def _kernel(self, i, full, rest):
+        # Y_i as sparse vectors ((k, y_k), ...) on the nonempty `rest`
+        key = (i, full, rest)
+        ys = self._kernels.get(key)
+        if ys is None:
+            if len(full) == self.bundle.rank:
+                ys = ()
+            elif not full:
+                ys = tuple(((k, 1),) for k in rest)
+            else:
+                glue = self._edge(i)[0]
+                vecs, _ = integer_kernel([[glue[k][j] for k in rest]
+                                          for j in full],
+                                         len(rest), self.bundle.field.char)
+                ys = tuple(tuple((k, c) for k, c in zip(rest, vec) if c)
+                           for vec in vecs)
+            self._kernels[key] = ys
+        return ys
+
+    def _edge(self, i):
+        """Edge i's gluing cleared to integers, and the power rows of its
+        a- and b-end at their caps, scaled as `_matching_rows` scales
+        them: d_b^L and -den d_a^K."""
+        rec = self._edges.get(i)
+        if rec is None:
+            p = self.bundle.field.char
+            e = self.bundle.curve.edges[i]
+            ua = power_row(e.pa, self.val[e.a] - 1, p)
+            ub = power_row(e.pb, self.val[e.b] - 1, p)
+            glue, den = cleared(self.bundle.gluings[i], p)
+            sa, sb = ub[0], -den * ua[0]
+            rec = self._edges[i] = (glue, [u * sa for u in ua],
+                                    [u * sb for u in ub])
+        return rec
+
+    def _reduced_rows(self, i, ys, state, starts, a, b, ncols):
+        # y P_i for y in Y_i: each partial block of the a-end meets y
+        # through y G_i[:, j], each partial block of the b-end through y_k
         r = self.bundle.rank
-        if self._rows is None:
-            blocks, ncols = _column_layout(
-                {v: (top,) * r for v, _, top in self._sides})
-            self._rows = _matching_rows(self.bundle, ncols, blocks)
-            # first column of every block, in summand order; a component
-            # without nodes has cap -1 and no block, and selects nothing
-            self._starts = [blocks[(v, i)][1] if top >= 0 else 0
-                            for v, _, top in self._sides for i in range(r)]
-        # each block keeps the first (clamped degree + 1) of its columns
-        keep = [j for start, m in zip(self._starts, state)
-                for j in range(start, start + m + 1)]
-        sel = [[row[j] for j in keep] for row in self._rows]
-        return rank(sel, len(keep), self.bundle.field.char)
+        a_side = [(j, starts[a + j], state[a + j]) for j in range(r)
+                  if a + j in starts]
+        if not a_side and not any(b + k in starts for k in range(r)):
+            return []
+        glue, ua, ub = self._edge(i)
+        rows = []
+        for y in ys:
+            row = [0] * ncols
+            for j, start, m in a_side:
+                c = sum(yk * glue[k][j] for k, yk in y)
+                if c:
+                    row[start:start + m + 1] = [c * u for u in ua[:m + 1]]
+            for k, yk in y:
+                start = starts.get(b + k)
+                if start is not None:
+                    m = state[b + k]
+                    row[start:start + m + 1] = [yk * u for u in ub[:m + 1]]
+            if any(row):
+                rows.append(row)
+        return rows
 
     def floor(self, md):
         """max(T - R, V) at the twist md, at most its h0."""

@@ -150,6 +150,8 @@ def bundle_from_json(obj, field=None) -> GluedBundle:
     for k, g in enumerate(_need(obj, "gluings", list, "bundle")):
         where = "bundle gluing %d" % k
         i = _need(g, "edge", int, where)
+        if i in gluings:
+            raise SerializeError("%s: edge %d is listed twice" % (where, i))
         gluings[i] = _matrix_from_json(fld, _need(g, "matrix", list, where), where)
     rank = _need(obj, "rank", int, "bundle")
     # curve_from_json validated the tree
@@ -185,7 +187,10 @@ def subbundle_from_json(obj, host: GluedBundle) -> LineSubbundle:
     scalars = {}
     for k, s in enumerate(_need(obj, "scalars", list, "subbundle")):
         where = "subbundle scalar %d" % k
-        scalars[_need(s, "edge", int, where)] = fld.parse(_need(s, "value", str, where))
+        i = _need(s, "edge", int, where)
+        if i in scalars:
+            raise SerializeError("%s: edge %d is listed twice" % (where, i))
+        scalars[i] = fld.parse(_need(s, "value", str, where))
     missing = (set(degrees) ^ set(host.curve.components)) | (set(embeddings) ^ set(host.curve.components))
     if missing:
         raise SerializeError("subbundle: component coverage differs at %s" % sorted(missing))

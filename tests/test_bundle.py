@@ -7,8 +7,9 @@ from fractions import Fraction as F
 import pytest
 
 from treebundles import linalg, poly
-from treebundles.bundle import (BundleError, SectionSystem, clamp_box,
-                                clamp_multidegree, contract_pushforward, dmax,
+from treebundles.bundle import (BundleError, SectionSystem, _column_layout,
+                                _matching_rows, clamp_box, clamp_multidegree,
+                                contract_pushforward, dmax,
                                 h0, h0_oracle, h1, make_bundle, pullback,
                                 restrict_bundle, section_basis, twist,
                                 vanishing_floor)
@@ -16,9 +17,10 @@ from treebundles.curve import Edge, TreeCurve, insert_bridge, md_total
 from treebundles.fields import PrimeField, RationalField
 from treebundles.linalg import invert_matrix
 from treebundles.sampling import random_bundle, random_multidegree, random_tree
+from treebundles.serialize import bundle_to_json
 
 from conftest import build_ex
-from reference_linalg import evaluate, mat_vec
+from reference_linalg import evaluate, mat_vec, matrix_rank
 
 I2 = [[F(1), F(0)], [F(0), F(1)]]
 QQ = RationalField()
@@ -76,6 +78,32 @@ def test_make_bundle_tests_invertibility_in_the_field():
 def test_bundle_equality(ex_bundle):
     assert ex_bundle == build_ex()
     assert ex_bundle != twist(ex_bundle, {"v1": 1, "v2": 0})
+
+
+def test_twist_leaves_the_source_bundle_as_it_was():
+    # a twist shares its source's gluing rows; neither twisting, nor
+    # counting, bounding or scanning on the twist changes the source
+    rng = random.Random(39)
+    for k in range(24):
+        fld = (QQ, PrimeField(7), PrimeField(1000003))[k % 3]
+        bundle = random_bundle(rng, random_tree(rng, 1 + k % 5, fld),
+                               1 + k % 3, lo=-2, hi=2)
+        before = bundle_to_json(bundle)
+        md = random_multidegree(rng, bundle.curve, -2, 2)
+        twisted = twist(bundle, md)
+        h0(twisted)
+        dmax(twisted)
+        twist(twisted, md)
+        assert bundle_to_json(bundle) == before
+        assert twisted.gluings == bundle.gluings
+        assert twisted.splittings == {
+            v: tuple(d + md[v] for d in ds)
+            for v, ds in bundle.splittings.items()}
+    # the public constructor still copies what it is given
+    glue = [[F(1), F(2)], [F(0), F(1)]]
+    bundle = make_bundle(t2(), {"v1": (1, 0), "v2": (0, 0)}, {0: glue})
+    glue[0][1] = F(5)
+    assert bundle.gluings[0] == [[F(1), F(2)], [F(0), F(1)]]
 
 
 # -- cohomology golden values -------------------------------------------------
@@ -377,7 +405,8 @@ def test_section_system_floor_counts_sections_vanishing_at_every_node():
 def _twist_of_kind(rng, system, kind):
     """A twist putting every block of a component at its cap ('full'),
     below its summands ('empty'), one of the two per component ('mixed'),
-    or anywhere in -4..4 ('any')."""
+    one summand per component exactly at its cap ('split': the larger ones
+    full, the smaller partial or empty), or anywhere in -4..4 ('any')."""
     md = {}
     for v, ds in system.bundle.splittings.items():
         side = rng.choice(("full", "empty")) if kind == "mixed" else kind
@@ -385,6 +414,8 @@ def _twist_of_kind(rng, system, kind):
             md[v] = system.val[v] - 1 - min(ds) + rng.randint(0, 1)
         elif side == "empty":
             md[v] = -max(ds) - 1 - rng.randint(0, 1)
+        elif side == "split":
+            md[v] = system.val[v] - 1 - rng.choice(ds)
         else:
             md[v] = rng.randint(-4, 4)
     return md
@@ -406,24 +437,66 @@ def _state_kind(system, state):
     return "mixed" if len(blocks) == 2 else blocks.pop()
 
 
+def _left_kernel_node(system, state):
+    """Whether some node has full summands F_a on its a-end and summands
+    E_i that are not full on its b-end, both proper and nonempty: the node
+    whose Y_i solves y G_i[E_i, F_a] = 0."""
+    r = system.bundle.rank
+    at, k = {}, 0
+    for v, ds in system.bundle.splittings.items():
+        at[v] = k
+        k += len(ds)
+    for e in system.bundle.curve.edges:
+        full = sum(state[at[e.a] + j] == system.val[e.a] - 1 for j in range(r))
+        rest = sum(state[at[e.b] + j] < system.val[e.b] - 1 for j in range(r))
+        if 0 < full < r and 0 < rest < r:
+            return True
+    return False
+
+
+def _capped_rank(system, state):
+    """The rank of the state's columns of the full capped matching system,
+    over field elements: every block at cap_v, each keeping its first
+    (clamped degree + 1) columns, eliminated by the reference."""
+    bundle = system.bundle
+    caps = {v: system.val[v] - 1 for v in bundle.curve.components}
+    blocks, ncols = _column_layout(
+        {v: (caps[v],) * bundle.rank for v in bundle.curve.components})
+    rows = _matching_rows(bundle, ncols, blocks)
+    keys = [(v, j) for v, ds in bundle.splittings.items()
+            for j in range(len(ds))]
+    keep = [blocks[key][1] + t for key, m in zip(keys, state)
+            for t in range(m + 1)]
+    of = bundle.field.of
+    return matrix_rank([[of(row[j]) for j in keep] for row in rows],
+                       len(keep))
+
+
 @pytest.mark.parametrize("fld", [QQ, PrimeField(7), PrimeField(1000003)],
                          ids=lambda f: f.name)
 def test_node_rank_matches_the_coefficient_elimination(fld):
-    # n 1-6 (a single component included), rank 1-4, and half the bundles
-    # over q with non-integral node coordinates and gluings
+    # the one rank route against the reference rank of the whole capped
+    # system's selected columns; n 1-8 (a single component included),
+    # rank 1-4, and half the bundles over q with non-integral node
+    # coordinates and gluings
     rng = random.Random(37 + fld.char % 1000)
-    seen = {"full": 0, "mixed": 0, "empty": 0, "partial": 0}
-    for k in range(72):
-        curve = random_tree(rng, 1 + k % 6, fld)
-        bundle = random_bundle(rng, curve, 1 + (k // 6) % 4, lo=-3, hi=3)
+    seen = {"full": 0, "mixed": 0, "empty": 0, "partial": 0,
+            "left kernel": 0}
+    for k in range(80):
+        curve = random_tree(rng, 1 + k % 8, fld)
+        bundle = random_bundle(rng, curve, 1 + (k // 8) % 4, lo=-3, hi=3)
         if fld == QQ and k % 2:
             bundle = non_integral(rng, bundle)
         system = SectionSystem(bundle)
-        for kind in ("full", "mixed", "mixed", "any", "any"):
+        for kind in ("full", "mixed", "mixed", "any", "any", "split"):
             state = _clamped_state(system, _twist_of_kind(rng, system, kind))
             seen[_state_kind(system, state)] += 1
-            assert system._rank(state) == system._coefficient_rank(state)
-    assert min(seen["full"], seen["mixed"], seen["partial"]) >= 30, seen
+            if (_state_kind(system, state) == "partial"
+                    and _left_kernel_node(system, state)):
+                seen["left kernel"] += 1
+            assert system._rank(state) == _capped_rank(system, state)
+    assert min(seen["full"], seen["mixed"], seen["partial"],
+               seen["left kernel"]) >= 30, seen
 
 
 @pytest.mark.parametrize("fld", [QQ, PrimeField(1000003)], ids=lambda f: f.name)
@@ -450,7 +523,10 @@ def test_all_full_twists_take_no_elimination(fld, monkeypatch):
                         for v, ds in bundle.splittings.items() for d in ds)
             rows = bundle.rank * len(bundle.curve.edges)
             assert system.count(md) == system.floor(md) == total - rows
-        assert system._rows is None
+        # no gluing cleared, no power row built and no Y_i found: every
+        # b-end is full, so no node has a summand left to kill C_i
+        assert system._edges == {}
+        assert not any(system._kernels.values())
     assert calls == []
     monkeypatch.undo()
     # full and empty blocks mixed, against the independent route

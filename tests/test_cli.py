@@ -330,6 +330,45 @@ def test_bad_input_ends_in_one_error_line(tmp_path, capsys, verb, make_input,
     assert "Traceback" not in err
 
 
+def _rank_one_with_edge_listed_twice(tmp_path):
+    # the later matrix used to win, and h0 printed {"h0":2,"h1":0}
+    obj = bundle_to_json(build_chain(("v1", "v2"), {"v1": (0,), "v2": (0,)},
+                                     {0: [[F(1)]]}))
+    obj["gluings"].append({"edge": 0, "matrix": [["2"]]})
+    return _write(tmp_path, obj)
+
+
+def _cert_with_target_edge_listed_twice(tmp_path):
+    obj = certificate_to_json(certify(build_ex(), SplittingType((3, 1))))
+    gluings = obj["claim"]["target"]["gluings"]
+    gluings.append(dict(gluings[0]))
+    return _write(tmp_path, obj)
+
+
+def _cert_with_scalar_edge_listed_twice(tmp_path):
+    # the same edge and value twice: the certificate used to verify
+    obj = certificate_to_json(certify(build_ex(), SplittingType((3, 1))))
+    (step,) = [s for s in obj["steps"] if s["kind"] == "splitoff"]
+    scalars = step["subbundle"]["scalars"]
+    assert scalars[0]["edge"] == 0
+    scalars.insert(1, dict(scalars[0]))
+    return _write(tmp_path, obj)
+
+
+@pytest.mark.parametrize("verb, make_input, message", [
+    ("h0", _rank_one_with_edge_listed_twice,
+     "error: bundle gluing 1: edge 0 is listed twice\n"),
+    ("verify", _cert_with_target_edge_listed_twice,
+     "error: bundle gluing 1: edge 0 is listed twice\n"),
+    ("verify", _cert_with_scalar_edge_listed_twice,
+     "error: subbundle scalar 1: edge 0 is listed twice\n"),
+], ids=["h0-gluing", "verify-target-gluing", "verify-subbundle-scalar"])
+def test_an_edge_listed_twice_ends_in_one_error_line(tmp_path, capsys, verb,
+                                                     make_input, message):
+    code, out, err = run(capsys, verb, "-i", make_input(tmp_path))
+    assert (code, out, err) == (1, "", message)
+
+
 def _huge_exponent_node(obj):
     obj["curve"]["edges"][0]["pa"] = "1e999999999"
 
