@@ -22,8 +22,10 @@ by those vectors, are eliminated (Bareiss over Q, mod p over GF(p)); a
 state with no partial block takes no elimination. The same object
 bounds those counts from below with no rank at all (T - R, which is the
 count at every all-full twist), and holds the vanishing floors and the node
-counts val(v); `h0` is its count at the zero twist, and `dmax` and
-`specialize.decide` read everything they need from it.
+counts val(v); `h0` is its count at the zero twist. Its one clamp-box walk,
+`first_failure`, finds the first twist of a level with fewer sections than
+a given need: `dmax` asks it with need 1 and `specialize.decide` with the
+source's count.
 """
 from __future__ import annotations
 
@@ -498,6 +500,50 @@ class SectionSystem:
             spare -= take
         return value + r * spare
 
+    def first_failure(self, e, need):
+        """(md, count(md)) for the first twist md of level e in the clamp
+        box (md[v] >= lo[v], total e, in ascending lexicographic order along
+        the components) with count(md) < need, or None if there is none.
+
+        The walk is capped above where that first twist cannot lie:
+        - need = 1: every coordinate at the ceiling lo_v + val(v). A
+          summand of twisted degree m >= val(v) has a section (the product
+          of (x - p) over v's nodes, extended by zero to the other
+          components), so every sectionless twist lies under the ceiling.
+        - need > 1: every coordinate but the last at
+          sat_v = val(v) - 1 - min(splittings[v]). Above sat_v every
+          summand on v has twisted degree at least val(v), so lowering
+          md[v] by one removes exactly r sections, while raising the last
+          coordinate by one adds at most r. A failure with md[v] > sat_v
+          for a non-last v therefore yields a failure at the same level
+          that is lexicographically smaller. The last coordinate takes
+          whatever the others leave. The level is skipped whole when its
+          `level_floor` reaches need.
+        The ceiling, val(v) - 1 - max(splittings[v]), is never above sat_v.
+        A count is read only where the twist's floor falls short of need;
+        only twists with at least need sections are skipped, so the first
+        failure does not change. The level floor is at most every twist's
+        floor, so it never saves a rank; at need = 1 it costs more than
+        the walks it skips.
+        """
+        comps = self.bundle.curve.components
+        lo = self.lo
+        if need == 1:
+            hi = {v: lo[v] + self.val[v] for v in comps}
+        elif self.level_floor(e) >= need:
+            return None
+        else:
+            *rest, last = comps
+            spl = self.bundle.splittings
+            hi = {v: self.val[v] - 1 - min(spl[v]) for v in rest}
+            hi[last] = e - sum(lo[v] for v in rest)
+        for md in level_box(comps, lo, hi, e):
+            if self.floor(md) < need:
+                have = self.count(md)
+                if have < need:
+                    return md, have
+        return None
+
 
 def h0(bundle: GluedBundle) -> int:
     """Dimension of the global sections: the bundle's section system at the
@@ -671,9 +717,8 @@ def clamp_box(bundle: GluedBundle, e: int):
     semicontinuity failure therefore clamps onto this finite box. Returned
     in ascending lexicographic order along the component order, and not
     capped above. The list is the `box` verb's answer and a reference for
-    tests; the scans walk `level_box` lazily under their own caps instead:
-    `dmax` the ceiling lo_v + val(v), `specialize.decide` a saturation cap
-    on every coordinate but the last.
+    tests; `dmax` and `specialize.decide` instead walk each level lazily
+    under caps, in `SectionSystem.first_failure`.
     """
     comps = bundle.curve.components
     return list(level_box(comps, vanishing_floor(bundle), None, e))
@@ -689,31 +734,21 @@ def dmax(bundle: GluedBundle):
     """Largest d such that every twist of total degree -d has a section.
 
     Returns (d, witness) with the witness the first multidegree in the
-    total-degree -(d+1) clamp box without sections. A summand of twisted
-    degree m >= val(v) has a section (the product of (x - p) over v's
-    nodes, extended by zero to the other components), so every sectionless
-    twist in the clamp box also lies under the ceiling lo_v + val(v): the
-    first sectionless entry of a level is the first one of its ceiling box.
-    Lowering an above-floor coordinate of a sectionless twist keeps it
-    sectionless and in the box, so the levels that hold one form an
-    interval starting at the all-floors twist, and the levels are climbed
-    from there until one has no sectionless entry; the ceiling box is empty
-    past level sum(lo_v + val(v)), so the climb ends. Every probe is a count
-    on the bundle's one section system, taken only where its floor, which
-    takes no rank, is 0: a positive floor already proves a section, so the
-    first sectionless entry of each level, the value and the witness do not
-    change.
+    total-degree -(d+1) clamp box without sections, each level's found by
+    `SectionSystem.first_failure` with need = 1. Lowering an above-floor
+    coordinate of a sectionless twist keeps it sectionless and in the box,
+    so the levels that hold one form an interval starting at the
+    all-floors twist, and the levels are climbed from there until one has
+    no sectionless entry; every sectionless twist lies under the ceiling
+    lo_v + val(v), whose box is empty past level sum(lo_v + val(v)), so the
+    climb ends.
     """
-    comps = bundle.curve.components
     system = SectionSystem(bundle)
-    lo, count, floor = system.lo, system.count, system.floor
-    hi = {v: lo[v] + system.val[v] for v in comps}
-    e = sum(lo.values())
-    witness = dict(lo)
+    e = sum(system.lo.values())
+    witness = dict(system.lo)
     while True:
         e += 1
-        found = next((md for md in level_box(comps, lo, hi, e)
-                      if floor(md) == 0 and count(md) == 0), None)
+        found = system.first_failure(e, 1)
         if found is None:
             return -e, witness
-        witness = found
+        witness = found[0]

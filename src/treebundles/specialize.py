@@ -3,10 +3,9 @@
 decide answers whether a bundle with the given generic splitting type can
 degenerate to the given glued bundle: ranks and degrees must agree and the
 section counts of the tree bundle must dominate the generic ones at every
-twist level, with each level reduced to its finite clamp box, capped above
-on every component but the last. A lower bound on the counts that takes no
-rank settles whole levels and most twists; the other counts are read from
-one section system of the tree bundle.
+twist level, with each level reduced to its finite clamp box. The tree
+bundle's one section system walks each level for its first failure
+(`bundle.SectionSystem.first_failure`), the same walk `dmax` climbs.
 
 find_line_subbundle realizes the maximal line subbundle degree after
 enlarging the curve by bridges, and certify chains split-offs of such
@@ -15,7 +14,6 @@ subbundles into a machine-checkable certificate.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 
 from . import poly
@@ -70,25 +68,12 @@ def decide(target: GluedBundle, source: SplittingType) -> Decision:
     window the inequality is forced by chi. Below the vanishing floor lo_v
     a coordinate no longer changes h0, so failures clamp onto the box
     ℓ_v >= lo_v. The first failure (levels ascending, twists in ascending
-    lexicographic order along the components) is returned as the witness.
-
-    Every coordinate but the last is also capped at
-    sat_v = val(v) - 1 - min(splittings[v]). Above sat_v every summand on v
-    has twisted degree at least val(v), so lowering ℓ_v by one removes
-    exactly r sections, while raising the last coordinate by one adds at
-    most r. A failure with ℓ_v > sat_v for a non-last v therefore yields a
-    failure at the same level that is lexicographically smaller, so the
-    first failure never lies above the cap.
-
-    Most twists pass on a floor that takes no rank, max(T - R, V) from
-    the target's `bundle.SectionSystem` (its docstring has the argument).
-    A level whose least floor over the uncapped clamp box reaches
-    h0(P1, source(e)) is skipped whole; inside the others, an exact count
-    is read only where the twist's own floor falls short. Only passing
-    twists are skipped, so the verdict and the witness do not change.
-    Levels below sum(lo_v) have an empty clamp box, so the window is
-    clipped to start there at the lowest. A balanced source has an empty
-    window and needs no section system.
+    lexicographic order along the components) is returned as the witness;
+    each level's is `SectionSystem.first_failure` of the target with
+    need = h0(P1, source(e)), which has the caps and floors that keep the
+    walk short. Levels below sum(lo_v) have an empty clamp box, so the
+    window is clipped to start there at the lowest. A balanced source has
+    an empty window and needs no section system.
     """
     if target.rank != source.rank:
         raise MismatchError("rank %d vs %d" % (target.rank, source.rank))
@@ -98,24 +83,12 @@ def decide(target: GluedBundle, source: SplittingType) -> Decision:
     levels = range(-ds[0], -ds[-1] - 1)
     if not levels:
         return Decision(True)
-    comps = target.curve.components
-    *rest, last = comps
     system = SectionSystem(target)
-    lo = system.lo
-    floor, level_floor, count = system.floor, system.level_floor, system.count
-    hi = {v: system.val[v] - 1 - min(target.splittings[v]) for v in rest}
-    for e in range(max(levels.start, sum(lo.values())), levels.stop):
+    for e in range(max(levels.start, sum(system.lo.values())), levels.stop):
         need = source.h0(e)
-        if level_floor(e) >= need:
-            continue
-        # the last coordinate takes whatever the others leave
-        hi[last] = e - sum(lo[v] for v in rest)
-        for ell in level_box(comps, lo, hi, e):
-            if floor(ell) >= need:
-                continue
-            have = count(ell)
-            if have < need:
-                return Decision(False, FailureWitness(ell, have, need))
+        found = system.first_failure(e, need)
+        if found is not None:
+            return Decision(False, FailureWitness(*found, need))
     return Decision(True)
 
 
@@ -202,40 +175,6 @@ def _combine(field, curve, basis, coeffs):
                    for i in range(len(acc[v]))]
                for v in curve.components}
     return acc
-
-
-def _section_candidates(bundle):
-    """Sections of `bundle` worth trying when one with special structure is
-    needed: the max-support combination, the basis itself, power-weighted
-    sums lambda^i * b_i over small lambda, then seeded random combinations
-    whose coefficient span outweighs the degree of any failure locus."""
-    field, curve = bundle.field, bundle.curve
-    basis = section_basis(bundle)
-    best = _max_support_section(field, curve, basis)
-    if best is not None:
-        yield best
-    yield from basis
-    n = len(basis)
-    if n < 2:
-        return
-    for lam in range(2, 2 * n + len(curve.components) + 4):
-        if field.char and lam >= field.char:
-            break
-        coeffs = [field.one]
-        for _ in range(n - 1):
-            coeffs.append(coeffs[-1] * field.of(lam))
-        yield _combine(field, curve, basis, coeffs)
-    slots = sum(m + 1 for ds in bundle.splittings.values()
-                for m in ds if m >= 0)
-    span = 8 * (slots + n) ** 2 + 64
-    if field.char:
-        span = min(span, field.char)
-    if span < 3:
-        return
-    rng = random.Random(0x5eed)
-    for _ in range(48):
-        coeffs = [field.of(rng.randrange(1, span)) for _ in range(n)]
-        yield _combine(field, curve, basis, coeffs)
 
 
 def _restricted_dmax(bundle):
@@ -394,6 +333,12 @@ def _bridgeless(bundle, d):
     bundle co-twisted by a that is nonzero on every component must then be
     nowhere vanishing (a saturation gain would beat dmax), and saturating
     it yields the plan.
+
+    Only the max-support combination of each basis is tried. Over Q, or
+    GF(p) with p > n + 1, each `_combine_support` step keeps the union of
+    its two supports (each component rules out at most one scalar), so a
+    section nonzero on every component exists iff that one is. Over a
+    smaller field `_cut_assembly`, which is complete, finds the plan.
     """
     curve = bundle.curve
     comps = curve.components
@@ -416,15 +361,16 @@ def _bridgeless(bundle, d):
         if system.count(co) == 0:
             continue
         twisted = twist(bundle, co)
-        for sec in _section_candidates(twisted):
-            if len(_nonzero_components(curve, sec)) != len(comps):
-                continue
-            try:
-                plan = _saturation_plan(twisted, co, sec)
-            except SubbundleError:
-                continue
-            assert plan.total() == d, "surgery-free subbundle beat the maximum"
-            return plan
+        sec = _max_support_section(bundle.field, curve,
+                                   section_basis(twisted))
+        if len(_nonzero_components(curve, sec)) != len(comps):
+            continue
+        try:
+            plan = _saturation_plan(twisted, co, sec)
+        except SubbundleError:
+            continue
+        assert plan.total() == d, "surgery-free subbundle beat the maximum"
+        return plan
     return None
 
 

@@ -386,6 +386,27 @@ def test_section_system_floors_bound_h0_from_below():
                 system.count(md) for md in clamp_box(bundle, e))
 
 
+def test_first_failure_against_the_uncapped_clamp_box():
+    # the first twist of a level with fewer than `need` sections, and its
+    # count, for every need 1..r + 1, against a scan of the uncapped clamp
+    # box with h0 from the oracle; twisted degrees stay <= 6 for the oracle
+    # mod 7, since a level `spare` above sum(lo) reaches degree spare - 1
+    rng = random.Random(37)
+    fields = (None, PrimeField(7), PrimeField(1000003))
+    for k in range(48):
+        n = rng.randint(1, 6)
+        curve = random_tree(rng, n, fields[k % 3])
+        bundle = random_bundle(rng, curve, rng.randint(1, 4), lo=-2, hi=2)
+        system = SectionSystem(bundle)
+        base = sum(system.lo.values())
+        for e in range(base - 1, base + (7 if n <= 4 else 5)):
+            counts = [(md, h0_oracle(twist(bundle, md)))
+                      for md in clamp_box(bundle, e)]
+            for need in range(1, bundle.rank + 2):
+                want = next(((md, h) for md, h in counts if h < need), None)
+                assert system.first_failure(e, need) == want
+
+
 def test_section_system_floor_counts_sections_vanishing_at_every_node():
     # only v1's first summand has sections, and they must vanish at the
     # node: h0 = 5 = V, while the row bound gives T - R = 6 - 2

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from treebundles import linalg
+from treebundles import linalg, specialize
 from treebundles.bundle import (SectionSystem, clamp_box, dmax, h0, level_box,
                                 make_bundle, pullback, restrict_bundle,
                                 section_basis, twist)
@@ -20,8 +20,8 @@ from treebundles.specialize import (Certificate, Decision, DominanceStep,
                                     EnlargementStep, FailureWitness,
                                     MismatchError, RankOneBase, SplitOffStep,
                                     _bridgeless, _cut_assembly,
-                                    _restricted_dmax, _section_candidates,
-                                    certify, decide,
+                                    _max_support_section, _nonzero_components,
+                                    _restricted_dmax, certify, decide,
                                     find_line_subbundle, verify_certificate)
 from treebundles.splitting import SplittingType, specializes_p1
 from treebundles.subbundles import LineSubbundle
@@ -220,6 +220,53 @@ def test_decide_rank_calls_do_not_grow_with_the_degree(monkeypatch):
     assert seen[0] == seen[1] > 0
 
 
+def _record_floor_probes(monkeypatch):
+    probes = []
+    floor = SectionSystem.floor
+
+    def recording(self, md):
+        probes.append((self, dict(md)))
+        return floor(self, md)
+
+    monkeypatch.setattr(SectionSystem, "floor", recording)
+    return probes
+
+
+def test_decide_walks_need_one_levels_under_the_ceiling(monkeypatch):
+    # where one section is needed the first failure is sectionless, so it
+    # lies under the ceiling lo_v + val(v) on every coordinate, the last
+    # one included, and no twist above it is probed
+    probes = _record_floor_probes(monkeypatch)
+    rng = random.Random(57)
+    fields = (None, PrimeField(1000003), PrimeField(7))
+    seen = 0
+    for k in range(30):
+        curve = random_tree(rng, rng.randint(2, 5), fields[k % 3])
+        bundle = random_bundle(rng, curve, rng.randint(2, 3), lo=-2, hi=2)
+        src = spread(rng, balanced_splitting(bundle.rank, bundle.degree()), 1)
+        probes.clear()
+        decide(bundle, src)
+        for system, md in probes:
+            if src.h0(md_total(md)) == 1:
+                seen += 1
+                assert all(md[v] <= system.lo[v] + system.val[v] for v in md)
+    assert seen > 20
+
+
+def test_decide_probes_on_a_degree_spread_stay_within_the_walk(monkeypatch):
+    # (D, -D), (0, 0) against (D, -D): about 2D levels of about D twists,
+    # quadratic in D; the walk with every level's last coordinate uncapped
+    # probed 5,148 floors at D = 50 and 20,298 at D = 100
+    probes = _record_floor_probes(monkeypatch)
+    curve = TreeCurve(("v1", "v2"), (Edge("v1", F(0), "v2", F(0)),))
+    for degree, most in ((50, 5148), (100, 20298)):
+        bundle = make_bundle(curve, {"v1": (degree, -degree), "v2": (0, 0)},
+                             {0: I2})
+        probes.clear()
+        assert decide(bundle, SplittingType((degree, -degree))).yes
+        assert 0 < len(probes) <= most
+
+
 def test_decide_settles_a_spread_level_without_ranks(monkeypatch):
     # the one level's clamp box has about 2 * 10^6 twists, and the least
     # T - R over it is 10^6 - 1 sections, far above the 1 required
@@ -396,20 +443,46 @@ def test_bridgeless_builds_one_section_system(monkeypatch):
                        {"v1": -2, "v2": 1, "v3": -2}]
 
 
-def test_section_candidates_lead_with_the_max_support_section():
-    # on the example bundle the first basis vector lives on v1 alone; the
-    # max-support combination comes first, then the basis in order, then
-    # the power-weighted sums, and several candidates are nonzero on both
-    # components
+def test_max_support_section_reaches_where_the_first_basis_vector_does_not():
+    # on the example bundle the first basis vector lives on v1 alone, and
+    # the max-support combination is nonzero on both components
     ex = build_ex()
     basis = section_basis(ex)
-    cands = list(_section_candidates(ex))
-    assert cands[0] == {"v1": [[1, 1], []], "v2": [[1], []]}
-    assert cands[1:7] == basis
     assert basis[0] == {"v1": [[0, 1], []], "v2": [[], []]}
-    assert cands[7] == {"v1": [[4, 1, 2], [8]], "v2": [[4], [8, 16, 32]]}
-    # 1 + 6 basis vectors + 16 power weights + 48 random combinations
-    assert len(cands) == 71
+    assert _max_support_section(ex.field, ex.curve, basis) == {
+        "v1": [[1, 1], []], "v2": [[1], []]}
+
+
+def test_bridgeless_passes_a_slack_only_where_no_section_has_full_support(
+        monkeypatch):
+    # _bridgeless tries one section per slack, the max-support combination;
+    # over Q and over GF(p) with p > n + 1 it is nonzero on the union of the
+    # basis' supports, so a slack it passes over has no section nonzero on
+    # every component; certify then verify accepts on the same bundles
+    picks = []
+    pick = specialize._max_support_section
+
+    def recording(field, curve, basis):
+        sec = pick(field, curve, basis)
+        union = {v for b in basis for v in _nonzero_components(curve, b)}
+        picks.append((set(_nonzero_components(curve, sec)), union,
+                      len(curve.components)))
+        return sec
+
+    monkeypatch.setattr(specialize, "_max_support_section", recording)
+    rng = random.Random(59)
+    for field, most in ((None, 5), (PrimeField(7), 5), (PrimeField(5), 3)):
+        for _ in range(10):
+            curve = random_tree(rng, rng.randint(2, most), field)
+            bundle = random_bundle(rng, curve, rng.randint(2, 3), lo=-2, hi=2)
+            _bridgeless(bundle, dmax(bundle)[0])
+            src = balanced_splitting(bundle.rank, bundle.degree())
+            ok, report = verify_certificate(certify(bundle, src))
+            assert ok, report
+    assert all(got == union for got, union, _ in picks)
+    passed = [union for got, union, n in picks if len(got) < n]
+    assert len(passed) > 10
+    assert 0 < len(passed) < len(picks)
 
 
 def test_side_dmax_is_twist_equivariant():
