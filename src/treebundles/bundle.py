@@ -8,34 +8,36 @@ component is significant because the gluing matrices index into it.
 Global sections are the kernel of one exact block linear system: a summand
 of twisted degree m contributes a block of polynomial coefficients, and each
 node contributes rank-many matching equations (a-side values through the
-gluing equal b-side values), cleared to integer rows. `section_basis` keeps
-all max(0, m+1) coefficients of every block. For counting, one system per
-bundle serves every twist (`SectionSystem`): every block sits at degree
-val(v) - 1, where val(v) counts the nodes on the component, and a twist
-selects a prefix of each block's columns. A twist's h0 is sum(max(0, m+1))
-minus the rank of its selection, memoised by the clamped block degrees, so
-its cost does not depend on the twist. That rank is one block elimination:
-the full blocks (degree val(v) - 1), in values at the nodes, touch one
-node's rows each, so each node contributes r minus the dimension of the
-row vectors that kill them, and only the partial blocks' columns, reduced
-by those vectors, are eliminated (Bareiss over Q, mod p over GF(p)); a
-state with no partial block takes no elimination. The same object
-bounds those counts from below with no rank at all (T - R, which is the
-count at every all-full twist), and holds the vanishing floors and the node
-counts val(v); `h0` is its count at the zero twist. Its one clamp-box walk,
-`first_failure`, finds the first twist of a level with fewer sections than
-a given need: `dmax` asks it with need 1 and `specialize.decide` with the
-source's count.
+gluing equal b-side values): integer rows, which `_edge_rows` builds from
+the gluings the bundle carries in integers (`integer_gluings`).
+`section_basis` keeps all max(0, m+1) coefficients of every block. For
+counting, one system per bundle serves every twist (`SectionSystem`): every
+block sits at degree val(v) - 1, where val(v) counts the nodes on the
+component, and a twist selects a prefix of each block's columns. A twist's
+h0 is sum(max(0, m+1)) minus the rank of its selection, memoised by the
+clamped block degrees, so its cost does not depend on the twist. That rank
+is one block elimination: the full blocks (degree val(v) - 1), in values at
+the nodes, touch one node's rows each, so each node contributes r minus the
+dimension of the row vectors that kill them, and only the partial blocks'
+columns, reduced by those vectors, are eliminated (Bareiss over Q, mod p
+over GF(p)); a state with no partial block takes no elimination. The same
+object bounds those counts from below with no rank at all (T - R, which is
+the count at every all-full twist), and holds the vanishing floors and the
+node counts val(v); `h0` is its count at the zero twist. Its one clamp-box
+walk, `first_failure`, finds the first twist of a level with fewer sections
+than a given need: `dmax` asks it with need 1 and `specialize.decide` with
+the source's count.
 """
 from __future__ import annotations
 
+from functools import cached_property
 from math import inf
 
 from . import poly
 from .curve import TreeCurve, check_multidegree, restrict_curve
 from .linalg import (cleared, identity_matrix, integer_kernel,
-                     integer_kernel_basis, invert_matrix, is_invertible,
-                     mat_mul, power_row, rank)
+                     integer_kernel_basis, invert_matrix, mat_mul,
+                     power_row, rank)
 
 
 class BundleError(ValueError):
@@ -54,15 +56,22 @@ class GluedBundle:
                         for i in range(len(curve.edges))}
 
     @classmethod
-    def _sharing(cls, curve, rank, splittings, gluings):
-        """A bundle holding `gluings` itself, not a copy. No code in the
-        package changes a gluing in place (every inverse, product and
-        pullback copies first), so a bundle derived from another may share
-        its rows."""
+    def _sharing(cls, curve, rank, splittings, gluings, integer_gluings):
+        """A bundle holding `gluings` and `integer_gluings`, not copies. No
+        code in the package changes a gluing in place (every inverse,
+        product and pullback copies first), so derived bundles share them."""
         out = cls.__new__(cls)
-        out.curve, out.rank = curve, rank
-        out.splittings, out.gluings = splittings, gluings
+        out.curve, out.rank, out.splittings = curve, rank, splittings
+        out.gluings, out.integer_gluings = gluings, integer_gluings
         return out
+
+    @cached_property
+    def integer_gluings(self):
+        """Per edge, (integer rows, den) from `linalg.cleared`: the one
+        place a gluing becomes integers, shared by `twist` and
+        `restrict_bundle`."""
+        return [cleared(self.gluings[i], self.field.char)
+                for i in range(len(self.curve.edges))]
 
     @property
     def field(self):
@@ -107,18 +116,18 @@ def _make_bundle(curve: TreeCurve, splittings, gluings) -> GluedBundle:
     ranks = {len(tuple(splittings[v])) for v in curve.components}
     if len(ranks) != 1:
         raise BundleError("components disagree on the rank: %s" % sorted(ranks))
-    (rank,) = ranks
-    if rank < 1:
+    (r,) = ranks
+    if r < 1:
         raise BundleError("rank must be at least 1")
     if set(gluings) != set(range(len(curve.edges))):
         raise BundleError("gluings must cover the edges exactly")
-    for i in range(len(curve.edges)):
-        m = gluings[i]
-        if len(m) != rank or any(len(row) != rank for row in m):
-            raise BundleError("gluing %d is not %dx%d" % (i, rank, rank))
-        if not is_invertible(m, curve.field.char):
+    bundle = GluedBundle(curve, r, splittings, gluings)
+    for i, m in bundle.gluings.items():
+        if len(m) != r or any(len(row) != r for row in m):
+            raise BundleError("gluing %d is not %dx%d" % (i, r, r))
+        if rank(bundle.integer_gluings[i][0], r, curve.field.char) < r:
             raise BundleError("gluing %d is singular" % i)
-    return GluedBundle(curve, rank, splittings, gluings)
+    return bundle
 
 
 def twist(bundle: GluedBundle, md) -> GluedBundle:
@@ -126,27 +135,26 @@ def twist(bundle: GluedBundle, md) -> GluedBundle:
 
     On a tree any line bundle is determined by its multidegree (the gluing
     scalars can be absorbed component by component), so a plain integer map
-    is the whole datum. The twist shares the source's gluing rows.
+    is the whole datum. The twist shares both forms of the source's gluings.
     """
     check_multidegree(bundle.curve, md)
     new = {v: tuple(d + md[v] for d in bundle.splittings[v])
            for v in bundle.curve.components}
     return GluedBundle._sharing(bundle.curve, bundle.rank, new,
-                                bundle.gluings)
+                                bundle.gluings, bundle.integer_gluings)
 
 
 def restrict_bundle(bundle: GluedBundle, members) -> GluedBundle:
-    """Restriction to a connected subtree; only internal gluings survive."""
+    """Restriction to a connected subtree; only internal gluings survive,
+    shared with the source as `twist` shares them."""
     sub = restrict_curve(bundle.curve, members)
     members = set(members)
-    glue = {}
-    j = 0
-    for i, e in enumerate(bundle.curve.edges):
-        if e.a in members and e.b in members:
-            glue[j] = bundle.gluings[i]
-            j += 1
+    keep = [i for i, e in enumerate(bundle.curve.edges)
+            if e.a in members and e.b in members]
     spl = {v: bundle.splittings[v] for v in sub.components}
-    return GluedBundle(sub, bundle.rank, spl, glue)
+    glue = {j: bundle.gluings[i] for j, i in enumerate(keep)}
+    return GluedBundle._sharing(sub, bundle.rank, spl, glue,
+                                [bundle.integer_gluings[i] for i in keep])
 
 
 def pullback(bundle: GluedBundle, enl) -> GluedBundle:
@@ -224,20 +232,34 @@ def _column_layout(splittings):
     return blocks, ncols
 
 
-def _matching_rows(bundle: GluedBundle, ncols, blocks):
-    """Integer rows, one per (edge, summand): gluing * a-side values equals
-    b-side values.
+def _edge_rows(bundle: GluedBundle, i, ka, kb):
+    """(glue, ua, ub) for edge i: its integer gluing (`integer_gluings`,
+    over den) and the powers at its a- and b-end node up to degrees K = ka
+    and L = kb, scaled by d_b^L and -den d_a^K.
 
-    With node points n_a/d_a and n_b/d_b and largest block degrees K and L
-    on the two sides, every row of an edge is scaled by d_a^K * d_b^L times
-    the common denominator of its gluing, so the Vandermonde entry p^k
-    becomes n^k * d^(K-k) (`linalg.power_row`) and every entry is an
-    integer. Scaling a row by a nonzero constant keeps the rank, the kernel
-    and the reduced echelon form. In a prime field every denominator is 1
-    and powers are residues mod p. Edges whose rows would be all zero
-    contribute none.
+    The matching row of b-end summand k is glue[k][j] ua on a-end block j
+    and ub on b-end block k, each block taking its first degree + 1
+    entries: gluing times a-side values equals b-side values, scaled by
+    den d_a^K d_b^L (node points n_a/d_a and n_b/d_b). So the Vandermonde
+    entry x^k becomes n^k d^(K-k) (`linalg.power_row`), an integer. Scaling
+    a row by a nonzero constant keeps the rank, the kernel and the reduced
+    echelon form, so any K and L at least the blocks' degrees give one
+    system up to row scalings. Over GF(p) every d is 1 and powers are
+    residues; an end of degree below 0 has no powers.
     """
     p = bundle.field.char
+    e = bundle.curve.edges[i]
+    glue, den = bundle.integer_gluings[i]
+    ua, ub = power_row(e.pa, ka, p), power_row(e.pb, kb, p)
+    # the first power of a row is its d^K
+    sa, sb = ub[0] if ub else 1, -den * (ua[0] if ua else 1)
+    return glue, [u * sa for u in ua], [u * sb for u in ub]
+
+
+def _matching_rows(bundle: GluedBundle, ncols, blocks):
+    """Integer rows, one per (edge, summand): gluing * a-side values equals
+    b-side values, from `_edge_rows` at each side's largest block degree.
+    Edges whose rows would be all zero contribute none."""
     top = {}
     for (v, _), (m, _) in blocks.items():
         if m > top.get(v, -1):
@@ -247,13 +269,7 @@ def _matching_rows(bundle: GluedBundle, ncols, blocks):
         ka, kb = top.get(e.a, -1), top.get(e.b, -1)
         if ka < 0 and kb < 0:
             continue
-        ua, ub = power_row(e.pa, ka, p), power_row(e.pb, kb, p)
-        # a-side n_a^k d_a^(K-k) d_b^L, b-side -d_a^K n_b^k d_b^(L-k); the
-        # first power of a row is its d^K
-        sa, sb = ub[0] if ub else 1, -(ua[0] if ua else 1)
-        ua = [u * sa for u in ua]
-        glue, den = cleared(bundle.gluings[ei], p)
-        ub = [den * sb * u for u in ub]
+        glue, ua, ub = _edge_rows(bundle, ei, ka, kb)
         a_blocks = [blocks.get((e.a, j)) for j in range(bundle.rank)]
         for out, grow in enumerate(glue):
             row = [0] * ncols
@@ -279,11 +295,11 @@ class SectionSystem:
     points, and evaluation there is already onto with val(v) coefficients,
     so a block of twisted degree m can be cut to min(m, cap_v) without
     changing the rank. The system of a twist is then a prefix of each
-    block's columns here: its row scalings d_a^(K-k) d_b^(L-k) differ from
-    these by one nonzero constant per row, so the ranks agree, and h0 is
-    T = sum(max(0, m + 1)) minus the rank of the selected columns. The rank
-    depends only on each block's degree clamped to [-1, cap_v], so `count`
-    memoises it on that clamped state.
+    block's columns here: its rows differ from these only in the degrees
+    K and L of `_edge_rows`, by one nonzero constant per row, so the ranks
+    agree, and h0 is T = sum(max(0, m + 1)) minus the rank of the selected
+    columns. The rank depends only on each block's degree clamped to
+    [-1, cap_v], so `count` memoises it on that clamped state.
 
     Call a block full at cap_v, empty at -1 and partial otherwise. Every
     state takes one rank route, a block elimination that leaves only the
@@ -304,15 +320,14 @@ class SectionSystem:
       and Y = diag(Y_i) maps exactly those columns to zero. So
       rank = sum_i (r - |Y_i|) + rank(stack_i Y_i P_i), where P_i holds
       node i's rows of the partial blocks' coefficient columns only
-      (clamped degree + 1 each), at the powers and row scalings of
-      `_matching_rows`.
+      (clamped degree + 1 each), as `_edge_rows` builds them at the caps.
     With no partial block P has no columns and the rank is the sum over the
     nodes, with no elimination: |F_b| + rank G_i[E_b, F_a], a submatrix of
     the invertible gluing. A leaf has cap 0 and is never partial, so every
     state of a two-component bundle is one of these. Otherwise the one
     elimination left, of the stacked rows, is Bareiss elimination over Q,
-    elimination mod p over GF(p). Each gluing is cleared, and each edge's
-    power rows are built, once per system, and Y_i is memoised by
+    elimination mod p over GF(p). Y_i reads the bundle's integer gluings,
+    each edge's rows are built once per system, and Y_i is memoised by
     (edge, F_a, E_i).
 
     Both ends of every edge carry a block, so the system has
@@ -348,7 +363,7 @@ class SectionSystem:
         # per edge, the first entry of each end's blocks in a state
         at = {v: k * r for k, (v, _, _) in enumerate(self._sides)}
         self._ends = [(at[e.a], at[e.b]) for e in bundle.curve.edges]
-        self._edges = {}    # edge -> cleared gluing and scaled power rows
+        self._edges = {}    # edge -> `_edge_rows` at the caps
         self._kernels = {}  # (edge, F_a, E_i) -> Y_i
         self._ranks = {}
 
@@ -409,7 +424,7 @@ class SectionSystem:
             elif not full:
                 ys = tuple(((k, 1),) for k in rest)
             else:
-                glue = self._edge(i)[0]
+                glue = self.bundle.integer_gluings[i][0]
                 vecs, _ = integer_kernel([[glue[k][j] for k in rest]
                                           for j in full],
                                          len(rest), self.bundle.field.char)
@@ -417,22 +432,6 @@ class SectionSystem:
                            for vec in vecs)
             self._kernels[key] = ys
         return ys
-
-    def _edge(self, i):
-        """Edge i's gluing cleared to integers, and the power rows of its
-        a- and b-end at their caps, scaled as `_matching_rows` scales
-        them: d_b^L and -den d_a^K."""
-        rec = self._edges.get(i)
-        if rec is None:
-            p = self.bundle.field.char
-            e = self.bundle.curve.edges[i]
-            ua = power_row(e.pa, self.val[e.a] - 1, p)
-            ub = power_row(e.pb, self.val[e.b] - 1, p)
-            glue, den = cleared(self.bundle.gluings[i], p)
-            sa, sb = ub[0], -den * ua[0]
-            rec = self._edges[i] = (glue, [u * sa for u in ua],
-                                    [u * sb for u in ub])
-        return rec
 
     def _reduced_rows(self, i, ys, state, starts, a, b, ncols):
         # y P_i for y in Y_i: each partial block of the a-end meets y
@@ -442,7 +441,10 @@ class SectionSystem:
                   if a + j in starts]
         if not a_side and not any(b + k in starts for k in range(r)):
             return []
-        glue, ua, ub = self._edge(i)
+        if i not in self._edges:
+            self._edges[i] = _edge_rows(self.bundle, i, self._caps[a],
+                                        self._caps[b])
+        glue, ua, ub = self._edges[i]
         rows = []
         for y in ys:
             row = [0] * ncols

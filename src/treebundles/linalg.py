@@ -200,12 +200,6 @@ def integer_kernel_basis(rows, ncols, p):
     return [[element(x, den, p) if x else zero for x in v] for v in vecs]
 
 
-def kernel_basis(rows, ncols, zero, one):
-    """Basis of the right kernel, one vector per free column, echelon order."""
-    p = _char(zero)
-    return integer_kernel_basis(cleared(rows, p)[0], ncols, p)
-
-
 def invert_matrix(m, zero, one):
     """Inverse of a square matrix, or None if singular."""
     n = len(m)

@@ -35,19 +35,6 @@ def scale(p, c):
     return trim([c * a for a in p])
 
 
-def mul(p, q, zero):
-    p, q = trim(p), trim(q)
-    if not p or not q:
-        return []
-    out = [zero] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if not a:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return trim(out)
-
-
 def gcd(polys, p):
     """gcd of integer polynomials: over Q (p = 0) primitive with a positive
     leading coefficient, over GF(p) monic, as residues; the zero polynomial

@@ -16,8 +16,9 @@ from field elements and back only through `linalg`: a component's
 coordinate polynomials are cleared by one common denominator
 (`linalg.cleared`) and evaluated at a node homogeneously
 (`linalg.power_row`), so every fiber vector is an integer vector over a
-known nonzero scale (plain residues over GF(p)), and field elements are
-built (`linalg.element`) only for the outputs.
+known nonzero scale (plain residues over GF(p)); gluings are read as the
+bundle carries them (`GluedBundle.integer_gluings`), and field elements
+are built (`linalg.element`) only for the outputs.
 """
 from __future__ import annotations
 
@@ -135,7 +136,7 @@ def _node_fibres(bundle: GluedBundle, edge_index, coords):
     its coordinate polynomials as `linalg.cleared` gives them."""
     e = bundle.curve.edges[edge_index]
     p = bundle.field.char
-    glue, den = cleared(bundle.gluings[edge_index], p)
+    glue, den = bundle.integer_gluings[edge_index]
     va, sa = _values_at(*coords[e.a], e.pa, p)
     vb, sb = _values_at(*coords[e.b], e.pb, p)
     lhs = [sum(g * x for g, x in zip(row, va)) for row in glue]
@@ -223,14 +224,11 @@ def _kernel_generators(p, ms, a, phis, want):
             n += size
         return blocks, n
 
-    t = min(ms)
+    t = min(ms)  # from here on the smallest summand's block has a column
     guard = total - (want - 1) * min(ms) + len(ms) + 2
     while len(found) < want:
         assert t <= guard, "kernel generator search ran past its degree bound"
         blocks, ncols = layout(t)
-        if ncols == 0:
-            t += 1
-            continue
         rows = [[0] * ncols for _ in range(max(0, t - a + 1))]
         for (start, size), phi in zip(blocks, iphis):
             for k in range(size):
@@ -295,7 +293,7 @@ def _quotient(bundle: GluedBundle, sub: LineSubbundle) -> GluedBundle:
         lead[v] = ratio(-phi0[-1] if phi0 else phi1[-1], p)
     qglue = {}
     for i, e in enumerate(bundle.curve.edges):
-        ((g00, g01), (g10, g11)), den = cleared(bundle.gluings[i], p)
+        ((g00, g01), (g10, g11)), den = bundle.integer_gluings[i]
         (na, da), (nb, db) = lead[e.a], lead[e.b]
         nl, dl = ratio(sub.scalars[i], p)
         # det(G) = det_int / den^2
@@ -327,7 +325,7 @@ def _quotient_by_generators(bundle: GluedBundle, sub: LineSubbundle):
     for i, e in enumerate(bundle.curve.edges):
         gx, sa = zip(*(_values_at(g, d, e.pa, p) for g, d in generators[e.a]))
         gy, sb = zip(*(_values_at(g, d, e.pb, p) for g, d in generators[e.b]))
-        glue, den = cleared(bundle.gluings[i], p)
+        glue, den = bundle.integer_gluings[i]
         rhs = [[sum(y * g[k] for y, g in zip(row, glue)) for k in range(r)]
                for row in gy]
         # [gx^T | (gy G)^T]: its reduced form carries N_int^T

@@ -2,7 +2,7 @@
 compared against: Gauss-Jordan for the eliminations in `treebundles.linalg`,
 and polynomial evaluation, gcd, exact division, matrix products and column
 solves for the node checks, saturation and quotient gluings in
-`treebundles.subbundles`.
+`treebundles.subbundles`. Polynomial products build the tests' inputs.
 
 They work on Fraction or FpElement entries directly, dividing each pivot
 row by its pivot, so they share no code with the fraction-free routes.
@@ -71,6 +71,19 @@ def trim(p):
     while p and not p[-1]:
         p = p[:-1]
     return p
+
+
+def mul(p, q, zero):
+    p, q = trim(p), trim(q)
+    if not p or not q:
+        return []
+    out = [zero] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if not a:
+            continue
+        for j, b in enumerate(q):
+            out[i + j] = out[i + j] + a * b
+    return trim(out)
 
 
 def evaluate(p, x, zero):

@@ -7,9 +7,9 @@ from fractions import Fraction as F
 import pytest
 
 from treebundles import linalg, poly
-from treebundles.bundle import (BundleError, SectionSystem, _column_layout,
-                                _matching_rows, clamp_box, clamp_multidegree,
-                                contract_pushforward, dmax,
+from treebundles.bundle import (BundleError, GluedBundle, SectionSystem,
+                                _column_layout, _matching_rows, clamp_box,
+                                clamp_multidegree, contract_pushforward, dmax,
                                 h0, h0_oracle, h1, make_bundle, pullback,
                                 restrict_bundle, section_basis, twist,
                                 vanishing_floor)
@@ -17,7 +17,7 @@ from treebundles.curve import Edge, TreeCurve, insert_bridge, md_total
 from treebundles.fields import PrimeField, RationalField
 from treebundles.linalg import invert_matrix
 from treebundles.sampling import random_bundle, random_multidegree, random_tree
-from treebundles.serialize import bundle_to_json
+from treebundles.serialize import bundle_from_json, bundle_to_json
 
 from conftest import build_ex
 from reference_linalg import evaluate, mat_vec, matrix_rank
@@ -73,6 +73,64 @@ def test_make_bundle_tests_invertibility_in_the_field():
     # a non-integral gluing of determinant 7/4 over Q
     half = [[F(1, 2), F(-3, 2)], [F(1, 2), F(2)]]
     assert make_bundle(t2(), spl, {0: half}).gluings == {0: half}
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(7)], ids=lambda f: f.name)
+def test_load_reports_the_first_bad_gluing_in_edge_order(fld):
+    # the shape and singular checks run gluing by gluing, so gluing 0's
+    # fault is the error whatever is wrong with gluing 1; over p:7 the
+    # singular gluing has determinant 7, invertible over Q (see above)
+    curve = TreeCurve(("a", "b", "c"), (Edge("a", fld.zero, "b", fld.zero),
+                                        Edge("b", fld.one, "c", fld.zero)),
+                      fld)
+    spl = {"a": (1, 0), "b": (0, 0), "c": (0, -1)}
+    of = lambda rows: [[fld.of(x) for x in row] for row in rows]
+    singular = of([[2, 1], [1, 4]] if fld.char else [[1, 2], [2, 4]])
+    misshapen = of([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    obj = bundle_to_json(make_bundle(curve, spl, {0: of(I2), 1: of(I2)}))
+    for gluings, want in (((singular, misshapen), "gluing 0 is singular"),
+                          ((misshapen, singular), "gluing 0 is not 2x2")):
+        with pytest.raises(BundleError, match="^%s$" % want):
+            make_bundle(curve, spl, dict(enumerate(gluings)))
+        for g, m in zip(obj["gluings"], gluings):
+            g["matrix"] = [[fld.to_str(x) for x in row] for row in m]
+        with pytest.raises(BundleError, match="^%s$" % want):
+            bundle_from_json(obj, fld)
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(7), PrimeField(1000003)],
+                         ids=lambda f: f.name)
+def test_integer_gluings_are_cleared_once_and_shared(fld):
+    # a bundle's integer gluings are its gluings as `linalg.cleared` gives
+    # them, whether the loader filled them in or they are read on first
+    # use, and a twist or a restriction hands on the source's very pairs;
+    # over q half the bundles have non-integral gluings
+    rng = random.Random(41 + fld.char % 1000)
+    fractional = 0
+    for k in range(48):
+        curve = random_tree(rng, 1 + k % 6, fld)
+        bundle = random_bundle(rng, curve, 1 + (k // 6) % 4, lo=-2, hi=2)
+        if fld == QQ and k % 2:
+            bundle = non_integral(rng, bundle)
+        fresh = GluedBundle(bundle.curve, bundle.rank, bundle.splittings,
+                            bundle.gluings)
+        assert "integer_gluings" not in vars(fresh)
+        for b in (bundle, fresh):
+            assert b.integer_gluings == [
+                linalg.cleared(b.gluings[i], fld.char)
+                for i in range(len(b.curve.edges))]
+        fractional += any(den > 1 for _, den in bundle.integer_gluings)
+        twisted = twist(bundle, random_multidegree(rng, bundle.curve, -2, 2))
+        assert twisted.integer_gluings is bundle.integer_gluings
+        for i, e in enumerate(bundle.curve.edges):
+            members = bundle.curve.side_of(i, e.a)
+            kept = [j for j, f in enumerate(bundle.curve.edges)
+                    if f.a in members and f.b in members]
+            sub = restrict_bundle(twisted, members)
+            assert len(sub.integer_gluings) == len(kept)
+            assert all(pair is bundle.integer_gluings[j]
+                       for pair, j in zip(sub.integer_gluings, kept))
+    assert fractional >= (15 if fld == QQ else 0)
 
 
 def test_bundle_equality(ex_bundle):
@@ -544,8 +602,9 @@ def test_all_full_twists_take_no_elimination(fld, monkeypatch):
                         for v, ds in bundle.splittings.items() for d in ds)
             rows = bundle.rank * len(bundle.curve.edges)
             assert system.count(md) == system.floor(md) == total - rows
-        # no gluing cleared, no power row built and no Y_i found: every
-        # b-end is full, so no node has a summand left to kill C_i
+        # no power row built and no Y_i found (the gluings were read into
+        # integers when the bundle was made): every b-end is full, so no
+        # node has a summand left to kill C_i
         assert system._edges == {}
         assert not any(system._kernels.values())
     assert calls == []

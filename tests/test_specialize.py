@@ -6,16 +6,18 @@ from fractions import Fraction as F
 
 import pytest
 
-from treebundles import linalg, specialize
+from treebundles import bundle as bundle_module
+from treebundles import linalg, specialize, subbundles
 from treebundles.bundle import (SectionSystem, clamp_box, dmax, h0, level_box,
                                 make_bundle, pullback, restrict_bundle,
                                 section_basis, twist)
 from treebundles.curve import Edge, Enlargement, TreeCurve, md_total
-from treebundles.fields import PrimeField
+from treebundles.fields import PrimeField, RationalField
 from treebundles.sampling import (balanced_splitting, generalize,
                                   random_bundle, random_invertible,
                                   random_multidegree, random_splitting,
                                   random_tree, spread)
+from treebundles.serialize import bundle_from_json, bundle_to_json
 from treebundles.specialize import (Certificate, Decision, DominanceStep,
                                     EnlargementStep, FailureWitness,
                                     MismatchError, RankOneBase, SplitOffStep,
@@ -29,6 +31,7 @@ from treebundles.subbundles import LineSubbundle
 from conftest import build_chain, build_ex, build_swap, regression_bundle
 
 I2 = [[F(1), F(0)], [F(0), F(1)]]
+QQ = RationalField()
 
 
 def build_dip():
@@ -559,6 +562,40 @@ def test_certify_ex_golden(ex_bundle):
     assert cert.steps[3].degree == 1
     ok, report = verify_certificate(cert)
     assert ok and report == []
+
+
+def test_a_loaded_bundle_has_its_gluings_cleared_at_load_only(monkeypatch):
+    # the loader reads each gluing into integers once; counting twists,
+    # dmax, certify and verify then read the rows the bundle carries, and
+    # no later `cleared` call, in any module that binds it, sees a gluing
+    # of the loaded bundle
+    rng = random.Random(62)
+    loaded = []
+    for k in range(8):
+        fld = PrimeField(1000003) if k % 4 == 3 else QQ
+        curve = random_tree(rng, 3 + k % 3, fld)
+        bundle = random_bundle(rng, curve, 2 + k % 2, lo=-2, hi=2)
+        loaded.append(bundle_from_json(bundle_to_json(bundle), fld))
+    seen = []
+    cleared = linalg.cleared
+
+    def watched(rows, p):
+        seen.append(rows)
+        return cleared(rows, p)
+
+    for module in (linalg, bundle_module, subbundles, specialize):
+        if hasattr(module, "cleared"):
+            monkeypatch.setattr(module, "cleared", watched)
+    for bundle in loaded:
+        for _ in range(4):
+            md = random_multidegree(rng, bundle.curve, -2, 2)
+            assert h0(twist(bundle, md)) >= 0
+        dmax(bundle)
+        cert = certify(bundle, balanced_splitting(bundle.rank,
+                                                  bundle.degree()))
+        assert verify_certificate(cert) == (True, [])
+    gluings = {id(m) for bundle in loaded for m in bundle.gluings.values()}
+    assert seen and not [rows for rows in seen if id(rows) in gluings]
 
 
 def test_verify_validates_each_enlargement_once(ex_bundle, monkeypatch):
