@@ -10,7 +10,8 @@ of twisted degree m contributes a block of polynomial coefficients, and each
 node contributes rank-many matching equations (a-side values through the
 gluing equal b-side values): integer rows, which `_edge_rows` builds from
 the gluings the bundle carries in integers (`integer_gluings`).
-`section_basis` keeps all max(0, m+1) coefficients of every block. For
+`section_basis` keeps all max(0, m+1) coefficients of every block, as
+the kernel gives them: integer vectors over one den. For
 counting, one system per bundle serves every twist (`SectionSystem`): every
 block sits at degree val(v) - 1, where val(v) counts the nodes on the
 component, and a twist selects a prefix of each block's columns. A twist's
@@ -35,9 +36,8 @@ from math import inf
 
 from . import poly
 from .curve import TreeCurve, check_multidegree, restrict_curve
-from .linalg import (cleared, identity_matrix, integer_kernel,
-                     integer_kernel_basis, invert_matrix, mat_mul,
-                     power_row, rank)
+from .linalg import (cleared, identity_matrix, integer_kernel, invert_matrix,
+                     mat_mul, power_row, rank)
 
 
 class BundleError(ValueError):
@@ -559,12 +559,13 @@ def h1(bundle: GluedBundle) -> int:
     return h0(bundle) - bundle.euler()
 
 
-def section_basis(bundle: GluedBundle) -> list:
-    """A basis of the global sections, one per free column of the section
-    system, each as per-component, per-summand coefficient lists."""
+def section_basis(bundle: GluedBundle):
+    """(sections, den): a basis of the global sections, one per free column
+    of the section system, each per component and summand trimmed integer
+    lists over the kernel's den (residues in [0, p) over 1 over GF(p))."""
     blocks, ncols = _column_layout(bundle.splittings)
     rows = _matching_rows(bundle, ncols, blocks)
-    vecs = integer_kernel_basis(rows, ncols, bundle.field.char)
+    vecs, den = integer_kernel(rows, ncols, bundle.field.char)
     sections = []
     for vec in vecs:
         sec = {}
@@ -578,7 +579,7 @@ def section_basis(bundle: GluedBundle) -> list:
                     polys.append(poly.trim(vec[start:start + m + 1]))
             sec[v] = polys
         sections.append(sec)
-    return sections
+    return sections, den
 
 
 # -- independent recomputation of h0 ----------------------------------------

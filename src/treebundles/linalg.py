@@ -176,8 +176,8 @@ def is_invertible(m, p):
 
 def integer_kernel(rows, ncols, p):
     """Right kernel of an integer matrix over Q (p = 0) or GF(p): (vectors,
-    den), one integer vector per free column in echelon order; the basis
-    vectors are these divided by den."""
+    den), one integer vector per free column in echelon order (residues in
+    [0, p) over GF(p)); the basis vectors are these divided by den."""
     red, pivots, den = integer_rref(rows, ncols, p)
     pivot_set = set(pivots)
     basis = []
@@ -187,17 +187,9 @@ def integer_kernel(rows, ncols, p):
         v = [0] * ncols
         v[free] = den
         for i, pc in enumerate(pivots):
-            v[pc] = -red[i][free]
+            v[pc] = -red[i][free] % p if p else -red[i][free]
         basis.append(v)
     return basis, den
-
-
-def integer_kernel_basis(rows, ncols, p):
-    """Basis of the right kernel of an integer matrix over Q (p = 0) or
-    GF(p), as field elements: one vector per free column, echelon order."""
-    vecs, den = integer_kernel(rows, ncols, p)
-    zero = element(0, 1, p)
-    return [[element(x, den, p) if x else zero for x in v] for v in vecs]
 
 
 def invert_matrix(m, zero, one):

@@ -1,9 +1,9 @@
 """Dense univariate polynomials as coefficient lists (ascending powers).
 
-The zero polynomial is the empty list. Coefficients come from one of the
-exact fields, or are integers for `gcd` and `div_exact`, which work on a
-field's polynomials cleared to integers: in Z[x] for Q (p = 0), on residues
-for GF(p).
+The zero polynomial is the empty list. `trim` and `degree` take
+coefficients from one of the exact fields or integers; `gcd` and
+`div_exact` work on a field's polynomials cleared to integers: in Z[x] for
+Q (p = 0), on residues for GF(p).
 """
 from __future__ import annotations
 
@@ -19,20 +19,6 @@ def trim(p):
 def degree(p):
     # -1 for the zero polynomial
     return len(p) - 1
-
-
-def add(p, q, zero):
-    n = max(len(p), len(q))
-    out = []
-    for i in range(n):
-        a = p[i] if i < len(p) else zero
-        b = q[i] if i < len(q) else zero
-        out.append(a + b)
-    return trim(out)
-
-
-def scale(p, c):
-    return trim([c * a for a in p])
 
 
 def gcd(polys, p):

@@ -22,11 +22,11 @@ from .bundle import (GluedBundle, SectionSystem, _pullback, dmax, h0,
                      twist)
 from .curve import (compose_enlargements, identity_enlargement, insert_bridge,
                     md_total)
-from .linalg import cleared, element
 from .splitting import (SplittingType, merge_with_line, remove_line,
                         specializes_p1)
 from .subbundles import (LineSubbundle, SubbundleError, _direction_scalar,
-                         _node_fibres, _quotient, saturate)
+                         _from_integers, _lowest, _node_fibres, _quotient,
+                         _saturate)
 
 
 class MismatchError(ValueError):
@@ -98,13 +98,14 @@ def decide(target: GluedBundle, source: SplittingType) -> Decision:
 class _Plan:
     """Line-subbundle data relative to one bundle, before any curve surgery.
 
-    degrees and polys cover the bundle's components; scalars are keyed by
-    (a, b) component-id pairs of surviving original edges; bridges records
-    (a, b, u0, u1) junctions to be realized by inserting a component whose
-    embedding interpolates the two fiber vectors.
+    degrees and coords (as `LineSubbundle.integer_embeddings`) cover the
+    bundle's components; scalars are keyed by (a, b) component-id pairs of
+    surviving original edges; bridges records (a, b, (u0, sa), (u1, sb))
+    junctions, integer fiber vectors over their scales, to be realized by
+    inserting a component whose embedding interpolates the two.
     """
     degrees: dict
-    polys: dict
+    coords: dict
     scalars: dict
     bridges: list
 
@@ -113,45 +114,40 @@ class _Plan:
 
 
 def _merge_plans(*plans):
-    degrees, polys, scalars, bridges = {}, {}, {}, []
+    degrees, coords, scalars, bridges = {}, {}, {}, []
     for p in plans:
         assert not set(degrees) & set(p.degrees)
         degrees.update(p.degrees)
-        polys.update(p.polys)
+        coords.update(p.coords)
         scalars.update(p.scalars)
         bridges.extend(p.bridges)
-    return _Plan(degrees, polys, scalars, bridges)
+    return _Plan(degrees, coords, scalars, bridges)
 
 
 def _nonzero_components(curve, section):
-    return [v for v in curve.components
-            if any(poly.trim(p) for p in section[v])]
+    # a section's coefficient lists are trimmed
+    return [v for v in curve.components if any(section[v])]
 
 
-def _best_section(curve, basis):
-    """First basis element nonzero on the most components."""
-    best, best_count = None, -1
-    for sec in basis:
-        count = len(_nonzero_components(curve, sec))
-        if count > best_count:
-            best, best_count = sec, count
-    return best
-
-
-def _combine_support(field, curve, sec, other):
+def _combine_support(p, curve, sec, other):
     """sec + c*other for the first scalar c keeping every component of
     either support alive; falls back to sec if no scalar works (only
-    possible over a field smaller than the component count)."""
+    possible over a field smaller than the component count). Sections are
+    `section_basis` integer lists over one den, residues over GF(p)."""
     sup_s = set(_nonzero_components(curve, sec))
     sup_o = set(_nonzero_components(curve, other))
     if sup_o <= sup_s:
         return sec
     shared = sup_s & sup_o
     for c in range(1, len(shared) + 2):
-        if field.char and c >= field.char:
+        if p and c >= p:
             break
-        cand = _combine(field, curve, [sec, other], [field.one, field.of(c)])
-        if all(any(poly.trim(p) for p in cand[v]) for v in shared):
+        cand = {v: [poly.trim([(x + c * y) % p if p else x + c * y
+                               for x, y in itertools.zip_longest(
+                                   q, r, fillvalue=0)])
+                    for q, r in zip(sec[v], other[v])]
+                for v in curve.components}
+        if all(any(cand[v]) for v in shared):
             return cand
     return sec
 
@@ -163,18 +159,8 @@ def _max_support_section(field, curve, basis):
         return None
     sec = basis[0]
     for other in basis[1:]:
-        sec = _combine_support(field, curve, sec, other)
+        sec = _combine_support(field.char, curve, sec, other)
     return sec
-
-
-def _combine(field, curve, basis, coeffs):
-    acc = {v: [poly.scale(p, coeffs[0]) for p in basis[0][v]]
-           for v in curve.components}
-    for c, b in zip(coeffs[1:], basis[1:]):
-        acc = {v: [poly.add(acc[v][i], poly.scale(b[v][i], c), field.zero)
-                   for i in range(len(acc[v]))]
-               for v in curve.components}
-    return acc
 
 
 def _restricted_dmax(bundle):
@@ -211,26 +197,23 @@ def _junction(bundle, edge_index, plan):
     as the edge scalar.
     """
     e = bundle.curve.edges[edge_index]
-    p = bundle.field.char
-    coords = {v: cleared(plan.polys[v], p) for v in (e.a, e.b)}
-    u0, sa, vb, sb = _node_fibres(bundle, edge_index, coords)
-    rho = _direction_scalar(p, u0, sa, vb, sb)
+    u0, sa, vb, sb = _node_fibres(bundle, edge_index, plan.coords)
+    rho = _direction_scalar(bundle.field.char, u0, sa, vb, sb)
     if rho is not None:
         assert rho, "transported fiber vector vanished"
         plan.scalars[(e.a, e.b)] = rho
     else:
-        plan.bridges.append((e.a, e.b, [element(x, sa, p) for x in u0],
-                             [element(x, sb, p) for x in vb]))
+        plan.bridges.append((e.a, e.b, (u0, sa), (vb, sb)))
 
 
-def _saturation_plan(host, w_eff, section):
-    # host is twisted by w_eff; the plan's degrees are shifted back
-    sat = saturate(host, section)
+def _saturation_plan(host, w_eff, section, den):
+    # host is twisted by w_eff, the plan's degrees shifted back; the
+    # section's coordinates are its lists over den
+    sat = _saturate(host, {v: (section[v], den) for v in host.curve.components})
     degrees = {v: a - w_eff[v] for v, a in sat.degrees.items()}
     scalars = {(e.a, e.b): sat.scalars[i]
                for i, e in enumerate(sat.host.curve.edges)}
-    polys = {v: [list(p) for p in ps] for v, ps in sat.embeddings.items()}
-    return _Plan(degrees, polys, scalars, [])
+    return _Plan(degrees, sat.integer_embeddings, scalars, [])
 
 
 def _search(bundle: GluedBundle, dmax_of) -> _Plan:
@@ -250,19 +233,18 @@ def _search(bundle: GluedBundle, dmax_of) -> _Plan:
     directions, so the first plan landing exactly on dmax(bundle) wins.
     """
     curve = bundle.curve
-    one = bundle.field.one
     if bundle.rank == 1:
         degrees = {v: bundle.splittings[v][0] for v in curve.components}
-        polys = {v: [[one]] for v in curve.components}
+        coords = {v: ([[1]], 1) for v in curve.components}
         scalars = {(e.a, e.b): bundle.gluings[i][0][0]
                    for i, e in enumerate(curve.edges)}
-        return _Plan(degrees, polys, scalars, [])
+        return _Plan(degrees, coords, scalars, [])
     if len(curve.components) == 1:
         v = curve.components[0]
         ms = bundle.splittings[v]
         j = ms.index(max(ms))
-        polys = {v: [[one] if i == j else [] for i in range(bundle.rank)]}
-        return _Plan({v: ms[j]}, polys, {}, [])
+        coords = {v: ([[1] if i == j else [] for i in range(bundle.rank)], 1)}
+        return _Plan({v: ms[j]}, coords, {}, [])
 
     d, witness = dmax_of(curve.components)
     plan = _walk_candidate(bundle, witness, dmax_of)
@@ -294,13 +276,13 @@ def _walk_candidate(bundle, witness, dmax_of):
     for z in comps:
         w_eff = {v: witness[v] + (1 if v == z else 0) for v in comps}
         bumped = twist(bundle, w_eff)
-        basis = section_basis(bumped)
-        bumps[z] = (w_eff, bumped, basis)
+        basis, den = section_basis(bumped)
+        bumps[z] = (w_eff, bumped, basis, den)
         sec = _max_support_section(bundle.field, curve, basis)
         if sec is None or len(_nonzero_components(curve, sec)) != len(comps):
             continue
         try:
-            return _saturation_plan(bumped, w_eff, sec)
+            return _saturation_plan(bumped, w_eff, sec, den)
         except SubbundleError:
             continue
 
@@ -361,12 +343,12 @@ def _bridgeless(bundle, d):
         if system.count(co) == 0:
             continue
         twisted = twist(bundle, co)
-        sec = _max_support_section(bundle.field, curve,
-                                   section_basis(twisted))
+        basis, den = section_basis(twisted)
+        sec = _max_support_section(bundle.field, curve, basis)
         if len(_nonzero_components(curve, sec)) != len(comps):
             continue
         try:
-            plan = _saturation_plan(twisted, co, sec)
+            plan = _saturation_plan(twisted, co, sec, den)
         except SubbundleError:
             continue
         assert plan.total() == d, "surgery-free subbundle beat the maximum"
@@ -397,20 +379,21 @@ def _cut_assembly(bundle, d, dmax_of):
 
 
 def _case_vanishing(bundle, z, bump, dmax_of):
-    """No side around z qualifies: the bump loop's (w_eff, bumped, basis)
-    for z has a section, and its vanishing components split off as
+    """No side around z qualifies: the bump loop's (w_eff, bumped, basis,
+    den) for z has a section, and its vanishing components split off as
     independently solved subtrees. Returns None when the section's shape
     does not support the surgery."""
     curve = bundle.curve
-    w_eff, bumped, basis = bump
+    w_eff, bumped, basis, den = bump
     assert basis, "bumped bundle lost its guaranteed section"
-    sec = _best_section(curve, basis)
+    # the first basis element nonzero on the most components
+    sec = max(basis, key=lambda s: len(_nonzero_components(curve, s)))
     alive = _nonzero_components(curve, sec)
     assert z in alive, "section vanished where it was forced not to"
     dead = [v for v in curve.components if v not in alive]
     if not dead:
         try:
-            return _saturation_plan(bumped, w_eff, sec)
+            return _saturation_plan(bumped, w_eff, sec, den)
         except SubbundleError:
             return None
 
@@ -425,7 +408,7 @@ def _case_vanishing(bundle, z, bump, dmax_of):
 
     host = restrict_bundle(bumped, alive)
     try:
-        plan = _saturation_plan(host, w_eff, {v: sec[v] for v in alive})
+        plan = _saturation_plan(host, w_eff, sec, den)
     except SubbundleError:
         return None
     plan = _merge_plans(plan, *[_search(restrict_bundle(bundle, part), dmax_of)
@@ -443,33 +426,27 @@ def find_line_subbundle(bundle: GluedBundle):
     every inserted bridge carrying degree -1.
     """
     plan = _search(bundle, _restricted_dmax(bundle))
-    curve = bundle.curve
-    enl = identity_enlargement(curve)
-    grown = curve
-    bridge_data = {}
-    for (a, b, u0, u1) in plan.bridges:
+    enl = identity_enlargement(bundle.curve)
+    grown = bundle.curve
+    degrees, coords = dict(plan.degrees), dict(plan.coords)
+    for (a, b, (u0, sa), (u1, sb)) in plan.bridges:
         i = grown.edge_between(a, b)
         assert i is not None, "junction edge disappeared during surgery"
         grown, step = insert_bridge(grown, i)
         bid = next(iter(step.contracted))
-        bridge_data[bid] = (u0, u1)
         enl = compose_enlargements(enl, step)
-    host = bundle if not plan.bridges else pullback(bundle, enl)
-
-    degrees = dict(plan.degrees)
-    polys = {v: plan.polys[v] for v in plan.polys}
-    for bid, (u0, u1) in bridge_data.items():
+        # u0 / sa + (u1 / sb - u0 / sa) x, over sa sb
         degrees[bid] = -1
-        polys[bid] = [poly.trim([u0[k], u1[k] - u0[k]])
-                      for k in range(bundle.rank)]
+        coords[bid] = _lowest([[x * sb, y * sa - x * sb] for x, y in zip(u0, u1)],
+                              sa * sb, bundle.field.char)
+    host = bundle if not plan.bridges else pullback(bundle, enl)
     scalars = {}
     for i, e in enumerate(grown.edges):
         if (e.a, e.b) in plan.scalars:
             scalars[i] = plan.scalars[(e.a, e.b)]
-        elif e.a in bridge_data or e.b in bridge_data:
+        elif e.a not in plan.degrees or e.b not in plan.degrees:  # a bridge
             scalars[i] = bundle.field.one
-    sub = LineSubbundle(host, degrees, polys, scalars).validate()
-    return enl, sub
+    return enl, _from_integers(host, degrees, coords, scalars)
 
 
 # -- certificates ------------------------------------------------------------

@@ -12,15 +12,18 @@ rank the quotient's summands come from minimal generators of the
 embedding's syzygies, found degree by degree.
 
 Node checks, saturation and quotient gluings run on integers, crossing
-from field elements and back only through `linalg`: a component's
-coordinate polynomials are cleared by one common denominator
-(`linalg.cleared`) and evaluated at a node homogeneously
-(`linalg.power_row`), so every fiber vector is an integer vector over a
-known nonzero scale (plain residues over GF(p)); gluings are read as the
-bundle carries them (`GluedBundle.integer_gluings`), and field elements
-are built (`linalg.element`) only for the outputs.
+from field elements and back only through `linalg`. A subbundle carries
+its embedding as integer polynomials over one denominator per component
+(`LineSubbundle.integer_embeddings`, plain residues over GF(p)), cleared
+once (`linalg.cleared`) or set where they are made from integers. They are
+evaluated at a node homogeneously (`linalg.power_row`), gluings are read
+as the bundle carries them (`GluedBundle.integer_gluings`), and field
+elements are built (`linalg.element`) only for the outputs.
 """
 from __future__ import annotations
+
+from functools import cached_property
+from math import gcd
 
 from . import poly
 from .bundle import BundleError, GluedBundle
@@ -47,6 +50,14 @@ class LineSubbundle:
     def multidegree(self):
         return dict(self.degrees)
 
+    @cached_property
+    def integer_embeddings(self):
+        """Per component, `linalg.cleared` of the trimmed embedding, unless
+        set by the code that made the subbundle from integers."""
+        p = self.host.field.char
+        return {v: cleared([poly.trim(q) for q in ps], p)
+                for v, ps in self.embeddings.items()}
+
     def validate(self):
         problems = []
         host = self.host
@@ -54,16 +65,16 @@ class LineSubbundle:
         coords = {}
         for v in host.curve.components:
             a = self.degrees[v]
-            polys = [poly.trim(q) for q in self.embeddings[v]]
-            if len(polys) != host.rank:
+            ints = self.integer_embeddings[v][0]
+            if len(ints) != host.rank:
                 problems.append("component %r: expected %d coordinates" % (v, host.rank))
                 continue
-            coords[v] = cleared(polys, p)
-            if not any(polys):
+            coords[v] = self.integer_embeddings[v]
+            if not any(ints):
                 problems.append("component %r: embedding is identically zero" % v)
                 continue
             full = False
-            for i, q in enumerate(polys):
+            for i, q in enumerate(ints):
                 bound = host.splittings[v][i] - a
                 if q and poly.degree(q) > bound:
                     problems.append(
@@ -75,7 +86,7 @@ class LineSubbundle:
                 # common zero at infinity: every homogenized coordinate
                 # would pick up a factor of the far coordinate
                 problems.append("component %r: embedding vanishes at infinity" % v)
-            g = poly.gcd(coords[v][0], p)
+            g = poly.gcd(ints, p)
             if poly.degree(g) > 0:
                 problems.append("component %r: embedding has a common zero (gcd %s)"
                                 % (v, [element(c, g[-1], p) for c in g]))
@@ -92,6 +103,8 @@ class LineSubbundle:
             n, d = ratio(lam, p)
             if any(_nonzero(x * sb * d - n * y * sa, p) for x, y in zip(lhs, vb)):
                 problems.append("edge %d: sides do not match through the gluing" % i)
+        for i in sorted(set(self.scalars) - set(range(len(host.curve.edges)))):
+            problems.append("edge %r: the host has no such edge" % (i,))
         if problems:
             raise SubbundleError("; ".join(problems))
         return self
@@ -158,8 +171,40 @@ def _direction_scalar(p, lhs, sa, vb, sb):
     return element(lhs[k] * sb, sa * vb[k], p)
 
 
+def _lowest(ints, den, p):
+    """Integer coordinates over den as `linalg.cleared` gives their field
+    elements, trimmed: divided by gcd(den, coefficients), den > 0, over Q;
+    residues over 1 over GF(p)."""
+    if p:
+        inv = pow(den, -1, p)
+        return [poly.trim([c * inv % p for c in q]) for q in ints], 1
+    g = gcd(den, *(c for q in ints for c in q)) * (1 if den > 0 else -1)
+    return [poly.trim([c // g for c in q]) for q in ints], den // g
+
+
+def _from_integers(host, degrees, coords, scalars):
+    """The validated subbundle with `integer_embeddings` coords (in
+    `_lowest` form); its embedding's field elements are built here."""
+    p = host.field.char
+    sub = LineSubbundle(host, degrees,
+                        {v: [[element(c, den, p) for c in q] for q in ints]
+                         for v, (ints, den) in coords.items()}, scalars)
+    sub.integer_embeddings = coords
+    return sub.validate()
+
+
 def saturate(bundle: GluedBundle, section) -> LineSubbundle:
-    """Line subbundle spanned by a global section.
+    """Line subbundle spanned by a global section of field elements, each
+    component's coordinates cleared once; see `_saturate`."""
+    p = bundle.field.char
+    return _saturate(bundle, {v: cleared([poly.trim(q) for q in section[v]], p)
+                              for v in bundle.curve.components})
+
+
+def _saturate(bundle: GluedBundle, coords) -> LineSubbundle:
+    """Line subbundle spanned by a section in integers: coords maps each
+    component to (trimmed integer coordinate lists, den), the section's
+    coordinates being the lists over den (residues over GF(p)).
 
     Per component the coordinates are divided by their gcd, counted with
     the common vanishing order at infinity (homogenization slack); the
@@ -167,52 +212,50 @@ def saturate(bundle: GluedBundle, section) -> LineSubbundle:
     nonzero on every component, and the resulting fiber directions must
     still match across every node.
 
-    The gcd is taken on the coordinates cleared to integers: primitive
-    over Q, where by Gauss's lemma it divides each cleared coordinate
-    exactly in Z[x]. The stored coordinates are divided by the monic gcd,
-    as over the field.
+    The gcd is primitive over Q, where by Gauss's lemma it divides each
+    coordinate exactly in Z[x], and monic over GF(p); the coordinates are
+    divided by the gcd over its leading coefficient, as over the field. So
+    (k ints, k den), for any nonzero integer k (a negative Bareiss den
+    included), has the same gcd and quotients k times as large over k den,
+    which `_lowest` takes to one form: the kernel's den that the search
+    passes and the cleared one of `saturate` give the same subbundle.
     """
     p = bundle.field.char
-    degrees, embeddings, coords = {}, {}, {}
+    degrees, lowest = {}, {}
     for v in bundle.curve.components:
-        polys = [poly.trim(q) for q in section[v]]
-        nonzero = [(i, q) for i, q in enumerate(polys) if q]
+        ints, den = coords[v]
+        nonzero = [(i, q) for i, q in enumerate(ints) if q]
         if not nonzero:
             raise SubbundleError("section vanishes identically on %r" % v)
-        ints, den = cleared(polys, p)
         g = poly.gcd(ints, p)
         tau = min(bundle.splittings[v][i] - poly.degree(q) for i, q in nonzero)
         degrees[v] = poly.degree(g) + tau
         # q / (g / lead) = lead * (q div g), all over den
         lead = g[-1]
-        quots = [[lead * c for c in poly.div_exact(q, g, p)] if q else []
-                 for q in ints]
-        coords[v] = quots, den
-        embeddings[v] = [poly.trim([element(c, den, p) for c in q])
-                         for q in quots]
+        lowest[v] = _lowest([[lead * c for c in poly.div_exact(q, g, p)]
+                             if q else [] for q in ints], den, p)
     scalars = {}
     for i in range(len(bundle.curve.edges)):
-        lam = _direction_scalar(p, *_node_fibres(bundle, i, coords))
+        lam = _direction_scalar(p, *_node_fibres(bundle, i, lowest))
         if lam is None or not lam:
             raise SubbundleError(
                 "saturated directions disagree across edge %d" % i)
         scalars[i] = lam
-    return LineSubbundle(bundle, degrees, embeddings, scalars).validate()
+    return _from_integers(bundle, degrees, lowest, scalars)
 
 
 def _kernel_generators(p, ms, a, phis, want):
     """Minimal generators of ker((psi_i) -> sum psi_i phi_i) over the
     homogeneous coordinate ring, dehomogenized.
 
-    ms are the summand degrees, the phi_i (field elements) have degree
-    <= ms[i] - a, and the kernel is a free module of rank `want`;
-    generators are found degree by degree, lowest first. Returns a list of
-    (gen_degree, integer coefficient blocks, den): the generator's
-    coordinate polynomials are the blocks divided by den. The search runs
-    on integers: one common scale clears the phi_i (the kernel does not
-    change).
+    ms are the summand degrees, the phi_i have degree <= ms[i] - a, and the
+    kernel is a free module of rank `want`; generators are found degree by
+    degree, lowest first. The phi_i are integer coefficient lists, an
+    embedding's coordinates times one common scale (its
+    `integer_embeddings`), which does not change the kernel. Returns a list
+    of (gen_degree, integer coefficient blocks, den): the generator's
+    coordinate polynomials are the blocks divided by den.
     """
-    iphis = cleared(phis, p)[0]
     total = sum(ms) - a
     found = []  # (degree, integer coefficient blocks, their denominator)
 
@@ -230,7 +273,7 @@ def _kernel_generators(p, ms, a, phis, want):
         assert t <= guard, "kernel generator search ran past its degree bound"
         blocks, ncols = layout(t)
         rows = [[0] * ncols for _ in range(max(0, t - a + 1))]
-        for (start, size), phi in zip(blocks, iphis):
+        for (start, size), phi in zip(blocks, phis):
             for k in range(size):
                 # coefficient rows of x^k * phi_i
                 for d, c in enumerate(phi):
@@ -289,8 +332,8 @@ def _quotient(bundle: GluedBundle, sub: LineSubbundle) -> GluedBundle:
     for v in bundle.curve.components:
         m0, m1 = bundle.splittings[v]
         qsplit[v] = (m0 + m1 - sub.degrees[v],)
-        phi0, phi1 = (poly.trim(q) for q in sub.embeddings[v])
-        lead[v] = ratio(-phi0[-1] if phi0 else phi1[-1], p)
+        (phi0, phi1), den = sub.integer_embeddings[v]
+        lead[v] = (-phi0[-1] if phi0 else phi1[-1], den)
     qglue = {}
     for i, e in enumerate(bundle.curve.edges):
         ((g00, g01), (g10, g11)), den = bundle.integer_gluings[i]
@@ -318,7 +361,8 @@ def _quotient_by_generators(bundle: GluedBundle, sub: LineSubbundle):
     qsplit, generators = {}, {}
     for v in bundle.curve.components:
         found = _kernel_generators(p, list(bundle.splittings[v]),
-                                   sub.degrees[v], sub.embeddings[v], r - 1)
+                                   sub.degrees[v],
+                                   sub.integer_embeddings[v][0], r - 1)
         qsplit[v] = tuple(b for b, _, _ in found)
         generators[v] = [(gens, den) for _, gens, den in found]
     qglue = {}

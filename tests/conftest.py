@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 from treebundles import poly
-from treebundles.bundle import make_bundle
+from treebundles.bundle import make_bundle, section_basis
 from treebundles.curve import Edge, TreeCurve
 from treebundles.linalg import element
 from treebundles.subbundles import _kernel_generators
@@ -53,17 +53,26 @@ def regression_bundle():
                        {0: g0, 1: g1})
 
 
+def field_sections(bundle):
+    """`section_basis` as field-element sections: each integer coefficient
+    list divided by the kernel's den."""
+    sections, den = section_basis(bundle)
+    p = bundle.field.char
+    return [{v: [[element(x, den, p) for x in q] for q in ps]
+             for v, ps in sec.items()} for sec in sections]
+
+
 def projections(host, sub):
     """Per component, the rows projecting host fibers onto quotient fibers:
-    the generators `_kernel_generators` finds, as field-element
-    polynomials."""
+    the generators `_kernel_generators` finds from the subbundle's
+    `integer_embeddings`, as field-element polynomials."""
     p = host.field.char
     out = {}
     for v in host.curve.components:
         rows = []
         for _, blocks, den in _kernel_generators(
                 p, list(host.splittings[v]), sub.degrees[v],
-                sub.embeddings[v], host.rank - 1):
+                sub.integer_embeddings[v][0], host.rank - 1):
             rows.append([poly.trim([element(x, den, p) for x in g])
                          for g in blocks])
         out[v] = rows

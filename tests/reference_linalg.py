@@ -2,7 +2,8 @@
 compared against: Gauss-Jordan for the eliminations in `treebundles.linalg`,
 and polynomial evaluation, gcd, exact division, matrix products and column
 solves for the node checks, saturation and quotient gluings in
-`treebundles.subbundles`. Polynomial products build the tests' inputs.
+`treebundles.subbundles`. Polynomial sums, scalings and products build the
+tests' inputs.
 
 They work on Fraction or FpElement entries directly, dividing each pivot
 row by its pivot, so they share no code with the fraction-free routes.
@@ -71,6 +72,20 @@ def trim(p):
     while p and not p[-1]:
         p = p[:-1]
     return p
+
+
+def add(p, q, zero):
+    n = max(len(p), len(q))
+    out = []
+    for i in range(n):
+        a = p[i] if i < len(p) else zero
+        b = q[i] if i < len(q) else zero
+        out.append(a + b)
+    return trim(out)
+
+
+def scale(p, c):
+    return trim([c * a for a in p])
 
 
 def mul(p, q, zero):
@@ -192,6 +207,9 @@ def subbundle_problems(sub):
         lhs, vb = node_fibres(host, i, sub.embeddings)
         if any(lhs[k] != lam * vb[k] for k in range(host.rank)):
             problems.append("edge %d: sides do not match through the gluing" % i)
+    for i in sorted(sub.scalars):
+        if not 0 <= i < len(host.curve.edges):
+            problems.append("edge %d: the host has no such edge" % i)
     return problems
 
 

@@ -19,7 +19,7 @@ from treebundles.linalg import invert_matrix
 from treebundles.sampling import random_bundle, random_multidegree, random_tree
 from treebundles.serialize import bundle_from_json, bundle_to_json
 
-from conftest import build_ex
+from conftest import build_ex, field_sections
 from reference_linalg import evaluate, mat_vec, matrix_rank
 
 I2 = [[F(1), F(0)], [F(0), F(1)]]
@@ -311,7 +311,7 @@ def test_dmax_cost_is_bounded_by_the_ceiling_box():
 # -- sections ------------------------------------------------------------------
 
 def test_section_basis_size_and_matching(ex_bundle):
-    basis = section_basis(ex_bundle)
+    basis = field_sections(ex_bundle)
     assert len(basis) == h0(ex_bundle)
     e = ex_bundle.curve.edges[0]
     g = ex_bundle.gluings[0]
@@ -324,7 +324,7 @@ def test_section_basis_size_and_matching(ex_bundle):
 
 
 def test_section_basis_respects_degree_bounds(ex_bundle):
-    for sec in section_basis(ex_bundle):
+    for sec in field_sections(ex_bundle):
         for v in ("v1", "v2"):
             for k, m in enumerate(ex_bundle.splittings[v]):
                 assert poly.degree(sec[v][k]) <= m
@@ -367,11 +367,20 @@ def non_integral(rng, bundle):
 
 
 def assert_sections_agree(bundle):
-    """h0, the oracle and the section basis give one dimension, and every
-    basis section matches through the gluing at every node."""
+    """h0, the oracle and the section basis give one dimension, every basis
+    section matches through the gluing at every node, and the basis is
+    trimmed integer lists over one nonzero den (residues over 1 in
+    GF(p))."""
     want = h0_oracle(bundle)
     assert h0(bundle) == want
-    basis = section_basis(bundle)
+    sections, den = section_basis(bundle)
+    p = bundle.field.char
+    assert den and (not p or den == 1)
+    for sec in sections:
+        for q in (q for ps in sec.values() for q in ps):
+            assert q == poly.trim(q)
+            assert all(type(x) is int and (not p or 0 <= x < p) for x in q)
+    basis = field_sections(bundle)
     assert len(basis) == want
     zero = bundle.field.zero
     for sec in basis:

@@ -448,6 +448,21 @@ def test_verify_rejects_a_short_embedding_exit_3(ex_path, tmp_path, capsys):
         "step 2: invalid subbundle: component 'v2': expected 2 coordinates"]}
 
 
+@pytest.mark.parametrize("edge", [99, -1])
+def test_verify_rejects_a_scalar_on_an_edge_the_host_lacks_exit_3(
+        ex_path, tmp_path, capsys, edge):
+    # the split-off's host has edges 0 and 1, on both sides of the bridge; a
+    # scalar recorded on any other edge is reported, not ignored
+    _, out, _ = run(capsys, "certify", "-i", ex_path, "--target", "3,1")
+    obj = json.loads(out)
+    (step,) = [s for s in obj["steps"] if s["kind"] == "splitoff"]
+    step["subbundle"]["scalars"].append({"edge": edge, "value": "5"})
+    code, out2, err = run(capsys, "verify", "-i", _write(tmp_path, obj))
+    assert (code, err) == (3, "")
+    assert json.loads(out2) == {"valid": False, "report": [
+        "step 2: invalid subbundle: edge %d: the host has no such edge" % edge]}
+
+
 def _enlarge_edits(rng, cert):
     """Copies of `cert`, each with one field of one enlarge step changed: a
     source coordinate, a `contracted` entry, or a dropped or added source

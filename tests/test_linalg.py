@@ -6,9 +6,9 @@ import pytest
 
 from treebundles.fields import PrimeField, RationalField
 from treebundles.linalg import (bareiss_rank, cleared, element,
-                                identity_matrix, integer_kernel_basis,
-                                integer_rref, invert_matrix, is_invertible,
-                                mat_mul, modular_rank, power_row, rank, ratio)
+                                identity_matrix, integer_kernel, integer_rref,
+                                invert_matrix, is_invertible, mat_mul,
+                                modular_rank, power_row, rank, ratio)
 
 from reference_linalg import mat_vec, matrix_rank, rref, solve_columns
 
@@ -24,7 +24,8 @@ def kernel_basis(rows, ncols, zero, one):
     """Basis of the right kernel of a matrix of field elements, one vector
     per free column, echelon order: the integer route on its cleared rows."""
     p = getattr(zero, "p", 0)
-    return integer_kernel_basis(cleared(rows, p)[0], ncols, p)
+    vecs, den = integer_kernel(cleared(rows, p)[0], ncols, p)
+    return [[element(x, den, p) for x in v] for v in vecs]
 
 
 def test_identity_and_products():

@@ -17,7 +17,8 @@ from treebundles.sampling import (balanced_splitting, generalize,
                                   random_bundle, random_invertible,
                                   random_multidegree, random_splitting,
                                   random_tree, spread)
-from treebundles.serialize import bundle_from_json, bundle_to_json
+from treebundles.serialize import (bundle_from_json, bundle_to_json,
+                                   certificate_from_json, certificate_to_json)
 from treebundles.specialize import (Certificate, Decision, DominanceStep,
                                     EnlargementStep, FailureWitness,
                                     MismatchError, RankOneBase, SplitOffStep,
@@ -412,13 +413,13 @@ def test_bridgeless_takes_the_first_working_slack():
     assert dmax(mixed)[0] == 3
     plan = _bridgeless(mixed, 3)
     assert plan.degrees == {"v1": 2, "v2": 1}
-    assert plan.polys == {"v1": [[1], []], "v2": [[1], []]}
+    assert plan.coords == {"v1": ([[1], []], 1), "v2": ([[1], []], 1)}
     dip = build_dip()
     assert dmax(dip)[0] == 3
     plan = _bridgeless(dip, 3)
     assert plan.degrees == {"v1": 2, "v2": -1, "v3": 2}
-    assert plan.polys == {"v1": [[], [1]], "v2": [[0, -1, 1], [1]],
-                          "v3": [[], [1]]}
+    assert plan.coords == {"v1": ([[], [1]], 1), "v2": ([[0, -1, 1], [1]], 1),
+                           "v3": ([[], [1]], 1)}
     assert not plan.bridges
 
 
@@ -450,7 +451,8 @@ def test_max_support_section_reaches_where_the_first_basis_vector_does_not():
     # on the example bundle the first basis vector lives on v1 alone, and
     # the max-support combination is nonzero on both components
     ex = build_ex()
-    basis = section_basis(ex)
+    basis, den = section_basis(ex)
+    assert den == 1
     assert basis[0] == {"v1": [[0, 1], []], "v2": [[], []]}
     assert _max_support_section(ex.field, ex.curve, basis) == {
         "v1": [[1, 1], []], "v2": [[1], []]}
@@ -541,7 +543,8 @@ def test_cut_assembly_scans_cut_sizes_from_the_smallest():
     plan = _cut_assembly(dip, 3, dmax_of)
     assert plan.degrees == {"v1": 2, "v2": 1, "v3": 1}
     assert plan.scalars == {("v2", "v3"): 1}
-    assert plan.bridges == [("v1", "v2", [0, 1], [1, 0])]
+    # the two fiber vectors, each an integer vector over its scale
+    assert plan.bridges == [("v1", "v2", ([0, 1], 1), ([1, 0], 1))]
 
 
 # -- certificates -----------------------------------------------------------------
@@ -598,6 +601,48 @@ def test_a_loaded_bundle_has_its_gluings_cleared_at_load_only(monkeypatch):
     assert seen and not [rows for rows in seen if id(rows) in gluings]
 
 
+def test_subbundle_embeddings_are_cleared_once(monkeypatch):
+    # certify builds every subbundle from integers and hands them to its
+    # quotient and to verify, so no `cleared` call, in any module that binds
+    # it, sees an embedding of a subbundle the package built; a subbundle
+    # read from JSON is cleared once per component, on first use, and its
+    # quotient (rank 2 closed form, rank 3 and 4 by generators) reads the
+    # same integers
+    rng = random.Random(63)
+    bundles = []
+    for k in range(9):
+        fld = PrimeField(1000003) if k % 2 else QQ
+        curve = random_tree(rng, 2 + k % 3, fld)
+        bundles.append(random_bundle(rng, curve, 2 + k % 3, lo=-2, hi=2))
+    seen = []
+    cleared = linalg.cleared
+
+    def watched(rows, p):
+        seen.append(rows)
+        return cleared(rows, p)
+
+    for module in (linalg, bundle_module, subbundles, specialize):
+        if hasattr(module, "cleared"):
+            monkeypatch.setattr(module, "cleared", watched)
+    built, loaded = [], []
+    for bundle in bundles:
+        cert = certify(bundle, balanced_splitting(bundle.rank, bundle.degree()))
+        assert verify_certificate(cert) == (True, [])
+        back = certificate_from_json(certificate_to_json(cert), bundle.field)
+        assert verify_certificate(back) == (True, [])
+        for c, subs in ((cert, built), (back, loaded)):
+            subs += [s.subbundle for s in c.steps if isinstance(s, SplitOffStep)]
+
+    def clearings(sub):
+        ids = {id(q) for ps in sub.embeddings.values() for q in ps}
+        return [rows for rows in seen if any(id(q) in ids for q in rows)]
+
+    assert {sub.host.rank for sub in loaded} == {2, 3, 4}
+    assert [sub for sub in built if clearings(sub)] == []
+    assert [len(clearings(sub)) for sub in loaded] == \
+        [len(sub.host.curve.components) for sub in loaded]
+
+
 def test_verify_validates_each_enlargement_once(ex_bundle, monkeypatch):
     cert = certify(ex_bundle, SplittingType((3, 1)))
     calls = []
@@ -631,6 +676,21 @@ def test_verify_rejects_tampered_subbundle(ex_bundle):
              SplitOffStep(fake, split.quotient, split.qprime), cert.steps[3])
     ok, report = verify_certificate(Certificate(cert.source, cert.target, steps))
     assert not ok and report
+
+
+def test_verify_rejects_a_scalar_on_an_edge_the_host_lacks(ex_bundle):
+    cert = certify(ex_bundle, SplittingType((3, 1)))
+    split = cert.steps[2]
+    sub = split.subbundle
+    assert sorted(sub.scalars) == [0, 1]
+    for edge in (2, -1):
+        fake = LineSubbundle(sub.host, sub.degrees, sub.embeddings,
+                             {**sub.scalars, edge: F(5)})
+        steps = (cert.steps[0], cert.steps[1],
+                 SplitOffStep(fake, split.quotient, split.qprime), cert.steps[3])
+        assert verify_certificate(Certificate(cert.source, cert.target, steps)) \
+            == (False, ["step 2: invalid subbundle: edge %d: the host has no "
+                        "such edge" % edge])
 
 
 def test_verify_rejects_tampered_dominance(ex_bundle):

@@ -17,15 +17,16 @@ from treebundles import poly, specialize, subbundles
 from treebundles.bundle import GluedBundle, make_bundle, section_basis, twist
 from treebundles.curve import Edge, TreeCurve
 from treebundles.fields import PrimeField, RationalField
-from treebundles.linalg import is_invertible
+from treebundles.linalg import cleared, element, is_invertible
 from treebundles.sampling import balanced_splitting, random_tree
-from treebundles.serialize import certificate_to_json, dumps
+from treebundles.serialize import (certificate_to_json, dumps,
+                                   subbundle_from_json, subbundle_to_json)
 from treebundles.specialize import certify, find_line_subbundle, verify_certificate
 from treebundles.subbundles import (LineSubbundle, SubbundleError, _quotient,
                                     saturate)
 
 import reference_linalg as ref
-from conftest import projections
+from conftest import field_sections, projections
 
 FIELDS = [RationalField(), PrimeField(7), PrimeField(1000003)]
 COORDS = ("1/2", "-2/3", "5/7", "0", "3", "-1", "7/4")
@@ -97,15 +98,35 @@ def _reference_quotient(bundle, sub):
     return GluedBundle(bundle.curve, r - 1, qsplit, glue), rows
 
 
+def _field_coords(coords, p):
+    """Integer coordinate lists over a den, per component, as field-element
+    polynomials: where the reference route takes over from the search."""
+    return {v: [[element(x, den, p) for x in q] for q in ints]
+            for v, (ints, den) in coords.items()}
+
+
+def _over_scale(u, p):
+    """A field-element vector as an integer vector over its scale, as the
+    search records a bridge's fiber vectors."""
+    (ints,), den = cleared([u], p)
+    return ints, den
+
+
+def _reference_saturate(bundle, coords):
+    return LineSubbundle(bundle, *ref.saturate(
+        bundle, _field_coords(coords, bundle.field.char)))
+
+
 def _reference_junction(bundle, edge_index, plan):
     e = bundle.curve.edges[edge_index]
-    u0, vb = ref.node_fibres(bundle, edge_index, plan.polys)
+    p = bundle.field.char
+    u0, vb = ref.node_fibres(bundle, edge_index, _field_coords(plan.coords, p))
     rho = ref.direction_scalar(u0, vb)
     if rho is not None:
         assert rho, "transported fiber vector vanished"
         plan.scalars[(e.a, e.b)] = rho
     else:
-        plan.bridges.append((e.a, e.b, u0, vb))
+        plan.bridges.append((e.a, e.b, _over_scale(u0, p), _over_scale(vb, p)))
 
 
 def _tampered(rng, sub):
@@ -152,6 +173,9 @@ def _tampered(rng, sub):
     t = copy()
     t.embeddings[v] = [[] for _ in t.embeddings[v]]
     yield t
+    t = copy()
+    t.scalars[len(host.curve.edges)] = fld.one
+    yield t
 
 
 def _sections(rng, bundle):
@@ -161,7 +185,7 @@ def _sections(rng, bundle):
     for _ in range(2):
         md = {v: rng.randint(0, 2) for v in bundle.curve.components}
         host = twist(bundle, md)
-        basis = section_basis(host)
+        basis = field_sections(host)
         for sec in basis[:3]:
             yield host, sec
         if len(basis) > 1:
@@ -170,8 +194,8 @@ def _sections(rng, bundle):
                 c = fld.of(rng.randint(1, 9)) / fld.of(rng.choice((1, 2, 3)))
                 for v, polys in sec.items():
                     for i in range(host.rank):
-                        polys[i] = poly.add(polys[i], poly.scale(b[v][i], c),
-                                            fld.zero)
+                        polys[i] = ref.add(polys[i], ref.scale(b[v][i], c),
+                                           fld.zero)
             yield host, sec
 
 
@@ -215,10 +239,62 @@ def test_saturate_validate_and_quotients_match_the_field_route(fld):
 
 
 @pytest.mark.parametrize("fld", FIELDS, ids=lambda f: f.name)
+def test_integer_saturation_does_not_see_the_presentation(fld):
+    """(k ints, k den) stands for one section for every nonzero k, the
+    negative dens a Bareiss pivot can give included: the integer core of
+    `saturate` gives equal degrees, embeddings and scalars for k = 1, -3
+    and 2, the public `saturate` of the section's field elements gives
+    them too, and `integer_embeddings` is `cleared` of the trimmed
+    embedding for saturations, for bridged `find_line_subbundle` results
+    and for subbundles read from JSON."""
+    rng = random.Random(1502 + fld.char % 1000)
+    p = fld.char
+    saturated = errors = negative = bridged = 0
+    subs = []
+    for _ in range(20):
+        bundle = _bundle(rng, fld)
+        host = twist(bundle, {v: rng.randint(0, 2) for v in bundle.curve.components})
+        sections, den = section_basis(host)
+        negative += den < 0
+        for sec, fsec in list(zip(sections, field_sections(host)))[:4]:
+            outcomes = []
+            for k in (1, -3, 2):
+                coords = {v: ([[k * x % p if p else k * x for x in q] for q in qs],
+                              k * den % p if p else k * den)
+                          for v, qs in sec.items()}
+                outcomes.append(_outcome(subbundles._saturate, host, coords))
+            outcomes.append(_outcome(saturate, host, fsec))
+            if outcomes[0][0] == "ok":
+                saturated += 1
+                subs.append(outcomes[0][1])
+            else:
+                errors += 1
+            outcomes = [(kind, (s.degrees, s.embeddings, s.scalars)
+                         if kind == "ok" else s) for kind, s in outcomes]
+            assert outcomes[1:] == outcomes[:1] * 3
+        enl, sub = find_line_subbundle(bundle)
+        bridged += len(enl.contracted)
+        subs.append(sub)
+    for sub in subs:
+        assert sub.integer_embeddings == {
+            v: cleared([poly.trim(q) for q in ps], p)
+            for v, ps in sub.embeddings.items()}
+        back = subbundle_from_json(subbundle_to_json(sub), sub.host)
+        assert back.integer_embeddings == sub.integer_embeddings
+        assert back == sub
+    assert saturated > 20 and errors > 3
+    if not p:
+        assert negative > 0
+    if p != 7:
+        assert bridged > 0
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=lambda f: f.name)
 def test_certify_and_verify_match_the_field_route(fld, monkeypatch):
     rng = random.Random(1501 + fld.char % 1000)
     cases = []
-    for _ in range(12):
+    # over q, cases 18 and 22 saturate a section whose gcd is not monic
+    for _ in range(24):
         bundle = _bundle(rng, fld)
         cases.append((bundle, balanced_splitting(bundle.rank, bundle.degree())))
 
@@ -233,8 +309,7 @@ def test_certify_and_verify_match_the_field_route(fld, monkeypatch):
     got = run()
     with monkeypatch.context() as m:
         m.setattr(specialize, "_junction", _reference_junction)
-        m.setattr(specialize, "saturate",
-                  lambda b, s: LineSubbundle(b, *ref.saturate(b, s)))
+        m.setattr(specialize, "_saturate", _reference_saturate)
         m.setattr(specialize, "_quotient",
                   lambda b, s: _reference_quotient(b, s)[0])
         m.setattr(subbundles.LineSubbundle, "validate", _reference_validate)
