@@ -4,6 +4,8 @@ On each component the bundle is a fixed direct sum of line bundles, in a
 recorded order; at each node an invertible matrix identifies the two
 fibers, written in those summand trivializations. The summand order per
 component is significant because the gluing matrices index into it.
+`make_bundle`, `pullback` and `contract_pushforward` read the check result
+kept on the frozen curve or enlargement (`problems`), so each is checked once.
 
 Global sections are the kernel of one exact block linear system: a summand
 of twisted degree m contributes a block of polynomial coefficients, and each
@@ -104,13 +106,10 @@ class GluedBundle:
 
 
 def make_bundle(curve: TreeCurve, splittings, gluings) -> GluedBundle:
-    """Validating constructor; `gluings` maps edge index -> square matrix."""
-    return _make_bundle(curve.validate(), splittings, gluings)
-
-
-def _make_bundle(curve: TreeCurve, splittings, gluings) -> GluedBundle:
-    """`make_bundle` on a curve already validated: the splittings cover the
-    components with one rank, and every gluing is invertible and square."""
+    """Validating constructor: a valid curve, splittings covering its
+    components with one rank, and `gluings` mapping every edge index to an
+    invertible square matrix."""
+    curve.validate()
     if set(splittings) != set(curve.components):
         raise BundleError("splittings must cover the components exactly")
     ranks = {len(tuple(splittings[v])) for v in curve.components}
@@ -158,20 +157,14 @@ def restrict_bundle(bundle: GluedBundle, members) -> GluedBundle:
 
 
 def pullback(bundle: GluedBundle, enl) -> GluedBundle:
-    """Pull back along an enlargement, validated first."""
-    if enl.target != bundle.curve:
-        raise BundleError("enlargement target is not this bundle's curve")
-    problems = enl.validate()
-    if problems:
-        raise BundleError("invalid enlargement: " + "; ".join(problems))
-    return _pullback(bundle, enl)
-
-
-def _pullback(bundle: GluedBundle, enl) -> GluedBundle:
     """Pull back along a valid enlargement rooted at the bundle's curve: new
     components carry the trivial summand tuple, and each old node's matrix
     rides on the first edge of its replacement walk (identity on the
     rest)."""
+    if enl.target != bundle.curve:
+        raise BundleError("enlargement target is not this bundle's curve")
+    if enl.problems:
+        raise BundleError("invalid enlargement: " + "; ".join(enl.problems))
     src = enl.source
     zero, one = src.field.zero, src.field.one
     r = bundle.rank
@@ -197,9 +190,8 @@ def contract_pushforward(bundle: GluedBundle, enl) -> GluedBundle:
     replacement walk compose (first edge applied first)."""
     if enl.source != bundle.curve:
         raise BundleError("enlargement source is not this bundle's curve")
-    problems = enl.validate()
-    if problems:
-        raise BundleError("invalid enlargement: " + "; ".join(problems))
+    if enl.problems:
+        raise BundleError("invalid enlargement: " + "; ".join(enl.problems))
     for v in enl.contracted:
         if any(d != 0 for d in bundle.splittings[v]):
             raise BundleError("component %r is contracted but not trivial" % v)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property
 
 from .fields import FpElement, PrimeField, RationalField
 
@@ -100,10 +101,14 @@ class TreeCurve:
         members = set(members)
         return tuple(v for v in self.components if v in members)
 
+    @cached_property
+    def problems(self):
+        """`validate_tree` of the frozen curve, computed on first use."""
+        return tuple(validate_tree(self))
+
     def validate(self):
-        report = validate_tree(self)
-        if report:
-            raise CurveError("; ".join(report))
+        if self.problems:
+            raise CurveError("; ".join(self.problems))
         return self
 
 
@@ -204,21 +209,21 @@ class Enlargement:
     def survivors(self):
         return tuple(v for v in self.source.components if v not in self.contracted)
 
-    def validate(self):
-        problems = validate_tree(self.source) + validate_tree(self.target)
-        return problems or self._map_problems()
-
-    def _map_problems(self):
-        """`validate` past the tree checks: both trees must be valid."""
+    @cached_property
+    def problems(self):
+        """The trees' `problems`, or if none the map's; computed on first use."""
+        trees = self.source.problems + self.target.problems
+        if trees:
+            return trees
         problems = []
         if self.source.field != self.target.field:
             problems.append("source and target coefficient fields differ")
         if not self.contracted <= set(self.source.components):
             problems.append("contracted set contains unknown components")
-            return problems
+            return tuple(problems)
         if set(self.survivors()) != set(self.target.components):
             problems.append("surviving components do not match the target")
-            return problems
+            return tuple(problems)
         # every source edge must lie on a walk: a direct edge alone, a
         # contracted piece with all of its edges (see target_edge_paths).
         # Then every target edge has a walk: contracting each piece leaves
@@ -236,7 +241,10 @@ class Enlargement:
             if any(i not in walked for x in chain for _, i in adj[x]):
                 problems.append("contracted chain %s is not a path between two survivors"
                                 % (sorted(chain),))
-        return problems
+        return tuple(problems)
+
+    def validate(self):
+        return list(self.problems)
 
     def target_edge_paths(self):
         """For each target edge: the source edge walk realizing it, or None.

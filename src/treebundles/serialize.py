@@ -3,12 +3,14 @@
 Field elements travel as canonical strings (lowest terms, positive
 denominator over the rationals; plain decimal residues over a prime
 field). The field itself is not part of the payload; readers supply it.
+Readers build through the checking `make_bundle` and `pullback`; curves and
+enlargements keep their check results, so nothing read is checked twice.
 """
 from __future__ import annotations
 
 import json
 
-from .bundle import BundleError, GluedBundle, _make_bundle, _pullback
+from .bundle import GluedBundle, make_bundle, pullback
 from .curve import Edge, Enlargement, TreeCurve
 from .fields import RationalField
 from .specialize import (Certificate, DominanceStep, EnlargementStep,
@@ -154,8 +156,7 @@ def bundle_from_json(obj, field=None) -> GluedBundle:
             raise SerializeError("%s: edge %d is listed twice" % (where, i))
         gluings[i] = _matrix_from_json(fld, _need(g, "matrix", list, where), where)
     rank = _need(obj, "rank", int, "bundle")
-    # curve_from_json validated the tree
-    bundle = _make_bundle(curve, splittings, gluings)
+    bundle = make_bundle(curve, splittings, gluings)
     if bundle.rank != rank:
         raise SerializeError("bundle: declared rank %r disagrees with splittings" % rank)
     return bundle
@@ -265,13 +266,8 @@ def certificate_from_json(obj, field=None) -> Certificate:
                 splitting_from_json(_need(raw, "to", list, where))))
         elif kind == "enlarge":
             enl = enlargement_from_json(raw, cur_t.curve)
-            # both trees are validated already: the source as it was read,
-            # the target as the bundle it belongs to was read
-            problems = enl._map_problems()
-            if problems:
-                raise BundleError("invalid enlargement: " + "; ".join(problems))
+            pulled = pullback(cur_t, enl)
             steps.append(EnlargementStep(enl))
-            pulled = _pullback(cur_t, enl)
         elif kind == "splitoff":
             if pulled is None:
                 raise SerializeError("%s: split-off before any enlargement" % where)

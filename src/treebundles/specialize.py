@@ -5,11 +5,15 @@ degenerate to the given glued bundle: ranks and degrees must agree and the
 section counts of the tree bundle must dominate the generic ones at every
 twist level, with each level reduced to its finite clamp box. The tree
 bundle's one section system walks each level for its first failure
-(`bundle.SectionSystem.first_failure`), the same walk `dmax` climbs.
+(`bundle.SectionSystem.first_failure`), the same walk `dmax` climbs; the
+levels Coskun's criterion settles are skipped, so at rank 2 one level
+decides.
 
 find_line_subbundle realizes the maximal line subbundle degree after
 enlarging the curve by bridges, and certify chains split-offs of such
-subbundles into a machine-checkable certificate.
+subbundles into a machine-checkable certificate. verify_certificate
+rechecks it from scratch, each split-off's maximality with one
+`first_failure` level and no `dmax`.
 """
 from __future__ import annotations
 
@@ -17,9 +21,8 @@ import itertools
 from dataclasses import dataclass
 
 from . import poly
-from .bundle import (GluedBundle, SectionSystem, _pullback, dmax, h0,
-                     level_box, pullback, restrict_bundle, section_basis,
-                     twist)
+from .bundle import (GluedBundle, SectionSystem, dmax, h0, level_box,
+                     pullback, restrict_bundle, section_basis, twist)
 from .curve import (compose_enlargements, identity_enlargement, insert_bridge,
                     md_total)
 from .splitting import (SplittingType, merge_with_line, remove_line,
@@ -74,6 +77,18 @@ def decide(target: GluedBundle, source: SplittingType) -> Decision:
     walk short. Levels below sum(lo_v) have an empty clamp box, so the
     window is clipped to start there at the lowest. A balanced source has
     an empty window and needs no section system.
+
+    Coskun's criterion skips levels. For e <= -d'_2 - 1 only the top
+    summand counts, need(e) = d'_1 + e + 1. Once level -d'_1 (need 1)
+    passes, dmax(target) >= d'_1, so `find_line_subbundle` gives a line
+    subbundle L of degree >= d'_1 in the pullback to an enlargement. For ℓ
+    of total degree e, L ⊗ π*ℓ has degree >= d'_1 + e on a tree of
+    rational curves, so h0 >= χ = d'_1 + e + 1 = need(e), and those
+    sections lie in H0(target ⊗ ℓ) because π contracts chains of rational
+    curves. So no level up to -d'_2 - 1 fails, and the walk resumes at
+    max(e + 1, -d'_2) (with d'_1 = d'_2 that is e + 1). At rank 2 that is
+    past the window: one need-1 level decides. The first failure, and so
+    the witness, does not change.
     """
     if target.rank != source.rank:
         raise MismatchError("rank %d vs %d" % (target.rank, source.rank))
@@ -84,11 +99,13 @@ def decide(target: GluedBundle, source: SplittingType) -> Decision:
     if not levels:
         return Decision(True)
     system = SectionSystem(target)
-    for e in range(max(levels.start, sum(system.lo.values())), levels.stop):
+    e = max(levels.start, sum(system.lo.values()))
+    while e < levels.stop:
         need = source.h0(e)
         found = system.first_failure(e, need)
         if found is not None:
             return Decision(False, FailureWitness(*found, need))
+        e = max(e + 1, -ds[1]) if e == -ds[0] else e + 1
     return Decision(True)
 
 
@@ -209,11 +226,11 @@ def _junction(bundle, edge_index, plan):
 def _saturation_plan(host, w_eff, section, den):
     # host is twisted by w_eff, the plan's degrees shifted back; the
     # section's coordinates are its lists over den
-    sat = _saturate(host, {v: (section[v], den) for v in host.curve.components})
-    degrees = {v: a - w_eff[v] for v, a in sat.degrees.items()}
-    scalars = {(e.a, e.b): sat.scalars[i]
-               for i, e in enumerate(sat.host.curve.edges)}
-    return _Plan(degrees, sat.integer_embeddings, scalars, [])
+    degrees, coords, scalars = _saturate(
+        host, {v: (section[v], den) for v in host.curve.components})
+    return _Plan({v: a - w_eff[v] for v, a in degrees.items()}, coords,
+                 {(e.a, e.b): scalars[i]
+                  for i, e in enumerate(host.curve.edges)}, [])
 
 
 def _search(bundle: GluedBundle, dmax_of) -> _Plan:
@@ -530,6 +547,13 @@ def verify_certificate(cert: Certificate):
     Returns (ok, report). Nothing derived is trusted: pullbacks, quotients,
     degree bounds and decisions are all recomputed and compared against the
     recorded steps.
+
+    A split-off of degree d is checked maximal, d = dmax(cur_t), without a
+    `dmax` climb. (>=) Its validated subbundle gives every twist of level
+    -d a section, by `decide`'s χ argument. (<=) The levels holding a
+    sectionless twist form an interval from the floor (`dmax`), so one at
+    level -(d + 1) gives dmax <= d. So `first_failure(-(d + 1), 1)` is None,
+    from an empty clamp box too, exactly when d is not maximal.
     """
     report = []
 
@@ -584,8 +608,7 @@ def verify_certificate(cert: Certificate):
             problems = enl.validate()
             if problems:
                 return fail("step %d: bad enlargement: %s" % (k, "; ".join(problems)))
-            # rooted and validated just above
-            pulled = _pullback(cur_t, enl)
+            pulled = pullback(cur_t, enl)
         elif isinstance(step, SplitOffStep):
             if pulled is None:
                 return fail("step %d: split-off without a preceding enlargement" % k)
@@ -597,7 +620,7 @@ def verify_certificate(cert: Certificate):
             except SubbundleError as exc:
                 return fail("step %d: invalid subbundle: %s" % (k, exc))
             d = sub.degree()
-            if d != dmax(cur_t)[0]:
+            if SectionSystem(cur_t).first_failure(-(d + 1), 1) is None:
                 return fail("step %d: subbundle degree %d is not maximal" % (k, d))
             # validated just above
             if _quotient(pulled, sub) != step.quotient:

@@ -197,14 +197,19 @@ def saturate(bundle: GluedBundle, section) -> LineSubbundle:
     """Line subbundle spanned by a global section of field elements, each
     component's coordinates cleared once; see `_saturate`."""
     p = bundle.field.char
-    return _saturate(bundle, {v: cleared([poly.trim(q) for q in section[v]], p)
-                              for v in bundle.curve.components})
+    return _from_integers(bundle, *_saturate(
+        bundle, {v: cleared([poly.trim(q) for q in section[v]], p)
+                 for v in bundle.curve.components}))
 
 
-def _saturate(bundle: GluedBundle, coords) -> LineSubbundle:
-    """Line subbundle spanned by a section in integers: coords maps each
-    component to (trimmed integer coordinate lists, den), the section's
-    coordinates being the lists over den (residues over GF(p)).
+def _saturate(bundle: GluedBundle, coords):
+    """(degrees, coords, scalars) of the line subbundle spanned by a section
+    in integers: coords maps each component to (trimmed integer coordinate
+    lists, den), the section's coordinates being the lists over den
+    (residues over GF(p)); the result's coords are in `_lowest` form. No
+    subbundle is built: for a section with one coordinate per summand the
+    result passes `LineSubbundle.validate` by construction, and only
+    `saturate` and `specialize.find_line_subbundle` make one.
 
     Per component the coordinates are divided by their gcd, counted with
     the common vanishing order at infinity (homogenization slack); the
@@ -241,7 +246,7 @@ def _saturate(bundle: GluedBundle, coords) -> LineSubbundle:
             raise SubbundleError(
                 "saturated directions disagree across edge %d" % i)
         scalars[i] = lam
-    return _from_integers(bundle, degrees, lowest, scalars)
+    return degrees, lowest, scalars
 
 
 def _kernel_generators(p, ms, a, phis, want):

@@ -275,6 +275,8 @@ def test_certificate_load_validates_each_enlargement_source_once(monkeypatch):
     assert len(sources) == 2
     assert [sum(c is src for c in seen) for src in sources] == [1, 1]
     assert verify_certificate(back) == (True, [])
+    # each curve keeps its check: verify checks no curve object again
+    assert all(sum(c is x for c in seen) == 1 for x in seen)
 
 
 def test_certificate_load_still_checks_each_enlargement(ex_bundle):

@@ -11,7 +11,8 @@ from treebundles import linalg, specialize, subbundles
 from treebundles.bundle import (SectionSystem, clamp_box, dmax, h0, level_box,
                                 make_bundle, pullback, restrict_bundle,
                                 section_basis, twist)
-from treebundles.curve import Edge, Enlargement, TreeCurve, md_total
+from treebundles.curve import (Edge, Enlargement, TreeCurve,
+                               identity_enlargement, md_total)
 from treebundles.fields import PrimeField, RationalField
 from treebundles.sampling import (balanced_splitting, generalize,
                                   random_bundle, random_invertible,
@@ -27,9 +28,10 @@ from treebundles.specialize import (Certificate, Decision, DominanceStep,
                                     _restricted_dmax, certify, decide,
                                     find_line_subbundle, verify_certificate)
 from treebundles.splitting import SplittingType, specializes_p1
-from treebundles.subbundles import LineSubbundle
+from treebundles.subbundles import LineSubbundle, saturate
 
-from conftest import build_chain, build_ex, build_swap, regression_bundle
+from conftest import (build_chain, build_ex, build_swap, field_sections,
+                      regression_bundle)
 
 I2 = [[F(1), F(0)], [F(0), F(1)]]
 QQ = RationalField()
@@ -209,17 +211,20 @@ def _count_bareiss_calls(monkeypatch):
 
 def test_decide_rank_calls_do_not_grow_with_the_degree(monkeypatch):
     # the floor settles most twists here but not all; the rest read ranks
-    # memoised on clamped states, which do not depend on the degree
+    # memoised on clamped states, which do not depend on the degree. At
+    # rank 3 the levels from -d'_2 on need more than one section, so ranks
+    # are still read past the levels Coskun's criterion skips
     calls = _count_bareiss_calls(monkeypatch)
-    g = [[F(1), F(1)], [F(0), F(1)]]
+    g = [[F(1), F(1), F(0)], [F(0), F(1), F(1)], [F(0), F(0), F(1)]]
     seen = []
     for degree in (10 ** 3, 10 ** 4):
         bundle = build_chain(("v1", "v2", "v3"),
-                             {"v1": (degree + 3, degree + 1), "v2": (3, 1),
-                              "v3": (-degree + 3, -degree + 2)},
+                             {"v1": (degree + 3, degree + 1, degree),
+                              "v2": (3, 1, 0),
+                              "v3": (-degree + 3, -degree + 2, -degree + 1)},
                              {0: g, 1: g})
         calls.clear()
-        assert decide(bundle, SplittingType((9, 4))).yes
+        assert decide(bundle, SplittingType((9, 4, 1))).yes
         seen.append(len(calls))
     assert seen[0] == seen[1] > 0
 
@@ -269,6 +274,23 @@ def test_decide_probes_on_a_degree_spread_stay_within_the_walk(monkeypatch):
         probes.clear()
         assert decide(bundle, SplittingType((degree, -degree))).yes
         assert 0 < len(probes) <= most
+
+
+def test_decide_at_rank_two_walks_one_level(monkeypatch):
+    # Coskun's criterion: once level -d'_1 = -D passes, no level up to
+    # -d'_2 - 1 = D - 1 can fail, and that is past the window, so decide
+    # walks the one need-1 level, whose ceiling box holds at most 2 twists
+    # here; the walk of every level probed about 2 * 10^6 floors
+    probes = _record_floor_probes(monkeypatch)
+    degree = 1000
+    curve = TreeCurve(("v1", "v2"), (Edge("v1", F(0), "v2", F(0)),))
+    for g in (I2, [[F(0), F(1)], [F(1), F(0)]]):
+        bundle = make_bundle(curve, {"v1": (degree, -degree), "v2": (0, 0)},
+                             {0: g})
+        probes.clear()
+        assert decide(bundle, SplittingType((degree, -degree))).yes
+        assert {md_total(md) for _, md in probes} == {-degree}
+        assert 0 < len(probes) <= 2
 
 
 def test_decide_settles_a_spread_level_without_ranks(monkeypatch):
@@ -663,6 +685,43 @@ def test_certify_refutation(ex_bundle):
     assert cert.steps[0] == FailureWitness({"v1": -2, "v2": -2}, 0, 1)
     ok, report = verify_certificate(cert)
     assert ok, report
+
+
+def test_verify_takes_no_dmax(monkeypatch):
+    # each split-off's maximality is its validated subbundle (dmax >= d)
+    # and one sectionless twist at level -(d + 1) (dmax <= d)
+    rng = random.Random(64)
+    certs = []
+    for k in range(6):
+        fld = (None, PrimeField(1000003))[k % 2]
+        bundle = random_bundle(rng, random_tree(rng, rng.randint(2, 4), fld),
+                               rng.randint(2, 3))
+        certs.append(certify(bundle, balanced_splitting(bundle.rank,
+                                                        bundle.degree())))
+    calls = []
+    for module in (bundle_module, specialize):
+        monkeypatch.setattr(module, "dmax",
+                            lambda b: calls.append(b) or dmax(b))
+    splitoffs = 0
+    for cert in certs:
+        assert verify_certificate(cert) == (True, [])
+        splitoffs += sum(isinstance(s, SplitOffStep) for s in cert.steps)
+    assert calls == [] and splitoffs >= 6
+
+
+def test_verify_rejects_a_valid_subbundle_below_dmax(ex_bundle):
+    # a saturated global section is a valid subbundle of degree 2 < dmax = 3:
+    # level -3 has no sectionless twist, so the split-off is not maximal
+    cert = certify(ex_bundle, SplittingType((3, 1)))
+    split = cert.steps[2]
+    sec = next(s for s in field_sections(ex_bundle)
+               if all(any(s[v]) for v in ("v1", "v2")))
+    sub = saturate(ex_bundle, sec)
+    assert sub.degree() == 2
+    steps = (EnlargementStep(identity_enlargement(ex_bundle.curve)),
+             SplitOffStep(sub, split.quotient, split.qprime), cert.steps[3])
+    assert verify_certificate(Certificate(cert.source, ex_bundle, steps)) == (
+        False, ["step 1: subbundle degree 2 is not maximal"])
 
 
 def test_verify_rejects_tampered_subbundle(ex_bundle):

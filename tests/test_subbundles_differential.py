@@ -113,8 +113,10 @@ def _over_scale(u, p):
 
 
 def _reference_saturate(bundle, coords):
-    return LineSubbundle(bundle, *ref.saturate(
-        bundle, _field_coords(coords, bundle.field.char)))
+    p = bundle.field.char
+    degrees, embeddings, scalars = ref.saturate(bundle, _field_coords(coords, p))
+    return degrees, {v: cleared([poly.trim(q) for q in ps], p)
+                     for v, ps in embeddings.items()}, scalars
 
 
 def _reference_junction(bundle, edge_index, plan):
@@ -263,14 +265,15 @@ def test_integer_saturation_does_not_see_the_presentation(fld):
                               k * den % p if p else k * den)
                           for v, qs in sec.items()}
                 outcomes.append(_outcome(subbundles._saturate, host, coords))
-            outcomes.append(_outcome(saturate, host, fsec))
-            if outcomes[0][0] == "ok":
+            public = _outcome(saturate, host, fsec)
+            if public[0] == "ok":
+                s = public[1]
+                subs.append(s)
+                public = ("ok", (s.degrees, s.integer_embeddings, s.scalars))
                 saturated += 1
-                subs.append(outcomes[0][1])
             else:
                 errors += 1
-            outcomes = [(kind, (s.degrees, s.embeddings, s.scalars)
-                         if kind == "ok" else s) for kind, s in outcomes]
+            outcomes.append(public)
             assert outcomes[1:] == outcomes[:1] * 3
         enl, sub = find_line_subbundle(bundle)
         bridged += len(enl.contracted)
