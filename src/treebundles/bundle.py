@@ -59,9 +59,14 @@ class GluedBundle:
 
     @classmethod
     def _sharing(cls, curve, rank, splittings, gluings, integer_gluings):
-        """A bundle holding `gluings` and `integer_gluings`, not copies. No
-        code in the package changes a gluing in place (every inverse,
-        product and pullback copies first), so derived bundles share them."""
+        """A bundle holding `gluings` and `integer_gluings`, not copies.
+        `twist`, `restrict_bundle` and `pullback` build through it. No code
+        in the package changes a gluing in place (every inverse and product
+        builds new rows), so derived bundles share them: a twist and a
+        restriction hold the very gluings and integer pairs of their
+        source, and a pullback's forward edges its integer pairs. An
+        integer pair is read once, so a gluing changed in place after that
+        is not seen by the integer routes of any bundle that shares it."""
         out = cls.__new__(cls)
         out.curve, out.rank, out.splittings = curve, rank, splittings
         out.gluings, out.integer_gluings = gluings, integer_gluings
@@ -70,8 +75,8 @@ class GluedBundle:
     @cached_property
     def integer_gluings(self):
         """Per edge, (integer rows, den) from `linalg.cleared`: the one
-        place a gluing becomes integers, shared by `twist` and
-        `restrict_bundle`."""
+        place a gluing becomes integers, shared by `twist`,
+        `restrict_bundle` and `pullback`."""
         return [cleared(self.gluings[i], self.field.char)
                 for i in range(len(self.curve.edges))]
 
@@ -160,28 +165,37 @@ def pullback(bundle: GluedBundle, enl) -> GluedBundle:
     """Pull back along a valid enlargement rooted at the bundle's curve: new
     components carry the trivial summand tuple, and each old node's matrix
     rides on the first edge of its replacement walk (identity on the
-    rest)."""
+    rest). A forward first edge hands on the target's integer pair, as
+    `twist` does, with a copy of its rows, so that a gluing of the target
+    changed in place later does not show in the pulled bundle, and a check
+    against a fresh pullback sees the change. An inserted edge gets the
+    identity, also as integers over 1, and only an inverted edge is
+    cleared."""
     if enl.target != bundle.curve:
         raise BundleError("enlargement target is not this bundle's curve")
     if enl.problems:
         raise BundleError("invalid enlargement: " + "; ".join(enl.problems))
     src = enl.source
+    p = src.field.char
     zero, one = src.field.zero, src.field.one
     r = bundle.rank
     spl = {}
     for v in src.components:
         spl[v] = (0,) * r if v in enl.contracted else bundle.splittings[v]
-    glue = {}
+    glue, ints = {}, {}
     for ti, walk in enumerate(enl.target_edge_paths()):
-        m = bundle.gluings[ti]
         for step, (si, forward) in enumerate(walk):
             if step > 0:
                 glue[si] = identity_matrix(r, zero, one)
+                ints[si] = identity_matrix(r, 0, 1), 1
             elif forward:
-                glue[si] = [row[:] for row in m]
+                glue[si] = [row[:] for row in bundle.gluings[ti]]
+                ints[si] = bundle.integer_gluings[ti]
             else:
-                glue[si] = invert_matrix([row[:] for row in m], zero, one)
-    return GluedBundle(src, r, spl, glue)
+                glue[si] = invert_matrix(bundle.gluings[ti], zero, one)
+                ints[si] = cleared(glue[si], p)
+    return GluedBundle._sharing(src, r, spl, glue,
+                                [ints[i] for i in range(len(src.edges))])
 
 
 def contract_pushforward(bundle: GluedBundle, enl) -> GluedBundle:

@@ -4,7 +4,9 @@ Field elements travel as canonical strings (lowest terms, positive
 denominator over the rationals; plain decimal residues over a prime
 field). The field itself is not part of the payload; readers supply it.
 Readers build through the checking `make_bundle` and `pullback`; curves and
-enlargements keep their check results, so nothing read is checked twice.
+enlargements keep their check results, and a certificate's quotient is
+built on the enlarged curve object its JSON repeats, so nothing read is
+checked twice.
 """
 from __future__ import annotations
 
@@ -69,7 +71,9 @@ def curve_to_json(curve: TreeCurve) -> dict:
     }
 
 
-def curve_from_json(obj, field=None) -> TreeCurve:
+def curve_from_json(obj, field=None, known=None) -> TreeCurve:
+    """The curve read and checked; a curve equal to `known`, a checked
+    curve, is `known` itself, so it is not checked again."""
     fld = field if field is not None else RationalField()
     comps = _need_names(obj, "components", "curve")
     edges = []
@@ -79,7 +83,8 @@ def curve_from_json(obj, field=None) -> TreeCurve:
                           fld.parse(_need(e, "pa", str, where)),
                           _need(e, "b", str, where),
                           fld.parse(_need(e, "pb", str, where))))
-    return TreeCurve(tuple(comps), tuple(edges), fld).validate()
+    curve = TreeCurve(tuple(comps), tuple(edges), fld)
+    return known if curve == known else curve.validate()
 
 
 # -- multidegrees and splitting types -----------------------------------------
@@ -139,8 +144,10 @@ def bundle_to_json(bundle: GluedBundle) -> dict:
     }
 
 
-def bundle_from_json(obj, field=None) -> GluedBundle:
-    curve = curve_from_json(_need(obj, "curve", dict, "bundle"), field)
+def bundle_from_json(obj, field=None, known=None) -> GluedBundle:
+    """The bundle read and checked, on `known` if its curve equals that
+    checked curve (`curve_from_json`)."""
+    curve = curve_from_json(_need(obj, "curve", dict, "bundle"), field, known)
     fld = curve.field
     raw = _need(obj, "splittings", dict, "bundle")
     splittings = {}
@@ -272,7 +279,10 @@ def certificate_from_json(obj, field=None) -> Certificate:
             if pulled is None:
                 raise SerializeError("%s: split-off before any enlargement" % where)
             sub = subbundle_from_json(_need(raw, "subbundle", dict, where), pulled)
-            quot = bundle_from_json(_need(raw, "quotient", dict, where), target.field)
+            # the quotient lives on the pulled bundle's curve: one object,
+            # checked when the enlargement was read
+            quot = bundle_from_json(_need(raw, "quotient", dict, where),
+                                    target.field, pulled.curve)
             steps.append(SplitOffStep(sub, quot,
                                       splitting_from_json(_need(raw, "qprime", list, where))))
             cur_t = quot

@@ -681,6 +681,47 @@ def test_pullback_layout(ex_bundle):
     assert h0(up) == h0(ex_bundle)
 
 
+@pytest.mark.parametrize("fld", [QQ, PrimeField(7), PrimeField(1000003)],
+                         ids=lambda f: f.name)
+def test_pullback_integer_gluings_on_every_edge_kind(fld):
+    # an enlargement read from JSON may list a source edge against the
+    # target edge's direction, so a pulled gluing comes forward, inserted
+    # or inverted: forward edges hand on the target's integer pair, and on
+    # every edge the pair is the pulled gluing as `linalg.cleared` gives it
+    from treebundles.curve import Enlargement
+    from treebundles.sampling import random_invertible
+    rng = random.Random(42 + fld.char % 1000)
+
+    def tree(rows):
+        comps = []
+        for a, _, b, _ in rows:
+            comps += [v for v in (a, b) if v not in comps]
+        return TreeCurve(tuple(comps), tuple(
+            Edge(a, fld.of(pa), b, fld.of(pb)) for a, pa, b, pb in rows), fld)
+
+    target = tree([("u", 0, "w", 0), ("w", 1, "x", 0)])
+    enl = Enlargement(tree([("u", 0, "b", 0), ("w", 0, "b", 1),
+                            ("x", 0, "w", 1)]), target, frozenset({"b"}))
+    assert enl.target_edge_paths() == [[(0, True), (1, False)], [(2, False)]]
+    for r in (1, 2, 3):
+        scale = fld.one / fld.of(rng.choice((1, 2, 3, 5)))
+        bundle = make_bundle(
+            target, {v: tuple(rng.randint(-2, 2) for _ in range(r))
+                     for v in target.components},
+            {i: [[x * scale for x in row]
+                 for row in random_invertible(rng, fld, r)] for i in (0, 1)})
+        up = pullback(bundle, enl)
+        assert up.integer_gluings[0] is bundle.integer_gluings[0]
+        assert up.gluings[2] == invert_matrix(bundle.gluings[1], fld.zero,
+                                              fld.one)
+        assert up.integer_gluings == [linalg.cleared(up.gluings[i], fld.char)
+                                      for i in range(3)]
+        assert contract_pushforward(up, enl) == bundle
+        for _ in range(4):
+            md = random_multidegree(rng, target, -2, 2)
+            assert h0(twist(up, dict(md, b=0))) == h0(twist(bundle, md))
+
+
 def test_contract_is_inverse_of_pullback(ex_bundle):
     grown, step = insert_bridge(ex_bundle.curve, 0)
     up = pullback(ex_bundle, step)

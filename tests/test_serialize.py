@@ -18,7 +18,7 @@ from treebundles.serialize import (SerializeError, bundle_from_json,
                                    multidegree_from_json, multidegree_to_json,
                                    splitting_from_json, splitting_to_json,
                                    subbundle_from_json, subbundle_to_json)
-from treebundles.specialize import (EnlargementStep, certify,
+from treebundles.specialize import (EnlargementStep, SplitOffStep, certify,
                                     find_line_subbundle, verify_certificate)
 from treebundles.splitting import SplittingType
 
@@ -277,6 +277,34 @@ def test_certificate_load_validates_each_enlargement_source_once(monkeypatch):
     assert verify_certificate(back) == (True, [])
     # each curve keeps its check: verify checks no curve object again
     assert all(sum(c is x for c in seen) == 1 for x in seen)
+
+
+def test_certificate_load_checks_a_curve_once_per_enlargement(monkeypatch):
+    # a split-off's quotient lives on the enlarged curve its JSON repeats:
+    # the reader builds it on the pulled bundle's curve object, so a loaded
+    # certificate checks the target's tree and each enlargement's source,
+    # and nothing else
+    rng = random.Random(64)
+    certs = []
+    for k in range(9):
+        fld = PrimeField(1000003) if k % 3 == 2 else None
+        bundle = random_bundle(rng, random_tree(rng, 1 + k % 4, fld),
+                               2 + k % 3, lo=-2, hi=2)
+        certs.append((json.loads(dumps(certificate_to_json(certify(
+            bundle, balanced_splitting(bundle.rank, bundle.degree()))))), fld))
+    seen = _count_tree_validations(monkeypatch)
+    most = 0
+    for obj, fld in certs:
+        seen.clear()
+        back = certificate_from_json(obj, fld)
+        enlarged = [s.enlargement.source for s in back.steps
+                    if isinstance(s, EnlargementStep)]
+        quotients = [s.quotient.curve for s in back.steps
+                     if isinstance(s, SplitOffStep)]
+        assert len(seen) == 1 + len(enlarged)
+        assert all(q is c for q, c in zip(quotients, enlarged))
+        most = max(most, len(enlarged))
+    assert most == 3
 
 
 def test_certificate_load_still_checks_each_enlargement(ex_bundle):

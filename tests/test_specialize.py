@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from treebundles import bundle as bundle_module
-from treebundles import linalg, specialize, subbundles
+from treebundles import linalg, serialize, specialize, subbundles
 from treebundles.bundle import (SectionSystem, clamp_box, dmax, h0, level_box,
                                 make_bundle, pullback, restrict_bundle,
                                 section_basis, twist)
@@ -589,11 +589,57 @@ def test_certify_ex_golden(ex_bundle):
     assert ok and report == []
 
 
+def _watch_clearings(monkeypatch):
+    """(seen, pulls): the rows of every `cleared` call, in any module that
+    binds it, and every pullback made through `specialize` or `serialize`,
+    as (target, enlargement, pulled bundle, len(seen) when it returned)."""
+    seen, pulls = [], []
+    cleared, pull = linalg.cleared, bundle_module.pullback
+
+    def watched(rows, p):
+        seen.append(rows)
+        return cleared(rows, p)
+
+    def pulled(bundle, enl):
+        out = pull(bundle, enl)
+        pulls.append((bundle, enl, out, len(seen)))
+        return out
+
+    for module in (linalg, bundle_module, subbundles, specialize):
+        if hasattr(module, "cleared"):
+            monkeypatch.setattr(module, "cleared", watched)
+    for module in (specialize, serialize):
+        monkeypatch.setattr(module, "pullback", pulled)
+    return seen, pulls
+
+
+def _assert_pullbacks_share(seen, pulls):
+    # a pulled bundle's forward edges hold the target's very integer pairs
+    # and its inserted edges the identity over 1, so no `cleared` call after
+    # the pullback sees a forward pulled gluing
+    forward = inserted = 0
+    for target, enl, out, mark in pulls:
+        r = target.rank
+        ids = set()
+        for ti, walk in enumerate(enl.target_edge_paths()):
+            (si, ahead), rest = walk[0], walk[1:]
+            if ahead:
+                assert out.integer_gluings[si] is target.integer_gluings[ti]
+                ids.add(id(out.gluings[si]))
+                forward += 1
+            for sj, _ in rest:
+                assert out.integer_gluings[sj] == (
+                    [[int(i == j) for j in range(r)] for i in range(r)], 1)
+                inserted += 1
+        assert not [rows for rows in seen[mark:] if id(rows) in ids]
+    assert forward and inserted
+
+
 def test_a_loaded_bundle_has_its_gluings_cleared_at_load_only(monkeypatch):
     # the loader reads each gluing into integers once; counting twists,
     # dmax, certify and verify then read the rows the bundle carries, and
     # no later `cleared` call, in any module that binds it, sees a gluing
-    # of the loaded bundle
+    # of the loaded bundle or a forward gluing of a pullback
     rng = random.Random(62)
     loaded = []
     for k in range(8):
@@ -601,16 +647,7 @@ def test_a_loaded_bundle_has_its_gluings_cleared_at_load_only(monkeypatch):
         curve = random_tree(rng, 3 + k % 3, fld)
         bundle = random_bundle(rng, curve, 2 + k % 2, lo=-2, hi=2)
         loaded.append(bundle_from_json(bundle_to_json(bundle), fld))
-    seen = []
-    cleared = linalg.cleared
-
-    def watched(rows, p):
-        seen.append(rows)
-        return cleared(rows, p)
-
-    for module in (linalg, bundle_module, subbundles, specialize):
-        if hasattr(module, "cleared"):
-            monkeypatch.setattr(module, "cleared", watched)
+    seen, pulls = _watch_clearings(monkeypatch)
     for bundle in loaded:
         for _ in range(4):
             md = random_multidegree(rng, bundle.curve, -2, 2)
@@ -621,6 +658,7 @@ def test_a_loaded_bundle_has_its_gluings_cleared_at_load_only(monkeypatch):
         assert verify_certificate(cert) == (True, [])
     gluings = {id(m) for bundle in loaded for m in bundle.gluings.values()}
     assert seen and not [rows for rows in seen if id(rows) in gluings]
+    _assert_pullbacks_share(seen, pulls)
 
 
 def test_subbundle_embeddings_are_cleared_once(monkeypatch):
@@ -629,23 +667,15 @@ def test_subbundle_embeddings_are_cleared_once(monkeypatch):
     # it, sees an embedding of a subbundle the package built; a subbundle
     # read from JSON is cleared once per component, on first use, and its
     # quotient (rank 2 closed form, rank 3 and 4 by generators) reads the
-    # same integers
+    # same integers; the pullbacks of certify, verify and the reader share
+    # their targets' integer gluings
     rng = random.Random(63)
     bundles = []
     for k in range(9):
         fld = PrimeField(1000003) if k % 2 else QQ
         curve = random_tree(rng, 2 + k % 3, fld)
         bundles.append(random_bundle(rng, curve, 2 + k % 3, lo=-2, hi=2))
-    seen = []
-    cleared = linalg.cleared
-
-    def watched(rows, p):
-        seen.append(rows)
-        return cleared(rows, p)
-
-    for module in (linalg, bundle_module, subbundles, specialize):
-        if hasattr(module, "cleared"):
-            monkeypatch.setattr(module, "cleared", watched)
+    seen, pulls = _watch_clearings(monkeypatch)
     built, loaded = [], []
     for bundle in bundles:
         cert = certify(bundle, balanced_splitting(bundle.rank, bundle.degree()))
@@ -663,6 +693,32 @@ def test_subbundle_embeddings_are_cleared_once(monkeypatch):
     assert [sub for sub in built if clearings(sub)] == []
     assert [len(clearings(sub)) for sub in loaded] == \
         [len(sub.host.curve.components) for sub in loaded]
+    _assert_pullbacks_share(seen, pulls)
+
+
+def test_verify_rejects_a_loaded_certificate_changed_in_place():
+    # a pullback shares its target's integer gluings but copies the rows, so
+    # a gluing entry changed in place after the load, in the claim's target
+    # or in a quotient that a later round pulls back, still fails verify
+    rng = random.Random(64)
+    changed = {"target": 0, "quotient": 0}
+    reasons = {"target": "subbundle host is not the pulled-back bundle",
+               "quotient": "quotient does not recompute"}
+    for k in range(12):
+        fld = PrimeField(1000003) if k % 3 == 2 else QQ
+        bundle = random_bundle(rng, random_tree(rng, 2 + k % 3, fld), 3,
+                               lo=-2, hi=2)
+        obj = certificate_to_json(certify(bundle, balanced_splitting(
+            3, bundle.degree())))
+        for part in changed:
+            back = certificate_from_json(obj, fld)
+            where = back.target if part == "target" else next(
+                s.quotient for s in back.steps if isinstance(s, SplitOffStep))
+            where.gluings[0][0][0] += 1
+            ok, report = verify_certificate(back)
+            assert not ok and reasons[part] in report[0]
+            changed[part] += 1
+    assert changed == {"target": 12, "quotient": 12}
 
 
 def test_verify_validates_each_enlargement_once(ex_bundle, monkeypatch):

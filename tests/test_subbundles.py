@@ -221,35 +221,122 @@ def test_quotient_fiber_checks_random():
     assert ranks == {2, 3}
 
 
+def _random_embedding(rng, fld, r, size):
+    """(ms, a, phis) of rank r with nonzero coordinates on `size` summands,
+    of degree <= m_i - a and with no common zero, also at infinity, so the
+    kernel is free of rank r - 1; None where a draw has a common zero. A
+    zero summand's degree is drawn below a (which forces its coordinate to
+    zero), at a generator degree of the nonzero part (a tie in the merge)
+    or at random. Over Q the coefficients have denominators."""
+    # the support at random, first or last: a zero summand then falls on
+    # either side of a generator's free column
+    support = rng.choice((sorted(rng.sample(range(r), size)),
+                          range(size), range(r - size, r)))
+    ms = [None] * r
+    for i in support:
+        ms[i] = rng.randint(-2, 3)
+    if size == 1:
+        a = ms[support[0]]
+    else:
+        a = min(ms[i] for i in support) - rng.randint(0, 2)
+    phis = [[] for _ in range(r)]
+    for i in support:
+        while not phis[i]:
+            phis[i] = poly.trim([fld.of(rng.randint(-3, 3))
+                                 / fld.of(rng.choice((1, 1, 2, 3)))
+                                 for _ in range(ms[i] - a + 1)])
+    if not any(poly.degree(phis[i]) == ms[i] - a for i in support):
+        return None
+    g = []
+    for i in support:
+        g = gcd_monic(g, phis[i], fld.zero)
+    if poly.degree(g) != 0:
+        return None
+    part = kernel_generators(fld, [ms[i] for i in support], a,
+                             [phis[i] for i in support], size - 1)
+    ties = [b for b, _ in part] or [a]
+    for z in range(r):
+        if ms[z] is None:
+            # below a a quarter of the time, at a tie half of it
+            ms[z] = rng.choice((rng.randint(a - 3, a - 1), rng.choice(ties),
+                                rng.choice(ties), rng.randint(-2, 3)))
+    return ms, a, phis
+
+
 def test_kernel_generators_match_the_field_reference():
-    # random embeddings with no common zero, also at infinity, so the
-    # kernel is free of rank r - 1; over Q with denominators, and mod 7
-    rng = random.Random(45)
-    for fld in (RationalField(), PrimeField(7)):
-        done = 0
-        while done < 40:
-            r = rng.randint(2, 4)
-            ms = [rng.randint(-2, 3) for _ in range(r)]
-            a = min(ms) - rng.randint(0, 2)
-            phis = [poly.trim([fld.of(rng.randint(-3, 3))
-                               / fld.of(rng.choice((1, 1, 2, 3)))
-                               for _ in range(m - a + 1)]) for m in ms]
-            if not any(p and poly.degree(p) == m - a
-                       for p, m in zip(phis, ms)):
-                continue
-            g = []
-            for p in phis:
-                if p:
-                    g = gcd_monic(g, p, fld.zero)
-            if poly.degree(g) != 0:
-                continue
+    # the generators read off the support (units, the Koszul pair, the
+    # search on three or more nonzero coordinates) against the greedy
+    # search over all summands on field elements, as rational vectors and
+    # in its order, on ranks 3-5 over q, p:7 and p:1000003; a unit
+    # generator ties in degree with a pair or searched one on both sides
+    # of it, so a merge by degree alone fails
+    for fld in (RationalField(), PrimeField(7), PrimeField(1000003)):
+        rng = random.Random(45 + fld.char % 1000)
+        classes = {1: 0, 2: 0, 3: 0}
+        ties = {"unit first": 0, "unit second": 0}
+        for k in range(90):
+            r = 3 + k % 3
+            size = k // 3 % 3 + 1
+            drawn = None
+            while drawn is None:
+                drawn = _random_embedding(rng, fld, r, rng.randint(3, r)
+                                          if size == 3 else size)
+            ms, a, phis = drawn
+            classes[min(3, sum(map(bool, phis)))] += 1
             got = []
             iphis = cleared(phis, fld.char)[0]
-            for b, blocks, den in _kernel_generators(fld.char, ms, a, iphis, r - 1):
+            for b, blocks, den in _kernel_generators(fld.char, ms, a, iphis,
+                                                     r - 1):
                 got.append((b, [poly.trim([element(x, den, fld.char)
                                            for x in g]) for g in blocks]))
-            assert got == kernel_generators(fld, ms, a, phis, r - 1)
-            done += 1
+            want = kernel_generators(fld, ms, a, phis, r - 1)
+            assert got == want
+            for (b, x), (c, y) in zip(want, want[1:]):
+                units = [sum(map(bool, gens)) == 1 for gens in (x, y)]
+                if b == c and units[0] != units[1]:
+                    ties["unit first" if units[0] else "unit second"] += 1
+        assert min(classes.values()) >= 10 and min(ties.values()) >= 10, \
+            (fld, classes, ties)
+
+
+def test_quotient_generators_run_no_empty_elimination(monkeypatch):
+    # a component whose embedding has at most two nonzero coordinates reads
+    # its generators off the support with no `integer_kernel` or
+    # `integer_rref` call, so a rank-3 or rank-4 quotient with no wider
+    # support makes one `integer_rref` per edge (its gluing) and nothing
+    # else; the search on three or more makes no call on a system with no
+    # rows. The subbundles are the split-offs of seeded certificates.
+    from treebundles import subbundles
+    from treebundles.sampling import balanced_splitting
+    from treebundles.specialize import SplitOffStep, certify
+    rng = random.Random(47)
+    subs = []
+    for k in range(48):
+        fld = PrimeField(1000003) if k % 3 == 2 else RationalField()
+        bundle = random_bundle(rng, random_tree(rng, 1 + k % 4, fld),
+                               3 + k % 2, lo=-2, hi=2)
+        cert = certify(bundle, balanced_splitting(bundle.rank, bundle.degree()))
+        subs += [s.subbundle for s in cert.steps if isinstance(s, SplitOffStep)
+                 and s.subbundle.host.rank > 2]
+    calls = []
+    for name in ("integer_kernel", "integer_rref"):
+        def watched(rows, ncols, p, inner=getattr(subbundles, name), name=name):
+            calls.append((name, len(rows)))
+            return inner(rows, ncols, p)
+        monkeypatch.setattr(subbundles, name, watched)
+    narrow = searched = 0
+    for sub in subs:
+        host = sub.host
+        widths = [sum(map(bool, sub.integer_embeddings[v][0]))
+                  for v in host.curve.components]
+        del calls[:]
+        _quotient(host, sub)
+        assert all(rows for _, rows in calls)
+        if max(widths) <= 2:
+            narrow += 1
+            assert calls == [("integer_rref", host.rank)] * len(host.curve.edges)
+        searched += max(widths) > 2
+    assert narrow >= 15 and searched >= 15, (narrow, searched)
 
 
 @pytest.mark.parametrize("fld", [RationalField(), PrimeField(7),
