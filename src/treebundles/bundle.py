@@ -38,8 +38,8 @@ from math import inf
 
 from . import poly
 from .curve import TreeCurve, check_multidegree, restrict_curve
-from .linalg import (cleared, identity_matrix, integer_kernel, invert_matrix,
-                     mat_mul, power_row, rank)
+from .linalg import (cleared, element, identity_matrix, integer_kernel,
+                     invert_matrix, invertible, mat_mul, power_row, rank)
 
 
 class BundleError(ValueError):
@@ -47,7 +47,22 @@ class BundleError(ValueError):
 
 
 class GluedBundle:
-    """curve + per-component ordered summand degrees + per-edge gluings."""
+    """curve + per-component ordered summand degrees + per-edge gluings.
+
+    A gluing has two forms: `gluings`, per edge index the rows of field
+    elements, and `integer_gluings`, per edge the (integer rows, den) of
+    `linalg.cleared`, which every integer route reads. A bundle holds the
+    form it is built from and builds the other once, on first use: the
+    constructor holds copies of the field-element rows it is given and
+    clears them when an integer route first reads them; `of_integers`,
+    the JSON reader's, holds integer pairs and builds field elements only
+    when something reads `gluings` (output, `__eq__`, `pullback`,
+    `h0_oracle`). A form built later is built from the other as it is
+    then, and then kept, so a gluing changed in place is seen by the
+    routes that read the changed form only: rows of `gluings` changed in
+    place reach `__eq__`, output and pullbacks taken afterwards, and no
+    count.
+    """
 
     def __init__(self, curve: TreeCurve, rank: int, splittings, gluings):
         self.curve = curve
@@ -58,24 +73,49 @@ class GluedBundle:
                         for i in range(len(curve.edges))}
 
     @classmethod
+    def of_integers(cls, curve: TreeCurve, rank: int, splittings,
+                    integer_gluings):
+        """A bundle holding `integer_gluings`, per edge index (integer rows,
+        den) as `linalg.cleared` gives them; no field element is built."""
+        return cls._sharing(curve, int(rank),
+                            {v: tuple(splittings[v]) for v in curve.components},
+                            None, [integer_gluings[i]
+                                   for i in range(len(curve.edges))])
+
+    @classmethod
     def _sharing(cls, curve, rank, splittings, gluings, integer_gluings):
-        """A bundle holding `gluings` and `integer_gluings`, not copies.
-        `twist`, `restrict_bundle` and `pullback` build through it. No code
-        in the package changes a gluing in place (every inverse and product
-        builds new rows), so derived bundles share them: a twist and a
-        restriction hold the very gluings and integer pairs of their
-        source, and a pullback's forward edges its integer pairs. An
-        integer pair is read once, so a gluing changed in place after that
-        is not seen by the integer routes of any bundle that shares it."""
+        """A bundle holding the given forms of its gluings, not copies;
+        None for a form leaves it to be built on first use. `twist`,
+        `restrict_bundle` and `pullback` build through it. No code in the
+        package changes a gluing in place (every inverse and product builds
+        new rows), so derived bundles share them: a twist and a restriction
+        hold the very forms their source holds, and a pullback's forward
+        edges its integer pairs."""
         out = cls.__new__(cls)
         out.curve, out.rank, out.splittings = curve, rank, splittings
-        out.gluings, out.integer_gluings = gluings, integer_gluings
+        if gluings is not None:
+            out.gluings = gluings
+        if integer_gluings is not None:
+            out.integer_gluings = integer_gluings
         return out
+
+    def _forms(self):
+        """(gluings, integer_gluings) as held, None for a form not built."""
+        held = vars(self)
+        return held.get("gluings"), held.get("integer_gluings")
+
+    @cached_property
+    def gluings(self):
+        """Per edge index, the gluing's rows of field elements, built from
+        `integer_gluings` when the bundle was built from integers."""
+        p = self.field.char
+        return {i: [[element(x, den, p) for x in row] for row in m]
+                for i, (m, den) in enumerate(self.integer_gluings)}
 
     @cached_property
     def integer_gluings(self):
         """Per edge, (integer rows, den) from `linalg.cleared`: the one
-        place a gluing becomes integers, shared by `twist`,
+        place a field-element gluing becomes integers, shared by `twist`,
         `restrict_bundle` and `pullback`."""
         return [cleared(self.gluings[i], self.field.char)
                 for i in range(len(self.curve.edges))]
@@ -113,7 +153,16 @@ class GluedBundle:
 def make_bundle(curve: TreeCurve, splittings, gluings) -> GluedBundle:
     """Validating constructor: a valid curve, splittings covering its
     components with one rank, and `gluings` mapping every edge index to an
-    invertible square matrix."""
+    invertible square matrix of field elements (`build_checked`)."""
+    return build_checked(GluedBundle, curve, splittings, gluings)
+
+
+def build_checked(build, curve: TreeCurve, splittings, gluings) -> GluedBundle:
+    """`build(curve, rank, splittings, gluings)` after make_bundle's checks,
+    in their order, on gluings in the form `build` takes: `GluedBundle`
+    rows of field elements, `GluedBundle.of_integers` (integer rows, den)
+    pairs, as the JSON reader reads them. Each gluing's shape and
+    invertibility are checked on its integer rows (`linalg.invertible`)."""
     curve.validate()
     if set(splittings) != set(curve.components):
         raise BundleError("splittings must cover the components exactly")
@@ -125,11 +174,11 @@ def make_bundle(curve: TreeCurve, splittings, gluings) -> GluedBundle:
         raise BundleError("rank must be at least 1")
     if set(gluings) != set(range(len(curve.edges))):
         raise BundleError("gluings must cover the edges exactly")
-    bundle = GluedBundle(curve, r, splittings, gluings)
-    for i, m in bundle.gluings.items():
+    bundle = build(curve, r, splittings, gluings)
+    for i, (m, _) in enumerate(bundle.integer_gluings):
         if len(m) != r or any(len(row) != r for row in m):
             raise BundleError("gluing %d is not %dx%d" % (i, r, r))
-        if rank(bundle.integer_gluings[i][0], r, curve.field.char) < r:
+        if not invertible(m, curve.field.char):
             raise BundleError("gluing %d is singular" % i)
     return bundle
 
@@ -139,13 +188,14 @@ def twist(bundle: GluedBundle, md) -> GluedBundle:
 
     On a tree any line bundle is determined by its multidegree (the gluing
     scalars can be absorbed component by component), so a plain integer map
-    is the whole datum. The twist shares both forms of the source's gluings.
+    is the whole datum. The twist shares the forms of the source's gluings
+    that the source holds, and builds neither.
     """
     check_multidegree(bundle.curve, md)
     new = {v: tuple(d + md[v] for d in bundle.splittings[v])
            for v in bundle.curve.components}
     return GluedBundle._sharing(bundle.curve, bundle.rank, new,
-                                bundle.gluings, bundle.integer_gluings)
+                                *bundle._forms())
 
 
 def restrict_bundle(bundle: GluedBundle, members) -> GluedBundle:
@@ -156,9 +206,11 @@ def restrict_bundle(bundle: GluedBundle, members) -> GluedBundle:
     keep = [i for i, e in enumerate(bundle.curve.edges)
             if e.a in members and e.b in members]
     spl = {v: bundle.splittings[v] for v in sub.components}
-    glue = {j: bundle.gluings[i] for j, i in enumerate(keep)}
-    return GluedBundle._sharing(sub, bundle.rank, spl, glue,
-                                [bundle.integer_gluings[i] for i in keep])
+    glue, ints = bundle._forms()
+    return GluedBundle._sharing(
+        sub, bundle.rank, spl,
+        None if glue is None else {j: glue[i] for j, i in enumerate(keep)},
+        None if ints is None else [ints[i] for i in keep])
 
 
 def pullback(bundle: GluedBundle, enl) -> GluedBundle:
@@ -183,7 +235,7 @@ def pullback(bundle: GluedBundle, enl) -> GluedBundle:
     for v in src.components:
         spl[v] = (0,) * r if v in enl.contracted else bundle.splittings[v]
     glue, ints = {}, {}
-    for ti, walk in enumerate(enl.target_edge_paths()):
+    for ti, walk in enumerate(enl.target_edge_paths):
         for step, (si, forward) in enumerate(walk):
             if step > 0:
                 glue[si] = identity_matrix(r, zero, one)
@@ -212,7 +264,7 @@ def contract_pushforward(bundle: GluedBundle, enl) -> GluedBundle:
     zero, one = bundle.field.zero, bundle.field.one
     r = bundle.rank
     glue = {}
-    for ti, walk in enumerate(enl.target_edge_paths()):
+    for ti, walk in enumerate(enl.target_edge_paths):
         acc = identity_matrix(r, zero, one)
         for si, forward in walk:
             m = [row[:] for row in bundle.gluings[si]]

@@ -225,10 +225,17 @@ def _cmd_export_dot(args):
     return 0
 
 
-@functools.cache
 def build_parser():
     """The argument parser, built once per process: every default is an
     immutable string, and parse_args returns a fresh namespace."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers():
+    """(the argument parser, {verb: the verb's own parser}), each verb's
+    parser kept as it is built."""
+    verbs = {}
     parser = argparse.ArgumentParser(
         prog="treebundles",
         description="exact section counts and specialization certificates "
@@ -236,7 +243,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def add(name, fn, needs_input=True):
-        p = sub.add_parser(name)
+        p = verbs[name] = sub.add_parser(name)
         p.set_defaults(fn=fn)
         if needs_input:
             p.add_argument("-i", "--input", required=True,
@@ -264,18 +271,29 @@ def build_parser():
     p.add_argument("--seed", default="0")
     p.add_argument("--cases", default="50")
     add("export-dot", _cmd_export_dot)
-    return parser
+    return parser, verbs
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one verb line; returns the exit code.
+
+    A line that starts with a verb is parsed once, by that verb's parser,
+    as the full parser would hand it on. Any other line (no verb, an
+    unknown one, help) and any line that leaves an argument over goes to
+    the full parser, so every usage message and exit code is argparse's
+    own.
+    """
+    parser, verbs = _parsers()
     # `--target X` as `--target=X`: argparse takes a separate X that starts
     # with '-' and is no plain number, such as -1,-1, for an option
     argv = list(sys.argv[1:] if argv is None else argv)
     for i in range(len(argv) - 1, 0, -1):
         if argv[i - 1] == "--target":
             argv[i - 1:i + 1] = ["--target=" + argv[i]]
-    args = parser.parse_args(argv)
+    verb = verbs.get(argv[0]) if argv else None
+    args, rest = verb.parse_known_args(argv[1:]) if verb else (None, None)
+    if args is None or rest:
+        args = parser.parse_args(argv)
     try:
         args.field = _parse_field(args.field)
         return args.fn(args)

@@ -229,7 +229,7 @@ class Enlargement:
         # Then every target edge has a walk: contracting each piece leaves
         # a tree on the survivors whose n_target - 1 edges are walks, each
         # realizing a distinct target edge.
-        paths = self.target_edge_paths()
+        paths = self.target_edge_paths
         walked = {i for walk in paths if walk for i, _ in walk}
         src = self.source
         for i, e in enumerate(src.edges):
@@ -246,16 +246,20 @@ class Enlargement:
     def validate(self):
         return list(self.problems)
 
+    @cached_property
     def target_edge_paths(self):
-        """For each target edge: the source edge walk realizing it, or None.
+        """For each target edge: the source edge walk realizing it, or None;
+        computed on first use and kept, like `problems`, so the check, a
+        reader's pullback and `verify`'s pullback walk the curves once.
 
         The walk starts at the target edge's a-side survivor, takes the
         source edge at node coordinate `pa`, and goes on through contracted
         components that have exactly two nodes; it realizes the target edge
         when it stops at the b-side survivor at coordinate `pb`, and is None
-        otherwise. Returns a list indexed like target.edges; each walk is a
-        list of (source edge index, forward) pairs, forward meaning the
-        source edge is traversed from its own a-side to its b-side.
+        otherwise. A list indexed like target.edges, which no caller
+        changes; each walk is a list of (source edge index, forward) pairs,
+        forward meaning the source edge is traversed from its own a-side to
+        its b-side.
         """
         src = self.source
         at = {(v, p): i for i, e in enumerate(src.edges)

@@ -3,10 +3,19 @@
 Everything downstream is written against plain operator arithmetic, so an
 element is either a fractions.Fraction or an FpElement; both support
 +, -, *, /, ==, bool() (nonzero test) and never lose exactness.
+
+Each field reads an element's string in one pass as integers, `ratio(s)`
+-> (num, den): lowest terms with den > 0 over Q (as
+`Fraction.as_integer_ratio` gives them), the residue over 1 over GF(p).
+`parse` builds the element from that pair, so a reader that needs only
+integers (a bundle's gluings) builds no element at all. `field_from_name`
+builds each field once per name.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 
 
 class FpElement:
@@ -100,18 +109,23 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _read_ratio(s: str):
-    """(numerator, denominator or None) of a decimal integer or ratio, a
-    sign on the numerator only, with no exponent, point, underscore or inner
-    whitespace, so int()'s digit limit bounds every accepted string."""
+def _read_ratio(s: str, bad: str):
+    """(numerator, denominator) of a decimal integer (denominator 1) or
+    ratio, a sign on the numerator only, with no exponent, point,
+    underscore or inner whitespace, so int()'s digit limit bounds every
+    accepted string. Anything else raises ValueError(bad % (s,))."""
     t = s.strip()
-    if t.isdecimal():
-        return int(t), None
-    num, slash, den = t.partition("/")
-    digits = num[1:] if num[:1] in ("+", "-") else num
-    if not digits.isdecimal() or (slash and not den.isdecimal()):
-        raise ValueError("not a decimal integer or ratio: %r" % (s,))
-    return int(num), int(den) if slash else None
+    try:
+        if t.isdecimal():
+            return int(t), 1
+        num, slash, den = t.partition("/")
+        digits = num[1:] if num[:1] in ("+", "-") else num
+        if digits.isdecimal() and (not slash or den.isdecimal()):
+            return int(num), int(den) if slash else 1
+    except ValueError:
+        # more digits than int() reads
+        pass
+    raise ValueError(bad % (s,))
 
 
 class RationalField:
@@ -131,12 +145,19 @@ class RationalField:
     def of(self, n: int) -> Fraction:
         return Fraction(n)
 
+    def ratio(self, s: str):
+        """(num, den) of the rational s, in lowest terms with den > 0."""
+        bad = "not a rational number: %r"
+        num, den = _read_ratio(s, bad)
+        if den == 1:
+            return num, 1
+        if not den:
+            raise ValueError(bad % (s,))
+        g = gcd(num, den)
+        return num // g, den // g
+
     def parse(self, s: str) -> Fraction:
-        try:
-            num, den = _read_ratio(s)
-            return Fraction(num) if den is None else Fraction(num, den)
-        except (ValueError, ZeroDivisionError):
-            raise ValueError("not a rational number: %r" % (s,)) from None
+        return Fraction(*self.ratio(s))
 
     def to_str(self, x) -> str:
         # Fraction is already kept in lowest terms with positive denominator
@@ -161,6 +182,7 @@ class PrimeField:
         self.p = p
         self.name = "p:%d" % p
         self.char = p
+        self._bad = "not an element of GF(%d): %%r" % p
 
     @property
     def zero(self):
@@ -173,13 +195,18 @@ class PrimeField:
     def of(self, n: int) -> FpElement:
         return FpElement(n, self.p)
 
+    def ratio(self, s: str):
+        """(residue, 1) of the element s of GF(p)."""
+        p = self.p
+        num, den = _read_ratio(s, self._bad)
+        if den == 1:
+            return num % p, 1
+        if not den % p:
+            raise ValueError(self._bad % (s,))
+        return num * pow(den, -1, p) % p, 1
+
     def parse(self, s: str) -> FpElement:
-        try:
-            num, den = _read_ratio(s)
-            x = self.of(num)
-            return x if den is None else x / self.of(den)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError("not an element of GF(%d): %r" % (self.p, s)) from exc
+        return FpElement(self.ratio(s)[0], self.p)
 
     def to_str(self, x) -> str:
         return str(x.val)
@@ -194,8 +221,11 @@ class PrimeField:
         return "PrimeField(%d)" % self.p
 
 
+@lru_cache(maxsize=8)
 def field_from_name(name: str):
-    """Parse a --field style selector: "q" or "p:<prime>"."""
+    """Parse a --field style selector: "q" or "p:<prime>". Each name is
+    read once: a prime's primality test runs on its first call only, and a
+    name that raises is not kept, so it raises again on every call."""
     name = name.strip()
     if name == "q":
         return RationalField()

@@ -5,9 +5,13 @@ Every exact count and solve in the package runs on integers over Q
 (p = 0) or GF(p), and this module alone crosses between the two: `ratio`
 reads one field element as numerator and denominator, `cleared` turns
 rows of field elements into integer rows over one common denominator
-(residues over 1 in GF(p)), `element` builds a field element back from an
-integer over a denominator, and `power_row` gives the homogeneous powers
-n^k d^(K-k) at which integer polynomials are evaluated at a point n/d.
+(residues over 1 in GF(p)) through `over_one_den`, which the JSON reader
+calls on the (num, den) pairs a field reads straight from strings,
+`element` builds a field element back from an integer over a
+denominator, and `power_row` gives the homogeneous powers n^k d^(K-k) at
+which integer polynomials are evaluated at a point n/d. `invertible`
+tests a square integer matrix by its determinant up to 2x2 and by rank
+above.
 
 Every elimination is one pivot walk, `_eliminate`: fraction-free with
 exact division over Q (Bareiss 1968; Nakos, Turner & Williams 1997), the
@@ -131,7 +135,14 @@ def cleared(rows, p):
     keeps the rank, the kernel and the reduced echelon form."""
     if p:
         return [[x.val for x in row] for row in rows], 1
-    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
+    return over_one_den([[x.as_integer_ratio() for x in row] for row in rows])
+
+
+def over_one_den(ratios):
+    """Rows of (numerator, denominator) pairs, each denominator positive,
+    as (integer rows, den) over the lcm of the denominators: `cleared` of
+    the rows of the elements they stand for, when each pair is in lowest
+    terms (a GF(p) residue over 1)."""
     den = lcm(*(d for row in ratios for _, d in row))
     if den == 1:
         return [[n for n, _ in row] for row in ratios], 1
@@ -168,10 +179,25 @@ def _char(zero):
     return getattr(zero, "p", 0)
 
 
+def invertible(rows, p):
+    """Whether a square integer matrix is invertible over Q (p = 0) or
+    GF(p): the determinant (mod p) for 1x1 and 2x2, a full-rank test by
+    elimination above that."""
+    n = len(rows)
+    if not 0 < n < 3:
+        return rank(rows, n, p) == n
+    if n == 1:
+        det = rows[0][0]
+    else:
+        (a, b), (c, d) = rows
+        det = a * d - b * c
+    return bool(det % p if p else det)
+
+
 def is_invertible(m, p):
-    """Whether a square matrix over Q (p = 0) or GF(p) is invertible: a
-    full-rank test on its integer rows, no inverse built."""
-    return rank(cleared(m, p)[0], len(m), p) == len(m)
+    """Whether a square matrix of field elements over Q (p = 0) or GF(p) is
+    invertible: `invertible` on its integer rows, no inverse built."""
+    return invertible(cleared(m, p)[0], p)
 
 
 def integer_kernel(rows, ncols, p):

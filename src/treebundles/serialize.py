@@ -3,18 +3,24 @@
 Field elements travel as canonical strings (lowest terms, positive
 denominator over the rationals; plain decimal residues over a prime
 field). The field itself is not part of the payload; readers supply it.
-Readers build through the checking `make_bundle` and `pullback`; curves and
-enlargements keep their check results, and a certificate's quotient is
-built on the enlarged curve object its JSON repeats, so nothing read is
-checked twice.
+A bundle's gluings are read in one pass straight to integers, each
+string through its field's `ratio` and each matrix over one den
+(`linalg.over_one_den`), and the bundle holds them so: a load builds no
+field element for them (`bundle.GluedBundle.of_integers`). Readers build
+through the checks of `make_bundle` (`bundle.build_checked`) and through
+`pullback`; curves and enlargements keep their check results, and a
+certificate reader builds each curve once, reusing the curve object for
+JSON equal to a curve it has read (`_Curves`), so nothing read is checked
+twice.
 """
 from __future__ import annotations
 
 import json
 
-from .bundle import GluedBundle, make_bundle, pullback
+from .bundle import GluedBundle, build_checked, pullback
 from .curve import Edge, Enlargement, TreeCurve
 from .fields import RationalField
+from .linalg import over_one_den
 from .specialize import (Certificate, DominanceStep, EnlargementStep,
                          FailureWitness, RankOneBase, SplitOffStep)
 from .splitting import SplittingType
@@ -71,9 +77,8 @@ def curve_to_json(curve: TreeCurve) -> dict:
     }
 
 
-def curve_from_json(obj, field=None, known=None) -> TreeCurve:
-    """The curve read and checked; a curve equal to `known`, a checked
-    curve, is `known` itself, so it is not checked again."""
+def curve_from_json(obj, field=None) -> TreeCurve:
+    """The curve read and checked."""
     fld = field if field is not None else RationalField()
     comps = _need_names(obj, "components", "curve")
     edges = []
@@ -83,8 +88,26 @@ def curve_from_json(obj, field=None, known=None) -> TreeCurve:
                           fld.parse(_need(e, "pa", str, where)),
                           _need(e, "b", str, where),
                           fld.parse(_need(e, "pb", str, where))))
-    curve = TreeCurve(tuple(comps), tuple(edges), fld)
-    return known if curve == known else curve.validate()
+    return TreeCurve(tuple(comps), tuple(edges), fld).validate()
+
+
+class _Curves:
+    """A certificate's curves, each built and checked once: called on a
+    curve's JSON equal to JSON it has read, it returns the curve object it
+    read then. Only curves that read without error are kept, and equal
+    JSON reads identically, so this changes no result and no error."""
+
+    def __init__(self, field):
+        self.field = field
+        self.seen = []  # (JSON, curve)
+
+    def __call__(self, obj):
+        for raw, curve in self.seen:
+            if raw == obj:
+                return curve
+        curve = curve_from_json(obj, self.field)
+        self.seen.append((obj, curve))
+        return curve
 
 
 # -- multidegrees and splitting types -----------------------------------------
@@ -120,16 +143,19 @@ def _matrix_to_json(fld, m):
     return [[fld.to_str(x) for x in row] for row in m]
 
 
-def _parse_element(fld, x, where):
+def _string(x, where):
     if not isinstance(x, str):
         raise SerializeError("%s: field element %r is not a string" % (where, x))
-    return fld.parse(x)
+    return x
 
 
-def _matrix_from_json(fld, obj, where):
+def _gluing_from_json(fld, obj, where):
+    """A gluing as (integer rows, den), equal to `linalg.cleared` of its
+    parsed rows: each entry read by `fld.ratio`, in lowest terms."""
     if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
         raise SerializeError("%s: matrix is not a list of rows" % where)
-    return [[_parse_element(fld, x, where) for x in row] for row in obj]
+    read = fld.ratio
+    return over_one_den([[read(_string(x, where)) for x in row] for row in obj])
 
 
 def bundle_to_json(bundle: GluedBundle) -> dict:
@@ -144,10 +170,11 @@ def bundle_to_json(bundle: GluedBundle) -> dict:
     }
 
 
-def bundle_from_json(obj, field=None, known=None) -> GluedBundle:
-    """The bundle read and checked, on `known` if its curve equals that
-    checked curve (`curve_from_json`)."""
-    curve = curve_from_json(_need(obj, "curve", dict, "bundle"), field, known)
+def bundle_from_json(obj, field=None, curves=None) -> GluedBundle:
+    """The bundle read and checked, holding its gluings as integers; its
+    curve is read by `curves`, a `_Curves`, when one is given."""
+    raw = _need(obj, "curve", dict, "bundle")
+    curve = curves(raw) if curves else curve_from_json(raw, field)
     fld = curve.field
     raw = _need(obj, "splittings", dict, "bundle")
     splittings = {}
@@ -161,9 +188,10 @@ def bundle_from_json(obj, field=None, known=None) -> GluedBundle:
         i = _need(g, "edge", int, where)
         if i in gluings:
             raise SerializeError("%s: edge %d is listed twice" % (where, i))
-        gluings[i] = _matrix_from_json(fld, _need(g, "matrix", list, where), where)
+        gluings[i] = _gluing_from_json(fld, _need(g, "matrix", list, where),
+                                       where)
     rank = _need(obj, "rank", int, "bundle")
-    bundle = make_bundle(curve, splittings, gluings)
+    bundle = build_checked(GluedBundle.of_integers, curve, splittings, gluings)
     if bundle.rank != rank:
         raise SerializeError("bundle: declared rank %r disagrees with splittings" % rank)
     return bundle
@@ -191,7 +219,7 @@ def subbundle_from_json(obj, host: GluedBundle) -> LineSubbundle:
         where = "subbundle embedding of %r" % v
         if not isinstance(ps, list) or not all(isinstance(p, list) for p in ps):
             raise SerializeError("%s: not a list of coefficient lists" % where)
-        embeddings[v] = [[_parse_element(fld, c, where) for c in p] for p in ps]
+        embeddings[v] = [[fld.parse(_string(c, where)) for c in p] for p in ps]
     scalars = {}
     for k, s in enumerate(_need(obj, "scalars", list, "subbundle")):
         where = "subbundle scalar %d" % k
@@ -214,8 +242,11 @@ def enlargement_to_json(enl: Enlargement) -> dict:
     }
 
 
-def enlargement_from_json(obj, target: TreeCurve) -> Enlargement:
-    source = curve_from_json(_need(obj, "source", dict, "enlargement"), target.field)
+def enlargement_from_json(obj, target: TreeCurve, curves=None) -> Enlargement:
+    """The enlargement onto `target`; its source is read by `curves`, a
+    `_Curves`, when one is given."""
+    raw = _need(obj, "source", dict, "enlargement")
+    source = curves(raw) if curves else curve_from_json(raw, target.field)
     contracted = _need_names(obj, "contracted", "enlargement")
     return Enlargement(source, target, frozenset(contracted))
 
@@ -254,8 +285,13 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def certificate_from_json(obj, field=None) -> Certificate:
+    """The certificate read; each curve is built and checked once
+    (`_Curves`): the target's, each enlargement's source, and each
+    quotient's, which is the enlargement's source repeated."""
+    curves = _Curves(field if field is not None else RationalField())
     claim = _need(obj, "claim", dict, "certificate")
-    target = bundle_from_json(_need(claim, "target", dict, "certificate claim"), field)
+    target = bundle_from_json(_need(claim, "target", dict, "certificate claim"),
+                              curves=curves)
     source = splitting_from_json(_need(claim, "source", list, "certificate claim"))
     steps = []
     cur_t = target
@@ -272,17 +308,15 @@ def certificate_from_json(obj, field=None) -> Certificate:
                 splitting_from_json(_need(raw, "from", list, where)),
                 splitting_from_json(_need(raw, "to", list, where))))
         elif kind == "enlarge":
-            enl = enlargement_from_json(raw, cur_t.curve)
+            enl = enlargement_from_json(raw, cur_t.curve, curves)
             pulled = pullback(cur_t, enl)
             steps.append(EnlargementStep(enl))
         elif kind == "splitoff":
             if pulled is None:
                 raise SerializeError("%s: split-off before any enlargement" % where)
             sub = subbundle_from_json(_need(raw, "subbundle", dict, where), pulled)
-            # the quotient lives on the pulled bundle's curve: one object,
-            # checked when the enlargement was read
             quot = bundle_from_json(_need(raw, "quotient", dict, where),
-                                    target.field, pulled.curve)
+                                    curves=curves)
             steps.append(SplitOffStep(sub, quot,
                                       splitting_from_json(_need(raw, "qprime", list, where))))
             cur_t = quot

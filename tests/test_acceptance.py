@@ -68,7 +68,7 @@ def test_criterion_03_certificate_roundtrip():
     assert len(enlargements[0].enlargement.contracted) == 1
     split = next(s for s in cert.steps if type(s).__name__ == "SplitOffStep")
     enl = enlargements[0].enlargement
-    (walk,) = enl.target_edge_paths()
+    (walk,) = enl.target_edge_paths
     edges = enl.source.edges
     path = [enl.target.edges[0].a] + [edges[i].b if fwd else edges[i].a
                                       for i, fwd in walk]

@@ -133,6 +133,84 @@ def test_integer_gluings_are_cleared_once_and_shared(fld):
     assert fractional >= (15 if fld == QQ else 0)
 
 
+@pytest.mark.parametrize("fld", [QQ, PrimeField(7), PrimeField(1000003)],
+                         ids=lambda f: f.name)
+def test_a_bundle_load_builds_no_field_element_gluing(fld):
+    # the reader reads gluings straight to integers: loading, twisting,
+    # restricting and counting sections build no field element, and the
+    # gluings built on first use are the parsed matrix, whose clearing is
+    # the loaded integer pairs; over q half the bundles are non-integral
+    # and one spells its entries out of lowest terms
+    rng = random.Random(28 + fld.char % 1000)
+    for k in range(36):
+        curve = random_tree(rng, 1 + k % 5, fld)
+        bundle = random_bundle(rng, curve, 1 + (k // 5) % 4, lo=-2, hi=2)
+        if fld == QQ and k % 2:
+            bundle = non_integral(rng, bundle)
+        obj = bundle_to_json(bundle)
+        if k == 1:
+            obj["gluings"][0]["matrix"] = [
+                ["%d/%d" % tuple(6 * n for n in linalg.ratio(x, fld.char))
+                 for x in row] for row in bundle.gluings[0]]
+        back = bundle_from_json(obj, fld)
+        twisted = twist(back, random_multidegree(rng, back.curve, -2, 2))
+        h0(back), h0(twisted), dmax(back)
+        for e in back.curve.edges[:1]:
+            h0(restrict_bundle(twisted, back.curve.side_of(0, e.a)))
+        assert "gluings" not in vars(back)
+        assert "gluings" not in vars(twisted)
+        parsed = {g["edge"]: [[fld.parse(x) for x in row] for row in g["matrix"]]
+                  for g in obj["gluings"]}
+        assert back.gluings == parsed == bundle.gluings
+        assert back.integer_gluings == [
+            linalg.cleared(back.gluings[i], fld.char)
+            for i in range(len(back.curve.edges))]
+        assert back == bundle
+
+
+@pytest.mark.parametrize("name, matrix, ok", [
+    # over GF(7): determinants 7 and 0 mod 7, and their 1x1 forms
+    ("p:7", [[7, 0], [0, 1]], False),
+    ("p:7", [[1, 2], [3, 6]], False),
+    ("p:7", [[2, 1], [1, 4]], False),
+    ("p:7", [[1, 2], [3, 5]], True),
+    ("p:7", [[14]], False),
+    ("p:7", [[-6]], True),
+    ("p:7", [[1, 2, 3], [4, 5, 6], [0, 0, 7]], False),
+    ("p:7", [[1, 2, 3], [4, 5, 6], [0, 0, 8]], True),
+    # over Q: a non-integral 2x2 of determinant 0, and a 1x1 zero
+    ("q", [["1/2", "1/3"], ["3/2", 1]], False),
+    ("q", [["1/2", "1/3"], ["3/2", 2]], True),
+    ("q", [["0/5"]], False),
+    ("q", [["-1/5"]], True),
+    ("q", [[2, 1], [1, 4]], True),
+    ("q", [[1, 2, 3], [4, 5, 6], [5, 7, 9]], False),
+])
+def test_the_singular_check_reads_the_determinant_up_to_2x2(name, matrix, ok):
+    # make_bundle and the reader share one check; over GF(p) it is taken
+    # mod p, and above 2x2 it is the rank
+    from treebundles.fields import field_from_name
+    fld = field_from_name(name)
+    r = len(matrix)
+    rows = [[fld.parse(str(x)) for x in row] for row in matrix]
+    curve = TreeCurve(("v1", "v2"), (Edge("v1", fld.zero, "v2", fld.zero),),
+                      fld)
+    spl = {"v1": (0,) * r, "v2": (0,) * r}
+    obj = {"curve": {"components": ["v1", "v2"],
+                     "edges": [{"a": "v1", "pa": "0", "b": "v2", "pb": "0"}]},
+           "rank": r, "splittings": {v: list(d) for v, d in spl.items()},
+           "gluings": [{"edge": 0, "matrix": [[str(x) for x in row]
+                                              for row in matrix]}]}
+    assert linalg.is_invertible(rows, fld.char) == ok
+    if ok:
+        assert make_bundle(curve, spl, {0: rows}) == bundle_from_json(obj, fld)
+    else:
+        for load in (lambda: make_bundle(curve, spl, {0: rows}),
+                     lambda: bundle_from_json(obj, fld)):
+            with pytest.raises(BundleError, match="^gluing 0 is singular$"):
+                load()
+
+
 def test_bundle_equality(ex_bundle):
     assert ex_bundle == build_ex()
     assert ex_bundle != twist(ex_bundle, {"v1": 1, "v2": 0})
@@ -702,7 +780,7 @@ def test_pullback_integer_gluings_on_every_edge_kind(fld):
     target = tree([("u", 0, "w", 0), ("w", 1, "x", 0)])
     enl = Enlargement(tree([("u", 0, "b", 0), ("w", 0, "b", 1),
                             ("x", 0, "w", 1)]), target, frozenset({"b"}))
-    assert enl.target_edge_paths() == [[(0, True), (1, False)], [(2, False)]]
+    assert enl.target_edge_paths == [[(0, True), (1, False)], [(2, False)]]
     for r in (1, 2, 3):
         scale = fld.one / fld.of(rng.choice((1, 2, 3, 5)))
         bundle = make_bundle(

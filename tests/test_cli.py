@@ -83,6 +83,70 @@ def test_h0_verb_builds_one_section_system(ex_path, capsys, monkeypatch):
     assert len(calls) == 3
 
 
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+# argv lines, with {i} the example bundle's path: a verb line is parsed by
+# its verb's parser alone, everything else by the full parser
+ARGV_CORPUS = [
+    [], ["-h"], ["--help"], ["bogus"], ["bogus", "-i", "{i}"], ["H0"],
+    ["-i", "{i}", "h0"], ["--field", "q", "h0", "-i", "{i}"],
+    ["h0"], ["h0", "-i"], ["h0", "-h"], ["h0", "-i", "{i}", "--he"],
+    ["h0", "-i", "{i}"], ["h0", "-i", "{i}", "stray"],
+    ["h0", "-i", "{i}", "--bogus"], ["h0", "-i", "{i}", "--fie", "q"],
+    ["h0", "-i", "{i}", "--fie", "p:7"], ["h0", "-i", "{i}", "--field", "p:8"],
+    ["h0", "-i", "{i}", "--"], ["h0", "--", "-i", "{i}"],
+    ["h0", "-i", "{i}", "--", "x"], ["h0", "-i={i}"], ["h0", "-i{i}"],
+    ["h0", "--input={i}"], ["h0", "-i", "/nonexistent/x.json", "-i", "{i}"],
+    ["h0", "-i", "{i}", "-i", "/nonexistent/x.json"],
+    ["h0", "-i", "{i}", "--twist", "v1:-2,v2:-2"], ["h0", "-i", "{i}", "--twist"],
+    ["h1", "-i", "{i}", "--twist=v1:1"], ["dmax", "-i", "{i}", "--twist", "v1:1"],
+    ["box", "-i", "{i}"], ["box", "-i", "{i}", "--level", "-3"],
+    ["decide", "-i", "{i}", "--target", "-1,-1"],
+    ["decide", "-i", "{i}", "--target", "3,1"], ["decide", "-i", "{i}"],
+    ["certify", "-i", "{i}", "--target", "3,1", "--target", "2,2"],
+    ["verify", "-i", "{i}"], ["export-dot", "-i", "{i}", "--field", "q"],
+    ["oracle-check", "--cases", "1", "-i", "{i}"],
+    ["oracle-check", "--cases", "1", "--seed", "3"],
+]
+
+
+@pytest.mark.parametrize("line", ARGV_CORPUS,
+                         ids=lambda line: " ".join(line) or "(empty)")
+def test_argv_dispatch_matches_the_full_parser(ex_path, capsys, monkeypatch,
+                                               line):
+    # (exit code, stdout, stderr) as when the full parser reads every line
+    from treebundles import cli
+    argv = [a.replace("{i}", ex_path) for a in line]
+    got = _outcome(capsys, argv)
+    full = cli.build_parser()
+    monkeypatch.setattr(cli, "_parsers", lambda: (full, {}))
+    assert got == _outcome(capsys, argv)
+
+
+def test_argv_of_a_verb_line_is_parsed_once(ex_path, capsys, monkeypatch):
+    import argparse
+    calls = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    assert run(capsys, "h0", "-i", ex_path) == (0, '{"h0":6,"h1":0}\n', "")
+    assert calls == ["treebundles h0"]
+    calls.clear()
+    assert _outcome(capsys, ["h0", "-i", ex_path, "stray"])[0] == 2
+    assert calls == ["treebundles h0", "treebundles", "treebundles h0"]
+
+
 def test_h1_verb(ex_path, capsys):
     code, out, _ = run(capsys, "h1", "-i", ex_path, "--twist", "v1:-2,v2:-2")
     assert (code, out) == (0, '{"h1":2}\n')

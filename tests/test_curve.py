@@ -216,7 +216,7 @@ def test_enlargement_shapes(field, shape):
 
     enl = Enlargement(tree(source), tree(target), frozenset(contracted))
     assert enl.validate() == problems
-    assert enl.target_edge_paths() == walks
+    assert enl.target_edge_paths == walks
 
 
 def test_enlargement_problems_before_the_walks():
@@ -247,7 +247,7 @@ def test_composed_bridge_insertions_leave_no_target_edge_unmatched(field):
             _, step = insert_bridge(source, rng.randrange(len(source.edges)))
             total = compose_enlargements(total, step)
         assert total.validate() == []
-        walks = total.target_edge_paths()
+        walks = total.target_edge_paths
         assert len(walks) == len(curve.edges) and None not in walks
         assert sorted(i for walk in walks for i, _ in walk) == list(
             range(len(total.source.edges)))

@@ -75,6 +75,28 @@ def test_field_from_name():
             field_from_name(bad)
 
 
+def test_field_from_name_builds_each_field_once(monkeypatch):
+    # a prime's Miller-Rabin test runs on the first call with its name
+    # only; a name that raises is not kept and raises again every time
+    from treebundles import fields
+    field_from_name.cache_clear()
+    tested = []
+    is_prime = fields._is_prime
+    monkeypatch.setattr(fields, "_is_prime",
+                        lambda n: tested.append(n) or is_prime(n))
+    first = field_from_name("p:1000003")
+    assert field_from_name("p:1000003") is first and first.p == 1000003
+    assert field_from_name("q") is field_from_name("q")
+    assert tested == [1000003]
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^1000001 is not an odd prime$"):
+            field_from_name("p:1000001")  # 101 * 9901
+        with pytest.raises(ValueError, match="unknown field 'p:x'"):
+            field_from_name("p:x")
+    assert tested == [1000003, 1000001, 1000001]
+    field_from_name.cache_clear()
+
+
 def test_field_equality_and_hash():
     assert RationalField() == RationalField()
     assert PrimeField(7) == PrimeField(7)

@@ -1,6 +1,7 @@
 """RationalField.parse and PrimeField.parse against an independent reading
 of their documented spellings: a signed decimal integer or ratio,
-surrounding whitespace allowed."""
+surrounding whitespace allowed; and each field's (num, den) reader,
+`ratio`, against its `parse`."""
 import re
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from treebundles.fields import FpElement, PrimeField, RationalField  # noqa: E402
+from treebundles.linalg import ratio  # noqa: E402
 
 DOCUMENTED = re.compile(r"^[+-]?\d+(/\d+)?$")
 P = 1000003
@@ -84,3 +86,42 @@ def test_parse_accepts_exactly_the_documented_spellings(s):
 @example("-2000006/4")
 def test_prime_parse_accepts_exactly_the_documented_spellings(s):
     assert outcome(PrimeField(P).parse, s) == outcome(reference_parse_prime, s)
+
+
+FIELDS = [RationalField(), PrimeField(7), PrimeField(P)]
+
+
+def ratio_outcome(fld, s):
+    try:
+        num, den = fld.ratio(s)
+    except ValueError as exc:
+        return ("error", str(exc))
+    assert type(num) is int and type(den) is int
+    return ("value", num, den)
+
+
+def parsed_ratio(fld, s):
+    """parse, then the element as numerator and denominator: lowest terms
+    with den > 0 over Q, the residue over 1 over GF(p)."""
+    try:
+        x = fld.parse(s)
+    except ValueError as exc:
+        return ("error", str(exc))
+    return ("value",) + ratio(x, fld.char)
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=lambda f: f.name)
+@documented_spellings
+@example(" 7 ")
+@example("+7")
+@example("-0")
+@example("2/4")
+@example("-6/4")
+@example("3/-4")
+@example("1_000")
+@example("٣")
+@example("1/7")
+@example("14/7")
+@example("0/0")
+def test_ratio_agrees_with_parse_on_value_and_error(fld, s):
+    assert ratio_outcome(fld, s) == parsed_ratio(fld, s)

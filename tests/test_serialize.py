@@ -7,7 +7,8 @@ import pytest
 
 from treebundles import curve as curve_module
 from treebundles.bundle import BundleError, make_bundle
-from treebundles.curve import CurveError, Edge, TreeCurve, insert_bridge
+from treebundles.curve import (CurveError, Edge, Enlargement, TreeCurve,
+                               insert_bridge)
 from treebundles.fields import PrimeField
 from treebundles.sampling import balanced_splitting, random_bundle, random_tree, spread
 from treebundles.serialize import (SerializeError, bundle_from_json,
@@ -280,10 +281,10 @@ def test_certificate_load_validates_each_enlargement_source_once(monkeypatch):
 
 
 def test_certificate_load_checks_a_curve_once_per_enlargement(monkeypatch):
-    # a split-off's quotient lives on the enlarged curve its JSON repeats:
-    # the reader builds it on the pulled bundle's curve object, so a loaded
-    # certificate checks the target's tree and each enlargement's source,
-    # and nothing else
+    # a split-off's quotient lives on the enlarged curve its JSON repeats,
+    # and an identity enlargement's source is the curve it enlarges: the
+    # reader builds each on the curve object it read that JSON into, so a
+    # loaded certificate checks each distinct curve once, and nothing else
     rng = random.Random(64)
     certs = []
     for k in range(9):
@@ -301,10 +302,49 @@ def test_certificate_load_checks_a_curve_once_per_enlargement(monkeypatch):
                     if isinstance(s, EnlargementStep)]
         quotients = [s.quotient.curve for s in back.steps
                      if isinstance(s, SplitOffStep)]
-        assert len(seen) == 1 + len(enlarged)
+        curves = [back.target.curve] + enlarged
+        assert len(seen) == len({dumps(curve_to_json(c)) for c in curves})
+        assert {id(c) for c in seen} == {id(c) for c in curves}
         assert all(q is c for q, c in zip(quotients, enlarged))
         most = max(most, len(enlarged))
     assert most == 3
+
+
+def test_certificate_load_builds_each_curve_once(monkeypatch):
+    # one TreeCurve per distinct curve JSON in a certificate: the target's,
+    # an identity enlargement's source and each quotient's repeat a curve
+    # read before; and each enlargement walks its target edges once, for
+    # its check, the reader's pullback and verify's pullback together
+    rng = random.Random(65)
+    built, walks = [], []
+    post = TreeCurve.__post_init__
+    paths = Enlargement.target_edge_paths.func
+    monkeypatch.setattr(TreeCurve, "__post_init__",
+                        lambda self: built.append(self) or post(self))
+    monkeypatch.setattr(Enlargement.target_edge_paths, "func",
+                        lambda self: walks.append(self) or paths(self))
+    identities = 0
+    for k in range(9):
+        fld = PrimeField(1000003) if k % 3 == 2 else None
+        bundle = random_bundle(rng, random_tree(rng, 1 + k % 4, fld),
+                               2 + k % 3, lo=-2, hi=2)
+        obj = json.loads(dumps(certificate_to_json(certify(
+            bundle, balanced_splitting(bundle.rank, bundle.degree())))))
+        steps = obj["steps"]
+        curves = ([obj["claim"]["target"]["curve"]]
+                  + [s["source"] for s in steps if s["kind"] == "enlarge"]
+                  + [s["quotient"]["curve"] for s in steps
+                     if s["kind"] == "splitoff"])
+        built.clear()
+        walks.clear()
+        back = certificate_from_json(obj, fld)
+        assert len(built) == len({dumps(c) for c in curves})
+        assert verify_certificate(back) == (True, [])
+        enlargements = [s.enlargement for s in back.steps
+                        if isinstance(s, EnlargementStep)]
+        assert sorted(map(id, walks)) == sorted(map(id, enlargements))
+        identities += sum(e.source is e.target for e in enlargements)
+    assert identities > 0
 
 
 def test_certificate_load_still_checks_each_enlargement(ex_bundle):

@@ -316,7 +316,7 @@ def test_find_line_subbundle_ex_golden(ex_bundle):
     assert sub.degrees == {"v1": 2, "v2": 2, "v1+v2": -1}
     assert sub.degree() == dmax(ex_bundle)[0]
     # the walk of the one target edge crosses the bridge as (2, -1, 2)
-    (walk,) = enl.target_edge_paths()
+    (walk,) = enl.target_edge_paths
     edges = enl.source.edges
     path = [enl.target.edges[0].a] + [edges[i].b if fwd else edges[i].a
                                       for i, fwd in walk]
@@ -621,7 +621,7 @@ def _assert_pullbacks_share(seen, pulls):
     for target, enl, out, mark in pulls:
         r = target.rank
         ids = set()
-        for ti, walk in enumerate(enl.target_edge_paths()):
+        for ti, walk in enumerate(enl.target_edge_paths):
             (si, ahead), rest = walk[0], walk[1:]
             if ahead:
                 assert out.integer_gluings[si] is target.integer_gluings[ti]
