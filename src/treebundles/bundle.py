@@ -29,10 +29,14 @@ the count at every all-full twist), and holds the vanishing floors and the
 node counts val(v); `h0` is its count at the zero twist. Its one clamp-box
 walk, `first_failure`, finds the first twist of a level with fewer sections
 than a given need: `dmax` asks it with need 1 and `specialize.decide` with
-the source's count.
+the source's count. A need-1 walk skips the twists one step above a twist
+that the walk of the level below showed to have a section, and `dmax`
+settles the failing levels at the bottom without walking them, by one
+bisection along their first twists.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import cached_property
 from math import inf
 
@@ -424,6 +428,7 @@ class SectionSystem:
         self._edges = {}    # edge -> `_edge_rows` at the caps
         self._kernels = {}  # (edge, F_a, E_i) -> Y_i
         self._ranks = {}
+        self._failures = {}  # level -> its need-1 first failure's values
 
     def count(self, md):
         """h0(twist(bundle, md))."""
@@ -585,11 +590,28 @@ class SectionSystem:
         failure does not change. The level floor is at most every twist's
         floor, so it never saves a rank; at need = 1 it costs more than
         the walks it skips.
+
+        A need-1 walk also skips every twist one step above a twist of
+        level e - 1 known to have a section. The system records each
+        need-1 level's first failure f; a level with none records
+        nothing. A twist x of
+        level e is skipped when, for some v with x_v > lo_v, x - e_v comes
+        before f. That twist lies in level e - 1's ceiling box, and its
+        walk passed it before f, so it has a section: on the floor, by a
+        count, or by this same skip. Multiplying by the section of O(p),
+        p a smooth point of v, is injective on sections, so x has one too.
+        A skipped twist is never a failure, so the first failure does not
+        change. Only level e - 1's record at need 1 is read, so a walk with
+        need > 1, or with no walk of the level below, is walked as if no
+        record existed. `_above_passed` reads the test off the first
+        index at which x and f differ, in O(n).
         """
         comps = self.bundle.curve.components
         lo = self.lo
+        below = None
         if need == 1:
             hi = {v: lo[v] + self.val[v] for v in comps}
+            below = self._failures.get(e - 1)
         elif self.level_floor(e) >= need:
             return None
         else:
@@ -598,11 +620,44 @@ class SectionSystem:
             hi = {v: self.val[v] - 1 - min(spl[v]) for v in rest}
             hi[last] = e - sum(lo[v] for v in rest)
         for md in level_box(comps, lo, hi, e):
-            if self.floor(md) < need:
+            if self.floor(md) < need and not (
+                    below and self._above_passed(md, below)):
                 have = self.count(md)
                 if have < need:
+                    if need == 1:
+                        self._failures[e] = tuple(md.values())
                     return md, have
         return None
+
+    def _above_passed(self, md, failure):
+        """Whether md - e_v comes before `failure` (one level below, its
+        values in component order) in ascending lexicographic order, for
+        some v with md[v] > lo[v].
+
+        Let i be the first index at which md and failure differ. A v
+        before i with md_v > lo_v always does: md - e_v first differs from
+        f at v, one below it. If md_i < f_i, every v at or after i does
+        too, since md - e_v first differs from f at i, at most md_i there;
+        and one v with md_v > lo_v exists, since md's level is above
+        sum(lo). If md_i > f_i, a v after i does not, and v = i does
+        exactly when md_i = f_i + 1 and md after i comes before f after i
+        (md_i > f_i >= lo_i holds then).
+        """
+        lo = self.lo
+        raised = False
+        pairs = zip(md.items(), failure)
+        for (v, x), f in pairs:
+            if x != f:
+                if x < f:
+                    return True
+                if raised or x > f + 1:
+                    return raised
+                break
+            raised = raised or x > lo[v]
+        for (_, x), f in pairs:
+            if x != f:
+                return x < f
+        return False
 
 
 def h0(bundle: GluedBundle) -> int:
@@ -803,10 +858,47 @@ def dmax(bundle: GluedBundle):
     no sectionless entry; every sectionless twist lies under the ceiling
     lo_v + val(v), whose box is empty past level sum(lo_v + val(v)), so the
     climb ends.
+
+    The failing levels at the bottom are settled by one bisection. Let
+    s = sum(lo_v) and, for 0 <= k <= sum(val(v)), chain(k) the
+    lexicographically first twist of level s + k in the ceiling box: fill
+    from the last component, each up to val(v). It is the first twist
+    level s + k's walk probes, and chain(k) <= chain(k + 1) in every
+    coordinate. h0 never falls as one coordinate rises (multiplying by
+    the section of O(p), p a smooth point of that component, is injective
+    on sections), so the k with h0(chain(k)) = 0 are an interval [0, K];
+    chain(0) is the all-floors twist, which has none. Levels s + 1 ..
+    s + K each fail at their first twist, chain(k), so the climb resumes
+    at s + K + 1 with witness chain(K), where the level-by-level climb
+    stands after walking them. The floors T - R and V, each at most h0,
+    never fall along the chain either, so the least k with a positive
+    floor, `bad`, is bisected with no rank, and K < bad. K = bad - 1 is
+    probed first, the usual case; otherwise K is bisected on counts. No
+    level is walked twice. Level s + K is not walked, so level s + K + 1
+    finds no record below it; none is needed, since chain(K) is the first
+    twist of its box and a record of it would skip nothing.
     """
     system = SectionSystem(bundle)
-    e = sum(system.lo.values())
-    witness = dict(system.lo)
+    comps, lo, val = bundle.curve.components, system.lo, system.val
+
+    def chain(k):
+        md = dict(lo)
+        for v in reversed(comps):
+            step = min(k, val[v])
+            md[v] += step
+            k -= step
+        return md
+
+    # k = bad - 1, with bad the least j >= 1 whose floor is positive
+    # (sum(val) + 1 if none); then, if chain(k) has a section, K is the
+    # least j >= 1 with one, less one
+    k = bisect_left(range(1, sum(val.values()) + 1), True,
+                    key=lambda j: system.floor(chain(j)) > 0)
+    if k and system.count(chain(k)):
+        k = bisect_left(range(1, k), True,
+                        key=lambda j: system.count(chain(j)) > 0)
+    e = sum(lo.values()) + k
+    witness = chain(k)
     while True:
         e += 1
         found = system.first_failure(e, 1)

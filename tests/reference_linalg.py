@@ -7,7 +7,11 @@ tests' inputs.
 
 They work on Fraction or FpElement entries directly, dividing each pivot
 row by its pivot, so they share no code with the fraction-free routes.
+`dmax_by_levels` is the exception: the level-by-level climb that
+`treebundles.bundle.dmax` replaced, each level walked by a fresh
+`SectionSystem.first_failure`, so that nothing is remembered between levels.
 """
+from treebundles.bundle import SectionSystem, vanishing_floor
 
 
 def rref(rows, ncols):
@@ -303,3 +307,20 @@ def quotient_gluings(bundle, projections):
         assert nt is not None, "quotient gluing system is inconsistent"
         glue[i] = [[nt[j][k] for j in range(r - 1)] for k in range(r - 1)]
     return glue
+
+
+# -- dmax, one level at a time --------------------------------------------------
+
+def dmax_by_levels(bundle):
+    """(dmax, witness) climbed from the all-floors twist one level at a
+    time, each level's first sectionless twist from a fresh system's
+    `first_failure` with need 1, until a level has none."""
+    lo = vanishing_floor(bundle)
+    e = sum(lo.values())
+    witness = dict(lo)
+    while True:
+        e += 1
+        found = SectionSystem(bundle).first_failure(e, 1)
+        if found is None:
+            return -e, witness
+        witness = found[0]

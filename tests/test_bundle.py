@@ -10,17 +10,17 @@ from treebundles import linalg, poly
 from treebundles.bundle import (BundleError, GluedBundle, SectionSystem,
                                 _column_layout, _matching_rows, clamp_box,
                                 clamp_multidegree, contract_pushforward, dmax,
-                                h0, h0_oracle, h1, make_bundle, pullback,
-                                restrict_bundle, section_basis, twist,
-                                vanishing_floor)
+                                h0, h0_oracle, h1, level_box, make_bundle,
+                                pullback, restrict_bundle, section_basis,
+                                twist, vanishing_floor)
 from treebundles.curve import Edge, TreeCurve, insert_bridge, md_total
 from treebundles.fields import PrimeField, RationalField
 from treebundles.linalg import invert_matrix
 from treebundles.sampling import random_bundle, random_multidegree, random_tree
 from treebundles.serialize import bundle_from_json, bundle_to_json
 
-from conftest import build_ex, field_sections
-from reference_linalg import evaluate, mat_vec, matrix_rank
+from conftest import build_chain, build_ex, field_sections
+from reference_linalg import dmax_by_levels, evaluate, mat_vec, matrix_rank
 
 I2 = [[F(1), F(0)], [F(0), F(1)]]
 QQ = RationalField()
@@ -363,13 +363,18 @@ def test_dmax_takes_ranks_only_where_the_floor_is_zero(monkeypatch):
     assert len(floors) > 50 and set(floors) == {0}
 
 
-def test_dmax_cost_is_bounded_by_the_ceiling_box():
-    # a sectionless twist has at most val(v) + 1 values per component, so
-    # this chain costs a handful of small levels, not its full clamp boxes
+def eight_chain():
+    """A random rank-2 bundle on the 8-component chain."""
     ids = tuple("v%d" % (k + 1) for k in range(8))
     curve = TreeCurve(ids, tuple(Edge(ids[k], F(1), ids[k + 1], F(0))
                                  for k in range(7)))
-    bundle = random_bundle(random.Random(1), curve, 2)
+    return random_bundle(random.Random(1), curve, 2)
+
+
+def test_dmax_cost_is_bounded_by_the_ceiling_box():
+    # a sectionless twist has at most val(v) + 1 values per component, so
+    # this chain costs a handful of small levels, not its full clamp boxes
+    bundle = eight_chain()
     t0 = time.perf_counter()
     d, witness = dmax(bundle)
     assert time.perf_counter() - t0 < 1.0
@@ -384,6 +389,158 @@ def test_dmax_cost_is_bounded_by_the_ceiling_box():
     assert time.perf_counter() - t0 < 1.0
     assert (d, witness) == (10 ** 8, {"v1": -10 ** 8 - 1, "v2": 0})
     assert h0_oracle(twist(huge, witness)) == 0
+
+
+def dmax_corpus(seed, count, fields, most=8):
+    """`count` seeded bundles of rank 1-4 on trees with 1..`most`
+    components, cycling through `fields`."""
+    rng = random.Random(seed)
+    for k in range(count):
+        curve = random_tree(rng, rng.randint(1, most), fields[k % len(fields)])
+        yield random_bundle(rng, curve, rng.randint(1, 4), lo=-3, hi=3)
+
+
+def test_dmax_matches_the_level_by_level_climb():
+    # value, witness and the witness's key order, against one fresh
+    # first-failure walk per level from the all-floors twist up; p:5 only
+    # on trees small enough for its five node points
+    fields = (None, PrimeField(7), PrimeField(1000003))
+    corpus = [*dmax_corpus(38, 900, fields),
+              *dmax_corpus(39, 150, (PrimeField(5),), most=4)]
+    for bundle in corpus:
+        d, witness = dmax(bundle)
+        want_d, want_witness = dmax_by_levels(bundle)
+        assert (d, list(witness.items())) == (want_d,
+                                               list(want_witness.items()))
+
+
+def chain_twist(system, k):
+    """The lexicographically first twist of level sum(lo) + k in the
+    ceiling box: from the last component, each raised by up to val(v)."""
+    md = dict(system.lo)
+    for v in reversed(list(md)):
+        md[v] += min(k, system.val[v])
+        k -= md[v] - system.lo[v]
+    return md
+
+
+def test_dmax_walks_no_level_it_settles_along_the_chain(monkeypatch):
+    # the chain's sectionless prefix [0, K] is settled without a walk, so
+    # the levels walked are exactly sum(lo) + K + 1 .. -dmax
+    walked = []
+    first_failure = SectionSystem.first_failure
+
+    def walking(self, e, need):
+        walked.append(e)
+        return first_failure(self, e, need)
+
+    settled = 0
+    for bundle in dmax_corpus(40, 200, (None, PrimeField(7))):
+        system = SectionSystem(bundle)
+        k = 0
+        while k < sum(system.val.values()) and not system.count(
+                chain_twist(system, k + 1)):
+            k += 1
+        settled += k
+        walked.clear()
+        with monkeypatch.context() as m:
+            m.setattr(SectionSystem, "first_failure", walking)
+            d, witness = dmax(bundle)
+        base = sum(system.lo.values())
+        assert walked == list(range(base + k + 1, -d + 1))
+        if -d == base + k + 1:
+            assert witness == chain_twist(system, k)
+    assert settled > 100
+
+
+def dmax_skips(monkeypatch, bundle):
+    """(dmax, {level: skipped}) for each level dmax walks: the twists of
+    its ceiling box up to its first failure (all, when it has none) whose
+    floor is 0 and that the walk took no count of."""
+    walks, probes = [], []
+    first_failure, count = SectionSystem.first_failure, SectionSystem.count
+
+    def walking(self, e, need):
+        start = len(probes)
+        found = first_failure(self, e, need)
+        walks.append((self, e, found, probes[start:]))
+        return found
+
+    def counting(self, md):
+        probes.append(dict(md))
+        return count(self, md)
+
+    with monkeypatch.context() as m:
+        m.setattr(SectionSystem, "first_failure", walking)
+        m.setattr(SectionSystem, "count", counting)
+        d, _ = dmax(bundle)
+    skips = {}
+    for system, e, found, counted in walks:
+        hi = {v: system.lo[v] + system.val[v] for v in system.lo}
+        box = list(level_box(list(system.lo), system.lo, hi, e))
+        if found is not None:
+            box = box[:box.index(found[0]) + 1]
+        skips[e] = [md for md in box
+                    if system.floor(md) == 0 and md not in counted]
+    return d, skips
+
+
+def rank_one_chain(n):
+    ids = tuple("v%d" % (k + 1) for k in range(n))
+    return build_chain(ids, dict.fromkeys(ids, (0,)),
+                       {k: [[F(1)]] for k in range(n - 1)})
+
+
+def test_walks_skip_twists_the_level_below_proved(monkeypatch):
+    # on the rank-1 chain dmax is the degree, 0, and every twist of level
+    # 0 has a positive floor, so the saving is in the failing levels below
+    # it; on the rank-2 chain the level with no failure skips twists too
+    bundle = rank_one_chain(8)
+    d, skips = dmax_skips(monkeypatch, bundle)
+    assert d == 0 and len(skips[-1]) >= 50
+    checks = [(bundle, md) for md in skips[-1][::10]]
+    bundle = eight_chain()
+    d, skips = dmax_skips(monkeypatch, bundle)
+    assert d == 10 and len(skips[-10]) >= 1
+    checks += [(bundle, md) for mds in skips.values() for md in mds]
+    for b, md in checks:
+        assert h0_oracle(twist(b, md)) > 0
+
+
+def test_the_skip_test_against_its_definition():
+    # every twist of a ceiling-box level against every possible first
+    # failure one level below: some md - e_v with md[v] > lo[v] comes first
+    rng = random.Random(42)
+    for k in range(12):
+        curve = random_tree(rng, 2 + k % 4)
+        system = SectionSystem(random_bundle(rng, curve, 1 + k % 3))
+        lo, comps = system.lo, curve.components
+        hi = {v: lo[v] + system.val[v] for v in comps}
+        base = sum(lo.values())
+        for e in range(base + 1, base + 4):
+            below = [tuple(f.values())
+                     for f in level_box(comps, lo, hi, e - 1)]
+            for md in level_box(comps, lo, hi, e):
+                x = list(md.values())
+                for f in below:
+                    want = any(
+                        x[i] > lo[v] and
+                        tuple(x[:i] + [x[i] - 1] + x[i + 1:]) < f
+                        for i, v in enumerate(comps))
+                    assert system._above_passed(md, f) == want
+
+
+def test_every_skipped_twist_has_a_section(monkeypatch):
+    # twisted degrees in a ceiling box stay below val(v) <= 6 on n <= 7,
+    # within the oracle's reach mod 7
+    skipped = 0
+    for bundle in dmax_corpus(41, 120, (None, PrimeField(7)), most=7):
+        _, skips = dmax_skips(monkeypatch, bundle)
+        for mds in skips.values():
+            skipped += len(mds)
+            for md in mds:
+                assert h0_oracle(twist(bundle, md)) > 0
+    assert skipped > 20
 
 
 # -- sections ------------------------------------------------------------------
@@ -531,25 +688,51 @@ def test_section_system_floors_bound_h0_from_below():
                 system.count(md) for md in clamp_box(bundle, e))
 
 
+class RecordReads(dict):
+    """A system's need-1 records, logging the levels whose record is read."""
+
+    def __init__(self):
+        super().__init__()
+        self.read = []
+
+    def get(self, level, default=None):
+        self.read.append(level)
+        return super().get(level, default)
+
+
 def test_first_failure_against_the_uncapped_clamp_box():
     # the first twist of a level with fewer than `need` sections, and its
     # count, for every need 1..r + 1, against a scan of the uncapped clamp
     # box with h0 from the oracle; twisted degrees stay <= 6 for the oracle
-    # mod 7, since a level `spare` above sum(lo) reaches degree spare - 1
+    # mod 7, since a level `spare` above sum(lo) reaches degree spare - 1.
+    # For each order of the queries (levels ascending, descending, or
+    # shuffled with the needs mixed) one system answers them all, so a
+    # need-1 walk finds the record of the level below present or absent;
+    # only that record, and only at need 1, is read
     rng = random.Random(37)
+    order = random.Random(137)
     fields = (None, PrimeField(7), PrimeField(1000003))
     for k in range(48):
         n = rng.randint(1, 6)
         curve = random_tree(rng, n, fields[k % 3])
         bundle = random_bundle(rng, curve, rng.randint(1, 4), lo=-2, hi=2)
-        system = SectionSystem(bundle)
-        base = sum(system.lo.values())
+        base = sum(vanishing_floor(bundle).values())
+        want = {}
         for e in range(base - 1, base + (7 if n <= 4 else 5)):
             counts = [(md, h0_oracle(twist(bundle, md)))
                       for md in clamp_box(bundle, e)]
             for need in range(1, bundle.rank + 2):
-                want = next(((md, h) for md, h in counts if h < need), None)
-                assert system.first_failure(e, need) == want
+                want[e, need] = next(((md, h) for md, h in counts if h < need),
+                                     None)
+        shuffled = list(want)
+        order.shuffle(shuffled)
+        for queries in (list(want), list(reversed(want)), shuffled):
+            system = SectionSystem(bundle)
+            system._failures = records = RecordReads()
+            for e, need in queries:
+                records.read.clear()
+                assert system.first_failure(e, need) == want[e, need]
+                assert records.read == ([e - 1] if need == 1 else [])
 
 
 def test_section_system_floor_counts_sections_vanishing_at_every_node():
