@@ -41,8 +41,10 @@ def _load(path):
             return json.load(fh)
     except OSError as exc:
         raise InputError("cannot read %s: %s" % (path, exc))
-    except ValueError as exc:
-        # JSONDecodeError, and the digit limit on an integer literal
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, the digit limit on an integer literal, and
+        # nesting deeper than the decoder recurses; nothing else in this
+        # try recurses, so no recursion in the library is masked
         raise InputError("%s is not JSON: %s" % (path, exc))
 
 

@@ -4,18 +4,21 @@ Everything downstream is written against plain operator arithmetic, so an
 element is either a fractions.Fraction or an FpElement; both support
 +, -, *, /, ==, bool() (nonzero test) and never lose exactness.
 
-Each field reads an element's string in one pass as integers, `ratio(s)`
--> (num, den): lowest terms with den > 0 over Q (as
-`Fraction.as_integer_ratio` gives them), the residue over 1 over GF(p).
-`parse` builds the element from that pair, so a reader that needs only
-integers (a bundle's gluings) builds no element at all. `field_from_name`
-builds each field once per name.
+Each field reads strings in one place, `read_row`: a list of strings
+-> (integers, den), the row being the integers over den. Over Q den is
+the lcm of the entries' denominators in lowest terms, 1 on an integral
+row, which one int() per entry reads with no (num, den) pair; over GF(p)
+the residues over 1. `ratio(s)` is the row of one string, (num, den) as
+`Fraction.as_integer_ratio` gives it over Q, and `parse` builds the
+element from that pair, so a reader that needs only integers (a
+bundle's gluings) builds no element at all. `field_from_name` builds
+each field once per name.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 
 class FpElement:
@@ -109,19 +112,52 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _read_ratio(s: str, bad: str):
-    """(numerator, denominator) of a decimal integer (denominator 1) or
-    ratio, a sign on the numerator only, with no exponent, point,
-    underscore or inner whitespace, so int()'s digit limit bounds every
-    accepted string. Anything else raises ValueError(bad % (s,))."""
-    t = s.strip()
+def _read_row(row, p, bad):
+    """A list of strings read as (integers, den), the row being the
+    integers over den: over Q (p = 0) den is the lcm of the entries'
+    denominators in lowest terms, so 1 on an integral row; over GF(p) the
+    residues over 1.
+
+    This is the one place that knows the spelling: a decimal integer or
+    ratio, a sign on the numerator only, surrounding whitespace allowed,
+    and no exponent, point, underscore or inner whitespace, so int()'s
+    digit limit bounds every accepted string. The first entry in order
+    that is not a string raises TypeError; the first that is spelled
+    otherwise, or has a zero denominator, or over GF(p) one divisible by
+    p, raises ValueError(bad % (entry,)).
+
+    A row with no '/' or '_' in any entry is read by one int() per entry:
+    of such strings, int() reads exactly the integers spelled so. Any other
+    row, and any row int() refuses, is read entry by entry.
+    """
     try:
-        if t.isdecimal():
-            return int(t), 1
-        num, slash, den = t.partition("/")
-        digits = num[1:] if num[:1] in ("+", "-") else num
+        text = "".join(row)
+        if "/" not in text and "_" not in text:
+            return [int(s) % p for s in row] if p else [int(s) for s in row], 1
+    except (TypeError, ValueError):
+        # a non-string, or an entry int() does not read: found below, in
+        # order
+        pass
+    pairs = [_read_entry(s, p, bad) for s in row]
+    den = lcm(*(d for _, d in pairs))
+    return [n * (den // d) for n, d in pairs], den
+
+
+def _read_entry(s, p, bad):
+    """One entry of `_read_row` as (num, den): lowest terms with den > 0
+    over Q (p = 0), the residue over 1 over GF(p)."""
+    if not isinstance(s, str):
+        raise TypeError("field element %r is not a string" % (s,))
+    num, slash, den = s.strip().partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
+    try:
         if digits.isdecimal() and (not slash or den.isdecimal()):
-            return int(num), int(den) if slash else 1
+            n, d = int(num), int(den) if slash else 1
+            if p and d % p:
+                return n * pow(d, -1, p) % p, 1
+            if not p and d:
+                g = gcd(n, d)
+                return n // g, d // g
     except ValueError:
         # more digits than int() reads
         pass
@@ -145,16 +181,16 @@ class RationalField:
     def of(self, n: int) -> Fraction:
         return Fraction(n)
 
+    def read_row(self, row):
+        """A list of strings as (integers, den): the rationals they spell
+        are the integers over den, the lcm of their denominators in lowest
+        terms (`_read_row`)."""
+        return _read_row(row, 0, "not a rational number: %r")
+
     def ratio(self, s: str):
         """(num, den) of the rational s, in lowest terms with den > 0."""
-        bad = "not a rational number: %r"
-        num, den = _read_ratio(s, bad)
-        if den == 1:
-            return num, 1
-        if not den:
-            raise ValueError(bad % (s,))
-        g = gcd(num, den)
-        return num // g, den // g
+        (num,), den = self.read_row((s,))
+        return num, den
 
     def parse(self, s: str) -> Fraction:
         return Fraction(*self.ratio(s))
@@ -195,15 +231,14 @@ class PrimeField:
     def of(self, n: int) -> FpElement:
         return FpElement(n, self.p)
 
+    def read_row(self, row):
+        """A list of strings as (residues, 1) (`_read_row`)."""
+        return _read_row(row, self.p, self._bad)
+
     def ratio(self, s: str):
         """(residue, 1) of the element s of GF(p)."""
-        p = self.p
-        num, den = _read_ratio(s, self._bad)
-        if den == 1:
-            return num % p, 1
-        if not den % p:
-            raise ValueError(self._bad % (s,))
-        return num * pow(den, -1, p) % p, 1
+        (num,), den = self.read_row((s,))
+        return num, den
 
     def parse(self, s: str) -> FpElement:
         return FpElement(self.ratio(s)[0], self.p)

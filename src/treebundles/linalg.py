@@ -5,13 +5,13 @@ Every exact count and solve in the package runs on integers over Q
 (p = 0) or GF(p), and this module alone crosses between the two: `ratio`
 reads one field element as numerator and denominator, `cleared` turns
 rows of field elements into integer rows over one common denominator
-(residues over 1 in GF(p)) through `over_one_den`, which the JSON reader
-calls on the (num, den) pairs a field reads straight from strings,
+(residues over 1 in GF(p)), `over_one_den` puts the rows a field's
+`read_row` reads straight from strings, each over its own den, over one,
 `element` builds a field element back from an integer over a
 denominator, and `power_row` gives the homogeneous powers n^k d^(K-k) at
 which integer polynomials are evaluated at a point n/d. `invertible`
-tests a square integer matrix by its determinant up to 2x2 and by rank
-above.
+tests a square integer matrix by its determinant up to 4x4, so no gluing
+of rank at most 4 is eliminated, and by rank above.
 
 Every elimination is one pivot walk, `_eliminate`: fraction-free with
 exact division over Q (Bareiss 1968; Nakos, Turner & Williams 1997), the
@@ -135,18 +135,21 @@ def cleared(rows, p):
     keeps the rank, the kernel and the reduced echelon form."""
     if p:
         return [[x.val for x in row] for row in rows], 1
-    return over_one_den([[x.as_integer_ratio() for x in row] for row in rows])
-
-
-def over_one_den(ratios):
-    """Rows of (numerator, denominator) pairs, each denominator positive,
-    as (integer rows, den) over the lcm of the denominators: `cleared` of
-    the rows of the elements they stand for, when each pair is in lowest
-    terms (a GF(p) residue over 1)."""
+    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
     den = lcm(*(d for row in ratios for _, d in row))
     if den == 1:
         return [[n for n, _ in row] for row in ratios], 1
     return [[n * (den // d) for n, d in row] for row in ratios], den
+
+
+def over_one_den(rows):
+    """Integer rows, each over its own positive den, as (integer rows, den)
+    over the lcm of those: the rows as given when every den is 1. On the
+    rows a field's `read_row` reads, this is `cleared` of the rows of the
+    elements they spell."""
+    den = lcm(*(d for _, d in rows))
+    return [ints if d == den else [x * (den // d) for x in ints]
+            for ints, d in rows], den
 
 
 def element(num, den, p):
@@ -181,16 +184,32 @@ def _char(zero):
 
 def invertible(rows, p):
     """Whether a square integer matrix is invertible over Q (p = 0) or
-    GF(p): the determinant (mod p) for 1x1 and 2x2, a full-rank test by
-    elimination above that."""
+    GF(p): its determinant (mod p) up to 4x4, 3x3 by cofactors along the
+    first row, 4x4 the same way with each 3x3 minor expanded over the 2x2
+    minors of the last two rows; a full-rank test by elimination above
+    that."""
     n = len(rows)
-    if not 0 < n < 3:
-        return rank(rows, n, p) == n
     if n == 1:
         det = rows[0][0]
-    else:
+    elif n == 2:
         (a, b), (c, d) = rows
         det = a * d - b * c
+    elif n == 3:
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
+        det = (a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0)
+               + a2 * (b0 * c1 - b1 * c0))
+    elif n == 4:
+        ((a0, a1, a2, a3), (b0, b1, b2, b3),
+         (c0, c1, c2, c3), (d0, d1, d2, d3)) = rows
+        # mij: the minor of the last two rows on columns i and j
+        m01, m02, m03 = c0 * d1 - c1 * d0, c0 * d2 - c2 * d0, c0 * d3 - c3 * d0
+        m12, m13, m23 = c1 * d2 - c2 * d1, c1 * d3 - c3 * d1, c2 * d3 - c3 * d2
+        det = (a0 * (b1 * m23 - b2 * m13 + b3 * m12)
+               - a1 * (b0 * m23 - b2 * m03 + b3 * m02)
+               + a2 * (b0 * m13 - b1 * m03 + b3 * m01)
+               - a3 * (b0 * m12 - b1 * m02 + b2 * m01))
+    else:
+        return rank(rows, n, p) == n
     return bool(det % p if p else det)
 
 

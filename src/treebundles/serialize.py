@@ -3,10 +3,12 @@
 Field elements travel as canonical strings (lowest terms, positive
 denominator over the rationals; plain decimal residues over a prime
 field). The field itself is not part of the payload; readers supply it.
-A bundle's gluings are read in one pass straight to integers, each
-string through its field's `ratio` and each matrix over one den
-(`linalg.over_one_den`), and the bundle holds them so: a load builds no
-field element for them (`bundle.GluedBundle.of_integers`). Readers build
+A bundle's gluings are read in one pass straight to integers, each row
+through its field's `read_row` (one int() per entry on an integral row)
+and each matrix over one den (`linalg.over_one_den`), and the bundle
+holds them so: a load builds no field element for them
+(`bundle.GluedBundle.of_integers`), and a gluing up to 4x4 is tested
+invertible by its determinant, with no elimination. Readers build
 through the checks of `make_bundle` (`bundle.build_checked`) and through
 `pullback`; curves and enlargements keep their check results, and a
 certificate reader builds each curve once, reusing the curve object for
@@ -151,11 +153,20 @@ def _string(x, where):
 
 def _gluing_from_json(fld, obj, where):
     """A gluing as (integer rows, den), equal to `linalg.cleared` of its
-    parsed rows: each entry read by `fld.ratio`, in lowest terms."""
+    parsed rows: each row read by `fld.read_row`, which raises at the first
+    bad entry in row-major order, and the rows put over one den."""
     if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
         raise SerializeError("%s: matrix is not a list of rows" % where)
-    read = fld.ratio
-    return over_one_den([[read(_string(x, where)) for x in row] for row in obj])
+    read = fld.read_row
+    try:
+        return over_one_den([read(row) for row in obj])
+    except TypeError:
+        # the first bad entry is not a string, and every entry before it
+        # is one
+        for row in obj:
+            for x in row:
+                _string(x, where)
+        raise
 
 
 def bundle_to_json(bundle: GluedBundle) -> dict:

@@ -32,7 +32,7 @@ from math import gcd
 from . import poly
 from .bundle import BundleError, GluedBundle
 from .linalg import (cleared, element, integer_kernel, integer_rref,
-                     power_row, rank, ratio)
+                     invertible, power_row, ratio)
 
 
 class SubbundleError(ValueError):
@@ -455,7 +455,7 @@ def _quotient_by_generators(bundle: GluedBundle, sub: LineSubbundle):
         assert pivots == list(range(r - 1)), \
             "quotient gluing system is inconsistent"
         block = [row[r - 1:] for row in red]
-        assert rank(block, r - 1, p) == r - 1, "quotient gluing is singular"
+        assert invertible(block, p), "quotient gluing is singular"
         qglue[i] = [[element(block[j][k] * sa[j], rden * sb[k] * den, p)
                      for j in range(r - 1)] for k in range(r - 1)]
     return GluedBundle(bundle.curve, r - 1, qsplit, qglue)

@@ -185,10 +185,19 @@ def test_a_bundle_load_builds_no_field_element_gluing(fld):
     ("q", [["-1/5"]], True),
     ("q", [[2, 1], [1, 4]], True),
     ("q", [[1, 2, 3], [4, 5, 6], [5, 7, 9]], False),
+    # 4x4 of determinant 7, 4x4 of a row the sum of two, and 5x5 by rank
+    ("p:7", [[7, 2, 3, 1], [14, 5, 10, 4], [7, 5, 16, 12], [28, 9, 18, 17]],
+     False),
+    ("q", [[7, 2, 3, 1], [14, 5, 10, 4], [7, 5, 16, 12], [28, 9, 18, 17]],
+     True),
+    ("q", [["1/2", 0, 1, 0], [0, 1, 0, 3], ["1/2", 1, 1, 3], [0, 0, 0, 1]],
+     False),
+    ("p:7", [[1, 0, 0, 0, 0], [0, 2, 0, 0, 0], [0, 0, 3, 0, 0],
+             [0, 0, 0, 4, 0], [0, 0, 0, 0, 7]], False),
 ])
 def test_the_singular_check_reads_the_determinant_up_to_2x2(name, matrix, ok):
     # make_bundle and the reader share one check; over GF(p) it is taken
-    # mod p, and above 2x2 it is the rank
+    # mod p, and above 4x4 it is the rank
     from treebundles.fields import field_from_name
     fld = field_from_name(name)
     r = len(matrix)
@@ -209,6 +218,25 @@ def test_the_singular_check_reads_the_determinant_up_to_2x2(name, matrix, ok):
                      lambda: bundle_from_json(obj, fld)):
             with pytest.raises(BundleError, match="^gluing 0 is singular$"):
                 load()
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(7), PrimeField(1000003)],
+                         ids=lambda f: f.name)
+def test_a_rank_3_or_4_load_runs_no_elimination(monkeypatch, fld):
+    # the singular check takes the determinant of each gluing up to 4x4,
+    # so a load calls neither rank route
+    calls = []
+    for route in ("bareiss_rank", "modular_rank"):
+        real = getattr(linalg, route)
+        monkeypatch.setattr(linalg, route, lambda *args, real=real, route=route:
+                            calls.append(route) or real(*args))
+    rng = random.Random(31)
+    for r in (3, 4):
+        bundle = random_bundle(rng, random_tree(rng, 6, fld), r)
+        obj = bundle_to_json(bundle)
+        calls.clear()
+        assert bundle_from_json(obj, fld) == bundle
+        assert calls == []
 
 
 def test_bundle_equality(ex_bundle):

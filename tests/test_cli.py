@@ -288,6 +288,20 @@ def test_an_integer_literal_past_the_digit_limit_ends_in_one_error_line(
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("verb", ["h0", "dmax", "verify", "export-dot"])
+def test_nesting_deeper_than_the_decoder_recurses_ends_in_one_error_line(
+        tmp_path, capsys, verb):
+    # json.load raises RecursionError, not a ValueError, on deep nesting:
+    # 1,100 arrays are enough on Python 3.10 and 3.11, about 10^4 on 3.12
+    # and 3.13; 10^5 is past every limit
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 10 ** 5 + "]" * 10 ** 5)
+    code, out, err = run(capsys, verb, "-i", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: %s is not JSON" % path)
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_bad_target_flag_exit_1(ex_path, capsys):
     code, _, err = run(capsys, "decide", "-i", ex_path, "--target", "3;1")
     assert code == 1 and "target" in err

@@ -1,9 +1,11 @@
 """RationalField.parse and PrimeField.parse against an independent reading
 of their documented spellings: a signed decimal integer or ratio,
-surrounding whitespace allowed; and each field's (num, den) reader,
-`ratio`, against its `parse`."""
+surrounding whitespace allowed; each field's (num, den) reader, `ratio`,
+against its `parse`; and its row reader, `read_row`, against the same
+independent reading entry by entry."""
 import re
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -11,7 +13,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from treebundles.fields import FpElement, PrimeField, RationalField  # noqa: E402
-from treebundles.linalg import ratio  # noqa: E402
+from treebundles.linalg import over_one_den, ratio  # noqa: E402
+from treebundles.serialize import _gluing_from_json  # noqa: E402
 
 DOCUMENTED = re.compile(r"^[+-]?\d+(/\d+)?$")
 P = 1000003
@@ -125,3 +128,86 @@ def parsed_ratio(fld, s):
 @example("0/0")
 def test_ratio_agrees_with_parse_on_value_and_error(fld, s):
     assert ratio_outcome(fld, s) == parsed_ratio(fld, s)
+
+
+def reference_ratio(p, s):
+    """One entry read by the documented pattern, as (num, den): lowest
+    terms over Q (p = 0), the residue over 1 over GF(p); TypeError on a
+    non-string, the field's ValueError on anything else it refuses."""
+    if not isinstance(s, str):
+        raise TypeError("field element %r is not a string" % (s,))
+    t = s.strip()
+    try:
+        if DOCUMENTED.match(t):
+            num, _, den = t.partition("/")
+            num, den = int(num), int(den) if den else 1
+            if p and den % p:
+                return num * pow(den, -1, p) % p, 1
+            if not p and den:
+                return Fraction(num, den).as_integer_ratio()
+    except ValueError:
+        # more digits than int() reads
+        pass
+    raise ValueError(("not an element of GF(%d): %%r" % p if p
+                      else "not a rational number: %r") % (s,))
+
+
+def reference_rows(p, rows):
+    """The rows read entry by entry in row-major order, over the lcm of
+    every denominator."""
+    pairs = [[reference_ratio(p, s) for s in row] for row in rows]
+    den = lcm(*(d for row in pairs for _, d in row))
+    return [[n * (den // d) for n, d in row] for row in pairs], den
+
+
+def rows_outcome(read, rows):
+    try:
+        ints, den = read(rows)
+    except ValueError as exc:
+        return ("error", type(exc).__name__, str(exc))
+    except TypeError as exc:
+        return ("error", "TypeError", str(exc))
+    assert all(type(x) is int for row in ints for x in row)
+    assert type(den) is int and den > 0
+    return ("value", ints, den)
+
+
+def serialized(outcome):
+    """The outcome as the JSON reader reports it: a non-string entry as
+    its SerializeError."""
+    if outcome[:2] == ("error", "TypeError"):
+        return ("error", "SerializeError", "w: " + outcome[2])
+    return outcome
+
+
+LONG = "1" * 4301
+entries = st.one_of(
+    spelled, tokens, st.text(max_size=8),
+    st.sampled_from(["-0", "+7", " 7 ", "007", "٣", "1_000", "1/0",
+                     "7/7", "14/21", LONG]),
+    st.integers(-9, 9), st.none(), st.booleans(), st.floats(0, 9),
+    st.lists(st.just("1"), max_size=1))
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=lambda f: f.name)
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.lists(entries, max_size=4), max_size=4))
+@example([["1", "2"], ["3", "4"], ["1/2", "x"]])
+@example([["1", "2"], ["-6/4", "7"]])
+@example([["1", "x", 5]])
+@example([["1", "٣"], ["1_000", None]])
+@example([["-0", "1_000"]])
+@example([["1/0", "+7"]])
+@example([[" 7 ", "007", "-0"], ["7/7", LONG]])
+@example([[LONG, "1/2"]])
+@example([[], ["2/4"]])
+def test_read_row_agrees_with_the_entries_read_one_by_one(fld, rows):
+    # the same rows and den, or the same first error in row-major order,
+    # by type and text; and the JSON reader's gluing the same way
+    p = fld.char
+    want = rows_outcome(lambda m: reference_rows(p, m), rows)
+    got = rows_outcome(lambda m: over_one_den([fld.read_row(r) for r in m]),
+                       rows)
+    assert got == want
+    assert rows_outcome(lambda m: _gluing_from_json(fld, m, "w"),
+                        rows) == serialized(want)

@@ -7,8 +7,9 @@ import pytest
 from treebundles.fields import PrimeField, RationalField
 from treebundles.linalg import (bareiss_rank, cleared, element,
                                 identity_matrix, integer_kernel, integer_rref,
-                                invert_matrix, is_invertible, mat_mul,
-                                modular_rank, power_row, rank, ratio)
+                                invert_matrix, invertible, is_invertible,
+                                mat_mul, modular_rank, power_row, rank,
+                                ratio)
 
 from reference_linalg import mat_vec, matrix_rank, rref, solve_columns
 
@@ -268,3 +269,58 @@ def test_integer_elimination_on_no_rows():
     assert integer_rref([], 3, 7) == ([], [], 1)
     assert kernel_basis([], 2, Z, I) == [[I, Z], [Z, I]]
     assert invert_matrix([], Z, I) == []
+
+
+def _determinant_case(rng, n, p):
+    """A seeded square integer matrix, entries up to 10^60 in absolute
+    value on a third of the draws, with a singular row forced on half: a
+    combination of two rows, a multiple of one, a zero row, or over GF(p) a
+    combination plus p times a random row, singular mod p only."""
+    top = rng.choice((2, 9, 10 ** 60))
+    m = [[rng.randint(-top, top) for _ in range(n)] for _ in range(n)]
+    kind = rng.randrange(8)
+    k, i, j = (rng.randrange(n) for _ in range(3))
+    a, b = rng.randint(-5, 5), rng.randint(-5, 5)
+    if kind == 0:
+        m[k] = [0] * n
+    elif kind == 1 and i != k:
+        m[k] = [a * x for x in m[i]]
+    elif kind in (2, 3) and k not in (i, j):
+        m[k] = [a * x + b * y for x, y in zip(m[i], m[j])]
+    elif kind == 4 and p and k not in (i, j):
+        m[k] = [a * x + b * y + p * rng.randint(-top, top)
+                for x, y in zip(m[i], m[j])]
+    return m
+
+
+@pytest.mark.parametrize("p", [0, 7, 1000003], ids=["q", "p:7", "p:1000003"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_the_determinant_agrees_with_elimination(n, p):
+    # invertible takes the determinant up to 4x4 and eliminates above; the
+    # rank route is the reference on every size
+    rng = random.Random(1000 * n + p)
+    seen = set()
+    for _ in range(2000):
+        m = _determinant_case(rng, n, p)
+        want = rank(m, n, p) == n
+        assert invertible(m, p) == want, m
+        seen.add(want)
+    assert seen == {False, True}
+
+
+@pytest.mark.parametrize("p", [0, 7, 1000003], ids=["q", "p:7", "p:1000003"])
+def test_the_determinant_on_forced_singular_matrices(p):
+    big = 10 ** 60
+    dependent = [[1, 2, 3, 4], [big, 5, -7, 1], [2 + 3 * big, 19, -15, 11],
+                 [0, 1, 1, 2]]
+    zero_row = [[1, 2, 3], [0, 0, 0], [big, -big, 1]]
+    assert not invertible(dependent, p) and rank(dependent, 4, p) == 3
+    assert not invertible(zero_row, p) and rank(zero_row, 3, p) == 2
+    # determinant 7: invertible over Q and GF(1000003), singular over GF(7)
+    for m in ([[7, 0], [0, 1]],
+              [[7, 2, 3], [0, 1, 4], [0, 0, 1]],
+              [[7, 2, 3, 1], [14, 5, 10, 4], [7, 5, 16, 12], [28, 9, 18, 17]]):
+        assert invertible(m, p) == (p != 7) == (rank(m, len(m), p) == len(m))
+    # 10^60 + 2 and 10^60 + 3 are prime to 7 and to 1000003
+    m = [[big + 2, 7 * 1000003 * big], [0, big + 3]]
+    assert invertible(m, p) and rank(m, 2, p) == 2
