@@ -1,5 +1,12 @@
 """Batch front end: JSON in, JSON (or DOT) out.
 
+One table, `_VERBS`, declares each verb: its command and its options,
+each with its default or as required. The argument parser is built from
+it, and a plain verb line is read from it alone, with no argparse run,
+into the namespace argparse would return (`main` says which lines are
+plain and why the reading is argparse's); every other line goes to the
+full parser.
+
 Exit codes: 0 success/accepted, 1 malformed input, 2 rank or degree
 mismatch, 3 negative answer (refused specialization, rejected certificate,
 oracle discrepancy).
@@ -10,6 +17,7 @@ import argparse
 import functools
 import json
 import random
+import re
 import sys
 from math import comb
 
@@ -72,6 +80,8 @@ def _parse_twist(curve, text):
             if ":" not in part:
                 raise InputError("twist entry %r is not id:integer" % part)
             v, _, num = part.rpartition(":")
+            if v in md:
+                raise InputError("twist names component %r twice" % v)
             md[v] = _parse_int(num, "twist entry on %r" % v)
     try:
         return fill_multidegree(curve, md)
@@ -227,75 +237,144 @@ def _cmd_export_dot(args):
     return 0
 
 
-def build_parser():
-    """The argument parser, built once per process: every default is an
-    immutable string, and parse_args returns a fresh namespace."""
-    return _parsers()[0]
+# every verb: its command and its options in help order, each as (option
+# strings, default, help) with the default None for a required option;
+# the options argparse parses and a plain line is read by (`_plain`)
+_INPUT = (("-i", "--input"), None, "path to the JSON input")
+_FIELD = (("--field",), "q", "q for exact rationals or p:<prime>")
+_TWIST = (("--twist",), "", "multidegree id:int,...")
+_TARGET = (("--target",), None, "splitting type on the line, e.g. \"3,1\"")
+_VERBS = {
+    "h0": (_cmd_h0, (_INPUT, _FIELD, _TWIST)),
+    "h1": (_cmd_h1, (_INPUT, _FIELD, _TWIST)),
+    "dmax": (_cmd_dmax, (_INPUT, _FIELD)),
+    "box": (_cmd_box, (_INPUT, _FIELD, (("--level",), None,
+                                        "total twist degree of the box"))),
+    "decide": (_cmd_decide, (_INPUT, _FIELD, _TARGET)),
+    "certify": (_cmd_certify, (_INPUT, _FIELD, _TARGET)),
+    "verify": (_cmd_verify, (_INPUT, _FIELD)),
+    "oracle-check": (_cmd_oracle_check, (_FIELD, (("--seed",), "0", None),
+                                         (("--cases",), "50", None))),
+    "export-dot": (_cmd_export_dot, (_INPUT, _FIELD)),
+}
 
 
 @functools.cache
-def _parsers():
-    """(the argument parser, {verb: the verb's own parser}), each verb's
-    parser kept as it is built."""
-    verbs = {}
+def build_parser():
+    """The argument parser, built from `_VERBS` once per process: every
+    default is an immutable string, and parse_args returns a fresh
+    namespace."""
     parser = argparse.ArgumentParser(
         prog="treebundles",
         description="exact section counts and specialization certificates "
                     "for bundles on trees of rational curves")
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add(name, fn, needs_input=True):
-        p = verbs[name] = sub.add_parser(name)
+    for name, (fn, options) in _VERBS.items():
+        p = sub.add_parser(name)
         p.set_defaults(fn=fn)
-        if needs_input:
-            p.add_argument("-i", "--input", required=True,
-                           help="path to the JSON input")
-        p.add_argument("--field", default="q",
-                       help="q for exact rationals or p:<prime>")
-        return p
+        for strings, default, text in options:
+            if default is None:
+                p.add_argument(*strings, required=True, help=text)
+            else:
+                p.add_argument(*strings, default=default, help=text)
+    return parser
 
-    p = add("h0", _cmd_h0)
-    p.add_argument("--twist", default="", help="multidegree id:int,...")
-    p = add("h1", _cmd_h1)
-    p.add_argument("--twist", default="", help="multidegree id:int,...")
-    add("dmax", _cmd_dmax)
-    p = add("box", _cmd_box)
-    p.add_argument("--level", required=True,
-                   help="total twist degree of the box")
-    p = add("decide", _cmd_decide)
-    p.add_argument("--target", required=True,
-                   help="splitting type on the line, e.g. \"3,1\"")
-    p = add("certify", _cmd_certify)
-    p.add_argument("--target", required=True,
-                   help="splitting type on the line, e.g. \"3,1\"")
-    add("verify", _cmd_verify)
-    p = add("oracle-check", _cmd_oracle_check, needs_input=False)
-    p.add_argument("--seed", default="0")
-    p.add_argument("--cases", default="50")
-    add("export-dot", _cmd_export_dot)
-    return parser, verbs
+
+@functools.cache
+def _plain_options(verb):
+    """({option string: dest} of the verb, {long option: dest},
+    {dest: default} of its options with one, the dests of its required
+    options)."""
+    strings, longs, defaults, required = {}, {}, {}, []
+    for names, default, _ in _VERBS[verb][1]:
+        # argparse's dest: the long option string, the last, undashed
+        dest = names[-1][2:]
+        for s in names:
+            strings[s] = dest
+            if s.startswith("--"):
+                longs[s] = dest
+        if default is None:
+            required.append(dest)
+        else:
+            defaults[dest] = default
+    return strings, longs, defaults, required
+
+
+# the tokens argparse reads as a negative number, hence as a value, on a
+# parser with no option string that looks like one
+_NEGATIVE = re.compile(r"-\d+|-\d*\.\d+")
+
+
+def _plain(argv):
+    """The namespace `build_parser().parse_args(argv)` returns, read from
+    `_VERBS` alone when argv is a plain verb line; None for any other
+    line. See `main`."""
+    verb = _VERBS.get(argv[0]) if argv else None
+    if verb is None:
+        return None
+    strings, longs, defaults, required = _plain_options(argv[0])
+    given = {}
+    i, n = 1, len(argv)
+    while i < n:
+        token = argv[i]
+        dest = strings.get(token)
+        if dest is not None and i + 1 < n:
+            value = argv[i + 1]
+            if value[:1] == "-" and not _NEGATIVE.fullmatch(value):
+                return None
+            i += 2
+        else:
+            name, eq, value = token.partition("=")
+            dest = longs.get(name) if eq else None
+            # argparse drops an attached value "--" on some versions
+            if dest is None or value == "--":
+                return None
+            i += 1
+        if dest in given:
+            return None
+        given[dest] = value
+    if any(dest not in given for dest in required):
+        return None
+    return argparse.Namespace(verb=argv[0], fn=verb[0], **{**defaults, **given})
 
 
 def main(argv=None) -> int:
     """Run one verb line; returns the exit code.
 
-    A line that starts with a verb is parsed once, by that verb's parser,
-    as the full parser would hand it on. Any other line (no verb, an
-    unknown one, help) and any line that leaves an argument over goes to
-    the full parser, so every usage message and exit code is argparse's
-    own.
+    A plain verb line is read from `_VERBS` alone (`_plain`), with no
+    argparse run; every other line goes to the full parser, so every usage
+    message, help text and exit code is argparse's own. A line is plain
+    when its first token is a verb and every other token is either an
+    option string of that verb followed by a value, or `--name=value` with
+    `--name` a long option of that verb and the value other than "--";
+    no option is given twice (by either of its strings) and every required
+    option is given; and a separate value starts with '-' only as a
+    negative number (`_NEGATIVE`).
+
+    That reading is the full parser's. The full parser hands every token
+    after the verb to the verb's parser. That parser reads each option
+    string as its exact option, and `--name=value` as the option `--name`
+    with the value as it is; "--" alone is dropped from an attached value
+    by some argparse versions, so it is not read here. A separate value
+    that does not start with '-', or is a negative number, is a value to
+    it: no option string of these parsers looks like a negative number.
+    Each option takes one value, so the tokens pair up as read here, and
+    with every option given once and every required one present, argparse
+    sets each given option's value, every other option's default, `verb`
+    and `fn`, and nothing else, without an error. Help, an abbreviation,
+    an attached short value such as `-iPATH`, a repeated option, a stray
+    token, "--" and a missing or unknown verb all fall outside this and
+    go to the full parser.
     """
-    parser, verbs = _parsers()
     # `--target X` as `--target=X`: argparse takes a separate X that starts
     # with '-' and is no plain number, such as -1,-1, for an option
     argv = list(sys.argv[1:] if argv is None else argv)
     for i in range(len(argv) - 1, 0, -1):
         if argv[i - 1] == "--target":
             argv[i - 1:i + 1] = ["--target=" + argv[i]]
-    verb = verbs.get(argv[0]) if argv else None
-    args, rest = verb.parse_known_args(argv[1:]) if verb else (None, None)
-    if args is None or rest:
-        args = parser.parse_args(argv)
+    args = _plain(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         args.field = _parse_field(args.field)
         return args.fn(args)

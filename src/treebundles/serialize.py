@@ -8,7 +8,10 @@ through its field's `read_row` (one int() per entry on an integral row)
 and each matrix over one den (`linalg.over_one_den`), and the bundle
 holds them so: a load builds no field element for them
 (`bundle.GluedBundle.of_integers`), and a gluing up to 4x4 is tested
-invertible by its determinant, with no elimination. Readers build
+invertible by its determinant, with no elimination. A curve's node
+coordinates are read by one `read_row` call, over one den, and each
+distinct value's element is built once; on any fault the edges are read
+one by one, so the first fault in edge order raises. Readers build
 through the checks of `make_bundle` (`bundle.build_checked`) and through
 `pullback`; curves and enlargements keep their check results, and a
 certificate reader builds each curve once, reusing the curve object for
@@ -22,7 +25,7 @@ import json
 from .bundle import GluedBundle, build_checked, pullback
 from .curve import Edge, Enlargement, TreeCurve
 from .fields import RationalField
-from .linalg import over_one_den
+from .linalg import element, over_one_den
 from .specialize import (Certificate, DominanceStep, EnlargementStep,
                          FailureWitness, RankOneBase, SplitOffStep)
 from .splitting import SplittingType
@@ -80,16 +83,30 @@ def curve_to_json(curve: TreeCurve) -> dict:
 
 
 def curve_from_json(obj, field=None) -> TreeCurve:
-    """The curve read and checked."""
+    """The curve read and checked. Every node coordinate is read by one
+    `fld.read_row` call, and each distinct value's element is built once;
+    when anything is wrong, the edges are read one by one, in order, and
+    the first fault raises."""
     fld = field if field is not None else RationalField()
     comps = _need_names(obj, "components", "curve")
-    edges = []
-    for k, e in enumerate(_need(obj, "edges", list, "curve")):
-        where = "curve edge %d" % k
-        edges.append(Edge(_need(e, "a", str, where),
-                          fld.parse(_need(e, "pa", str, where)),
-                          _need(e, "b", str, where),
-                          fld.parse(_need(e, "pb", str, where))))
+    raw = _need(obj, "edges", list, "curve")
+    try:
+        if not all(isinstance(e, dict) and isinstance(e["a"], str)
+                   and isinstance(e["b"], str) for e in raw):
+            raise TypeError
+        nums, den = fld.read_row([x for e in raw for x in (e["pa"], e["pb"])])
+    except (KeyError, TypeError, ValueError):
+        for k, e in enumerate(raw):
+            where = "curve edge %d" % k
+            _need(e, "a", str, where)
+            fld.parse(_need(e, "pa", str, where))
+            _need(e, "b", str, where)
+            fld.parse(_need(e, "pb", str, where))
+        raise
+    elements = {x: element(x, den, fld.char) for x in set(nums)}
+    coords = [elements[x] for x in nums]
+    edges = [Edge(e["a"], coords[2 * k], e["b"], coords[2 * k + 1])
+             for k, e in enumerate(raw)]
     return TreeCurve(tuple(comps), tuple(edges), fld).validate()
 
 

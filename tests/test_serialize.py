@@ -9,7 +9,7 @@ from treebundles import curve as curve_module
 from treebundles.bundle import BundleError, make_bundle
 from treebundles.curve import (CurveError, Edge, Enlargement, TreeCurve,
                                insert_bridge)
-from treebundles.fields import PrimeField
+from treebundles.fields import PrimeField, RationalField
 from treebundles.sampling import balanced_splitting, random_bundle, random_tree, spread
 from treebundles.serialize import (SerializeError, bundle_from_json,
                                    bundle_to_json, certificate_from_json,
@@ -47,6 +47,64 @@ def test_curve_rejects_malformed():
         curve_from_json({"components": "a", "edges": []})
     with pytest.raises(SerializeError, match="edge 0"):
         curve_from_json({"components": ["a", "b"], "edges": [{"a": "a"}]})
+
+
+@pytest.mark.parametrize("fld", [RationalField(), PrimeField(7)],
+                         ids=lambda f: f.name)
+def test_a_curve_is_read_by_one_read_row_call(fld, monkeypatch):
+    # every node coordinate in one row: one call for an n-component curve,
+    # where each coordinate was read by its own call, 2(n-1) of them; over
+    # q one curve has non-integral coordinates, some repeated
+    calls = []
+    read = type(fld).read_row
+
+    def counted(self, row):
+        calls.append(len(row))
+        return read(self, row)
+
+    monkeypatch.setattr(type(fld), "read_row", counted)
+    rng = random.Random(7)
+    curves = [random_tree(rng, n, fld) for n in (2, 3, 5, 8)]
+    if not fld.char:
+        curves.append(TreeCurve(("a", "b", "c"),
+                                (Edge("a", F(1, 2), "b", F(-3, 4)),
+                                 Edge("b", F(1, 2), "c", F(1, 2))), fld))
+    for curve in curves:
+        calls.clear()
+        assert curve_from_json(curve_to_json(curve), fld) == curve
+        assert calls == [2 * len(curve.edges)]
+
+
+@pytest.mark.parametrize("fld", [RationalField(), PrimeField(7)],
+                         ids=lambda f: f.name)
+def test_a_curve_reports_its_first_bad_edge_in_edge_order(fld):
+    # the coordinates are read together, but the first fault in edge order
+    # is the error, as when the edges were read one by one
+    def curve(edge0, edge1):
+        return {"components": ["a", "b", "c"],
+                "edges": [dict({"a": "a", "pa": "0", "b": "b", "pb": "0"},
+                               **edge0),
+                          dict({"a": "b", "pa": "1", "b": "c", "pb": "0"},
+                               **edge1)]}
+
+    bad = "not a rational number: '1e3'" if not fld.char else \
+        "not an element of GF(7): '1e3'"
+    obj = curve({"pa": "1e3"}, {})
+    del obj["edges"][1]["a"]
+    with pytest.raises(ValueError) as err:
+        curve_from_json(obj, fld)
+    assert (type(err.value), str(err.value)) == (ValueError, bad)
+    obj = curve({}, {"pa": "1e3"})
+    del obj["edges"][0]["b"]
+    with pytest.raises(SerializeError, match="^curve edge 0: missing 'b'$"):
+        curve_from_json(obj, fld)
+    for edge1 in ({"pb": 0}, {"b": 3}, {"pa": "1/0"}):
+        with pytest.raises(SerializeError,
+                           match="^curve edge 0: 'pb' has the wrong shape$"):
+            curve_from_json(curve({"pb": 5}, edge1), fld)
+    # every coordinate reads, and the tree check comes after
+    with pytest.raises(CurveError, match="two nodes of 'b' share"):
+        curve_from_json(curve({}, {"pa": "0"}), fld)
 
 
 def test_multidegree_roundtrip():
