@@ -4,6 +4,9 @@ On each component the bundle is a fixed direct sum of line bundles, in a
 recorded order; at each node an invertible matrix identifies the two
 fibers, written in those summand trivializations. The summand order per
 component is significant because the gluing matrices index into it.
+A gluing is stored once, as integer rows over a den in lowest terms
+(`GluedBundle.integer_gluings`), from which every derived bundle is built;
+field elements are built only for output (`GluedBundle.gluings`).
 `make_bundle`, `pullback` and `contract_pushforward` read the check result
 kept on the frozen curve or enlargement (`problems`), so each is checked once.
 
@@ -37,13 +40,13 @@ bisection along their first twists.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import cached_property
 from math import inf
 
 from . import poly
 from .curve import TreeCurve, check_multidegree, restrict_curve
 from .linalg import (cleared, element, identity_matrix, integer_kernel,
-                     invert_matrix, invertible, mat_mul, power_row, rank)
+                     invert_matrix, invertible, lowest, mat_mul, power_row,
+                     rank)
 
 
 class BundleError(ValueError):
@@ -53,19 +56,16 @@ class BundleError(ValueError):
 class GluedBundle:
     """curve + per-component ordered summand degrees + per-edge gluings.
 
-    A gluing has two forms: `gluings`, per edge index the rows of field
-    elements, and `integer_gluings`, per edge the (integer rows, den) of
-    `linalg.cleared`, which every integer route reads. A bundle holds the
-    form it is built from and builds the other once, on first use: the
-    constructor holds copies of the field-element rows it is given and
-    clears them when an integer route first reads them; `of_integers`,
-    the JSON reader's, holds integer pairs and builds field elements only
-    when something reads `gluings` (output, `__eq__`, `pullback`,
-    `h0_oracle`). A form built later is built from the other as it is
-    then, and then kept, so a gluing changed in place is seen by the
-    routes that read the changed form only: rows of `gluings` changed in
-    place reach `__eq__`, output and pullbacks taken afterwards, and no
-    count.
+    A gluing is stored in one form, `integer_gluings`: per edge, (integer
+    rows, den) in the lowest terms of `linalg.lowest` (den > 0 and prime to
+    the entries over Q, residues over 1 over GF(p)), which every count,
+    check and comparison reads. The form is canonical, so equal gluings are
+    equal pairs and `__eq__` compares them. The constructor takes rows of
+    field elements and clears them at once (`linalg.cleared`);
+    `of_integers` holds pairs already in that form, as the JSON reader,
+    twists, restrictions, pullbacks, pushforwards and quotients make them.
+    `gluings`, the field-element rows, is an output view built on each
+    read, so changing what it returns changes no gluing.
     """
 
     def __init__(self, curve: TreeCurve, rank: int, splittings, gluings):
@@ -73,56 +73,30 @@ class GluedBundle:
         self.rank = int(rank)
         self.splittings = {v: tuple(int(d) for d in splittings[v])
                            for v in curve.components}
-        self.gluings = {int(i): [list(row) for row in gluings[i]]
-                        for i in range(len(curve.edges))}
+        self.integer_gluings = [cleared(gluings[i], curve.field.char)
+                                for i in range(len(curve.edges))]
 
     @classmethod
     def of_integers(cls, curve: TreeCurve, rank: int, splittings,
                     integer_gluings):
-        """A bundle holding `integer_gluings`, per edge index (integer rows,
-        den) as `linalg.cleared` gives them; no field element is built."""
-        return cls._sharing(curve, int(rank),
-                            {v: tuple(splittings[v]) for v in curve.components},
-                            None, [integer_gluings[i]
-                                   for i in range(len(curve.edges))])
-
-    @classmethod
-    def _sharing(cls, curve, rank, splittings, gluings, integer_gluings):
-        """A bundle holding the given forms of its gluings, not copies;
-        None for a form leaves it to be built on first use. `twist`,
-        `restrict_bundle` and `pullback` build through it. No code in the
-        package changes a gluing in place (every inverse and product builds
-        new rows), so derived bundles share them: a twist and a restriction
-        hold the very forms their source holds, and a pullback's forward
-        edges its integer pairs."""
+        """A bundle holding `splittings`, a tuple per component in the
+        curve's order, and `integer_gluings`, a list of (integer rows, den)
+        per edge in `linalg.lowest` form, as given; no field element is
+        built. No code in the package changes either in place (every
+        inverse and product builds new rows), so a twist holds its
+        source's very list, and a restriction its pairs."""
         out = cls.__new__(cls)
-        out.curve, out.rank, out.splittings = curve, rank, splittings
-        if gluings is not None:
-            out.gluings = gluings
-        if integer_gluings is not None:
-            out.integer_gluings = integer_gluings
+        out.curve, out.rank = curve, rank
+        out.splittings, out.integer_gluings = splittings, integer_gluings
         return out
 
-    def _forms(self):
-        """(gluings, integer_gluings) as held, None for a form not built."""
-        held = vars(self)
-        return held.get("gluings"), held.get("integer_gluings")
-
-    @cached_property
+    @property
     def gluings(self):
         """Per edge index, the gluing's rows of field elements, built from
-        `integer_gluings` when the bundle was built from integers."""
+        `integer_gluings` on each read."""
         p = self.field.char
         return {i: [[element(x, den, p) for x in row] for row in m]
                 for i, (m, den) in enumerate(self.integer_gluings)}
-
-    @cached_property
-    def integer_gluings(self):
-        """Per edge, (integer rows, den) from `linalg.cleared`: the one
-        place a field-element gluing becomes integers, shared by `twist`,
-        `restrict_bundle` and `pullback`."""
-        return [cleared(self.gluings[i], self.field.char)
-                for i in range(len(self.curve.edges))]
 
     @property
     def field(self):
@@ -145,7 +119,7 @@ class GluedBundle:
             return NotImplemented
         return (self.curve == other.curve and self.rank == other.rank
                 and self.splittings == other.splittings
-                and self.gluings == other.gluings)
+                and self.integer_gluings == other.integer_gluings)
 
     def __repr__(self):
         return "GluedBundle(rank=%d, %s)" % (
@@ -163,10 +137,12 @@ def make_bundle(curve: TreeCurve, splittings, gluings) -> GluedBundle:
 
 def build_checked(build, curve: TreeCurve, splittings, gluings) -> GluedBundle:
     """`build(curve, rank, splittings, gluings)` after make_bundle's checks,
-    in their order, on gluings in the form `build` takes: `GluedBundle`
-    rows of field elements, `GluedBundle.of_integers` (integer rows, den)
-    pairs, as the JSON reader reads them. Each gluing's shape and
-    invertibility are checked on its integer rows (`linalg.invertible`)."""
+    in their order, with the splittings as tuples in component order and
+    the gluings as a list in edge order, each in the form `build` takes:
+    `GluedBundle` rows of field elements, `GluedBundle.of_integers`
+    (integer rows, den) pairs, as the JSON reader reads them. Each gluing's
+    shape and invertibility are checked on its integer rows
+    (`linalg.invertible`)."""
     curve.validate()
     if set(splittings) != set(curve.components):
         raise BundleError("splittings must cover the components exactly")
@@ -178,7 +154,9 @@ def build_checked(build, curve: TreeCurve, splittings, gluings) -> GluedBundle:
         raise BundleError("rank must be at least 1")
     if set(gluings) != set(range(len(curve.edges))):
         raise BundleError("gluings must cover the edges exactly")
-    bundle = build(curve, r, splittings, gluings)
+    bundle = build(curve, r,
+                   {v: tuple(splittings[v]) for v in curve.components},
+                   [gluings[i] for i in range(len(curve.edges))])
     for i, (m, _) in enumerate(bundle.integer_gluings):
         if len(m) != r or any(len(row) != r for row in m):
             raise BundleError("gluing %d is not %dx%d" % (i, r, r))
@@ -192,14 +170,13 @@ def twist(bundle: GluedBundle, md) -> GluedBundle:
 
     On a tree any line bundle is determined by its multidegree (the gluing
     scalars can be absorbed component by component), so a plain integer map
-    is the whole datum. The twist shares the forms of the source's gluings
-    that the source holds, and builds neither.
+    is the whole datum. The twist holds the source's integer gluings.
     """
     check_multidegree(bundle.curve, md)
     new = {v: tuple(d + md[v] for d in bundle.splittings[v])
            for v in bundle.curve.components}
-    return GluedBundle._sharing(bundle.curve, bundle.rank, new,
-                                *bundle._forms())
+    return GluedBundle.of_integers(bundle.curve, bundle.rank, new,
+                                   bundle.integer_gluings)
 
 
 def restrict_bundle(bundle: GluedBundle, members) -> GluedBundle:
@@ -210,54 +187,48 @@ def restrict_bundle(bundle: GluedBundle, members) -> GluedBundle:
     keep = [i for i, e in enumerate(bundle.curve.edges)
             if e.a in members and e.b in members]
     spl = {v: bundle.splittings[v] for v in sub.components}
-    glue, ints = bundle._forms()
-    return GluedBundle._sharing(
-        sub, bundle.rank, spl,
-        None if glue is None else {j: glue[i] for j, i in enumerate(keep)},
-        None if ints is None else [ints[i] for i in keep])
+    return GluedBundle.of_integers(sub, bundle.rank, spl,
+                                   [bundle.integer_gluings[i] for i in keep])
 
 
 def pullback(bundle: GluedBundle, enl) -> GluedBundle:
     """Pull back along a valid enlargement rooted at the bundle's curve: new
     components carry the trivial summand tuple, and each old node's matrix
     rides on the first edge of its replacement walk (identity on the
-    rest). A forward first edge hands on the target's integer pair, as
-    `twist` does, with a copy of its rows, so that a gluing of the target
-    changed in place later does not show in the pulled bundle, and a check
-    against a fresh pullback sees the change. An inserted edge gets the
-    identity, also as integers over 1, and only an inverted edge is
-    cleared."""
+    rest). A forward first edge takes a copy of the target's integer rows
+    over its den, so that a gluing of the target changed in place later
+    does not show in the pulled bundle, and a check against a fresh
+    pullback sees the change; an inverted one takes the inverse
+    (`linalg.invert_matrix`), and an inserted edge the identity over 1."""
     if enl.target != bundle.curve:
         raise BundleError("enlargement target is not this bundle's curve")
     if enl.problems:
         raise BundleError("invalid enlargement: " + "; ".join(enl.problems))
     src = enl.source
     p = src.field.char
-    zero, one = src.field.zero, src.field.one
     r = bundle.rank
     spl = {}
     for v in src.components:
         spl[v] = (0,) * r if v in enl.contracted else bundle.splittings[v]
-    glue, ints = {}, {}
+    ints = {}
     for ti, walk in enumerate(enl.target_edge_paths):
+        m, den = bundle.integer_gluings[ti]
         for step, (si, forward) in enumerate(walk):
             if step > 0:
-                glue[si] = identity_matrix(r, zero, one)
                 ints[si] = identity_matrix(r, 0, 1), 1
             elif forward:
-                glue[si] = [row[:] for row in bundle.gluings[ti]]
-                ints[si] = bundle.integer_gluings[ti]
+                ints[si] = [row[:] for row in m], den
             else:
-                glue[si] = invert_matrix(bundle.gluings[ti], zero, one)
-                ints[si] = cleared(glue[si], p)
-    return GluedBundle._sharing(src, r, spl, glue,
-                                [ints[i] for i in range(len(src.edges))])
+                ints[si] = invert_matrix(m, den, p)
+    return GluedBundle.of_integers(src, r, spl,
+                                   [ints[i] for i in range(len(src.edges))])
 
 
 def contract_pushforward(bundle: GluedBundle, enl) -> GluedBundle:
     """Inverse of pullback: push down along an enlargement whose contracted
     components all carry the zero summand tuple. Matrices along each
-    replacement walk compose (first edge applied first)."""
+    replacement walk compose (first edge applied first), in integers over
+    the product of their dens."""
     if enl.source != bundle.curve:
         raise BundleError("enlargement source is not this bundle's curve")
     if enl.problems:
@@ -265,18 +236,19 @@ def contract_pushforward(bundle: GluedBundle, enl) -> GluedBundle:
     for v in enl.contracted:
         if any(d != 0 for d in bundle.splittings[v]):
             raise BundleError("component %r is contracted but not trivial" % v)
-    zero, one = bundle.field.zero, bundle.field.one
+    p = bundle.field.char
     r = bundle.rank
-    glue = {}
-    for ti, walk in enumerate(enl.target_edge_paths):
-        acc = identity_matrix(r, zero, one)
+    glue = []
+    for walk in enl.target_edge_paths:
+        acc, acc_den = identity_matrix(r, 0, 1), 1
         for si, forward in walk:
-            m = [row[:] for row in bundle.gluings[si]]
-            eff = m if forward else invert_matrix(m, zero, one)
-            acc = mat_mul(eff, acc, zero)
-        glue[ti] = acc
+            m, den = bundle.integer_gluings[si]
+            if not forward:
+                m, den = invert_matrix(m, den, p)
+            acc, acc_den = mat_mul(m, acc, 0), den * acc_den
+        glue.append(lowest(acc, acc_den, p))
     spl = {v: bundle.splittings[v] for v in enl.target.components}
-    return GluedBundle(enl.target, r, spl, glue)
+    return GluedBundle.of_integers(enl.target, r, spl, glue)
 
 
 # -- the section linear system ---------------------------------------------
@@ -736,8 +708,9 @@ def h0_oracle(bundle: GluedBundle) -> int:
         return ws
 
     rows = []
+    gluings = bundle.gluings
     for ei, e in enumerate(bundle.curve.edges):
-        m = bundle.gluings[ei]
+        m = gluings[ei]
         for out in range(bundle.rank):
             row = [zero] * len(cols)
             for j in range(bundle.rank):

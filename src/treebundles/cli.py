@@ -355,9 +355,11 @@ def main(argv=None) -> int:
     after the verb to the verb's parser. That parser reads each option
     string as its exact option, and `--name=value` as the option `--name`
     with the value as it is; "--" alone is dropped from an attached value
-    by some argparse versions, so it is not read here. A separate value
-    that does not start with '-', or is a negative number, is a value to
-    it: no option string of these parsers looks like a negative number.
+    by argparse before 3.13, which returns [] for it, so it is not read
+    here, and after the full parser `main` reads that [] as the "--" that
+    3.13 returns (no option here takes a list). A separate value that does
+    not start with '-', or is a negative number, is a value to it: no
+    option string of these parsers looks like a negative number.
     Each option takes one value, so the tokens pair up as read here, and
     with every option given once and every required one present, argparse
     sets each given option's value, every other option's default, `verb`
@@ -375,6 +377,8 @@ def main(argv=None) -> int:
     args = _plain(argv)
     if args is None:
         args = build_parser().parse_args(argv)
+        vars(args).update({dest: "--" for dest, value in vars(args).items()
+                           if value == []})
     try:
         args.field = _parse_field(args.field)
         return args.fn(args)

@@ -7,11 +7,13 @@ reads one field element as numerator and denominator, `cleared` turns
 rows of field elements into integer rows over one common denominator
 (residues over 1 in GF(p)), `over_one_den` puts the rows a field's
 `read_row` reads straight from strings, each over its own den, over one,
+`lowest` takes integer rows over any nonzero den to that same form,
 `element` builds a field element back from an integer over a
 denominator, and `power_row` gives the homogeneous powers n^k d^(K-k) at
 which integer polynomials are evaluated at a point n/d. `invertible`
 tests a square integer matrix by its determinant up to 4x4, so no gluing
-of rank at most 4 is eliminated, and by rank above.
+of rank at most 4 is eliminated, and by rank above, and `invert_matrix`
+inverts one over its den.
 
 Every elimination is one pivot walk, `_eliminate`: fraction-free with
 exact division over Q (Bareiss 1968; Nakos, Turner & Williams 1997), the
@@ -26,7 +28,7 @@ deterministic for a given input.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .fields import FpElement
 
@@ -132,7 +134,9 @@ def cleared(rows, p):
     """Rows of field elements as (integer rows, den), the rows being the
     integer ones divided by den: over GF(p) the residues over 1, over Q
     (p = 0) the rows times the lcm of every denominator. One nonzero scale
-    keeps the rank, the kernel and the reduced echelon form."""
+    keeps the rank, the kernel and the reduced echelon form. The den is
+    prime to the entries (an entry whose denominator holds a prime to the
+    power the lcm does is prime to it), the one such pair for given rows."""
     if p:
         return [[x.val for x in row] for row in rows], 1
     ratios = [[x.as_integer_ratio() for x in row] for row in rows]
@@ -150,6 +154,18 @@ def over_one_den(rows):
     den = lcm(*(d for _, d in rows))
     return [ints if d == den else [x * (den // d) for x in ints]
             for ints, d in rows], den
+
+
+def lowest(rows, den, p):
+    """Integer rows over a nonzero den (prime to p over GF(p)) in the form
+    `cleared` gives the field elements they spell: over Q divided by the
+    gcd of den and every entry, signed so that den > 0; over GF(p) the
+    residues of the rows over den, over 1."""
+    if p:
+        inv = pow(den, -1, p)
+        return [[x * inv % p for x in row] for row in rows], 1
+    g = gcd(den, *(x for row in rows for x in row)) * (1 if den > 0 else -1)
+    return [[x // g for x in row] for row in rows], den // g
 
 
 def element(num, den, p):
@@ -175,11 +191,6 @@ def integer_rref(rows, ncols, p):
     pivot column; over GF(p) den is 1.
     """
     return _eliminate(rows, ncols, p, True)
-
-
-def _char(zero):
-    """The characteristic of the field `zero` belongs to."""
-    return getattr(zero, "p", 0)
 
 
 def invertible(rows, p):
@@ -237,13 +248,15 @@ def integer_kernel(rows, ncols, p):
     return basis, den
 
 
-def invert_matrix(m, zero, one):
-    """Inverse of a square matrix, or None if singular."""
-    n = len(m)
-    p = _char(zero)
-    aug = [list(m[i]) + [one if j == i else zero for j in range(n)]
-           for i in range(n)]
-    red, pivots, den = integer_rref(cleared(aug, p)[0], 2 * n, p)
-    if len(pivots) < n or pivots[:n] != list(range(n)):
+def invert_matrix(rows, den, p):
+    """The inverse of the square matrix rows / den over Q (p = 0) or GF(p),
+    in `lowest` form, or None if it is singular: the right half of the
+    reduced [rows | I] is rows^-1 over the reduction's den, so the inverse
+    is den times it."""
+    n = len(rows)
+    aug = [list(row) + [int(i == j) for j in range(n)]
+           for i, row in enumerate(rows)]
+    red, pivots, rden = integer_rref(aug, 2 * n, p)
+    if pivots[:n] != list(range(n)):
         return None
-    return [[element(x, den, p) for x in row[n:]] for row in red[:n]]
+    return lowest([[den * x for x in row[n:]] for row in red], rden, p)

@@ -188,12 +188,13 @@ def _gluing_from_json(fld, obj, where):
 
 def bundle_to_json(bundle: GluedBundle) -> dict:
     fld = bundle.field
+    gluings = bundle.gluings
     return {
         "curve": curve_to_json(bundle.curve),
         "rank": bundle.rank,
         "splittings": {v: list(bundle.splittings[v])
                        for v in bundle.curve.components},
-        "gluings": [{"edge": i, "matrix": _matrix_to_json(fld, bundle.gluings[i])}
+        "gluings": [{"edge": i, "matrix": _matrix_to_json(fld, gluings[i])}
                     for i in range(len(bundle.curve.edges))],
     }
 

@@ -25,6 +25,7 @@ from .bundle import (GluedBundle, SectionSystem, dmax, h0, level_box,
                      pullback, restrict_bundle, section_basis, twist)
 from .curve import (compose_enlargements, identity_enlargement, insert_bridge,
                     md_total)
+from .linalg import element
 from .splitting import (SplittingType, merge_with_line, remove_line,
                         specializes_p1)
 from .subbundles import (LineSubbundle, SubbundleError, _direction_scalar,
@@ -253,8 +254,9 @@ def _search(bundle: GluedBundle, dmax_of) -> _Plan:
     if bundle.rank == 1:
         degrees = {v: bundle.splittings[v][0] for v in curve.components}
         coords = {v: ([[1]], 1) for v in curve.components}
-        scalars = {(e.a, e.b): bundle.gluings[i][0][0]
-                   for i, e in enumerate(curve.edges)}
+        p = bundle.field.char
+        scalars = {(e.a, e.b): element(m[0][0], den, p)
+                   for e, (m, den) in zip(curve.edges, bundle.integer_gluings)}
         return _Plan(degrees, coords, scalars, [])
     if len(curve.components) == 1:
         v = curve.components[0]

@@ -21,18 +21,20 @@ its embedding as integer polynomials over one denominator per component
 (`LineSubbundle.integer_embeddings`, plain residues over GF(p)), cleared
 once (`linalg.cleared`) or set where they are made from integers. They are
 evaluated at a node homogeneously (`linalg.power_row`), gluings are read
-as the bundle carries them (`GluedBundle.integer_gluings`), and field
-elements are built (`linalg.element`) only for the outputs.
+as the bundle carries them (`GluedBundle.integer_gluings`), quotient
+gluings are made as integer pairs in the same lowest terms
+(`linalg.lowest`), and field elements are built (`linalg.element`) only
+for the outputs.
 """
 from __future__ import annotations
 
 from functools import cached_property
-from math import gcd
+from math import lcm
 
 from . import poly
 from .bundle import BundleError, GluedBundle
 from .linalg import (cleared, element, integer_kernel, integer_rref,
-                     invertible, power_row, ratio)
+                     invertible, lowest, power_row, ratio)
 
 
 class SubbundleError(ValueError):
@@ -177,13 +179,9 @@ def _direction_scalar(p, lhs, sa, vb, sb):
 
 def _lowest(ints, den, p):
     """Integer coordinates over den as `linalg.cleared` gives their field
-    elements, trimmed: divided by gcd(den, coefficients), den > 0, over Q;
-    residues over 1 over GF(p)."""
-    if p:
-        inv = pow(den, -1, p)
-        return [poly.trim([c * inv % p for c in q]) for q in ints], 1
-    g = gcd(den, *(c for q in ints for c in q)) * (1 if den > 0 else -1)
-    return [poly.trim([c // g for c in q]) for q in ints], den // g
+    elements (`linalg.lowest`), trimmed."""
+    ints, den = lowest(ints, den, p)
+    return [poly.trim(q) for q in ints], den
 
 
 def _from_integers(host, degrees, coords, scalars):
@@ -410,7 +408,7 @@ def _quotient(bundle: GluedBundle, sub: LineSubbundle) -> GluedBundle:
         qsplit[v] = (m0 + m1 - sub.degrees[v],)
         (phi0, phi1), den = sub.integer_embeddings[v]
         lead[v] = (-phi0[-1] if phi0 else phi1[-1], den)
-    qglue = {}
+    qglue = []
     for i, e in enumerate(bundle.curve.edges):
         ((g00, g01), (g10, g11)), den = bundle.integer_gluings[i]
         (na, da), (nb, db) = lead[e.a], lead[e.b]
@@ -418,8 +416,8 @@ def _quotient(bundle: GluedBundle, sub: LineSubbundle) -> GluedBundle:
         # det(G) = det_int / den^2
         num = (g00 * g11 - g01 * g10) * na * db * dl
         assert _nonzero(num, p), "quotient gluing is singular"
-        qglue[i] = [[element(num, den * den * da * nl * nb, p)]]
-    return GluedBundle(bundle.curve, 1, qsplit, qglue)
+        qglue.append(lowest([[num]], den * den * da * nl * nb, p))
+    return GluedBundle.of_integers(bundle.curve, 1, qsplit, qglue)
 
 
 def _quotient_by_generators(bundle: GluedBundle, sub: LineSubbundle):
@@ -430,7 +428,9 @@ def _quotient_by_generators(bundle: GluedBundle, sub: LineSubbundle):
     generator rows at the node on the two sides. Each row is an integer
     row over its own scale (diagonal S_a, S_b) and G is an integer matrix
     over L, so N = S_b^-1 N_int S_a / L for the integer solution N_int of
-    N_int gx_int = gy_int G_int, from one integer Gauss-Jordan.
+    N_int gx_int = gy_int G_int, from one integer Gauss-Jordan, and N's
+    rows are put over one den, the lcm of S_b's entries times L and the
+    solve's den.
     """
     r = bundle.rank
     p = bundle.field.char
@@ -441,7 +441,7 @@ def _quotient_by_generators(bundle: GluedBundle, sub: LineSubbundle):
                                    sub.integer_embeddings[v][0], r - 1)
         qsplit[v] = tuple(b for b, _, _ in found)
         generators[v] = [(gens, den) for _, gens, den in found]
-    qglue = {}
+    qglue = []
     for i, e in enumerate(bundle.curve.edges):
         gx, sa = zip(*(_values_at(g, d, e.pa, p) for g, d in generators[e.a]))
         gy, sb = zip(*(_values_at(g, d, e.pb, p) for g, d in generators[e.b]))
@@ -456,9 +456,11 @@ def _quotient_by_generators(bundle: GluedBundle, sub: LineSubbundle):
             "quotient gluing system is inconsistent"
         block = [row[r - 1:] for row in red]
         assert invertible(block, p), "quotient gluing is singular"
-        qglue[i] = [[element(block[j][k] * sa[j], rden * sb[k] * den, p)
-                     for j in range(r - 1)] for k in range(r - 1)]
-    return GluedBundle(bundle.curve, r - 1, qsplit, qglue)
+        scale = lcm(*sb)
+        qglue.append(lowest([[block[j][k] * sa[j] * (scale // sb[k])
+                              for j in range(r - 1)] for k in range(r - 1)],
+                            rden * scale * den, p))
+    return GluedBundle.of_integers(bundle.curve, r - 1, qsplit, qglue)
 
 
 def quotient_bundle(bundle: GluedBundle, sub: LineSubbundle) -> GluedBundle:

@@ -1,9 +1,9 @@
 """Field-element references the integer routes of `treebundles` are
-compared against: Gauss-Jordan for the eliminations in `treebundles.linalg`,
-and polynomial evaluation, gcd, exact division, matrix products and column
-solves for the node checks, saturation and quotient gluings in
-`treebundles.subbundles`. Polynomial sums, scalings and products build the
-tests' inputs.
+compared against: Gauss-Jordan for the eliminations and the inverse in
+`treebundles.linalg`, and polynomial evaluation, gcd, exact division,
+matrix products and column solves for the node checks, saturation and
+quotient gluings in `treebundles.subbundles`. Polynomial sums, scalings
+and products build the tests' inputs.
 
 They work on Fraction or FpElement entries directly, dividing each pivot
 row by its pivot, so they share no code with the fraction-free routes.
@@ -48,6 +48,18 @@ def matrix_rank(rows, ncols):
     return len(rref(rows, ncols)[1])
 
 
+
+
+def invert_matrix(m, zero, one):
+    """Inverse of a square matrix of field elements, or None if singular:
+    the reference for `treebundles.linalg.invert_matrix`, which inverts
+    integer rows over their den."""
+    n = len(m)
+    red, pivots = rref([list(row) + [one if i == j else zero for j in range(n)]
+                        for i, row in enumerate(m)], 2 * n)
+    if pivots[:n] != list(range(n)):
+        return None
+    return [row[n:] for row in red]
 
 
 def solve_columns(a, b):

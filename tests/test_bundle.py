@@ -15,12 +15,13 @@ from treebundles.bundle import (BundleError, GluedBundle, SectionSystem,
                                 twist, vanishing_floor)
 from treebundles.curve import Edge, TreeCurve, insert_bridge, md_total
 from treebundles.fields import PrimeField, RationalField
-from treebundles.linalg import invert_matrix
-from treebundles.sampling import random_bundle, random_multidegree, random_tree
+from treebundles.sampling import (random_bundle, random_invertible,
+                                  random_multidegree, random_tree)
 from treebundles.serialize import bundle_from_json, bundle_to_json
 
 from conftest import build_chain, build_ex, field_sections
-from reference_linalg import dmax_by_levels, evaluate, mat_vec, matrix_rank
+from reference_linalg import (dmax_by_levels, evaluate, invert_matrix, mat_vec,
+                              matrix_rank)
 
 I2 = [[F(1), F(0)], [F(0), F(1)]]
 QQ = RationalField()
@@ -102,9 +103,9 @@ def test_load_reports_the_first_bad_gluing_in_edge_order(fld):
                          ids=lambda f: f.name)
 def test_integer_gluings_are_cleared_once_and_shared(fld):
     # a bundle's integer gluings are its gluings as `linalg.cleared` gives
-    # them, whether the loader filled them in or they are read on first
-    # use, and a twist or a restriction hands on the source's very pairs;
-    # over q half the bundles have non-integral gluings
+    # them, cleared by the constructor, which stores no field-element form,
+    # and a twist or a restriction hands on the source's very pairs; over
+    # q half the bundles have non-integral gluings
     rng = random.Random(41 + fld.char % 1000)
     fractional = 0
     for k in range(48):
@@ -114,7 +115,8 @@ def test_integer_gluings_are_cleared_once_and_shared(fld):
             bundle = non_integral(rng, bundle)
         fresh = GluedBundle(bundle.curve, bundle.rank, bundle.splittings,
                             bundle.gluings)
-        assert "integer_gluings" not in vars(fresh)
+        assert set(vars(fresh)) == {"curve", "rank", "splittings",
+                                    "integer_gluings"}
         for b in (bundle, fresh):
             assert b.integer_gluings == [
                 linalg.cleared(b.gluings[i], fld.char)
@@ -135,12 +137,16 @@ def test_integer_gluings_are_cleared_once_and_shared(fld):
 
 @pytest.mark.parametrize("fld", [QQ, PrimeField(7), PrimeField(1000003)],
                          ids=lambda f: f.name)
-def test_a_bundle_load_builds_no_field_element_gluing(fld):
+def test_a_bundle_load_builds_no_field_element_gluing(fld, monkeypatch):
     # the reader reads gluings straight to integers: loading, twisting,
-    # restricting and counting sections build no field element, and the
-    # gluings built on first use are the parsed matrix, whose clearing is
+    # restricting and counting sections build no field element of a
+    # gluing (no `element` call in `bundle`, where the `gluings` view
+    # builds them), and that view is the parsed matrix, whose clearing is
     # the loaded integer pairs; over q half the bundles are non-integral
     # and one spells its entries out of lowest terms
+    from treebundles import bundle as bundle_module
+    built = []
+    element = bundle_module.element
     rng = random.Random(28 + fld.char % 1000)
     for k in range(36):
         curve = random_tree(rng, 1 + k % 5, fld)
@@ -152,13 +158,15 @@ def test_a_bundle_load_builds_no_field_element_gluing(fld):
             obj["gluings"][0]["matrix"] = [
                 ["%d/%d" % tuple(6 * n for n in linalg.ratio(x, fld.char))
                  for x in row] for row in bundle.gluings[0]]
+        monkeypatch.setattr(bundle_module, "element",
+                            lambda *args: built.append(args))
         back = bundle_from_json(obj, fld)
         twisted = twist(back, random_multidegree(rng, back.curve, -2, 2))
         h0(back), h0(twisted), dmax(back)
         for e in back.curve.edges[:1]:
             h0(restrict_bundle(twisted, back.curve.side_of(0, e.a)))
-        assert "gluings" not in vars(back)
-        assert "gluings" not in vars(twisted)
+        monkeypatch.setattr(bundle_module, "element", element)
+        assert built == []
         parsed = {g["edge"]: [[fld.parse(x) for x in row] for row in g["matrix"]]
                   for g in obj["gluings"]}
         assert back.gluings == parsed == bundle.gluings
@@ -166,6 +174,112 @@ def test_a_bundle_load_builds_no_field_element_gluing(fld):
             linalg.cleared(back.gluings[i], fld.char)
             for i in range(len(back.curve.edges))]
         assert back == bundle
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(1000003)],
+                         ids=lambda f: f.name)
+def test_a_gluing_view_changed_in_place_changes_no_count(fld):
+    # `gluings` is built on each read, so swapping two rows of what it
+    # returns, after a count has read the bundle, leaves the bundle as it
+    # was: its counts are those of its JSON round trip
+    rng = random.Random(65 + fld.char % 1000)
+    for k in range(30):
+        curve = random_tree(rng, 2 + k % 3, fld)
+        b = random_bundle(rng, curve, 2 + k % 2, lo=-2, hi=2)
+        h0(b)
+        m = b.gluings[0]
+        m[0], m[1] = m[1], m[0]
+        back = bundle_from_json(bundle_to_json(b), fld)
+        assert dmax(b) == dmax(back)
+        for _ in range(3):
+            md = random_multidegree(rng, curve, -2, 2)
+            assert h0(twist(b, md)) == h0(twist(back, md))
+
+
+def _every_edge_kind(fld):
+    """(target, enlargement): a two-edge target whose first edge is walked
+    forward and then along an inserted bridge, and whose second edge is
+    walked inverted, as an enlargement read from JSON may list it."""
+    from treebundles.curve import Enlargement
+
+    def tree(rows):
+        comps = []
+        for a, _, b, _ in rows:
+            comps += [v for v in (a, b) if v not in comps]
+        return TreeCurve(tuple(comps), tuple(
+            Edge(a, fld.of(pa), b, fld.of(pb)) for a, pa, b, pb in rows), fld)
+
+    target = tree([("u", 0, "w", 0), ("w", 1, "x", 0)])
+    enl = Enlargement(tree([("u", 0, "b", 0), ("w", 0, "b", 1),
+                            ("x", 0, "w", 1)]), target, frozenset({"b"}))
+    assert enl.target_edge_paths == [[(0, True), (1, False)], [(2, False)]]
+    return target, enl
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(7), PrimeField(1000003)],
+                         ids=lambda f: f.name)
+def test_every_built_gluing_is_in_lowest_terms(fld):
+    # every bundle the package builds holds each gluing as `linalg.cleared`
+    # gives its field elements: den > 0 and prime to the entries over q,
+    # residues over 1 over GF(p); so `==` on bundles is equality of their
+    # field rows. Builders: loads (one spelled out of lowest terms),
+    # pullbacks on forward, inserted and inverted edges, pushforwards, and
+    # quotients of bundles of rank 2 (closed form), 3 and 4 (generators)
+    from treebundles.specialize import find_line_subbundle
+    from treebundles.subbundles import quotient_bundle
+    p = fld.char
+
+    def canonical(b):
+        for m, den in b.integer_gluings:
+            assert den > 0
+            assert math.gcd(den, *(x for row in m for x in row)) == 1
+            assert not p or (den == 1 and all(0 <= x < p for row in m
+                                                for x in row))
+        assert b.integer_gluings == [linalg.cleared(b.gluings[i], p)
+                                     for i in range(len(b.curve.edges))]
+        return b
+
+    def agree(a, b):
+        same = (a.curve == b.curve and a.rank == b.rank
+                and a.splittings == b.splittings and a.gluings == b.gluings)
+        assert (canonical(a) == canonical(b)) == same
+        return same
+
+    rng = random.Random(66 + p % 1000)
+    target, enl = _every_edge_kind(fld)
+    quotients = set()
+    for k in range(12):
+        r = 1 + k % 4
+        scale = fld.one / fld.of(rng.choice((1, 2, 3, 5)))
+        bundle = make_bundle(
+            target, {v: tuple(rng.randint(-2, 2) for _ in range(r))
+                     for v in target.components},
+            {i: [[x * scale for x in row]
+                 for row in random_invertible(rng, fld, r)] for i in (0, 1)})
+        obj = bundle_to_json(bundle)
+        obj["gluings"][1]["matrix"] = [
+            ["%d/%d" % tuple(4 * n for n in linalg.ratio(x, p)) for x in row]
+            for row in bundle.gluings[1]]
+        back = bundle_from_json(obj, fld)
+        assert agree(back, bundle)
+        up = pullback(back, enl)
+        down = contract_pushforward(up, enl)
+        assert agree(down, bundle)
+        assert agree(up, make_bundle(up.curve, up.splittings, up.gluings))
+        moved = up.gluings
+        moved[0] = [[x * fld.of(2) for x in row] for row in moved[0]]
+        assert not agree(up, GluedBundle(up.curve, r, up.splittings, moved))
+        curve = random_tree(rng, 2 + k % 3, fld)
+        host = random_bundle(rng, curve, 2 + k % 3, lo=-1, hi=1)
+        if fld == QQ and k % 2:
+            host = non_integral(rng, host)
+        _, sub = find_line_subbundle(host)
+        quotient = quotient_bundle(sub.host, sub)
+        quotients.add(host.rank)
+        assert agree(quotient, GluedBundle(quotient.curve, quotient.rank,
+                                           quotient.splittings,
+                                           quotient.gluings))
+    assert quotients == {2, 3, 4}
 
 
 @pytest.mark.parametrize("name, matrix, ok", [
@@ -975,23 +1089,11 @@ def test_pullback_layout(ex_bundle):
 def test_pullback_integer_gluings_on_every_edge_kind(fld):
     # an enlargement read from JSON may list a source edge against the
     # target edge's direction, so a pulled gluing comes forward, inserted
-    # or inverted: forward edges hand on the target's integer pair, and on
-    # every edge the pair is the pulled gluing as `linalg.cleared` gives it
-    from treebundles.curve import Enlargement
-    from treebundles.sampling import random_invertible
+    # or inverted: forward edges hand on the target's integer pair, with
+    # copies of its rows, and on every edge the pair is the pulled gluing
+    # as `linalg.cleared` gives it
     rng = random.Random(42 + fld.char % 1000)
-
-    def tree(rows):
-        comps = []
-        for a, _, b, _ in rows:
-            comps += [v for v in (a, b) if v not in comps]
-        return TreeCurve(tuple(comps), tuple(
-            Edge(a, fld.of(pa), b, fld.of(pb)) for a, pa, b, pb in rows), fld)
-
-    target = tree([("u", 0, "w", 0), ("w", 1, "x", 0)])
-    enl = Enlargement(tree([("u", 0, "b", 0), ("w", 0, "b", 1),
-                            ("x", 0, "w", 1)]), target, frozenset({"b"}))
-    assert enl.target_edge_paths == [[(0, True), (1, False)], [(2, False)]]
+    target, enl = _every_edge_kind(fld)
     for r in (1, 2, 3):
         scale = fld.one / fld.of(rng.choice((1, 2, 3, 5)))
         bundle = make_bundle(
@@ -1000,7 +1102,9 @@ def test_pullback_integer_gluings_on_every_edge_kind(fld):
             {i: [[x * scale for x in row]
                  for row in random_invertible(rng, fld, r)] for i in (0, 1)})
         up = pullback(bundle, enl)
-        assert up.integer_gluings[0] is bundle.integer_gluings[0]
+        assert up.integer_gluings[0] == bundle.integer_gluings[0]
+        assert not any(a is b for a, b in zip(up.integer_gluings[0][0],
+                                              bundle.integer_gluings[0][0]))
         assert up.gluings[2] == invert_matrix(bundle.gluings[1], fld.zero,
                                               fld.one)
         assert up.integer_gluings == [linalg.cleared(up.gluings[i], fld.char)

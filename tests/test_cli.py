@@ -122,6 +122,32 @@ ARGV_CORPUS = [
 ]
 
 
+# a line whose option has the attached value "--", and its error
+DOUBLE_DASH = [
+    (["h0", "-i", "{i}", "--field=--"],
+     "unknown field '--' (expected 'q' or 'p:<prime>')"),
+    (["h0", "--input=--"],
+     "cannot read --: [Errno 2] No such file or directory: '--'"),
+    (["h0", "-i", "{i}", "--twist=--"], "twist entry '--' is not id:integer"),
+    (["decide", "-i", "{i}", "--target", "--"],
+     "target '--' is not a comma-separated integer list"),
+    (["box", "-i", "{i}", "--level=--"],
+     "--level is not an integer below 10^1000 in absolute value"),
+    (["oracle-check", "--seed=--"],
+     "--seed is not an integer below 10^1000 in absolute value"),
+]
+
+
+@pytest.mark.parametrize("line, error", DOUBLE_DASH,
+                         ids=[" ".join(line) for line, _ in DOUBLE_DASH])
+def test_argv_an_attached_double_dash_is_the_value_double_dash(
+        ex_path, capsys, line, error):
+    # argparse before 3.13 returns [] for an attached "--" value, and 3.13
+    # the string "--"; either way the line ends in one error line
+    argv = [a.replace("{i}", ex_path) for a in line]
+    assert _outcome(capsys, argv) == (1, "", "error: %s\n" % error)
+
+
 @pytest.mark.parametrize("line", ARGV_CORPUS,
                          ids=lambda line: " ".join(line) or "(empty)")
 def test_argv_dispatch_matches_the_full_parser(ex_path, capsys, monkeypatch,

@@ -614,9 +614,9 @@ def _watch_clearings(monkeypatch):
 
 
 def _assert_pullbacks_share(seen, pulls):
-    # a pulled bundle's forward edges hold the target's very integer pairs
-    # and its inserted edges the identity over 1, so no `cleared` call after
-    # the pullback sees a forward pulled gluing
+    # a pulled bundle's forward edges hold the target's integer pairs, as
+    # copies of its rows, and its inserted edges the identity over 1, so no
+    # `cleared` call after the pullback sees a forward pulled gluing
     forward = inserted = 0
     for target, enl, out, mark in pulls:
         r = target.rank
@@ -624,8 +624,12 @@ def _assert_pullbacks_share(seen, pulls):
         for ti, walk in enumerate(enl.target_edge_paths):
             (si, ahead), rest = walk[0], walk[1:]
             if ahead:
-                assert out.integer_gluings[si] is target.integer_gluings[ti]
-                ids.add(id(out.gluings[si]))
+                assert out.integer_gluings[si] == target.integer_gluings[ti]
+                rows = out.integer_gluings[si][0]
+                held = target.integer_gluings[ti][0]
+                assert rows is not held
+                assert not any(a is b for a, b in zip(rows, held))
+                ids.add(id(rows))
                 forward += 1
             for sj, _ in rest:
                 assert out.integer_gluings[sj] == (
@@ -637,9 +641,9 @@ def _assert_pullbacks_share(seen, pulls):
 
 def test_a_loaded_bundle_has_its_gluings_cleared_at_load_only(monkeypatch):
     # the loader reads each gluing into integers once; counting twists,
-    # dmax, certify and verify then read the rows the bundle carries, and
-    # no later `cleared` call, in any module that binds it, sees a gluing
-    # of the loaded bundle or a forward gluing of a pullback
+    # dmax, certify and verify then read the rows the bundle carries and
+    # build every derived gluing (pullbacks, quotients) in integers, so no
+    # `cleared` call, in any module that binds it, runs at all
     rng = random.Random(62)
     loaded = []
     for k in range(8):
@@ -656,8 +660,7 @@ def test_a_loaded_bundle_has_its_gluings_cleared_at_load_only(monkeypatch):
         cert = certify(bundle, balanced_splitting(bundle.rank,
                                                   bundle.degree()))
         assert verify_certificate(cert) == (True, [])
-    gluings = {id(m) for bundle in loaded for m in bundle.gluings.values()}
-    assert seen and not [rows for rows in seen if id(rows) in gluings]
+    assert seen == []
     _assert_pullbacks_share(seen, pulls)
 
 
@@ -697,9 +700,9 @@ def test_subbundle_embeddings_are_cleared_once(monkeypatch):
 
 
 def test_verify_rejects_a_loaded_certificate_changed_in_place():
-    # a pullback shares its target's integer gluings but copies the rows, so
-    # a gluing entry changed in place after the load, in the claim's target
-    # or in a quotient that a later round pulls back, still fails verify
+    # a pullback copies its target's integer gluing rows, so a gluing entry
+    # changed in place after the load, in the claim's target or in a
+    # quotient that a later round pulls back, still fails verify
     rng = random.Random(64)
     changed = {"target": 0, "quotient": 0}
     reasons = {"target": "subbundle host is not the pulled-back bundle",
@@ -714,7 +717,7 @@ def test_verify_rejects_a_loaded_certificate_changed_in_place():
             back = certificate_from_json(obj, fld)
             where = back.target if part == "target" else next(
                 s.quotient for s in back.steps if isinstance(s, SplitOffStep))
-            where.gluings[0][0][0] += 1
+            where.integer_gluings[0][0][0][0] += 1
             ok, report = verify_certificate(back)
             assert not ok and reasons[part] in report[0]
             changed[part] += 1
