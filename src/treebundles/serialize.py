@@ -3,12 +3,13 @@
 Field elements travel as canonical strings (lowest terms, positive
 denominator over the rationals; plain decimal residues over a prime
 field). The field itself is not part of the payload; readers supply it.
-A bundle's gluings are read in one pass straight to integers, each row
-through its field's `read_row` (one int() per entry on an integral row)
-and each matrix over one den (`linalg.over_one_den`), and the bundle
-holds them so: a load builds no field element for them
-(`bundle.GluedBundle.of_integers`), and a gluing up to 4x4 is tested
-invertible by its determinant, with no elimination. A curve's node
+A bundle's gluings and a subbundle's embedding are read in one pass
+straight to integers, each row (of a gluing, or one coordinate's
+coefficients) through its field's `read_row` (one int() per entry on an
+integral row) and each matrix or component over one den
+(`_rows_from_json`), and held so: a load builds no field element for them
+(`GluedBundle.of_integers`, `LineSubbundle.of_integers`), and a gluing up
+to 4x4 is tested invertible by its determinant, with no elimination. A curve's node
 coordinates are read by one `read_row` call, over one den, and each
 distinct value's element is built once; on any fault the edges are read
 one by one, so the first fault in edge order raises. Readers build
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import json
 
+from . import poly
 from .bundle import GluedBundle, build_checked, pullback
 from .curve import Edge, Enlargement, TreeCurve
 from .fields import RationalField
@@ -162,28 +164,22 @@ def _matrix_to_json(fld, m):
     return [[fld.to_str(x) for x in row] for row in m]
 
 
-def _string(x, where):
-    if not isinstance(x, str):
-        raise SerializeError("%s: field element %r is not a string" % (where, x))
-    return x
-
-
-def _gluing_from_json(fld, obj, where):
-    """A gluing as (integer rows, den), equal to `linalg.cleared` of its
-    parsed rows: each row read by `fld.read_row`, which raises at the first
-    bad entry in row-major order, and the rows put over one den."""
+def _rows_from_json(fld, obj, where, shape):
+    """A gluing's rows or a subbundle component's coefficient lists as
+    (integer rows, den), equal to `linalg.cleared` of the parsed rows: each
+    row read by `fld.read_row`, which raises at the first bad entry in
+    row-major order, and the rows put over one den; `shape` names `obj`."""
     if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
-        raise SerializeError("%s: matrix is not a list of rows" % where)
+        raise SerializeError("%s: %s" % (where, shape))
     read = fld.read_row
     try:
         return over_one_den([read(row) for row in obj])
     except TypeError:
         # the first bad entry is not a string, and every entry before it
         # is one
-        for row in obj:
-            for x in row:
-                _string(x, where)
-        raise
+        bad = next(x for row in obj for x in row if not isinstance(x, str))
+        raise SerializeError("%s: field element %r is not a string"
+                             % (where, bad))
 
 
 def bundle_to_json(bundle: GluedBundle) -> dict:
@@ -217,8 +213,8 @@ def bundle_from_json(obj, field=None, curves=None) -> GluedBundle:
         i = _need(g, "edge", int, where)
         if i in gluings:
             raise SerializeError("%s: edge %d is listed twice" % (where, i))
-        gluings[i] = _gluing_from_json(fld, _need(g, "matrix", list, where),
-                                       where)
+        gluings[i] = _rows_from_json(fld, _need(g, "matrix", list, where),
+                                     where, "matrix is not a list of rows")
     rank = _need(obj, "rank", int, "bundle")
     bundle = build_checked(GluedBundle.of_integers, curve, splittings, gluings)
     if bundle.rank != rank:
@@ -230,9 +226,10 @@ def bundle_from_json(obj, field=None, curves=None) -> GluedBundle:
 
 def subbundle_to_json(sub: LineSubbundle) -> dict:
     fld = sub.host.field
+    embeddings = sub.embeddings
     return {
         "degrees": {v: sub.degrees[v] for v in sub.host.curve.components},
-        "embeddings": {v: [[fld.to_str(c) for c in p] for p in sub.embeddings[v]]
+        "embeddings": {v: [[fld.to_str(c) for c in p] for p in embeddings[v]]
                        for v in sub.host.curve.components},
         "scalars": [{"edge": i, "value": fld.to_str(sub.scalars[i])}
                     for i in sorted(sub.scalars)],
@@ -245,10 +242,9 @@ def subbundle_from_json(obj, host: GluedBundle) -> LineSubbundle:
     raw = _need(obj, "embeddings", dict, "subbundle")
     embeddings = {}
     for v, ps in raw.items():
-        where = "subbundle embedding of %r" % v
-        if not isinstance(ps, list) or not all(isinstance(p, list) for p in ps):
-            raise SerializeError("%s: not a list of coefficient lists" % where)
-        embeddings[v] = [[fld.parse(_string(c, where)) for c in p] for p in ps]
+        ints, den = _rows_from_json(fld, ps, "subbundle embedding of %r" % v,
+                                    "not a list of coefficient lists")
+        embeddings[v] = [poly.trim(q) for q in ints], den
     scalars = {}
     for k, s in enumerate(_need(obj, "scalars", list, "subbundle")):
         where = "subbundle scalar %d" % k
@@ -259,7 +255,7 @@ def subbundle_from_json(obj, host: GluedBundle) -> LineSubbundle:
     missing = (set(degrees) ^ set(host.curve.components)) | (set(embeddings) ^ set(host.curve.components))
     if missing:
         raise SerializeError("subbundle: component coverage differs at %s" % sorted(missing))
-    return LineSubbundle(host, degrees, embeddings, scalars)
+    return LineSubbundle.of_integers(host, degrees, embeddings, scalars)
 
 
 # -- enlargements (target implicit) -------------------------------------------

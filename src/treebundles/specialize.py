@@ -29,8 +29,7 @@ from .linalg import element
 from .splitting import (SplittingType, merge_with_line, remove_line,
                         specializes_p1)
 from .subbundles import (LineSubbundle, SubbundleError, _direction_scalar,
-                         _from_integers, _lowest, _node_fibres, _quotient,
-                         _saturate)
+                         _lowest, _node_fibres, _quotient, _saturate)
 
 
 class MismatchError(ValueError):
@@ -465,7 +464,8 @@ def find_line_subbundle(bundle: GluedBundle):
             scalars[i] = plan.scalars[(e.a, e.b)]
         elif e.a not in plan.degrees or e.b not in plan.degrees:  # a bridge
             scalars[i] = bundle.field.one
-    return enl, _from_integers(host, degrees, coords, scalars)
+    return enl, LineSubbundle.of_integers(host, degrees, coords,
+                                          scalars).validate()
 
 
 # -- certificates ------------------------------------------------------------

@@ -16,19 +16,21 @@ search over all summands, by degree, then by the summand that holds each
 generator's free column (`_kernel_generators`).
 
 Node checks, saturation and quotient gluings run on integers, crossing
-from field elements and back only through `linalg`. A subbundle carries
-its embedding as integer polynomials over one denominator per component
-(`LineSubbundle.integer_embeddings`, plain residues over GF(p)), cleared
-once (`linalg.cleared`) or set where they are made from integers. They are
-evaluated at a node homogeneously (`linalg.power_row`), gluings are read
-as the bundle carries them (`GluedBundle.integer_gluings`), quotient
+from field elements and back only through `linalg`. A subbundle holds its
+embedding only as integer polynomials over one denominator per component
+(`LineSubbundle.integer_embeddings`, residues over GF(p)), in the form
+`linalg.cleared` gives the trimmed field elements (`_lowest`): the
+constructor clears field elements at once, and `of_integers` holds the
+pairs that saturation, the search and the JSON reader make. Its
+`embeddings` are field elements built on each read, an output view. The
+integers are evaluated at a node homogeneously (`linalg.power_row`),
+gluings are read as the bundle carries them (`integer_gluings`), quotient
 gluings are made as integer pairs in the same lowest terms
 (`linalg.lowest`), and field elements are built (`linalg.element`) only
 for the outputs.
 """
 from __future__ import annotations
 
-from functools import cached_property
 from math import lcm
 
 from . import poly
@@ -42,27 +44,44 @@ class SubbundleError(ValueError):
 
 
 class LineSubbundle:
+    """A line subbundle of `host`. The embedding is held only as
+    `integer_embeddings`, in a canonical form (see the module docstring),
+    so equal subbundles hold equal pairs and `__eq__` compares them."""
 
     def __init__(self, host: GluedBundle, degrees, embeddings, scalars):
+        p = host.field.char
         self.host = host
         self.degrees = {v: int(degrees[v]) for v in host.curve.components}
-        self.embeddings = {v: [list(p) for p in embeddings[v]]
-                           for v in host.curve.components}
+        self.integer_embeddings = {
+            v: cleared([poly.trim(q) for q in embeddings[v]], p)
+            for v in host.curve.components}
         self.scalars = dict(scalars)
+
+    @classmethod
+    def of_integers(cls, host: GluedBundle, degrees, integer_embeddings,
+                    scalars):
+        """A subbundle holding `integer_embeddings`, one `_lowest` pair per
+        component, and `scalars` as given, its degrees in the host's
+        component order; no field element is built."""
+        out = cls.__new__(cls)
+        out.host, out.scalars = host, scalars
+        out.degrees = {v: degrees[v] for v in host.curve.components}
+        out.integer_embeddings = integer_embeddings
+        return out
+
+    @property
+    def embeddings(self):
+        """Per component, the coordinate polynomials of field elements,
+        built from `integer_embeddings` on each read."""
+        p = self.host.field.char
+        return {v: [[element(c, den, p) for c in q] for q in ints]
+                for v, (ints, den) in self.integer_embeddings.items()}
 
     def degree(self):
         return sum(self.degrees.values())
 
     def multidegree(self):
         return dict(self.degrees)
-
-    @cached_property
-    def integer_embeddings(self):
-        """Per component, `linalg.cleared` of the trimmed embedding, unless
-        set by the code that made the subbundle from integers."""
-        p = self.host.field.char
-        return {v: cleared([poly.trim(q) for q in ps], p)
-                for v, ps in self.embeddings.items()}
 
     def validate(self):
         problems = []
@@ -115,18 +134,11 @@ class LineSubbundle:
             raise SubbundleError("; ".join(problems))
         return self
 
-    def as_line_bundle(self) -> GluedBundle:
-        """Forget the embedding: the subbundle as a rank-1 glued bundle."""
-        spl = {v: (self.degrees[v],) for v in self.host.curve.components}
-        glue = {i: [[self.scalars[i]]] for i in range(len(self.host.curve.edges))}
-        return GluedBundle(self.host.curve, 1, spl, glue)
-
     def __eq__(self, other):
         if not isinstance(other, LineSubbundle):
             return NotImplemented
         return (self.host == other.host and self.degrees == other.degrees
-                and {v: [poly.trim(p) for p in ps] for v, ps in self.embeddings.items()}
-                == {v: [poly.trim(p) for p in ps] for v, ps in other.embeddings.items()}
+                and self.integer_embeddings == other.integer_embeddings
                 and self.scalars == other.scalars)
 
     def __repr__(self):
@@ -184,24 +196,13 @@ def _lowest(ints, den, p):
     return [poly.trim(q) for q in ints], den
 
 
-def _from_integers(host, degrees, coords, scalars):
-    """The validated subbundle with `integer_embeddings` coords (in
-    `_lowest` form); its embedding's field elements are built here."""
-    p = host.field.char
-    sub = LineSubbundle(host, degrees,
-                        {v: [[element(c, den, p) for c in q] for q in ints]
-                         for v, (ints, den) in coords.items()}, scalars)
-    sub.integer_embeddings = coords
-    return sub.validate()
-
-
 def saturate(bundle: GluedBundle, section) -> LineSubbundle:
     """Line subbundle spanned by a global section of field elements, each
     component's coordinates cleared once; see `_saturate`."""
     p = bundle.field.char
-    return _from_integers(bundle, *_saturate(
+    return LineSubbundle.of_integers(bundle, *_saturate(
         bundle, {v: cleared([poly.trim(q) for q in section[v]], p)
-                 for v in bundle.curve.components}))
+                 for v in bundle.curve.components})).validate()
 
 
 def _saturate(bundle: GluedBundle, coords):

@@ -2,8 +2,9 @@
 compared against: Gauss-Jordan for the eliminations and the inverse in
 `treebundles.linalg`, and polynomial evaluation, gcd, exact division,
 matrix products and column solves for the node checks, saturation and
-quotient gluings in `treebundles.subbundles`. Polynomial sums, scalings
-and products build the tests' inputs.
+quotient gluings in `treebundles.subbundles`, and a subbundle as the
+line bundle it is (`as_line_bundle`). Polynomial sums, scalings and
+products build the tests' inputs.
 
 They work on Fraction or FpElement entries directly, dividing each pivot
 row by its pivot, so they share no code with the fraction-free routes.
@@ -11,7 +12,7 @@ row by its pivot, so they share no code with the fraction-free routes.
 `treebundles.bundle.dmax` replaced, each level walked by a fresh
 `SectionSystem.first_failure`, so that nothing is remembered between levels.
 """
-from treebundles.bundle import SectionSystem, vanishing_floor
+from treebundles.bundle import GluedBundle, SectionSystem, vanishing_floor
 
 
 def rref(rows, ncols):
@@ -227,6 +228,13 @@ def subbundle_problems(sub):
         if not 0 <= i < len(host.curve.edges):
             problems.append("edge %d: the host has no such edge" % i)
     return problems
+
+
+def as_line_bundle(sub):
+    """Forget the embedding: the subbundle as a rank-1 glued bundle."""
+    spl = {v: (sub.degrees[v],) for v in sub.host.curve.components}
+    glue = {i: [[sub.scalars[i]]] for i in range(len(sub.host.curve.edges))}
+    return GluedBundle(sub.host.curve, 1, spl, glue)
 
 
 def saturate(bundle, section):

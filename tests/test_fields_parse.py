@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from treebundles.fields import FpElement, PrimeField, RationalField  # noqa: E402
 from treebundles.linalg import over_one_den, ratio  # noqa: E402
-from treebundles.serialize import _gluing_from_json  # noqa: E402
+from treebundles.serialize import _rows_from_json  # noqa: E402
 
 DOCUMENTED = re.compile(r"^[+-]?\d+(/\d+)?$")
 P = 1000003
@@ -209,5 +209,5 @@ def test_read_row_agrees_with_the_entries_read_one_by_one(fld, rows):
     got = rows_outcome(lambda m: over_one_den([fld.read_row(r) for r in m]),
                        rows)
     assert got == want
-    assert rows_outcome(lambda m: _gluing_from_json(fld, m, "w"),
+    assert rows_outcome(lambda m: _rows_from_json(fld, m, "w", "shape"),
                         rows) == serialized(want)

@@ -666,12 +666,14 @@ def test_a_loaded_bundle_has_its_gluings_cleared_at_load_only(monkeypatch):
 
 def test_subbundle_embeddings_are_cleared_once(monkeypatch):
     # certify builds every subbundle from integers and hands them to its
-    # quotient and to verify, so no `cleared` call, in any module that binds
-    # it, sees an embedding of a subbundle the package built; a subbundle
-    # read from JSON is cleared once per component, on first use, and its
-    # quotient (rank 2 closed form, rank 3 and 4 by generators) reads the
-    # same integers; the pullbacks of certify, verify and the reader share
-    # their targets' integer gluings
+    # quotient and to verify, and the JSON reader reads each embedding
+    # straight to integers, so no `cleared` call, in any module that binds
+    # it, sees an embedding: none of certify, the JSON round trip or either
+    # verify clears one, which is checked on the rows' values, as views are
+    # rebuilt on each read. The loaded subbundles equal the built ones, and
+    # their quotients (rank 2 closed form, rank 3 and 4 by generators) read
+    # the same integers; the pullbacks of certify, verify and the reader
+    # share their targets' integer gluings
     rng = random.Random(63)
     bundles = []
     for k in range(9):
@@ -688,14 +690,10 @@ def test_subbundle_embeddings_are_cleared_once(monkeypatch):
         for c, subs in ((cert, built), (back, loaded)):
             subs += [s.subbundle for s in c.steps if isinstance(s, SplitOffStep)]
 
-    def clearings(sub):
-        ids = {id(q) for ps in sub.embeddings.values() for q in ps}
-        return [rows for rows in seen if any(id(q) in ids for q in rows)]
-
     assert {sub.host.rank for sub in loaded} == {2, 3, 4}
-    assert [sub for sub in built if clearings(sub)] == []
-    assert [len(clearings(sub)) for sub in loaded] == \
-        [len(sub.host.curve.components) for sub in loaded]
+    assert loaded == built
+    embeddings = [ps for sub in built for ps in sub.embeddings.values()]
+    assert [rows for rows in seen if rows in embeddings] == []
     _assert_pullbacks_share(seen, pulls)
 
 
@@ -722,6 +720,36 @@ def test_verify_rejects_a_loaded_certificate_changed_in_place():
             assert not ok and reasons[part] in report[0]
             changed[part] += 1
     assert changed == {"target": 12, "quotient": 12}
+
+
+def test_a_subbundle_changed_in_place_verifies_as_its_json():
+    # a subbundle holds its embedding in one form, so a certificate and its
+    # JSON round trip get one verdict after either form is changed in
+    # place: doubling a coefficient of what `embeddings` returns changes
+    # nothing, and doubling the same integer changes both. The coefficient
+    # is a nonzero constant term, which a valid embedding has (else it
+    # vanishes at 0), so the node check at its component's edge fails
+    rng = random.Random(5)
+    bundles = [random_bundle(rng, random_tree(rng, 2 + k % 3), 2)
+               for k in range(60)]
+    verdicts = {"view": set(), "integers": set()}
+    for bundle in bundles:
+        for part in verdicts:
+            cert = certify(bundle, balanced_splitting(2, bundle.degree()))
+            sub = next(s.subbundle for s in cert.steps
+                       if isinstance(s, SplitOffStep))
+            v = sub.host.curve.components[0]
+            ints, _ = sub.integer_embeddings[v]
+            k = next(k for k, q in enumerate(ints) if q and q[0])
+            if part == "view":
+                sub.embeddings[v][k][0] *= 2
+            else:
+                ints[k][0] *= 2
+            got = verify_certificate(cert)
+            back = certificate_from_json(certificate_to_json(cert))
+            assert verify_certificate(back) == got
+            verdicts[part].add(got[0])
+    assert verdicts == {"view": {True}, "integers": {False}}
 
 
 def test_verify_validates_each_enlargement_once(ex_bundle, monkeypatch):

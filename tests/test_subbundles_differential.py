@@ -133,12 +133,18 @@ def _reference_junction(bundle, edge_index, plan):
 
 def _tampered(rng, sub):
     """Copies of a valid subbundle with one thing changed, each reaching
-    one of validate's problems (or none, when the change keeps it valid)."""
+    one of validate's problems (or none, when the change keeps it valid).
+    Each copy is built through the constructor, as changing what
+    `embeddings` returns changes no subbundle."""
     host, fld = sub.host, sub.host.field
     comps = host.curve.components
 
-    def copy():
-        return LineSubbundle(host, sub.degrees, sub.embeddings, sub.scalars)
+    def copy(coords=None):
+        # component v's coordinate polynomials replaced by coords, if given
+        embeddings = sub.embeddings
+        if coords is not None:
+            embeddings[v] = coords
+        return LineSubbundle(host, sub.degrees, embeddings, sub.scalars)
 
     v = rng.choice(comps)
     if sub.scalars:
@@ -149,32 +155,24 @@ def _tampered(rng, sub):
         t = copy()
         t.scalars[i] = fld.zero
         yield t
-    t = copy()
-    coords = [q for q in t.embeddings[v] if q]
-    q = rng.choice(coords)
+    coords = sub.embeddings[v]
+    q = rng.choice([q for q in coords if q])
     q[rng.randrange(len(q))] += fld.one / fld.of(2)
-    yield t
-    t = copy()
-    t.embeddings[v] = [ref.trim([fld.of(-3) * c for c in q] + [fld.zero])
-                       if q else [] for q in t.embeddings[v]]
-    yield t
-    t = copy()
+    yield copy(coords)
+    yield copy([ref.trim([fld.of(-3) * c for c in q] + [fld.zero])
+                if q else [] for q in sub.embeddings[v]])
     # a common zero at a point: every coordinate times (x - 1/2)
     half = fld.one / fld.of(2)
-    t.embeddings[v] = [ref.trim([-half * q[0]] + [q[k - 1] - half * q[k]
-                                                  for k in range(1, len(q))]
-                                + [q[-1]]) if q else [] for q in t.embeddings[v]]
+    t = copy([ref.trim([-half * q[0]] + [q[k - 1] - half * q[k]
+                                        for k in range(1, len(q))]
+                       + [q[-1]]) if q else [] for q in sub.embeddings[v]])
     t.degrees[v] -= 1
     yield t
     t = copy()
     t.degrees[v] += 1
     yield t
-    t = copy()
-    t.embeddings[v] = t.embeddings[v][:-1]
-    yield t
-    t = copy()
-    t.embeddings[v] = [[] for _ in t.embeddings[v]]
-    yield t
+    yield copy(sub.embeddings[v][:-1])
+    yield copy([[] for _ in sub.embeddings[v]])
     t = copy()
     t.scalars[len(host.curve.edges)] = fld.one
     yield t
@@ -221,6 +219,7 @@ def test_saturate_validate_and_quotients_match_the_field_route(fld):
         bridged += len(enl.contracted)
         assert ref.subbundle_problems(sub) == []
         subs = [sub] + list(_tampered(rng, sub))
+        assert all(t != sub for t in subs[1:])
         for t in subs:
             got = _outcome(lambda s: s.validate() and "", t)
             want = ref.subbundle_problems(t)
@@ -240,6 +239,32 @@ def test_saturate_validate_and_quotients_match_the_field_route(fld):
         assert bridged > 0
 
 
+def _two_components(fld, splittings, gluing):
+    """A bundle on two components meeting at 0 on both, over fld; gluing
+    is an integer matrix."""
+    zero = fld.zero
+    curve = TreeCurve(("v1", "v2"), (Edge("v1", zero, "v2", zero),), fld)
+    return make_bundle(curve, splittings,
+                       {0: [[fld.of(x) for x in row] for row in gluing]})
+
+
+def _respelled(obj, fld):
+    """A subbundle's JSON with every coefficient spelled out of lowest
+    terms: 0 as "-0", a/b as 2a/2b over q ("1/2" as "2/4"), a residue c as
+    c + p over GF(p) ("1" as "8" over p:7), and a trailing "0" on every
+    coordinate."""
+    def spell(c):
+        if c == "0":
+            return "-0"
+        if fld.char:
+            return str(int(c) + fld.char)
+        n, _, d = c.partition("/")
+        return "%d/%d" % (2 * int(n), 2 * int(d or 1))
+
+    return dict(obj, embeddings={v: [[spell(c) for c in q] + ["0"] for q in ps]
+                                 for v, ps in obj["embeddings"].items()})
+
+
 @pytest.mark.parametrize("fld", FIELDS, ids=lambda f: f.name)
 def test_integer_saturation_does_not_see_the_presentation(fld):
     """(k ints, k den) stands for one section for every nonzero k, the
@@ -248,7 +273,9 @@ def test_integer_saturation_does_not_see_the_presentation(fld):
     and 2, the public `saturate` of the section's field elements gives
     them too, and `integer_embeddings` is `cleared` of the trimmed
     embedding for saturations, for bridged `find_line_subbundle` results
-    and for subbundles read from JSON."""
+    (the swap bundle of `conftest.build_swap` needs a bridge on every
+    field) and for subbundles read from JSON, spelled in lowest terms or
+    out of them: each reads back as the subbundle it was."""
     rng = random.Random(1502 + fld.char % 1000)
     p = fld.char
     saturated = errors = negative = bridged = 0
@@ -278,18 +305,35 @@ def test_integer_saturation_does_not_see_the_presentation(fld):
         enl, sub = find_line_subbundle(bundle)
         bridged += len(enl.contracted)
         subs.append(sub)
+    enl, sub = find_line_subbundle(
+        _two_components(fld, {"v1": (2, 0), "v2": (2, 0)}, [[0, 1], [1, 0]]))
+    bridged += len(enl.contracted)
+    subs.append(sub)
+    # the constant first-summand direction of the running example, over
+    # 1/2 on v1 and 8 on v2, as "2/4" and "8" among spellings of 0
+    ex = _two_components(fld, {"v1": (2, 0), "v2": (0, 2)}, [[1, 0], [0, 1]])
+    spelled = subbundle_from_json(
+        {"degrees": {"v1": 2, "v2": 0},
+         "embeddings": {"v1": [["2/4", "-0", "0"], ["-0"]], "v2": [["8"], []]},
+         "scalars": [{"edge": 0, "value": "1/16"}]}, ex).validate()
+    assert spelled == LineSubbundle(
+        ex, {"v1": 2, "v2": 0},
+        {"v1": [[fld.one / fld.of(2)], []], "v2": [[fld.of(8)], []]},
+        {0: fld.one / fld.of(16)})
+    subs.append(spelled)
     for sub in subs:
         assert sub.integer_embeddings == {
             v: cleared([poly.trim(q) for q in ps], p)
             for v, ps in sub.embeddings.items()}
-        back = subbundle_from_json(subbundle_to_json(sub), sub.host)
+        obj = subbundle_to_json(sub)
+        back = subbundle_from_json(obj, sub.host)
         assert back.integer_embeddings == sub.integer_embeddings
         assert back == sub
+        assert subbundle_from_json(_respelled(obj, fld), sub.host) == sub
     assert saturated > 20 and errors > 3
     if not p:
         assert negative > 0
-    if p != 7:
-        assert bridged > 0
+    assert bridged > 0
 
 
 @pytest.mark.parametrize("fld", FIELDS, ids=lambda f: f.name)
