@@ -32,10 +32,10 @@ the count at every all-full twist), and holds the vanishing floors and the
 node counts val(v); `h0` is its count at the zero twist. Its one clamp-box
 walk, `first_failure`, finds the first twist of a level with fewer sections
 than a given need: `dmax` asks it with need 1 and `specialize.decide` with
-the source's count. A need-1 walk skips the twists one step above a twist
-that the walk of the level below showed to have a section, and `dmax`
-settles the failing levels at the bottom without walking them, by one
-bisection along their first twists.
+the source's count. A need-1 walk given the level below's first failure
+skips the twists one step above the twists before it, and `dmax` settles
+the failing levels at the bottom without walking them, by one bisection
+along their first twists.
 """
 from __future__ import annotations
 
@@ -381,6 +381,9 @@ class SectionSystem:
     count in 0..r that never falls as t grows. So the least total is F at
     the floors plus the e - sum(lo) smallest of all these steps, taken
     greedily.
+
+    The system keeps nothing of a walk: what a level's walk found reaches
+    the next only as `first_failure`'s `below`, from the caller.
     """
 
     def __init__(self, bundle: GluedBundle):
@@ -400,7 +403,6 @@ class SectionSystem:
         self._edges = {}    # edge -> `_edge_rows` at the caps
         self._kernels = {}  # (edge, F_a, E_i) -> Y_i
         self._ranks = {}
-        self._failures = {}  # level -> its need-1 first failure's values
 
     def count(self, md):
         """h0(twist(bundle, md))."""
@@ -537,7 +539,7 @@ class SectionSystem:
             spare -= take
         return value + r * spare
 
-    def first_failure(self, e, need):
+    def first_failure(self, e, need, below=None):
         """(md, count(md)) for the first twist md of level e in the clamp
         box (md[v] >= lo[v], total e, in ascending lexicographic order along
         the components) with count(md) < need, or None if there is none.
@@ -563,30 +565,26 @@ class SectionSystem:
         floor, so it never saves a rank; at need = 1 it costs more than
         the walks it skips.
 
-        A need-1 walk also skips every twist one step above a twist of
-        level e - 1 known to have a section. The system records each
-        need-1 level's first failure f; a level with none records
-        nothing. A twist x of
-        level e is skipped when, for some v with x_v > lo_v, x - e_v comes
-        before f. That twist lies in level e - 1's ceiling box, and its
-        walk passed it before f, so it has a section: on the floor, by a
-        count, or by this same skip. Multiplying by the section of O(p),
-        p a smooth point of v, is injective on sections, so x has one too.
-        A skipped twist is never a failure, so the first failure does not
-        change. Only level e - 1's record at need 1 is read, so a walk with
-        need > 1, or with no walk of the level below, is walked as if no
-        record existed. `_above_passed` reads the test off the first
-        index at which x and f differ, in O(n).
+        A need-1 walk given `below`, the first failure f of level e - 1
+        (its values in component order), skips each twist x of level e with
+        some v, x_v > lo_v, for which x - e_v comes before f: that twist
+        lies in level e - 1's ceiling box before its first failure, so it
+        has a section, and multiplying by the section of O(p), p a smooth
+        point of v, is injective on sections, so x has one too and is no
+        failure. `below` must be the caller's own first need-1 failure of
+        level e - 1, because a later failure could make the walk skip a real
+        one; None skips nothing, and `below` is read only at need 1.
+        `_above_passed` reads the test off the first index at which x and f
+        differ, in O(n).
         """
         comps = self.bundle.curve.components
         lo = self.lo
-        below = None
         if need == 1:
             hi = {v: lo[v] + self.val[v] for v in comps}
-            below = self._failures.get(e - 1)
         elif self.level_floor(e) >= need:
             return None
         else:
+            below = None  # a skip proves one section, not `need` of them
             *rest, last = comps
             spl = self.bundle.splittings
             hi = {v: self.val[v] - 1 - min(spl[v]) for v in rest}
@@ -596,8 +594,6 @@ class SectionSystem:
                     below and self._above_passed(md, below)):
                 have = self.count(md)
                 if have < need:
-                    if need == 1:
-                        self._failures[e] = tuple(md.values())
                     return md, have
         return None
 
@@ -847,9 +843,9 @@ def dmax(bundle: GluedBundle):
     never fall along the chain either, so the least k with a positive
     floor, `bad`, is bisected with no rank, and K < bad. K = bad - 1 is
     probed first, the usual case; otherwise K is bisected on counts. No
-    level is walked twice. Level s + K is not walked, so level s + K + 1
-    finds no record below it; none is needed, since chain(K) is the first
-    twist of its box and a record of it would skip nothing.
+    level is walked twice. Each walked level's failure is the next one's
+    `below`; level s + K + 1 gets None, as chain(K), first in its box,
+    would skip nothing there and cost an `_above_passed` test per twist.
     """
     system = SectionSystem(bundle)
     comps, lo, val = bundle.curve.components, system.lo, system.val
@@ -871,10 +867,11 @@ def dmax(bundle: GluedBundle):
         k = bisect_left(range(1, k), True,
                         key=lambda j: system.count(chain(j)) > 0)
     e = sum(lo.values()) + k
-    witness = chain(k)
+    witness, below = chain(k), None
     while True:
         e += 1
-        found = system.first_failure(e, 1)
+        found = system.first_failure(e, 1, below)
         if found is None:
             return -e, witness
         witness = found[0]
+        below = tuple(witness.values())

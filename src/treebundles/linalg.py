@@ -224,12 +224,6 @@ def invertible(rows, p):
     return bool(det % p if p else det)
 
 
-def is_invertible(m, p):
-    """Whether a square matrix of field elements over Q (p = 0) or GF(p) is
-    invertible: `invertible` on its integer rows, no inverse built."""
-    return invertible(cleared(m, p)[0], p)
-
-
 def integer_kernel(rows, ncols, p):
     """Right kernel of an integer matrix over Q (p = 0) or GF(p): (vectors,
     den), one integer vector per free column in echelon order (residues in

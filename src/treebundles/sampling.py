@@ -10,7 +10,7 @@ from __future__ import annotations
 from .bundle import GluedBundle, make_bundle
 from .curve import Edge, TreeCurve
 from .fields import PrimeField, RationalField
-from .linalg import is_invertible
+from .linalg import invertible
 from .splitting import SplittingType
 
 
@@ -36,10 +36,10 @@ def random_tree(rng, n, field=None) -> TreeCurve:
 
 def random_invertible(rng, field, r, span=3):
     for _ in range(1000):
-        m = [[field.of(rng.randint(-span, span)) for _ in range(r)]
-             for _ in range(r)]
-        if is_invertible(m, field.char):
-            return m
+        # the determinant of the integers mod p is that of their residues
+        m = [[rng.randint(-span, span) for _ in range(r)] for _ in range(r)]
+        if invertible(m, field.char):
+            return [[field.of(x) for x in row] for row in m]
     raise AssertionError("could not sample an invertible matrix")
 
 

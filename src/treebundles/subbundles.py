@@ -1,4 +1,4 @@
-"""Line subbundles of glued bundles: saturation and quotients.
+"""Line subbundles of glued bundles: saturation, search and quotients.
 
 A line subbundle is recorded per component as a degree a_v plus the r
 coordinate polynomials of the embedding into the summands (degrees bounded
@@ -28,13 +28,22 @@ gluings are read as the bundle carries them (`integer_gluings`), quotient
 gluings are made as integer pairs in the same lowest terms
 (`linalg.lowest`), and field elements are built (`linalg.element`) only
 for the outputs.
+
+find_line_subbundle realizes a line subbundle of degree dmax after
+inserting bridges: `_search` assembles a `_Plan` in that integer form
+from saturations (`_saturate`) and junctions (`_junction`), and the
+subbundle is made once, by `LineSubbundle.of_integers`.
 """
 from __future__ import annotations
 
+import itertools
+from dataclasses import dataclass
 from math import lcm
 
 from . import poly
-from .bundle import BundleError, GluedBundle
+from .bundle import (BundleError, GluedBundle, SectionSystem, dmax, level_box,
+                     pullback, restrict_bundle, section_basis, twist)
+from .curve import compose_enlargements, identity_enlargement, insert_bridge
 from .linalg import (cleared, element, integer_kernel, integer_rref,
                      invertible, lowest, power_row, ratio)
 
@@ -212,7 +221,7 @@ def _saturate(bundle: GluedBundle, coords):
     (residues over GF(p)); the result's coords are in `_lowest` form. No
     subbundle is built: for a section with one coordinate per summand the
     result passes `LineSubbundle.validate` by construction, and only
-    `saturate` and `specialize.find_line_subbundle` make one.
+    `saturate` and `find_line_subbundle` make one.
 
     Per component the coordinates are divided by their gcd, counted with
     the common vanishing order at infinity (homogenization slack); the
@@ -377,8 +386,7 @@ def _quotient(bundle: GluedBundle, sub: LineSubbundle) -> GluedBundle:
     """The quotient bundle by a line subbundle.
 
     `sub` must already be valid (`LineSubbundle.validate`, which `saturate`
-    and `specialize.find_line_subbundle` run); `quotient_bundle` validates
-    it first.
+    and `find_line_subbundle` run); `quotient_bundle` validates it first.
 
     In rank 2 the quotient is det E (x) L^-1, in closed form. On a
     component the syzygies of (phi_0, phi_1) are generated by the Koszul
@@ -467,3 +475,362 @@ def _quotient_by_generators(bundle: GluedBundle, sub: LineSubbundle):
 def quotient_bundle(bundle: GluedBundle, sub: LineSubbundle) -> GluedBundle:
     """The quotient bundle by a line subbundle, validated first."""
     return _quotient(bundle, sub.validate())
+
+
+# -- maximal-degree line subbundles ------------------------------------------
+
+@dataclass
+class _Plan:
+    """Line-subbundle data relative to one bundle, before any curve surgery.
+
+    degrees and coords (as `LineSubbundle.integer_embeddings`) cover the
+    bundle's components; scalars are keyed by (a, b) component-id pairs of
+    surviving original edges; bridges records (a, b, (u0, sa), (u1, sb))
+    junctions, integer fiber vectors over their scales, to be realized by
+    inserting a component whose embedding interpolates the two.
+    """
+    degrees: dict
+    coords: dict
+    scalars: dict
+    bridges: list
+
+    def total(self):
+        return sum(self.degrees.values()) - len(self.bridges)
+
+
+def _merge_plans(*plans):
+    degrees, coords, scalars, bridges = {}, {}, {}, []
+    for p in plans:
+        assert not set(degrees) & set(p.degrees)
+        degrees.update(p.degrees)
+        coords.update(p.coords)
+        scalars.update(p.scalars)
+        bridges.extend(p.bridges)
+    return _Plan(degrees, coords, scalars, bridges)
+
+
+def _nonzero_components(curve, section):
+    # a section's coefficient lists are trimmed
+    return [v for v in curve.components if any(section[v])]
+
+
+def _combine_support(p, curve, sec, other):
+    """sec + c*other for the first scalar c keeping every component of
+    either support alive; falls back to sec if no scalar works (only
+    possible over a field smaller than the component count). Sections are
+    `section_basis` integer lists over one den, residues over GF(p)."""
+    sup_s = set(_nonzero_components(curve, sec))
+    sup_o = set(_nonzero_components(curve, other))
+    if sup_o <= sup_s:
+        return sec
+    shared = sup_s & sup_o
+    for c in range(1, len(shared) + 2):
+        if p and c >= p:
+            break
+        cand = {v: [poly.trim([(x + c * y) % p if p else x + c * y
+                               for x, y in itertools.zip_longest(
+                                   q, r, fillvalue=0)])
+                    for q, r in zip(sec[v], other[v])]
+                for v in curve.components}
+        if all(any(cand[v]) for v in shared):
+            return cand
+    return sec
+
+
+def _max_support_section(field, curve, basis):
+    """Deterministic combination of the basis nonzero on every component
+    the full section space allows."""
+    if not basis:
+        return None
+    sec = basis[0]
+    for other in basis[1:]:
+        sec = _combine_support(field.char, curve, sec, other)
+    return sec
+
+
+def _restricted_dmax(bundle):
+    """members -> dmax(restrict_bundle(bundle, members)), each set measured
+    once. A restriction of a restriction is the restriction to the smaller
+    set, so one table serves every level of a search started at `bundle`."""
+    table = {}
+
+    def dmax_of(members):
+        key = frozenset(members)
+        if key not in table:
+            table[key] = dmax(restrict_bundle(bundle, key))
+        return table[key]
+
+    return dmax_of
+
+
+def _join(bundle, blocks, cut, dmax_of):
+    """Solve each block of the curve cut at the `cut` edges on its own,
+    then tie the blocks together across every cut edge."""
+    plan = _merge_plans(*[_search(restrict_bundle(bundle, b), dmax_of)
+                          for b in blocks])
+    for i in cut:
+        _junction(bundle, i, plan)
+    return plan
+
+
+def _junction(bundle, edge_index, plan):
+    """Tie the two sides of an edge together through the subbundle.
+
+    Transports the a-side fiber vector through the original gluing; if the
+    result is independent of the b-side vector the junction becomes a bridge
+    interpolating the two, otherwise the sides glue directly with the ratio
+    as the edge scalar.
+    """
+    e = bundle.curve.edges[edge_index]
+    u0, sa, vb, sb = _node_fibres(bundle, edge_index, plan.coords)
+    rho = _direction_scalar(bundle.field.char, u0, sa, vb, sb)
+    if rho is not None:
+        assert rho, "transported fiber vector vanished"
+        plan.scalars[(e.a, e.b)] = rho
+    else:
+        plan.bridges.append((e.a, e.b, (u0, sa), (vb, sb)))
+
+
+def _saturation_plan(host, w_eff, section, den):
+    # host is twisted by w_eff, the plan's degrees shifted back; the
+    # section's coordinates are its lists over den
+    degrees, coords, scalars = _saturate(
+        host, {v: (section[v], den) for v in host.curve.components})
+    return _Plan({v: a - w_eff[v] for v, a in degrees.items()}, coords,
+                 {(e.a, e.b): scalars[i]
+                  for i, e in enumerate(host.curve.edges)}, [])
+
+
+def _search(bundle: GluedBundle, dmax_of) -> _Plan:
+    """Core of the subbundle search, one recursion level.
+
+    `bundle` is where the search started or a restriction of it, and every
+    dmax it needs, its own included, is read from the start's
+    `_restricted_dmax` table `dmax_of`. Returns a plan relative to `bundle`
+    whose total degree (bridges count -1 each) equals dmax(bundle). Rank
+    one and single components are immediate. Otherwise candidate assemblies
+    are tried in order: the zero-locus walk (a +1 bump's section saturates
+    whole, or the tree is split at an edge both of whose sides stay
+    sectioned, or along a best section's vanishing locus), then
+    surgery-free multidegree enumeration, then bridging every edge subset whose
+    blocks account exactly for the maximum. The walk alone can come up
+    short when the only maximal subbundle follows a chain of forced fiber
+    directions, so the first plan landing exactly on dmax(bundle) wins.
+    """
+    curve = bundle.curve
+    if bundle.rank == 1:
+        degrees = {v: bundle.splittings[v][0] for v in curve.components}
+        coords = {v: ([[1]], 1) for v in curve.components}
+        p = bundle.field.char
+        scalars = {(e.a, e.b): element(m[0][0], den, p)
+                   for e, (m, den) in zip(curve.edges, bundle.integer_gluings)}
+        return _Plan(degrees, coords, scalars, [])
+    if len(curve.components) == 1:
+        v = curve.components[0]
+        ms = bundle.splittings[v]
+        j = ms.index(max(ms))
+        coords = {v: ([[1] if i == j else [] for i in range(bundle.rank)], 1)}
+        return _Plan({v: ms[j]}, coords, {}, [])
+
+    d, witness = dmax_of(curve.components)
+    plan = _walk_candidate(bundle, witness, dmax_of)
+    if plan is not None and plan.total() == d:
+        return plan
+    plan = _bridgeless(bundle, d)
+    if plan is not None:
+        return plan
+    plan = _cut_assembly(bundle, d, dmax_of)
+    if plan is not None:
+        return plan
+    raise AssertionError("subbundle search exhausted every assembly shape")
+
+
+def _walk_candidate(bundle, witness, dmax_of):
+    """The zero-locus walk; may return None or an undershooting plan.
+
+    A side S is good when the bundle twisted by the witness, restricted to
+    S, has dmax >= 0. dmax is twist-equivariant, dmax(twist(B, w)|S) =
+    dmax(B|S) + sum of w over S (witness moved by -w), so sides are
+    measured and solved untwisted.
+    """
+    curve = bundle.curve
+    comps = curve.components
+
+    # a +1 bump somewhere may already have a section with no vanishing
+    # components; then its saturation is the whole answer
+    bumps = {}
+    for z in comps:
+        w_eff = {v: witness[v] + (1 if v == z else 0) for v in comps}
+        bumped = twist(bundle, w_eff)
+        basis, den = section_basis(bumped)
+        bumps[z] = (w_eff, bumped, basis, den)
+        sec = _max_support_section(bundle.field, curve, basis)
+        if sec is None or len(_nonzero_components(curve, sec)) != len(comps):
+            continue
+        try:
+            return _saturation_plan(bumped, w_eff, sec, den)
+        except SubbundleError:
+            continue
+
+    # neighbor walk: keep moving toward a side that fails, turn-around
+    # means both sides of an edge are good, a dead end isolates a component
+    cur, prev = comps[0], None
+    for _ in range(len(comps) + 1):
+        nxt = None
+        for nb, i in curve.adjacency()[cur]:
+            side = curve.side_of(i, cur)
+            if dmax_of(side)[0] + sum(witness[v] for v in side) >= 0:
+                nxt = nb
+                break
+        if nxt is None:
+            return _case_vanishing(bundle, cur, bumps[cur], dmax_of)
+        if nxt == prev:
+            # both sides of edge i admit sections at every degree-0 twist
+            e = curve.edges[i]
+            return _join(bundle, [curve.side_of(i, e.a), curve.side_of(i, e.b)],
+                         (i,), dmax_of)
+        prev, cur = cur, nxt
+    raise AssertionError("neighbor walk failed to settle")
+
+
+def _bridgeless(bundle, d):
+    """Degree-d line subbundle with no curve surgery, if one exists.
+
+    Any such subbundle sits under the per-component summand maxima, so
+    every multidegree a with sum d in that box is tried: a section of the
+    bundle co-twisted by a that is nonzero on every component must then be
+    nowhere vanishing (a saturation gain would beat dmax), and saturating
+    it yields the plan.
+
+    Only the max-support combination of each basis is tried. Over Q, or
+    GF(p) with p > n + 1, each `_combine_support` step keeps the union of
+    its two supports (each component rules out at most one scalar), so a
+    section nonzero on every component exists iff that one is. Over a
+    smaller field `_cut_assembly`, which is complete, finds the plan.
+    """
+    curve = bundle.curve
+    comps = curve.components
+    system = SectionSystem(bundle)
+    maxm = {v: max(bundle.splittings[v]) for v in comps}
+    slack_total = sum(maxm.values()) - d
+    zeros = dict.fromkeys(comps, 0)
+    for slack in level_box(comps, zeros, None, slack_total):
+        a = {v: maxm[v] - slack[v] for v in comps}
+        feasible = True
+        for v in comps:
+            active = [m for m in bundle.splittings[v] if m >= a[v]]
+            if len(active) == 1 and active[0] > a[v]:
+                # a lone coordinate of positive degree always has a zero
+                feasible = False
+                break
+        if not feasible:
+            continue
+        co = {v: -a[v] for v in comps}
+        if system.count(co) == 0:
+            continue
+        twisted = twist(bundle, co)
+        basis, den = section_basis(twisted)
+        sec = _max_support_section(bundle.field, curve, basis)
+        if len(_nonzero_components(curve, sec)) != len(comps):
+            continue
+        try:
+            plan = _saturation_plan(twisted, co, sec, den)
+        except SubbundleError:
+            continue
+        assert plan.total() == d, "surgery-free subbundle beat the maximum"
+        return plan
+    return None
+
+
+def _cut_assembly(bundle, d, dmax_of):
+    """Bridge a subset of edges and solve the blocks independently.
+
+    Complete: a maximal subbundle with bridges at edge set B restricts to
+    each block with exactly the block's own maximal degree (anything less
+    is beaten by reassembling the blocks' maxima, anything more beats
+    dmax), so scanning subsets by size and checking the degree ledger
+    finds a workable B whenever one exists.
+    """
+    curve = bundle.curve
+    n_edges = len(curve.edges)
+    for k in range(1, n_edges + 1):
+        for cut in itertools.combinations(range(n_edges), k):
+            blocks = curve.pieces(curve.components, cut)
+            if sum(dmax_of(b)[0] for b in blocks) - k != d:
+                continue
+            plan = _join(bundle, blocks, cut, dmax_of)
+            assert plan.total() == d, "cut assembly missed the maximal degree"
+            return plan
+    return None
+
+
+def _case_vanishing(bundle, z, bump, dmax_of):
+    """No side around z qualifies: the bump loop's (w_eff, bumped, basis,
+    den) for z has a section, and its vanishing components split off as
+    independently solved subtrees. Returns None when the section's shape
+    does not support the surgery."""
+    curve = bundle.curve
+    w_eff, bumped, basis, den = bump
+    assert basis, "bumped bundle lost its guaranteed section"
+    # the first basis element nonzero on the most components
+    sec = max(basis, key=lambda s: len(_nonzero_components(curve, s)))
+    alive = _nonzero_components(curve, sec)
+    assert z in alive, "section vanished where it was forced not to"
+    dead = [v for v in curve.components if v not in alive]
+    if not dead:
+        try:
+            return _saturation_plan(bumped, w_eff, sec, den)
+        except SubbundleError:
+            return None
+
+    # one crossing edge per dead part, i.e. the rest stays connected
+    joins = []
+    for part in curve.pieces(dead):
+        crossing = [i for i, e in enumerate(curve.edges)
+                    if (e.a in part) != (e.b in part)]
+        if len(crossing) != 1:
+            return None
+        joins.append((part, crossing[0]))
+
+    host = restrict_bundle(bumped, alive)
+    try:
+        plan = _saturation_plan(host, w_eff, sec, den)
+    except SubbundleError:
+        return None
+    plan = _merge_plans(plan, *[_search(restrict_bundle(bundle, part), dmax_of)
+                                for part, _ in joins])
+    for _, i in joins:
+        _junction(bundle, i, plan)
+    return plan
+
+
+def find_line_subbundle(bundle: GluedBundle):
+    """A line subbundle of maximal total degree, after inserting bridges.
+
+    Returns (enlargement, subbundle); the subbundle lives in the pullback of
+    the bundle along the enlargement and its degree is dmax(bundle), with
+    every inserted bridge carrying degree -1.
+    """
+    plan = _search(bundle, _restricted_dmax(bundle))
+    enl = identity_enlargement(bundle.curve)
+    grown = bundle.curve
+    degrees, coords = dict(plan.degrees), dict(plan.coords)
+    for (a, b, (u0, sa), (u1, sb)) in plan.bridges:
+        i = grown.edge_between(a, b)
+        assert i is not None, "junction edge disappeared during surgery"
+        grown, step = insert_bridge(grown, i)
+        bid = next(iter(step.contracted))
+        enl = compose_enlargements(enl, step)
+        # u0 / sa + (u1 / sb - u0 / sa) x, over sa sb
+        degrees[bid] = -1
+        coords[bid] = _lowest([[x * sb, y * sa - x * sb] for x, y in zip(u0, u1)],
+                              sa * sb, bundle.field.char)
+    host = bundle if not plan.bridges else pullback(bundle, enl)
+    scalars = {}
+    for i, e in enumerate(grown.edges):
+        if (e.a, e.b) in plan.scalars:
+            scalars[i] = plan.scalars[(e.a, e.b)]
+        elif e.a not in plan.degrees or e.b not in plan.degrees:  # a bridge
+            scalars[i] = bundle.field.one
+    return enl, LineSubbundle.of_integers(host, degrees, coords,
+                                          scalars).validate()

@@ -10,7 +10,8 @@ They work on Fraction or FpElement entries directly, dividing each pivot
 row by its pivot, so they share no code with the fraction-free routes.
 `dmax_by_levels` is the exception: the level-by-level climb that
 `treebundles.bundle.dmax` replaced, each level walked by a fresh
-`SectionSystem.first_failure`, so that nothing is remembered between levels.
+`SectionSystem.first_failure` given no `below`, so that no walk skips a
+twist by what another level found.
 """
 from treebundles.bundle import GluedBundle, SectionSystem, vanishing_floor
 

@@ -324,7 +324,8 @@ def test_the_singular_check_reads_the_determinant_up_to_2x2(name, matrix, ok):
            "rank": r, "splittings": {v: list(d) for v, d in spl.items()},
            "gluings": [{"edge": 0, "matrix": [[str(x) for x in row]
                                               for row in matrix]}]}
-    assert linalg.is_invertible(rows, fld.char) == ok
+    ints = linalg.cleared(rows, fld.char)[0]
+    assert linalg.invertible(ints, fld.char) == ok
     if ok:
         assert make_bundle(curve, spl, {0: rows}) == bundle_from_json(obj, fld)
     else:
@@ -572,9 +573,9 @@ def test_dmax_walks_no_level_it_settles_along_the_chain(monkeypatch):
     walked = []
     first_failure = SectionSystem.first_failure
 
-    def walking(self, e, need):
+    def walking(self, e, need, below=None):
         walked.append(e)
-        return first_failure(self, e, need)
+        return first_failure(self, e, need, below)
 
     settled = 0
     for bundle in dmax_corpus(40, 200, (None, PrimeField(7))):
@@ -595,16 +596,15 @@ def test_dmax_walks_no_level_it_settles_along_the_chain(monkeypatch):
     assert settled > 100
 
 
-def dmax_skips(monkeypatch, bundle):
-    """(dmax, {level: skipped}) for each level dmax walks: the twists of
-    its ceiling box up to its first failure (all, when it has none) whose
-    floor is 0 and that the walk took no count of."""
+def dmax_walks(monkeypatch, bundle):
+    """(dmax, walks): per level dmax walks, in order, (system, level, first
+    failure, the twists counted)."""
     walks, probes = [], []
     first_failure, count = SectionSystem.first_failure, SectionSystem.count
 
-    def walking(self, e, need):
+    def walking(self, e, need, below=None):
         start = len(probes)
-        found = first_failure(self, e, need)
+        found = first_failure(self, e, need, below)
         walks.append((self, e, found, probes[start:]))
         return found
 
@@ -616,6 +616,14 @@ def dmax_skips(monkeypatch, bundle):
         m.setattr(SectionSystem, "first_failure", walking)
         m.setattr(SectionSystem, "count", counting)
         d, _ = dmax(bundle)
+    return d, walks
+
+
+def dmax_skips(monkeypatch, bundle):
+    """(dmax, {level: skipped}) for each level dmax walks: the twists of
+    its ceiling box up to its first failure (all, when it has none) whose
+    floor is 0 and that the walk took no count of."""
+    d, walks = dmax_walks(monkeypatch, bundle)
     skips = {}
     for system, e, found, counted in walks:
         hi = {v: system.lo[v] + system.val[v] for v in system.lo}
@@ -683,6 +691,37 @@ def test_every_skipped_twist_has_a_section(monkeypatch):
             for md in mds:
                 assert h0_oracle(twist(bundle, md)) > 0
     assert skipped > 20
+
+
+def test_a_fresh_walk_given_the_failure_below_repeats_dmax(monkeypatch):
+    # a walk reads what the level below proved only from `below`: a fresh
+    # system given dmax's failure at level e - 1 counts the same twists at
+    # level e, in the same order, and finds the same failure as dmax's own
+    # climb, whose system walked e - 1 itself; the first level climbed is
+    # given none. Given none, a fresh walk counts more on some levels
+    count = SectionSystem.count
+
+    def fresh_walk(bundle, e, below):
+        probes = []
+        with monkeypatch.context() as m:
+            m.setattr(SectionSystem, "count", lambda self, md:
+                      probes.append(dict(md)) or count(self, md))
+            found = SectionSystem(bundle).first_failure(e, 1, below)
+        return found, probes
+
+    fields = (None, PrimeField(7), PrimeField(1000003))
+    given = skipping = 0
+    for bundle in dmax_corpus(44, 300, fields, most=6):
+        _, walks = dmax_walks(monkeypatch, bundle)
+        below = None
+        for k, (_, e, found, counted) in enumerate(walks):
+            assert k == 0 or e == walks[k - 1][1] + 1
+            assert fresh_walk(bundle, e, below) == (found, counted)
+            if below is not None:
+                given += 1
+                skipping += len(fresh_walk(bundle, e, None)[1]) > len(counted)
+            below = None if found is None else tuple(found[0].values())
+    assert given > 100 and skipping > 50
 
 
 # -- sections ------------------------------------------------------------------
@@ -830,27 +869,15 @@ def test_section_system_floors_bound_h0_from_below():
                 system.count(md) for md in clamp_box(bundle, e))
 
 
-class RecordReads(dict):
-    """A system's need-1 records, logging the levels whose record is read."""
-
-    def __init__(self):
-        super().__init__()
-        self.read = []
-
-    def get(self, level, default=None):
-        self.read.append(level)
-        return super().get(level, default)
-
-
 def test_first_failure_against_the_uncapped_clamp_box():
     # the first twist of a level with fewer than `need` sections, and its
     # count, for every need 1..r + 1, against a scan of the uncapped clamp
     # box with h0 from the oracle; twisted degrees stay <= 6 for the oracle
     # mod 7, since a level `spare` above sum(lo) reaches degree spare - 1.
     # For each order of the queries (levels ascending, descending, or
-    # shuffled with the needs mixed) one system answers them all, so a
-    # need-1 walk finds the record of the level below present or absent;
-    # only that record, and only at need 1, is read
+    # shuffled with the needs mixed) one system answers them all, each
+    # query once with no `below` and once with the level below's first
+    # failure, which a need-1 walk skips by and a need > 1 walk ignores
     rng = random.Random(37)
     order = random.Random(137)
     fields = (None, PrimeField(7), PrimeField(1000003))
@@ -870,11 +897,11 @@ def test_first_failure_against_the_uncapped_clamp_box():
         order.shuffle(shuffled)
         for queries in (list(want), list(reversed(want)), shuffled):
             system = SectionSystem(bundle)
-            system._failures = records = RecordReads()
             for e, need in queries:
-                records.read.clear()
+                found = want.get((e - 1, 1))
+                below = None if found is None else tuple(found[0].values())
                 assert system.first_failure(e, need) == want[e, need]
-                assert records.read == ([e - 1] if need == 1 else [])
+                assert system.first_failure(e, need, below) == want[e, need]
 
 
 def test_section_system_floor_counts_sections_vanishing_at_every_node():

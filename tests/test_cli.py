@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import treebundles
-from treebundles import specialize
+from treebundles import subbundles
 from treebundles.bundle import dmax
 from treebundles.cli import main
 from treebundles.fields import field_from_name
@@ -1056,11 +1056,11 @@ def test_certify_stdout_digest_past_the_walk(tmp_path, capsys, monkeypatch):
     # assembly (one seeded bundle), and the digest pins certify's bytes there
     answered = dict.fromkeys(("_bridgeless", "_cut_assembly"), 0)
     for name in answered:
-        def counted(*args, _assembly=getattr(specialize, name), _name=name):
+        def counted(*args, _assembly=getattr(subbundles, name), _name=name):
             plan = _assembly(*args)
             answered[_name] += plan is not None
             return plan
-        monkeypatch.setattr(specialize, name, counted)
+        monkeypatch.setattr(subbundles, name, counted)
     bundles = [regression_bundle(), build_swap()]
     rng = random.Random(385)
     for name in ("q", "p:1000003"):

@@ -23,12 +23,12 @@ from treebundles.serialize import (bundle_from_json, bundle_to_json,
 from treebundles.specialize import (Certificate, Decision, DominanceStep,
                                     EnlargementStep, FailureWitness,
                                     MismatchError, RankOneBase, SplitOffStep,
-                                    _bridgeless, _cut_assembly,
-                                    _max_support_section, _nonzero_components,
-                                    _restricted_dmax, certify, decide,
-                                    find_line_subbundle, verify_certificate)
+                                    certify, decide, verify_certificate)
 from treebundles.splitting import SplittingType, specializes_p1
-from treebundles.subbundles import LineSubbundle, saturate
+from treebundles.subbundles import (LineSubbundle, _bridgeless, _cut_assembly,
+                                    _max_support_section, _nonzero_components,
+                                    _restricted_dmax, find_line_subbundle,
+                                    saturate)
 
 from conftest import (build_chain, build_ex, build_swap, field_sections,
                       regression_bundle)
@@ -469,6 +469,22 @@ def test_bridgeless_builds_one_section_system(monkeypatch):
                        {"v1": -2, "v2": 1, "v3": -2}]
 
 
+def test_the_subbundle_search_lives_beside_the_form_it_builds():
+    # the search and the integer helpers it shares with saturation are
+    # `subbundles`'; `specialize` binds only the entry point certify calls
+    search = ("_Plan", "_merge_plans", "_nonzero_components",
+              "_combine_support", "_max_support_section", "_restricted_dmax",
+              "_join", "_junction", "_saturation_plan", "_search",
+              "_walk_candidate", "_bridgeless", "_cut_assembly",
+              "_case_vanishing")
+    assert specialize.find_line_subbundle is subbundles.find_line_subbundle
+    for name in search:
+        assert hasattr(subbundles, name), name
+    for name in search + ("_direction_scalar", "_lowest", "_node_fibres",
+                          "_saturate"):
+        assert not hasattr(specialize, name), name
+
+
 def test_max_support_section_reaches_where_the_first_basis_vector_does_not():
     # on the example bundle the first basis vector lives on v1 alone, and
     # the max-support combination is nonzero on both components
@@ -487,7 +503,7 @@ def test_bridgeless_passes_a_slack_only_where_no_section_has_full_support(
     # basis' supports, so a slack it passes over has no section nonzero on
     # every component; certify then verify accepts on the same bundles
     picks = []
-    pick = specialize._max_support_section
+    pick = subbundles._max_support_section
 
     def recording(field, curve, basis):
         sec = pick(field, curve, basis)
@@ -496,7 +512,7 @@ def test_bridgeless_passes_a_slack_only_where_no_section_has_full_support(
                       len(curve.components)))
         return sec
 
-    monkeypatch.setattr(specialize, "_max_support_section", recording)
+    monkeypatch.setattr(subbundles, "_max_support_section", recording)
     rng = random.Random(59)
     for field, most in ((None, 5), (PrimeField(7), 5), (PrimeField(5), 3)):
         for _ in range(10):
@@ -591,8 +607,9 @@ def test_certify_ex_golden(ex_bundle):
 
 def _watch_clearings(monkeypatch):
     """(seen, pulls): the rows of every `cleared` call, in any module that
-    binds it, and every pullback made through `specialize` or `serialize`,
-    as (target, enlargement, pulled bundle, len(seen) when it returned)."""
+    binds it, and every pullback made through `specialize`, `subbundles` or
+    `serialize`, as (target, enlargement, pulled bundle, len(seen) when it
+    returned)."""
     seen, pulls = [], []
     cleared, pull = linalg.cleared, bundle_module.pullback
 
@@ -608,7 +625,7 @@ def _watch_clearings(monkeypatch):
     for module in (linalg, bundle_module, subbundles, specialize):
         if hasattr(module, "cleared"):
             monkeypatch.setattr(module, "cleared", watched)
-    for module in (specialize, serialize):
+    for module in (specialize, subbundles, serialize):
         monkeypatch.setattr(module, "pullback", pulled)
     return seen, pulls
 
@@ -786,7 +803,7 @@ def test_verify_takes_no_dmax(monkeypatch):
         certs.append(certify(bundle, balanced_splitting(bundle.rank,
                                                         bundle.degree())))
     calls = []
-    for module in (bundle_module, specialize):
+    for module in (bundle_module, subbundles):
         monkeypatch.setattr(module, "dmax",
                             lambda b: calls.append(b) or dmax(b))
     splitoffs = 0
