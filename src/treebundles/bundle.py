@@ -13,19 +13,23 @@ kept on the frozen curve or enlargement (`problems`), so each is checked once.
 Global sections are the kernel of one exact block linear system: a summand
 of twisted degree m contributes a block of polynomial coefficients, and each
 node contributes rank-many matching equations (a-side values through the
-gluing equal b-side values): integer rows, which `_edge_rows` builds from
-the gluings the bundle carries in integers (`integer_gluings`).
-`section_basis` keeps all max(0, m+1) coefficients of every block, as
-the kernel gives them: integer vectors over one den. For
-counting, one system per bundle serves every twist (`SectionSystem`): every
-block sits at degree val(v) - 1, where val(v) counts the nodes on the
-component, and a twist selects a prefix of each block's columns. A twist's
-h0 is sum(max(0, m+1)) minus the rank of its selection, memoised by the
-clamped block degrees, so its cost does not depend on the twist. That rank
-is one block elimination: the full blocks (degree val(v) - 1), in values at
-the nodes, touch one node's rows each, so each node contributes r minus the
-dimension of the row vectors that kill them, and only the partial blocks'
-columns, reduced by those vectors, are eliminated (Bareiss over Q, mod p
+gluing equal b-side values). One row builder writes that system for every
+use: `_edge_rows` turns a node's gluing, as the bundle carries it in
+integers (`integer_gluings`), and its two points into integer rows, and
+`_node_rows` takes the rows y (G_i P_a | P_b) of that node for given row
+vectors y and blocks. `section_basis` takes every block whole, all
+max(0, m+1) coefficients, with y the unit vectors, so its rows are the
+matching equations themselves, and keeps the kernel as it comes: integer
+vectors over one den. For counting, one system per bundle serves every
+twist (`SectionSystem`): every block sits at degree val(v) - 1, where
+val(v) counts the nodes on the component, and a twist selects a prefix of
+each block's columns. A twist's h0 is sum(max(0, m+1)) minus the rank of
+its selection, memoised by the clamped block degrees, so its cost does not
+depend on the twist. That rank is one block elimination: the full blocks
+(degree val(v) - 1), in values at the nodes, touch one node's rows each, so
+each node contributes r minus the dimension of the row vectors that kill
+them, and only the partial blocks' columns, reduced by those vectors (the
+same builder, with y among them), are eliminated (Bareiss over Q, mod p
 over GF(p)); a state with no partial block takes no elimination. The same
 object bounds those counts from below with no rank at all (T - R, which is
 the count at every all-full twist), and holds the vanishing floors and the
@@ -253,19 +257,6 @@ def contract_pushforward(bundle: GluedBundle, enl) -> GluedBundle:
 
 # -- the section linear system ---------------------------------------------
 
-def _column_layout(splittings):
-    """{(component, summand): (block degree, first column)} and the width,
-    for per-component summand degrees; negative degrees get no block."""
-    blocks = {}
-    ncols = 0
-    for v, ds in splittings.items():
-        for i, m in enumerate(ds):
-            if m >= 0:
-                blocks[(v, i)] = (m, ncols)
-                ncols += m + 1
-    return blocks, ncols
-
-
 def _edge_rows(bundle: GluedBundle, i, ka, kb):
     """(glue, ua, ub) for edge i: its integer gluing (`integer_gluings`,
     over den) and the powers at its a- and b-end node up to degrees K = ka
@@ -290,31 +281,29 @@ def _edge_rows(bundle: GluedBundle, i, ka, kb):
     return glue, [u * sa for u in ua], [u * sb for u in ub]
 
 
-def _matching_rows(bundle: GluedBundle, ncols, blocks):
-    """Integer rows, one per (edge, summand): gluing * a-side values equals
-    b-side values, from `_edge_rows` at each side's largest block degree.
-    Edges whose rows would be all zero contribute none."""
-    top = {}
-    for (v, _), (m, _) in blocks.items():
-        if m > top.get(v, -1):
-            top[v] = m
+def _node_rows(edge, ys, a_blocks, b_blocks, ncols):
+    """The rows y (G_i P_a | P_b) of one edge for the given y's and blocks:
+    `edge` is (glue, ua, ub) from `_edge_rows`, each y a sparse vector
+    ((k, y_k), ...) over the b-end summands, and `a_blocks` and `b_blocks`
+    map each a- and b-end summand whose block is taken to (first column,
+    degree), the block taking its first degree + 1 columns. A block of
+    a-end summand j meets y through y G_i[:, j], a block of b-end summand
+    k through y_k. Zero rows are dropped; they change no kernel or rank.
+    """
+    glue, ua, ub = edge
     rows = []
-    for ei, e in enumerate(bundle.curve.edges):
-        ka, kb = top.get(e.a, -1), top.get(e.b, -1)
-        if ka < 0 and kb < 0:
-            continue
-        glue, ua, ub = _edge_rows(bundle, ei, ka, kb)
-        a_blocks = [blocks.get((e.a, j)) for j in range(bundle.rank)]
-        for out, grow in enumerate(glue):
-            row = [0] * ncols
-            for c, blk in zip(grow, a_blocks):
-                if blk and c:
-                    deg, start = blk
-                    row[start:start + deg + 1] = [c * u for u in ua[:deg + 1]]
-            blk = blocks.get((e.b, out))
-            if blk:
-                deg, start = blk
-                row[start:start + deg + 1] = ub[:deg + 1]
+    for y in ys:
+        row = [0] * ncols
+        for j, (start, m) in a_blocks.items():
+            c = sum(yk * glue[k][j] for k, yk in y)
+            if c:
+                row[start:start + m + 1] = [c * u for u in ua[:m + 1]]
+        for k, yk in y:
+            blk = b_blocks.get(k)
+            if blk is not None:
+                start, m = blk
+                row[start:start + m + 1] = [yk * u for u in ub[:m + 1]]
+        if any(row):
             rows.append(row)
     return rows
 
@@ -354,7 +343,9 @@ class SectionSystem:
       and Y = diag(Y_i) maps exactly those columns to zero. So
       rank = sum_i (r - |Y_i|) + rank(stack_i Y_i P_i), where P_i holds
       node i's rows of the partial blocks' coefficient columns only
-      (clamped degree + 1 each), as `_edge_rows` builds them at the caps.
+      (clamped degree + 1 each). `_node_rows` builds Y_i P_i from Y_i, the
+      partial blocks and `_edge_rows` at the caps: the one row builder
+      `section_basis` calls with every block whole and y = e_k.
     With no partial block P has no columns and the rank is the sum over the
     nodes, with no elimination: |F_b| + rank G_i[E_b, F_a], a submatrix of
     the invertible gluing. A leaf has cap 0 and is never partial, so every
@@ -439,14 +430,23 @@ class SectionSystem:
         for i, (a, b) in enumerate(self._ends):
             tb = caps[b]
             rest = tuple([k for k in range(r) if state[b + k] < tb])
-            if rest:
-                ta = caps[a]
-                full = tuple([j for j in range(r) if state[a + j] == ta])
-                ys = self._kernel(i, full, rest)
-                total -= len(ys)
-                if ys and starts:
-                    rows += self._reduced_rows(i, ys, state, starts, a, b,
-                                               ncols)
+            if not rest:
+                continue
+            ta = caps[a]
+            full = tuple([j for j in range(r) if state[a + j] == ta])
+            ys = self._kernel(i, full, rest)
+            total -= len(ys)
+            if not (ys and starts):
+                continue
+            # P_i: the partial blocks of both ends, `_edge_rows` at the caps
+            a_side = {j: (starts[a + j], state[a + j]) for j in range(r)
+                      if a + j in starts}
+            b_side = {k: (starts[b + k], state[b + k]) for k in rest
+                      if b + k in starts}
+            if a_side or b_side:
+                if i not in self._edges:
+                    self._edges[i] = _edge_rows(self.bundle, i, ta, tb)
+                rows += _node_rows(self._edges[i], ys, a_side, b_side, ncols)
         if rows:
             total += rank(rows, ncols, self.bundle.field.char)
         return total
@@ -469,34 +469,6 @@ class SectionSystem:
                            for vec in vecs)
             self._kernels[key] = ys
         return ys
-
-    def _reduced_rows(self, i, ys, state, starts, a, b, ncols):
-        # y P_i for y in Y_i: each partial block of the a-end meets y
-        # through y G_i[:, j], each partial block of the b-end through y_k
-        r = self.bundle.rank
-        a_side = [(j, starts[a + j], state[a + j]) for j in range(r)
-                  if a + j in starts]
-        if not a_side and not any(b + k in starts for k in range(r)):
-            return []
-        if i not in self._edges:
-            self._edges[i] = _edge_rows(self.bundle, i, self._caps[a],
-                                        self._caps[b])
-        glue, ua, ub = self._edges[i]
-        rows = []
-        for y in ys:
-            row = [0] * ncols
-            for j, start, m in a_side:
-                c = sum(yk * glue[k][j] for k, yk in y)
-                if c:
-                    row[start:start + m + 1] = [c * u for u in ua[:m + 1]]
-            for k, yk in y:
-                start = starts.get(b + k)
-                if start is not None:
-                    m = state[b + k]
-                    row[start:start + m + 1] = [yk * u for u in ub[:m + 1]]
-            if any(row):
-                rows.append(row)
-        return rows
 
     def floor(self, md):
         """max(T - R, V) at the twist md, at most its h0."""
@@ -643,20 +615,36 @@ def h1(bundle: GluedBundle) -> int:
 def section_basis(bundle: GluedBundle):
     """(sections, den): a basis of the global sections, one per free column
     of the section system, each per component and summand trimmed integer
-    lists over the kernel's den (residues in [0, p) over 1 over GF(p))."""
-    blocks, ncols = _column_layout(bundle.splittings)
-    rows = _matching_rows(bundle, ncols, blocks)
+    lists over the kernel's den (residues in [0, p) over 1 over GF(p)).
+    The system is `SectionSystem`'s with every block whole, at its twisted
+    degree, and y = e_k for every b-end summand k: the matching equations
+    themselves, from `_node_rows` with `_edge_rows` at each end's largest
+    degree."""
+    spl = bundle.splittings
+    blocks = {}  # component -> {summand: (first column, degree)}
+    ncols = 0
+    for v, ds in spl.items():
+        blocks[v] = {}
+        for i, m in enumerate(ds):
+            if m >= 0:
+                blocks[v][i] = ncols, m
+                ncols += m + 1
+    units = [((k, 1),) for k in range(bundle.rank)]
+    rows = []
+    for i, e in enumerate(bundle.curve.edges):
+        edge = _edge_rows(bundle, i, max(spl[e.a]), max(spl[e.b]))
+        rows += _node_rows(edge, units, blocks[e.a], blocks[e.b], ncols)
     vecs, den = integer_kernel(rows, ncols, bundle.field.char)
     sections = []
     for vec in vecs:
         sec = {}
         for v in bundle.curve.components:
             polys = []
-            for i, m in enumerate(bundle.splittings[v]):
+            for i, m in enumerate(spl[v]):
                 if m < 0:
                     polys.append([])
                 else:
-                    _, start = blocks[(v, i)]
+                    start, _ = blocks[v][i]
                     polys.append(poly.trim(vec[start:start + m + 1]))
             sec[v] = polys
         sections.append(sec)

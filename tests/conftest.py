@@ -14,6 +14,8 @@ from treebundles.curve import Edge, TreeCurve
 from treebundles.linalg import element
 from treebundles.subbundles import _kernel_generators
 
+from reference_linalg import invert_matrix
+
 
 def build_ex():
     curve = TreeCurve(("v1", "v2"), (Edge("v1", F(0), "v2", F(0)),))
@@ -51,6 +53,30 @@ def regression_bundle():
     return make_bundle(curve,
                        {"v1": (-1, -1, 2), "v2": (-2, 1, -2), "v3": (-2, 0, 2)},
                        {0: g0, 1: g1})
+
+
+def non_integral(rng, bundle):
+    """The same tree shape and splittings with every chart moved by an
+    affine change x -> (x + t)/s, s not dividing t, and every gluing
+    replaced by its inverse. Over q, node coordinates on both sides of a
+    node and gluing entries then leave the integers."""
+    fld = bundle.field
+    chart = {}
+    for v in bundle.curve.components:
+        s = rng.randint(2, 7)
+        t = s * rng.randint(-2, 2) + rng.randint(1, s - 1)
+        chart[v] = (fld.of(s), fld.of(t))
+
+    def move(v, x):
+        s, t = chart[v]
+        return (x + t) / s
+
+    edges = tuple(Edge(e.a, move(e.a, e.pa), e.b, move(e.b, e.pb))
+                  for e in bundle.curve.edges)
+    gluings = {i: invert_matrix([row[:] for row in m], fld.zero, fld.one)
+               for i, m in bundle.gluings.items()}
+    return make_bundle(TreeCurve(bundle.curve.components, edges, fld),
+                       bundle.splittings, gluings)
 
 
 def field_sections(bundle):

@@ -8,12 +8,17 @@ products build the tests' inputs.
 
 They work on Fraction or FpElement entries directly, dividing each pivot
 row by its pivot, so they share no code with the fraction-free routes.
-`dmax_by_levels` is the exception: the level-by-level climb that
-`treebundles.bundle.dmax` replaced, each level walked by a fresh
-`SectionSystem.first_failure` given no `below`, so that no walk skips a
-twist by what another level found.
+Two integer references are the exceptions. `dmax_by_levels` is the
+level-by-level climb that `treebundles.bundle.dmax` replaced, each level
+walked by a fresh `SectionSystem.first_failure` given no `below`, so that
+no walk skips a twist by what another level found. `_column_layout` and
+`_matching_rows` write the integer matching system, one row per edge and
+b-end summand on every block whole, apart from the one row builder
+(`bundle._node_rows`) that both `SectionSystem` and `section_basis` use;
+they share only `bundle._edge_rows`.
 """
-from treebundles.bundle import GluedBundle, SectionSystem, vanishing_floor
+from treebundles.bundle import (GluedBundle, SectionSystem, _edge_rows,
+                                vanishing_floor)
 
 
 def rref(rows, ncols):
@@ -345,3 +350,47 @@ def dmax_by_levels(bundle):
         if found is None:
             return -e, witness
         witness = found[0]
+
+
+# -- the integer matching system ------------------------------------------------
+
+def _column_layout(splittings):
+    """{(component, summand): (block degree, first column)} and the width,
+    for per-component summand degrees; negative degrees get no block."""
+    blocks = {}
+    ncols = 0
+    for v, ds in splittings.items():
+        for i, m in enumerate(ds):
+            if m >= 0:
+                blocks[(v, i)] = (m, ncols)
+                ncols += m + 1
+    return blocks, ncols
+
+
+def _matching_rows(bundle: GluedBundle, ncols, blocks):
+    """Integer rows, one per (edge, summand): gluing * a-side values equals
+    b-side values, from `_edge_rows` at each side's largest block degree.
+    Edges whose rows would be all zero contribute none."""
+    top = {}
+    for (v, _), (m, _) in blocks.items():
+        if m > top.get(v, -1):
+            top[v] = m
+    rows = []
+    for ei, e in enumerate(bundle.curve.edges):
+        ka, kb = top.get(e.a, -1), top.get(e.b, -1)
+        if ka < 0 and kb < 0:
+            continue
+        glue, ua, ub = _edge_rows(bundle, ei, ka, kb)
+        a_blocks = [blocks.get((e.a, j)) for j in range(bundle.rank)]
+        for out, grow in enumerate(glue):
+            row = [0] * ncols
+            for c, blk in zip(grow, a_blocks):
+                if blk and c:
+                    deg, start = blk
+                    row[start:start + deg + 1] = [c * u for u in ua[:deg + 1]]
+            blk = blocks.get((e.b, out))
+            if blk:
+                deg, start = blk
+                row[start:start + deg + 1] = ub[:deg + 1]
+            rows.append(row)
+    return rows

@@ -8,20 +8,21 @@ import pytest
 
 from treebundles import linalg, poly
 from treebundles.bundle import (BundleError, GluedBundle, SectionSystem,
-                                _column_layout, _matching_rows, clamp_box,
-                                clamp_multidegree, contract_pushforward, dmax,
-                                h0, h0_oracle, h1, level_box, make_bundle,
-                                pullback, restrict_bundle, section_basis,
-                                twist, vanishing_floor)
+                                clamp_box, clamp_multidegree,
+                                contract_pushforward, dmax, h0, h0_oracle, h1,
+                                level_box, make_bundle, pullback,
+                                restrict_bundle, section_basis, twist,
+                                vanishing_floor)
 from treebundles.curve import Edge, TreeCurve, insert_bridge, md_total
 from treebundles.fields import PrimeField, RationalField
 from treebundles.sampling import (random_bundle, random_invertible,
                                   random_multidegree, random_tree)
 from treebundles.serialize import bundle_from_json, bundle_to_json
 
-from conftest import build_chain, build_ex, field_sections
-from reference_linalg import (dmax_by_levels, evaluate, invert_matrix, mat_vec,
-                              matrix_rank)
+from conftest import build_chain, build_ex, field_sections, non_integral
+from reference_linalg import (_column_layout, _matching_rows, dmax_by_levels,
+                              evaluate, invert_matrix, mat_vec, matrix_rank,
+                              rref)
 
 I2 = [[F(1), F(0)], [F(0), F(1)]]
 QQ = RationalField()
@@ -746,6 +747,62 @@ def test_section_basis_respects_degree_bounds(ex_bundle):
                 assert poly.degree(sec[v][k]) <= m
 
 
+def test_one_row_builder_serves_counts_and_section_bases(monkeypatch):
+    # the matching system is written once: `bundle` keeps no second row
+    # builder, and a count on a state with a partial block (h0 is the
+    # count at the zero twist) and a section basis both build their rows
+    # with `_node_rows`
+    from treebundles import bundle as bundle_module
+    assert not hasattr(bundle_module, "_matching_rows")
+    assert not hasattr(bundle_module, "_column_layout")
+    calls = []
+    build = bundle_module._node_rows
+    monkeypatch.setattr(bundle_module, "_node_rows",
+                        lambda *args: calls.append(args) or build(*args))
+    # v2 meets both nodes, so its cap is 1 and its degree-0 block partial
+    bundle = build_chain(["v1", "v2", "v3"],
+                         {"v1": (-1,), "v2": (0,), "v3": (-1,)},
+                         {0: [[F(1)]], 1: [[F(1)]]})
+    assert h0(bundle) == 0
+    assert calls
+    calls.clear()
+    assert section_basis(bundle)[0] == []
+    assert calls
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(7), PrimeField(1000003)],
+                         ids=lambda f: f.name)
+def test_section_basis_is_the_canonical_kernel_of_the_matching_system(fld):
+    # against the matching system built apart (`_matching_rows`, every
+    # block whole, one row per edge and b-end summand), reduced over field
+    # elements: one basis vector per free column, 1 there and minus the
+    # reduced rows' entries at the pivots. That is the exact basis, not
+    # just its span, that the subbundle search reads; rank 1-4, n <= 7,
+    # half the bundles over q non-integral
+    rng = random.Random(38 + fld.char % 1000)
+    for k in range(84):
+        curve = random_tree(rng, 1 + k % 7, fld)
+        bundle = random_bundle(rng, curve, 1 + (k // 7) % 4, lo=-3, hi=4)
+        if fld == QQ and k % 2:
+            bundle = non_integral(rng, bundle)
+        blocks, ncols = _column_layout(bundle.splittings)
+        red, pivots = rref([[fld.of(x) for x in row]
+                            for row in _matching_rows(bundle, ncols, blocks)],
+                           ncols)
+        want = []
+        for free in range(ncols):
+            if free in pivots:
+                continue
+            vec = [fld.zero] * ncols
+            vec[free] = fld.one
+            for row, c in zip(red, pivots):
+                vec[c] = -row[free]
+            want.append({v: [poly.trim(vec[blocks[(v, i)][1]:][:m + 1])
+                             if m >= 0 else [] for i, m in enumerate(ds)]
+                         for v, ds in bundle.splittings.items()})
+        assert field_sections(bundle) == want
+
+
 # -- oracle agreement -----------------------------------------------------------
 
 def test_h0_oracle_refuses_degrees_at_or_above_p():
@@ -756,30 +813,6 @@ def test_h0_oracle_refuses_degrees_at_or_above_p():
     with pytest.raises(ValueError, match="degree 5 .* p = 5"):
         h0_oracle(bundle)
     assert h0_oracle(make_bundle(curve, {"v1": (4,)}, {})) == 5
-
-
-def non_integral(rng, bundle):
-    """The same tree shape and splittings with every chart moved by an
-    affine change x -> (x + t)/s, s not dividing t, and every gluing
-    replaced by its inverse. Over q, node coordinates on both sides of a
-    node and gluing entries then leave the integers."""
-    fld = bundle.field
-    chart = {}
-    for v in bundle.curve.components:
-        s = rng.randint(2, 7)
-        t = s * rng.randint(-2, 2) + rng.randint(1, s - 1)
-        chart[v] = (fld.of(s), fld.of(t))
-
-    def move(v, x):
-        s, t = chart[v]
-        return (x + t) / s
-
-    edges = tuple(Edge(e.a, move(e.a, e.pa), e.b, move(e.b, e.pb))
-                  for e in bundle.curve.edges)
-    gluings = {i: invert_matrix([row[:] for row in m], fld.zero, fld.one)
-               for i, m in bundle.gluings.items()}
-    return make_bundle(TreeCurve(bundle.curve.components, edges, fld),
-                       bundle.splittings, gluings)
 
 
 def assert_sections_agree(bundle):

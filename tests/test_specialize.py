@@ -308,6 +308,30 @@ def test_decide_settles_a_spread_level_without_ranks(monkeypatch):
     assert calls == []
 
 
+def test_decide_skips_a_level_whose_floor_meets_the_need(monkeypatch):
+    # level -1 needs h0(source(-1)) = 3 sections, and the least floor over
+    # its clamp box is 3, so `first_failure` settles it by `level_floor`
+    # alone; walked, it would read 6 floors and counts. Level -2 needs 1,
+    # and its ceiling box is empty (each coordinate at most lo_v + val(v)
+    # = -2), so decide reads no floor and no count at all
+    probes = _record_floor_probes(monkeypatch)
+    count = SectionSystem.count
+
+    def counting(self, md):
+        probes.append((self, dict(md)))
+        return count(self, md)
+
+    monkeypatch.setattr(SectionSystem, "count", counting)
+    curve = TreeCurve(("v1", "v2"), (Edge("v1", F(0), "v2", F(0)),))
+    glue = [[F(-3), F(-3), F(3)], [F(-1), F(0), F(1)], [F(-1), F(-2), F(0)]]
+    bundle = make_bundle(curve, {"v1": (2, -2, -1), "v2": (0, 1, 2)},
+                         {0: glue})
+    source = SplittingType((2, 1, -1))
+    assert source.h0(-1) == 3 == SectionSystem(bundle).level_floor(-1)
+    assert decide(bundle, source).yes
+    assert probes == []
+
+
 # -- maximal line subbundles ----------------------------------------------------
 
 def test_find_line_subbundle_ex_golden(ex_bundle):
