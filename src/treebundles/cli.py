@@ -196,6 +196,8 @@ def _cmd_oracle_check(args):
         raise InputError("oracle-check needs --field q or p:<prime> with prime >= 7")
     rng = random.Random(_parse_int(args.seed, "--seed"))
     cases = _parse_int(args.cases, "--cases")
+    if cases < 0:
+        raise InputError("--cases %d is negative" % cases)
     h0_bad, box_bad = [], []
     for _ in range(cases):
         curve = random_tree(rng, rng.randint(1, 4), args.field)

@@ -10,10 +10,9 @@ evaluation at nodes plain polynomial evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 
-from .fields import FpElement, PrimeField, RationalField
+from .fields import field_from_name
 
 
 class CurveError(ValueError):
@@ -34,7 +33,7 @@ class Edge:
 class TreeCurve:
     components: tuple
     edges: tuple
-    field: object = dc_field(default_factory=RationalField)
+    field: object = dc_field(default_factory=partial(field_from_name, "q"))
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
@@ -112,14 +111,6 @@ class TreeCurve:
         return self
 
 
-def _element_ok(x, fld):
-    if isinstance(fld, RationalField):
-        return isinstance(x, Fraction)
-    if isinstance(fld, PrimeField):
-        return isinstance(x, FpElement) and x.p == fld.p
-    return False
-
-
 def validate_tree(curve: TreeCurve):
     """Every violation found, as human-readable strings; empty means valid."""
     problems = []
@@ -132,13 +123,15 @@ def validate_tree(curve: TreeCurve):
         if not isinstance(v, str) or not v:
             problems.append("component id %r is not a nonempty string" % (v,))
     known = set(comps)
+    # a field that cannot say which elements it holds holds none
+    holds = getattr(curve.field, "holds", lambda x: False)
     for i, e in enumerate(curve.edges):
         if e.a not in known or e.b not in known:
             problems.append("edge %d references unknown component" % i)
         elif e.a == e.b:
             problems.append("edge %d joins component %r to itself" % (i, e.a))
         for x in (e.pa, e.pb):
-            if not _element_ok(x, curve.field):
+            if not holds(x):
                 problems.append("edge %d coordinate %r is not a %s element"
                                 % (i, x, curve.field.name))
     if problems:
@@ -153,16 +146,19 @@ def validate_tree(curve: TreeCurve):
             or len(curve._reach(adj, comps[0], adj, ())) != len(comps)):
         problems.append("curve is not connected")
     # distinct node coordinates on every chart, each chart's nodes in edge
-    # order; the pairs are walked only on a chart that has a repeat
+    # order, compared by (num, den), which within one field is equal
+    # exactly when the elements are; the pairs are walked only on a chart
+    # that has a repeat
     edges = curve.edges
     for v in comps:
         coords = [edges[i].pa if edges[i].a == v else edges[i].pb
                   for _, i in adj[v]]
-        if len(set(coords)) == len(coords):
+        keys = [x.as_integer_ratio() for x in coords]
+        if len(set(keys)) == len(keys):
             continue
         for i in range(len(coords)):
             for j in range(i + 1, len(coords)):
-                if coords[i] == coords[j]:
+                if keys[i] == keys[j]:
                     problems.append("two nodes of %r share coordinate %r" % (v, coords[i]))
     return problems
 

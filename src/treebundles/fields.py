@@ -2,17 +2,19 @@
 
 Everything downstream is written against plain operator arithmetic, so an
 element is either a fractions.Fraction or an FpElement; both support
-+, -, *, /, ==, bool() (nonzero test) and never lose exactness.
++, -, *, /, ==, bool() (nonzero test) and never lose exactness, and both
+read back alike: str() spells the element, as_integer_ratio() gives
+(num, den), lowest terms with den > 0 over Q, the residue over 1 over
+GF(p). So no reader asks which field an element came from.
 
-Each field reads strings in one place, `read_row`: a list of strings
--> (integers, den), the row being the integers over den. Over Q den is
-the lcm of the entries' denominators in lowest terms, 1 on an integral
-row, which one int() per entry reads with no (num, den) pair; over GF(p)
-the residues over 1. `ratio(s)` is the row of one string, (num, den) as
-`Fraction.as_integer_ratio` gives it over Q, and `parse` builds the
-element from that pair, so a reader that needs only integers (a
-bundle's gluings) builds no element at all. `field_from_name` builds
-each field once per name.
+The field is one class, `Field`, keyed by its characteristic `char`, 0
+for Q; `RationalField` and `PrimeField` only check p and name it. One
+builder, `element(num, den, p)`, makes every element. Each field reads
+strings in one place, `read_row`: a list of strings -> (integers, den),
+the row being the integers over den (`_read_row`); `ratio(s)` is the row
+of one string, and `parse` builds the element from that pair, so a
+reader that needs only integers (a bundle's gluings) builds no element
+at all. `field_from_name` builds each field once per name.
 """
 from __future__ import annotations
 
@@ -87,19 +89,38 @@ class FpElement:
     def __repr__(self):
         return "FpElement(%d, p=%d)" % (self.val, self.p)
 
+    def __str__(self):
+        return str(self.val)
+
+    def as_integer_ratio(self):
+        return self.val, 1
+
+
+def element(num, den, p):
+    """The field element num / den (den nonzero, and prime to p over
+    GF(p)): a Fraction over Q (p = 0), an FpElement over GF(p)."""
+    return FpElement(num * pow(den, -1, p), p) if p else Fraction(num, den)
+
+
+# Miller-Rabin on the 13 prime bases 2..41 is exact below psi_13, which
+# passes it and is composite (Sorenson & Webster, Math. Comp. 86, 2017);
+# on 12 bases, psi_12 = 399,165,290,221 * 798,330,580,441 passes
+PRIME_LIMIT = 3317044064679887385961981
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
 
 def _is_prime(n: int) -> bool:
-    # deterministic Miller-Rabin, exact for anything we will ever see
+    """Whether n < PRIME_LIMIT is prime: deterministic Miller-Rabin."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _BASES:
         if n % q == 0:
             return n == q
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -164,93 +185,69 @@ def _read_entry(s, p, bad):
     raise ValueError(bad % (s,))
 
 
-class RationalField:
-    """Exact rational numbers via fractions.Fraction."""
+class Field:
+    """Q (char 0) or GF(char), every method keyed by `char` alone; `bad` is
+    the error text, with one %r, for a string that spells no element."""
 
-    name = "q"
-    char = 0
+    def __init__(self, char: int, name: str, bad: str):
+        self.char = char
+        self.name = name
+        self._bad = bad
+        self.zero = element(0, 1, char)
+        self.one = element(1, 1, char)
 
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
-
-    def of(self, n: int) -> Fraction:
-        return Fraction(n)
+    def of(self, n: int):
+        return element(n, 1, self.char)
 
     def read_row(self, row):
-        """A list of strings as (integers, den): the rationals they spell
-        are the integers over den, the lcm of their denominators in lowest
-        terms (`_read_row`)."""
-        return _read_row(row, 0, "not a rational number: %r")
+        """A list of strings as (integers, den) (`_read_row`)."""
+        return _read_row(row, self.char, self._bad)
 
     def ratio(self, s: str):
-        """(num, den) of the rational s, in lowest terms with den > 0."""
+        """(num, den) of the element s, as its as_integer_ratio() gives it."""
         (num,), den = self.read_row((s,))
         return num, den
 
-    def parse(self, s: str) -> Fraction:
-        return Fraction(*self.ratio(s))
+    def parse(self, s: str):
+        return element(*self.ratio(s), self.char)
 
     def to_str(self, x) -> str:
-        # Fraction is already kept in lowest terms with positive denominator
         return str(x)
 
+    def holds(self, x) -> bool:
+        """Whether x is an element of this field."""
+        return (isinstance(x, FpElement) and x.p == self.char if self.char
+                else isinstance(x, Fraction))
+
     def __eq__(self, other):
-        return isinstance(other, RationalField)
+        return isinstance(other, Field) and other.char == self.char
 
     def __hash__(self):
-        return hash("q")
+        return hash(("field", self.char))
+
+
+class RationalField(Field):
+    """Exact rational numbers via fractions.Fraction."""
+
+    def __init__(self):
+        super().__init__(0, "q", "not a rational number: %r")
 
     def __repr__(self):
         return "RationalField()"
 
 
-class PrimeField:
-    """GF(p) for an odd prime p; p above 10**6 keeps random sampling honest."""
+class PrimeField(Field):
+    """GF(p) for an odd prime p below `PRIME_LIMIT`; p above 10**6 keeps
+    random sampling honest."""
 
     def __init__(self, p: int):
+        if p >= PRIME_LIMIT:
+            raise ValueError("%d is not below %d, the prime test's bound"
+                             % (p, PRIME_LIMIT))
         if p == 2 or not _is_prime(p):
             raise ValueError("%d is not an odd prime" % p)
         self.p = p
-        self.name = "p:%d" % p
-        self.char = p
-        self._bad = "not an element of GF(%d): %%r" % p
-
-    @property
-    def zero(self):
-        return FpElement(0, self.p)
-
-    @property
-    def one(self):
-        return FpElement(1, self.p)
-
-    def of(self, n: int) -> FpElement:
-        return FpElement(n, self.p)
-
-    def read_row(self, row):
-        """A list of strings as (residues, 1) (`_read_row`)."""
-        return _read_row(row, self.p, self._bad)
-
-    def ratio(self, s: str):
-        """(residue, 1) of the element s of GF(p)."""
-        (num,), den = self.read_row((s,))
-        return num, den
-
-    def parse(self, s: str) -> FpElement:
-        return FpElement(self.ratio(s)[0], self.p)
-
-    def to_str(self, x) -> str:
-        return str(x.val)
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("p", self.p))
+        super().__init__(p, "p:%d" % p, "not an element of GF(%d): %%r" % p)
 
     def __repr__(self):
         return "PrimeField(%d)" % self.p

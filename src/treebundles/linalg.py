@@ -8,12 +8,15 @@ rows of field elements into integer rows over one common denominator
 (residues over 1 in GF(p)), `over_one_den` puts the rows a field's
 `read_row` reads straight from strings, each over its own den, over one,
 `lowest` takes integer rows over any nonzero den to that same form,
-`element` builds a field element back from an integer over a
-denominator, and `power_row` gives the homogeneous powers n^k d^(K-k) at
-which integer polynomials are evaluated at a point n/d. `invertible`
-tests a square integer matrix by its determinant up to 4x4, so no gluing
-of rank at most 4 is eliminated, and by rank above, and `invert_matrix`
-inverts one over its den.
+`element` (written in `fields`, beside the field that builds its
+elements with it, and imported here) builds a field element back from
+an integer over a denominator, and `power_row` gives the homogeneous
+powers n^k d^(K-k) at which integer polynomials are evaluated at a point
+n/d. `ratio` and `cleared` read every element by its own
+as_integer_ratio(), so neither asks which field it came from.
+`invertible` tests a square integer matrix by its determinant up to 4x4,
+so no gluing of rank at most 4 is eliminated, and by rank above, and
+`invert_matrix` inverts one over its den.
 
 Every elimination is one pivot walk, `_eliminate`: fraction-free with
 exact division over Q (Bareiss 1968; Nakos, Turner & Williams 1997), the
@@ -27,10 +30,9 @@ deterministic for a given input.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
-from .fields import FpElement
+from .fields import element
 
 
 def identity_matrix(n, zero, one):
@@ -126,19 +128,19 @@ def rank(rows, ncols, p):
 
 def ratio(x, p):
     """A field element as (numerator, denominator): a GF(p) residue over 1,
-    or a rational in lowest terms (p = 0)."""
-    return (x.val, 1) if p else x.as_integer_ratio()
+    or a rational in lowest terms (p = 0), as the element's own
+    as_integer_ratio() gives it."""
+    return x.as_integer_ratio()
 
 
 def cleared(rows, p):
     """Rows of field elements as (integer rows, den), the rows being the
-    integer ones divided by den: over GF(p) the residues over 1, over Q
-    (p = 0) the rows times the lcm of every denominator. One nonzero scale
-    keeps the rank, the kernel and the reduced echelon form. The den is
-    prime to the entries (an entry whose denominator holds a prime to the
-    power the lcm does is prime to it), the one such pair for given rows."""
-    if p:
-        return [[x.val for x in row] for row in rows], 1
+    integer ones divided by den: the rows times the lcm of every
+    denominator, so over GF(p), where each element is its residue over 1,
+    the residues over 1. One nonzero scale keeps the rank, the kernel and
+    the reduced echelon form. The den is prime to the entries (an entry
+    whose denominator holds a prime to the power the lcm does is prime to
+    it), the one such pair for given rows."""
     ratios = [[x.as_integer_ratio() for x in row] for row in rows]
     den = lcm(*(d for row in ratios for _, d in row))
     if den == 1:
@@ -166,12 +168,6 @@ def lowest(rows, den, p):
         return [[x * inv % p for x in row] for row in rows], 1
     g = gcd(den, *(x for row in rows for x in row)) * (1 if den > 0 else -1)
     return [[x // g for x in row] for row in rows], den // g
-
-
-def element(num, den, p):
-    """The field element num / den (den nonzero, and prime to p over
-    GF(p))."""
-    return FpElement(num * pow(den, -1, p), p) if p else Fraction(num, den)
 
 
 def power_row(x, top, p):

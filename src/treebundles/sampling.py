@@ -9,13 +9,13 @@ from __future__ import annotations
 
 from .bundle import GluedBundle, make_bundle
 from .curve import Edge, TreeCurve
-from .fields import PrimeField, RationalField
+from .fields import field_from_name
 from .linalg import invertible
 from .splitting import SplittingType
 
 
 def random_tree(rng, n, field=None) -> TreeCurve:
-    fld = field if field is not None else RationalField()
+    fld = field if field is not None else field_from_name("q")
     comps = tuple("v%d" % (k + 1) for k in range(n))
     used = {v: 0 for v in comps}
 
@@ -23,8 +23,8 @@ def random_tree(rng, n, field=None) -> TreeCurve:
         # consecutive integers per chart; a prime field must be big enough
         k = used[v]
         used[v] += 1
-        if isinstance(fld, PrimeField):
-            assert k < fld.p, "component valence exceeds the field size"
+        assert not fld.char or k < fld.char, \
+            "component valence exceeds the field size"
         return fld.of(k)
 
     edges = []

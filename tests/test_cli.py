@@ -862,6 +862,39 @@ def test_oracle_check_refuses_small_primes(capsys, field):
     assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
+def test_oracle_check_refuses_a_negative_case_count(capsys):
+    code, out, err = run(capsys, "oracle-check", "--cases", "-1")
+    assert (code, out, err) == (1, "", "error: --cases -1 is negative\n")
+    assert run(capsys, "oracle-check", "--cases", "0") == (
+        0, '{"box_mismatches":0,"cases":0,"h0_mismatches":0}\n', "")
+
+
+# psi_12 = 399165290221 * 798330580441 passes Miller-Rabin on the twelve
+# prime bases 2..37; modulo it, the node coordinates 0 and 399165290221 on
+# v1 differ by a zero divisor, and elimination met a pivot it could not
+# invert, a traceback where the field is now refused by one error line
+PSI12_BUNDLE = {
+    "curve": {"components": ["v1", "v2", "v3", "v4"],
+              "edges": [{"a": "v1", "pa": "0", "b": "v2", "pb": "0"},
+                        {"a": "v1", "pa": "399165290221", "b": "v3", "pb": "0"},
+                        {"a": "v1", "pa": "798330580442", "b": "v4",
+                         "pb": "0"}]},
+    "rank": 1,
+    "splittings": {"v1": [1], "v2": [-2], "v3": [-2], "v4": [-2]},
+    "gluings": [{"edge": i, "matrix": [["1"]]} for i in range(3)]}
+
+
+def test_a_strong_pseudoprime_is_no_prime_field(tmp_path, capsys):
+    path = _write(tmp_path, PSI12_BUNDLE)
+    for field in ("q", "p:1000003"):
+        assert run(capsys, "h0", "-i", path, "--field", field) == (
+            0, '{"h0":0,"h1":4}\n', "")
+    for p in ("318665857834031151167461", "3317044064679887385961981"):
+        code, out, err = run(capsys, "h0", "-i", path, "--field", "p:" + p)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: " + p)
+
+
 def test_box_on_a_long_rank_one_chain(tmp_path, capsys):
     n = 1200
     ids = ["c%d" % i for i in range(n)]

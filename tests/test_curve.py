@@ -51,6 +51,14 @@ def test_validate_rejects_duplicate_node_coordinate():
                       (Edge("a", F(0), "b", F(0)), Edge("b", F(0), "c", F(0))))
     with pytest.raises(CurveError, match="share coordinate"):
         curve.validate()
+    # a shared point is found by value in both fields: 1/2 and 4/8 over Q,
+    # 1 and 8 mod 7, and the problem prints the element itself
+    for fld in (field_from_name("q"), PrimeField(7)):
+        x, y = (F(1, 2), F(4, 8)) if not fld.char else (fld.of(1), fld.of(8))
+        curve = TreeCurve(("a", "b", "c"), (Edge("a", x, "b", fld.zero),
+                                            Edge("a", y, "c", fld.zero)), fld)
+        assert validate_tree(curve) == [
+            "two nodes of 'a' share coordinate %r" % (x,)]
 
 
 def test_validate_rejects_self_loop_and_unknown_ids():
@@ -66,6 +74,17 @@ def test_validate_checks_coordinate_field():
     fld = PrimeField(7)
     ok = TreeCurve(("a", "b"), (Edge("a", fld.of(0), "b", fld.of(0)),), fld)
     assert validate_tree(ok) == []
+
+
+def test_a_field_that_is_no_field_holds_no_coordinate():
+    # the field is asked whether it holds each coordinate; an object that
+    # cannot say holds none, so each coordinate is one problem
+    from types import SimpleNamespace
+    curve = TreeCurve(("a", "b"), (Edge("a", F(0), "b", F(1)),),
+                      SimpleNamespace(name="gf4"))
+    assert validate_tree(curve) == [
+        "edge 0 coordinate Fraction(0, 1) is not a gf4 element",
+        "edge 0 coordinate Fraction(1, 1) is not a gf4 element"]
 
 
 def test_graph_views():

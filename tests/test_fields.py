@@ -139,3 +139,53 @@ def test_rational_parse_agrees_with_fraction(text):
         want = F(text.strip())
         assert type(got) is F and (got.numerator, got.denominator) == \
             (want.numerator, want.denominator)
+
+
+def test_one_field_class_and_one_element_protocol():
+    # every field method is written once, on Field; the two named fields
+    # only check p, name the field and print themselves
+    import pathlib
+    import re
+
+    from treebundles import curve, fields, sampling
+    for cls in (RationalField, PrimeField):
+        assert cls.__bases__ == (fields.Field,)
+        own = {k for k, v in vars(cls).items()
+               if not k.startswith("__") or callable(v)
+               or isinstance(v, property)}
+        assert own == {"__init__", "__repr__"}
+    # an FpElement reads back as a Fraction does
+    assert str(FpElement(10, 7)) == "3"
+    assert FpElement(10, 7).as_integer_ratio() == (3, 1)
+    # no reader outside fields asks which field an element came from
+    for mod in (curve, sampling):
+        assert not {"RationalField", "PrimeField", "FpElement"} & set(vars(mod))
+    src = pathlib.Path(fields.__file__).parent
+    for path in src.glob("*.py"):
+        if path.name != "fields.py":
+            text = path.read_text()
+            assert not re.search(r"isinstance\([^)]*(Field|FpElement)", text), \
+                path.name
+
+
+def test_prime_field_refuses_the_least_strong_pseudoprimes():
+    # psi_12 passes Miller-Rabin on the twelve prime bases 2..37 and is
+    # 399165290221 * 798330580441; psi_13 passes all thirteen bases 2..41,
+    # so the test is exact below it only, and p >= psi_13 is refused
+    psi12 = 318665857834031151167461
+    psi13 = 3317044064679887385961981
+    assert psi12 == 399165290221 * 798330580441
+    with pytest.raises(ValueError, match="^%d is not an odd prime$" % psi12):
+        PrimeField(psi12)
+    for p in (psi13, psi13 + 2):
+        with pytest.raises(ValueError, match="^%d is not below %d" % (p, psi13)):
+            PrimeField(p)
+    # the greatest prime below the bound is read
+    assert PrimeField(psi13 - 168).char == psi13 - 168
+
+
+def test_a_field_holds_its_own_elements_only():
+    q, f7, f11 = RationalField(), PrimeField(7), PrimeField(11)
+    assert q.holds(F(1, 2)) and not q.holds(1) and not q.holds(FpElement(1, 7))
+    assert f7.holds(FpElement(3, 7)) and not f7.holds(FpElement(3, 11))
+    assert not f11.holds(F(3)) and not f7.holds(3)

@@ -1,8 +1,9 @@
 """RationalField.parse and PrimeField.parse against an independent reading
 of their documented spellings: a signed decimal integer or ratio,
 surrounding whitespace allowed; each field's (num, den) reader, `ratio`,
-against its `parse`; and its row reader, `read_row`, against the same
-independent reading entry by entry."""
+against its `parse`; its row reader, `read_row`, against the same
+independent reading entry by entry; and every method of the one field
+class against elements built directly as Fractions and FpElements."""
 import re
 from fractions import Fraction
 from math import lcm
@@ -12,8 +13,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from treebundles.fields import FpElement, PrimeField, RationalField  # noqa: E402
-from treebundles.linalg import over_one_den, ratio  # noqa: E402
+from treebundles.fields import (FpElement, PrimeField, RationalField,  # noqa: E402
+                                field_from_name)
+from treebundles.linalg import cleared, over_one_den, ratio  # noqa: E402
 from treebundles.serialize import _rows_from_json  # noqa: E402
 
 DOCUMENTED = re.compile(r"^[+-]?\d+(/\d+)?$")
@@ -211,3 +213,51 @@ def test_read_row_agrees_with_the_entries_read_one_by_one(fld, rows):
     assert got == want
     assert rows_outcome(lambda m: _rows_from_json(fld, m, "w", "shape"),
                         rows) == serialized(want)
+
+
+BUILT = {"q": (RationalField(), "RationalField()"),
+         "p:7": (PrimeField(7), "PrimeField(7)"),
+         "p:%d" % P: (PrimeField(P), "PrimeField(%d)" % P)}
+
+
+@pytest.mark.parametrize("name", sorted(BUILT))
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-10 ** 12, 10 ** 12),
+                          st.integers(1, 10 ** 8)), max_size=4))
+@example([(3, 1), (-6, 4), (7, 7), (0, 5)])
+@example([(10, 1), (P + 3, 1), (1, 2)])
+def test_each_field_agrees_with_elements_built_directly(name, pairs):
+    # every field method is written once, keyed by the characteristic: its
+    # results are the Fractions and FpElements spelled, built by hand
+    fld, spelled_repr = BUILT[name]
+    p = fld.char
+    pairs = [(n, d) for n, d in pairs if not p or d % p]
+    if p:
+        want = [FpElement(n, p) / FpElement(d, p) for n, d in pairs]
+        want_ratio = [(x.val, 1) for x in want]
+        want_str = [str(x.val) for x in want]
+        of, zero, one = FpElement(-5, p), FpElement(0, p), FpElement(1, p)
+    else:
+        want = [Fraction(n, d) for n, d in pairs]
+        want_ratio = [(x.numerator, x.denominator) for x in want]
+        want_str = [str(x) for x in want]
+        of, zero, one = Fraction(-5), Fraction(0), Fraction(1)
+    texts = ["%d/%d" % nd if nd[1] != 1 else str(nd[0]) for nd in pairs]
+    got = [fld.parse(s) for s in texts]
+    assert [type(x) for x in got] == [type(x) for x in want] and got == want
+    assert [fld.ratio(s) for s in texts] == want_ratio
+    assert [ratio(x, p) for x in want] == want_ratio
+    # over GF(p) every den is 1: the residues over 1
+    ints, den = fld.read_row(texts)
+    assert den == lcm(*(d for _, d in want_ratio))
+    assert ints == [n * (den // d) for n, d in want_ratio]
+    assert cleared([want], p) == ([ints], den)
+    assert [fld.to_str(x) for x in want] == want_str
+    for built, direct in ((fld.of(-5), of), (fld.zero, zero), (fld.one, one)):
+        assert type(built) is type(direct) and built == direct
+        assert built.as_integer_ratio() == direct.as_integer_ratio()
+    assert repr(fld) == spelled_repr
+    for other, (twin, _) in BUILT.items():
+        assert (fld == twin) is (other == name)
+        assert (fld == field_from_name(other)) is (other == name)
+    assert hash(fld) == hash(field_from_name(name)) and fld != name
