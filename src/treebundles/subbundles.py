@@ -31,8 +31,9 @@ for the outputs.
 
 find_line_subbundle realizes a line subbundle of degree dmax after
 inserting bridges: `_search` assembles a `_Plan` in that integer form
-from saturations (`_saturate`) and junctions (`_junction`), and the
-subbundle is made once, by `LineSubbundle.of_integers`.
+from saturations (`_saturation_plan`, the one route from a section to a
+plan) and junctions (`_join`), and the subbundle is made once, by
+`LineSubbundle.of_integers`.
 """
 from __future__ import annotations
 
@@ -563,11 +564,12 @@ def _restricted_dmax(bundle):
     return dmax_of
 
 
-def _join(bundle, blocks, cut, dmax_of):
-    """Solve each block of the curve cut at the `cut` edges on its own,
-    then tie the blocks together across every cut edge."""
-    plan = _merge_plans(*[_search(restrict_bundle(bundle, b), dmax_of)
-                          for b in blocks])
+def _join(bundle, blocks, cut, dmax_of, *solved):
+    """Merge the plans already `solved`, then each block of the curve cut
+    at the `cut` edges solved on its own, and tie them together across
+    every cut edge, in order."""
+    plan = _merge_plans(*solved, *[_search(restrict_bundle(bundle, b), dmax_of)
+                                   for b in blocks])
     for i in cut:
         _junction(bundle, i, plan)
     return plan
@@ -592,13 +594,31 @@ def _junction(bundle, edge_index, plan):
 
 
 def _saturation_plan(host, w_eff, section, den):
-    # host is twisted by w_eff, the plan's degrees shifted back; the
-    # section's coordinates are its lists over den
-    degrees, coords, scalars = _saturate(
-        host, {v: (section[v], den) for v in host.curve.components})
+    """The plan of the line subbundle that a section of `host` (twisted by
+    w_eff, the plan's degrees shifted back; coordinates the lists over den)
+    spans. None when there is no section, it vanishes on a component of
+    host, or its saturated directions disagree across an edge."""
+    comps = host.curve.components
+    if section is None or not all(any(section[v]) for v in comps):
+        return None
+    try:
+        degrees, coords, scalars = _saturate(
+            host, {v: (section[v], den) for v in comps})
+    except SubbundleError:
+        return None
     return _Plan({v: a - w_eff[v] for v, a in degrees.items()}, coords,
                  {(e.a, e.b): scalars[i]
                   for i, e in enumerate(host.curve.edges)}, [])
+
+
+def _twisted_plan(bundle, md):
+    """(plan, bump): the bundle twisted by md, its `section_basis`, and the
+    basis' max-support section passed to `_saturation_plan`, with
+    bump = (md, twisted, basis, den)."""
+    twisted = twist(bundle, md)
+    basis, den = section_basis(twisted)
+    sec = _max_support_section(bundle.field, bundle.curve, basis)
+    return _saturation_plan(twisted, md, sec, den), (md, twisted, basis, den)
 
 
 def _search(bundle: GluedBundle, dmax_of) -> _Plan:
@@ -660,17 +680,10 @@ def _walk_candidate(bundle, witness, dmax_of):
     # components; then its saturation is the whole answer
     bumps = {}
     for z in comps:
-        w_eff = {v: witness[v] + (1 if v == z else 0) for v in comps}
-        bumped = twist(bundle, w_eff)
-        basis, den = section_basis(bumped)
-        bumps[z] = (w_eff, bumped, basis, den)
-        sec = _max_support_section(bundle.field, curve, basis)
-        if sec is None or len(_nonzero_components(curve, sec)) != len(comps):
-            continue
-        try:
-            return _saturation_plan(bumped, w_eff, sec, den)
-        except SubbundleError:
-            continue
+        plan, bumps[z] = _twisted_plan(
+            bundle, {v: witness[v] + (1 if v == z else 0) for v in comps})
+        if plan is not None:
+            return plan
 
     # neighbor walk: keep moving toward a side that fails, turn-around
     # means both sides of an edge are good, a dead end isolates a component
@@ -707,9 +720,16 @@ def _bridgeless(bundle, d):
     its two supports (each component rules out at most one scalar), so a
     section nonzero on every component exists iff that one is. Over a
     smaller field `_cut_assembly`, which is complete, finds the plan.
+
+    A co-twist co is first tested by counts alone. On a component v the
+    twist {**co, v: lo_v}, with lo_v the vanishing floor, has every summand
+    negative and changes nothing else, so its sections are exactly those
+    of co that vanish on v. When count(co) equals that count for some v,
+    every section vanishes on v, the max-support one included, and co is
+    skipped with no basis built. Only this direction is used, so the skip
+    holds over every field and the plan is the one the basis gives.
     """
-    curve = bundle.curve
-    comps = curve.components
+    comps = bundle.curve.components
     system = SectionSystem(bundle)
     maxm = {v: max(bundle.splittings[v]) for v in comps}
     slack_total = sum(maxm.values()) - d
@@ -726,19 +746,14 @@ def _bridgeless(bundle, d):
         if not feasible:
             continue
         co = {v: -a[v] for v in comps}
-        if system.count(co) == 0:
+        h = system.count(co)
+        if h == 0 or any(system.count({**co, v: system.lo[v]}) == h
+                         for v in comps):
             continue
-        twisted = twist(bundle, co)
-        basis, den = section_basis(twisted)
-        sec = _max_support_section(bundle.field, curve, basis)
-        if len(_nonzero_components(curve, sec)) != len(comps):
-            continue
-        try:
-            plan = _saturation_plan(twisted, co, sec, den)
-        except SubbundleError:
-            continue
-        assert plan.total() == d, "surgery-free subbundle beat the maximum"
-        return plan
+        plan, _ = _twisted_plan(bundle, co)
+        if plan is not None:
+            assert plan.total() == d, "surgery-free subbundle beat the maximum"
+            return plan
     return None
 
 
@@ -767,8 +782,9 @@ def _cut_assembly(bundle, d, dmax_of):
 def _case_vanishing(bundle, z, bump, dmax_of):
     """No side around z qualifies: the bump loop's (w_eff, bumped, basis,
     den) for z has a section, and its vanishing components split off as
-    independently solved subtrees. Returns None when the section's shape
-    does not support the surgery."""
+    independently solved subtrees, joined to its saturated alive block by
+    `_join`. Returns None when the section's shape does not support the
+    surgery or its saturation fails."""
     curve = bundle.curve
     w_eff, bumped, basis, den = bump
     assert basis, "bumped bundle lost its guaranteed section"
@@ -776,32 +792,19 @@ def _case_vanishing(bundle, z, bump, dmax_of):
     sec = max(basis, key=lambda s: len(_nonzero_components(curve, s)))
     alive = _nonzero_components(curve, sec)
     assert z in alive, "section vanished where it was forced not to"
-    dead = [v for v in curve.components if v not in alive]
-    if not dead:
-        try:
-            return _saturation_plan(bumped, w_eff, sec, den)
-        except SubbundleError:
-            return None
-
     # one crossing edge per dead part, i.e. the rest stays connected
-    joins = []
-    for part in curve.pieces(dead):
+    parts = curve.pieces([v for v in curve.components if v not in alive])
+    cut = []
+    for part in parts:
         crossing = [i for i, e in enumerate(curve.edges)
                     if (e.a in part) != (e.b in part)]
         if len(crossing) != 1:
             return None
-        joins.append((part, crossing[0]))
-
-    host = restrict_bundle(bumped, alive)
-    try:
-        plan = _saturation_plan(host, w_eff, sec, den)
-    except SubbundleError:
+        cut.append(crossing[0])
+    plan = _saturation_plan(restrict_bundle(bumped, alive), w_eff, sec, den)
+    if plan is None:
         return None
-    plan = _merge_plans(plan, *[_search(restrict_bundle(bundle, part), dmax_of)
-                                for part, _ in joins])
-    for _, i in joins:
-        _junction(bundle, i, plan)
-    return plan
+    return _join(bundle, parts, cut, dmax_of, plan)
 
 
 def find_line_subbundle(bundle: GluedBundle):

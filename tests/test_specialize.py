@@ -470,27 +470,53 @@ def test_bridgeless_takes_the_first_working_slack():
 
 
 def test_bridgeless_builds_one_section_system(monkeypatch):
-    # one system per call serves every candidate's count; only candidates
-    # with sections are twisted
-    systems, counted = [], []
-    init, count = SectionSystem.__init__, SectionSystem.count
+    # one system per call serves every candidate's counts; only candidates
+    # with a section nonzero on every component by those counts are twisted
+    systems, twisted = [], []
+    init, twist_of = SectionSystem.__init__, subbundles.twist
 
     def counting_init(self, b):
         systems.append(b)
         init(self, b)
 
-    def counting_count(self, md):
-        counted.append(md)
-        return count(self, md)
+    def recording_twist(b, md):
+        twisted.append(md)
+        return twist_of(b, md)
 
     monkeypatch.setattr(SectionSystem, "__init__", counting_init)
-    monkeypatch.setattr(SectionSystem, "count", counting_count)
+    monkeypatch.setattr(subbundles, "twist", recording_twist)
     dip = build_dip()
     assert _bridgeless(dip, 3) is not None
     assert systems == [dip]
-    # (2, 0, 1) is passed over uncounted: v2's lone O(1) would vanish
-    assert counted == [{"v1": -2, "v2": -1, "v3": 0},
-                       {"v1": -2, "v2": 1, "v3": -2}]
+    # (2, 0, 1) is passed over uncounted: v2's lone O(1) would vanish; the
+    # 3 sections of (2, 1, 0)'s co-twist all vanish on v1, as its count
+    # with v1 at the vanishing floor shows, so it is never twisted
+    system = SectionSystem(dip)
+    co = {"v1": -2, "v2": -1, "v3": 0}
+    assert system.count(co) == system.count({**co, "v1": -3}) == 3
+    assert twisted == [{"v1": -2, "v2": 1, "v3": -2}]
+
+
+def test_certify_tests_a_co_twist_by_counts_before_its_basis(monkeypatch):
+    # random rank-3 tree, n = 8, case 2: `_bridgeless` skips by counts every
+    # co-twist whose sections all vanish on one component, so certify builds
+    # 43 section bases; it built 679 when every co-twist with a section took
+    # one
+    rng = random.Random(8)
+    for _ in range(3):
+        bundle = random_bundle(rng, random_tree(rng, 8), 3)
+    built = []
+    basis_of = subbundles.section_basis
+
+    def counting(b):
+        built.append(b)
+        return basis_of(b)
+
+    monkeypatch.setattr(subbundles, "section_basis", counting)
+    cert = certify(bundle, balanced_splitting(3, bundle.degree()))
+    assert len(built) <= 100
+    ok, report = verify_certificate(cert)
+    assert ok, report
 
 
 def test_the_subbundle_search_lives_beside_the_form_it_builds():
@@ -498,7 +524,8 @@ def test_the_subbundle_search_lives_beside_the_form_it_builds():
     # `subbundles`'; `specialize` binds only the entry point certify calls
     search = ("_Plan", "_merge_plans", "_nonzero_components",
               "_combine_support", "_max_support_section", "_restricted_dmax",
-              "_join", "_junction", "_saturation_plan", "_search",
+              "_join", "_junction", "_saturation_plan", "_twisted_plan",
+              "_search",
               "_walk_candidate", "_bridgeless", "_cut_assembly",
               "_case_vanishing")
     assert specialize.find_line_subbundle is subbundles.find_line_subbundle

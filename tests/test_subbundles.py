@@ -13,8 +13,8 @@ from treebundles.linalg import cleared, element
 from treebundles.sampling import random_bundle, random_tree
 from treebundles.subbundles import (LineSubbundle, SubbundleError,
                                     _kernel_generators, _quotient,
-                                    _quotient_by_generators, quotient_bundle,
-                                    saturate)
+                                    _quotient_by_generators, _saturation_plan,
+                                    quotient_bundle, saturate)
 
 from conftest import field_sections, projections
 from reference_linalg import (as_line_bundle, evaluate, gcd_monic,
@@ -113,6 +113,23 @@ def test_saturate_rejects_direction_mismatch(ex_bundle):
     sec = {"v1": [[F(0), F(1)], []], "v2": [[], [F(0), F(1)]]}
     with pytest.raises(SubbundleError, match="directions disagree"):
         saturate(ex_bundle, sec)
+
+
+def test_saturation_plan_returns_none_where_saturate_raises(ex_bundle):
+    # the search's one route from a section to a plan: the two sections
+    # `saturate` rejects above, in integers over den 1, give no plan, and so
+    # does no section; the golden one gives its plan, degrees shifted back
+    zero = {"v1": 0, "v2": 0}
+    vanishing = {"v1": [[0, 1], [1]], "v2": [[], []]}
+    transverse = {"v1": [[0, 1], []], "v2": [[], [0, 1]]}
+    assert _saturation_plan(ex_bundle, zero, vanishing, 1) is None
+    assert _saturation_plan(ex_bundle, zero, transverse, 1) is None
+    assert _saturation_plan(ex_bundle, zero, None, 1) is None
+    golden = {"v1": [[0, 1], [1]], "v2": [[], [1, 1]]}
+    plan = _saturation_plan(ex_bundle, {"v1": 1, "v2": 0}, golden, 1)
+    assert plan.degrees == {"v1": -1, "v2": 2}
+    assert plan.coords["v2"] == ([[], [1]], 1)
+    assert plan.scalars == {("v1", "v2"): F(1)} and not plan.bridges
 
 
 def test_saturate_only_raises_degree():
