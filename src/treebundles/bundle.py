@@ -144,7 +144,8 @@ def build_checked(build, curve: TreeCurve, splittings, gluings) -> GluedBundle:
     in their order, with the splittings as tuples in component order and
     the gluings as a list in edge order, each in the form `build` takes:
     `GluedBundle` rows of field elements, `GluedBundle.of_integers`
-    (integer rows, den) pairs, as the JSON reader reads them. Each gluing's
+    (integer rows, den) pairs, as the JSON reader's step-by-step path reads
+    them (its one pass runs the same checks as it reads). Each gluing's
     shape and invertibility are checked on its integer rows
     (`linalg.invertible`)."""
     curve.validate()

@@ -6,6 +6,12 @@ coordinate chart; a node is recorded as an edge holding the exact
 coordinate of the attachment point on both sides. No node sits at
 infinity, which costs nothing (move it by a chart automorphism) and keeps
 evaluation at nodes plain polynomial evaluation.
+
+A curve is checked by one tree check, `tree_problems`, on the component
+ids, the edges and one key per node coordinate: `validate_tree` keys a
+curve built in code by its elements, and the JSON reader (`TreeCurve.read`)
+by the integers it read them as. Either way the result is kept on the
+frozen curve (`problems`), so no curve is checked twice.
 """
 from __future__ import annotations
 
@@ -100,9 +106,20 @@ class TreeCurve:
         members = set(members)
         return tuple(v for v in self.components if v in members)
 
+    @classmethod
+    def read(cls, components, edges, field, keys):
+        """The curve, its `problems` found by `tree_problems` on `keys`
+        (one per node coordinate, edge by edge, a before b): the JSON
+        reader's, which holds the coordinates as numerators over one den,
+        so no element is read back and `validate_tree` never runs on it."""
+        curve = cls(components, edges, field)
+        curve.__dict__["problems"] = tuple(tree_problems(curve, keys))
+        return curve
+
     @cached_property
     def problems(self):
-        """`validate_tree` of the frozen curve, computed on first use."""
+        """`validate_tree` of the frozen curve, computed on first use, or
+        the check `read` ran."""
         return tuple(validate_tree(self))
 
     def validate(self):
@@ -112,7 +129,24 @@ class TreeCurve:
 
 
 def validate_tree(curve: TreeCurve):
-    """Every violation found, as human-readable strings; empty means valid."""
+    """Every violation found, as human-readable strings; empty means valid:
+    `tree_problems` keyed by each coordinate's (num, den), None for one
+    that is not an element of the curve's field."""
+    # a field that cannot say which elements it holds holds none
+    holds = getattr(curve.field, "holds", lambda x: False)
+    return tree_problems(curve, [x.as_integer_ratio() if holds(x) else None
+                                 for e in curve.edges for x in (e.pa, e.pb)])
+
+
+def tree_problems(curve: TreeCurve, keys):
+    """The one tree check: every violation found, as human-readable
+    strings, on the curve's component ids and edges, each node coordinate
+    compared by its key. keys[2i] and keys[2i + 1] stand for edge i's pa
+    and pb; two keys are equal exactly when the coordinates are, and None
+    marks a coordinate that is not an element of the curve's field.
+    `validate_tree` keys a curve built in code by its elements' (num,
+    den); the JSON reader keys one by the numerators over the one den it
+    reads them over (`TreeCurve.read`), so it reads no element back."""
     problems = []
     comps = curve.components
     if not comps:
@@ -123,43 +157,52 @@ def validate_tree(curve: TreeCurve):
         if not isinstance(v, str) or not v:
             problems.append("component id %r is not a nonempty string" % (v,))
     known = set(comps)
-    # a field that cannot say which elements it holds holds none
-    holds = getattr(curve.field, "holds", lambda x: False)
-    for i, e in enumerate(curve.edges):
+    edges = curve.edges
+    for i, e in enumerate(edges):
         if e.a not in known or e.b not in known:
             problems.append("edge %d references unknown component" % i)
         elif e.a == e.b:
             problems.append("edge %d joins component %r to itself" % (i, e.a))
-        for x in (e.pa, e.pb):
-            if not holds(x):
+        for x, key in ((e.pa, keys[2 * i]), (e.pb, keys[2 * i + 1])):
+            if key is None:
                 problems.append("edge %d coordinate %r is not a %s element"
                                 % (i, x, curve.field.name))
     if problems:
         return problems
-    # connectivity and acyclicity; a connected graph on n vertices with
-    # n-1 edges is a tree, but report the two failures separately
-    if len(curve.edges) > len(comps) - 1:
+    # connectivity and acyclicity by one union-find over the edges; a
+    # connected graph on n vertices with n-1 edges is a tree, but report
+    # the two failures separately
+    if len(edges) > len(comps) - 1:
         problems.append("cycle: %d edges on %d components"
-                        % (len(curve.edges), len(comps)))
-    adj = curve.adjacency()
-    if (len(curve.edges) < len(comps) - 1
-            or len(curve._reach(adj, comps[0], adj, ())) != len(comps)):
+                        % (len(edges), len(comps)))
+    root = {v: v for v in comps}
+    joined = 0
+    for e in edges:
+        a, b = e.a, e.b
+        while root[a] != a:
+            root[a] = a = root[root[a]]
+        while root[b] != b:
+            root[b] = b = root[root[b]]
+        if a != b:
+            root[a] = b
+            joined += 1
+    if joined != len(comps) - 1:
         problems.append("curve is not connected")
     # distinct node coordinates on every chart, each chart's nodes in edge
-    # order, compared by (num, den), which within one field is equal
-    # exactly when the elements are; the pairs are walked only on a chart
-    # that has a repeat
-    edges = curve.edges
+    # order; the pairs are walked only when some chart has a repeat
+    sides = [v for e in edges for v in (e.a, e.b)]
+    if len(set(zip(sides, keys))) == len(sides):
+        return problems
+    charts = {v: [] for v in comps}
+    for k, v in enumerate(sides):
+        charts[v].append(k)
     for v in comps:
-        coords = [edges[i].pa if edges[i].a == v else edges[i].pb
-                  for _, i in adj[v]]
-        keys = [x.as_integer_ratio() for x in coords]
-        if len(set(keys)) == len(keys):
-            continue
-        for i in range(len(coords)):
-            for j in range(i + 1, len(coords)):
-                if keys[i] == keys[j]:
-                    problems.append("two nodes of %r share coordinate %r" % (v, coords[i]))
+        chart = charts[v]
+        for n, k in enumerate(chart):
+            for j in chart[n + 1:]:
+                if keys[k] == keys[j]:
+                    x = edges[k // 2].pb if k % 2 else edges[k // 2].pa
+                    problems.append("two nodes of %r share coordinate %r" % (v, x))
     return problems
 
 

@@ -3,21 +3,30 @@
 Field elements travel as canonical strings (lowest terms, positive
 denominator over the rationals; plain decimal residues over a prime
 field). The field itself is not part of the payload; readers supply it.
-A bundle's gluings and a subbundle's embedding are read in one pass
-straight to integers, each row (of a gluing, or one coordinate's
-coefficients) through its field's `read_row` (one int() per entry on an
-integral row) and each matrix or component over one den
-(`_rows_from_json`), and held so: a load builds no field element for them
-(`GluedBundle.of_integers`, `LineSubbundle.of_integers`), and a gluing up
-to 4x4 is tested invertible by its determinant, with no elimination. A curve's node
-coordinates are read by one `read_row` call, over one den, and each
-distinct value's element is built once; on any fault the edges are read
-one by one, so the first fault in edge order raises. Readers build
-through the checks of `make_bundle` (`bundle.build_checked`) and through
-`pullback`; curves and enlargements keep their check results, and a
-certificate reader builds each curve once, reusing the curve object for
-JSON equal to a curve it has read (`_Curves`), so nothing read is checked
-twice.
+
+A curve and a bundle are read and checked in one pass over their JSON.
+A curve's node coordinates are read by one `read_row` call, over one den,
+each distinct value's element is built once, and the tree is checked on
+those numerators (`curve.tree_problems`, through `TreeCurve.read`), the
+check `validate_tree` runs on a curve built in code. A bundle's
+splittings and gluings are checked as they are read, with make_bundle's
+checks: they cover the components and edges, agree on one rank, and each
+gluing is r x r and invertible (`linalg.invertible`, by its determinant
+up to 4x4). Each gluing is read by one `read_row` call, straight to
+integers over one den, and held so: a load builds no field element for it
+(`GluedBundle.of_integers`). The curve keeps its check result
+(`problems`), so `build_checked`, `pullback` and `verify` do not check it
+again. On any fault the one pass gives the same JSON to the step-by-step
+reader (`_curve_in_steps`, `_bundle_in_steps`), which reads key by key and
+entry by entry, builds through `bundle.build_checked` and raises the first
+fault with its text; that path runs only on a fault.
+
+A subbundle's embedding is read the same way, each component's
+coefficient lists over one den (`_rows_from_json`, `LineSubbundle.
+of_integers`). A certificate reader builds each curve once, reusing the
+curve object for JSON equal to a curve it has read (`_Curves`), and its
+target and quotient bundles take the one pass through it, so nothing read
+is checked twice.
 """
 from __future__ import annotations
 
@@ -27,7 +36,7 @@ from . import poly
 from .bundle import GluedBundle, build_checked, pullback
 from .curve import Edge, Enlargement, TreeCurve
 from .fields import RationalField
-from .linalg import element, over_one_den
+from .linalg import element, invertible, over_one_den
 from .specialize import (Certificate, DominanceStep, EnlargementStep,
                          FailureWitness, RankOneBase, SplitOffStep)
 from .splitting import SplittingType
@@ -44,9 +53,13 @@ class SerializeError(ValueError):
     pass
 
 
+# json.dumps builds an encoder on every call given these arguments
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def dumps(obj) -> str:
     """Canonical byte form: sorted keys, no whitespace."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(obj)
 
 
 def _is_int(x):
@@ -85,30 +98,45 @@ def curve_to_json(curve: TreeCurve) -> dict:
 
 
 def curve_from_json(obj, field=None) -> TreeCurve:
-    """The curve read and checked. Every node coordinate is read by one
-    `fld.read_row` call, and each distinct value's element is built once;
-    when anything is wrong, the edges are read one by one, in order, and
-    the first fault raises."""
+    """The curve read and checked in one pass: every node coordinate is
+    read by one `fld.read_row` call, each distinct value's element is built
+    once, and the tree is checked on the numerators over the row's den
+    (`TreeCurve.read`). On any fault the JSON goes to `_curve_in_steps`,
+    which raises the first fault in edge order."""
     fld = field if field is not None else RationalField()
-    comps = _need_names(obj, "components", "curve")
-    raw = _need(obj, "edges", list, "curve")
     try:
-        if not all(isinstance(e, dict) and isinstance(e["a"], str)
-                   and isinstance(e["b"], str) for e in raw):
-            raise TypeError
-        nums, den = fld.read_row([x for e in raw for x in (e["pa"], e["pb"])])
+        comps, raw = obj["components"], obj["edges"]
+        ends = [v for e in raw for v in (e["a"], e["b"])]
+        if (type(obj) is dict and type(comps) is list and type(raw) is list
+                and set(map(type, raw)) <= {dict}
+                and set(map(type, comps + ends)) <= {str}):
+            nums, den = fld.read_row([x for e in raw
+                                      for x in (e["pa"], e["pb"])])
+            elements = {x: element(x, den, fld.char) for x in set(nums)}
+            coords = [elements[x] for x in nums]
+            edges = tuple(map(Edge, ends[::2], coords[::2],
+                              ends[1::2], coords[1::2]))
+            curve = TreeCurve.read(tuple(comps), edges, fld, nums)
+            if not curve.problems:
+                return curve
     except (KeyError, TypeError, ValueError):
-        for k, e in enumerate(raw):
-            where = "curve edge %d" % k
-            _need(e, "a", str, where)
-            fld.parse(_need(e, "pa", str, where))
-            _need(e, "b", str, where)
-            fld.parse(_need(e, "pb", str, where))
-        raise
-    elements = {x: element(x, den, fld.char) for x in set(nums)}
-    coords = [elements[x] for x in nums]
-    edges = [Edge(e["a"], coords[2 * k], e["b"], coords[2 * k + 1])
-             for k, e in enumerate(raw)]
+        # a fault, which the step-by-step reader finds
+        pass
+    return _curve_in_steps(obj, fld)
+
+
+def _curve_in_steps(obj, fld) -> TreeCurve:
+    """`curve_from_json`'s error path: the curve read entry by entry, in
+    edge order, and checked by `validate_tree`, so the first fault raises
+    with its text."""
+    comps = _need_names(obj, "components", "curve")
+    edges = []
+    for k, e in enumerate(_need(obj, "edges", list, "curve")):
+        where = "curve edge %d" % k
+        edges.append(Edge(_need(e, "a", str, where),
+                          fld.parse(_need(e, "pa", str, where)),
+                          _need(e, "b", str, where),
+                          fld.parse(_need(e, "pb", str, where))))
     return TreeCurve(tuple(comps), tuple(edges), fld).validate()
 
 
@@ -196,10 +224,68 @@ def bundle_to_json(bundle: GluedBundle) -> dict:
 
 
 def bundle_from_json(obj, field=None, curves=None) -> GluedBundle:
-    """The bundle read and checked, holding its gluings as integers; its
-    curve is read by `curves`, a `_Curves`, when one is given."""
-    raw = _need(obj, "curve", dict, "bundle")
+    """The bundle read and checked in one pass, holding its gluings as
+    integers; its curve is read by `curves`, a `_Curves`, when one is
+    given, else by `curve_from_json`. On any fault the same JSON goes to
+    `_bundle_in_steps`, which raises the first fault with its text."""
+    try:
+        bundle = _bundle_in_one_pass(obj, field, curves)
+    except (KeyError, TypeError, ValueError):
+        bundle = None
+    return bundle or _bundle_in_steps(obj, field, curves)
+
+
+def _bundle_in_one_pass(obj, field, curves):
+    """`bundle_from_json`'s one pass: make_bundle's checks (`build_checked`)
+    run as the splittings and gluings are read, each gluing read by one
+    `read_row` call and tested invertible on its integers; None, or
+    KeyError, TypeError or ValueError, at a fault."""
+    if type(obj) is not dict:
+        return None
+    raw = obj["curve"]
     curve = curves(raw) if curves else curve_from_json(raw, field)
+    comps, n = curve.components, len(curve.edges)
+    r, raw = obj["rank"], obj["splittings"]
+    if (type(r) is not int or r < 1 or type(raw) is not dict
+            or len(raw) != len(comps)):
+        return None
+    lists = [raw[v] for v in comps]
+    degrees = [d for ds in lists for d in ds]
+    if (set(map(type, lists)) != {list} or set(map(len, lists)) != {r}
+            or set(map(type, degrees)) != {int}
+            or not -INT_LIMIT < min(degrees) <= max(degrees) < INT_LIMIT):
+        return None
+    raw = obj["gluings"]
+    if type(raw) is not list or len(raw) != n:
+        return None
+    read, p = curve.field.read_row, curve.field.char
+    gluings = [None] * n
+    for g in raw:
+        if type(g) is not dict:
+            return None
+        i, m = g["edge"], g["matrix"]
+        if (type(i) is not int or not 0 <= i < n or gluings[i] is not None
+                or type(m) is not list or len(m) != r
+                or set(map(type, m)) != {list} or set(map(len, m)) != {r}):
+            return None
+        # one read of the whole matrix puts its rows over one den
+        ints, den = read([x for row in m for x in row])
+        rows = [ints[k:k + r] for k in range(0, r * r, r)]
+        if not invertible(rows, p):
+            return None
+        gluings[i] = rows, den
+    return GluedBundle.of_integers(
+        curve, r, dict(zip(comps, map(tuple, lists))), gluings)
+
+
+def _bundle_in_steps(obj, field, curves):
+    """`bundle_from_json`'s error path: the bundle read key by key, its
+    curve by `_curve_in_steps` unless `curves` is given, and built through
+    make_bundle's checks (`bundle.build_checked`), so the first fault
+    raises with its text."""
+    raw = _need(obj, "curve", dict, "bundle")
+    curve = (curves(raw) if curves else _curve_in_steps(
+        raw, field if field is not None else RationalField()))
     fld = curve.field
     raw = _need(obj, "splittings", dict, "bundle")
     splittings = {}

@@ -8,9 +8,10 @@ import pytest
 from treebundles import curve as curve_module
 from treebundles.bundle import BundleError, make_bundle
 from treebundles.curve import (CurveError, Edge, Enlargement, TreeCurve,
-                               insert_bridge)
+                               insert_bridge, validate_tree)
 from treebundles.fields import PrimeField, RationalField
-from treebundles.sampling import balanced_splitting, random_bundle, random_tree, spread
+from treebundles.sampling import (balanced_splitting, random_bundle,
+                                  random_invertible, random_tree, spread)
 from treebundles.serialize import (SerializeError, bundle_from_json,
                                    bundle_to_json, certificate_from_json,
                                    certificate_to_json, curve_from_json,
@@ -19,6 +20,7 @@ from treebundles.serialize import (SerializeError, bundle_from_json,
                                    multidegree_from_json, multidegree_to_json,
                                    splitting_from_json, splitting_to_json,
                                    subbundle_from_json, subbundle_to_json)
+from treebundles.serialize import _bundle_in_steps
 from treebundles.specialize import (EnlargementStep, SplitOffStep, certify,
                                     find_line_subbundle, verify_certificate)
 from treebundles.splitting import SplittingType
@@ -169,6 +171,189 @@ def test_bundle_rejects_malformed(ex_bundle):
         bundle_from_json(bad3)
 
 
+FIELDS = [RationalField(), PrimeField(7), PrimeField(1000003)]
+
+
+def _respelled(obj, fld, rng):
+    # about half the element strings spelled another way: n/d as kn/kd
+    # over Q, a residue plus a multiple of p over GF(p)
+    def spell(s):
+        k = rng.randint(2, 5)
+        if rng.random() < 0.5:
+            return s
+        if fld.char:
+            return str(int(s) + k * fld.char)
+        num, _, den = s.partition("/")
+        return "%d/%d" % (k * int(num), k * int(den or 1))
+
+    for e in obj["curve"]["edges"]:
+        e["pa"], e["pb"] = spell(e["pa"]), spell(e["pb"])
+    for g in obj["gluings"]:
+        g["matrix"] = [[spell(x) for x in row] for row in g["matrix"]]
+    return obj
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=lambda f: f.name)
+def test_the_one_pass_reader_loads_what_the_step_by_step_path_loads(fld):
+    # one-component curves to five components, ranks 1-4, every other
+    # gluing with its rows divided by 1-4 (non-integral over Q), entries
+    # and coordinates respelled; each curve keeps the one check it ran
+    rng = random.Random(66)
+    fractional = 0
+    for n in range(1, 6):
+        for r in range(1, 5):
+            curve = random_tree(rng, n, fld)
+            gluings = {}
+            for i in range(n - 1):
+                m = random_invertible(rng, fld, r)
+                if (n + r + i) % 2:
+                    m = [[x / d for x in row]
+                         for row, d in zip(m, map(fld.of, rng.choices(
+                             range(1, 5), k=r)))]
+                gluings[i] = m
+            bundle = make_bundle(curve, {v: tuple(rng.randint(-3, 3)
+                                                  for _ in range(r))
+                                         for v in curve.components}, gluings)
+            obj = _respelled(json.loads(dumps(bundle_to_json(bundle))),
+                             fld, rng)
+            back = bundle_from_json(obj, fld)
+            assert back == _bundle_in_steps(obj, fld, None) == bundle
+            assert back.curve.problems == tuple(validate_tree(back.curve)) == ()
+            fractional += sum(den > 1 for _, den in back.integer_gluings)
+    assert fractional > 0 or fld.char
+
+
+def _chain_json(r):
+    ones = [[str(int(i == j)) for j in range(r)] for i in range(r)]
+    swap = [[str(int(i + j == r - 1)) for j in range(r)] for i in range(r)]
+    return {"curve": {"components": ["v1", "v2", "v3"],
+                      "edges": [{"a": "v1", "pa": "0", "b": "v2", "pb": "0"},
+                                {"a": "v2", "pa": "1", "b": "v3", "pb": "0"}]},
+            "rank": r,
+            "splittings": {"v1": [1] * r, "v2": [0] * r, "v3": [-1] * r},
+            "gluings": [{"edge": 0, "matrix": ones},
+                        {"edge": 1, "matrix": swap}]}
+
+
+def _ragged(obj, r, p):
+    # the identity's entries in rows of r-1 and r+1 entries (one row of 2
+    # at rank 1): read as one run of r*r entries it would be the identity
+    flat = [x for row in obj["gluings"][0]["matrix"] for x in row]
+    rows = [flat[:r - 1], flat[r - 1:2 * r]] + [flat[k:k + r] for k in
+                                                 range(2 * r, r * r, r)]
+    obj["gluings"][0]["matrix"] = rows if r > 1 else [flat + ["0"]]
+
+
+def _singular(obj, r, p):
+    # the identity with its last 1 replaced by p (0 over Q): singular over
+    # the field read, though over GF(p) invertible over Q
+    obj["gluings"][0]["matrix"][-1][-1] = str(p)
+
+
+def _edit(path, value):
+    def edit(obj, r, p):
+        *head, last = path
+        for key in head:
+            obj = obj[key]
+        if value is None:
+            del obj[last]
+            return
+        new = value(r, p) if callable(value) else value
+        if isinstance(obj, list) and last == len(obj):
+            obj.append(new)
+        else:
+            obj[last] = new
+    return edit
+
+
+def _two(*edits):
+    def edit(obj, r, p):
+        for e in edits:
+            e(obj, r, p)
+    return edit
+
+
+def _row_spelled_as_a_string(obj, r, p):
+    obj["gluings"][0]["matrix"][0] = "1" + "0" * (r - 1)
+
+
+def _extra_row(obj, r, p):
+    obj["gluings"][0]["matrix"].append(["0"] * r)
+
+
+SPLITTING = "splitting of 'v2' is not an integer array"
+COMPONENTS = "splittings must cover the components exactly"
+EDGES = "gluings must cover the edges exactly"
+SHARED = "two nodes of 'v2' share coordinate"
+
+# one mutation per check of the reader, with a fragment of the error it
+# must raise
+READER_MUTATIONS = [
+    (_edit(("splittings", "v2", 0), True), SPLITTING),
+    (_edit(("splittings", "v2", 0), 10 ** 1000), SPLITTING),
+    (_edit(("splittings", "v2", 0), -10 ** 1000), SPLITTING),
+    (_edit(("splittings", "v2"), lambda r, p: (0,) * r), SPLITTING),
+    (_edit(("rank",), None), "bundle: missing 'rank'"),
+    (_edit(("gluings", 1, "matrix"), None),
+     "bundle gluing 1: missing 'matrix'"),
+    (_edit(("curve", "edges", 1, "pb"), None), "curve edge 1: missing 'pb'"),
+    (_edit(("splittings", "v3"), None), COMPONENTS),
+    (_edit(("splittings", "v9"), lambda r, p: [0] * r), COMPONENTS),
+    (_edit(("gluings", 1, "edge"), 0),
+     "bundle gluing 1: edge 0 is listed twice"),
+    (_edit(("gluings", 1), None), EDGES),
+    (_edit(("gluings", 1, "edge"), -1), EDGES),
+    (_edit(("gluings", 1, "edge"), 2), EDGES),
+    (_edit(("gluings", 1, "edge"), True),
+     "bundle gluing 1: 'edge' has the wrong shape"),
+    (_edit(("gluings", 0, "matrix", 0), None), "gluing 0 is not"),
+    (_extra_row, "gluing 0 is not"),
+    (_ragged, "gluing 0 is not"),
+    (_row_spelled_as_a_string,
+     "bundle gluing 0: matrix is not a list of rows"),
+    (_singular, "gluing 0 is singular"),
+    (_edit(("rank",), lambda r, p: r + 1), "bundle: declared rank"),
+    (_edit(("rank",), True), "bundle: 'rank' has the wrong shape"),
+    (_edit(("splittings", "v3"), lambda r, p: [0] * (r + 1)),
+     "components disagree on the rank"),
+    (_edit(("curve", "edges", 1, "b"), "v9"),
+     "edge 1 references unknown component"),
+    (_edit(("curve", "edges", 1, "b"), "v2"),
+     "edge 1 joins component 'v2' to itself"),
+    (_edit(("curve", "edges", 2), {"a": "v3", "pa": "1", "b": "v1", "pb": "1"}),
+     "cycle: 3 edges on 3 components"),
+    (_two(_edit(("curve", "components", 3), "v4"),
+          _edit(("splittings", "v4"), lambda r, p: [0] * r)),
+     "curve is not connected"),
+    # one coordinate spelled two ways on v2's chart
+    (_two(_edit(("curve", "edges", 0, "pb"), "1/2"),
+          _edit(("curve", "edges", 1, "pa"), "2/4")), SHARED),
+    (_two(_edit(("curve", "edges", 0, "pb"), "1"),
+          _edit(("curve", "edges", 1, "pa"),
+                lambda r, p: str(1 + p) if p else "2/2")), SHARED),
+]
+
+
+def _error(read, obj, fld):
+    try:
+        read(obj, fld)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("fld", FIELDS, ids=lambda f: f.name)
+@pytest.mark.parametrize("r", (1, 2, 3))
+def test_the_one_pass_reader_raises_what_the_step_by_step_path_raises(fld, r):
+    assert _error(bundle_from_json, _chain_json(r), fld) is None
+    for k, (edit, text) in enumerate(READER_MUTATIONS):
+        obj = _chain_json(r)
+        edit(obj, r, fld.char)
+        one = _error(bundle_from_json, obj, fld)
+        steps = _error(lambda o, f: _bundle_in_steps(o, f, None), obj, fld)
+        assert one == steps and one is not None and text in one[1], (k, one)
+
+
 def test_subbundle_roundtrip(ex_bundle):
     enl, sub = find_line_subbundle(ex_bundle)
     host = sub.host
@@ -295,27 +480,41 @@ def test_every_integer_read_is_bounded(ex_bundle):
 
 
 def _count_tree_validations(monkeypatch):
+    # the curves given to the one tree check, which validate_tree and the
+    # JSON reader both call
     seen = []
-    inner = curve_module.validate_tree
+    inner = curve_module.tree_problems
 
-    def counted(curve):
+    def counted(curve, keys):
         seen.append(curve)
-        return inner(curve)
+        return inner(curve, keys)
 
-    monkeypatch.setattr(curve_module, "validate_tree", counted)
+    monkeypatch.setattr(curve_module, "tree_problems", counted)
     return seen
 
 
 def test_bundle_load_validates_its_tree_once(monkeypatch):
+    # the reader checks the tree on the integers it read, by the shared
+    # check, once, and keeps the result on the curve: validate_tree, the
+    # check on field elements, never runs on a valid load
     rng = random.Random(63)
     seen = _count_tree_validations(monkeypatch)
+    on_elements = []
+    validate = curve_module.validate_tree
+    monkeypatch.setattr(curve_module, "validate_tree",
+                        lambda curve: on_elements.append(curve)
+                        or validate(curve))
     for _ in range(5):
         bundle = random_bundle(rng, random_tree(rng, rng.randint(1, 4)),
                                rng.randint(1, 3))
         obj = json.loads(dumps(bundle_to_json(bundle)))
         seen.clear()
-        assert bundle_from_json(obj) == bundle
-        assert len(seen) == 1
+        on_elements.clear()
+        back = bundle_from_json(obj)
+        assert back == bundle
+        assert [id(c) for c in seen] == [id(back.curve)]
+        assert on_elements == []
+        assert back.curve.problems == ()
 
 
 def test_certificate_load_validates_each_enlargement_source_once(monkeypatch):
