@@ -33,13 +33,16 @@ same builder, with y among them), are eliminated (Bareiss over Q, mod p
 over GF(p)); a state with no partial block takes no elimination. The same
 object bounds those counts from below with no rank at all (T - R, which is
 the count at every all-full twist), and holds the vanishing floors and the
-node counts val(v); `h0` is its count at the zero twist. Its one clamp-box
-walk, `first_failure`, finds the first twist of a level with fewer sections
-than a given need: `dmax` asks it with need 1 and `specialize.decide` with
-the source's count. A need-1 walk given the level below's first failure
-skips the twists one step above the twists before it, and `dmax` settles
-the failing levels at the bottom without walking them, by one bisection
-along their first twists.
+node counts val(v); `h0` is its count at the zero twist. Clamp boxes come
+from one odometer, `level_tuples`, as tuples of values in component order;
+`level_box` and `clamp_box` are its dict views, and the `box` verb writes
+its tuples straight to JSON. The system's one clamp-box walk,
+`first_failure`, walks those tuples to find the first twist of a level
+with fewer sections than a given need: `dmax` asks it with need 1 and
+`specialize.decide` with the source's count. A need-1 walk given the level
+below's first failure skips the twists one step above the twists before
+it, and `dmax` settles the failing levels at the bottom without walking
+them, by one bisection along their first twists.
 """
 from __future__ import annotations
 
@@ -562,7 +565,8 @@ class SectionSystem:
             spl = self.bundle.splittings
             hi = {v: self.val[v] - 1 - min(spl[v]) for v in rest}
             hi[last] = e - sum(lo[v] for v in rest)
-        for md in level_box(comps, lo, hi, e):
+        for values in level_tuples(comps, lo, hi, e):
+            md = dict(zip(comps, values))
             if self.floor(md) < need and not (
                     below and self._above_passed(md, below)):
                 have = self.count(md)
@@ -739,38 +743,50 @@ def vanishing_floor(bundle: GluedBundle):
     return {v: -max(bundle.splittings[v]) - 1 for v in bundle.curve.components}
 
 
-def level_box(comps, lo, hi, e):
-    """Multidegrees of total e with lo[v] <= md[v] <= hi[v], lazily.
+def level_tuples(comps, lo, hi, e):
+    """Multidegrees of total e with lo[v] <= md[v] <= hi[v], lazily: the one
+    clamp-box odometer.
 
-    Yielded as dicts keyed in `comps` order, in ascending lexicographic
-    order along `comps`; `hi=None` leaves every coordinate uncapped.
+    Yielded as tuples of values in `comps` order, in ascending
+    lexicographic order along `comps`; `hi=None` leaves every coordinate
+    uncapped. The first n - 2 coordinates run as an odometer; the last two
+    run as one range, the last coordinate taking what the others leave.
     """
+    n = len(comps)
     if hi is None:
         # no coordinate can exceed what the others leave at their floors
         spare = e - sum(lo[v] for v in comps)
         hi = {v: lo[v] + spare for v in comps}
-    n = len(comps)
+    if n < 2:
+        # a lone coordinate is the total; no coordinates sum to 0 alone
+        if all(lo[v] <= e <= hi[v] for v in comps) and (n or e == 0):
+            yield (e,) * n
+        return
+    lows, highs = [lo[v] for v in comps], [hi[v] for v in comps]
     least, most = [0] * (n + 1), [0] * (n + 1)  # bounds on comps[i:]
     for i in range(n - 1, -1, -1):
-        least[i] = least[i + 1] + lo[comps[i]]
-        most[i] = most[i + 1] + hi[comps[i]]
-    # an odometer: x[:i] is set, rem = e - sum(x[:i]) and top[j] is the
-    # largest value x[j] may take given x[:j]; the bounds leave rem == 0
-    # once every coordinate is set
-    x, top = [0] * n, [0] * n
+        least[i] = least[i + 1] + lows[i]
+        most[i] = most[i + 1] + highs[i]
+    m = n - 2
+    lo_a, hi_a, lo_b, hi_b = lows[m], highs[m], lows[m + 1], highs[m + 1]
+    # an odometer on the first m coordinates: x[:i] is set, rem = e -
+    # sum(x[:i]) and top[j] is the largest value x[j] may take given x[:j];
+    # the bounds leave least[m] <= rem <= most[m] once x[:m] is set
+    x, top = [0] * m, [0] * m
     i, rem = 0, e
     while True:
-        while i < n:
-            v = comps[i]
-            first = max(lo[v], rem - most[i + 1])
-            top[i] = min(hi[v], rem - least[i + 1])
+        while i < m:
+            first = max(lows[i], rem - most[i + 1])
+            top[i] = min(highs[i], rem - least[i + 1])
             if first > top[i]:
                 break
             x[i] = first
             rem -= first
             i += 1
-        if i == n:
-            yield dict(zip(comps, x))
+        if i == m:
+            head = tuple(x)
+            for a in range(max(lo_a, rem - hi_b), min(hi_a, rem - lo_b) + 1):
+                yield head + (a, rem - a)
         # advance the last coordinate that can still grow
         i -= 1
         while i >= 0 and x[i] == top[i]:
@@ -783,6 +799,11 @@ def level_box(comps, lo, hi, e):
         i += 1
 
 
+def level_box(comps, lo, hi, e):
+    """`level_tuples` as dicts keyed in `comps` order."""
+    return (dict(zip(comps, t)) for t in level_tuples(comps, lo, hi, e))
+
+
 def clamp_box(bundle: GluedBundle, e: int):
     """All multidegrees of total e within the stabilization box.
 
@@ -790,9 +811,11 @@ def clamp_box(bundle: GluedBundle, e: int):
     identically on v, so h0 is constant in that direction; any positivity or
     semicontinuity failure therefore clamps onto this finite box. Returned
     in ascending lexicographic order along the component order, and not
-    capped above. The list is the `box` verb's answer and a reference for
-    tests; `dmax` and `specialize.decide` instead walk each level lazily
-    under caps, in `SectionSystem.first_failure`.
+    capped above: `level_tuples` under the vanishing floors, as a list of
+    dicts, a reference for tests and `oracle-check`. The `box` verb writes
+    the same box from `level_tuples` without building it, and `dmax` and
+    `specialize.decide` walk each level lazily under caps, in
+    `SectionSystem.first_failure`.
     """
     comps = bundle.curve.components
     return list(level_box(comps, vanishing_floor(bundle), None, e))

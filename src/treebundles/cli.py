@@ -19,17 +19,18 @@ import json
 import random
 import re
 import sys
+from itertools import islice
 from math import comb
 
 from .bundle import (clamp_box, clamp_multidegree, dmax, h0, h0_oracle, h1,
-                     twist, vanishing_floor)
+                     level_tuples, twist, vanishing_floor)
 from .curve import CurveError, fill_multidegree
 from .fields import field_from_name
 from .sampling import random_bundle, random_multidegree, random_tree
 from .serialize import (INT_LIMIT, SerializeError, bundle_from_json,
                         certificate_from_json, certificate_to_json,
-                        curve_from_json, dumps, multidegree_to_json,
-                        splitting_from_json)
+                        curve_from_json, dumps, multidegree_texts,
+                        multidegree_to_json, splitting_from_json)
 from .specialize import (MismatchError, SplitOffError, certify, decide,
                          verify_certificate)
 from . import dot
@@ -39,8 +40,9 @@ class InputError(ValueError):
     pass
 
 
-# largest clamp box `box --level` prints
+# largest clamp box `box --level` prints, and the entries it writes at once
 _BOX_LIMIT = 10 ** 6
+_BOX_CHUNK = 4096
 
 
 def _load(path):
@@ -140,13 +142,22 @@ def _cmd_dmax(args):
 def _cmd_box(args):
     bundle = _bundle_arg(args)
     level = _parse_int(args.level, "--level")
-    n = len(bundle.curve.components)
-    spare = level - sum(vanishing_floor(bundle).values())
+    comps = bundle.curve.components
+    n = len(comps)
+    floors = vanishing_floor(bundle)
+    spare = level - sum(floors.values())
     if spare > 0 and comb(spare + n - 1, n - 1) > _BOX_LIMIT:
         raise InputError("box at level %d has more than %d entries"
                          % (level, _BOX_LIMIT))
-    _emit({"box": [multidegree_to_json(md)
-                   for md in clamp_box(bundle, level)]})
+    texts = multidegree_texts(comps, level_tuples(comps, floors, None, level))
+    # dumps({"box": [...]}) + "\n", a chunk of entries at a time
+    write = sys.stdout.write
+    write('{"box":[')
+    sep = ""
+    while chunk := ",".join(islice(texts, _BOX_CHUNK)):
+        write(sep + chunk)
+        sep = ","
+    write("]}\n")
     return 0
 
 

@@ -147,9 +147,11 @@ def _read_row(row, p, bad):
     otherwise, or has a zero denominator, or over GF(p) one divisible by
     p, raises ValueError(bad % (entry,)).
 
-    A row with no '/' or '_' in any entry is read by one int() per entry:
-    of such strings, int() reads exactly the integers spelled so. Any other
-    row, and any row int() refuses, is read entry by entry.
+    A string with no '/' or '_' is read by one int(): of such strings,
+    int() reads exactly the integers spelled so. A row of them all takes
+    one int() per entry; in any other row each such entry still does, and
+    every other entry, and any int() refuses, is read by `_read_entry`, in
+    order, so the first bad entry raises.
     """
     try:
         text = "".join(row)
@@ -159,9 +161,21 @@ def _read_row(row, p, bad):
         # a non-string, or an entry int() does not read: found below, in
         # order
         pass
-    pairs = [_read_entry(s, p, bad) for s in row]
+    pairs = [_read_integer(s, p) or _read_entry(s, p, bad) for s in row]
     den = lcm(*(d for _, d in pairs))
     return [n * (den // d) for n, d in pairs], den
+
+
+def _read_integer(s, p):
+    """(int(s), 1), the residue over GF(p), for a string s with no '/' or
+    '_' that int() reads; None for any other s."""
+    if isinstance(s, str) and "/" not in s and "_" not in s:
+        try:
+            return (int(s) % p if p else int(s)), 1
+        except ValueError:
+            # spelled otherwise, or more digits than int() reads
+            pass
+    return None
 
 
 def _read_entry(s, p, bad):

@@ -31,6 +31,7 @@ is checked twice.
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 
 from . import poly
 from .bundle import GluedBundle, build_checked, pullback
@@ -163,6 +164,20 @@ class _Curves:
 
 def multidegree_to_json(md) -> dict:
     return {str(v): int(d) for v, d in md.items()}
+
+
+def multidegree_texts(ids, values):
+    """dumps(multidegree_to_json(dict(zip(ids, t)))) for each tuple t of
+    `values`, lazily, with no dict built: each t, reordered to the sorted
+    keys when they are not in `ids` order, fills one %-template whose keys
+    are the encoded ids with every '%' doubled."""
+    keys = [str(v) for v in ids]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    template = "{%s}" % ",".join(
+        _ENCODER.encode(keys[k]).replace("%", "%%") + ":%d" for k in order)
+    if order != list(range(len(order))):
+        values = map(itemgetter(*order), values)
+    return map(template.__mod__, values)
 
 
 def multidegree_from_json(obj) -> dict:

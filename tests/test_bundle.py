@@ -1,4 +1,5 @@
 """Glued bundles: construction, cohomology, twists, boxes, surgery."""
+import itertools
 import math
 import random
 import time
@@ -10,7 +11,8 @@ from treebundles import linalg, poly
 from treebundles.bundle import (BundleError, GluedBundle, SectionSystem,
                                 clamp_box, clamp_multidegree,
                                 contract_pushforward, dmax, h0, h0_oracle, h1,
-                                level_box, make_bundle, pullback,
+                                level_box, level_tuples, make_bundle,
+                                pullback,
                                 restrict_bundle, section_basis, twist,
                                 vanishing_floor)
 from treebundles.curve import Edge, TreeCurve, insert_bridge, md_total
@@ -435,6 +437,39 @@ def test_clamp_box_goldens(ex_bundle):
                                         {"v1": -2, "v2": -1},
                                         {"v1": -1, "v2": -2},
                                         {"v1": 0, "v2": -3}]
+
+
+def test_level_tuples_against_a_filtered_product():
+    # the odometer on the first n - 2 coordinates and the range on the last
+    # two give every tuple of the product with total e, in its order
+    rng = random.Random(43)
+    ids = ("v2", "v10", "a", "c", "b", "d")
+    for n in range(1, 7):
+        comps = ids[:n]
+        for _ in range(40):
+            lo = {v: rng.randint(-3, 2) for v in comps}
+            if rng.random() < 0.5:
+                # a cap below a floor, now and then, empties the box
+                hi = {v: lo[v] + rng.randint(-(rng.random() < 0.1), 3)
+                      for v in comps}
+                e = rng.randint(sum(lo.values()) - 1, sum(hi.values()) + 1)
+                top = hi
+            else:
+                hi = None
+                e = sum(lo.values()) + rng.randint(-1, 4)
+                top = {v: lo[v] + max(0, e - sum(lo.values())) for v in comps}
+            want = [t for t in itertools.product(
+                        *(range(lo[v], top[v] + 1) for v in comps))
+                    if sum(t) == e]
+            assert list(level_tuples(comps, lo, hi, e)) == want
+            assert list(level_box(comps, lo, hi, e)) == [
+                dict(zip(comps, t)) for t in want]
+    assert list(level_tuples(("a", "b"), {"a": 0, "b": 0},
+                             {"a": 2, "b": -1}, 1)) == []
+    assert list(level_tuples(("a",), {"a": 0}, None, -1)) == []
+    assert list(level_tuples(("a",), {"a": 0}, None, 4)) == [(4,)]
+    assert list(level_tuples((), {}, None, 0)) == [()]
+    assert list(level_tuples((), {}, None, 1)) == []
 
 
 def test_clamp_box_structure(ex_bundle):

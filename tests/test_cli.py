@@ -1,4 +1,5 @@
 """Command line surface: verbs, flags, exit codes, byte-stable output."""
+import contextlib
 import hashlib
 import json
 import os
@@ -7,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -14,13 +16,14 @@ import pytest
 
 import treebundles
 from treebundles import subbundles
-from treebundles.bundle import dmax
-from treebundles.cli import main
+from treebundles.bundle import clamp_box, dmax, make_bundle, vanishing_floor
+from treebundles.cli import _BOX_CHUNK, main
+from treebundles.curve import TreeCurve
 from treebundles.fields import field_from_name
 from treebundles.sampling import (balanced_splitting, random_bundle,
                                   random_tree, spread)
 from treebundles.serialize import (bundle_to_json, certificate_to_json,
-                                   curve_to_json, dumps)
+                                   curve_to_json, dumps, multidegree_to_json)
 from treebundles.specialize import certify
 from treebundles.splitting import SplittingType
 
@@ -905,6 +908,69 @@ def test_box_on_a_long_rank_one_chain(tmp_path, capsys):
     code, out, err = run(capsys, "box", "-i", path, "--level", str(-n))
     assert (code, err) == (0, "")
     assert json.loads(out) == {"box": [dict.fromkeys(ids, -1)]}
+
+
+def _box_by_dumps(bundle, level):
+    return dumps({"box": [multidegree_to_json(md)
+                          for md in clamp_box(bundle, level)]}) + "\n"
+
+
+def _odd_ids_chain():
+    # ids whose sorted order is not the component order, and ids that
+    # JSON escapes or that '%' formatting would read
+    ids = ("v10", "v2", "a%d", "\u00e9", 'q"', "b\\")
+    return build_chain(ids, {v: (0,) for v in ids},
+                       {i: [[F(1)]] for i in range(len(ids) - 1)})
+
+
+def test_box_streams_the_bytes_dumps_writes(tmp_path, capsys):
+    rng = random.Random(43)
+    cases = []
+    for k in range(24):
+        curve = random_tree(rng, rng.randint(1, 5))
+        cases.append(random_bundle(rng, curve, rng.randint(1, 3)))
+    cases.append(_odd_ids_chain())
+    cases.append(make_bundle(TreeCurve(("x",), ()), {"x": (1, -2)}, {}))
+    boxes = 0
+    for bundle in cases:
+        path = _write(tmp_path, bundle_to_json(bundle))
+        floors = sum(vanishing_floor(bundle).values())
+        # one level below the floors holds an empty box
+        for level in (floors - 1, floors, floors + rng.randint(1, 6)):
+            code, out, err = run(capsys, "box", "-i", path, "--level",
+                                 str(level))
+            assert (code, err) == (0, "")
+            assert out == _box_by_dumps(bundle, level)
+            boxes += out != '{"box":[]}\n'
+    assert boxes > 40
+    # more entries than one chunk: 17 choose 5 is 6,188
+    bundle = _odd_ids_chain()
+    path = _write(tmp_path, bundle_to_json(bundle))
+    code, out, _ = run(capsys, "box", "-i", path, "--level", "6")
+    assert len(json.loads(out)["box"]) > _BOX_CHUNK
+    assert (code, out) == (0, _box_by_dumps(bundle, 6))
+
+
+class _Sink:
+    def write(self, text):
+        return len(text)
+
+
+def test_box_memory_does_not_grow_with_the_box(tmp_path):
+    # 33,649 entries: the parent built every entry as two dicts and the
+    # answer as one string, a peak of about 19 MB
+    ids = ["c%d" % i for i in range(6)]
+    bundle = build_chain(ids, {v: (0,) for v in ids},
+                         {i: [[F(1)]] for i in range(5)})
+    path = _write(tmp_path, bundle_to_json(bundle))
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(_Sink()):
+            assert main(["box", "-i", path, "--level", "12"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_field_flag_prime(tmp_path, capsys):

@@ -203,6 +203,10 @@ entries = st.one_of(
 @example([[" 7 ", "007", "-0"], ["7/7", LONG]])
 @example([[LONG, "1/2"]])
 @example([[], ["2/4"]])
+@example([["1/2", " 7 ", "-0", "٣", "+5"]])
+@example([["1/2", "3", "x", 4]])
+@example([["1/2", "1_000", "3"], ["5/3", 4]])
+@example([["-3/2", LONG, "1/0"]])
 def test_read_row_agrees_with_the_entries_read_one_by_one(fld, rows):
     # the same rows and den, or the same first error in row-major order,
     # by type and text; and the JSON reader's gluing the same way
