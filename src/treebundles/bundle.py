@@ -148,7 +148,9 @@ def build_checked(build, curve: TreeCurve, splittings, gluings) -> GluedBundle:
     the gluings as a list in edge order, each in the form `build` takes:
     `GluedBundle` rows of field elements, `GluedBundle.of_integers`
     (integer rows, den) pairs, as the JSON reader's step-by-step path reads
-    them (its one pass runs the same checks as it reads). Each gluing's
+    them (`serialize._rows_from_json`, one `read_row` call per matrix, rows
+    cut back by their lengths, so a ragged gluing reaches the shape check
+    here); its one pass runs the same checks as it reads. Each gluing's
     shape and invertibility are checked on its integer rows
     (`linalg.invertible`)."""
     curve.validate()

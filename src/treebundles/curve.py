@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, partial
+from typing import NamedTuple
 
 from .fields import field_from_name
 
@@ -25,8 +26,7 @@ class CurveError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """One node: component `a` at coordinate `pa` meets component `b` at `pb`."""
 
     a: str

@@ -11,10 +11,13 @@ The field is one class, `Field`, keyed by its characteristic `char`, 0
 for Q; `RationalField` and `PrimeField` only check p and name it. One
 builder, `element(num, den, p)`, makes every element. Each field reads
 strings in one place, `read_row`: a list of strings -> (integers, den),
-the row being the integers over den (`_read_row`); `ratio(s)` is the row
-of one string, and `parse` builds the element from that pair, so a
-reader that needs only integers (a bundle's gluings) builds no element
-at all. `field_from_name` builds each field once per name.
+the row being the integers over den (`_read_row`): one int() per entry
+on a row with no '/' or '_', else each entry by one function,
+`_read_entry`, which tries int() first on an entry with neither.
+`ratio(s)` is the row of one string, and `parse` builds the element from
+that pair, so a reader that needs only integers (a bundle's gluings)
+builds no element at all. `field_from_name` builds each field once per
+name.
 """
 from __future__ import annotations
 
@@ -149,9 +152,8 @@ def _read_row(row, p, bad):
 
     A string with no '/' or '_' is read by one int(): of such strings,
     int() reads exactly the integers spelled so. A row of them all takes
-    one int() per entry; in any other row each such entry still does, and
-    every other entry, and any int() refuses, is read by `_read_entry`, in
-    order, so the first bad entry raises.
+    one int() per entry; any other row is read entry by entry, in order,
+    by `_read_entry`, so the first bad entry raises.
     """
     try:
         text = "".join(row)
@@ -161,28 +163,23 @@ def _read_row(row, p, bad):
         # a non-string, or an entry int() does not read: found below, in
         # order
         pass
-    pairs = [_read_integer(s, p) or _read_entry(s, p, bad) for s in row]
+    pairs = [_read_entry(s, p, bad) for s in row]
     den = lcm(*(d for _, d in pairs))
     return [n * (den // d) for n, d in pairs], den
 
 
-def _read_integer(s, p):
-    """(int(s), 1), the residue over GF(p), for a string s with no '/' or
-    '_' that int() reads; None for any other s."""
-    if isinstance(s, str) and "/" not in s and "_" not in s:
+def _read_entry(s, p, bad):
+    """One entry of `_read_row` as (num, den): lowest terms with den > 0
+    over Q (p = 0), the residue over 1 over GF(p). A string with no '/' or
+    '_' is tried by one int() first."""
+    if not isinstance(s, str):
+        raise TypeError("field element %r is not a string" % (s,))
+    if "/" not in s and "_" not in s:
         try:
             return (int(s) % p if p else int(s)), 1
         except ValueError:
             # spelled otherwise, or more digits than int() reads
             pass
-    return None
-
-
-def _read_entry(s, p, bad):
-    """One entry of `_read_row` as (num, den): lowest terms with den > 0
-    over Q (p = 0), the residue over 1 over GF(p)."""
-    if not isinstance(s, str):
-        raise TypeError("field element %r is not a string" % (s,))
     num, slash, den = s.strip().partition("/")
     digits = num[1:] if num[:1] in ("+", "-") else num
     try:

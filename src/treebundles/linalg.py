@@ -2,18 +2,17 @@
 between field elements and integers.
 
 Every exact count and solve in the package runs on integers over Q
-(p = 0) or GF(p), and this module alone crosses between the two: `ratio`
-reads one field element as numerator and denominator, `cleared` turns
-rows of field elements into integer rows over one common denominator
-(residues over 1 in GF(p)), `over_one_den` puts the rows a field's
-`read_row` reads straight from strings, each over its own den, over one,
-`lowest` takes integer rows over any nonzero den to that same form,
-`element` (written in `fields`, beside the field that builds its
-elements with it, and imported here) builds a field element back from
-an integer over a denominator, and `power_row` gives the homogeneous
-powers n^k d^(K-k) at which integer polynomials are evaluated at a point
-n/d. `ratio` and `cleared` read every element by its own
-as_integer_ratio(), so neither asks which field it came from.
+(p = 0) or GF(p), and this module alone crosses between the two:
+`cleared` turns rows of field elements into integer rows over one common
+denominator (residues over 1 in GF(p)), `lowest` takes integer rows over
+any nonzero den to that same form, `element` (written in `fields`,
+beside the field that builds its elements with it, and imported here)
+builds a field element back from an integer over a denominator, and
+`power_row` gives the homogeneous powers n^k d^(K-k) at which integer
+polynomials are evaluated at a point n/d. Both read an element by its
+own as_integer_ratio(), so neither asks which field it came from; a
+caller that needs one element's (num, den) asks the element the same
+way. Strings are read to integers by each field's `read_row`.
 `invertible` tests a square integer matrix by its determinant up to 4x4,
 so no gluing of rank at most 4 is eliminated, and by rank above, and
 `invert_matrix` inverts one over its den.
@@ -126,13 +125,6 @@ def rank(rows, ncols, p):
 
 # -- field elements and integers --------------------------------------------
 
-def ratio(x, p):
-    """A field element as (numerator, denominator): a GF(p) residue over 1,
-    or a rational in lowest terms (p = 0), as the element's own
-    as_integer_ratio() gives it."""
-    return x.as_integer_ratio()
-
-
 def cleared(rows, p):
     """Rows of field elements as (integer rows, den), the rows being the
     integer ones divided by den: the rows times the lcm of every
@@ -146,16 +138,6 @@ def cleared(rows, p):
     if den == 1:
         return [[n for n, _ in row] for row in ratios], 1
     return [[n * (den // d) for n, d in row] for row in ratios], den
-
-
-def over_one_den(rows):
-    """Integer rows, each over its own positive den, as (integer rows, den)
-    over the lcm of those: the rows as given when every den is 1. On the
-    rows a field's `read_row` reads, this is `cleared` of the rows of the
-    elements they spell."""
-    den = lcm(*(d for _, d in rows))
-    return [ints if d == den else [x * (den // d) for x in ints]
-            for ints, d in rows], den
 
 
 def lowest(rows, den, p):
@@ -175,7 +157,7 @@ def power_row(x, top, p):
     integer polynomial of degree at most top has value at x the sum of its
     coefficients times these, over d^top (the first power). Residues over
     GF(p), where d is 1; empty for top < 0."""
-    n, d = ratio(x, p)
+    n, d = x.as_integer_ratio()
     return [pow(n, k, p or None) * d ** (top - k) for k in range(top + 1)]
 
 

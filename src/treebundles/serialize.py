@@ -5,39 +5,46 @@ denominator over the rationals; plain decimal residues over a prime
 field). The field itself is not part of the payload; readers supply it.
 
 A curve and a bundle are read and checked in one pass over their JSON.
-A curve's node coordinates are read by one `read_row` call, over one den,
-each distinct value's element is built once, and the tree is checked on
-those numerators (`curve.tree_problems`, through `TreeCurve.read`), the
-check `validate_tree` runs on a curve built in code. A bundle's
-splittings and gluings are checked as they are read, with make_bundle's
-checks: they cover the components and edges, agree on one rank, and each
-gluing is r x r and invertible (`linalg.invertible`, by its determinant
-up to 4x4). Each gluing is read by one `read_row` call, straight to
-integers over one den, and held so: a load builds no field element for it
+A curve has one reader, `curve_from_json`: once every id and coordinate
+is a string, its node coordinates are read by one `read_row` call, over
+one den, each distinct value's element is built once, and the tree is
+checked on those numerators (`curve.tree_problems`, through
+`TreeCurve.read`), the check `validate_tree` runs on a curve built in
+code; when some edge is not four strings, its edges are read key by key,
+so the first fault raises with its text. A bundle's splittings and
+gluings are checked as they are read, with make_bundle's checks: they
+cover the components and edges, agree on one rank, and each gluing is
+r x r and invertible (`linalg.invertible`, by its determinant up to
+4x4). Each gluing is read by one `read_row` call, straight to integers
+over one den, and held so: a load builds no field element for it
 (`GluedBundle.of_integers`). The curve keeps its check result
 (`problems`), so `build_checked`, `pullback` and `verify` do not check it
 again. On any fault the one pass gives the same JSON to the step-by-step
-reader (`_curve_in_steps`, `_bundle_in_steps`), which reads key by key and
-entry by entry, builds through `bundle.build_checked` and raises the first
-fault with its text; that path runs only on a fault.
+reader (`_bundle_in_steps`), which reads key by key, builds through
+`bundle.build_checked` and raises the first fault with its text; that
+path runs only on a fault. It is kept because one reader, built through
+`build_checked` on every load, cost about 11 us per load on sections.
 
-A subbundle's embedding is read the same way, each component's
-coefficient lists over one den (`_rows_from_json`, `LineSubbundle.
-of_integers`). A certificate reader builds each curve once, reusing the
-curve object for JSON equal to a curve it has read (`_Curves`), and its
-target and quotient bundles take the one pass through it, so nothing read
-is checked twice.
+Every other matrix, a gluing on the step-by-step path or a subbundle
+component's coefficient lists, is read by `_rows_from_json`: all its
+entries by one `read_row` call, over one den, the rows then cut back by
+their lengths (`LineSubbundle.of_integers` holds the embedding so). A
+certificate reader builds each curve once, reusing the curve object for
+JSON equal to a curve it has read (`_Curves`), and its target and
+quotient bundles take the one pass through it, so nothing read is
+checked twice.
 """
 from __future__ import annotations
 
 import json
+from itertools import islice
 from operator import itemgetter
 
 from . import poly
 from .bundle import GluedBundle, build_checked, pullback
 from .curve import Edge, Enlargement, TreeCurve
 from .fields import RationalField
-from .linalg import element, invertible, over_one_den
+from .linalg import element, invertible
 from .specialize import (Certificate, DominanceStep, EnlargementStep,
                          FailureWitness, RankOneBase, SplitOffStep)
 from .splitting import SplittingType
@@ -102,43 +109,40 @@ def curve_from_json(obj, field=None) -> TreeCurve:
     """The curve read and checked in one pass: every node coordinate is
     read by one `fld.read_row` call, each distinct value's element is built
     once, and the tree is checked on the numerators over the row's den
-    (`TreeCurve.read`). On any fault the JSON goes to `_curve_in_steps`,
-    which raises the first fault in edge order."""
+    (`TreeCurve.read`). When some edge is not four strings, its edges are
+    read key by key instead (`_edge_strings`), so the first fault raises
+    in edge order."""
     fld = field if field is not None else RationalField()
-    try:
-        comps, raw = obj["components"], obj["edges"]
-        ends = [v for e in raw for v in (e["a"], e["b"])]
-        if (type(obj) is dict and type(comps) is list and type(raw) is list
-                and set(map(type, raw)) <= {dict}
-                and set(map(type, comps + ends)) <= {str}):
-            nums, den = fld.read_row([x for e in raw
-                                      for x in (e["pa"], e["pb"])])
-            elements = {x: element(x, den, fld.char) for x in set(nums)}
-            coords = [elements[x] for x in nums]
-            edges = tuple(map(Edge, ends[::2], coords[::2],
-                              ends[1::2], coords[1::2]))
-            curve = TreeCurve.read(tuple(comps), edges, fld, nums)
-            if not curve.problems:
-                return curve
-    except (KeyError, TypeError, ValueError):
-        # a fault, which the step-by-step reader finds
-        pass
-    return _curve_in_steps(obj, fld)
-
-
-def _curve_in_steps(obj, fld) -> TreeCurve:
-    """`curve_from_json`'s error path: the curve read entry by entry, in
-    edge order, and checked by `validate_tree`, so the first fault raises
-    with its text."""
     comps = _need_names(obj, "components", "curve")
-    edges = []
-    for k, e in enumerate(_need(obj, "edges", list, "curve")):
+    raw = _need(obj, "edges", list, "curve")
+    try:
+        ends = [v for e in raw for v in (e["a"], e["b"])]
+        coords = [x for e in raw for x in (e["pa"], e["pb"])]
+        strings = set(map(type, ends + coords)) <= {str}
+    except (KeyError, TypeError):
+        # an edge that is not an object, or lacks a key
+        strings = False
+    if not strings:
+        ends, coords = _edge_strings(raw, fld)
+    nums, den = fld.read_row(coords)
+    elements = {x: element(x, den, fld.char) for x in set(nums)}
+    coords = [elements[x] for x in nums]
+    edges = tuple(map(Edge, ends[::2], coords[::2], ends[1::2], coords[1::2]))
+    return TreeCurve.read(tuple(comps), edges, fld, nums).validate()
+
+
+def _edge_strings(raw, fld):
+    """The edges' ids and coordinates, each in edge order, a before b, read
+    key by key (a, pa, b, pb) with each coordinate read (`fld.ratio`)
+    before the next key, so the first fault raises with its text."""
+    ends, coords = [], []
+    for k, e in enumerate(raw):
         where = "curve edge %d" % k
-        edges.append(Edge(_need(e, "a", str, where),
-                          fld.parse(_need(e, "pa", str, where)),
-                          _need(e, "b", str, where),
-                          fld.parse(_need(e, "pb", str, where))))
-    return TreeCurve(tuple(comps), tuple(edges), fld).validate()
+        for end, coord in (("a", "pa"), ("b", "pb")):
+            ends.append(_need(e, end, str, where))
+            coords.append(_need(e, coord, str, where))
+            fld.ratio(coords[-1])
+    return ends, coords
 
 
 class _Curves:
@@ -209,20 +213,22 @@ def _matrix_to_json(fld, m):
 
 def _rows_from_json(fld, obj, where, shape):
     """A gluing's rows or a subbundle component's coefficient lists as
-    (integer rows, den), equal to `linalg.cleared` of the parsed rows: each
-    row read by `fld.read_row`, which raises at the first bad entry in
-    row-major order, and the rows put over one den; `shape` names `obj`."""
+    (integer rows, den), equal to `linalg.cleared` of the parsed rows:
+    every entry read by one `fld.read_row` call, which raises at the first
+    bad entry in row-major order, and the rows cut back by their lengths,
+    so ragged rows stay ragged; `shape` names `obj`."""
     if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
         raise SerializeError("%s: %s" % (where, shape))
-    read = fld.read_row
     try:
-        return over_one_den([read(row) for row in obj])
+        ints, den = fld.read_row([x for row in obj for x in row])
     except TypeError:
         # the first bad entry is not a string, and every entry before it
         # is one
         bad = next(x for row in obj for x in row if not isinstance(x, str))
         raise SerializeError("%s: field element %r is not a string"
                              % (where, bad))
+    entries = iter(ints)
+    return [list(islice(entries, len(row))) for row in obj], den
 
 
 def bundle_to_json(bundle: GluedBundle) -> dict:
@@ -295,12 +301,11 @@ def _bundle_in_one_pass(obj, field, curves):
 
 def _bundle_in_steps(obj, field, curves):
     """`bundle_from_json`'s error path: the bundle read key by key, its
-    curve by `_curve_in_steps` unless `curves` is given, and built through
-    make_bundle's checks (`bundle.build_checked`), so the first fault
-    raises with its text."""
+    curve by `curves` when one is given, else by `curve_from_json`, and
+    built through make_bundle's checks (`bundle.build_checked`), so the
+    first fault raises with its text."""
     raw = _need(obj, "curve", dict, "bundle")
-    curve = (curves(raw) if curves else _curve_in_steps(
-        raw, field if field is not None else RationalField()))
+    curve = curves(raw) if curves else curve_from_json(raw, field)
     fld = curve.field
     raw = _need(obj, "splittings", dict, "bundle")
     splittings = {}

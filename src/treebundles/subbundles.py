@@ -46,7 +46,7 @@ from .bundle import (BundleError, GluedBundle, SectionSystem, dmax, level_box,
                      pullback, restrict_bundle, section_basis, twist)
 from .curve import compose_enlargements, identity_enlargement, insert_bridge
 from .linalg import (cleared, element, integer_kernel, integer_rref,
-                     invertible, lowest, power_row, ratio)
+                     invertible, lowest, power_row)
 
 
 class SubbundleError(ValueError):
@@ -135,7 +135,7 @@ class LineSubbundle:
                 continue
             lhs, sa, vb, sb = _node_fibres(host, i, coords)
             # lhs / sa == lam * vb / sb, cross-multiplied
-            n, d = ratio(lam, p)
+            n, d = lam.as_integer_ratio()
             if any(_nonzero(x * sb * d - n * y * sa, p) for x, y in zip(lhs, vb)):
                 problems.append("edge %d: sides do not match through the gluing" % i)
         for i in sorted(set(self.scalars) - set(range(len(host.curve.edges)))):
@@ -422,7 +422,7 @@ def _quotient(bundle: GluedBundle, sub: LineSubbundle) -> GluedBundle:
     for i, e in enumerate(bundle.curve.edges):
         ((g00, g01), (g10, g11)), den = bundle.integer_gluings[i]
         (na, da), (nb, db) = lead[e.a], lead[e.b]
-        nl, dl = ratio(sub.scalars[i], p)
+        nl, dl = sub.scalars[i].as_integer_ratio()
         # det(G) = det_int / den^2
         num = (g00 * g11 - g01 * g10) * na * db * dl
         assert _nonzero(num, p), "quotient gluing is singular"

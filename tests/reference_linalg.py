@@ -16,9 +16,16 @@ no walk skips a twist by what another level found. `_column_layout` and
 b-end summand on every block whole, apart from the one row builder
 (`bundle._node_rows`) that both `SectionSystem` and `section_basis` use;
 they share only `bundle._edge_rows`.
+
+`curve_in_steps` is the reference for the JSON curve reader: each edge
+read key by key, each coordinate parsed to its element (`fld.parse`), and
+the curve checked by `validate_tree`, neither of which
+`serialize.curve_from_json` uses.
 """
 from treebundles.bundle import (GluedBundle, SectionSystem, _edge_rows,
                                 vanishing_floor)
+from treebundles.curve import Edge, TreeCurve
+from treebundles.serialize import _need, _need_names
 
 
 def rref(rows, ncols):
@@ -394,3 +401,18 @@ def _matching_rows(bundle: GluedBundle, ncols, blocks):
                 row[start:start + deg + 1] = ub[:deg + 1]
             rows.append(row)
     return rows
+
+
+def curve_in_steps(obj, fld):
+    """A curve's JSON read entry by entry, in edge order, and checked by
+    `validate_tree`, so the first fault raises with its text. The
+    reference for `serialize.curve_from_json`."""
+    comps = _need_names(obj, "components", "curve")
+    edges = []
+    for k, e in enumerate(_need(obj, "edges", list, "curve")):
+        where = "curve edge %d" % k
+        edges.append(Edge(_need(e, "a", str, where),
+                          fld.parse(_need(e, "pa", str, where)),
+                          _need(e, "b", str, where),
+                          fld.parse(_need(e, "pb", str, where))))
+    return TreeCurve(tuple(comps), tuple(edges), fld).validate()

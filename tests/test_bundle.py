@@ -159,7 +159,7 @@ def test_a_bundle_load_builds_no_field_element_gluing(fld, monkeypatch):
         obj = bundle_to_json(bundle)
         if k == 1:
             obj["gluings"][0]["matrix"] = [
-                ["%d/%d" % tuple(6 * n for n in linalg.ratio(x, fld.char))
+                ["%d/%d" % tuple(6 * n for n in x.as_integer_ratio())
                  for x in row] for row in bundle.gluings[0]]
         monkeypatch.setattr(bundle_module, "element",
                             lambda *args: built.append(args))
@@ -261,7 +261,7 @@ def test_every_built_gluing_is_in_lowest_terms(fld):
                  for row in random_invertible(rng, fld, r)] for i in (0, 1)})
         obj = bundle_to_json(bundle)
         obj["gluings"][1]["matrix"] = [
-            ["%d/%d" % tuple(4 * n for n in linalg.ratio(x, p)) for x in row]
+            ["%d/%d" % tuple(4 * n for n in x.as_integer_ratio()) for x in row]
             for row in bundle.gluings[1]]
         back = bundle_from_json(obj, fld)
         assert agree(back, bundle)

@@ -25,6 +25,8 @@ from treebundles.specialize import (EnlargementStep, SplitOffStep, certify,
                                     find_line_subbundle, verify_certificate)
 from treebundles.splitting import SplittingType
 
+from reference_linalg import curve_in_steps
+
 
 def test_curve_roundtrip(ex_bundle):
     curve = ex_bundle.curve
@@ -296,6 +298,14 @@ READER_MUTATIONS = [
     (_edit(("rank",), None), "bundle: missing 'rank'"),
     (_edit(("gluings", 1, "matrix"), None),
      "bundle gluing 1: missing 'matrix'"),
+    (_edit(("gluings", 1, "matrix"), "1"),
+     "bundle gluing 1: 'matrix' has the wrong shape"),
+    (_edit(("gluings", 1, "edge"), None), "bundle gluing 1: missing 'edge'"),
+    (_edit(("splittings",), lambda r, p: [[0] * r] * 3),
+     "bundle: 'splittings' has the wrong shape"),
+    (_edit(("gluings",), {}), "bundle: 'gluings' has the wrong shape"),
+    (_edit(("curve",), lambda r, p: [["v1", "v2", "v3"]]),
+     "bundle: 'curve' has the wrong shape"),
     (_edit(("curve", "edges", 1, "pb"), None), "curve edge 1: missing 'pb'"),
     (_edit(("splittings", "v3"), None), COMPONENTS),
     (_edit(("splittings", "v9"), lambda r, p: [0] * r), COMPONENTS),
@@ -352,6 +362,110 @@ def test_the_one_pass_reader_raises_what_the_step_by_step_path_raises(fld, r):
         one = _error(bundle_from_json, obj, fld)
         steps = _error(lambda o, f: _bundle_in_steps(o, f, None), obj, fld)
         assert one == steps and one is not None and text in one[1], (k, one)
+
+
+# values a mutation puts in place of a key's or entry's value: every JSON
+# type, integers past INT_LIMIT, and strings that are ids, coordinates,
+# misspelled coordinates and an integer past int()'s digit limit
+POOL = [None, True, 0, 1, -1, 2, 10 ** 1000, 1.5, "x", "1/0", "1_0", "2/4",
+        "0", "1", " 7 ", "v1", "v2", "v9", "", [], {}, ["0"], [0],
+        ["1", "0"], [["1"]], {"a": "v1"}, "1" * 4400]
+
+
+def _mutated(rng, obj):
+    """obj, a copy of JSON, with one mutation at a uniformly drawn key or
+    entry: deleted, replaced from POOL, duplicated or swapped in its list,
+    copied to another key, or nudged (a string respelled or turned into
+    another, an integer moved)."""
+    found, stack = [], [obj]
+    while stack:
+        node = stack.pop()
+        keys = (list(node) if isinstance(node, dict) else
+                range(len(node)) if isinstance(node, list) else ())
+        for k in keys:
+            found.append((node, k))
+            stack.append(node[k])
+    if not found:
+        return obj
+    node, k = rng.choice(found)
+    value, op = node[k], rng.randrange(6)
+    if op == 0:
+        del node[k]
+    elif op == 1:
+        node[k] = json.loads(json.dumps(rng.choice(POOL)))
+    elif op == 2 and isinstance(node, list):
+        node.insert(k, json.loads(json.dumps(value)))
+    elif op == 3 and isinstance(node, list):
+        j = rng.randrange(len(node))
+        node[k], node[j] = node[j], value
+    elif op == 4 and isinstance(node, dict):
+        node[rng.choice(["v1", "v9", "a", "edge"])] = json.loads(
+            json.dumps(value))
+    elif isinstance(value, str):
+        node[k] = rng.choice(["2/2", value + "0", "-" + value, value + "/3",
+                              "3/" + value, "7"])
+    elif isinstance(value, int) and not isinstance(value, bool):
+        node[k] = value + rng.choice((-1, 1, 7))
+    else:
+        node[k] = json.loads(json.dumps(rng.choice(POOL)))
+    return obj
+
+
+def _outcome(read, obj, fld):
+    """What a reader makes of obj: the object read, or the error's type
+    and text."""
+    try:
+        return read(obj, fld)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _mutated_corpus(seed, draws, base):
+    """(JSON, field) pairs: `draws` times, a bundle drawn by `sampling`
+    (1-6 components, rank 1-4, the fields in turn), its JSON cut down to
+    `base` of it, with one to three mutations."""
+    rng = random.Random(seed)
+    for k in range(draws):
+        fld = FIELDS[k % len(FIELDS)]
+        bundle = random_bundle(rng, random_tree(rng, rng.randint(1, 6), fld),
+                               rng.randint(1, 4))
+        obj = base(json.loads(dumps(bundle_to_json(bundle))))
+        for _ in range(rng.randint(1, 3)):
+            obj = _mutated(rng, obj)
+        yield obj, fld
+
+
+def _tally(outcomes):
+    """How many outcomes were objects read, and how many distinct error
+    texts the rest raised."""
+    texts = {x[1] for x in outcomes if isinstance(x, tuple)}
+    return sum(not isinstance(x, tuple) for x in outcomes), len(texts)
+
+
+def test_the_one_pass_curve_reader_matches_the_reference_on_mutated_curves():
+    # 1,200 curves with one to three mutations each: the same curve, or
+    # the same first fault by type and text, as the reference that parses
+    # each coordinate and checks the tree with validate_tree
+    outcomes = []
+    for obj, fld in _mutated_corpus(44, 1200, lambda b: b["curve"]):
+        got = _outcome(curve_from_json, obj, fld)
+        assert got == _outcome(curve_in_steps, obj, fld), obj
+        outcomes.append(got)
+    read, texts = _tally(outcomes)
+    assert read >= 100 and texts >= 50, (read, texts)
+
+
+def test_the_one_pass_reader_matches_the_step_by_step_path_on_mutated_bundles():
+    # 1,200 bundles with one to three mutations each: the same bundle, or
+    # the same first fault by type and text, as the step-by-step path
+    outcomes = []
+    for obj, fld in _mutated_corpus(45, 1200, lambda b: b):
+        got = _outcome(bundle_from_json, obj, fld)
+        assert got == _outcome(lambda o, f: _bundle_in_steps(o, f, None),
+                               obj, fld), obj
+        outcomes.append(got)
+    read, texts = _tally(outcomes)
+    assert read >= 50 and texts >= 100, (read, texts)
 
 
 def test_subbundle_roundtrip(ex_bundle):
