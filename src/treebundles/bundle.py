@@ -33,13 +33,15 @@ same builder, with y among them), are eliminated (Bareiss over Q, mod p
 over GF(p)); a state with no partial block takes no elimination. The same
 object bounds those counts from below with no rank at all (T - R, which is
 the count at every all-full twist), and holds the vanishing floors and the
-node counts val(v); `h0` is its count at the zero twist. Clamp boxes come
-from one odometer, `level_tuples`, as tuples of values in component order;
-`level_box` and `clamp_box` are its dict views, and the `box` verb writes
-its tuples straight to JSON. The system's one clamp-box walk,
-`first_failure`, walks those tuples to find the first twist of a level
-with fewer sections than a given need: `dmax` asks it with need 1 and
-`specialize.decide` with the source's count. A need-1 walk given the level
+node counts val(v); `h0` is its count at the zero twist. Below the public
+dict forms a twist is one tuple of values in component order: the system
+reads and returns twists that way, and clamp boxes come from one odometer,
+`level_tuples`, in that form. `clamp_box` is its dict view, and the `box`
+verb writes its tuples straight to JSON. The system's one clamp-box walk,
+`first_failure`, walks those tuples as they come to find the first twist
+of a level with fewer sections than a given need: `dmax` asks it with
+need 1 and `specialize.decide` with the source's count, and each builds a
+dict only for the twist it returns. A need-1 walk given the level
 below's first failure skips the twists one step above the twists before
 it, and `dmax` settles the failing levels at the bottom without walking
 them, by one bisection along their first twists.
@@ -316,7 +318,10 @@ def _node_rows(edge, ys, a_blocks, b_blocks, ncols):
 
 class SectionSystem:
     """h0 of every twist of a bundle from one integer system, and floors
-    under it that take no rank: count(md) is h0(twist(bundle, md)).
+    under it that take no rank: count(values) is h0(twist(bundle, md)),
+    where `values` are md's values in the curve's component order. The
+    system holds and reads every twist in that form: `lo`, the vanishing
+    floors, and `val`, the node counts, are tuples in that order too.
 
     The system is the matching system with every block at degree
     cap_v = val(v) - 1, where val(v) counts the nodes on v. The matching
@@ -367,11 +372,11 @@ class SectionSystem:
     h0 = T - R there. The rank is also at most the selected column count
     T - V, where V = sum(max(0, m - cap_v)) counts the sections that vanish
     at every node of v and extend by zero. So
-    floor(md) = max(T - R, V) <= h0(twist(bundle, md)), with equality to
-    T - R at every all-full twist, where T - V = 2R.
+    floor(values) = max(T - R, V) <= h0(twist(bundle, md)), with equality
+    to T - R at every all-full twist, where T - V = 2R.
 
     level_floor(e) bounds h0 below on the whole clamp box of level e
-    (md[v] >= lo[v], total e) by max(min T - R, min V), +inf if the box is
+    (md_v >= lo_v, total e) by max(min T - R, min V), +inf if the box is
     empty. T and V are sums over components of
     F_v(t) = sum(max(0, d + t + c_v)) (c_v = 1 for T, -cap_v for V), and
     each F_v is convex: raising t by one adds #{d : d + t + c_v >= 0}, a
@@ -385,28 +390,29 @@ class SectionSystem:
 
     def __init__(self, bundle: GluedBundle):
         self.bundle = bundle
+        comps = bundle.curve.components
         adj = bundle.curve.adjacency()
-        self.val = {v: len(adj[v]) for v in bundle.curve.components}
-        self.lo = vanishing_floor(bundle)
+        self.val = tuple(len(adj[v]) for v in comps)
+        self.lo = tuple(vanishing_floor(bundle).values())
         r = bundle.rank
         self._nrows = r * len(bundle.curve.edges)
-        self._sides = [(v, bundle.splittings[v], n - 1)
-                       for v, n in self.val.items()]
+        # per component, its summand degrees and its blocks' cap
+        self._sides = [(bundle.splittings[v], n - 1)
+                       for v, n in zip(comps, self.val)]
         # per entry of a clamped state, its block's cap
-        self._caps = tuple(top for _, ds, top in self._sides for _ in ds)
+        self._caps = tuple(top for ds, top in self._sides for _ in ds)
         # per edge, the first entry of each end's blocks in a state
-        at = {v: k * r for k, (v, _, _) in enumerate(self._sides)}
+        at = {v: k * r for k, v in enumerate(comps)}
         self._ends = [(at[e.a], at[e.b]) for e in bundle.curve.edges]
         self._edges = {}    # edge -> `_edge_rows` at the caps
         self._kernels = {}  # (edge, F_a, E_i) -> Y_i
         self._ranks = {}
 
-    def count(self, md):
-        """h0(twist(bundle, md))."""
+    def count(self, values):
+        """h0 of the twist with `values` in component order."""
         total = 0
         state = []
-        for v, ds, top in self._sides:
-            t = md[v]
+        for t, (ds, top) in zip(values, self._sides):
             for d in ds:
                 m = d + t
                 if m >= 0:
@@ -476,11 +482,11 @@ class SectionSystem:
             self._kernels[key] = ys
         return ys
 
-    def floor(self, md):
-        """max(T - R, V) at the twist md, at most its h0."""
+    def floor(self, values):
+        """max(T - R, V) at the twist with `values` in component order, at
+        most its h0."""
         total = vanishing = 0
-        for v, ds, top in self._sides:
-            t = md[v]
+        for t, (ds, top) in zip(values, self._sides):
             for d in ds:
                 m = d + t
                 if m >= 0:
@@ -492,7 +498,7 @@ class SectionSystem:
     def level_floor(self, e):
         """At most h0 at every twist in the clamp box of level e; +inf if
         that box is empty."""
-        spare = e - sum(self.lo.values())
+        spare = e - sum(self.lo)
         if spare < 0:
             return inf
         return max(self._least(False, spare) - self._nrows,
@@ -503,8 +509,8 @@ class SectionSystem:
         r = self.bundle.rank
         value = 0
         room = [0] * r  # room[k]: steps that add k sections
-        for v, ds, top in self._sides:
-            c, t = -top if vanishing else 1, self.lo[v]
+        for t, (ds, top) in zip(self.lo, self._sides):
+            c = -top if vanishing else 1
             value += sum(max(0, d + t + c) for d in ds)
             # a step from t adds one section per breakpoint -d - c <= t
             for k, b in enumerate(sorted(-d - c for d in ds)):
@@ -518,9 +524,10 @@ class SectionSystem:
         return value + r * spare
 
     def first_failure(self, e, need, below=None):
-        """(md, count(md)) for the first twist md of level e in the clamp
-        box (md[v] >= lo[v], total e, in ascending lexicographic order along
-        the components) with count(md) < need, or None if there is none.
+        """(values, count(values)) for the first twist of level e in the
+        clamp box (x_v >= lo_v, total e, in ascending lexicographic order of
+        its values in component order) with count(values) < need, or None if
+        there is none.
 
         The walk is capped above where that first twist cannot lie:
         - need = 1: every coordinate at the ceiling lo_v + val(v). A
@@ -530,8 +537,8 @@ class SectionSystem:
         - need > 1: every coordinate but the last at
           sat_v = val(v) - 1 - min(splittings[v]). Above sat_v every
           summand on v has twisted degree at least val(v), so lowering
-          md[v] by one removes exactly r sections, while raising the last
-          coordinate by one adds at most r. A failure with md[v] > sat_v
+          x_v by one removes exactly r sections, while raising the last
+          coordinate by one adds at most r. A failure with x_v > sat_v
           for a non-last v therefore yields a failure at the same level
           that is lexicographically smaller. The last coordinate takes
           whatever the others leave. The level is skipped whole when its
@@ -541,77 +548,72 @@ class SectionSystem:
         only twists with at least need sections are skipped, so the first
         failure does not change. The level floor is at most every twist's
         floor, so it never saves a rank; at need = 1 it costs more than
-        the walks it skips.
+        the walks it skips. The tuples are read as `level_tuples` yields
+        them; no other form of a twist is built.
 
         A need-1 walk given `below`, the first failure f of level e - 1
-        (its values in component order), skips each twist x of level e with
-        some v, x_v > lo_v, for which x - e_v comes before f: that twist
-        lies in level e - 1's ceiling box before its first failure, so it
-        has a section, and multiplying by the section of O(p), p a smooth
-        point of v, is injective on sections, so x has one too and is no
-        failure. `below` must be the caller's own first need-1 failure of
-        level e - 1, because a later failure could make the walk skip a real
+        (its values), skips each twist x of level e with some v,
+        x_v > lo_v, for which x - e_v comes before f: that twist lies in
+        level e - 1's ceiling box before its first failure, so it has a
+        section, and multiplying by the section of O(p), p a smooth point
+        of v, is injective on sections, so x has one too and is no failure.
+        `below` must be the caller's own first need-1 failure of level
+        e - 1, because a later failure could make the walk skip a real
         one; None skips nothing, and `below` is read only at need 1.
         `_above_passed` reads the test off the first index at which x and f
         differ, in O(n).
         """
-        comps = self.bundle.curve.components
         lo = self.lo
         if need == 1:
-            hi = {v: lo[v] + self.val[v] for v in comps}
+            hi = [x + n for x, n in zip(lo, self.val)]
         elif self.level_floor(e) >= need:
             return None
         else:
             below = None  # a skip proves one section, not `need` of them
-            *rest, last = comps
-            spl = self.bundle.splittings
-            hi = {v: self.val[v] - 1 - min(spl[v]) for v in rest}
-            hi[last] = e - sum(lo[v] for v in rest)
-        for values in level_tuples(comps, lo, hi, e):
-            md = dict(zip(comps, values))
-            if self.floor(md) < need and not (
-                    below and self._above_passed(md, below)):
-                have = self.count(md)
+            hi = [top - min(ds) for ds, top in self._sides[:-1]]
+            hi.append(e - sum(lo[:-1]))
+        for values in level_tuples(lo, hi, e):
+            if self.floor(values) < need and not (
+                    below and self._above_passed(values, below)):
+                have = self.count(values)
                 if have < need:
-                    return md, have
+                    return values, have
         return None
 
-    def _above_passed(self, md, failure):
-        """Whether md - e_v comes before `failure` (one level below, its
-        values in component order) in ascending lexicographic order, for
-        some v with md[v] > lo[v].
+    def _above_passed(self, x, failure):
+        """Whether x - e_v comes before `failure` (one level below) in
+        ascending lexicographic order, for some v with x_v > lo_v; both are
+        values in component order.
 
-        Let i be the first index at which md and failure differ. A v
-        before i with md_v > lo_v always does: md - e_v first differs from
-        f at v, one below it. If md_i < f_i, every v at or after i does
-        too, since md - e_v first differs from f at i, at most md_i there;
-        and one v with md_v > lo_v exists, since md's level is above
-        sum(lo). If md_i > f_i, a v after i does not, and v = i does
-        exactly when md_i = f_i + 1 and md after i comes before f after i
-        (md_i > f_i >= lo_i holds then).
+        Let i be the first index at which x and failure differ. A v before
+        i with x_v > lo_v always does: x - e_v first differs from f at v,
+        one below it. If x_i < f_i, every v at or after i does too, since
+        x - e_v first differs from f at i, at most x_i there; and one v
+        with x_v > lo_v exists, since x's level is above sum(lo). If
+        x_i > f_i, a v after i does not, and v = i does exactly when
+        x_i = f_i + 1 and x after i comes before f after i (x_i > f_i >=
+        lo_i holds then).
         """
-        lo = self.lo
         raised = False
-        pairs = zip(md.items(), failure)
-        for (v, x), f in pairs:
-            if x != f:
-                if x < f:
+        triples = zip(x, failure, self.lo)
+        for a, f, lo in triples:
+            if a != f:
+                if a < f:
                     return True
-                if raised or x > f + 1:
+                if raised or a > f + 1:
                     return raised
                 break
-            raised = raised or x > lo[v]
-        for (_, x), f in pairs:
-            if x != f:
-                return x < f
+            raised = raised or a > lo
+        for a, f, _ in triples:
+            if a != f:
+                return a < f
         return False
 
 
 def h0(bundle: GluedBundle) -> int:
     """Dimension of the global sections: the bundle's section system at the
     zero twist."""
-    return SectionSystem(bundle).count(
-        dict.fromkeys(bundle.curve.components, 0))
+    return SectionSystem(bundle).count((0,) * len(bundle.curve.components))
 
 
 def h1(bundle: GluedBundle) -> int:
@@ -745,27 +747,28 @@ def vanishing_floor(bundle: GluedBundle):
     return {v: -max(bundle.splittings[v]) - 1 for v in bundle.curve.components}
 
 
-def level_tuples(comps, lo, hi, e):
-    """Multidegrees of total e with lo[v] <= md[v] <= hi[v], lazily: the one
+def level_tuples(lows, highs, e):
+    """Tuples of total e with lows[i] <= x[i] <= highs[i], lazily: the one
     clamp-box odometer.
 
-    Yielded as tuples of values in `comps` order, in ascending
-    lexicographic order along `comps`; `hi=None` leaves every coordinate
-    uncapped. The first n - 2 coordinates run as an odometer; the last two
-    run as one range, the last coordinate taking what the others leave.
+    `lows` and `highs` are sequences of one length, a twist's bounds in
+    component order, and each tuple is a twist's values in that order;
+    the tuples come in ascending lexicographic order, and `highs=None`
+    leaves every coordinate uncapped. The first n - 2 coordinates run as
+    an odometer; the last two run as one range, the last coordinate taking
+    what the others leave.
     """
-    n = len(comps)
-    if hi is None:
+    n = len(lows)
+    if highs is None:
         # no coordinate can exceed what the others leave at their floors
-        spare = e - sum(lo[v] for v in comps)
-        hi = {v: lo[v] + spare for v in comps}
+        spare = e - sum(lows)
+        highs = [x + spare for x in lows]
     if n < 2:
         # a lone coordinate is the total; no coordinates sum to 0 alone
-        if all(lo[v] <= e <= hi[v] for v in comps) and (n or e == 0):
+        if all(a <= e <= b for a, b in zip(lows, highs)) and (n or e == 0):
             yield (e,) * n
         return
-    lows, highs = [lo[v] for v in comps], [hi[v] for v in comps]
-    least, most = [0] * (n + 1), [0] * (n + 1)  # bounds on comps[i:]
+    least, most = [0] * (n + 1), [0] * (n + 1)  # bounds on x[i:]
     for i in range(n - 1, -1, -1):
         least[i] = least[i + 1] + lows[i]
         most[i] = most[i + 1] + highs[i]
@@ -801,11 +804,6 @@ def level_tuples(comps, lo, hi, e):
         i += 1
 
 
-def level_box(comps, lo, hi, e):
-    """`level_tuples` as dicts keyed in `comps` order."""
-    return (dict(zip(comps, t)) for t in level_tuples(comps, lo, hi, e))
-
-
 def clamp_box(bundle: GluedBundle, e: int):
     """All multidegrees of total e within the stabilization box.
 
@@ -814,13 +812,14 @@ def clamp_box(bundle: GluedBundle, e: int):
     semicontinuity failure therefore clamps onto this finite box. Returned
     in ascending lexicographic order along the component order, and not
     capped above: `level_tuples` under the vanishing floors, as a list of
-    dicts, a reference for tests and `oracle-check`. The `box` verb writes
-    the same box from `level_tuples` without building it, and `dmax` and
-    `specialize.decide` walk each level lazily under caps, in
-    `SectionSystem.first_failure`.
+    dicts keyed in component order, a reference for tests and
+    `oracle-check`. The `box` verb writes the same box from `level_tuples`
+    without building it, and `dmax` and `specialize.decide` walk each
+    level's tuples lazily under caps, in `SectionSystem.first_failure`.
     """
     comps = bundle.curve.components
-    return list(level_box(comps, vanishing_floor(bundle), None, e))
+    lows = tuple(vanishing_floor(bundle).values())
+    return [dict(zip(comps, t)) for t in level_tuples(lows, None, e)]
 
 
 def clamp_multidegree(bundle: GluedBundle, md):
@@ -857,35 +856,37 @@ def dmax(bundle: GluedBundle):
     never fall along the chain either, so the least k with a positive
     floor, `bad`, is bisected with no rank, and K < bad. K = bad - 1 is
     probed first, the usual case; otherwise K is bisected on counts. No
-    level is walked twice. Each walked level's failure is the next one's
-    `below`; level s + K + 1 gets None, as chain(K), first in its box,
-    would skip nothing there and cost an `_above_passed` test per twist.
+    level is walked twice. Each walked level's failure, its values as
+    `first_failure` returns them, is the next one's `below`; level
+    s + K + 1 gets None, as chain(K), first in its box, would skip nothing
+    there and cost an `_above_passed` test per twist. The chain and the
+    failures are values in component order; the witness is made a dict
+    once, on return.
     """
     system = SectionSystem(bundle)
-    comps, lo, val = bundle.curve.components, system.lo, system.val
+    lo, val = system.lo, system.val
 
     def chain(k):
-        md = dict(lo)
-        for v in reversed(comps):
-            step = min(k, val[v])
-            md[v] += step
+        values = list(lo)
+        for i in reversed(range(len(values))):
+            step = min(k, val[i])
+            values[i] += step
             k -= step
-        return md
+        return tuple(values)
 
     # k = bad - 1, with bad the least j >= 1 whose floor is positive
     # (sum(val) + 1 if none); then, if chain(k) has a section, K is the
     # least j >= 1 with one, less one
-    k = bisect_left(range(1, sum(val.values()) + 1), True,
+    k = bisect_left(range(1, sum(val) + 1), True,
                     key=lambda j: system.floor(chain(j)) > 0)
     if k and system.count(chain(k)):
         k = bisect_left(range(1, k), True,
                         key=lambda j: system.count(chain(j)) > 0)
-    e = sum(lo.values()) + k
+    e = sum(lo) + k
     witness, below = chain(k), None
     while True:
         e += 1
         found = system.first_failure(e, 1, below)
         if found is None:
-            return -e, witness
-        witness = found[0]
-        below = tuple(witness.values())
+            return -e, dict(zip(bundle.curve.components, witness))
+        witness = below = found[0]

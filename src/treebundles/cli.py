@@ -144,12 +144,12 @@ def _cmd_box(args):
     level = _parse_int(args.level, "--level")
     comps = bundle.curve.components
     n = len(comps)
-    floors = vanishing_floor(bundle)
-    spare = level - sum(floors.values())
+    floors = tuple(vanishing_floor(bundle).values())
+    spare = level - sum(floors)
     if spare > 0 and comb(spare + n - 1, n - 1) > _BOX_LIMIT:
         raise InputError("box at level %d has more than %d entries"
                          % (level, _BOX_LIMIT))
-    texts = multidegree_texts(comps, level_tuples(comps, floors, None, level))
+    texts = multidegree_texts(comps, level_tuples(floors, None, level))
     # dumps({"box": [...]}) + "\n", a chunk of entries at a time
     write = sys.stdout.write
     write('{"box":[')

@@ -282,9 +282,6 @@ class Enlargement:
                                 % (sorted(chain),))
         return tuple(problems)
 
-    def validate(self):
-        return list(self.problems)
-
     @cached_property
     def target_edge_paths(self):
         """For each target edge: the source edge walk realizing it, or None;

@@ -13,7 +13,6 @@ def _q(s):
 
 
 def _tree_lines(curve: TreeCurve, indent, highlight, labels=None, arrow="--"):
-    fld = curve.field
     out = []
     for v in curve.components:
         attrs = ["label=%s" % _q(labels[v])] if labels else []
@@ -23,7 +22,7 @@ def _tree_lines(curve: TreeCurve, indent, highlight, labels=None, arrow="--"):
         suffix = " [%s]" % ", ".join(attrs) if attrs else ""
         out.append("%s%s%s;" % (indent, _q(v), suffix))
     for e in curve.edges:
-        label = "%s|%s" % (fld.to_str(e.pa), fld.to_str(e.pb))
+        label = "%s|%s" % (e.pa, e.pb)
         out.append("%s%s %s %s [label=%s];"
                    % (indent, _q(e.a), arrow, _q(e.b), _q(label)))
     return out

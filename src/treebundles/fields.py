@@ -222,9 +222,6 @@ class Field:
     def parse(self, s: str):
         return element(*self.ratio(s), self.char)
 
-    def to_str(self, x) -> str:
-        return str(x)
-
     def holds(self, x) -> bool:
         """Whether x is an element of this field."""
         return (isinstance(x, FpElement) and x.p == self.char if self.char

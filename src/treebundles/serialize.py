@@ -97,11 +97,10 @@ def _need_names(obj, key, where):
 # -- curves -------------------------------------------------------------------
 
 def curve_to_json(curve: TreeCurve) -> dict:
-    fld = curve.field
     return {
         "components": list(curve.components),
-        "edges": [{"a": e.a, "pa": fld.to_str(e.pa),
-                   "b": e.b, "pb": fld.to_str(e.pb)} for e in curve.edges],
+        "edges": [{"a": e.a, "pa": str(e.pa),
+                   "b": e.b, "pb": str(e.pb)} for e in curve.edges],
     }
 
 
@@ -207,10 +206,6 @@ def splitting_from_json(obj) -> SplittingType:
 
 # -- bundles ------------------------------------------------------------------
 
-def _matrix_to_json(fld, m):
-    return [[fld.to_str(x) for x in row] for row in m]
-
-
 def _rows_from_json(fld, obj, where, shape):
     """A gluing's rows or a subbundle component's coefficient lists as
     (integer rows, den), equal to `linalg.cleared` of the parsed rows:
@@ -232,14 +227,14 @@ def _rows_from_json(fld, obj, where, shape):
 
 
 def bundle_to_json(bundle: GluedBundle) -> dict:
-    fld = bundle.field
     gluings = bundle.gluings
     return {
         "curve": curve_to_json(bundle.curve),
         "rank": bundle.rank,
         "splittings": {v: list(bundle.splittings[v])
                        for v in bundle.curve.components},
-        "gluings": [{"edge": i, "matrix": _matrix_to_json(fld, gluings[i])}
+        "gluings": [{"edge": i,
+                     "matrix": [[str(x) for x in row] for row in gluings[i]]}
                     for i in range(len(bundle.curve.edges))],
     }
 
@@ -331,13 +326,12 @@ def _bundle_in_steps(obj, field, curves):
 # -- subbundles (relative to a known host) ------------------------------------
 
 def subbundle_to_json(sub: LineSubbundle) -> dict:
-    fld = sub.host.field
     embeddings = sub.embeddings
     return {
         "degrees": {v: sub.degrees[v] for v in sub.host.curve.components},
-        "embeddings": {v: [[fld.to_str(c) for c in p] for p in embeddings[v]]
+        "embeddings": {v: [[str(c) for c in p] for p in embeddings[v]]
                        for v in sub.host.curve.components},
-        "scalars": [{"edge": i, "value": fld.to_str(sub.scalars[i])}
+        "scalars": [{"edge": i, "value": str(sub.scalars[i])}
                     for i in sorted(sub.scalars)],
     }
 

@@ -94,12 +94,14 @@ def decide(target: GluedBundle, source: SplittingType) -> Decision:
     if not levels:
         return Decision(True)
     system = SectionSystem(target)
-    e = max(levels.start, sum(system.lo.values()))
+    e = max(levels.start, sum(system.lo))
     while e < levels.stop:
         need = source.h0(e)
         found = system.first_failure(e, need)
         if found is not None:
-            return Decision(False, FailureWitness(*found, need))
+            values, have = found
+            md = dict(zip(target.curve.components, values))
+            return Decision(False, FailureWitness(md, have, need))
         e = max(e + 1, -ds[1]) if e == -ds[0] else e + 1
     return Decision(True)
 
@@ -243,9 +245,9 @@ def verify_certificate(cert: Certificate):
             enl = step.enlargement
             if enl.target != cur_t.curve:
                 return fail("step %d: enlargement is not rooted at the current curve" % k)
-            problems = enl.validate()
-            if problems:
-                return fail("step %d: bad enlargement: %s" % (k, "; ".join(problems)))
+            if enl.problems:
+                return fail("step %d: bad enlargement: %s"
+                            % (k, "; ".join(enl.problems)))
             pulled = pullback(cur_t, enl)
         elif isinstance(step, SplitOffStep):
             if pulled is None:

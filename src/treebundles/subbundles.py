@@ -42,8 +42,9 @@ from dataclasses import dataclass
 from math import lcm
 
 from . import poly
-from .bundle import (BundleError, GluedBundle, SectionSystem, dmax, level_box,
-                     pullback, restrict_bundle, section_basis, twist)
+from .bundle import (BundleError, GluedBundle, SectionSystem, dmax,
+                     level_tuples, pullback, restrict_bundle, section_basis,
+                     twist)
 from .curve import compose_enlargements, identity_enlargement, insert_bridge
 from .linalg import (cleared, element, integer_kernel, integer_rref,
                      invertible, lowest, power_row)
@@ -687,10 +688,11 @@ def _walk_candidate(bundle, witness, dmax_of):
 
     # neighbor walk: keep moving toward a side that fails, turn-around
     # means both sides of an edge are good, a dead end isolates a component
+    adj = curve.adjacency()
     cur, prev = comps[0], None
     for _ in range(len(comps) + 1):
         nxt = None
-        for nb, i in curve.adjacency()[cur]:
+        for nb, i in adj[cur]:
             side = curve.side_of(i, cur)
             if dmax_of(side)[0] + sum(witness[v] for v in side) >= 0:
                 nxt = nb
@@ -710,8 +712,12 @@ def _bridgeless(bundle, d):
     """Degree-d line subbundle with no curve surgery, if one exists.
 
     Any such subbundle sits under the per-component summand maxima, so
-    every multidegree a with sum d in that box is tried: a section of the
-    bundle co-twisted by a that is nonzero on every component must then be
+    every multidegree a with sum d in that box is tried, through its
+    co-twist co = -a: `level_tuples` walks the co-twists of total -d with
+    co_v >= lo_v + 1 = -max(splittings[v]) directly, in ascending
+    lexicographic order, the order of a's slack max(splittings[v]) - a_v,
+    which is co shifted by a constant. A section of the bundle
+    co-twisted by co that is nonzero on every component must then be
     nowhere vanishing (a saturation gain would beat dmax), and saturating
     it yields the plan.
 
@@ -722,35 +728,28 @@ def _bridgeless(bundle, d):
     smaller field `_cut_assembly`, which is complete, finds the plan.
 
     A co-twist co is first tested by counts alone. On a component v the
-    twist {**co, v: lo_v}, with lo_v the vanishing floor, has every summand
-    negative and changes nothing else, so its sections are exactly those
-    of co that vanish on v. When count(co) equals that count for some v,
-    every section vanishes on v, the max-support one included, and co is
-    skipped with no basis built. Only this direction is used, so the skip
-    holds over every field and the plan is the one the basis gives.
+    co-twist with v's value lowered to lo_v, the vanishing floor, has every
+    summand negative on v and changes nothing else, so its sections are
+    exactly those of co that vanish on v. When count(co) equals that count
+    for some v, every section vanishes on v, the max-support one included,
+    and co is skipped with no basis built. Only this direction is used, so
+    the skip holds over every field and the plan is the one the basis
+    gives.
     """
     comps = bundle.curve.components
     system = SectionSystem(bundle)
-    maxm = {v: max(bundle.splittings[v]) for v in comps}
-    slack_total = sum(maxm.values()) - d
-    zeros = dict.fromkeys(comps, 0)
-    for slack in level_box(comps, zeros, None, slack_total):
-        a = {v: maxm[v] - slack[v] for v in comps}
-        feasible = True
-        for v in comps:
-            active = [m for m in bundle.splittings[v] if m >= a[v]]
-            if len(active) == 1 and active[0] > a[v]:
-                # a lone coordinate of positive degree always has a zero
-                feasible = False
-                break
-        if not feasible:
+    sides = [bundle.splittings[v] for v in comps]
+    for co in level_tuples([x + 1 for x in system.lo], None, -d):
+        # a lone summand of positive twisted degree always has a zero
+        if any(len(live) == 1 and live[0] > 0
+               for live in ([m + c for m in ds if m + c >= 0]
+                            for ds, c in zip(sides, co))):
             continue
-        co = {v: -a[v] for v in comps}
         h = system.count(co)
-        if h == 0 or any(system.count({**co, v: system.lo[v]}) == h
-                         for v in comps):
+        if h == 0 or any(system.count(co[:i] + (lo,) + co[i + 1:]) == h
+                         for i, lo in enumerate(system.lo)):
             continue
-        plan, _ = _twisted_plan(bundle, co)
+        plan, _ = _twisted_plan(bundle, dict(zip(comps, co)))
         if plan is not None:
             assert plan.total() == d, "surgery-free subbundle beat the maximum"
             return plan

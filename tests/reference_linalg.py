@@ -356,7 +356,7 @@ def dmax_by_levels(bundle):
         found = SectionSystem(bundle).first_failure(e, 1)
         if found is None:
             return -e, witness
-        witness = found[0]
+        witness = dict(zip(bundle.curve.components, found[0]))
 
 
 # -- the integer matching system ------------------------------------------------

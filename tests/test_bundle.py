@@ -11,8 +11,7 @@ from treebundles import linalg, poly
 from treebundles.bundle import (BundleError, GluedBundle, SectionSystem,
                                 clamp_box, clamp_multidegree,
                                 contract_pushforward, dmax, h0, h0_oracle, h1,
-                                level_box, level_tuples, make_bundle,
-                                pullback,
+                                level_tuples, make_bundle, pullback,
                                 restrict_bundle, section_basis, twist,
                                 vanishing_floor)
 from treebundles.curve import Edge, TreeCurve, insert_bridge, md_total
@@ -32,6 +31,17 @@ QQ = RationalField()
 
 def t2():
     return TreeCurve(("v1", "v2"), (Edge("v1", F(0), "v2", F(0)),))
+
+
+def values_of(bundle, md):
+    """md's values in the bundle's component order, the form a section
+    system reads a twist in."""
+    return tuple(md[v] for v in bundle.curve.components)
+
+
+def node_counts(system):
+    """The system's val(v), keyed by component."""
+    return dict(zip(system.bundle.curve.components, system.val))
 
 
 # -- construction -----------------------------------------------------------
@@ -97,7 +107,7 @@ def test_load_reports_the_first_bad_gluing_in_edge_order(fld):
         with pytest.raises(BundleError, match="^%s$" % want):
             make_bundle(curve, spl, dict(enumerate(gluings)))
         for g, m in zip(obj["gluings"], gluings):
-            g["matrix"] = [[fld.to_str(x) for x in row] for row in m]
+            g["matrix"] = [[str(x) for x in row] for row in m]
         with pytest.raises(BundleError, match="^%s$" % want):
             bundle_from_json(obj, fld)
 
@@ -443,33 +453,27 @@ def test_level_tuples_against_a_filtered_product():
     # the odometer on the first n - 2 coordinates and the range on the last
     # two give every tuple of the product with total e, in its order
     rng = random.Random(43)
-    ids = ("v2", "v10", "a", "c", "b", "d")
     for n in range(1, 7):
-        comps = ids[:n]
         for _ in range(40):
-            lo = {v: rng.randint(-3, 2) for v in comps}
+            lo = [rng.randint(-3, 2) for _ in range(n)]
             if rng.random() < 0.5:
                 # a cap below a floor, now and then, empties the box
-                hi = {v: lo[v] + rng.randint(-(rng.random() < 0.1), 3)
-                      for v in comps}
-                e = rng.randint(sum(lo.values()) - 1, sum(hi.values()) + 1)
+                hi = [x + rng.randint(-(rng.random() < 0.1), 3) for x in lo]
+                e = rng.randint(sum(lo) - 1, sum(hi) + 1)
                 top = hi
             else:
                 hi = None
-                e = sum(lo.values()) + rng.randint(-1, 4)
-                top = {v: lo[v] + max(0, e - sum(lo.values())) for v in comps}
+                e = sum(lo) + rng.randint(-1, 4)
+                top = [x + max(0, e - sum(lo)) for x in lo]
             want = [t for t in itertools.product(
-                        *(range(lo[v], top[v] + 1) for v in comps))
+                        *(range(a, b + 1) for a, b in zip(lo, top)))
                     if sum(t) == e]
-            assert list(level_tuples(comps, lo, hi, e)) == want
-            assert list(level_box(comps, lo, hi, e)) == [
-                dict(zip(comps, t)) for t in want]
-    assert list(level_tuples(("a", "b"), {"a": 0, "b": 0},
-                             {"a": 2, "b": -1}, 1)) == []
-    assert list(level_tuples(("a",), {"a": 0}, None, -1)) == []
-    assert list(level_tuples(("a",), {"a": 0}, None, 4)) == [(4,)]
-    assert list(level_tuples((), {}, None, 0)) == [()]
-    assert list(level_tuples((), {}, None, 1)) == []
+            assert list(level_tuples(lo, hi, e)) == want
+    assert list(level_tuples((0, 0), (2, -1), 1)) == []
+    assert list(level_tuples((0,), None, -1)) == []
+    assert list(level_tuples((0,), None, 4)) == [(4,)]
+    assert list(level_tuples((), None, 0)) == [()]
+    assert list(level_tuples((), None, 1)) == []
 
 
 def test_clamp_box_structure(ex_bundle):
@@ -525,9 +529,9 @@ def test_dmax_takes_ranks_only_where_the_floor_is_zero(monkeypatch):
     floors = []
     count, rank = SectionSystem.count, SectionSystem._rank
 
-    def counting(self, md):
-        self.probe = md
-        return count(self, md)
+    def counting(self, values):
+        self.probe = values
+        return count(self, values)
 
     def ranking(self, state):
         floors.append(self.floor(self.probe))
@@ -595,12 +599,13 @@ def test_dmax_matches_the_level_by_level_climb():
 
 def chain_twist(system, k):
     """The lexicographically first twist of level sum(lo) + k in the
-    ceiling box: from the last component, each raised by up to val(v)."""
-    md = dict(system.lo)
-    for v in reversed(list(md)):
-        md[v] += min(k, system.val[v])
-        k -= md[v] - system.lo[v]
-    return md
+    ceiling box, as values: from the last component, each raised by up to
+    val(v)."""
+    values = list(system.lo)
+    for i in reversed(range(len(values))):
+        values[i] += min(k, system.val[i])
+        k -= values[i] - system.lo[i]
+    return tuple(values)
 
 
 def test_dmax_walks_no_level_it_settles_along_the_chain(monkeypatch):
@@ -617,7 +622,7 @@ def test_dmax_walks_no_level_it_settles_along_the_chain(monkeypatch):
     for bundle in dmax_corpus(40, 200, (None, PrimeField(7))):
         system = SectionSystem(bundle)
         k = 0
-        while k < sum(system.val.values()) and not system.count(
+        while k < sum(system.val) and not system.count(
                 chain_twist(system, k + 1)):
             k += 1
         settled += k
@@ -625,10 +630,10 @@ def test_dmax_walks_no_level_it_settles_along_the_chain(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(SectionSystem, "first_failure", walking)
             d, witness = dmax(bundle)
-        base = sum(system.lo.values())
+        base = sum(system.lo)
         assert walked == list(range(base + k + 1, -d + 1))
         if -d == base + k + 1:
-            assert witness == chain_twist(system, k)
+            assert values_of(bundle, witness) == chain_twist(system, k)
     assert settled > 100
 
 
@@ -644,9 +649,9 @@ def dmax_walks(monkeypatch, bundle):
         walks.append((self, e, found, probes[start:]))
         return found
 
-    def counting(self, md):
-        probes.append(dict(md))
-        return count(self, md)
+    def counting(self, values):
+        probes.append(values)
+        return count(self, values)
 
     with monkeypatch.context() as m:
         m.setattr(SectionSystem, "first_failure", walking)
@@ -658,16 +663,17 @@ def dmax_walks(monkeypatch, bundle):
 def dmax_skips(monkeypatch, bundle):
     """(dmax, {level: skipped}) for each level dmax walks: the twists of
     its ceiling box up to its first failure (all, when it has none) whose
-    floor is 0 and that the walk took no count of."""
+    floor is 0 and that the walk took no count of, as multidegrees."""
     d, walks = dmax_walks(monkeypatch, bundle)
+    comps = bundle.curve.components
     skips = {}
     for system, e, found, counted in walks:
-        hi = {v: system.lo[v] + system.val[v] for v in system.lo}
-        box = list(level_box(list(system.lo), system.lo, hi, e))
+        hi = [x + n for x, n in zip(system.lo, system.val)]
+        box = list(level_tuples(system.lo, hi, e))
         if found is not None:
             box = box[:box.index(found[0]) + 1]
-        skips[e] = [md for md in box
-                    if system.floor(md) == 0 and md not in counted]
+        skips[e] = [dict(zip(comps, x)) for x in box
+                    if system.floor(x) == 0 and x not in counted]
     return d, skips
 
 
@@ -700,20 +706,19 @@ def test_the_skip_test_against_its_definition():
     for k in range(12):
         curve = random_tree(rng, 2 + k % 4)
         system = SectionSystem(random_bundle(rng, curve, 1 + k % 3))
-        lo, comps = system.lo, curve.components
-        hi = {v: lo[v] + system.val[v] for v in comps}
-        base = sum(lo.values())
+        lo = system.lo
+        hi = [x + n for x, n in zip(lo, system.val)]
+        base = sum(lo)
         for e in range(base + 1, base + 4):
-            below = [tuple(f.values())
-                     for f in level_box(comps, lo, hi, e - 1)]
-            for md in level_box(comps, lo, hi, e):
-                x = list(md.values())
+            below = list(level_tuples(lo, hi, e - 1))
+            for values in level_tuples(lo, hi, e):
+                x = list(values)
                 for f in below:
                     want = any(
-                        x[i] > lo[v] and
+                        x[i] > lo[i] and
                         tuple(x[:i] + [x[i] - 1] + x[i + 1:]) < f
-                        for i, v in enumerate(comps))
-                    assert system._above_passed(md, f) == want
+                        for i in range(len(x)))
+                    assert system._above_passed(values, f) == want
 
 
 def test_every_skipped_twist_has_a_section(monkeypatch):
@@ -740,8 +745,8 @@ def test_a_fresh_walk_given_the_failure_below_repeats_dmax(monkeypatch):
     def fresh_walk(bundle, e, below):
         probes = []
         with monkeypatch.context() as m:
-            m.setattr(SectionSystem, "count", lambda self, md:
-                      probes.append(dict(md)) or count(self, md))
+            m.setattr(SectionSystem, "count", lambda self, values:
+                      probes.append(values) or count(self, values))
             found = SectionSystem(bundle).first_failure(e, 1, below)
         return found, probes
 
@@ -756,7 +761,7 @@ def test_a_fresh_walk_given_the_failure_below_repeats_dmax(monkeypatch):
             if below is not None:
                 given += 1
                 skipping += len(fresh_walk(bundle, e, None)[1]) > len(counted)
-            below = None if found is None else tuple(found[0].values())
+            below = None if found is None else found[0]
     assert given > 100 and skipping > 50
 
 
@@ -913,7 +918,8 @@ def test_section_system_reuses_ranks_across_twists():
             system = SectionSystem(bundle)
             for _ in range(8):
                 md = random_multidegree(rng, curve, lo=-4, hi=4)
-                assert system.count(md) == h0_oracle(twist(bundle, md))
+                assert system.count(values_of(bundle, md)) == h0_oracle(
+                    twist(bundle, md))
 
 
 def test_section_system_floors_bound_h0_from_below():
@@ -928,13 +934,15 @@ def test_section_system_floors_bound_h0_from_below():
         system = SectionSystem(bundle)
         for _ in range(6):
             md = random_multidegree(rng, curve, lo=-4, hi=4)
-            assert system.floor(md) <= h0_oracle(twist(bundle, md))
-        assert system.lo == vanishing_floor(bundle)
-        base = sum(system.lo.values())
+            assert system.floor(values_of(bundle, md)) <= h0_oracle(
+                twist(bundle, md))
+        assert system.lo == values_of(bundle, vanishing_floor(bundle))
+        base = sum(system.lo)
         assert system.level_floor(base - 1) == math.inf  # an empty box
         for e in range(base, base + 6):
             assert system.level_floor(e) <= min(
-                system.count(md) for md in clamp_box(bundle, e))
+                system.count(values_of(bundle, md))
+                for md in clamp_box(bundle, e))
 
 
 def test_first_failure_against_the_uncapped_clamp_box():
@@ -956,7 +964,7 @@ def test_first_failure_against_the_uncapped_clamp_box():
         base = sum(vanishing_floor(bundle).values())
         want = {}
         for e in range(base - 1, base + (7 if n <= 4 else 5)):
-            counts = [(md, h0_oracle(twist(bundle, md)))
+            counts = [(values_of(bundle, md), h0_oracle(twist(bundle, md)))
                       for md in clamp_box(bundle, e)]
             for need in range(1, bundle.rank + 2):
                 want[e, need] = next(((md, h) for md, h in counts if h < need),
@@ -967,7 +975,7 @@ def test_first_failure_against_the_uncapped_clamp_box():
             system = SectionSystem(bundle)
             for e, need in queries:
                 found = want.get((e - 1, 1))
-                below = None if found is None else tuple(found[0].values())
+                below = None if found is None else found[0]
                 assert system.first_failure(e, need) == want[e, need]
                 assert system.first_failure(e, need, below) == want[e, need]
 
@@ -977,13 +985,13 @@ def test_section_system_floor_counts_sections_vanishing_at_every_node():
     # node: h0 = 5 = V, while the row bound gives T - R = 6 - 2
     bundle = make_bundle(t2(), {"v1": (5, -10), "v2": (-10, -10)}, {0: I2})
     system = SectionSystem(bundle)
-    assert system.floor({"v1": 0, "v2": 0}) == h0(bundle) == 5
+    assert system.floor((0, 0)) == h0(bundle) == 5
     # over the level -6 clamp box the least T - R is 0 and the least V is 1
     i3 = [[F(int(i == j)) for j in range(3)] for i in range(3)]
     bundle = make_bundle(t2(), {"v1": (3, 1, -1), "v2": (4, 3, -5)}, {0: i3})
     system = SectionSystem(bundle)
     box = clamp_box(bundle, -6)
-    assert [system.floor(md) for md in box] == [3, 1, 1, 2]
+    assert [system.floor(values_of(bundle, md)) for md in box] == [3, 1, 1, 2]
     assert system.level_floor(-6) == 1 < min(h0(twist(bundle, md))
                                              for md in box) == 2
 
@@ -993,15 +1001,16 @@ def _twist_of_kind(rng, system, kind):
     below its summands ('empty'), one of the two per component ('mixed'),
     one summand per component exactly at its cap ('split': the larger ones
     full, the smaller partial or empty), or anywhere in -4..4 ('any')."""
+    val = node_counts(system)
     md = {}
     for v, ds in system.bundle.splittings.items():
         side = rng.choice(("full", "empty")) if kind == "mixed" else kind
         if side == "full":
-            md[v] = system.val[v] - 1 - min(ds) + rng.randint(0, 1)
+            md[v] = val[v] - 1 - min(ds) + rng.randint(0, 1)
         elif side == "empty":
             md[v] = -max(ds) - 1 - rng.randint(0, 1)
         elif side == "split":
-            md[v] = system.val[v] - 1 - rng.choice(ds)
+            md[v] = val[v] - 1 - rng.choice(ds)
         else:
             md[v] = rng.randint(-4, 4)
     return md
@@ -1009,12 +1018,14 @@ def _twist_of_kind(rng, system, kind):
 
 def _clamped_state(system, md):
     # each block's degree clamped to [-1, val(v) - 1], in the system's order
-    return tuple(max(-1, min(d + md[v], system.val[v] - 1))
+    val = node_counts(system)
+    return tuple(max(-1, min(d + md[v], val[v] - 1))
                  for v, ds in system.bundle.splittings.items() for d in ds)
 
 
 def _state_kind(system, state):
-    caps = [system.val[v] - 1 for v, ds in system.bundle.splittings.items()
+    val = node_counts(system)
+    caps = [val[v] - 1 for v, ds in system.bundle.splittings.items()
             for _ in ds]
     blocks = {"full" if m == cap else "empty" if m == -1 else "partial"
               for m, cap in zip(state, caps)}
@@ -1028,13 +1039,14 @@ def _left_kernel_node(system, state):
     E_i that are not full on its b-end, both proper and nonempty: the node
     whose Y_i solves y G_i[E_i, F_a] = 0."""
     r = system.bundle.rank
+    val = node_counts(system)
     at, k = {}, 0
     for v, ds in system.bundle.splittings.items():
         at[v] = k
         k += len(ds)
     for e in system.bundle.curve.edges:
-        full = sum(state[at[e.a] + j] == system.val[e.a] - 1 for j in range(r))
-        rest = sum(state[at[e.b] + j] < system.val[e.b] - 1 for j in range(r))
+        full = sum(state[at[e.a] + j] == val[e.a] - 1 for j in range(r))
+        rest = sum(state[at[e.b] + j] < val[e.b] - 1 for j in range(r))
         if 0 < full < r and 0 < rest < r:
             return True
     return False
@@ -1045,7 +1057,7 @@ def _capped_rank(system, state):
     over field elements: every block at cap_v, each keeping its first
     (clamped degree + 1) columns, eliminated by the reference."""
     bundle = system.bundle
-    caps = {v: system.val[v] - 1 for v in bundle.curve.components}
+    caps = {v: n - 1 for v, n in node_counts(system).items()}
     blocks, ncols = _column_layout(
         {v: (caps[v],) * bundle.rank for v in bundle.curve.components})
     rows = _matching_rows(bundle, ncols, blocks)
@@ -1108,7 +1120,8 @@ def test_all_full_twists_take_no_elimination(fld, monkeypatch):
             total = sum(d + md[v] + 1
                         for v, ds in bundle.splittings.items() for d in ds)
             rows = bundle.rank * len(bundle.curve.edges)
-            assert system.count(md) == system.floor(md) == total - rows
+            values = values_of(bundle, md)
+            assert system.count(values) == system.floor(values) == total - rows
         # no power row built and no Y_i found (the gluings were read into
         # integers when the bundle was made): every b-end is full, so no
         # node has a summand left to kill C_i
@@ -1124,7 +1137,8 @@ def test_all_full_twists_take_no_elimination(fld, monkeypatch):
             md = _twist_of_kind(rng, system, "mixed")
             if _state_kind(system, _clamped_state(system, md)) == "mixed":
                 mixed += 1
-                assert system.count(md) == h0_oracle(twist(bundle, md))
+                assert system.count(values_of(bundle, md)) == h0_oracle(
+                    twist(bundle, md))
     assert mixed >= 30
 
 

@@ -170,7 +170,7 @@ def test_insert_bridge_layout():
     assert e0.pa == curve.edges[0].pa and e1.pb == curve.edges[0].pb
     assert step.contracted == frozenset({"v1+v2"})
     assert step.source == grown and step.target == curve
-    assert step.validate() == []
+    assert step.problems == ()
 
 
 def test_compose_enlargements():
@@ -181,7 +181,7 @@ def test_compose_enlargements():
     assert total.source == g2
     assert total.target == curve
     assert total.contracted == s1.contracted | s2.contracted
-    assert total.validate() == []
+    assert total.problems == ()
 
 
 # Enlargement shapes, mostly onto the target u-w, w-x. Each case: source
@@ -234,22 +234,22 @@ def test_enlargement_shapes(field, shape):
             Edge(a, fld.of(pa), b, fld.of(pb)) for a, pa, b, pb in rows), fld)
 
     enl = Enlargement(tree(source), tree(target), frozenset(contracted))
-    assert enl.validate() == problems
+    assert enl.problems == tuple(problems)
     assert enl.target_edge_paths == walks
 
 
 def test_enlargement_problems_before_the_walks():
     curve = t2()
-    assert Enlargement(curve, curve, frozenset({"zz"})).validate() == [
-        "contracted set contains unknown components"]
-    assert Enlargement(curve, curve, frozenset({"v1"})).validate() == [
-        "surviving components do not match the target"]
+    assert Enlargement(curve, curve, frozenset({"zz"})).problems == (
+        "contracted set contains unknown components",)
+    assert Enlargement(curve, curve, frozenset({"v1"})).problems == (
+        "surviving components do not match the target",)
     # coordinates mod 7 match no node mod 11: a problem, not an error
     f7, f11 = PrimeField(7), PrimeField(11)
     source, target = (TreeCurve(("a", "b"), (Edge("a", f.of(0), "b", f.of(0)),), f)
                       for f in (f7, f11))
-    assert Enlargement(source, target, frozenset()).validate() == [
-        "source and target coefficient fields differ", CHAIN % []]
+    assert Enlargement(source, target, frozenset()).problems == (
+        "source and target coefficient fields differ", CHAIN % [])
 
 
 @pytest.mark.parametrize("field", ["q", "p:7"])
@@ -265,7 +265,7 @@ def test_composed_bridge_insertions_leave_no_target_edge_unmatched(field):
             source = total.source
             _, step = insert_bridge(source, rng.randrange(len(source.edges)))
             total = compose_enlargements(total, step)
-        assert total.validate() == []
+        assert total.problems == ()
         walks = total.target_edge_paths
         assert len(walks) == len(curve.edges) and None not in walks
         assert sorted(i for walk in walks for i, _ in walk) == list(

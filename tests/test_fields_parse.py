@@ -261,7 +261,7 @@ def test_each_field_agrees_with_elements_built_directly(name, pairs):
     assert den == lcm(*(d for _, d in want_ratio))
     assert ints == [n * (den // d) for n, d in want_ratio]
     assert cleared([want], p) == ([ints], den)
-    assert [fld.to_str(x) for x in want] == want_str
+    assert [str(x) for x in want] == want_str
     for built, direct in ((fld.of(-5), of), (fld.zero, zero), (fld.one, one)):
         assert type(built) is type(direct) and built == direct
         assert built.as_integer_ratio() == direct.as_integer_ratio()

@@ -487,7 +487,7 @@ def test_enlargement_roundtrip(ex_bundle):
     assert obj["contracted"] == ["v1+v2"]
     back = enlargement_from_json(json.loads(dumps(obj)), ex_bundle.curve)
     assert back == step
-    assert back.validate() == []
+    assert back.problems == ()
 
 
 def test_certificate_roundtrip_affirmative(ex_bundle):

@@ -3,17 +3,18 @@ import itertools
 import random
 import time
 from fractions import Fraction as F
+from functools import cached_property
 
 import pytest
 
 from treebundles import bundle as bundle_module
 from treebundles import linalg, serialize, specialize, subbundles
-from treebundles.bundle import (SectionSystem, clamp_box, dmax, h0, level_box,
-                                make_bundle, pullback, restrict_bundle,
-                                section_basis, twist)
+from treebundles.bundle import (SectionSystem, clamp_box, dmax, h0, h0_oracle,
+                                level_tuples, make_bundle, pullback,
+                                restrict_bundle, section_basis, twist)
 from treebundles.curve import (Edge, Enlargement, TreeCurve,
-                               identity_enlargement, md_total)
-from treebundles.fields import PrimeField, RationalField
+                               identity_enlargement)
+from treebundles.fields import PrimeField, RationalField, field_from_name
 from treebundles.sampling import (balanced_splitting, generalize,
                                   random_bundle, random_invertible,
                                   random_multidegree, random_splitting,
@@ -196,6 +197,56 @@ def test_decide_against_the_full_clamp_box_scan():
     assert answers == {True, False}
 
 
+def _listed_out_of_order(rng, bundle):
+    """The bundle on its curve with the components listed in a random
+    permutation of their ids, neither sorted nor in creation order."""
+    comps = list(bundle.curve.components)
+    while comps in (list(bundle.curve.components), sorted(comps)):
+        rng.shuffle(comps)
+    curve = TreeCurve(tuple(comps), bundle.curve.edges, bundle.curve.field)
+    return make_bundle(curve, bundle.splittings, bundle.gluings)
+
+
+@pytest.mark.parametrize("field", ["q", "p:7", "p:1000003"])
+def test_walks_read_values_in_component_order(field):
+    # a section system reads and returns a twist as its values in
+    # curve.components order; on curves listing their components in no
+    # natural order, counts match the oracle at twists built from those
+    # values, and first failures, dmax's and decide's witnesses match the
+    # clamp-box references, whose dicts are keyed in that order too.
+    # Twisted degrees stay <= 6 for the oracle mod 7
+    fld = field_from_name(field)
+    rng = random.Random(45 + fld.char % 1000)
+    for k in range(12):
+        curve = random_tree(rng, 3 + k % 3, fld)
+        bundle = _listed_out_of_order(
+            rng, random_bundle(rng, curve, 2 + k % 2, lo=-2, hi=2))
+        comps = bundle.curve.components
+        system = SectionSystem(bundle)
+        for _ in range(6):
+            values = tuple(rng.randint(-4, 4) for _ in comps)
+            assert system.count(values) == h0_oracle(
+                twist(bundle, dict(zip(comps, values))))
+        base = sum(system.lo)
+        for e in range(base - 1, base + 5):
+            box = clamp_box(bundle, e)
+            assert all(list(md) == list(comps) for md in box)
+            counts = [(tuple(md[v] for v in comps),
+                       h0_oracle(twist(bundle, md))) for md in box]
+            for need in range(1, bundle.rank + 2):
+                want = next(((x, h) for x, h in counts if h < need), None)
+                assert system.first_failure(e, need) == want
+        d, witness = dmax(bundle)
+        assert list(witness) == list(comps)
+        assert witness == next(md for md in clamp_box(bundle, -(d + 1))
+                               if h0(twist(bundle, md)) == 0)
+        src = spread(rng, balanced_splitting(bundle.rank, bundle.degree()), 1)
+        got = decide(bundle, src)
+        assert got == _decide_by_full_clamp_boxes(bundle, src)
+        if not got.yes:
+            assert list(got.witness.multidegree) == list(comps)
+
+
 def _count_bareiss_calls(monkeypatch):
     calls = []
     rank = linalg.bareiss_rank
@@ -233,9 +284,9 @@ def _record_floor_probes(monkeypatch):
     probes = []
     floor = SectionSystem.floor
 
-    def recording(self, md):
-        probes.append((self, dict(md)))
-        return floor(self, md)
+    def recording(self, values):
+        probes.append((self, values))
+        return floor(self, values)
 
     monkeypatch.setattr(SectionSystem, "floor", recording)
     return probes
@@ -255,10 +306,11 @@ def test_decide_walks_need_one_levels_under_the_ceiling(monkeypatch):
         src = spread(rng, balanced_splitting(bundle.rank, bundle.degree()), 1)
         probes.clear()
         decide(bundle, src)
-        for system, md in probes:
-            if src.h0(md_total(md)) == 1:
+        for system, values in probes:
+            if src.h0(sum(values)) == 1:
                 seen += 1
-                assert all(md[v] <= system.lo[v] + system.val[v] for v in md)
+                assert all(x <= lo + n for x, lo, n in
+                           zip(values, system.lo, system.val))
     assert seen > 20
 
 
@@ -289,7 +341,7 @@ def test_decide_at_rank_two_walks_one_level(monkeypatch):
                              {0: g})
         probes.clear()
         assert decide(bundle, SplittingType((degree, -degree))).yes
-        assert {md_total(md) for _, md in probes} == {-degree}
+        assert {sum(values) for _, values in probes} == {-degree}
         assert 0 < len(probes) <= 2
 
 
@@ -317,9 +369,9 @@ def test_decide_skips_a_level_whose_floor_meets_the_need(monkeypatch):
     probes = _record_floor_probes(monkeypatch)
     count = SectionSystem.count
 
-    def counting(self, md):
-        probes.append((self, dict(md)))
-        return count(self, md)
+    def counting(self, values):
+        probes.append((self, values))
+        return count(self, values)
 
     monkeypatch.setattr(SectionSystem, "count", counting)
     curve = TreeCurve(("v1", "v2"), (Edge("v1", F(0), "v2", F(0)),))
@@ -387,43 +439,37 @@ def test_regression_forced_double_bridge():
 # -- the assembly fallbacks, exercised directly ----------------------------------
 
 def test_compositions_order():
-    # _bridgeless walks its slack vectors through the shared level enumerator
-    def slacks(total, ids):
-        return list(level_box(ids, dict.fromkeys(ids, 0), None, total))
+    # _bridgeless walks its co-twists through the shared level enumerator
+    def slacks(total, n):
+        return list(level_tuples((0,) * n, None, total))
 
-    assert slacks(3, "ab") == [{"a": 0, "b": 3}, {"a": 1, "b": 2},
-                               {"a": 2, "b": 1}, {"a": 3, "b": 0}]
-    assert slacks(0, "abc") == [{"a": 0, "b": 0, "c": 0}]
-    assert slacks(2, "a") == [{"a": 2}]
-    lo, hi = {"a": -1, "b": 0, "c": 0}, {"a": 1, "b": 1, "c": 2}
-    assert list(level_box("abc", lo, hi, 2)) == [
-        {"a": -1, "b": 1, "c": 2}, {"a": 0, "b": 0, "c": 2},
-        {"a": 0, "b": 1, "c": 1}, {"a": 1, "b": 0, "c": 1},
-        {"a": 1, "b": 1, "c": 0}]
-    assert list(level_box("abc", lo, hi, sum(hi.values()) + 1)) == []
-    # capped levels against a filtered product, keys in component order
+    assert slacks(3, 2) == [(0, 3), (1, 2), (2, 1), (3, 0)]
+    assert slacks(0, 3) == [(0, 0, 0)]
+    assert slacks(2, 1) == [(2,)]
+    lo, hi = (-1, 0, 0), (1, 1, 2)
+    assert list(level_tuples(lo, hi, 2)) == [
+        (-1, 1, 2), (0, 0, 2), (0, 1, 1), (1, 0, 1), (1, 1, 0)]
+    assert list(level_tuples(lo, hi, sum(hi) + 1)) == []
+    # capped levels against a filtered product
     rng = random.Random(41)
     for _ in range(30):
-        ids = "abcd"[:rng.randint(1, 4)]
-        lo = {v: rng.randint(-2, 1) for v in ids}
-        hi = {v: lo[v] + rng.randint(0, 3) for v in ids}
-        e = rng.randint(sum(lo.values()) - 1, sum(hi.values()) + 1)
-        want = [dict(zip(ids, t)) for t in itertools.product(
-                    *(range(lo[v], hi[v] + 1) for v in ids)) if sum(t) == e]
-        got = list(level_box(ids, lo, hi, e))
-        assert got == want and all(list(md) == list(ids) for md in got)
+        n = rng.randint(1, 4)
+        lo = [rng.randint(-2, 1) for _ in range(n)]
+        hi = [x + rng.randint(0, 3) for x in lo]
+        e = rng.randint(sum(lo) - 1, sum(hi) + 1)
+        want = [t for t in itertools.product(
+                    *(range(a, b + 1) for a, b in zip(lo, hi))) if sum(t) == e]
+        assert list(level_tuples(lo, hi, e)) == want
 
 
-def test_level_box_on_a_long_chain():
+def test_level_tuples_on_a_long_chain():
     # one coordinate per component, with no recursion to run out of
     n = 3000
-    ids = ["c%d" % i for i in range(n)]
-    lo = dict.fromkeys(ids, -1)
-    hi = dict.fromkeys(ids, 0)
-    first = next(level_box(ids, lo, hi, 1 - n))
-    assert list(first) == ids and first[ids[-1]] == 0
-    assert sum(first.values()) == 1 - n
-    assert list(level_box(ids, lo, None, -n)) == [lo]
+    lo, hi = (-1,) * n, (0,) * n
+    first = next(level_tuples(lo, hi, 1 - n))
+    assert len(first) == n and first[-1] == 0
+    assert sum(first) == 1 - n
+    assert list(level_tuples(lo, None, -n)) == [lo]
 
 
 def test_blocks():
@@ -492,8 +538,8 @@ def test_bridgeless_builds_one_section_system(monkeypatch):
     # 3 sections of (2, 1, 0)'s co-twist all vanish on v1, as its count
     # with v1 at the vanishing floor shows, so it is never twisted
     system = SectionSystem(dip)
-    co = {"v1": -2, "v2": -1, "v3": 0}
-    assert system.count(co) == system.count({**co, "v1": -3}) == 3
+    co = (-2, -1, 0)
+    assert system.count(co) == system.count((-3, -1, 0)) == 3
     assert twisted == [{"v1": -2, "v2": 1, "v3": -2}]
 
 
@@ -821,17 +867,23 @@ def test_a_subbundle_changed_in_place_verifies_as_its_json():
 
 
 def test_verify_validates_each_enlargement_once(ex_bundle, monkeypatch):
+    # verify and its pullback both read the enlargement's `problems`, and
+    # the check behind it runs once
     cert = certify(ex_bundle, SplittingType((3, 1)))
+    enl = cert.steps[1].enlargement
     calls = []
-    validate = Enlargement.validate
+    problems = Enlargement.problems.func
 
     def counted(self):
         calls.append(self)
-        return validate(self)
+        return problems(self)
 
-    monkeypatch.setattr(Enlargement, "validate", counted)
+    counting = cached_property(counted)
+    counting.__set_name__(Enlargement, "problems")
+    monkeypatch.setattr(Enlargement, "problems", counting)
+    monkeypatch.delitem(enl.__dict__, "problems", raising=False)
     assert verify_certificate(cert) == (True, [])
-    assert calls == [cert.steps[1].enlargement]
+    assert calls == [enl]
 
 
 def test_certify_refutation(ex_bundle):
