@@ -868,7 +868,8 @@ def test_a_subbundle_changed_in_place_verifies_as_its_json():
 
 def test_verify_validates_each_enlargement_once(ex_bundle, monkeypatch):
     # verify and its pullback both read the enlargement's `problems`, and
-    # the check behind it runs once
+    # the check behind it runs once; verify reports a bad enlargement itself,
+    # before the pullback can raise on it
     cert = certify(ex_bundle, SplittingType((3, 1)))
     enl = cert.steps[1].enlargement
     calls = []
@@ -884,6 +885,12 @@ def test_verify_validates_each_enlargement_once(ex_bundle, monkeypatch):
     monkeypatch.delitem(enl.__dict__, "problems", raising=False)
     assert verify_certificate(cert) == (True, [])
     assert calls == [enl]
+    bad = EnlargementStep(Enlargement(enl.source, enl.target,
+                                      enl.contracted | {"unknown"}))
+    steps = cert.steps[:1] + (bad,) + cert.steps[2:]
+    assert verify_certificate(Certificate(cert.source, cert.target, steps)) == (
+        False, ["step 1: bad enlargement: "
+                "contracted set contains unknown components"])
 
 
 def test_certify_refutation(ex_bundle):
