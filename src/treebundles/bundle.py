@@ -227,7 +227,7 @@ def pullback(bundle: GluedBundle, enl) -> GluedBundle:
         m, den = bundle.integer_gluings[ti]
         for step, (si, forward) in enumerate(walk):
             if step > 0:
-                ints[si] = identity_matrix(r, 0, 1), 1
+                ints[si] = identity_matrix(r), 1
             elif forward:
                 ints[si] = [row[:] for row in m], den
             else:
@@ -252,12 +252,12 @@ def contract_pushforward(bundle: GluedBundle, enl) -> GluedBundle:
     r = bundle.rank
     glue = []
     for walk in enl.target_edge_paths:
-        acc, acc_den = identity_matrix(r, 0, 1), 1
+        acc, acc_den = identity_matrix(r), 1
         for si, forward in walk:
             m, den = bundle.integer_gluings[si]
             if not forward:
                 m, den = invert_matrix(m, den, p)
-            acc, acc_den = mat_mul(m, acc, 0), den * acc_den
+            acc, acc_den = mat_mul(m, acc), den * acc_den
         glue.append(lowest(acc, acc_den, p))
     spl = {v: bundle.splittings[v] for v in enl.target.components}
     return GluedBundle.of_integers(enl.target, r, spl, glue)

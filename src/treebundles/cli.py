@@ -9,7 +9,12 @@ full parser.
 
 Exit codes: 0 success/accepted, 1 malformed input, 2 rank or degree
 mismatch, 3 negative answer (refused specialization, rejected certificate,
-oracle discrepancy).
+oracle discrepancy). A verb returns 0 or 3 and raises for the rest; `main`
+alone maps what it raises to a code: a `MismatchError` to {"error": ...}
+on stdout and 2, any other `ValueError` (every library error is one) to
+one `error:` line on stderr and 1. A line argparse refuses, such as a verb
+with a required option missing, exits 2 with argparse's own usage text,
+two lines on stderr.
 """
 from __future__ import annotations
 
@@ -24,15 +29,14 @@ from math import comb
 
 from .bundle import (clamp_box, clamp_multidegree, dmax, h0, h0_oracle, h1,
                      level_tuples, twist, vanishing_floor)
-from .curve import CurveError, fill_multidegree
+from .curve import fill_multidegree
 from .fields import field_from_name
 from .sampling import random_bundle, random_multidegree, random_tree
-from .serialize import (INT_LIMIT, SerializeError, bundle_from_json,
-                        certificate_from_json, certificate_to_json,
-                        curve_from_json, dumps, multidegree_texts,
-                        multidegree_to_json, splitting_from_json)
-from .specialize import (MismatchError, SplitOffError, certify, decide,
-                         verify_certificate)
+from .serialize import (INT_LIMIT, bundle_from_json, certificate_from_json,
+                        certificate_to_json, curve_from_json, dumps,
+                        multidegree_texts, multidegree_to_json,
+                        splitting_from_json)
+from .specialize import MismatchError, certify, decide, verify_certificate
 from . import dot
 
 
@@ -85,24 +89,14 @@ def _parse_twist(curve, text):
             if v in md:
                 raise InputError("twist names component %r twice" % v)
             md[v] = _parse_int(num, "twist entry on %r" % v)
-    try:
-        return fill_multidegree(curve, md)
-    except CurveError as exc:
-        raise InputError(str(exc))
+    return fill_multidegree(curve, md)
 
 
 def _parse_target(text):
     try:
         return splitting_from_json([int(x) for x in text.split(",")])
-    except (ValueError, SerializeError):
+    except ValueError:
         raise InputError("target %r is not a comma-separated integer list" % text)
-
-
-def _parse_field(name):
-    try:
-        return field_from_name(name)
-    except ValueError as exc:
-        raise InputError(str(exc))
 
 
 def _emit(obj):
@@ -110,10 +104,7 @@ def _emit(obj):
 
 
 def _bundle_arg(args):
-    try:
-        return bundle_from_json(_load(args.input), args.field)
-    except (SerializeError, ValueError) as exc:
-        raise InputError(str(exc))
+    return bundle_from_json(_load(args.input), args.field)
 
 
 def _cmd_h0(args):
@@ -164,11 +155,7 @@ def _cmd_box(args):
 def _cmd_decide(args):
     bundle = _bundle_arg(args)
     source = _parse_target(args.target)
-    try:
-        decision = decide(bundle, source)
-    except MismatchError as exc:
-        _emit({"error": str(exc)})
-        return 2
+    decision = decide(bundle, source)
     if decision.yes:
         _emit({"verdict": "yes"})
         return 0
@@ -182,20 +169,13 @@ def _cmd_decide(args):
 def _cmd_certify(args):
     bundle = _bundle_arg(args)
     source = _parse_target(args.target)
-    try:
-        cert = certify(bundle, source)
-    except MismatchError as exc:
-        _emit({"error": str(exc)})
-        return 2
+    cert = certify(bundle, source)
     _emit(certificate_to_json(cert))
     return 0 if not cert.is_refutation else 3
 
 
 def _cmd_verify(args):
-    try:
-        cert = certificate_from_json(_load(args.input), args.field)
-    except (SerializeError, ValueError) as exc:
-        raise InputError(str(exc))
+    cert = certificate_from_json(_load(args.input), args.field)
     ok, report = verify_certificate(cert)
     _emit({"valid": ok, "report": report})
     return 0 if ok else 3
@@ -235,17 +215,14 @@ def _cmd_oracle_check(args):
 
 def _cmd_export_dot(args):
     obj = _load(args.input)
-    try:
-        if isinstance(obj, dict) and "claim" in obj:
-            text = dot.certificate_to_dot(certificate_from_json(obj, args.field))
-        elif isinstance(obj, dict) and "curve" in obj:
-            text = dot.bundle_to_dot(bundle_from_json(obj, args.field))
-        elif isinstance(obj, dict) and "components" in obj:
-            text = dot.curve_to_dot(curve_from_json(obj, args.field))
-        else:
-            raise InputError("input is neither curve, bundle nor certificate")
-    except (SerializeError, ValueError) as exc:
-        raise InputError(str(exc))
+    if isinstance(obj, dict) and "claim" in obj:
+        text = dot.certificate_to_dot(certificate_from_json(obj, args.field))
+    elif isinstance(obj, dict) and "curve" in obj:
+        text = dot.bundle_to_dot(bundle_from_json(obj, args.field))
+    elif isinstance(obj, dict) and "components" in obj:
+        text = dot.curve_to_dot(curve_from_json(obj, args.field))
+    else:
+        raise InputError("input is neither curve, bundle nor certificate")
     sys.stdout.write(text)
     return 0
 
@@ -392,10 +369,15 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         vars(args).update({dest: "--" for dest, value in vars(args).items()
                            if value == []})
+    # the one place an exception becomes an exit code; a MismatchError is
+    # a ValueError, so it is caught first
     try:
-        args.field = _parse_field(args.field)
+        args.field = field_from_name(args.field)
         return args.fn(args)
-    except (InputError, SplitOffError) as exc:
+    except MismatchError as exc:
+        _emit({"error": str(exc)})
+        return 2
+    except ValueError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
 

@@ -34,18 +34,18 @@ from math import gcd, lcm
 from .fields import element
 
 
-def identity_matrix(n, zero, one):
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+def identity_matrix(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a, b, zero):
+def mat_mul(a, b):
     n, k = len(a), len(b)
     cols = len(b[0]) if k else 0
     out = []
     for i in range(n):
         row = []
         for j in range(cols):
-            acc = zero
+            acc = 0
             for t in range(k):
                 acc = acc + a[i][t] * b[t][j]
             row.append(acc)

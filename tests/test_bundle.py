@@ -14,7 +14,8 @@ from treebundles.bundle import (BundleError, GluedBundle, SectionSystem,
                                 level_tuples, make_bundle, pullback,
                                 restrict_bundle, section_basis, twist,
                                 vanishing_floor)
-from treebundles.curve import Edge, TreeCurve, insert_bridge, md_total
+from treebundles.curve import (Edge, Enlargement, TreeCurve,
+                               identity_enlargement, insert_bridge, md_total)
 from treebundles.fields import PrimeField, RationalField
 from treebundles.sampling import (random_bundle, random_invertible,
                                   random_multidegree, random_tree)
@@ -1222,6 +1223,25 @@ def test_pullback_integer_gluings_on_every_edge_kind(fld):
         for _ in range(4):
             md = random_multidegree(rng, target, -2, 2)
             assert h0(twist(up, dict(md, b=0))) == h0(twist(bundle, md))
+
+
+def test_pullback_and_pushforward_refuse_a_foreign_or_invalid_enlargement(
+        ex_bundle):
+    grown, step = insert_bridge(ex_bundle.curve, 0)
+    up = pullback(ex_bundle, step)
+    invalid = Enlargement(grown, ex_bundle.curve,
+                          frozenset({"v1+v2", "zz"}))
+    unknown = "invalid enlargement: contracted set contains unknown components"
+    cases = [(pullback, ex_bundle, identity_enlargement(grown),
+              "enlargement target is not this bundle's curve"),
+             (pullback, ex_bundle, invalid, unknown),
+             (contract_pushforward, ex_bundle, step,
+              "enlargement source is not this bundle's curve"),
+             (contract_pushforward, up, invalid, unknown)]
+    for surgery, bundle, enl, text in cases:
+        with pytest.raises(BundleError) as info:
+            surgery(bundle, enl)
+        assert str(info.value) == text
 
 
 def test_contract_is_inverse_of_pullback(ex_bundle):

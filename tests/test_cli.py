@@ -15,17 +15,20 @@ from pathlib import Path
 import pytest
 
 import treebundles
-from treebundles import subbundles
-from treebundles.bundle import clamp_box, dmax, make_bundle, vanishing_floor
+from treebundles import cli, dot, subbundles
+from treebundles.bundle import (BundleError, clamp_box, dmax, make_bundle,
+                                vanishing_floor)
 from treebundles.cli import _BOX_CHUNK, main
-from treebundles.curve import TreeCurve
+from treebundles.curve import CurveError, TreeCurve
 from treebundles.fields import field_from_name
 from treebundles.sampling import (balanced_splitting, random_bundle,
                                   random_tree, spread)
-from treebundles.serialize import (bundle_to_json, certificate_to_json,
-                                   curve_to_json, dumps, multidegree_to_json)
+from treebundles.serialize import (SerializeError, bundle_to_json,
+                                   certificate_to_json, curve_to_json, dumps,
+                                   multidegree_to_json)
 from treebundles.specialize import certify
 from treebundles.splitting import SplittingType
+from treebundles.subbundles import SubbundleError
 
 from conftest import build_chain, build_ex, build_swap, regression_bundle
 
@@ -314,11 +317,11 @@ def test_decide_no_with_witness(ex_path, capsys):
 
 
 def test_decide_mismatch_exit_2(ex_path, capsys):
-    code, out, _ = run(capsys, "decide", "-i", ex_path, "--target", "3,2")
-    assert code == 2
-    assert "error" in json.loads(out)
-    code2, _, _ = run(capsys, "decide", "-i", ex_path, "--target", "2,1,1")
-    assert code2 == 2
+    # certify meets the mismatch in its decide and prints the same
+    for target, text in (("3,2", "degree 4 vs 5"), ("2,1,1", "rank 2 vs 3")):
+        for verb in ("decide", "certify"):
+            assert run(capsys, verb, "-i", ex_path, "--target", target) == (
+                2, '{"error":"%s"}\n' % text, "")
 
 
 def test_malformed_input_exit_1(tmp_path, capsys):
@@ -1077,6 +1080,63 @@ def test_export_dot_certificate(ex_path, tmp_path, capsys):
     junk.write_text('{"neither": 1}')
     code3, _, err3 = run(capsys, "export-dot", "-i", str(junk))
     assert code3 == 1 and "neither" in err3
+    # a refutation is one witness step
+    path = _write(tmp_path, certificate_to_json(
+        certify(build_ex(), SplittingType((4, 0)))))
+    assert run(capsys, "export-dot", "-i", path) == (0, (
+        'digraph certificate {\n'
+        '  node [shape=box];\n'
+        '  claim [label="claim: (4, 0) on P1 to rank 2 bundle on 2 '
+        'components"];\n'
+        '  step0 [label="failure at {\'v1\': -2, \'v2\': -2}: 0 < 1"];\n'
+        '  claim -> step0;\n'
+        '}\n'), "")
+
+
+class _Refusal(ValueError):
+    """A ValueError no verb names."""
+
+
+# each verb, its options past -i, and the first library call it makes
+# before it writes, with an error for that call to raise: `main` alone
+# turns every ValueError into one error line
+_LIBRARY_CALLS = [
+    ("h0", (), cli, "h0", BundleError),
+    ("h1", (), cli, "h1", CurveError),
+    ("dmax", (), cli, "dmax", SubbundleError),
+    ("box", ("--level", "0"), cli, "vanishing_floor", SerializeError),
+    ("decide", ("--target", "3,1"), cli, "decide", _Refusal),
+    ("certify", ("--target", "3,1"), cli, "certify", SubbundleError),
+    ("verify", (), cli, "verify_certificate", BundleError),
+    ("oracle-check", ("--cases", "1"), cli, "h0_oracle", ValueError),
+    ("export-dot", (), dot, "bundle_to_dot", CurveError),
+]
+
+
+@pytest.mark.parametrize("verb,options,module,name,error", _LIBRARY_CALLS,
+                         ids=[case[0] for case in _LIBRARY_CALLS])
+def test_a_library_error_in_any_verb_ends_in_one_error_line(
+        ex_path, tmp_path, capsys, monkeypatch, verb, options, module, name,
+        error):
+    cert = _write(tmp_path, certificate_to_json(
+        certify(build_ex(), SplittingType((3, 1)))))
+    inputs = {"verify": ("-i", cert), "oracle-check": ()}.get(
+        verb, ("-i", ex_path))
+
+    def refuse(*args):
+        raise error("%s refused: 'v1' \u00e9" % name)
+
+    monkeypatch.setattr(module, name, refuse)
+    assert run(capsys, verb, *inputs, *options) == (
+        1, "", "error: %s refused: 'v1' \u00e9\n" % name)
+
+
+def test_a_line_argparse_refuses_exits_2_with_its_usage_text(capsys):
+    code, out, err = _outcome(capsys, ["dmax"])
+    lines = err.splitlines()
+    assert (code, out, len(lines)) == (2, "", 2)
+    assert lines[0].startswith("usage: treebundles dmax ")
+    assert lines[1].startswith("treebundles dmax: error: ")
 
 
 def test_output_is_byte_stable(ex_path, capsys):

@@ -173,6 +173,32 @@ def test_insert_bridge_layout():
     assert step.problems == ()
 
 
+def test_insert_bridge_primes_a_taken_id():
+    # the bridge on a-b is named a+b, primed while that id is taken
+    curve = TreeCurve(("a", "b", "a+b", "a+b'"),
+                      (Edge("a", F(0), "b", F(0)), Edge("b", F(1), "a+b", F(0)),
+                       Edge("a+b", F(1), "a+b'", F(0))))
+    for taken, bid in ((3, "a+b'"), (4, "a+b''")):
+        shorter = restrict_curve(curve, curve.components[:taken])
+        grown, step = insert_bridge(shorter, 0)
+        assert grown.components == shorter.components + (bid,)
+        assert [(e.a, e.b) for e in grown.edges[-2:]] == [("a", bid),
+                                                          (bid, "b")]
+        assert step.contracted == frozenset({bid}) and step.problems == ()
+
+
+def test_insert_bridge_refuses_an_edge_it_lacks():
+    for index in (1, -1):
+        with pytest.raises(CurveError, match=r"^no edge %d$" % index):
+            insert_bridge(t2(), index)
+
+
+def test_compose_enlargements_refuses_enlargements_that_do_not_chain():
+    _, step = insert_bridge(t2(), 0)
+    with pytest.raises(CurveError, match="^enlargements do not chain$"):
+        compose_enlargements(step, step)
+
+
 def test_compose_enlargements():
     curve = t2()
     g1, s1 = insert_bridge(curve, 0)
@@ -278,3 +304,6 @@ def test_restrict_curve():
     assert sub.components == ("h", "b")
     assert len(sub.edges) == 1 and sub.edges[0].b == "b"
     sub.validate()
+    with pytest.raises(CurveError, match=r"^restriction target \['a', 'b'\] "
+                                         r"is not connected$"):
+        restrict_curve(curve, {"a", "b"})

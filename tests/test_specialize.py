@@ -1,5 +1,6 @@
 """Deciding specialization, maximal line subbundles, certificates."""
 import itertools
+import json
 import random
 import time
 from fractions import Fraction as F
@@ -996,6 +997,60 @@ def test_verify_rejects_claim_mismatch(ex_bundle):
     assert not ok and "disagree" in report[0]
     ok2, _ = verify_certificate(Certificate(cert.source, ex_bundle, ()))
     assert not ok2
+
+
+def test_a_certificate_names_a_bridge_past_a_taken_id():
+    # the swap on a-b needs a bridge there, and a+b is a component already,
+    # so the bridge is a+b' in the certificate's bytes
+    swap = [[F(0), F(1)], [F(1), F(0)]]
+    bundle = build_chain(("a", "b", "a+b"),
+                         {"a": (2, 0), "b": (2, 0), "a+b": (0, 0)},
+                         {0: swap, 1: I2})
+    cert = certify(bundle, SplittingType((2, 2)))
+    assert cert.steps[1].enlargement.contracted == frozenset({"a+b'"})
+    text = serialize.dumps(certificate_to_json(cert))
+    assert '"contracted":["a+b\'"]' in text
+    back = certificate_from_json(json.loads(text))
+    assert back == cert and verify_certificate(back) == (True, [])
+
+
+def test_verify_names_each_rejection(ex_bundle):
+    # certificates tampered in code, one rejection each, with its report
+    cert = certify(ex_bundle, SplittingType((3, 1)))
+    dom, enl, split, base = cert.steps
+    refuted = SplittingType((4, 0))
+    # the counts at the zero twist recompute: h0 = 6 on both sides
+    assert h0(ex_bundle) == refuted.h0(0) == 6
+    elsewhere = EnlargementStep(identity_enlargement(enl.enlargement.source))
+    cases = [
+        ((3, 1), (dom, enl, split, base),
+         "claim is not a (splitting type, glued bundle) pair"),
+        (refuted, (FailureWitness({"v1": -2, "v2": -2}, 0, 1), base),
+         "refutation must be a single witness step"),
+        (refuted, (FailureWitness({"zz": -2, "v2": -2}, 0, 1),),
+         "witness twist is malformed: multidegree keys ['v2', 'zz'] do not "
+         "match components ['v1', 'v2']"),
+        (refuted, (FailureWitness({"v1": 0, "v2": 0}, 6, 6),),
+         "witness is not a failure: 6 >= 6"),
+        (cert.source, (dom, enl, dom, split, base),
+         "step 2: enlargement left unconsumed"),
+        (cert.source, (dom, enl, base), "step 2: enlargement left unconsumed"),
+        (cert.source, (dom, enl, enl, split, base),
+         "step 2: two enlargements in a row"),
+        (cert.source, (dom, elsewhere, split, base),
+         "step 1: enlargement is not rooted at the current curve"),
+        (cert.source, (dom, split, base),
+         "step 1: split-off without a preceding enlargement"),
+        (cert.source, (base,), "step 0: base case at rank 2/2"),
+        (cert.source, (dom, enl, split, base, base),
+         "step 3: base case before the end"),
+        (cert.source, (object(),), "step 0: unknown step kind 'object'"),
+        (cert.source, (dom, enl, split),
+         "certificate does not end in a base case"),
+    ]
+    assert [verify_certificate(Certificate(source, ex_bundle, steps))
+            for source, steps, _ in cases] == [
+        (False, [text]) for _, _, text in cases]
 
 
 def test_certify_roundtrip_random():
