@@ -61,41 +61,29 @@ class TreeCurve:
                 return i
         return None
 
-    def _reach(self, adj, start, members, cut):
-        """Members reachable from `start` without crossing an edge in `cut`."""
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w, i in adj[v]:
-                if w in members and w not in seen and i not in cut:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
-
     def side_of(self, edge_index, endpoint):
         """Components reachable from `endpoint` without crossing the edge."""
         e = self.edges[edge_index]
         assert endpoint in (e.a, e.b)
-        adj = self.adjacency()
-        return self._reach(adj, endpoint, adj, (edge_index,))
+        return next(set(p) for p in self.pieces(self.components, (edge_index,))
+                    if endpoint in p)
 
     def pieces(self, members, cut=()):
-        """Connected pieces of the subgraph on `members` minus the `cut` edges.
+        """Connected pieces of the subgraph on `members` minus the `cut` edges,
+        by one union-find over the edges (`_find`).
 
         Each piece is a tuple in component order, and the pieces are
         ordered by their first member.
         """
         members, cut = set(members), set(cut)
-        adj = self.adjacency()
-        seen = set()
-        out = []
-        for v in self.components:
-            if v in members and v not in seen:
-                part = self._reach(adj, v, members, cut)
-                seen |= part
-                out.append(self.ordered(part))
-        return out
+        root = {v: v for v in self.components if v in members}
+        for i, e in enumerate(self.edges):
+            if i not in cut and e.a in members and e.b in members:
+                root[_find(root, e.a)] = _find(root, e.b)
+        groups = {}
+        for v in root:
+            groups.setdefault(_find(root, v), []).append(v)
+        return [tuple(g) for g in groups.values()]
 
     def is_connected_subset(self, members):
         members = set(members)
@@ -126,6 +114,14 @@ class TreeCurve:
         if self.problems:
             raise CurveError("; ".join(self.problems))
         return self
+
+
+def _find(root, v):
+    """v's root in the union-find `root` (a dict of parents), halving the
+    path on the way."""
+    while root[v] != v:
+        root[v] = v = root[root[v]]
+    return v
 
 
 def validate_tree(curve: TreeCurve):
@@ -178,11 +174,7 @@ def tree_problems(curve: TreeCurve, keys):
     root = {v: v for v in comps}
     joined = 0
     for e in edges:
-        a, b = e.a, e.b
-        while root[a] != a:
-            root[a] = a = root[root[a]]
-        while root[b] != b:
-            root[b] = b = root[root[b]]
+        a, b = _find(root, e.a), _find(root, e.b)
         if a != b:
             root[a] = b
             joined += 1

@@ -7,6 +7,7 @@ comparison at fixed rank and degree.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 
@@ -80,13 +81,9 @@ def merge_with_line(st: SplittingType, d: int):
     # c is the least e >= -d_1 with h0(e) >= d + e + 1: the gap between the
     # two sides does not decrease from -d_1 on, and h0(e) >= D + r(e + 1)
     # makes it >= 0 at hi, the least e with (r - 1)(e + 1) >= d - D
-    c, hi = -ds[0], (d - st.degree - 1) // (st.rank - 1)
-    while c < hi:
-        mid = (c + hi) // 2
-        if st.h0(mid) >= d + mid + 1:
-            hi = mid
-        else:
-            c = mid + 1
+    c0, hi = -ds[0], (d - st.degree - 1) // (st.rank - 1)
+    c = c0 + bisect_left(range(c0, hi), True,
+                         key=lambda e: st.h0(e) >= d + e + 1)
     j = st.h0(c) - (d + c)
     k = sum(1 for x in ds if x >= -c) - j
     rest = tuple(x for x in ds if x < -c)

@@ -10,10 +10,9 @@ bundle det E (x) L^-1, built in closed form from the embedding's leading
 coefficients, the subbundle scalars and the gluing determinants; in higher
 rank the quotient's summands come from minimal generators of the
 embedding's syzygies, read off its support per component: a unit per zero
-coordinate, the Koszul pair for two nonzero ones, and a degree-by-degree
-search only for three or more. They are merged in the order of the
-search over all summands, by degree, then by the summand that holds each
-generator's free column (`_kernel_generators`).
+coordinate, and a degree-by-degree search on the nonzero ones. They are
+merged in the order of the search over all summands, by degree, then by
+the summand that holds each generator's free column (`_kernel_generators`).
 
 Node checks, saturation and quotient gluings run on integers, crossing
 from field elements and back only through `linalg`. A subbundle holds its
@@ -283,88 +282,59 @@ def _kernel_generators(p, ms, a, phis, want):
     generators shifted into degree t and of the vectors kept before them.
     The columns of a summand i with phi_i = 0 are zero, so they are free
     and their kernel vectors are units, and the kernel splits into one
-    piece per such summand and one for the nonzero coordinates N. So:
-    - a zero coordinate i gives the unit generator e_i in degree m_i;
-    - one nonzero coordinate gives nothing more;
-    - two, i < j, give the Koszul pair (phi_j, -phi_i): their homogenized
-      forms have no common zero, so it generates their syzygies, in degree
-      m_i + m_j - a. It is normalized at its free column, its last nonzero
-      entry, which is in block j: over c = -lead(phi_i), the c of the
-      rank-2 closed form in `_quotient`;
-    - three or more take `_searched_generators` on the blocks of N alone.
-    Within a degree the search keeps vectors in free-column order, and a
-    kernel vector is zero past its free column, so the pieces merge by
-    degree, then by the last summand with a nonzero block (a stable sort,
-    so searched generators that tie on both keep their order). The
-    generators are the search's as rational vectors, and no elimination
-    runs unless three coordinates are nonzero.
+    piece per such summand and one for the nonzero coordinates N. So a
+    zero coordinate i gives the unit generator e_i in degree m_i, and the
+    search runs on the blocks of N alone, which gives nothing for one
+    nonzero coordinate and len(N) - 1 generators otherwise (for two, the
+    Koszul pair normalized at its last nonzero entry). Within a degree the
+    search keeps vectors in free-column order, and a kernel vector is zero
+    past its free column, so the pieces merge by degree, then by the last
+    summand with a nonzero block (a stable sort, so searched generators
+    that tie on both keep their order).
+
+    The search finds N's generators degree by degree from min(m_i, i in
+    N), lowest first, with one `integer_kernel` per degree and one
+    `integer_rref` per degree that gains a generator. Every phi_i in N is
+    nonzero, so a <= m_i and each degree's system has rows. The earlier
+    generators shifted into degree t are independent kernel vectors (the
+    kernel is free on the generators), so degree t gains exactly
+    dim ker - #shifts of them; where that is 0 no pivot walk runs, and
+    with nothing earlier every kernel vector is a pivot.
     """
     support = [i for i, phi in enumerate(phis) if phi]
     found = [(ms[i], [[1] if k == i else [] for k in range(len(ms))], 1)
              for i, phi in enumerate(phis) if not phi]
-    if len(support) == 2:
-        i, j = support
-        pair = [[] for _ in ms]
-        pair[i] = [-c % p if p else -c for c in phis[j]]
-        pair[j] = list(phis[i])
-        found.append((ms[i] + ms[j] - a, pair, phis[i][-1]))
-    elif len(support) > 2:
-        for b, gens, den in _searched_generators(
-                p, [ms[i] for i in support], a, [phis[i] for i in support]):
-            blocks = [[] for _ in ms]
-            for i, g in zip(support, gens):
-                blocks[i] = g
-            found.append((b, blocks, den))
-    found.sort(key=lambda g: (g[0], max(k for k, q in enumerate(g[1])
-                                        if any(q))))
-    assert len(found) == want and sum(b for b, _, _ in found) == sum(ms) - a, \
-        "quotient degree bookkeeping broke"
-    return found
-
-
-def _searched_generators(p, ms, a, phis):
-    """The greedy search of `_kernel_generators` on nonzero coordinates
-    phi_i of degree <= ms[i] - a: len(ms) - 1 generators, found degree by
-    degree from min(ms), lowest first, with one `integer_kernel` per
-    degree and one `integer_rref` per degree that gains a generator.
-
-    Every phi_i is nonzero, so a <= ms[i] and each degree's system has
-    rows. The earlier generators shifted into degree t are independent
-    kernel vectors (the kernel is free on the generators), so degree t
-    gains exactly dim ker - #shifts of them; where that is 0 no pivot
-    walk runs, and with nothing earlier every kernel vector is a pivot.
-    """
-    want = len(ms) - 1
-    total = sum(ms) - a
-    found = []  # (degree, integer coefficient blocks, their denominator)
+    ns = [ms[i] for i in support]
+    need = len(support) - 1
+    searched = []  # (degree, integer coefficient blocks on N, their den)
 
     def layout(t):
         blocks, n = [], 0
-        for m in ms:
+        for m in ns:
             size = max(0, t - m + 1)
             blocks.append((n, size))
             n += size
         return blocks, n
 
-    t = min(ms)  # from here on the smallest summand's block has a column
-    guard = total - (want - 1) * min(ms) + len(ms) + 2
-    while len(found) < want:
+    t = min(ns)  # from here on the smallest summand's block has a column
+    guard = sum(ns) - a - (need - 1) * t + len(ns) + 2
+    while len(searched) < need:
         assert t <= guard, "kernel generator search ran past its degree bound"
         blocks, ncols = layout(t)
         rows = [[0] * ncols for _ in range(t - a + 1)]
-        for (start, size), phi in zip(blocks, phis):
+        for (start, size), i in zip(blocks, support):
             for k in range(size):
                 # coefficient rows of x^k * phi_i
-                for d, c in enumerate(phi):
+                for d, c in enumerate(phis[i]):
                     rows[k + d][start + k] = c
         kern, den = integer_kernel(rows, ncols, p)
-        old = sum(t - b + 1 for b, _, _ in found)
+        old = sum(t - b + 1 for b, _, _ in searched)
         if len(kern) > old:
             # earlier generators shifted into degree t, then the kernel
             # vectors, as the columns of one matrix: its pivot columns are
             # the greedy choices of vectors independent of everything before
             cols = []
-            for b, gens, _ in found:
+            for b, gens, _ in searched:
                 for s in range(t - b + 1):
                     vec = [0] * ncols
                     for (start, _), g in zip(blocks, gens):
@@ -377,10 +347,19 @@ def _searched_generators(p, ms, a, phis):
                     "old generators degenerated; kernel not free?"
             else:
                 pivots = range(len(kern))
-            for j in pivots[old:old + want - len(found)]:
-                found.append((t, [cols[j][start:start + size]
-                                  for start, size in blocks], den))
+            for j in pivots[old:old + need - len(searched)]:
+                searched.append((t, [cols[j][start:start + size]
+                                     for start, size in blocks], den))
         t += 1
+    for b, gens, den in searched:
+        blocks = [[] for _ in ms]
+        for i, g in zip(support, gens):
+            blocks[i] = g
+        found.append((b, blocks, den))
+    found.sort(key=lambda g: (g[0], max(k for k, q in enumerate(g[1])
+                                        if any(q))))
+    assert len(found) == want and sum(b for b, _, _ in found) == sum(ms) - a, \
+        "quotient degree bookkeeping broke"
     return found
 
 
@@ -400,10 +379,9 @@ def _quotient(bundle: GluedBundle, sub: LineSubbundle) -> GluedBundle:
     S = [[0, -1], [1, 0]], and G^T S G = det(G) S turns N g_a = g_b G into
     N = det(G) c_a / (lam c_b). Higher ranks take `_quotient_by_generators`,
     whose generators `_kernel_generators` reads off each component's
-    support: a unit e_i per zero coordinate, in degree m_i, the same
-    Koszul pair over the same c where two coordinates are nonzero, and the
-    search only where three or more are, merged by degree, then by the
-    summand of each generator's free column.
+    support: a unit e_i per zero coordinate, in degree m_i, and the search
+    on the nonzero ones (the same pair over the same c where two are),
+    merged by degree, then by the summand of each generator's free column.
     """
     if sub.host != bundle:
         raise BundleError("subbundle does not live in this bundle")

@@ -1053,6 +1053,24 @@ def test_verify_names_each_rejection(ex_bundle):
         (False, [text]) for _, _, text in cases]
 
 
+def test_verify_rejects_a_quotient_pair_that_does_not_specialize():
+    # O(2) + O + O(-2) on one component against the balanced (0, 0, 0): the
+    # first dominance step is moved to (2, 1, -3), which (0, 0, 0) still
+    # specializes to, and its split-off's qprime to (1, -3) = remove_line of
+    # it; the subbundle, its degree and the quotient (0, -2) all recompute,
+    # but (0, -2) is no specialization of (1, -3)
+    bundle = make_bundle(TreeCurve(("a",), ()), {"a": (2, 0, -2)}, {})
+    cert = certify(bundle, SplittingType((0, 0, 0)))
+    assert verify_certificate(cert) == (True, [])
+    dom, enl, split, *rest = cert.steps
+    assert dom.target == SplittingType((2, -1, -1))
+    steps = (DominanceStep(dom.source, SplittingType((2, 1, -3))), enl,
+             SplitOffStep(split.subbundle, split.quotient,
+                          SplittingType((1, -3))), *rest)
+    assert verify_certificate(Certificate(cert.source, bundle, steps)) == \
+        (False, ["step 2: quotient pair is not a specialization"])
+
+
 def test_certify_roundtrip_random():
     rng = random.Random(57)
     yes = no = 0
