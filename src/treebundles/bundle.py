@@ -7,8 +7,9 @@ component is significant because the gluing matrices index into it.
 A gluing is stored once, as integer rows over a den in lowest terms
 (`GluedBundle.integer_gluings`), from which every derived bundle is built;
 field elements are built only for output (`GluedBundle.gluings`).
-`make_bundle`, `pullback` and `contract_pushforward` read the check result
-kept on the frozen curve or enlargement (`problems`), so each is checked once.
+`make_bundle` is the one checked constructor. It, `pullback` and
+`contract_pushforward` read the check result kept on the frozen curve or
+enlargement (`problems`), so each is checked once.
 
 Global sections are the kernel of one exact block linear system: a summand
 of twisted degree m contributes a block of polynomial coefficients, and each
@@ -49,6 +50,7 @@ them, by one bisection along their first twists.
 from __future__ import annotations
 
 from bisect import bisect_left
+from dataclasses import dataclass
 from math import inf
 
 from . import poly
@@ -62,6 +64,7 @@ class BundleError(ValueError):
     pass
 
 
+@dataclass(init=False, repr=False)
 class GluedBundle:
     """curve + per-component ordered summand degrees + per-edge gluings.
 
@@ -69,13 +72,19 @@ class GluedBundle:
     rows, den) in the lowest terms of `linalg.lowest` (den > 0 and prime to
     the entries over Q, residues over 1 over GF(p)), which every count,
     check and comparison reads. The form is canonical, so equal gluings are
-    equal pairs and `__eq__` compares them. The constructor takes rows of
-    field elements and clears them at once (`linalg.cleared`);
+    equal pairs and the generated `__eq__` compares the four fields. The
+    constructor takes rows of field elements and clears them at once
+    (`linalg.cleared`), with no check (`make_bundle` checks);
     `of_integers` holds pairs already in that form, as the JSON reader,
     twists, restrictions, pullbacks, pushforwards and quotients make them.
     `gluings`, the field-element rows, is an output view built on each
     read, so changing what it returns changes no gluing.
     """
+
+    curve: TreeCurve
+    rank: int
+    splittings: dict
+    integer_gluings: list
 
     def __init__(self, curve: TreeCurve, rank: int, splittings, gluings):
         self.curve = curve
@@ -123,13 +132,6 @@ class GluedBundle:
     def euler(self):
         return self.degree() + self.rank
 
-    def __eq__(self, other):
-        if not isinstance(other, GluedBundle):
-            return NotImplemented
-        return (self.curve == other.curve and self.rank == other.rank
-                and self.splittings == other.splittings
-                and self.integer_gluings == other.integer_gluings)
-
     def __repr__(self):
         return "GluedBundle(rank=%d, %s)" % (
             self.rank,
@@ -138,23 +140,14 @@ class GluedBundle:
 
 
 def make_bundle(curve: TreeCurve, splittings, gluings) -> GluedBundle:
-    """Validating constructor: a valid curve, splittings covering its
+    """The one checked constructor: a valid curve, splittings covering its
     components with one rank, and `gluings` mapping every edge index to an
-    invertible square matrix of field elements (`build_checked`)."""
-    return build_checked(GluedBundle, curve, splittings, gluings)
-
-
-def build_checked(build, curve: TreeCurve, splittings, gluings) -> GluedBundle:
-    """`build(curve, rank, splittings, gluings)` after make_bundle's checks,
-    in their order, with the splittings as tuples in component order and
-    the gluings as a list in edge order, each in the form `build` takes:
-    `GluedBundle` rows of field elements, `GluedBundle.of_integers`
-    (integer rows, den) pairs, as the JSON reader's step-by-step path reads
-    them (`serialize._rows_from_json`, one `read_row` call per matrix, rows
-    cut back by their lengths, so a ragged gluing reaches the shape check
-    here); its one pass runs the same checks as it reads. Each gluing's
-    shape and invertibility are checked on its integer rows
-    (`linalg.invertible`)."""
+    invertible square matrix of field elements. The checks run in that
+    order; each gluing's shape and invertibility are checked on the
+    integer rows the bundle clears it to (`linalg.invertible`), so a
+    ragged matrix reaches the shape check. The JSON reader's one pass runs
+    the same checks as it reads, and its step-by-step path builds field
+    elements and calls this."""
     curve.validate()
     if set(splittings) != set(curve.components):
         raise BundleError("splittings must cover the components exactly")
@@ -166,9 +159,7 @@ def build_checked(build, curve: TreeCurve, splittings, gluings) -> GluedBundle:
         raise BundleError("rank must be at least 1")
     if set(gluings) != set(range(len(curve.edges))):
         raise BundleError("gluings must cover the edges exactly")
-    bundle = build(curve, r,
-                   {v: tuple(splittings[v]) for v in curve.components},
-                   [gluings[i] for i in range(len(curve.edges))])
+    bundle = GluedBundle(curve, r, splittings, gluings)
     for i, (m, _) in enumerate(bundle.integer_gluings):
         if len(m) != r or any(len(row) != r for row in m):
             raise BundleError("gluing %d is not %dx%d" % (i, r, r))

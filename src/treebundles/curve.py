@@ -89,11 +89,6 @@ class TreeCurve:
         members = set(members)
         return members <= set(self.components) and len(self.pieces(members)) == 1
 
-    def ordered(self, members):
-        """Members as a tuple in component order."""
-        members = set(members)
-        return tuple(v for v in self.components if v in members)
-
     @classmethod
     def read(cls, components, edges, field, keys):
         """The curve, its `problems` found by `tree_problems` on `keys`

@@ -28,8 +28,8 @@ def _tree_lines(curve: TreeCurve, indent, highlight, labels=None, arrow="--"):
     return out
 
 
-def curve_to_dot(curve: TreeCurve, highlight=frozenset()) -> str:
-    lines = ["graph tree {"] + _tree_lines(curve, "  ", set(highlight)) + ["}"]
+def curve_to_dot(curve: TreeCurve) -> str:
+    lines = ["graph tree {"] + _tree_lines(curve, "  ", set()) + ["}"]
     return "\n".join(lines) + "\n"
 
 

@@ -18,17 +18,18 @@ r x r and invertible (`linalg.invertible`, by its determinant up to
 4x4). Each gluing is read by one `read_row` call, straight to integers
 over one den, and held so: a load builds no field element for it
 (`GluedBundle.of_integers`). The curve keeps its check result
-(`problems`), so `build_checked`, `pullback` and `verify` do not check it
+(`problems`), so `make_bundle`, `pullback` and `verify` do not check it
 again. On any fault the one pass gives the same JSON to the step-by-step
-reader (`_bundle_in_steps`), which reads key by key, builds through
-`bundle.build_checked` and raises the first fault with its text; that
-path runs only on a fault. It is kept because one reader, built through
-`build_checked` on every load, cost about 11 us per load on sections.
+reader (`_bundle_in_steps`), which reads key by key, builds field
+elements, calls `bundle.make_bundle` and raises the first fault with its
+text; that path runs only on a fault. It is kept because one reader,
+built through make_bundle's checks on every load, cost about 11 us per
+load on sections.
 
 Every other matrix, a gluing on the step-by-step path or a subbundle
 component's coefficient lists, is read by `_rows_from_json`: all its
 entries by one `read_row` call, over one den, the rows then cut back by
-their lengths (`LineSubbundle.of_integers` holds the embedding so). A
+their lengths (the `LineSubbundle` constructor holds the embedding so). A
 certificate reader builds each curve once, reusing the curve object for
 JSON equal to a curve it has read (`_Curves`), and its target and
 quotient bundles take the one pass through it, so nothing read is
@@ -41,7 +42,7 @@ from itertools import islice
 from operator import itemgetter
 
 from . import poly
-from .bundle import GluedBundle, build_checked, pullback
+from .bundle import GluedBundle, make_bundle, pullback
 from .curve import Edge, Enlargement, TreeCurve
 from .fields import RationalField
 from .linalg import element, invertible
@@ -252,10 +253,10 @@ def bundle_from_json(obj, field=None, curves=None) -> GluedBundle:
 
 
 def _bundle_in_one_pass(obj, field, curves):
-    """`bundle_from_json`'s one pass: make_bundle's checks (`build_checked`)
-    run as the splittings and gluings are read, each gluing read by one
-    `read_row` call and tested invertible on its integers; None, or
-    KeyError, TypeError or ValueError, at a fault."""
+    """`bundle_from_json`'s one pass: `make_bundle`'s checks run as the
+    splittings and gluings are read, each gluing read by one `read_row`
+    call and tested invertible on its integers; None, or KeyError,
+    TypeError or ValueError, at a fault."""
     if type(obj) is not dict:
         return None
     raw = obj["curve"]
@@ -296,9 +297,9 @@ def _bundle_in_one_pass(obj, field, curves):
 
 def _bundle_in_steps(obj, field, curves):
     """`bundle_from_json`'s error path: the bundle read key by key, its
-    curve by `curves` when one is given, else by `curve_from_json`, and
-    built through make_bundle's checks (`bundle.build_checked`), so the
-    first fault raises with its text."""
+    curve by `curves` when one is given, else by `curve_from_json`, each
+    gluing's integer rows made field elements, and built by
+    `bundle.make_bundle`, so the first fault raises with its text."""
     raw = _need(obj, "curve", dict, "bundle")
     curve = curves(raw) if curves else curve_from_json(raw, field)
     fld = curve.field
@@ -314,10 +315,11 @@ def _bundle_in_steps(obj, field, curves):
         i = _need(g, "edge", int, where)
         if i in gluings:
             raise SerializeError("%s: edge %d is listed twice" % (where, i))
-        gluings[i] = _rows_from_json(fld, _need(g, "matrix", list, where),
-                                     where, "matrix is not a list of rows")
+        rows, den = _rows_from_json(fld, _need(g, "matrix", list, where),
+                                    where, "matrix is not a list of rows")
+        gluings[i] = [[element(x, den, fld.char) for x in row] for row in rows]
     rank = _need(obj, "rank", int, "bundle")
-    bundle = build_checked(GluedBundle.of_integers, curve, splittings, gluings)
+    bundle = make_bundle(curve, splittings, gluings)
     if bundle.rank != rank:
         raise SerializeError("bundle: declared rank %r disagrees with splittings" % rank)
     return bundle
@@ -355,7 +357,7 @@ def subbundle_from_json(obj, host: GluedBundle) -> LineSubbundle:
     missing = (set(degrees) ^ set(host.curve.components)) | (set(embeddings) ^ set(host.curve.components))
     if missing:
         raise SerializeError("subbundle: component coverage differs at %s" % sorted(missing))
-    return LineSubbundle.of_integers(host, degrees, embeddings, scalars)
+    return LineSubbundle(host, degrees, embeddings, scalars)
 
 
 # -- enlargements (target implicit) -------------------------------------------

@@ -18,21 +18,21 @@ Node checks, saturation and quotient gluings run on integers, crossing
 from field elements and back only through `linalg`. A subbundle holds its
 embedding only as integer polynomials over one denominator per component
 (`LineSubbundle.integer_embeddings`, residues over GF(p)), in the form
-`linalg.cleared` gives the trimmed field elements (`_lowest`): the
-constructor clears field elements at once, and `of_integers` holds the
-pairs that saturation, the search and the JSON reader make. Its
-`embeddings` are field elements built on each read, an output view. The
-integers are evaluated at a node homogeneously (`linalg.power_row`),
-gluings are read as the bundle carries them (`integer_gluings`), quotient
-gluings are made as integer pairs in the same lowest terms
-(`linalg.lowest`), and field elements are built (`linalg.element`) only
-for the outputs.
+`linalg.cleared` gives the trimmed field elements (`_lowest`). It has one
+constructor, which holds the pairs that saturation, the search and the
+JSON reader make; `saturate` is the entry point for a section of field
+elements, cleared once. Its `embeddings` are field elements built on each
+read, an output view. The integers are evaluated at a node homogeneously
+(`linalg.power_row`), gluings are read as the bundle carries them
+(`integer_gluings`), quotient gluings are made as integer pairs in the
+same lowest terms (`linalg.lowest`), and field elements are built
+(`linalg.element`) only for the outputs.
 
 find_line_subbundle realizes a line subbundle of degree dmax after
 inserting bridges: `_search` assembles a `_Plan` in that integer form
 from saturations (`_saturation_plan`, the one route from a section to a
-plan) and junctions (`_join`), and the subbundle is made once, by
-`LineSubbundle.of_integers`.
+plan) and junctions (`_join`), and the subbundle is made once, by the
+`LineSubbundle` constructor.
 """
 from __future__ import annotations
 
@@ -53,31 +53,22 @@ class SubbundleError(ValueError):
     pass
 
 
+@dataclass(repr=False)
 class LineSubbundle:
-    """A line subbundle of `host`. The embedding is held only as
-    `integer_embeddings`, in a canonical form (see the module docstring),
-    so equal subbundles hold equal pairs and `__eq__` compares them."""
+    """A line subbundle of `host`, holding what it is given: `degrees`
+    (put in the host's component order), `integer_embeddings`, one
+    `_lowest` pair per component, and `scalars`; no field element is
+    built. The embedding is held only in that canonical form (see the
+    module docstring), so equal subbundles hold equal pairs and the
+    generated `__eq__` compares them."""
 
-    def __init__(self, host: GluedBundle, degrees, embeddings, scalars):
-        p = host.field.char
-        self.host = host
-        self.degrees = {v: int(degrees[v]) for v in host.curve.components}
-        self.integer_embeddings = {
-            v: cleared([poly.trim(q) for q in embeddings[v]], p)
-            for v in host.curve.components}
-        self.scalars = dict(scalars)
+    host: GluedBundle
+    degrees: dict
+    integer_embeddings: dict
+    scalars: dict
 
-    @classmethod
-    def of_integers(cls, host: GluedBundle, degrees, integer_embeddings,
-                    scalars):
-        """A subbundle holding `integer_embeddings`, one `_lowest` pair per
-        component, and `scalars` as given, its degrees in the host's
-        component order; no field element is built."""
-        out = cls.__new__(cls)
-        out.host, out.scalars = host, scalars
-        out.degrees = {v: degrees[v] for v in host.curve.components}
-        out.integer_embeddings = integer_embeddings
-        return out
+    def __post_init__(self):
+        self.degrees = {v: self.degrees[v] for v in self.host.curve.components}
 
     @property
     def embeddings(self):
@@ -144,13 +135,6 @@ class LineSubbundle:
             raise SubbundleError("; ".join(problems))
         return self
 
-    def __eq__(self, other):
-        if not isinstance(other, LineSubbundle):
-            return NotImplemented
-        return (self.host == other.host and self.degrees == other.degrees
-                and self.integer_embeddings == other.integer_embeddings
-                and self.scalars == other.scalars)
-
     def __repr__(self):
         return "LineSubbundle(degrees=%s)" % (self.degrees,)
 
@@ -210,7 +194,7 @@ def saturate(bundle: GluedBundle, section) -> LineSubbundle:
     """Line subbundle spanned by a global section of field elements, each
     component's coordinates cleared once; see `_saturate`."""
     p = bundle.field.char
-    return LineSubbundle.of_integers(bundle, *_saturate(
+    return LineSubbundle(bundle, *_saturate(
         bundle, {v: cleared([poly.trim(q) for q in section[v]], p)
                  for v in bundle.curve.components})).validate()
 
@@ -812,5 +796,4 @@ def find_line_subbundle(bundle: GluedBundle):
             scalars[i] = plan.scalars[(e.a, e.b)]
         elif e.a not in plan.degrees or e.b not in plan.degrees:  # a bridge
             scalars[i] = bundle.field.one
-    return enl, LineSubbundle.of_integers(host, degrees, coords,
-                                          scalars).validate()
+    return enl, LineSubbundle(host, degrees, coords, scalars).validate()

@@ -4,7 +4,9 @@ compared against: Gauss-Jordan for the eliminations and the inverse in
 matrix products and column solves for the node checks, saturation and
 quotient gluings in `treebundles.subbundles`, and a subbundle as the
 line bundle it is (`as_line_bundle`). Polynomial sums, scalings and
-products build the tests' inputs.
+products build the tests' inputs, and `subbundle_of` builds a subbundle
+from field-element coordinates through the one `LineSubbundle`
+constructor.
 
 They work on Fraction or FpElement entries directly, dividing each pivot
 row by its pivot, so they share no code with the fraction-free routes.
@@ -25,7 +27,9 @@ the curve checked by `validate_tree`, neither of which
 from treebundles.bundle import (GluedBundle, SectionSystem, _edge_rows,
                                 vanishing_floor)
 from treebundles.curve import Edge, TreeCurve
+from treebundles.linalg import cleared
 from treebundles.serialize import _need, _need_names
+from treebundles.subbundles import LineSubbundle
 
 
 def rref(rows, ncols):
@@ -250,10 +254,21 @@ def as_line_bundle(sub):
     return GluedBundle(sub.host.curve, 1, spl, glue)
 
 
+def subbundle_of(host, degrees, embeddings, scalars):
+    """The `LineSubbundle` with these degrees and a copy of these scalars
+    whose embedding is `embeddings`, per component coordinate polynomials
+    of field elements, each component's trimmed lists cleared once
+    (`linalg.cleared`), as `subbundles.saturate` clears a section."""
+    p = host.field.char
+    return LineSubbundle(host, degrees,
+                         {v: cleared([trim(q) for q in embeddings[v]], p)
+                          for v in host.curve.components}, dict(scalars))
+
+
 def saturate(bundle, section):
     """(degrees, embeddings, scalars) of the line subbundle a section spans,
     or a SubbundleError with the text `subbundles.saturate` raises."""
-    from treebundles.subbundles import LineSubbundle, SubbundleError
+    from treebundles.subbundles import SubbundleError
     zero = bundle.field.zero
     degrees, embeddings = {}, {}
     for v in bundle.curve.components:
@@ -278,7 +293,7 @@ def saturate(bundle, section):
         if lam is None or not lam:
             raise SubbundleError("saturated directions disagree across edge %d" % i)
         scalars[i] = lam
-    problems = subbundle_problems(LineSubbundle(bundle, degrees, embeddings, scalars))
+    problems = subbundle_problems(subbundle_of(bundle, degrees, embeddings, scalars))
     if problems:
         raise SubbundleError("; ".join(problems))
     return degrees, embeddings, scalars

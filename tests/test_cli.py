@@ -273,6 +273,9 @@ def test_twist_defaults_unmentioned_components_to_zero(ex_path, capsys):
     code, out, _ = run(capsys, "h0", "-i", ex_path, "--twist", "v1:-3")
     twisted = json.loads(out)
     assert code == 0 and twisted == {"h0": 2, "h1": 2}
+    # empty entries are skipped
+    assert run(capsys, "h0", "-i", ex_path, "--twist", "v1:-3,,") == (
+        code, out, "")
 
 
 @pytest.mark.parametrize("flags, expected", [

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from treebundles.bundle import make_bundle
 from treebundles.curve import (CurveError, Edge, Enlargement, TreeCurve,
                                check_multidegree, compose_enlargements,
                                fill_multidegree, identity_enlargement,
@@ -11,6 +12,9 @@ from treebundles.curve import (CurveError, Edge, Enlargement, TreeCurve,
                                validate_tree)
 from treebundles.fields import PrimeField, field_from_name
 from treebundles.sampling import random_tree
+from treebundles.specialize import (Certificate, EnlargementStep, certify,
+                                    verify_certificate)
+from treebundles.splitting import SplittingType
 
 
 def t2():
@@ -93,7 +97,6 @@ def test_graph_views():
     assert curve.edge_between("a", "b") is None
     assert curve.side_of(1, "b") == {"b"}
     assert curve.side_of(1, "h") == {"h", "a", "c"}
-    assert curve.ordered({"c", "a"}) == ("a", "c")
 
 
 def test_is_connected_subset():
@@ -276,6 +279,22 @@ def test_enlargement_problems_before_the_walks():
                       for f in (f7, f11))
     assert Enlargement(source, target, frozenset()).problems == (
         "source and target coefficient fields differ", CHAIN % [])
+    # a bad tree is reported alone: the map is not checked over it
+    bad = TreeCurve(("a", "c", "b"), (Edge("a", F(0), "c", F(0)),
+                                      Edge("c", F(0), "b", F(0))))
+    good = TreeCurve(("a", "b"), (Edge("a", F(0), "b", F(0)),))
+    enl = Enlargement(bad, good, frozenset({"c"}))
+    assert enl.problems == bad.problems == (
+        "two nodes of 'c' share coordinate Fraction(0, 1)",)
+    # and verify names it as the step's fault
+    bundle = make_bundle(good, {"a": (1, -1), "b": (2, 0)},
+                         {0: [[F(1), F(2)], [F(3), F(4)]]})
+    cert = certify(bundle, SplittingType((1, 1)))
+    assert isinstance(cert.steps[1], EnlargementStep)
+    steps = (cert.steps[0], EnlargementStep(enl)) + cert.steps[2:]
+    assert verify_certificate(Certificate(cert.source, bundle, steps)) == (
+        False, ["step 1: bad enlargement: two nodes of 'c' share coordinate "
+                "Fraction(0, 1)"])
 
 
 @pytest.mark.parametrize("field", ["q", "p:7"])

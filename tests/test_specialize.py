@@ -27,13 +27,14 @@ from treebundles.specialize import (Certificate, Decision, DominanceStep,
                                     MismatchError, RankOneBase, SplitOffStep,
                                     certify, decide, verify_certificate)
 from treebundles.splitting import SplittingType, specializes_p1
-from treebundles.subbundles import (LineSubbundle, _bridgeless, _cut_assembly,
-                                    _max_support_section, _nonzero_components,
-                                    _restricted_dmax, find_line_subbundle,
-                                    saturate)
+from treebundles.subbundles import (_bridgeless, _combine_support,
+                                    _cut_assembly, _max_support_section,
+                                    _nonzero_components, _restricted_dmax,
+                                    find_line_subbundle, saturate)
 
 from conftest import (build_chain, build_ex, build_swap, field_sections,
                       regression_bundle)
+from reference_linalg import subbundle_of
 
 I2 = [[F(1), F(0)], [F(0), F(1)]]
 QQ = RationalField()
@@ -594,6 +595,20 @@ def test_max_support_section_reaches_where_the_first_basis_vector_does_not():
         "v1": [[1, 1], []], "v2": [[1], []]}
 
 
+def test_combine_support_falls_back_to_the_section_over_a_small_field():
+    # sec is k on v_k for k <= 6 and 0 on v7, other is -1 everywhere: sec
+    # + c*other loses v_c for c = 1..6, so over GF(7) no scalar keeps the
+    # six shared components alive and sec comes back; over Q c = 7 does
+    comps = tuple("v%d" % k for k in range(1, 8))
+    curve = TreeCurve(comps, tuple(Edge(a, F(1), b, F(0))
+                                   for a, b in zip(comps, comps[1:])))
+    sec = {v: [[k] if k <= 6 else []] for k, v in enumerate(comps, 1)}
+    # -1 is the residue 6 over GF(7)
+    assert _combine_support(7, curve, sec, {v: [[6]] for v in comps}) is sec
+    assert _combine_support(0, curve, sec, {v: [[-1]] for v in comps}) == dict(
+        {v: [[k - 7]] for k, v in enumerate(comps[:6], 1)}, v7=[[-7]])
+
+
 def test_bridgeless_passes_a_slack_only_where_no_section_has_full_support(
         monkeypatch):
     # _bridgeless tries one section per slack, the max-support combination;
@@ -943,9 +958,9 @@ def test_verify_rejects_tampered_subbundle(ex_bundle):
     cert = certify(ex_bundle, SplittingType((3, 1)))
     split = cert.steps[2]
     sub = split.subbundle
-    fake = LineSubbundle(sub.host,
-                         dict(sub.degrees, **{"v1+v2": 0}),
-                         sub.embeddings, sub.scalars)
+    fake = subbundle_of(sub.host,
+                        dict(sub.degrees, **{"v1+v2": 0}),
+                        sub.embeddings, sub.scalars)
     steps = (cert.steps[0], cert.steps[1],
              SplitOffStep(fake, split.quotient, split.qprime), cert.steps[3])
     ok, report = verify_certificate(Certificate(cert.source, cert.target, steps))
@@ -958,8 +973,8 @@ def test_verify_rejects_a_scalar_on_an_edge_the_host_lacks(ex_bundle):
     sub = split.subbundle
     assert sorted(sub.scalars) == [0, 1]
     for edge in (2, -1):
-        fake = LineSubbundle(sub.host, sub.degrees, sub.embeddings,
-                             {**sub.scalars, edge: F(5)})
+        fake = subbundle_of(sub.host, sub.degrees, sub.embeddings,
+                            {**sub.scalars, edge: F(5)})
         steps = (cert.steps[0], cert.steps[1],
                  SplitOffStep(fake, split.quotient, split.qprime), cert.steps[3])
         assert verify_certificate(Certificate(cert.source, cert.target, steps)) \

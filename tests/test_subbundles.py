@@ -11,22 +11,23 @@ from treebundles.curve import Edge, TreeCurve
 from treebundles.fields import PrimeField, RationalField
 from treebundles.linalg import cleared, element
 from treebundles.sampling import random_bundle, random_tree
-from treebundles.subbundles import (LineSubbundle, SubbundleError,
-                                    _kernel_generators, _quotient,
-                                    _quotient_by_generators, _saturation_plan,
-                                    quotient_bundle, saturate)
+from treebundles.subbundles import (SubbundleError, _kernel_generators,
+                                    _quotient, _quotient_by_generators,
+                                    _saturation_plan, quotient_bundle,
+                                    saturate)
 
 from conftest import field_sections, projections
 from reference_linalg import (as_line_bundle, evaluate, gcd_monic,
-                              kernel_generators, mat_vec, matrix_rank)
+                              kernel_generators, mat_vec, matrix_rank,
+                              subbundle_of)
 
 
 def line_sub_of_ex(ex):
     # the constant first-summand direction, degrees (2, 0)
-    return LineSubbundle(ex,
-                         {"v1": 2, "v2": 0},
-                         {"v1": [[F(1)], []], "v2": [[F(1)], []]},
-                         {0: F(1)})
+    return subbundle_of(ex,
+                        {"v1": 2, "v2": 0},
+                        {"v1": [[F(1)], []], "v2": [[F(1)], []]},
+                        {0: F(1)})
 
 
 def test_validate_accepts_good_subbundle(ex_bundle):
@@ -52,30 +53,30 @@ def test_validate_rejects_degree_bound_violation(ex_bundle):
 
 
 def test_validate_rejects_zero_embedding(ex_bundle):
-    sub = LineSubbundle(ex_bundle,
-                        {"v1": 2, "v2": 0},
-                        {"v1": [[F(1)], []], "v2": [[], []]},
-                        {0: F(1)})
+    sub = subbundle_of(ex_bundle,
+                       {"v1": 2, "v2": 0},
+                       {"v1": [[F(1)], []], "v2": [[], []]},
+                       {0: F(1)})
     with pytest.raises(SubbundleError, match="identically zero"):
         sub.validate()
 
 
 def test_validate_rejects_common_zero(ex_bundle):
     # both coordinates divisible by x, so the map drops rank at 0
-    sub = LineSubbundle(ex_bundle,
-                        {"v1": 1, "v2": 0},
-                        {"v1": [[F(0), F(1)], []], "v2": [[F(1)], []]},
-                        {0: F(1)})
+    sub = subbundle_of(ex_bundle,
+                       {"v1": 1, "v2": 0},
+                       {"v1": [[F(0), F(1)], []], "v2": [[F(1)], []]},
+                       {0: F(1)})
     with pytest.raises(SubbundleError, match="common zero"):
         sub.validate()
 
 
 def test_validate_rejects_vanishing_at_infinity(ex_bundle):
     # no coordinate reaches its degree bound, so the homogenization does
-    sub = LineSubbundle(ex_bundle,
-                        {"v1": 1, "v2": 0},
-                        {"v1": [[F(1)], []], "v2": [[F(1)], []]},
-                        {0: F(1)})
+    sub = subbundle_of(ex_bundle,
+                       {"v1": 1, "v2": 0},
+                       {"v1": [[F(1)], []], "v2": [[F(1)], []]},
+                       {0: F(1)})
     with pytest.raises(SubbundleError, match="vanishes at infinity"):
         sub.validate()
 
@@ -408,7 +409,7 @@ def test_rank_two_quotient_matches_the_generator_search(fld):
         for i, e in enumerate(sub.host.curve.edges):
             lam = sub.scalars[i]
             scalars[i] = lam * c if e.a == v else lam / c if e.b == v else lam
-        scaled = LineSubbundle(
+        scaled = subbundle_of(
             sub.host, sub.degrees,
             {w: [[x * c for x in q] if w == v else q for q in ps]
              for w, ps in sub.embeddings.items()}, scalars).validate()

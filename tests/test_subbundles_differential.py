@@ -22,8 +22,7 @@ from treebundles.sampling import balanced_splitting, random_tree
 from treebundles.serialize import (certificate_to_json, dumps,
                                    subbundle_from_json, subbundle_to_json)
 from treebundles.specialize import certify, find_line_subbundle, verify_certificate
-from treebundles.subbundles import (LineSubbundle, SubbundleError, _quotient,
-                                    saturate)
+from treebundles.subbundles import SubbundleError, _quotient, saturate
 
 import reference_linalg as ref
 from conftest import field_sections, projections
@@ -144,7 +143,7 @@ def _tampered(rng, sub):
         embeddings = sub.embeddings
         if coords is not None:
             embeddings[v] = coords
-        return LineSubbundle(host, sub.degrees, embeddings, sub.scalars)
+        return ref.subbundle_of(host, sub.degrees, embeddings, sub.scalars)
 
     v = rng.choice(comps)
     if sub.scalars:
@@ -316,7 +315,7 @@ def test_integer_saturation_does_not_see_the_presentation(fld):
         {"degrees": {"v1": 2, "v2": 0},
          "embeddings": {"v1": [["2/4", "-0", "0"], ["-0"]], "v2": [["8"], []]},
          "scalars": [{"edge": 0, "value": "1/16"}]}, ex).validate()
-    assert spelled == LineSubbundle(
+    assert spelled == ref.subbundle_of(
         ex, {"v1": 2, "v2": 0},
         {"v1": [[fld.one / fld.of(2)], []], "v2": [[fld.of(8)], []]},
         {0: fld.one / fld.of(16)})
